@@ -1,10 +1,10 @@
 """Shared helpers for the per-figure benchmark modules.
 
 Each ``benchmarks/test_fig*.py`` regenerates one table/figure of the
-paper: it runs the harness grid, writes the paper-style tables to
-``benchmarks/results/<name>.txt`` (and stdout), asserts the *shape* of
-the result (who wins, where timeouts fall), and registers one
-representative cell with pytest-benchmark.
+paper: it runs the harness grid, renders the paper-style tables (to
+stdout and :data:`RESULTS_DIR`), asserts the *shape* of the result (who
+wins, where timeouts fall), and registers one representative cell with
+pytest-benchmark.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from typing import Mapping, Sequence
 from repro.bench.harness import RunResult, run_query
 from repro.core.algorithms import Algorithm
 
+#: Where :func:`record` writes.  ``conftest.py`` redirects it to the
+#: pytest temp dir unless ``--update-results`` is passed: the committed
+#: ``benchmarks/results/*.txt`` hold machine-local timings, and a test
+#: run must leave ``git status`` clean.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Global size multiplier; raise (e.g. REPRO_BENCH_SCALE=4) for slower,

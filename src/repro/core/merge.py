@@ -46,7 +46,8 @@ from ..engine.batch import ColumnBatch
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, equal_on_dimensions)
-from .vectorized import ColumnBlock, _dominated_by, columnize, columnize_batch
+from .vectorized import (ColumnBlock, _columns, _dominated_by, columnize,
+                         columnize_batch)
 from .vectorized import np  # None when NumPy is unavailable
 
 #: Grid resolution (cells per dimension) of a :class:`MergeSummary`.
@@ -211,8 +212,9 @@ def _vec_unmergeable(block: ColumnBlock | None) -> bool:
 def _merge_index_arrays(values: "np.ndarray", left_idx: "np.ndarray",
                         right_idx: "np.ndarray", distinct: bool,
                         stats: DominanceStats | None) -> "np.ndarray":
-    l_dead = _dominated_by(values[left_idx], values[right_idx], stats)
-    r_dead = _dominated_by(values[right_idx], values[left_idx], stats)
+    left, right = _columns(values[left_idx]), _columns(values[right_idx])
+    l_dead = _dominated_by(left, right, stats)
+    r_dead = _dominated_by(right, left, stats)
     if distinct and len(left_idx) and len(right_idx):
         r_dead |= _rows_equal_any(values[right_idx], values[left_idx])
     return np.concatenate([left_idx[~l_dead], right_idx[~r_dead]])
@@ -242,12 +244,8 @@ def _merge_index_sets(block: ColumnBlock, left_idx: "np.ndarray",
             continue
         lg = np.asarray(l_rows)
         rg = np.asarray(r_rows)
-        l_dead = _dominated_by(values[lg], values[rg], stats)
-        r_dead = _dominated_by(values[rg], values[lg], stats)
-        if distinct:
-            r_dead |= _rows_equal_any(values[rg], values[lg])
-        dead[lg[l_dead]] = True
-        dead[rg[r_dead]] = True
+        dead[lg] = dead[rg] = True
+        dead[_merge_index_arrays(values, lg, rg, distinct, stats)] = False
     return np.concatenate([left_idx[~dead[left_idx]],
                            right_idx[~dead[right_idx]]])
 

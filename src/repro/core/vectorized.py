@@ -6,7 +6,35 @@ Python -- the hottest loop of the whole engine.  This module re-expresses
 the same algorithms over *columns*: a partition's skyline dimensions are
 converted once into a ``float64`` matrix (MAX dimensions negated so
 smaller is uniformly better, SQL nulls encoded as NaN plus an explicit
-null mask) and dominance is evaluated block-wise with NumPy broadcasting.
+null mask) and dominance is evaluated with NumPy broadcasting.
+
+There is **one window kernel**, :func:`_block_skyline_indices` -- local
+BNL, the null-bitmap local phase, the pipelined batch fold and SFS all
+select their survivors with it:
+
+* *Key.*  Every row gets the rank-volume key ``-sum_j log(1 - F_j)``,
+  ``F_j`` the fraction of rows strictly better in dimension ``j``: the
+  log of the share of rank space the row could dominate.  Ranks make it
+  scale-free (a heavy-tailed column cannot push useless outliers to the
+  front), finite on ``+-inf`` and -- equal values share a rank, the
+  terms add left to right -- weakly monotone under dominance even after
+  rounding: a dominator never sorts after its victim unless their keys
+  are equal.  Uniformly-null columns take no part.
+* *Peel.*  One stable argsort by key, then rounds: take a head block
+  (64 rows, doubling to 1024), reduce it to its own skyline, filter the
+  *whole remainder* against it and compact.  The best-placed rows go
+  first, so most of the input is gone before a window exists.
+* *Tie pass.*  Rows of equal key can dominate each other across a
+  block boundary; every such false survivor has a surviving equal-key
+  dominator (true skyline rows always survive), so one pairwise pass per
+  equal-key run of survivors makes the result exact for any weakly
+  monotone key.
+* *Column layout.*  The dominance primitives (:func:`_dominated_by`,
+  :func:`_pairwise_dominated`) take ``(dims, rows)`` C-contiguous
+  arrays (:func:`_columns`), one contiguous vector per dimension, and
+  compare at most :data:`PAIR_BUDGET` pairs per broadcast; the merge
+  kernels, the flagged kernel and the serving cache's re-filter share
+  them.
 
 Semantics are pinned to the scalar reference implementation:
 
@@ -61,15 +89,22 @@ from .dominance import (BoundDimension, DimensionKind, DominanceStats,
 from .incomplete import flagged_global_skyline
 from .sfs import sfs_skyline
 
-#: Rows folded into the window per kernel step.  Empirically the sweet
-#: spot across the generator distributions: larger blocks amortize the
-#: NumPy call overhead but pay a quadratic intra-block pass that
-#: short-circuit-free vectorization cannot skip.
+#: ``by`` rows per step of the flagged all-pairs kernel (one deadline
+#: check per step).
 BLOCK_ROWS = 256
 
-#: Window rows broadcast against one block at a time (bounds the
-#: temporary (chunk x block x dims) comparison arrays to a few MB).
-WINDOW_CHUNK = 2048
+#: Head-block sizes of the sort-first peel: the first blocks hold the
+#: rows that dominate most and must be cheap to reduce; later ones
+#: amortize the NumPy call overhead over a remainder that has shrunk.
+HEAD_ROWS_MIN = 64
+HEAD_ROWS_MAX = 1024
+
+#: Pairs per broadcast comparison and candidate rows per pass: together
+#: they bound the dominance primitives' temporaries (three boolean pair
+#: masks, one compacted candidate copy) to about 1 MB at six dimensions.
+PAIR_BUDGET = 1 << 16
+CANDIDATE_SPAN = 1 << 13
+
 
 def numpy_available() -> bool:
     """True when the vectorized kernels are usable in this process."""
@@ -222,46 +257,102 @@ def columnize_batch(batch: ColumnBatch,
 # ---------------------------------------------------------------------------
 
 
+def _columns(values: "np.ndarray") -> "np.ndarray":
+    """``(rows, dims)`` matrix -> ``(dims, rows)`` C-contiguous columns,
+    the layout the dominance primitives read."""
+    return np.ascontiguousarray(values.T)
+
+
 def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray"
                         ) -> "np.ndarray":
-    """``(len(by), len(cand))`` mask: ``by[i]`` dominates ``cand[j]``.
+    """``(by rows, cand rows)`` mask: ``by[:, i]`` dominates
+    ``cand[:, j]``; both arguments are :func:`_columns` arrays.
 
-    Iterates over the (few) dimensions with 2-D comparisons instead of
-    one 3-D broadcast + axis reduction -- the reduction over a tiny
-    last axis is the slow path in NumPy.
+    One 2-D comparison per dimension over contiguous vectors, written
+    into reused buffers: a 3-D broadcast with a reduction over the tiny
+    dimension axis is the slow path in NumPy, and so are strided reads.
     """
-    k = by.shape[1]
-    shape = (len(by), len(cand))
+    shape = (by.shape[1], cand.shape[1])
     worse = np.zeros(shape, dtype=bool)    # by worse anywhere
     better = np.zeros(shape, dtype=bool)   # by strictly better anywhere
-    for j in range(k):
-        b = by[:, j][:, None]
-        c = cand[None, :, j]
-        worse |= b > c
-        better |= b < c
-    return ~worse & better
+    scratch = np.empty(shape, dtype=bool)
+    for b, c in zip(by, cand):
+        b = b[:, None]
+        worse |= np.greater(b, c, out=scratch)
+        better |= np.less(b, c, out=scratch)
+    np.logical_not(worse, out=worse)
+    worse &= better
+    return worse
 
 
 def _dominated_by(cand: "np.ndarray", by: "np.ndarray",
                   stats: DominanceStats | None = None) -> "np.ndarray":
-    """Mask over ``cand`` rows dominated by *some* row of ``by``.
+    """Mask over ``cand`` rows dominated by *some* row of ``by`` (both
+    :func:`_columns` arrays).
 
-    Chunked over ``by`` so the broadcast temporaries stay bounded;
-    already-dominated candidates drop out of later chunks.
+    Every broadcast covers at most :data:`PAIR_BUDGET` pairs, and
+    already-dominated candidates drop out of later steps -- so the
+    ``by`` step grows as the candidates thin out.  ``by`` stays whole:
+    passing the same array twice gives the flag semantics (dominated
+    rows keep eliminating).
     """
-    out = np.zeros(len(cand), dtype=bool)
-    if not len(cand) or not len(by):
-        return out
-    for start in range(0, len(by), WINDOW_CHUNK):
-        chunk = by[start:start + WINDOW_CHUNK]
-        alive = np.flatnonzero(~out)
-        if not len(alive):
-            break
-        dominated = _pairwise_dominated(chunk, cand[alive])
-        if stats is not None:
-            stats.comparisons += len(chunk) * len(alive)
-        out[alive] |= dominated.any(axis=0)
+    out = np.zeros(cand.shape[1], dtype=bool)
+    for lo in range(0, cand.shape[1], CANDIDATE_SPAN):
+        live = cand[:, lo:lo + CANDIDATE_SPAN]
+        index = np.arange(lo, lo + live.shape[1])
+        start = 0
+        while start < by.shape[1] and len(index):
+            chunk = by[:, start:start + PAIR_BUDGET // len(index)]
+            start += chunk.shape[1]
+            if stats is not None:
+                stats.comparisons += chunk.shape[1] * len(index)
+            dead = _pairwise_dominated(chunk, live).any(axis=0)
+            if dead.any():
+                out[index[dead]] = True
+                # compress, unlike live[:, ~dead], stays C-contiguous.
+                live = np.compress(~dead, live, axis=1)
+                index = index[~dead]
     return out
+
+
+def _volume_keys(cols: "Sequence[np.ndarray]") -> "np.ndarray":
+    """Rank-volume sort keys from one value vector per dimension
+    (smaller first; the *Key* of the module docstring).
+
+    Equal values share the rank of their first occurrence in sorted
+    order, so ``r <= s`` in a dimension implies ``term(r) <= term(s)``;
+    floating-point addition is monotone in each operand, and
+    ``1 - F >= 1/n`` keeps every term finite.
+    """
+    n = len(cols[0])
+    terms = -np.log1p(np.arange(n) / -n)
+    keys = np.zeros(n)
+    for col in cols:
+        order = np.argsort(col)
+        ordered = col[order]
+        rank = np.arange(n)
+        rank[1:][ordered[1:] == ordered[:-1]] = 0
+        keys[order] += terms[np.maximum.accumulate(rank, out=rank)]
+    return keys
+
+
+def _equal_key_dominated(keys: "np.ndarray", cols: "np.ndarray",
+                         stats: DominanceStats | None) -> "np.ndarray":
+    """Mask over key-ordered peel survivors dominated by a survivor of
+    *equal* key (the *Tie pass* of the module docstring).
+
+    Rounding ties a dominator with its victim at 1e16 magnitudes under
+    a raw-sum key, under the rank key only beyond ~1e14 rows -- but
+    weak monotonicity is all floating point guarantees.
+    """
+    dead = np.zeros(len(keys), dtype=bool)
+    edges = np.flatnonzero(np.concatenate(
+        ([True], keys[1:] != keys[:-1], [True])))
+    runs = np.flatnonzero(np.diff(edges) > 1)
+    for lo, hi in zip(edges[runs].tolist(), edges[runs + 1].tolist()):
+        run = cols[:, lo:hi]
+        dead[lo:hi] = _dominated_by(run, run, stats)
+    return dead
 
 
 def _block_skyline_indices(values: "np.ndarray",
@@ -270,46 +361,42 @@ def _block_skyline_indices(values: "np.ndarray",
                            ) -> "np.ndarray":
     """Indices (ascending) of the skyline rows of ``values``.
 
-    Block-BNL: fold :data:`BLOCK_ROWS` rows at a time into a columnar
-    window -- dominated newcomers are dropped, newcomers that dominate
-    window rows evict them, survivors are appended.  Requires a
-    transitive dominance relation over the rows (guaranteed per
-    DIFF/null-bitmap group).
+    The sort-first peel of the module docstring.  Requires a transitive
+    dominance relation over the rows and NaN only as a uniformly-null
+    column (both guaranteed per DIFF/null-bitmap group by the callers'
+    guards).
     """
-    n = len(values)
-    window_vals = values[:0]
-    window_idx = np.zeros(0, dtype=np.intp)
-    peak = 0
-    for start in range(0, n, BLOCK_ROWS):
+    live = [col for col in values.T if len(col) and not np.isnan(col[0])]
+    if not live:  # no rows, or an all-null group: nothing dominates
+        return np.arange(len(values))
+    keys = _volume_keys(live)
+    order = np.argsort(keys, kind="stable")
+    cols = np.empty((len(live), len(values)))
+    for ordered, col in zip(cols, live):  # sort and transpose in one copy
+        ordered[:] = col[order]
+    kept_rows, kept_cols = [], []
+    head = HEAD_ROWS_MIN
+    while len(order):
         if check_deadline is not None:
             check_deadline()
-        block = values[start:start + BLOCK_ROWS]
-        keep = ~_dominated_by(block, window_vals, stats)
-        survivors = block[keep]
-        if len(survivors) > 1:
-            # Intra-block pass: with rows in input order, any block row
-            # dominated only by other (even dominated) block rows is
-            # also dominated by a surviving one, by transitivity.
-            dom = _pairwise_dominated(survivors, survivors)
-            if stats is not None:
-                stats.comparisons += len(survivors) * (len(survivors) - 1)
-            inner_keep = ~dom.any(axis=0)
-            chosen = np.flatnonzero(keep)[inner_keep]
-        else:
-            chosen = np.flatnonzero(keep)
-        survivors = block[chosen]
-        if len(window_idx) and len(survivors):
-            evict = _dominated_by(window_vals, survivors, stats)
-            if evict.any():
-                window_vals = window_vals[~evict]
-                window_idx = window_idx[~evict]
-        if len(survivors):
-            window_vals = np.concatenate([window_vals, survivors])
-            window_idx = np.concatenate([window_idx, chosen + start])
-        peak = max(peak, len(window_idx))
+        block = cols[:, :head]
+        skyline = ~_dominated_by(block, block, stats)
+        block = np.compress(skyline, block, axis=1)
+        kept_rows.append(order[:head][skyline])
+        kept_cols.append(block)
+        alive = head + np.flatnonzero(
+            ~_dominated_by(cols[:, head:], block, stats))
+        for col in cols:  # compact in place: no second matrix
+            col[:len(alive)] = col[alive]
+        cols = cols[:, :len(alive)]
+        order = order[alive]
+        head = min(head * 2, HEAD_ROWS_MAX)
+    kept = np.concatenate(kept_rows)
+    kept = kept[~_equal_key_dominated(
+        keys[kept], np.concatenate(kept_cols, axis=1), stats)]
     if stats is not None:
-        stats.note_window(peak)
-    return np.sort(window_idx)
+        stats.note_window(len(kept))
+    return np.sort(kept)
 
 
 def _flagged_indices(values: "np.ndarray",
@@ -321,23 +408,35 @@ def _flagged_indices(values: "np.ndarray",
     Unlike the window kernel, dominated rows are only *flagged* -- every
     row keeps eliminating others until all pairs were examined, which is
     what makes the result correct under cyclic (incomplete) dominance.
+    Flagged rows stay on the ``by`` side but are never re-*tested*.
     """
-    n = len(values)
-    dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, BLOCK_ROWS):
+    cols = live = _columns(values)
+    alive = np.arange(len(values))
+    for start in range(0, len(values), BLOCK_ROWS):
         if check_deadline is not None:
             check_deadline()
-        block = values[start:start + BLOCK_ROWS]
-        # Flag semantics require flagged rows to keep eliminating (the
-        # ``by`` side stays the full block) but never need them
-        # re-*tested* -- restrict the candidate side to unflagged rows.
-        alive = np.flatnonzero(~dominated)
         if not len(alive):
             break
-        dominated[alive] |= _dominated_by(values[alive], block, stats)
+        keep = ~_dominated_by(live, cols[:, start:start + BLOCK_ROWS],
+                              stats)
+        live = np.compress(keep, live, axis=1)
+        alive = alive[keep]
     if stats is not None:
-        stats.note_window(n)
-    return np.flatnonzero(~dominated)
+        stats.note_window(len(values))
+    return alive
+
+
+def _grouped_indices(block: ColumnBlock, select: Callable,
+                     stats: DominanceStats | None,
+                     check_deadline: Callable[[], None] | None
+                     ) -> list[int]:
+    """Per-DIFF-group index selection, merged in ascending order."""
+    indices: list[int] = []
+    for group in block.diff_groups():
+        chosen = select(block.values[group], stats, check_deadline)
+        indices.extend(group[chosen].tolist())
+    indices.sort()
+    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +465,15 @@ def _distinct_indices(indices: Sequence[int], rows: Sequence[Sequence],
         seen.add(key)
         kept.append(i)
     return kept
+
+
+def _distinct_batch_indices(indices: Sequence[int], batch: ColumnBatch,
+                            dims: Sequence[BoundDimension]) -> list[int]:
+    """:func:`_distinct_indices` over a batch: only the survivors are
+    materialised as rows, not the whole partition."""
+    survivors = batch.take(indices).to_rows()
+    return [indices[i] for i in
+            _distinct_indices(range(len(indices)), survivors, dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +506,8 @@ def vec_bnl_skyline(rows: Sequence[Sequence],
         # to null-skipping semantics, so nulls defer too.
         return bnl_skyline(rows, dims, distinct=distinct, stats=stats,
                            check_deadline=check_deadline)
-    indices: list[int] = []
-    for group in block.diff_groups():
-        chosen = _block_skyline_indices(block.values[group], stats,
-                                        check_deadline)
-        indices.extend(group[chosen].tolist())
-    indices.sort()
+    indices = _grouped_indices(block, _block_skyline_indices, stats,
+                               check_deadline)
     if distinct:
         indices = _distinct_indices(indices, rows, dims)
     return [rows[i] for i in indices]
@@ -432,12 +536,8 @@ def vec_bnl_skyline_incomplete(rows: Sequence[Sequence],
         return bnl_skyline(rows, dims, distinct=False, stats=stats,
                            dominance=dominates_incomplete,
                            check_deadline=check_deadline)
-    indices: list[int] = []
-    for group in block.diff_groups():
-        chosen = _block_skyline_indices(block.values[group], stats,
-                                        check_deadline)
-        indices.extend(group[chosen].tolist())
-    indices.sort()
+    indices = _grouped_indices(block, _block_skyline_indices, stats,
+                               check_deadline)
     return [rows[i] for i in indices]
 
 
@@ -457,54 +557,15 @@ def _monotone_scores(values: "np.ndarray") -> "np.ndarray":
     return scores
 
 
-def _evict_rounding_ties(kept: list[int], values: "np.ndarray",
-                         scores: "np.ndarray",
-                         stats: DominanceStats | None) -> list[int]:
-    """Drop survivors dominated by an equal-score survivor.
-
-    Exact monotone scores are strictly increasing under dominance, but
-    float rounding can *tie* a dominator with its victim; when such a
-    tie run straddles a chunk boundary the windowed scan misses the
-    pair.  Every false survivor provably has a surviving equal-score
-    dominator (true-skyline rows always survive the scan), so one
-    pairwise pass per equal-score run of survivors restores exactness.
-    ``kept`` is in score order, so runs are contiguous.
-    """
-    if len(kept) < 2:
-        return kept
-    kept_arr = np.asarray(kept)
-    kept_scores = scores[kept_arr]
-    if len(np.unique(kept_scores)) == len(kept_arr):
-        return kept
-    cleaned: list[int] = []
-    i = 0
-    while i < len(kept_arr):
-        j = i + 1
-        while j < len(kept_arr) and kept_scores[j] == kept_scores[i]:
-            j += 1
-        if j - i > 1:
-            run = kept_arr[i:j]
-            dominated = _dominated_by(values[run], values[run], stats)
-            cleaned.extend(run[~dominated].tolist())
-        else:
-            cleaned.append(int(kept_arr[i]))
-        i = j
-    return cleaned
-
-
 def vec_sfs_skyline(rows: Sequence[Sequence],
                     dims: Sequence[BoundDimension],
                     distinct: bool = False,
                     stats: DominanceStats | None = None,
                     check_deadline: Callable[[], None] | None = None
                     ) -> list[Sequence]:
-    """Sort-Filter-Skyline over columns.
-
-    Rows are ordered by the monotone score (sum of oriented values) with
-    a stable sort, so DISTINCT keeps the same representative as the
-    scalar kernel.  NaN scores make presorting unsound (the monotone
-    property fails), so -- matching the scalar kernel's pinned
-    behaviour -- such inputs are computed with the BNL kernel instead.
+    """Sort-Filter-Skyline over columns: the window kernel's survivors
+    in the scalar kernel's output order (see :func:`_sfs_indices`), so
+    DISTINCT keeps the same representative.
     """
     rows = rows if isinstance(rows, list) else list(rows)
     block = columnize(rows, dims)
@@ -516,69 +577,31 @@ def vec_sfs_skyline(rows: Sequence[Sequence],
         # complete-data kernel raises TypeError on them.
         return sfs_skyline(rows, dims, distinct=distinct, stats=stats,
                            check_deadline=check_deadline)
-    all_scores = _monotone_scores(block.values)
-    if not np.isfinite(all_scores).all():
-        # Pinned behaviour shared with the scalar kernel: *any*
-        # non-finite score (NaN, or absorbing ±inf tying a dominator
-        # with its victim) makes presorting unsound -- the whole input
-        # is computed with BNL, like scalar SFS routes it through
-        # scalar BNL (same rows, same input-order output).
-        return vec_bnl_skyline(rows, dims, distinct=distinct,
-                               stats=stats, check_deadline=check_deadline)
-    indices = _sfs_indices(block, all_scores, rows, dims, distinct,
-                           stats, check_deadline)
+    indices = _sfs_indices(block, stats, check_deadline)
+    if distinct:
+        indices = _distinct_indices(indices, rows, dims)
     return [rows[i] for i in indices]
 
 
-def _sfs_indices(block: ColumnBlock, all_scores: "np.ndarray",
-                 rows: Sequence[Sequence],
-                 dims: Sequence[BoundDimension], distinct: bool,
-                 stats: DominanceStats | None,
+def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
                  check_deadline: Callable[[], None] | None) -> list[int]:
-    """The SFS index selection shared by the row and batch kernels.
+    """Skyline indices of a NaN/null-free block in scalar SFS's output
+    order: ascending monotone score, ties in input order (the order
+    DISTINCT dedup must see to pick the scalar representative).
 
-    ``rows`` is only consulted for DISTINCT dedup (raw dimension
-    values); callers guarantee finite scores and a NaN/null-free block.
-    Returns indices in global score order.
+    Pinned behaviour shared with the scalar kernel: *any* non-finite
+    score (NaN, or absorbing +-inf tying a dominator with its victim)
+    makes the score order meaningless, and the result is BNL's -- same
+    rows, input order.  The survivors come from the one window kernel
+    either way; it presorts by a key of its own.
     """
-    indices: list[int] = []
-    for group in block.diff_groups():
-        values = block.values[group]
-        order = np.argsort(all_scores[group], kind="stable")
-        ordered = values[order]
-        kept_local: list[int] = []
-        window = ordered[:0]
-        for start in range(0, len(ordered), BLOCK_ROWS):
-            if check_deadline is not None:
-                check_deadline()
-            chunk = ordered[start:start + BLOCK_ROWS]
-            keep = ~_dominated_by(chunk, window, stats)
-            if len(chunk) > 1:
-                dom = _pairwise_dominated(chunk, chunk)
-                if stats is not None:
-                    stats.comparisons += len(chunk) * (len(chunk) - 1)
-                keep &= ~dom.any(axis=0)
-            chosen = np.flatnonzero(keep)
-            window = np.concatenate([window, chunk[chosen]])
-            kept_local.extend((group[order[chosen + start]]).tolist())
-        if stats is not None:
-            stats.note_window(len(window))
-        kept_local = _evict_rounding_ties(kept_local, block.values,
-                                          all_scores, stats)
-        # kept_local is in score order -- the order DISTINCT dedup must
-        # see to pick the scalar kernel's representative.
-        if distinct:
-            kept_local = _distinct_indices(kept_local, rows, dims)
-        indices.extend(kept_local)
-    # DISTINCT dedup happened per DIFF group, which is exact: equal
-    # skyline-dimension values imply an equal DIFF key.  Scalar SFS
-    # emits the *global* score order (stable: ties in input order), so
-    # re-rank the per-group survivors the same way.
-    rank = np.empty(len(all_scores), dtype=np.intp)
-    rank[np.argsort(all_scores, kind="stable")] = np.arange(
-        len(all_scores))
-    indices.sort(key=lambda i: rank[i])
-    return indices
+    indices = _grouped_indices(block, _block_skyline_indices, stats,
+                               check_deadline)
+    scores = _monotone_scores(block.values)
+    if not np.isfinite(scores).all():
+        return indices
+    chosen = np.asarray(indices, dtype=np.intp)
+    return chosen[np.argsort(scores[chosen], kind="stable")].tolist()
 
 
 def vec_flagged_global_skyline(rows: Sequence[Sequence],
@@ -602,12 +625,8 @@ def vec_flagged_global_skyline(rows: Sequence[Sequence],
         return flagged_global_skyline(rows, dims, distinct=distinct,
                                       stats=stats,
                                       check_deadline=check_deadline)
-    indices: list[int] = []
-    for group in block.diff_groups():
-        chosen = _flagged_indices(block.values[group], stats,
-                                  check_deadline)
-        indices.extend(group[chosen].tolist())
-    indices.sort()
+    indices = _grouped_indices(block, _flagged_indices, stats,
+                               check_deadline)
     if distinct:
         indices = _distinct_indices(indices, rows, dims)
     return [rows[i] for i in indices]
@@ -685,19 +704,6 @@ def vec_global_flagged_task(rows: Sequence[Sequence],
 # materialises rows unless a guard forces the scalar fallback.
 
 
-def _grouped_indices(block: ColumnBlock, select: Callable,
-                     stats: DominanceStats | None,
-                     check_deadline: Callable[[], None] | None
-                     ) -> list[int]:
-    """Per-DIFF-group index selection, merged in ascending order."""
-    indices: list[int] = []
-    for group in block.diff_groups():
-        chosen = select(block.values[group], stats, check_deadline)
-        indices.extend(group[chosen].tolist())
-    indices.sort()
-    return indices
-
-
 def _batch_fallback(batch: ColumnBatch, kernel: Callable,
                     **kwargs) -> ColumnBatch:
     """Run a row kernel on the batch's row view and re-batch."""
@@ -724,7 +730,7 @@ def vec_local_bnl_batch_task(batch: ColumnBatch,
     indices = _grouped_indices(block, _block_skyline_indices, stats,
                                check_deadline)
     if distinct:
-        indices = _distinct_indices(indices, batch.to_rows(), dims)
+        indices = _distinct_batch_indices(indices, batch, dims)
     return batch.take(indices), stats.window_peak, stats.comparisons
 
 
@@ -783,17 +789,9 @@ def vec_local_sfs_batch_task(batch: ColumnBatch,
             batch, sfs_skyline, dims=dims, distinct=distinct,
             stats=stats, check_deadline=check_deadline)
         return result, stats.window_peak, stats.comparisons
-    all_scores = _monotone_scores(block.values)
-    if not np.isfinite(all_scores).all():
-        # Pinned SFS behaviour: non-finite scores make presorting
-        # unsound, the whole input computes with BNL instead.
-        indices = _grouped_indices(block, _block_skyline_indices, stats,
-                                   check_deadline)
-        if distinct:
-            indices = _distinct_indices(indices, batch.to_rows(), dims)
-        return batch.take(indices), stats.window_peak, stats.comparisons
-    indices = _sfs_indices(block, all_scores, batch.to_rows() if distinct
-                           else (), dims, distinct, stats, check_deadline)
+    indices = _sfs_indices(block, stats, check_deadline)
+    if distinct:
+        indices = _distinct_batch_indices(indices, batch, dims)
     return batch.take(indices), stats.window_peak, stats.comparisons
 
 
@@ -814,7 +812,7 @@ def vec_global_flagged_batch_task(batch: ColumnBatch,
     indices = _grouped_indices(block, _flagged_indices, stats,
                                check_deadline)
     if distinct:
-        indices = _distinct_indices(indices, batch.to_rows(), dims)
+        indices = _distinct_batch_indices(indices, batch, dims)
     return batch.take(indices), stats.window_peak, stats.comparisons
 
 
@@ -921,4 +919,5 @@ def vec_dominated_mask(rows: Sequence[Sequence],
         # Nulls demand the incomplete semantics; the cache never stores
         # nullable preference sets, so just refuse.
         return None
-    return _dominated_by(cand.values, by.values).tolist()
+    return _dominated_by(_columns(cand.values),
+                         _columns(by.values)).tolist()

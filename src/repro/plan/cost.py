@@ -34,11 +34,12 @@ from . import logical as L
 SMALL_INPUT_ROWS = 512
 #: Skyline density beyond which SFS is preferred over BNL.
 DENSE_SKYLINE_FRACTION = 0.25
-#: The same crossover when the vectorized kernels run.  Block-BNL's
-#: per-comparison cost collapses under vectorization while SFS still
-#: pays a scalar-ish O(n log n) sort (argsort over Python-derived
-#: scores), so BNL stays competitive on considerably denser skylines
-#: before presorting wins.
+#: The same crossover when the vectorized kernels run.  Vectorized BNL
+#: and SFS select survivors with the same sort-first kernel
+#: (``core/vectorized.py``); SFS only adds a re-rank of the survivors
+#: by monotone score, so the choice matters for partitions that fall
+#: back to the scalar kernels and for the output order -- BNL stays the
+#: default on considerably denser skylines.
 DENSE_SKYLINE_FRACTION_VECTORIZED = 0.5
 #: Rows an adaptive partition should aim to hold.
 TARGET_ROWS_PER_PARTITION = 1024

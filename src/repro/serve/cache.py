@@ -40,7 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..core import BoundDimension, DimensionKind, dominates
-from ..core.vectorized import (_pairwise_dominated, columnize,
+from ..core.vectorized import (_columns, _dominated_by, columnize,
                                vec_dominated_mask)
 from ..engine import expressions as E
 from ..engine.catalog import CatalogEvent
@@ -223,6 +223,8 @@ class SkylineResultCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
+        #: Version of the newest catalog event applied to the entries.
+        self._applied_version = 0
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -268,10 +270,11 @@ class SkylineResultCache:
         """The rows of ``table_rows`` not dominated under ``shape``.
 
         Fast path: slice the entry's columnized base table (rebuilt
-        here if stale) and run a chunked kernel over the cached skyline
-        -- most candidates are dominated by the first few skyline
-        members, so they drop out before later chunks.  Falls back to
-        generic row-wise filtering whenever the matrix cannot serve.
+        here if stale) and run the shared dominance kernel over the
+        cached skyline -- most candidates are dominated by the first few
+        skyline members, so they drop out before later steps.  Falls
+        back to generic row-wise filtering whenever the matrix cannot
+        serve.
         """
         selected = entry.value_columns(shape.dims) if _np is not None \
             else None
@@ -285,16 +288,9 @@ class SkylineResultCache:
                     if entry.base_values is not None else None
             if entry.base_values is not None and \
                     entry.sky_values is not None:
-                cand = entry.base_values[:, selected]
-                sky = entry.sky_values[:, selected]
-                dominated = _np.zeros(len(cand), dtype=bool)
-                for start in range(0, len(sky), 8):
-                    alive = _np.flatnonzero(~dominated)
-                    if not len(alive):
-                        break
-                    hit = _pairwise_dominated(sky[start:start + 8],
-                                              cand[alive])
-                    dominated[alive] |= hit.any(axis=0)
+                dominated = _dominated_by(
+                    _columns(entry.base_values[:, selected]),
+                    _columns(entry.sky_values[:, selected]))
                 return [table_rows[i]
                         for i in _np.flatnonzero(~dominated).tolist()]
         mask = _dominated_mask(table_rows, entry.rows,
@@ -314,6 +310,13 @@ class SkylineResultCache:
         in it is NULL -- the containment rule is proved for complete
         data only, and with null-free dimensions the engine's complete
         and incomplete algorithms agree.
+
+        ``version`` is the catalog version read *before* the result was
+        computed.  The store is also refused when the invalidation
+        listener has already applied a newer event: that event's delta
+        was checked against the entries of its time and can never
+        invalidate this one.  The test runs under the listener's lock,
+        so a mutation either is seen here or sees the stored entry.
         """
         rows = [tuple(row) for row in rows]
         indices = shape.indices
@@ -342,6 +345,8 @@ class SkylineResultCache:
                        base_version=version
                        if base_values is not None else None)
         with self._lock:
+            if version is not None and version < self._applied_version:
+                return False
             self._entries[shape.key] = entry
             self._entries.move_to_end(shape.key)
             self.stats.stores += 1
@@ -366,6 +371,8 @@ class SkylineResultCache:
     def on_catalog_event(self, event: CatalogEvent) -> None:
         """Catalog listener: incremental invalidation from DML deltas."""
         with self._lock:
+            self._applied_version = max(self._applied_version,
+                                        event.version)
             if event.kind in ("register", "drop"):
                 self._drop_table(event.table)
                 self._advance_others(event)

@@ -146,7 +146,9 @@ class CatalogService:
         version = self.catalog.version
         result = session.execute_prepared(prepared)
         self._note_faults(result)
-        if shape is not None and self.catalog.version == version:
+        if shape is not None:
+            # Refused if DML newer than ``version`` was already applied
+            # to the cache -- checked atomically with the insertion.
             self.result_cache.store(
                 shape, [row.as_tuple() for row in result.rows],
                 prepared.schema,

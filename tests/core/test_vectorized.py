@@ -2,6 +2,7 @@
 columnization edge cases, and the pinned NaN/±inf semantics."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,15 @@ from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
 from repro.core.vectorized import (columnize, prune_dominated_cells_vec,
                                    select_kernels,
-                                   vec_bnl_skyline_incomplete)
+                                   vec_bnl_skyline_incomplete,
+                                   vec_global_flagged_batch_task,
+                                   vec_local_bnl_batch_task,
+                                   vec_local_sfs_batch_task)
+from repro.engine.batch import ColumnBatch
 
 pytestmark = pytest.mark.skipif(not V.numpy_available(),
                                 reason="NumPy not available")
+np = V.np
 
 NAN = float("nan")
 INF = float("inf")
@@ -169,6 +175,144 @@ class TestKernelAgreement:
         vec_bnl_skyline(rows, MIN2, stats=stats)
         assert stats.comparisons > 0
         assert stats.window_peak > 0
+
+
+def all_pairs_skyline(values):
+    """The definition, one row against all others -- no key, no window,
+    no order: the oracle the sort-first kernel must match bit for bit."""
+    kept = []
+    for i, row in enumerate(values):
+        worse = (values > row).any(axis=1)
+        better = (values < row).any(axis=1)
+        if not (~worse & better).any():
+            kept.append(i)
+    return kept
+
+
+#: +-inf, signed zeros, neighbours at 1e16 (spacing 2: a raw sum absorbs
+#: the small dimension) and a few small values -- draws repeat, so exact
+#: duplicates and equal columns are common.
+KERNEL_POOL = [0.0, -0.0, 1.0, 2.0, 3.0, 0.4, 0.6, INF, -INF,
+               1e16, 1e16 + 2, 1e16 + 4, -1e16]
+
+
+@st.composite
+def kernel_matrices(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(KERNEL_POOL), min_size=k, max_size=k),
+        max_size=150))
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), k)
+    if len(rows) and draw(st.booleans()):
+        # One heavy-tailed dimension: 600 orders of magnitude.
+        exponents = draw(st.lists(st.integers(-300, 300),
+                                  min_size=len(rows), max_size=len(rows)))
+        values[:, 0] = 10.0 ** np.asarray(exponents, dtype=np.float64)
+    # Uniformly-null columns (a null-bitmap group); all of them null
+    # is the all-null group.
+    for j in range(k):
+        if draw(st.integers(0, 4)) == 0:
+            values[:, j] = NAN
+    return values
+
+
+class TestSortFirstKernel:
+    """:func:`repro.core.vectorized._block_skyline_indices` against the
+    all-pairs oracle."""
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_all_pairs(self, values):
+        assert V._block_skyline_indices(values).tolist() == \
+            all_pairs_skyline(values)
+
+    #: Rows consumed when every head block survives whole: 64, +128, ...
+    BOUNDARIES = [64, 192, 448, 960, 1984, 3008]
+
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES
+                                   for d in (-1, 0, 1)])
+    def test_sizes_straddling_every_head_block(self, n, twins):
+        # An anti-correlated chain at 1e16 magnitudes, every seventh row
+        # an exact duplicate of its predecessor: nothing is dominated,
+        # every round's head survives whole, so ``n`` lands one short
+        # of, on, and one past each block boundary.  With ``twins`` each
+        # row also brings a dominated copy the rounds must remove.
+        steps = [i - i % 7 // 6 for i in range(n)]
+        values = np.asarray([(1e16 + 2.0 * j, -2.0 * j) for j in steps])
+        expected = list(range(n))
+        if twins:
+            values = np.concatenate([values + (4.0, 4.0), values])
+            expected = list(range(n, 2 * n))
+        assert V._block_skyline_indices(values).tolist() == expected
+        if n <= 192:
+            assert all_pairs_skyline(values) == expected
+
+    def test_equal_key_cleanup_makes_weak_keys_exact(self, monkeypatch):
+        # The kernel may assume only WEAK monotonicity of its key.  With
+        # the classic raw-sum key every row below scores exactly 1e16
+        # (the small dimension is absorbed), the stable sort keeps input
+        # order, and the one true skyline row -- the last -- sits in a
+        # later head block than the best row of the first block.
+        n = V.HEAD_ROWS_MIN + 6
+        values = np.asarray([(1e16, 0.9 - i * 1e-4) for i in range(n)])
+        monkeypatch.setattr(V, "_volume_keys", lambda cols: np.sum(cols, axis=0))
+        assert V._block_skyline_indices(values).tolist() == [n - 1] == \
+            all_pairs_skyline(values)
+        # Mutation check: without the cleanup the false survivor stays.
+        monkeypatch.setattr(
+            V, "_equal_key_dominated",
+            lambda keys, cols, stats: np.zeros(len(keys), dtype=bool))
+        assert V._block_skyline_indices(values).tolist() == \
+            [V.HEAD_ROWS_MIN - 1, n - 1]
+
+    def test_keys_are_scale_free_and_finite(self):
+        values = np.asarray([(-INF, 1e300), (0.0, 1e-300), (INF, 5.0),
+                             (0.0, 1e-300)])
+        keys = V._volume_keys(V._columns(values))
+        assert np.isfinite(keys).all()
+        assert keys[1] == keys[3]                  # duplicates tie
+        rescaled = values * (1e-5, 1e5)
+        assert (V._volume_keys(V._columns(rescaled)) == keys).all()
+
+    def test_temporaries_stay_bounded(self):
+        values = np.random.default_rng(12).random((30_000, 6))
+        cols = V._columns(values)
+
+        def peak_of(call):
+            call()  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(lambda: V._block_skyline_indices(values)) \
+            <= 4 * 2 ** 20
+        # The primitive alone: 2048 x 30000 pairs used to be one
+        # 61 MB boolean temporary, three times over.
+        assert peak_of(lambda: V._dominated_by(cols, cols[:, :2048])) \
+            <= 2 * 2 ** 20
+
+    def test_distinct_batch_legs_materialise_only_survivors(
+            self, monkeypatch):
+        rows = [(float(i % 40), float(40 - i % 40)) for i in range(400)]
+        rows += [(100.0 + i, 100.0 + i) for i in range(2000)]
+        batch = ColumnBatch.from_rows(rows, 2)
+        materialised = []
+        to_rows = ColumnBatch.to_rows
+        monkeypatch.setattr(
+            ColumnBatch, "to_rows",
+            lambda self: materialised.append(self.num_rows) or to_rows(self))
+        for task, reference in [
+                (vec_local_bnl_batch_task, bnl_skyline),
+                (vec_local_sfs_batch_task, sfs_skyline),
+                (vec_global_flagged_batch_task, flagged_global_skyline)]:
+            survivors = task(batch, MIN2, distinct=True)[0]
+            assert to_rows(survivors) == \
+                reference(rows, MIN2, distinct=True)
+        assert max(materialised) == 400
 
 
 class TestPinnedNaNSemantics:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import DOUBLE, INTEGER
@@ -314,3 +318,73 @@ class TestCacheMechanics:
         as_dict = stats.as_dict()
         assert as_dict["exact_hits"] == 1
         assert as_dict["invalidations"] == 1
+
+
+class TestConcurrentDml:
+    """A result computed before a mutation must never be stored after
+    the invalidation listener has applied it (nothing would ever drop
+    the stale entry)."""
+
+    SQL = "SELECT * FROM pts SKYLINE OF a MIN, b MIN"
+
+    def test_delete_landing_before_the_store_is_not_cached(
+            self, service, monkeypatch):
+        victim = POINTS[0]  # a skyline member
+        real_store = service.result_cache.store
+
+        def store_after_delete(*args, **kwargs):
+            # The writer lands after the reader's query finished and
+            # before its result reaches the cache.
+            writer = threading.Thread(
+                target=service.catalog.delete_from,
+                args=("pts",), kwargs={"rows": [victim]})
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            return real_store(*args, **kwargs)
+
+        monkeypatch.setattr(service.result_cache, "store",
+                            store_after_delete)
+        assert victim in [tuple(r) for r in run(service, self.SQL).rows]
+        monkeypatch.undo()
+        assert len(service.result_cache) == 0
+        after = run(service, self.SQL)
+        assert not after.cache_hit
+        assert victim not in [tuple(r) for r in after.rows]
+
+    def test_readers_racing_a_writer_never_leave_a_stale_entry(
+            self, service):
+        member = (99, 0.5, 0.5, 0.5)  # dominates most of the table
+        readers = 4  # more than this host's cores
+        errors: list = []
+
+        def read():
+            try:
+                run(service, self.SQL)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 5.0
+            rounds = 0
+            while rounds < 40 and time.monotonic() < deadline:
+                rounds += 1
+                service.catalog.insert_into("pts", [member])
+                threads = [threading.Thread(target=read)
+                           for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                service.catalog.delete_from("pts", rows=[member])
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert not errors
+                answer = sorted(tuple(r) for r in
+                                run(service, self.SQL).rows)
+                assert answer == oracle(POINTS, [(1, DimensionKind.MIN),
+                                                 (2, DimensionKind.MIN)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert rounds >= 5
