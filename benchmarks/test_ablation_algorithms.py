@@ -45,9 +45,9 @@ def make_workload(distribution: str) -> Workload:
 
 def run_strategy(workload: Workload, strategy: str):
     """Run the integrated skyline under a forced local/global strategy."""
-    from repro.api.session import SkylineSession
-    session = SkylineSession(num_executors=EXECUTORS,
-                             skyline_algorithm=strategy)
+    from repro.api.session import connect
+    session = connect(num_executors=EXECUTORS,
+                      skyline_algorithm=strategy)
     workload.register(session)
     return session.sql(workload.skyline_sql(DIMENSIONS)).run()
 

@@ -14,12 +14,12 @@ Run with::
     python examples/airbnb_search.py
 """
 
-from repro import SkylineSession
+from repro import connect
 from repro.datasets import airbnb_workload
 
 
 def main() -> None:
-    session = SkylineSession(num_executors=4)
+    session = connect(num_executors=4)
 
     complete = airbnb_workload(2000, seed=7)
     incomplete = airbnb_workload(2000, seed=7, incomplete=True)

@@ -12,13 +12,13 @@ Run with::
     python examples/complex_queries.py
 """
 
-from repro import SkylineSession
+from repro import connect
 from repro.datasets.musicbrainz import (musicbrainz_workload,
                                         reference_query, skyline_query)
 
 
 def main() -> None:
-    session = SkylineSession(num_executors=4)
+    session = connect(num_executors=4)
     workload = musicbrainz_workload(800)
     workload.register(session)
 

@@ -9,7 +9,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import DOUBLE, STRING, SkylineSession, smax, smin
+from repro import DOUBLE, STRING, connect, smax, smin
 
 HOTELS = [
     # (name, price per night, user rating)
@@ -25,7 +25,7 @@ HOTELS = [
 
 
 def main() -> None:
-    session = SkylineSession(num_executors=4)
+    session = connect(num_executors=4)
     session.create_table(
         "hotels",
         [("name", STRING, False), ("price", DOUBLE, False),
@@ -66,7 +66,7 @@ def main() -> None:
     # execute: "local" (sequential, default), "thread", or "process"
     # (a multiprocessing pool -- the local-skyline phase then runs truly
     # in parallel).  Results are identical across backends.
-    with SkylineSession(num_executors=4, backend="process") as parallel:
+    with connect(num_executors=4, backend="process") as parallel:
         parallel.catalog = session.catalog
         parallel_result = parallel.sql(
             "SELECT name, price, user_rating FROM hotels "

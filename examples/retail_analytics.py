@@ -16,12 +16,12 @@ Run with::
 
 import time
 
-from repro import SkylineSession
+from repro import connect
 from repro.datasets import store_sales_workload
 
 
 def main() -> None:
-    session = SkylineSession(num_executors=4)
+    session = connect(num_executors=4)
     workload = store_sales_workload(4000, seed=11)
     workload.register(session)
     print(f"store_sales rows: {workload.num_rows}")
@@ -45,7 +45,7 @@ def main() -> None:
     strategies = ("distributed-complete", "non-distributed-complete",
                   "distributed-incomplete")
     for strategy in strategies:
-        forced = session.with_skyline_algorithm(strategy)
+        forced = session.with_options(skyline_algorithm=strategy)
         start = time.perf_counter()
         run = forced.sql(sql).run()
         wall = time.perf_counter() - start

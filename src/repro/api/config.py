@@ -5,8 +5,7 @@
 methods into one immutable value object.  A session is constructed from
 a config (``SkylineSession(config=...)`` or :func:`repro.connect`) and
 re-configured with :meth:`SessionConfig.with_options` /
-:meth:`SkylineSession.with_options`; the old keyword arguments and
-builders remain as deprecation shims.
+:meth:`SkylineSession.with_options`.
 
 The config is also the unit of multi-tenancy in the serving layer
 (:mod:`repro.serve`): each tenant registers one ``SessionConfig`` and

@@ -259,8 +259,9 @@ class DataFrame:
         :class:`~repro.engine.batch.ColumnBatch`es on the columnar
         data plane, ``[row]`` otherwise.
 
-        >>> from repro import SkylineSession, smin
-        >>> session = SkylineSession(adaptive=True)
+        >>> import repro
+        >>> from repro import smin
+        >>> session = repro.connect(adaptive=True)
         >>> df = session.create_dataframe(
         ...     [(1.0, 2.0), (2.0, 1.0)], ["a", "b"]
         ...     ).skyline(smin("a"), smin("b"))

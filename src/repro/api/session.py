@@ -6,15 +6,12 @@ main tuning knob) and the query pipeline (parser -> analyzer -> optimizer
 -> planner -> execution, Figure 2 of the paper).
 
 Configuration lives in one frozen :class:`~repro.api.config.SessionConfig`
-value object; the historical constructor keyword arguments and the
-``with_executors``/``with_backend``/... builder zoo remain as thin
-deprecation shims over ``SkylineSession(config=...)`` and
-:meth:`SkylineSession.with_options`.
+value object: ``SkylineSession(config=...)`` / :func:`connect` construct
+a session, :meth:`SkylineSession.with_options` re-configures one.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -32,17 +29,6 @@ from ..plan.physical import PhysicalPlan, physical_tree_string
 from ..plan.planner import Planner
 from ..sql.parser import parse_query
 from .config import SessionConfig
-
-#: Sentinel distinguishing "not passed" from every legitimate value of
-#: the deprecated constructor keywords.
-_UNSET = object()
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning, stacklevel=3)
-
 
 @dataclass
 class QueryResult:
@@ -149,48 +135,10 @@ class SkylineSession:
         An existing :class:`~repro.engine.catalog.Catalog` to attach to
         instead of creating a private one.  The serving layer uses this
         to share one catalog (tables, statistics) across tenants.
-    legacy keyword arguments:
-        Every pre-1.1 constructor keyword (``num_executors``,
-        ``backend``, ``vectorized``, ``columnar``, ``adaptive``,
-        ``skyline_partitioning``, ...) is still accepted and folded
-        into the config, with a :class:`DeprecationWarning`.
     """
 
-    def __init__(self, num_executors=_UNSET,
-                 skyline_algorithm=_UNSET,
-                 enable_skyline_optimizations=_UNSET,
-                 cluster_config=_UNSET,
-                 backend=_UNSET,
-                 num_workers=_UNSET,
-                 adaptive=_UNSET,
-                 skyline_partitioning=_UNSET,
-                 skyline_partitions=_UNSET,
-                 vectorized=_UNSET,
-                 columnar=_UNSET, *,
-                 config: SessionConfig | None = None,
+    def __init__(self, *, config: SessionConfig | None = None,
                  catalog: Catalog | None = None) -> None:
-        legacy = {
-            name: value for name, value in (
-                ("num_executors", num_executors),
-                ("skyline_algorithm", skyline_algorithm),
-                ("enable_skyline_optimizations",
-                 enable_skyline_optimizations),
-                ("cluster_config", cluster_config),
-                ("backend", backend),
-                ("num_workers", num_workers),
-                ("adaptive", adaptive),
-                ("skyline_partitioning", skyline_partitioning),
-                ("skyline_partitions", skyline_partitions),
-                ("vectorized", vectorized),
-                ("columnar", columnar),
-            ) if value is not _UNSET}
-        if legacy:
-            warnings.warn(
-                f"passing {sorted(legacy)} to SkylineSession() is "
-                f"deprecated; pass SkylineSession(config="
-                f"SessionConfig(...)) or use repro.connect(...)",
-                DeprecationWarning, stacklevel=2)
-            config = (config or SessionConfig()).with_options(**legacy)
         self._apply_config(config or SessionConfig())
         self.catalog = catalog if catalog is not None else Catalog()
         # Validates the name eagerly; the pool itself is lazy.  Clones
@@ -232,10 +180,7 @@ class SkylineSession:
         >>> session.vectorized_enabled
         False
         """
-        from ..core.vectorized import numpy_available
-        if self.vectorized == "auto":
-            return numpy_available()
-        return bool(self.vectorized)
+        return self.config.vectorized_enabled
 
     @property
     def columnar_enabled(self) -> bool:
@@ -246,14 +191,7 @@ class SkylineSession:
         ...     config=SessionConfig(columnar=False)).columnar_enabled
         False
         """
-        import os
-
-        from ..core.vectorized import numpy_available
-        if self.columnar == "auto":
-            if os.environ.get("REPRO_DISABLE_COLUMNAR"):
-                return False
-            return numpy_available()
-        return bool(self.columnar)
+        return self.config.columnar_enabled
 
     # -- configuration ------------------------------------------------------
 
@@ -301,50 +239,6 @@ class SkylineSession:
         if not new_backend:
             clone._backend_spec = self._backend_spec
         return clone
-
-    # -- deprecated builder shims ----------------------------------------
-
-    def with_executors(self, num_executors: int) -> "SkylineSession":
-        """Deprecated: use ``with_options(num_executors=...)``."""
-        _deprecated("with_executors()",
-                    "with_options(num_executors=...)")
-        return self.with_options(num_executors=num_executors)
-
-    def with_backend(self, backend: "str | Backend",
-                     num_workers: int | None = None) -> "SkylineSession":
-        """Deprecated: use ``with_options(backend=...)``.
-
-        The clone gets its own backend spec; the original keeps its
-        pool.
-        """
-        _deprecated("with_backend()", "with_options(backend=...)")
-        return self.with_options(backend=backend, num_workers=num_workers)
-
-    def with_skyline_algorithm(self, algorithm: str) -> "SkylineSession":
-        """Deprecated: use ``with_options(skyline_algorithm=...)``."""
-        _deprecated("with_skyline_algorithm()",
-                    "with_options(skyline_algorithm=...)")
-        return self.with_options(skyline_algorithm=algorithm)
-
-    def with_vectorized(self, vectorized: "bool | str") -> "SkylineSession":
-        """Deprecated: use ``with_options(vectorized=...)``."""
-        _deprecated("with_vectorized()", "with_options(vectorized=...)")
-        return self.with_options(vectorized=vectorized)
-
-    def with_columnar(self, columnar: "bool | str") -> "SkylineSession":
-        """Deprecated: use ``with_options(columnar=...)``."""
-        _deprecated("with_columnar()", "with_options(columnar=...)")
-        return self.with_options(columnar=columnar)
-
-    def with_skyline_partitioning(self, scheme: str,
-                                  num_partitions: int | None = None
-                                  ) -> "SkylineSession":
-        """Deprecated: use ``with_options(skyline_partitioning=...)``."""
-        _deprecated("with_skyline_partitioning()",
-                    "with_options(skyline_partitioning=..., "
-                    "skyline_partitions=...)")
-        return self.with_options(skyline_partitioning=scheme,
-                                 skyline_partitions=num_partitions)
 
     def set_time_budget(self, seconds: float | None) -> None:
         """Per-query wall-clock budget; queries raise

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..api.session import SkylineSession
+from ..api.session import SkylineSession, connect
 from ..datasets import (anticorrelated_rows, correlated_rows,
                         independent_rows)
 from ..engine.cluster import ClusterConfig
@@ -55,8 +55,8 @@ class WorkloadClass:
         self.repetitions = repetitions
 
     def session(self, **kwargs) -> SkylineSession:
-        session = SkylineSession(num_executors=4,
-                                 cluster_config=_STEADY_STATE, **kwargs)
+        session = connect(num_executors=4, cluster_config=_STEADY_STATE,
+                          **kwargs)
         columns = [("id", INTEGER, False)] + [
             (f"d{i}", DOUBLE, False) for i in range(3)]
         session.create_table("pts", columns, self.rows)
@@ -80,6 +80,13 @@ def default_classes(scale: float = 1.0) -> list[WorkloadClass]:
     ]
 
 
+#: Runs per query, of which the best counts (as in
+#: :mod:`repro.bench.global_merge`): simulated time is derived from
+#: measured task durations, and a class with one repetition would
+#: otherwise turn a single host/GC pause into its whole score.
+_BEST_OF = 3
+
+
 def _run_class(workload: WorkloadClass, **session_kwargs
                ) -> tuple[float, int]:
     """Total simulated time and result size of one configuration."""
@@ -87,9 +94,9 @@ def _run_class(workload: WorkloadClass, **session_kwargs
     total = 0.0
     result_rows = -1
     for _ in range(workload.repetitions):
-        result = session.sql(_SQL).run()
-        total += result.simulated_time_s
-        result_rows = len(result.rows)
+        runs = [session.sql(_SQL).run() for _ in range(_BEST_OF)]
+        total += min(run.simulated_time_s for run in runs)
+        result_rows = len(runs[0].rows)
     return total, result_rows
 
 

@@ -20,7 +20,7 @@ import platform
 import time
 from typing import Sequence
 
-from ..api.session import SkylineSession
+from ..api.session import connect
 
 #: (WHERE predicate, projection extras) per figure workload: a
 #: selective numeric filter plus computed columns, the pipeline shape
@@ -80,8 +80,8 @@ def measure_columnar_speedup(num_rows: int = 60_000,
         times: dict[str, float] = {}
         skylines: dict[str, list[tuple]] = {}
         for label, columnar in (("row", False), ("columnar", True)):
-            session = SkylineSession(num_executors=num_executors,
-                                     columnar=columnar)
+            session = connect(num_executors=num_executors,
+                              columnar=columnar)
             workload.register(session)
             best = float("inf")
             for _ in range(repeats):

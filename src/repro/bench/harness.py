@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..api.session import SkylineSession
+from ..api.session import SkylineSession, connect
 from ..core.algorithms import Algorithm
 from ..engine.cluster import ClusterConfig
 from ..errors import BenchmarkTimeout
@@ -119,13 +119,13 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
             raise ValueError(
                 "backend=/num_workers= cannot be combined with session=; "
                 "configure the session's backend instead")
-        session = session.with_executors(num_executors)
+        session = session.with_options(num_executors=num_executors)
     if algorithm is Algorithm.REFERENCE:
-        session = session.with_skyline_algorithm("auto")
+        session = session.with_options(skyline_algorithm="auto")
         sql = workload.reference_sql(num_dimensions)
     else:
-        session = session.with_skyline_algorithm(
-            _STRATEGY_BY_ALGORITHM[algorithm])
+        session = session.with_options(
+            skyline_algorithm=_STRATEGY_BY_ALGORITHM[algorithm])
         sql = workload.skyline_sql(num_dimensions)
     session.set_time_budget(budget_s)
     start = time.perf_counter()
@@ -180,7 +180,7 @@ def _prepared_session(workload, num_executors: int,
     # per-stage time distribution the figures are calibrated against
     # (its speedup has the dedicated ``repro.bench --columnar``
     # ablation).
-    session = SkylineSession(
+    session = connect(
         num_executors=num_executors,
         cluster_config=ClusterConfig(memory_scale=MEMORY_SCALE),
         backend=backend, num_workers=num_workers,

@@ -22,8 +22,9 @@ import sys
 import time
 from typing import Sequence
 
-from ..core.algorithms import Algorithm, local_bnl_task, make_dimensions
+from ..core.algorithms import Algorithm, make_dimensions
 from ..core.bnl import bnl_skyline
+from ..core.vectorized import skyline_task
 from ..engine.backends import (LocalBackend, ProcessBackend, StageTask,
                                default_num_workers)
 from ..engine.rdd import RDD
@@ -90,7 +91,7 @@ def measure_speedup(num_rows: int = 50_000, num_partitions: int | None = None,
 
     Uses the bundled store_sales workload, split evenly like the engine's
     scan would, and runs the exact per-partition kernel
-    (:func:`~repro.core.algorithms.local_bnl_task`) under the
+    (scalar :func:`~repro.core.vectorized.skyline_task`) under the
     :class:`LocalBackend` and the :class:`ProcessBackend`.  The global
     phase is excluded on purpose: it is the non-parallelizable tail that
     bounds scaling (Section 6.4), while this measurement validates that
@@ -105,7 +106,8 @@ def measure_speedup(num_rows: int = 50_000, num_partitions: int | None = None,
         for name, kind in workload.dimensions(num_dimensions)])
     partitions = RDD.from_rows(workload.rows, num_partitions).partitions
     tasks = [StageTask(partition=i, rows_in=len(p),
-                       func=local_bnl_task, args=(p, dims, False))
+                       func=skyline_task,
+                       args=(p, dims, "complete", False, False))
              for i, p in enumerate(partitions)]
 
     def timed(backend) -> tuple[float, list]:

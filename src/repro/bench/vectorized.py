@@ -19,17 +19,14 @@ import platform
 import time
 from typing import Sequence
 
-from ..api.session import SkylineSession
-from ..core.algorithms import local_bnl_task, local_sfs_task, make_dimensions
-from ..core.vectorized import (numpy_available, vec_local_bnl_task,
-                               vec_local_sfs_task)
+from ..api.session import connect
+from ..core.algorithms import make_dimensions
+from ..core.vectorized import numpy_available, skyline_task
 from ..engine.rdd import RDD
 
-#: (label, scalar task, vectorized task) kernel pairs measured.
-KERNEL_PAIRS = (
-    ("bnl", local_bnl_task, vec_local_bnl_task),
-    ("sfs", local_sfs_task, vec_local_sfs_task),
-)
+#: (label, :func:`skyline_task` mode) local kernels measured, each
+#: scalar and vectorized.
+KERNEL_MODES = (("bnl", "complete"), ("sfs", "sfs"))
 
 
 def _workloads(num_rows: int):
@@ -44,9 +41,11 @@ def _bound_dimensions(workload, num_dimensions: int):
         for name, kind in workload.dimensions(num_dimensions)])
 
 
-def _time_local_phase(task, partitions, dims) -> tuple[float, list]:
+def _time_local_phase(mode: str, vectorized: bool, partitions, dims
+                      ) -> tuple[float, list]:
     start = time.perf_counter()
-    results = [task(partition, dims, False)[0] for partition in partitions]
+    results = [skyline_task(partition, dims, mode, False, vectorized)[0]
+               for partition in partitions]
     return time.perf_counter() - start, results
 
 
@@ -55,7 +54,7 @@ def measure_vectorized_speedup(num_rows: int = 40_000,
                                num_partitions: int = 4) -> dict:
     """Local-phase and full-query speedup of the vectorized kernels.
 
-    The local phase runs the exact per-partition task functions the
+    The local phase runs the exact per-partition task function the
     physical operators ship to the execution backends, on the same even
     split the engine's scan would produce.  Requires NumPy.
     """
@@ -75,10 +74,11 @@ def measure_vectorized_speedup(num_rows: int = 40_000,
         dims = _bound_dimensions(workload, num_dimensions)
         partitions = RDD.from_rows(workload.rows, num_partitions).partitions
         entry: dict = {"workload": workload.table_name, "kernels": {}}
-        for label, scalar_task, vec_task in KERNEL_PAIRS:
+        for label, mode in KERNEL_MODES:
             scalar_s, scalar_rows = _time_local_phase(
-                scalar_task, partitions, dims)
-            vec_s, vec_rows = _time_local_phase(vec_task, partitions, dims)
+                mode, False, partitions, dims)
+            vec_s, vec_rows = _time_local_phase(
+                mode, True, partitions, dims)
             if scalar_rows != vec_rows:
                 raise AssertionError(
                     f"{label} kernels disagree on {workload.table_name}")
@@ -103,7 +103,7 @@ def _measure_query(workload, num_dimensions: int) -> dict:
     times: dict[str, float] = {}
     skylines: dict[str, list[tuple]] = {}
     for label, vectorized in (("scalar", False), ("vectorized", True)):
-        session = SkylineSession(num_executors=4, vectorized=vectorized)
+        session = connect(num_executors=4, vectorized=vectorized)
         workload.register(session)
         start = time.perf_counter()
         result = session.sql(sql).run()

@@ -25,9 +25,8 @@ from .partitioning import (angle_partitions, grid_partitions,
                            partition_rows, prune_dominated_cells,
                            random_partitions)
 from .sfs import monotone_score, sfs_skyline
-from .vectorized import (columnize, numpy_available, select_kernels,
-                         vec_bnl_skyline, vec_flagged_global_skyline,
-                         vec_sfs_skyline)
+from .vectorized import (columnize, numpy_available, vec_bnl_skyline,
+                         vec_flagged_global_skyline, vec_sfs_skyline)
 
 __all__ = [
     "Algorithm",
@@ -65,7 +64,6 @@ __all__ = [
     "numpy_available",
     "partition_by_null_bitmap",
     "reference",
-    "select_kernels",
     "sfs_complete",
     "sfs_skyline",
     "skyline",

@@ -27,66 +27,6 @@ from .incomplete import flagged_global_skyline, local_skylines_incomplete
 from .sfs import sfs_skyline
 
 
-# ---------------------------------------------------------------------------
-# Partition-task kernels
-# ---------------------------------------------------------------------------
-#
-# Top-level (hence picklable) functions wrapping one partition's worth of
-# skyline work.  The physical operators hand these to the execution
-# backends: a process pool can ship ``(func, rows, dims, ...)`` to a
-# worker, which is what makes the local-skyline phase truly parallel.
-# Each returns ``(skyline_rows, window_peak, dominance_comparisons)``.
-
-
-def local_bnl_task(rows: Sequence[Sequence],
-                   dims: Sequence[BoundDimension],
-                   distinct: bool = False,
-                   check_deadline: Callable[[], None] | None = None
-                   ) -> tuple[list, int, int]:
-    """BNL skyline of one partition (complete data)."""
-    stats = DominanceStats()
-    skyline_rows = bnl_skyline(rows, dims, distinct=distinct, stats=stats,
-                               check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def local_bnl_incomplete_task(rows: Sequence[Sequence],
-                              dims: Sequence[BoundDimension],
-                              check_deadline: Callable[[], None] | None = None
-                              ) -> tuple[list, int, int]:
-    """BNL skyline of one null-bitmap partition (incomplete data)."""
-    stats = DominanceStats()
-    skyline_rows = bnl_skyline(rows, dims, distinct=False, stats=stats,
-                               dominance=dominates_incomplete,
-                               check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def local_sfs_task(rows: Sequence[Sequence],
-                   dims: Sequence[BoundDimension],
-                   distinct: bool = False,
-                   check_deadline: Callable[[], None] | None = None
-                   ) -> tuple[list, int, int]:
-    """Sort-Filter-Skyline of one partition (complete data)."""
-    stats = DominanceStats()
-    skyline_rows = sfs_skyline(rows, dims, distinct=distinct, stats=stats,
-                               check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def global_flagged_task(rows: Sequence[Sequence],
-                        dims: Sequence[BoundDimension],
-                        distinct: bool = False,
-                        check_deadline: Callable[[], None] | None = None
-                        ) -> tuple[list, int, int]:
-    """Flag-based all-pairs global skyline (incomplete data)."""
-    stats = DominanceStats()
-    skyline_rows = flagged_global_skyline(
-        rows, dims, distinct=distinct, stats=stats,
-        check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
 class Algorithm(enum.Enum):
     """The algorithms compared in the paper's evaluation (Section 6.3)."""
 

@@ -47,7 +47,7 @@ from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, equal_on_dimensions)
 from .vectorized import (ColumnBlock, _columns, _dominated_by, columnize,
-                         columnize_batch)
+                         concat_partitions)
 from .vectorized import np  # None when NumPy is unavailable
 
 #: Grid resolution (cells per dimension) of a :class:`MergeSummary`.
@@ -67,49 +67,38 @@ def _value_dims(dims: Sequence[BoundDimension]) -> list[BoundDimension]:
     return [d for d in dims if d.kind is not DimensionKind.DIFF]
 
 
-def merge_unsafe_reason(partials: Sequence[Sequence[Sequence]],
+def merge_unsafe_reason(partials: "Sequence[Sequence[Sequence] | ColumnBatch]",
                         dims: Sequence[BoundDimension]) -> str | None:
-    """Why a hierarchical merge of these rows would be unsound, or
-    ``None`` when it is provably safe.
+    """Why a hierarchical merge of these partials (row lists or column
+    batches) would be unsound, or ``None`` when it is provably safe.
 
     Nulls or NaN in a MIN/MAX dimension make dominance non-transitive
     (such a dimension carries no information), so the mutual-filter
     merge may disagree with the flat window pass.  DIFF dimensions are
-    exempt: a null/NaN DIFF key only isolates its row further.
+    exempt: a null/NaN DIFF key only isolates its row further.  Typed
+    batch columns are scanned without materialising rows.
     """
     value_dims = _value_dims(dims)
     for part in partials:
-        for row in part:
-            for d in value_dims:
-                v = row[d.index]
+        for d in value_dims:
+            if isinstance(part, ColumnBatch):
+                column = part.column(d.index)
+                encoded = column.as_f8()
+                if encoded is not None:
+                    data, mask = encoded
+                    if mask.any():
+                        return _NULL_REASON
+                    if np.isnan(data).any():
+                        return _NAN_REASON
+                    continue
+                values = column.to_values()
+            else:
+                values = (row[d.index] for row in part)
+            for v in values:
                 if v is None:
                     return _NULL_REASON
                 if isinstance(v, float) and v != v:
                     return _NAN_REASON
-    return None
-
-
-def batch_merge_unsafe_reason(batches: Sequence[ColumnBatch],
-                              dims: Sequence[BoundDimension]) -> str | None:
-    """:func:`merge_unsafe_reason` over engine column batches, scanning
-    typed columns without materialising rows where possible."""
-    value_dims = _value_dims(dims)
-    for batch in batches:
-        for d in value_dims:
-            column = batch.column(d.index)
-            encoded = column.as_f8() if np is not None else None
-            if encoded is None:
-                for v in column.to_values():
-                    if v is None:
-                        return _NULL_REASON
-                    if isinstance(v, float) and v != v:
-                        return _NAN_REASON
-                continue
-            data, mask = encoded
-            if mask.any():
-                return _NULL_REASON
-            if np.isnan(data).any():
-                return _NAN_REASON
     return None
 
 
@@ -165,26 +154,6 @@ def merge_skylines(left: Sequence[Sequence], right: Sequence[Sequence],
         stats.comparisons += comparisons
         stats.note_window(len(left) + len(right))
     return out
-
-
-def merge_partials_task(segments: Sequence[Sequence[Sequence]],
-                        dims: Sequence[BoundDimension],
-                        distinct: bool = False,
-                        check_deadline: Callable[[], None] | None = None
-                        ) -> tuple[list[Sequence], int, int]:
-    """Fold consecutive partial skylines into one (scalar task kernel).
-
-    Returns ``(rows, window_peak, comparisons)`` like the local-phase
-    task kernels so the scheduler records comparable metrics.
-    """
-    segments = [list(s) for s in segments]
-    total = sum(len(s) for s in segments)
-    stats = DominanceStats()
-    acc = segments[0] if segments else []
-    for seg in segments[1:]:
-        acc = merge_skylines(acc, seg, dims, distinct, stats=stats,
-                             check_deadline=check_deadline)
-    return acc, total, stats.comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +219,54 @@ def _merge_index_sets(block: ColumnBlock, left_idx: "np.ndarray",
                            right_idx[~dead[right_idx]]])
 
 
+def merge_task(segments: "Sequence[Sequence[Sequence] | ColumnBatch]",
+               dims: Sequence[BoundDimension],
+               distinct: bool = False, vectorized: bool = True,
+               check_deadline: Callable[[], None] | None = None,
+               stats: DominanceStats | None = None
+               ) -> "tuple[list | ColumnBatch, int, int]":
+    """Fold consecutive partial skylines -- all row lists or all column
+    batches -- into one, returned in the same representation.
+
+    The group's rows are columnized once (a batch group straight from
+    its typed columns), index sets are folded left to right and the
+    survivors materialised at the end; ``vectorized`` off or rows that
+    cannot be columnized faithfully fold :func:`merge_skylines` over
+    the row views instead.  Picklable and returning ``(result,
+    rows_in, comparisons)`` like :func:`~repro.core.vectorized.
+    skyline_task`, so the scheduler records comparable metrics.
+    """
+    segments = [s if isinstance(s, ColumnBatch) else list(s)
+                for s in segments]
+    stats = stats if stats is not None else DominanceStats()
+    if not segments:
+        return [], 0, 0
+    merged = concat_partitions(segments)
+    is_batch = isinstance(merged, ColumnBatch)
+    block = columnize(merged, dims) if vectorized else None
+    if _vec_unmergeable(block):
+        acc = segments[0].to_rows() if is_batch else segments[0]
+        for seg in segments[1:]:
+            acc = merge_skylines(acc, seg.to_rows() if is_batch else seg,
+                                 dims, distinct, stats=stats,
+                                 check_deadline=check_deadline)
+        if is_batch:
+            acc = ColumnBatch.from_rows(acc, merged.num_columns)
+        return acc, len(merged), stats.comparisons
+    acc = np.arange(len(segments[0]))
+    offset = len(acc)
+    for seg in segments[1:]:
+        if check_deadline is not None:
+            check_deadline()
+        seg_idx = np.arange(offset, offset + len(seg))
+        offset += len(seg)
+        acc = _merge_index_sets(block, acc, seg_idx, distinct, stats)
+    stats.note_window(len(merged))
+    acc = acc.tolist()
+    result = merged.take(acc) if is_batch else [merged[i] for i in acc]
+    return result, len(merged), stats.comparisons
+
+
 def vec_merge_skylines(left: Sequence[Sequence], right: Sequence[Sequence],
                        dims: Sequence[BoundDimension],
                        distinct: bool = False,
@@ -258,73 +275,8 @@ def vec_merge_skylines(left: Sequence[Sequence], right: Sequence[Sequence],
                        ) -> list[Sequence]:
     """Vectorized :func:`merge_skylines`; defers to the scalar kernel
     whenever the rows cannot be columnized faithfully."""
-    left = list(left)
-    right = list(right)
-    rows = left + right
-    block = columnize(rows, dims)
-    if _vec_unmergeable(block):
-        return merge_skylines(left, right, dims, distinct, stats,
-                              check_deadline)
-    if check_deadline is not None:
-        check_deadline()
-    kept = _merge_index_sets(block, np.arange(len(left)),
-                             np.arange(len(left), len(rows)),
-                             distinct, stats)
-    if stats is not None:
-        stats.note_window(len(rows))
-    return [rows[i] for i in kept]
-
-
-def vec_merge_partials_task(segments: Sequence[Sequence[Sequence]],
-                            dims: Sequence[BoundDimension],
-                            distinct: bool = False,
-                            check_deadline: Callable[[], None] | None = None
-                            ) -> tuple[list[Sequence], int, int]:
-    """Vectorized :func:`merge_partials_task`: columnize the group's
-    rows once, fold index sets, materialise survivors at the end."""
-    segments = [list(s) for s in segments]
-    rows = [r for seg in segments for r in seg]
-    block = columnize(rows, dims)
-    if _vec_unmergeable(block):
-        return merge_partials_task(segments, dims, distinct, check_deadline)
-    stats = DominanceStats()
-    acc = np.arange(len(segments[0])) if segments else np.arange(0)
-    offset = len(acc)
-    for seg in segments[1:]:
-        if check_deadline is not None:
-            check_deadline()
-        seg_idx = np.arange(offset, offset + len(seg))
-        offset += len(seg)
-        acc = _merge_index_sets(block, acc, seg_idx, distinct, stats)
-    return [rows[i] for i in acc], len(rows), stats.comparisons
-
-
-def vec_merge_batches_task(batches: Sequence[ColumnBatch],
-                           dims: Sequence[BoundDimension],
-                           distinct: bool = False,
-                           check_deadline: Callable[[], None] | None = None
-                           ) -> tuple[ColumnBatch, int, int]:
-    """Batch-plane merge task: concatenate the group's batches, merge
-    index sets over one oriented matrix, ``take`` the survivors."""
-    batches = list(batches)
-    merged = ColumnBatch.concat(batches)
-    block = columnize_batch(merged, dims)
-    if _vec_unmergeable(block):
-        rows, peak, comps = merge_partials_task(
-            [b.to_rows() for b in batches], dims, distinct, check_deadline)
-        return ColumnBatch.from_rows(rows, merged.num_columns), peak, comps
-    stats = DominanceStats()
-    sizes = [b.num_rows for b in batches]
-    acc = np.arange(sizes[0]) if sizes else np.arange(0)
-    offset = len(acc)
-    for size in sizes[1:]:
-        if check_deadline is not None:
-            check_deadline()
-        seg_idx = np.arange(offset, offset + size)
-        offset += size
-        acc = _merge_index_sets(block, acc, seg_idx, distinct, stats)
-    kept = merged.take([int(i) for i in acc])
-    return kept, merged.num_rows, stats.comparisons
+    return merge_task([left, right], dims, distinct, True, check_deadline,
+                      stats)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +383,7 @@ def combine_summaries(a: MergeSummary, b: MergeSummary) -> MergeSummary:
 
 
 def reduce_group(group: Sequence, summaries: Sequence[MergeSummary] | None,
-                 counters: dict | None = None,
-                 concat: Callable | None = None) -> list:
+                 counters: dict | None = None) -> list:
     """Apply the summary shortcuts inside one fan-in group *before*
     scheduling a merge task.
 
@@ -441,8 +392,7 @@ def reduce_group(group: Sequence, summaries: Sequence[MergeSummary] | None,
     (adjacency preserves the flat concatenation order bit-for-bit).
     Returns the segments still needing pairwise merging; a single
     returned segment means the group needs no task at all.  ``group``
-    items are opaque; ``concat`` joins several of them (defaults to
-    list concatenation for row partials).
+    items are row lists or column batches.
     """
     if summaries is None or len(group) < 2:
         return list(group)
@@ -471,16 +421,9 @@ def reduce_group(group: Sequence, summaries: Sequence[MergeSummary] | None,
         else:
             segments.append([idx])
             seg_sums.append(summaries[idx])
-    out = []
-    for seg in segments:
-        items = [group[i] for i in seg]
-        if len(items) == 1:
-            out.append(items[0])
-        elif concat is not None:
-            out.append(concat(items))
-        else:
-            out.append([row for item in items for row in item])
-    return out
+    return [group[seg[0]] if len(seg) == 1
+            else concat_partitions([group[i] for i in seg])
+            for seg in segments]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +485,6 @@ def hierarchical_merge(partials: Sequence[Sequence[Sequence]],
                            distinct, stats=stats,
                            check_deadline=check_deadline)
     fan_in = max(2, int(fan_in))
-    task = vec_merge_partials_task if vectorized else merge_partials_task
     while len(partials) > 1:
         counters["rounds"] += 1
         summaries = None
@@ -558,8 +500,9 @@ def hierarchical_merge(partials: Sequence[Sequence[Sequence]],
             if len(segments) == 1:
                 merged = segments[0]
             else:
-                merged, peak, comps = task(segments, dims, distinct,
-                                           check_deadline=check_deadline)
+                merged, peak, comps = merge_task(
+                    segments, dims, distinct, vectorized,
+                    check_deadline=check_deadline)
                 tasks += 1
                 if stats is not None:
                     stats.comparisons += comps

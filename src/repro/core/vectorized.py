@@ -60,11 +60,15 @@ Semantics are pinned to the scalar reference implementation:
   DIFF values and the numeric kernel runs per group (dominance requires
   equal DIFF values, so groups are independent).
 
-Every public kernel transparently **falls back to the scalar
-implementation** when NumPy is unavailable, when a dimension holds
-non-numeric values, or when integers exceed the exactly-representable
-``float64`` range (|v| > 2**53) -- the scalar kernels therefore remain
-the reference semantics, and the differential suite
+There is also **one partition task**, :func:`skyline_task`: the
+guard -> scalar fallback -> index selection -> DISTINCT sequence exists
+once, parameterised by a mode (:data:`SKYLINE_MODES`) and accepting a
+row list or a :class:`~repro.engine.batch.ColumnBatch`.  It
+transparently **falls back to the scalar implementation** when NumPy is
+unavailable, when a dimension holds non-numeric values, or when
+integers exceed the exactly-representable ``float64`` range
+(|v| > 2**53) -- the scalar kernels therefore remain the reference
+semantics, and the differential suite
 (``tests/integration/test_differential.py``) asserts agreement.
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the pure-Python fallbacks even
@@ -73,8 +77,10 @@ with NumPy installed (used by CI to keep the fallback path honest).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # The engine's batch module owns the single columnization point (the
 # pinned float64 + NaN + null-mask encoding), the float64-exact bound
@@ -86,8 +92,8 @@ from ..engine.batch import (HAVE_NUMPY, ColumnBatch,
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates_incomplete)
-from .incomplete import flagged_global_skyline
-from .sfs import sfs_skyline
+from .incomplete import flagged_global_skyline, partition_by_null_bitmap
+from .sfs import monotone_score, sfs_skyline
 
 #: ``by`` rows per step of the flagged all-pairs kernel (one deadline
 #: check per step).
@@ -180,7 +186,7 @@ def _empty_block(num_value_dims: int, has_diff: bool) -> ColumnBlock:
                        [] if has_diff else None)
 
 
-def columnize(rows: Sequence[Sequence],
+def columnize(rows: "Sequence[Sequence] | ColumnBatch",
               dims: Sequence[BoundDimension]) -> ColumnBlock | None:
     """Convert rows to a :class:`ColumnBlock`, or ``None`` when the data
     cannot be vectorized faithfully (non-numeric values, ints beyond the
@@ -189,8 +195,11 @@ def columnize(rows: Sequence[Sequence],
     The per-column encoding is the engine-wide single columnization
     point, :func:`repro.engine.batch.encode_numeric_column`; this
     function adds the skyline specifics (MAX negation so smaller is
-    uniformly better, DIFF keys kept as raw tuples).
+    uniformly better, DIFF keys kept as raw tuples).  A
+    :class:`ColumnBatch` goes through :func:`columnize_batch`.
     """
+    if isinstance(rows, ColumnBatch):
+        return columnize_batch(rows, dims)
     if np is None:
         return None
     rows = rows if isinstance(rows, list) else list(rows)
@@ -426,7 +435,7 @@ def _flagged_indices(values: "np.ndarray",
     return alive
 
 
-def _grouped_indices(block: ColumnBlock, select: Callable,
+def _grouped_indices(select: Callable, block: ColumnBlock,
                      stats: DominanceStats | None,
                      check_deadline: Callable[[], None] | None
                      ) -> list[int]:
@@ -437,108 +446,6 @@ def _grouped_indices(block: ColumnBlock, select: Callable,
         indices.extend(group[chosen].tolist())
     indices.sort()
     return indices
-
-
-# ---------------------------------------------------------------------------
-# DISTINCT handling
-# ---------------------------------------------------------------------------
-
-
-def _distinct_indices(indices: Sequence[int], rows: Sequence[Sequence],
-                      dims: Sequence[BoundDimension]) -> list[int]:
-    """First index per equal-skyline-dimension-values class.
-
-    Equality follows :func:`~repro.core.dominance.equal_on_dimensions`:
-    raw ``==`` per dimension, so ``NULL = NULL`` holds while NaN is
-    never equal to anything (including itself) -- NaN values get a
-    per-occurrence sentinel so hashing cannot merge them.
-    """
-    seen: set = set()
-    kept: list[int] = []
-    for i in indices:
-        row = rows[i]
-        key = tuple(
-            object() if isinstance(v, float) and v != v else v
-            for v in (row[d.index] for d in dims))
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(i)
-    return kept
-
-
-def _distinct_batch_indices(indices: Sequence[int], batch: ColumnBatch,
-                            dims: Sequence[BoundDimension]) -> list[int]:
-    """:func:`_distinct_indices` over a batch: only the survivors are
-    materialised as rows, not the whole partition."""
-    survivors = batch.take(indices).to_rows()
-    return [indices[i] for i in
-            _distinct_indices(range(len(indices)), survivors, dims)]
-
-
-# ---------------------------------------------------------------------------
-# The kernels
-# ---------------------------------------------------------------------------
-
-
-def vec_bnl_skyline(rows: Sequence[Sequence],
-                    dims: Sequence[BoundDimension],
-                    distinct: bool = False,
-                    stats: DominanceStats | None = None,
-                    check_deadline: Callable[[], None] | None = None
-                    ) -> list[Sequence]:
-    """Block-BNL skyline; multiset-identical to
-    :func:`~repro.core.bnl.bnl_skyline` on complete data.
-
-    Falls back to the scalar kernel when the data cannot be columnized.
-    ``stats.comparisons`` counts *evaluated* directed dominance tests --
-    vectorized blocks cannot short-circuit inside a pair, so the count
-    is comparable but not identical to the scalar kernel's.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    block = columnize(rows, dims)
-    if block is None or bool(block.null_mask.any()) or \
-            block.has_nan_data or block.diff_keys_have_nan():
-        # NaN data: dominance loses transitivity, so the window result
-        # is order-dependent -- defer to the scalar window semantics.
-        # Nulls: the complete-data scalar kernel raises TypeError on
-        # None comparisons; encoding them as NaN would silently switch
-        # to null-skipping semantics, so nulls defer too.
-        return bnl_skyline(rows, dims, distinct=distinct, stats=stats,
-                           check_deadline=check_deadline)
-    indices = _grouped_indices(block, _block_skyline_indices, stats,
-                               check_deadline)
-    if distinct:
-        indices = _distinct_indices(indices, rows, dims)
-    return [rows[i] for i in indices]
-
-
-def vec_bnl_skyline_incomplete(rows: Sequence[Sequence],
-                               dims: Sequence[BoundDimension],
-                               stats: DominanceStats | None = None,
-                               check_deadline: Callable[[], None] | None
-                               = None) -> list[Sequence]:
-    """Local skyline of one *null-bitmap partition* (Section 5.7).
-
-    Only valid -- like the window trick itself -- when every row is null
-    in the same skyline dimensions; heterogeneous inputs fall back to
-    the scalar windowed kernel, whose result then depends on window
-    dynamics exactly as the scalar library documents.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    block = columnize(rows, dims)
-    if block is None or not block.uniform_null_pattern() or \
-            block.has_nan_data or block.diff_keys_have_null() or \
-            block.diff_keys_have_nan():
-        # Null DIFF keys: the null-restricted comparison skips a null
-        # DIFF dimension (allowing cross-group dominance), which hash
-        # grouping cannot express -- defer to the scalar kernel.
-        return bnl_skyline(rows, dims, distinct=False, stats=stats,
-                           dominance=dominates_incomplete,
-                           check_deadline=check_deadline)
-    indices = _grouped_indices(block, _block_skyline_indices, stats,
-                               check_deadline)
-    return [rows[i] for i in indices]
 
 
 def _monotone_scores(values: "np.ndarray") -> "np.ndarray":
@@ -557,32 +464,6 @@ def _monotone_scores(values: "np.ndarray") -> "np.ndarray":
     return scores
 
 
-def vec_sfs_skyline(rows: Sequence[Sequence],
-                    dims: Sequence[BoundDimension],
-                    distinct: bool = False,
-                    stats: DominanceStats | None = None,
-                    check_deadline: Callable[[], None] | None = None
-                    ) -> list[Sequence]:
-    """Sort-Filter-Skyline over columns: the window kernel's survivors
-    in the scalar kernel's output order (see :func:`_sfs_indices`), so
-    DISTINCT keeps the same representative.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    block = columnize(rows, dims)
-    if block is None or bool(block.null_mask.any()) or \
-            block.has_nan_data or block.diff_keys_have_nan():
-        # Scalar SFS detects the NaN scores and routes through scalar
-        # BNL -- the pinned behaviour both implementations share.  Null
-        # values defer like in :func:`vec_bnl_skyline`: the scalar
-        # complete-data kernel raises TypeError on them.
-        return sfs_skyline(rows, dims, distinct=distinct, stats=stats,
-                           check_deadline=check_deadline)
-    indices = _sfs_indices(block, stats, check_deadline)
-    if distinct:
-        indices = _distinct_indices(indices, rows, dims)
-    return [rows[i] for i in indices]
-
-
 def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
                  check_deadline: Callable[[], None] | None) -> list[int]:
     """Skyline indices of a NaN/null-free block in scalar SFS's output
@@ -595,7 +476,7 @@ def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
     rows, input order.  The survivors come from the one window kernel
     either way; it presorts by a key of its own.
     """
-    indices = _grouped_indices(block, _block_skyline_indices, stats,
+    indices = _grouped_indices(_block_skyline_indices, block, stats,
                                check_deadline)
     scores = _monotone_scores(block.values)
     if not np.isfinite(scores).all():
@@ -604,158 +485,242 @@ def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
     return chosen[np.argsort(scores[chosen], kind="stable")].tolist()
 
 
+def sfs_scores_finite(partition: "Sequence[Sequence] | ColumnBatch",
+                      dims: Sequence[BoundDimension]) -> bool | None:
+    """Whether every SFS monotone score of ``partition`` is finite, i.e.
+    whether flat SFS would sort it rather than take its BNL fallback
+    (``None``: not computable -- non-numeric dimension values)."""
+    block = columnize(partition, dims)
+    if block is not None:
+        return bool(np.isfinite(_monotone_scores(block.values)).all())
+    rows = partition.to_rows() if isinstance(partition, ColumnBatch) \
+        else partition
+    try:
+        return all(math.isfinite(monotone_score(row, dims))
+                   for row in rows)
+    except TypeError:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# DISTINCT handling
+# ---------------------------------------------------------------------------
+
+
+def _distinct_positions(rows: Sequence[Sequence],
+                        dims: Sequence[BoundDimension]) -> list[int]:
+    """Position of the first row per equal-skyline-dimension-values
+    class.
+
+    Equality follows :func:`~repro.core.dominance.equal_on_dimensions`:
+    raw ``==`` per dimension, so ``NULL = NULL`` holds while NaN is
+    never equal to anything (including itself) -- NaN values get a
+    per-occurrence sentinel so hashing cannot merge them.
+    """
+    seen: set = set()
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        key = tuple(
+            object() if isinstance(v, float) and v != v else v
+            for v in (row[d.index] for d in dims))
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append(i)
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# The partition task (picklable, engine-facing)
+# ---------------------------------------------------------------------------
+
+
+def _has_nulls_or_nan(block: ColumnBlock) -> bool:
+    """Guard of the complete-data window modes.
+
+    NaN data: dominance loses transitivity, so the window result is
+    order-dependent -- defer to the scalar window semantics (scalar SFS
+    detects the NaN scores and routes through scalar BNL, the pinned
+    behaviour both implementations share).  Nulls: the complete-data
+    scalar kernels raise TypeError on None comparisons; encoding them
+    as NaN would silently switch to null-skipping semantics, so nulls
+    defer too.
+    """
+    return bool(block.null_mask.any()) or block.has_nan_data \
+        or block.diff_keys_have_nan()
+
+
+def _mixed_bitmaps_or_nan(block: ColumnBlock) -> bool:
+    """Guard of the null-bitmap local mode (Section 5.7).
+
+    The window trick is only valid when every row is null in the same
+    skyline dimensions; heterogeneous inputs defer to the scalar
+    windowed kernel, whose result then depends on window dynamics
+    exactly as the scalar library documents.  Null DIFF keys: the
+    null-restricted comparison skips a null DIFF dimension (allowing
+    cross-group dominance), which hash grouping cannot express.
+    """
+    return not block.uniform_null_pattern() or block.has_nan_data \
+        or block.diff_keys_have_null() or block.diff_keys_have_nan()
+
+
+def _ungroupable_diff_keys(block: ColumnBlock) -> bool:
+    """Guard of the flagged all-pairs mode: nulls in DIFF dimensions
+    make the per-DIFF-group decomposition unsound (a null DIFF value
+    compares equal-restricted against *every* group).  NaN *data* is
+    fine -- flagging needs no transitivity."""
+    return block.diff_keys_have_null() or block.diff_keys_have_nan()
+
+
+class _Mode(NamedTuple):
+    """One variant of the skyline operator (Listing 8): what differs
+    between them is the dominance predicate and the deletion rule."""
+
+    #: True when the block must take the scalar reference instead.
+    unsafe: Callable[[ColumnBlock], bool]
+    #: ``(block, stats, check_deadline)`` -> surviving row indices.
+    select: Callable
+    #: The scalar reference kernel and no-NumPy path.
+    reference: Callable
+    #: Whether SKYLINE ... DISTINCT applies in this mode.
+    distinct: bool
+
+
+#: The four modes :func:`skyline_task` runs, keyed by the plain string
+#: the physical operators carry (a string pickles by value, so the task
+#: and its mode ship to process workers as is).  BNL and SFS differ
+#: only in output order, incomplete data only in the predicate
+#: (null-restricted, per null-bitmap partition) and the deferred
+#: deletion (``flagged``: rows are flagged, never deleted early, which
+#: is what stays correct under cyclic dominance).
+SKYLINE_MODES: dict[str, _Mode] = {
+    "complete": _Mode(
+        _has_nulls_or_nan,
+        functools.partial(_grouped_indices, _block_skyline_indices),
+        bnl_skyline, True),
+    "bitmap-local": _Mode(
+        _mixed_bitmaps_or_nan,
+        functools.partial(_grouped_indices, _block_skyline_indices),
+        functools.partial(bnl_skyline, dominance=dominates_incomplete),
+        False),
+    "sfs": _Mode(_has_nulls_or_nan, _sfs_indices, sfs_skyline, True),
+    "flagged": _Mode(
+        _ungroupable_diff_keys,
+        functools.partial(_grouped_indices, _flagged_indices),
+        flagged_global_skyline, True),
+}
+
+
+def kernel_name(vectorized: bool) -> str:
+    """The kernel-family label recorded tasks carry.
+
+    ``vectorized=True`` with NumPy missing is ``scalar`` -- session
+    construction validates the flag, and per-partition data that cannot
+    columnize falls back inside :func:`skyline_task` anyway.
+    """
+    return "vectorized" if vectorized and numpy_available() else "scalar"
+
+
+def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
+                 dims: Sequence[BoundDimension], mode: str,
+                 distinct: bool = False, vectorized: bool = True,
+                 check_deadline: Callable[[], None] | None = None,
+                 stats: DominanceStats | None = None
+                 ) -> "tuple[list | ColumnBatch, int, int]":
+    """The skyline of one partition -- every local, global and fold
+    computation of the engine is this function.
+
+    ``partition`` is a row list or a :class:`ColumnBatch` and the
+    result comes back in the same representation: a batch's oriented
+    value matrix is assembled from its typed columns (no per-row
+    columnization) and survivors are selected by index, so the batch
+    plane never materialises rows unless a guard forces the scalar
+    reference.  ``mode`` keys :data:`SKYLINE_MODES`.  ``vectorized``
+    off, NumPy missing, data that cannot be columnized faithfully or a
+    tripped mode guard all run the mode's scalar reference kernel on
+    the row view.
+
+    Top-level and called with plain-data arguments, hence shippable to
+    process-pool workers.  Returns ``(result, window_peak,
+    comparisons)``; ``comparisons`` counts *evaluated* directed
+    dominance tests -- vectorized blocks cannot short-circuit inside a
+    pair, so the count is comparable but not identical to the scalar
+    kernels'.
+    """
+    spec = SKYLINE_MODES[mode]
+    distinct = distinct and spec.distinct
+    stats = stats if stats is not None else DominanceStats()
+    is_batch = isinstance(partition, ColumnBatch)
+    if not is_batch and not isinstance(partition, list):
+        partition = list(partition)
+    block = columnize(partition, dims) if vectorized else None
+    if block is None or spec.unsafe(block):
+        rows = partition.to_rows() if is_batch else partition
+        result = spec.reference(rows, dims, distinct=distinct, stats=stats,
+                                check_deadline=check_deadline)
+        if is_batch:
+            result = ColumnBatch.from_rows(result, partition.num_columns)
+        return result, stats.window_peak, stats.comparisons
+    indices = spec.select(block, stats, check_deadline)
+    result = partition.take(indices) if is_batch \
+        else [partition[i] for i in indices]
+    if distinct:
+        # Only the survivors are materialised as rows, not the batch.
+        keep = _distinct_positions(
+            result.to_rows() if is_batch else result, dims)
+        result = result.take(keep) if is_batch \
+            else [result[i] for i in keep]
+    return result, stats.window_peak, stats.comparisons
+
+
+def vec_bnl_skyline(rows: Sequence[Sequence],
+                    dims: Sequence[BoundDimension],
+                    distinct: bool = False,
+                    stats: DominanceStats | None = None,
+                    check_deadline: Callable[[], None] | None = None
+                    ) -> list[Sequence]:
+    """Block-BNL skyline; multiset-identical to
+    :func:`~repro.core.bnl.bnl_skyline` on complete data."""
+    return skyline_task(rows, dims, "complete", distinct, True,
+                        check_deadline, stats)[0]
+
+
+def vec_sfs_skyline(rows: Sequence[Sequence],
+                    dims: Sequence[BoundDimension],
+                    distinct: bool = False,
+                    stats: DominanceStats | None = None,
+                    check_deadline: Callable[[], None] | None = None
+                    ) -> list[Sequence]:
+    """Sort-Filter-Skyline over columns: the window kernel's survivors
+    in the scalar kernel's output order (see :func:`_sfs_indices`), so
+    DISTINCT keeps the same representative."""
+    return skyline_task(rows, dims, "sfs", distinct, True,
+                        check_deadline, stats)[0]
+
+
 def vec_flagged_global_skyline(rows: Sequence[Sequence],
                                dims: Sequence[BoundDimension],
                                distinct: bool = False,
                                stats: DominanceStats | None = None,
                                check_deadline: Callable[[], None] | None
                                = None) -> list[Sequence]:
-    """Flag-based all-pairs global skyline for incomplete data.
-
-    Correct under cyclic dominance: rows are flagged, never deleted
-    early.  Nulls in DIFF dimensions make the per-DIFF-group
-    decomposition unsound (a null DIFF value compares equal-restricted
-    against *every* group), so such inputs fall back to the scalar
-    kernel.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    block = columnize(rows, dims)
-    if block is None or block.diff_keys_have_null() or \
-            block.diff_keys_have_nan():
-        return flagged_global_skyline(rows, dims, distinct=distinct,
-                                      stats=stats,
-                                      check_deadline=check_deadline)
-    indices = _grouped_indices(block, _flagged_indices, stats,
-                               check_deadline)
-    if distinct:
-        indices = _distinct_indices(indices, rows, dims)
-    return [rows[i] for i in indices]
+    """Flag-based all-pairs global skyline for incomplete data."""
+    return skyline_task(rows, dims, "flagged", distinct, True,
+                        check_deadline, stats)[0]
 
 
 # ---------------------------------------------------------------------------
-# Partition-task kernels (picklable, engine-facing)
+# Row/batch adapters of the partition-level callers
 # ---------------------------------------------------------------------------
-#
-# Same contract as the scalar tasks in :mod:`repro.core.algorithms`:
-# top-level functions returning ``(rows, window_peak, comparisons)``,
-# shippable to process-pool workers.
 
 
-def vec_local_bnl_task(rows: Sequence[Sequence],
-                       dims: Sequence[BoundDimension],
-                       distinct: bool = False,
-                       check_deadline: Callable[[], None] | None = None
-                       ) -> tuple[list, int, int]:
-    """Vectorized BNL skyline of one partition (complete data)."""
-    stats = DominanceStats()
-    skyline_rows = vec_bnl_skyline(rows, dims, distinct=distinct,
-                                   stats=stats,
-                                   check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def vec_local_bnl_incomplete_task(rows: Sequence[Sequence],
-                                  dims: Sequence[BoundDimension],
-                                  check_deadline: Callable[[], None] | None
-                                  = None) -> tuple[list, int, int]:
-    """Vectorized BNL skyline of one null-bitmap partition."""
-    stats = DominanceStats()
-    skyline_rows = vec_bnl_skyline_incomplete(
-        rows, dims, stats=stats, check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def vec_local_sfs_task(rows: Sequence[Sequence],
-                       dims: Sequence[BoundDimension],
-                       distinct: bool = False,
-                       check_deadline: Callable[[], None] | None = None
-                       ) -> tuple[list, int, int]:
-    """Vectorized Sort-Filter-Skyline of one partition."""
-    stats = DominanceStats()
-    skyline_rows = vec_sfs_skyline(rows, dims, distinct=distinct,
-                                   stats=stats,
-                                   check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-def vec_global_flagged_task(rows: Sequence[Sequence],
-                            dims: Sequence[BoundDimension],
-                            distinct: bool = False,
-                            check_deadline: Callable[[], None] | None = None
-                            ) -> tuple[list, int, int]:
-    """Vectorized flag-based all-pairs global skyline."""
-    stats = DominanceStats()
-    skyline_rows = vec_flagged_global_skyline(
-        rows, dims, distinct=distinct, stats=stats,
-        check_deadline=check_deadline)
-    return skyline_rows, stats.window_peak, stats.comparisons
-
-
-# ---------------------------------------------------------------------------
-# Batch-consuming task kernels (the columnar data plane)
-# ---------------------------------------------------------------------------
-#
-# Same contract as the row task kernels -- picklable top-level
-# functions returning ``(result, window_peak, comparisons)`` -- but the
-# partition arrives as a :class:`~repro.engine.batch.ColumnBatch` and
-# the result is returned as one: the oriented value matrix is assembled
-# from the batch's typed columns (no per-row columnization) and the
-# surviving rows are selected by index, so the batch plane never
-# materialises rows unless a guard forces the scalar fallback.
-
-
-def _batch_fallback(batch: ColumnBatch, kernel: Callable,
-                    **kwargs) -> ColumnBatch:
-    """Run a row kernel on the batch's row view and re-batch."""
-    result = kernel(batch.to_rows(), **kwargs)
-    return ColumnBatch.from_rows(result, batch.num_columns)
-
-
-def vec_local_bnl_batch_task(batch: ColumnBatch,
-                             dims: Sequence[BoundDimension],
-                             distinct: bool = False,
-                             check_deadline: Callable[[], None] | None
-                             = None) -> tuple[ColumnBatch, int, int]:
-    """Block-BNL skyline of one batch partition (complete data)."""
-    stats = DominanceStats()
-    block = columnize_batch(batch, dims)
-    if block is None or bool(block.null_mask.any()) or \
-            block.has_nan_data or block.diff_keys_have_nan():
-        # Same guards as :func:`vec_bnl_skyline`: nulls and NaN data
-        # defer to the scalar window semantics.
-        result = _batch_fallback(
-            batch, bnl_skyline, dims=dims, distinct=distinct,
-            stats=stats, check_deadline=check_deadline)
-        return result, stats.window_peak, stats.comparisons
-    indices = _grouped_indices(block, _block_skyline_indices, stats,
-                               check_deadline)
-    if distinct:
-        indices = _distinct_batch_indices(indices, batch, dims)
-    return batch.take(indices), stats.window_peak, stats.comparisons
-
-
-def vec_local_bnl_incomplete_batch_task(
-        batch: ColumnBatch, dims: Sequence[BoundDimension],
-        check_deadline: Callable[[], None] | None = None
-        ) -> tuple[ColumnBatch, int, int]:
-    """Skyline of one *null-bitmap-partitioned* batch (Section 5.7).
-
-    Same guards as :func:`vec_bnl_skyline_incomplete`: heterogeneous
-    null patterns, NaN data and null/NaN DIFF keys defer to the scalar
-    null-restricted kernel on the row view.
-    """
-    stats = DominanceStats()
-    block = columnize_batch(batch, dims)
-    if block is None or not block.uniform_null_pattern() or \
-            block.has_nan_data or block.diff_keys_have_null() or \
-            block.diff_keys_have_nan():
-        result = _batch_fallback(
-            batch, bnl_skyline, dims=dims, distinct=False, stats=stats,
-            dominance=dominates_incomplete, check_deadline=check_deadline)
-        return result, stats.window_peak, stats.comparisons
-    indices = _grouped_indices(block, _block_skyline_indices, stats,
-                               check_deadline)
-    return batch.take(indices), stats.window_peak, stats.comparisons
+def concat_partitions(parts: "Sequence[list | ColumnBatch]"
+                      ) -> "list | ColumnBatch":
+    """One partition holding every row of ``parts`` (all row lists or
+    all batches), in order."""
+    if isinstance(parts[0], ColumnBatch):
+        return ColumnBatch.concat(parts)
+    return [row for part in parts for row in part]
 
 
 def batch_null_bitmaps(batch: ColumnBatch,
@@ -775,90 +740,19 @@ def batch_null_bitmaps(batch: ColumnBatch,
     return acc.tolist()
 
 
-def vec_local_sfs_batch_task(batch: ColumnBatch,
-                             dims: Sequence[BoundDimension],
-                             distinct: bool = False,
-                             check_deadline: Callable[[], None] | None
-                             = None) -> tuple[ColumnBatch, int, int]:
-    """Sort-Filter-Skyline of one batch partition."""
-    stats = DominanceStats()
-    block = columnize_batch(batch, dims)
-    if block is None or bool(block.null_mask.any()) or \
-            block.has_nan_data or block.diff_keys_have_nan():
-        result = _batch_fallback(
-            batch, sfs_skyline, dims=dims, distinct=distinct,
-            stats=stats, check_deadline=check_deadline)
-        return result, stats.window_peak, stats.comparisons
-    indices = _sfs_indices(block, stats, check_deadline)
-    if distinct:
-        indices = _distinct_batch_indices(indices, batch, dims)
-    return batch.take(indices), stats.window_peak, stats.comparisons
-
-
-def vec_global_flagged_batch_task(batch: ColumnBatch,
-                                  dims: Sequence[BoundDimension],
-                                  distinct: bool = False,
-                                  check_deadline: Callable[[], None] | None
-                                  = None) -> tuple[ColumnBatch, int, int]:
-    """Flag-based all-pairs global skyline of one batch."""
-    stats = DominanceStats()
-    block = columnize_batch(batch, dims)
-    if block is None or block.diff_keys_have_null() or \
-            block.diff_keys_have_nan():
-        result = _batch_fallback(
-            batch, flagged_global_skyline, dims=dims, distinct=distinct,
-            stats=stats, check_deadline=check_deadline)
-        return result, stats.window_peak, stats.comparisons
-    indices = _grouped_indices(block, _flagged_indices, stats,
-                               check_deadline)
-    if distinct:
-        indices = _distinct_batch_indices(indices, batch, dims)
-    return batch.take(indices), stats.window_peak, stats.comparisons
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    """The partition-task kernels one physical plan executes with.
-
-    The ``*_batch`` kernels consume and produce
-    :class:`~repro.engine.batch.ColumnBatch`es for the columnar data
-    plane; they exist only in the vectorized set (``None`` in the
-    scalar set, whose operators exchange rows).
-    """
-
-    name: str
-    local_bnl: Callable
-    local_bnl_incomplete: Callable
-    local_sfs: Callable
-    global_flagged: Callable
-    local_bnl_batch: Callable | None = None
-    local_bnl_incomplete_batch: Callable | None = None
-    local_sfs_batch: Callable | None = None
-    global_flagged_batch: Callable | None = None
-
-
-def select_kernels(vectorized: bool) -> KernelSet:
-    """The scalar or vectorized kernel set for the physical operators.
-
-    ``vectorized=True`` with NumPy missing silently selects the scalar
-    set -- session construction validates the flag, and per-partition
-    data that cannot columnize falls back inside the kernels anyway.
-    """
-    from .algorithms import (global_flagged_task,
-                             local_bnl_incomplete_task, local_bnl_task,
-                             local_sfs_task)
-
-    if vectorized and numpy_available():
-        return KernelSet(
-            "vectorized", vec_local_bnl_task,
-            vec_local_bnl_incomplete_task,
-            vec_local_sfs_task, vec_global_flagged_task,
-            local_bnl_batch=vec_local_bnl_batch_task,
-            local_bnl_incomplete_batch=vec_local_bnl_incomplete_batch_task,
-            local_sfs_batch=vec_local_sfs_batch_task,
-            global_flagged_batch=vec_global_flagged_batch_task)
-    return KernelSet("scalar", local_bnl_task, local_bnl_incomplete_task,
-                     local_sfs_task, global_flagged_task)
+def split_by_null_bitmap(partition: "Sequence[Sequence] | ColumnBatch",
+                         dims: Sequence[BoundDimension]
+                         ) -> "dict[int, list | ColumnBatch]":
+    """The null-bitmap distribution (Section 5.7) of one partition:
+    one piece per distinct bitmap, in first-seen order, in the
+    partition's own representation."""
+    if not isinstance(partition, ColumnBatch):
+        return partition_by_null_bitmap(partition, dims)
+    groups: dict[int, list[int]] = {}
+    for i, bitmap in enumerate(batch_null_bitmaps(partition, dims)):
+        groups.setdefault(bitmap, []).append(i)
+    return {bitmap: partition.take(indices)
+            for bitmap, indices in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -752,7 +752,7 @@ class BackendSpec:
     """Declarative backend selection, resolved lazily.
 
     Sessions hold one of these and *share it by reference* across
-    clones (``with_executors`` etc.), so a process pool is materialised
+    clones (``with_options``), so a process pool is materialised
     at most once no matter which clone triggers it -- and closing any
     sharer closes the one real pool.  ``choice`` is a backend name or a
     pre-built :class:`Backend` instance.

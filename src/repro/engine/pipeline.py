@@ -13,9 +13,10 @@ operators overlap instead of running back to back.
 Correctness rests on the fold identity ``skyline(skyline(A) + B) ==
 skyline(A + B)``: the local-skyline operator keeps one running window
 per partition (per null bitmap for incomplete data) and folds each
-arriving morsel into it, using :class:`repro.streaming.SkylineStream`
--- the incremental-dominance kernel -- on the row plane and the
-``*_batch`` kernels over ``window + morsels`` on the batch plane.
+arriving morsel into it: ``skyline_task(window + morsels)`` in the
+local operator's mode, except for the row-plane window modes, which
+stream through :class:`repro.streaming.SkylineStream` -- the
+incremental-dominance kernel.
 Morsels reach each fold window in their original row order, so window
 contents (including DISTINCT representative choice, which is
 first-seen) are identical to the staged execution of the same
@@ -49,7 +50,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from ..core.dominance import dominates_incomplete, null_bitmap
+from ..core.dominance import dominates_incomplete
+from ..core.vectorized import (concat_partitions, skyline_task,
+                               split_by_null_bitmap)
 from ..streaming import SkylineStream
 from .backends import StageTask
 from .batch import ColumnBatch
@@ -87,47 +90,40 @@ def _columnize_task(rows, width):
     return ColumnBatch.from_rows(rows, width)
 
 
-def _map_batch_task(batch, specs):
-    """Apply a fused filter/project chain to one batch."""
+def _map_task(morsel, specs):
+    """Apply a fused filter/project chain to one morsel (a batch or a
+    row list)."""
     from ..plan.physical import _filter_batch
+    on_batches = isinstance(morsel, ColumnBatch)
     for kind, payload in specs:
-        if kind == "filter":
-            batch = _filter_batch(batch, payload)
-        else:
-            batch = ColumnBatch([p.eval_batch(batch) for p in payload],
-                                num_rows=batch.num_rows)
-    return batch
-
-
-def _map_rows_task(rows, specs):
-    """Apply a fused filter/project chain to one row-plane morsel."""
-    for kind, payload in specs:
-        if kind == "filter":
+        if kind == "filter" and on_batches:
+            morsel = _filter_batch(morsel, payload)
+        elif kind == "filter":
             predicate = payload.eval
-            rows = [row for row in rows if predicate(row) is True]
+            morsel = [row for row in morsel if predicate(row) is True]
+        elif on_batches:
+            morsel = ColumnBatch([p.eval_batch(morsel) for p in payload],
+                                 num_rows=morsel.num_rows)
         else:
             evaluators = [p.eval for p in payload]
-            rows = [tuple(ev(row) for ev in evaluators) for row in rows]
-    return rows
+            morsel = [tuple(ev(row) for ev in evaluators)
+                      for row in morsel]
+    return morsel
 
 
-def _fold_batch_task(window, morsels, dims, distinct, kernel):
-    """Fold batch morsels into a running window (complete data / SFS).
+def _fold_task(window, morsels, dims, mode, distinct, vectorized):
+    """Fold morsels into a running window: ``skyline(window +
+    morsels)`` in the local operator's mode.
 
-    ``skyline(window + morsels)`` -- the batch kernels are exact, so
-    re-running one over the survivors plus the new rows equals the
-    skyline of everything seen (fold identity).
+    The partition task is exact, so re-running it over the survivors
+    plus the new rows equals the skyline of everything seen (fold
+    identity); SFS's sorted output order matches the staged SFS local
+    stage.  For ``bitmap-local`` the window and morsels are ONE
+    null-bitmap group's.
     """
-    batches = ([window] if window is not None else []) + list(morsels)
-    merged = ColumnBatch.concat(batches)
-    return kernel(merged, dims, distinct, check_deadline=None)
-
-
-def _fold_batch_incomplete_task(window, morsels, dims, kernel):
-    """Fold batch morsels of ONE null-bitmap group into its window."""
-    batches = ([window] if window is not None else []) + list(morsels)
-    merged = ColumnBatch.concat(batches)
-    return kernel(merged, dims, check_deadline=None)
+    parts = ([window] if window is not None else []) + list(morsels)
+    return skyline_task(concat_partitions(parts), dims, mode, distinct,
+                        vectorized)
 
 
 def _fold_stream_task(state, morsels, dims, distinct, incomplete=False):
@@ -150,16 +146,6 @@ def _fold_stream_task(state, morsels, dims, distinct, incomplete=False):
     for rows in morsels:
         stream.add_all(rows)
     return stream.checkpoint(), stream.window_peak, stream.comparisons
-
-
-def _fold_sfs_rows_task(window, morsels, dims, distinct, kernel):
-    """Row-plane SFS fold: re-sort window + morsels (the SFS kernel is
-    exact, so this is the fold identity again; sorted output order
-    matches the staged SFS local stage)."""
-    rows = list(window) if window is not None else []
-    for morsel in morsels:
-        rows.extend(morsel)
-    return kernel(rows, dims, distinct, check_deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +301,6 @@ class _PipelineDriver:
     """
 
     def __init__(self, local, ctx: "ExecutionContext") -> None:
-        from ..plan import physical as P
-        self._P = P
         self.local = local
         self.ctx = ctx
         budget_mb = local.operator_memory_mb \
@@ -326,15 +310,10 @@ class _PipelineDriver:
         self.workers = getattr(ctx.backend, "num_workers", None) or 1
         self.wave_cap = max(2 * self.workers, 4)
         self.spiller = SpillManager()
-        self.algorithm = {
-            "SkylineLocalExec": "bnl",
-            "SkylineLocalSFSExec": "sfs",
-            "SkylineLocalIncompleteExec": "incomplete",
-        }[type(local).__name__]
         self.waves = 0
-        # Fold state per key (partition index, or null bitmap for the
-        # incomplete algorithm): checkpoint dict on the row plane,
-        # ColumnBatch window on the batch plane.  ``fold_started``
+        # Fold state per key (partition index, or null bitmap in the
+        # ``bitmap-local`` mode): checkpoint dict for stream folds, the
+        # window itself (rows or ColumnBatch) otherwise.  ``fold_started``
         # distinguishes "no fold ran yet" from an empty window.
         self.fold_state: dict = {}
         self.fold_started: set = set()
@@ -343,30 +322,6 @@ class _PipelineDriver:
         self.scan = _Operator("scan", self.budget)
         self.map = _Operator("map", self.budget)
         self.fold = _Operator("fold", self.budget)
-
-    # -- chain analysis ---------------------------------------------------
-
-    def analyse_chain(self):
-        """The (transforms, scan) of a supported chain, else ``None``.
-
-        Supported: ``Scan`` optionally below any stack of
-        ``Filter``/``Project`` nodes.  Anything else (repartitions,
-        joins, ...) executes the child staged and pipelines only the
-        fold -- recorded as ``source="staged-child"``.
-        """
-        P = self._P
-        specs = []
-        node = self.local.children[0]
-        while True:
-            if isinstance(node, P.ScanExec):
-                return tuple(reversed(specs)), node
-            if isinstance(node, P.FilterExec):
-                specs.append(("filter", node.condition))
-            elif isinstance(node, P.ProjectExec):
-                specs.append(("project", tuple(node.projections)))
-            else:
-                return None
-            node = node.children[0]
 
     # -- morsel generation ------------------------------------------------
 
@@ -391,7 +346,8 @@ class _PipelineDriver:
 
     # -- wave execution ---------------------------------------------------
 
-    def run_wave(self, tasks: list[StageTask], routes: list) -> list:
+    def run_wave(self, tasks: list[StageTask], routes: list
+                 ) -> tuple[list, float]:
         stage = f"Pipeline.wave{self.waves}"
         self.waves += 1
         started = time.perf_counter()
@@ -436,9 +392,7 @@ class _PipelineDriver:
             self.fold.bytes_total -= morsel.nbytes
             morsels.append(morsel.payload)
             bytes_in += morsel.nbytes
-            rows_in += len(morsel.payload) \
-                if not isinstance(morsel.payload, ColumnBatch) \
-                else morsel.payload.num_rows
+            rows_in += len(morsel.payload)
         self.fold.queue = kept
         return morsels, rows_in, bytes_in
 
@@ -448,42 +402,34 @@ class _PipelineDriver:
         transfer is race-free."""
         morsels, rows_in, bytes_in = self.take_fold_morsels(key)
         window = self.fold_state.get(key)
-        if self.batch_plane:
-            kernel = self.local._batch_kernel()
-            if self.algorithm == "incomplete":
-                func = _fold_batch_incomplete_task
-                args = (window, morsels, self.local.dims, kernel)
-            else:
-                func = _fold_batch_task
-                args = (window, morsels, self.local.dims,
-                        self.local.distinct, kernel)
-        elif self.algorithm == "sfs":
-            func = _fold_sfs_rows_task
-            args = (window, morsels, self.local.dims,
-                    self.local.distinct, self.local.kernels.local_sfs)
+        local = self.local
+        if self.batch_plane or local.mode == "sfs":
+            func = _fold_task
+            args = (window, morsels, local.dims, local.mode,
+                    local.distinct, local.vectorized)
         else:
             func = _fold_stream_task
-            args = (window, morsels, self.local.dims,
-                    self.local.distinct, self.algorithm == "incomplete")
+            args = (window, morsels, local.dims, local.distinct,
+                    local.mode == "bitmap-local")
         self.fold_inflight.add(key)
         return StageTask(
             partition=seq, rows_in=rows_in, bytes_in=bytes_in,
             fn=functools.partial(func, *args), func=func, args=args,
-            kernel=self.local.kernels.name)
+            kernel=local.kernel)
 
     # -- main loop --------------------------------------------------------
 
     def execute(self) -> "RDD | BatchRDD":
         ctx = self.ctx
         local = self.local
-        chain = self.analyse_chain()
+        chain = local.morsel_chain()
         source = "pipeline" if chain is not None else "staged-child"
-        incomplete = self.algorithm == "incomplete"
+        incomplete = local.mode == "bitmap-local"
 
         if chain is not None:
             specs, scan_exec = chain
             self.batch_plane = bool(scan_exec.columnar) and \
-                local._batch_kernel() is not None
+                local.vectorized
             width = len(scan_exec.output)
             pending_scans = deque(self.split_morsels(
                 scan_exec.rows, ctx.config.default_parallelism))
@@ -492,11 +438,10 @@ class _PipelineDriver:
             # Unsupported chain shape: produce the morsel stream from
             # the staged child's partitions; scan + maps are done.
             child_out = local.children[0].execute(ctx)
-            batches = local._batch_input(child_out)
-            self.batch_plane = batches is not None
+            self.batch_plane = local.on_batch_plane(child_out)
             specs, pending_scans, maps_picklable = (), deque(), True
             if self.batch_plane:
-                for p, batch in enumerate(batches.batches):
+                for p, batch in enumerate(child_out.batches):
                     for start in range(0, max(batch.num_rows, 1),
                                        PIPELINE_MORSEL_ROWS):
                         indices = list(range(
@@ -546,18 +491,12 @@ class _PipelineDriver:
                 morsel = self.map.dequeue(self.spiller)
                 args = (morsel.payload, specs)
                 task = StageTask(
-                    partition=seq, rows_in=len(morsel.payload)
-                    if not isinstance(morsel.payload, ColumnBatch)
-                    else morsel.payload.num_rows,
+                    partition=seq, rows_in=len(morsel.payload),
                     bytes_in=morsel.nbytes,
-                    fn=functools.partial(
-                        _map_batch_task if self.batch_plane
-                        else _map_rows_task, *args),
-                    func=(_map_batch_task if self.batch_plane
-                          else _map_rows_task) if maps_picklable
-                    else None,
+                    fn=functools.partial(_map_task, *args),
+                    func=_map_task if maps_picklable else None,
                     args=args if maps_picklable else (),
-                    kernel=self.local.kernels.name)
+                    kernel=self.local.kernel)
                 tasks.append(task)
                 routes.append(("map", morsel.key))
                 seq += 1
@@ -580,7 +519,7 @@ class _PipelineDriver:
                     partition=seq, rows_in=len(rows),
                     fn=functools.partial(func, *args),
                     func=func, args=args,
-                    kernel=self.local.kernels.name)
+                    kernel=self.local.kernel)
                 tasks.append(task)
                 routes.append(("scan", p))
                 seq += 1
@@ -627,7 +566,7 @@ class _PipelineDriver:
         ctx.pipeline = {
             "mode": "pipelined",
             "stage": local.stage_name(),
-            "algorithm": self.algorithm,
+            "algorithm": local.mode,
             "plane": "batch" if self.batch_plane else "row",
             "source": source,
             "morsel_rows": PIPELINE_MORSEL_ROWS,
@@ -662,34 +601,15 @@ class _PipelineDriver:
         """
         if not incomplete:
             self.touch_key(partition)
-            nbytes = _payload_nbytes(payload)
-            if (payload if not isinstance(payload, ColumnBatch)
-                    else payload.num_rows):
-                self.fold.enqueue(partition, payload, nbytes,
-                                  self.spiller)
-            return len(payload) \
-                if not isinstance(payload, ColumnBatch) \
-                else payload.num_rows
-        dims = self.local.dims
-        if isinstance(payload, ColumnBatch):
-            from ..core.vectorized import batch_null_bitmaps
-            bitmaps = batch_null_bitmaps(payload, dims)
-            groups: dict[int, list[int]] = {}
-            for i, bitmap in enumerate(bitmaps):
-                groups.setdefault(bitmap, []).append(i)
-            for bitmap, indices in groups.items():
-                self.touch_key(("bitmap", bitmap))
-                piece = payload.take(indices)
-                self.fold.enqueue(("bitmap", bitmap), piece,
-                                  piece.nbytes, self.spiller)
-            return payload.num_rows
-        groups_rows: dict[int, list] = {}
-        for row in payload:
-            groups_rows.setdefault(null_bitmap(row, dims), []).append(row)
-        for bitmap, rows in groups_rows.items():
+            if len(payload):
+                self.fold.enqueue(partition, payload,
+                                  _payload_nbytes(payload), self.spiller)
+            return len(payload)
+        for bitmap, piece in split_by_null_bitmap(
+                payload, self.local.dims).items():
             self.touch_key(("bitmap", bitmap))
-            self.fold.enqueue(("bitmap", bitmap), rows,
-                              _payload_nbytes(rows), self.spiller)
+            self.fold.enqueue(("bitmap", bitmap), piece,
+                              _payload_nbytes(piece), self.spiller)
         return len(payload)
 
     # -- output assembly --------------------------------------------------
@@ -700,10 +620,8 @@ class _PipelineDriver:
         Key order matches the staged stage: partition index order for
         complete/SFS, first-seen bitmap order for incomplete.
         """
-        if self.algorithm == "incomplete":
+        if self.local.mode == "bitmap-local":
             keys = self.key_order
-            if not keys:
-                keys = []
         else:
             keys = sorted(self.key_order)
         partials = []
@@ -731,11 +649,11 @@ class _PipelineDriver:
 
 
 def run_pipelined_local(local, ctx: "ExecutionContext"
-                        ) -> "RDD | BatchRDD | None":
+                        ) -> "RDD | BatchRDD":
     """Execute one stamped local skyline chain with the morsel driver.
 
     Returns the local stage's output (consumed by the unchanged staged
-    global phase) or ``None`` to signal the caller to run staged.
+    global phase).
     """
     driver = _PipelineDriver(local, ctx)
     try:

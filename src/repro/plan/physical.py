@@ -19,16 +19,13 @@ import itertools
 import math
 from typing import Any, Callable, Sequence
 
-from ..core.dominance import BoundDimension, DimensionKind, null_bitmap
-from ..core.merge import (batch_merge_unsafe_reason, build_summaries,
-                          merge_partials_task, merge_round_sizes,
-                          merge_unsafe_reason, reduce_group, tree_shape,
-                          vec_merge_batches_task, vec_merge_partials_task)
+from ..core.dominance import BoundDimension, DimensionKind
+from ..core.merge import (build_summaries, merge_round_sizes, merge_task,
+                          merge_unsafe_reason, reduce_group, tree_shape)
 from ..core.partitioning import partition_indices, partition_rows
-from ..core.sfs import monotone_score
-from ..core.vectorized import (KernelSet, _monotone_scores, columnize,
-                               columnize_batch, select_kernels)
-from ..core.vectorized import np as _np
+from ..core.vectorized import (columnize, kernel_name,
+                               sfs_scores_finite, skyline_task,
+                               split_by_null_bitmap)
 from ..engine import expressions as E
 from ..engine.backends import StageTask
 from ..engine.batch import ColumnBatch
@@ -817,405 +814,59 @@ def _bind_dimensions(items: Sequence[E.SkylineDimension],
     return dims
 
 
-def _local_skyline_tasks(ctx: ExecutionContext,
-                         partitions: Sequence[list[tuple]],
-                         func: Callable, extra_args: tuple,
-                         kernel: str = "scalar") -> list[StageTask]:
-    """Per-partition skyline tasks in both execution flavours.
-
-    ``fn`` is a deadline-aware in-process closure (used by the local and
-    thread backends); ``func``/``args`` is the picklable payload process
-    backends ship to workers (workers cannot see the driver's deadline
-    clock, so the budget is checked between stages instead).
-    """
-    tasks = []
-    for i, partition in enumerate(partitions):
-        args = (partition, *extra_args)
-        tasks.append(StageTask(
-            partition=i, rows_in=len(partition),
-            fn=functools.partial(func, *args,
-                                 check_deadline=ctx.check_deadline),
-            func=func, args=args, kernel=kernel))
-    return tasks
-
-
 class _SkylineExec(PhysicalPlan):
-    """Shared plumbing of the skyline operators.
+    """Shared plumbing of the two skyline operators.
 
-    ``vectorized=True`` selects the columnar NumPy kernels of
-    :mod:`repro.core.vectorized` (which fall back to the scalar
-    reference per partition when the data cannot be columnized);
-    the default keeps the pure-Python kernels.
+    Both run :func:`~repro.core.vectorized.skyline_task` in the ``mode``
+    the planner chose (Listing 8: the variants differ only in the
+    dominance predicate and the deletion rule).  ``vectorized=True``
+    selects the columnar NumPy kernels (which fall back to the scalar
+    reference per partition when the data cannot be columnized); the
+    default keeps the pure-Python kernels.
 
-    Under the batch data plane (a :class:`BatchRDD` child) the
-    vectorized operators run the ``*_batch`` kernels, which assemble
-    their oriented value matrix straight from the batch columns --
-    no per-partition re-columnization -- and return filtered batches.
-    A scalar kernel set always drops to rows first (honouring
+    Under the batch data plane (a :class:`BatchRDD` child) a vectorized
+    operator hands the task :class:`ColumnBatch` partitions -- no
+    per-partition re-columnization -- and gets filtered batches back.
+    A scalar operator always drops to rows first (honouring
     ``vectorized=False`` even in a columnar session).
     """
 
-    #: Which batch kernel of the :class:`KernelSet` this operator runs
-    #: (overridden per subclass; ``None`` = no batch path).
-    batch_kernel_attr: str | None = None
+    #: ``mode`` -> (EXPLAIN operator name, algorithm label).
+    LABELS: dict[str, tuple[str, str]] = {}
 
     def __init__(self, items: Sequence[E.SkylineDimension], distinct: bool,
-                 child: PhysicalPlan, vectorized: bool = False,
-                 merge=None) -> None:
+                 child: PhysicalPlan, mode: str,
+                 vectorized: bool = False) -> None:
         super().__init__()
         self.children = (child,)
         self.items = list(items)
         self.distinct = distinct
         self.dims = _bind_dimensions(items, child.output)
-        self.kernels: KernelSet = select_kernels(vectorized)
-        #: The planner's :class:`~repro.plan.cost.MergeDecision` for the
-        #: global phase (``None`` on local operators and legacy
-        #: constructions: the flat single-task merge).
-        self.merge_plan = merge
-        #: Resident input partitions: ``(token, BatchRDD)`` reused by
-        #: re-executions under the shared-memory data plane.
-        self._pinned: "tuple | None" = None
+        self.mode = mode
+        #: Kernel-family label of this operator's tasks.
+        self.kernel = kernel_name(vectorized)
+        self.vectorized = self.kernel == "vectorized"
 
     @property
     def output(self) -> list[E.AttributeReference]:
         return self.children[0].output
 
-    def _batch_kernel(self):
-        if self.batch_kernel_attr is None:
-            return None
-        return getattr(self.kernels, self.batch_kernel_attr)
-
     @property
     def exec_mode(self) -> str:
-        if self.children[0].exec_mode == "batch" and \
-                self._batch_kernel() is not None:
+        if self.children[0].exec_mode == "batch" and self.vectorized:
             return "batch"
         return "row"
 
-    def _batch_input(self, child_out: "RDD | BatchRDD"
-                     ) -> "BatchRDD | None":
-        """The child output as batches when the batch path applies."""
-        if isinstance(child_out, BatchRDD) and \
-                self._batch_kernel() is not None:
-            return child_out
-        return None
+    def on_batch_plane(self, child_out: "RDD | BatchRDD") -> bool:
+        """True when the tasks consume and produce batches."""
+        return isinstance(child_out, BatchRDD) and self.vectorized
 
-    # -- resident input partitions (shared-memory data plane) -------------
-
-    def _input_token(self, ctx: ExecutionContext) -> "tuple | None":
-        """Validity token of this operator's input partitions.
-
-        The chain below a local skyline operator is deterministic data
-        preparation (scan, filter, project, repartition), so its output
-        only changes when the scanned data or the partitioning does.
-        The token captures exactly that: the leaf scan's identity and
-        catalog ``data_version`` plus the parallelism.  ``None`` means
-        the chain has an unexpected shape -- never pin then.
-        """
-        node: PhysicalPlan = self.children[0]
-        while True:
-            if isinstance(node, ScanExec):
-                version = node.table.data_version \
-                    if node.table is not None else None
-                return (id(node.rows), len(node.rows), version,
-                        ctx.config.default_parallelism)
-            if isinstance(node, (FilterExec, ProjectExec,
-                                 SkylineRepartitionExec)):
-                node = node.children[0]
-                continue
-            return None
-
-    def _resident_child(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        """The child output, kept resident across plan re-executions.
-
-        Only under an active :class:`~repro.engine.shm.SharedColumnStore`
-        (process backend with ``shared_memory`` on): the input batches
-        are pinned in the store, so repeat executions of a prepared
-        query ship the *same* segments as handles instead of
-        re-columnizing, re-filtering and re-copying -- this is what
-        "partitions stay resident across stages" buys end to end.
-        Catalog DML bumps the leaf table's ``data_version``, which
-        invalidates the pin (and releases the stale segments).
-        """
-        store = getattr(ctx, "shm_store", None)
-        if store is None or store.closed:
-            return self.children[0].execute(ctx)
-        token = self._input_token(ctx)
-        if token is not None and self._pinned is not None \
-                and self._pinned[0] == token:
-            rdd = self._pinned[1]
-            store.pin(rdd.batches)  # idempotent; re-pins after close
-            return rdd
-        child_out = self.children[0].execute(ctx)
-        if token is not None and isinstance(child_out, BatchRDD) \
-                and self._batch_kernel() is not None:
-            if self._pinned is not None:
-                store.unpin(self._pinned[1].batches)
-            store.pin(child_out.batches)
-            self._pinned = (token, child_out)
-        return child_out
-
-    def _global_batch_execute(self, ctx: ExecutionContext,
-                              batches: "BatchRDD") -> "BatchRDD":
-        """The shared global-stage batch shape (``AllTuples``): merge
-        every partition into one batch and run the batch kernel as a
-        single non-parallelizable task."""
-        stage = self.stage_name()
-        merged = batches.concat()
-        ctx.record_shuffle(stage, merged.num_rows)
-        func = self._batch_kernel()
-        task = functools.partial(func, merged, self.dims, self.distinct,
-                                 check_deadline=ctx.check_deadline)
-        result = ctx.run_task(stage, 0, task, merged.num_rows,
-                              parallelizable=False,
-                              kernel=self.kernels.name)
-        return BatchRDD([result])
-
-    def _batch_tasks(self, ctx: ExecutionContext,
-                     batches: Sequence[ColumnBatch]) -> list[StageTask]:
-        """Per-partition batch-kernel tasks (picklable payloads)."""
-        func = self._batch_kernel()
-        tasks = []
-        for i, batch in enumerate(batches):
-            args = (batch, self.dims, self.distinct)
-            tasks.append(StageTask(
-                partition=i, rows_in=batch.num_rows,
-                bytes_in=batch.nbytes,
-                fn=functools.partial(func, *args,
-                                     check_deadline=ctx.check_deadline),
-                func=func, args=args, kernel=self.kernels.name))
-        return tasks
-
-    def _kernel_label(self, algorithm: str) -> str:
-        if self.kernels.name == "vectorized":
-            return f"vectorized {algorithm}"
-        return algorithm
-
-    def _pipelined_local(self, ctx: ExecutionContext
-                         ) -> "RDD | BatchRDD | None":
-        """The morsel-driven execution of this local operator's chain.
-
-        Returns ``None`` when the operator is not stamped for pipelined
-        execution or the chain has a shape the pipelined executor does
-        not support (recorded in ``ctx.pipeline``), in which case the
-        caller proceeds with the staged path.
-        """
-        if self.execution != "pipelined":
-            return None
-        from ..engine.pipeline import run_pipelined_local
-        return run_pipelined_local(self, ctx)
-
-    # -- hierarchical global merge (tournament tree) ---------------------
-
-    def _merge_tag(self) -> str:
-        plan = self.merge_plan
-        if plan is not None and plan.strategy == "hierarchical":
-            return f" [merge tree fan-in {plan.fan_in}]"
-        return ""
-
-    def _record_flat_merge(self, ctx: ExecutionContext,
-                           fallback: str | None = None) -> None:
-        """Surface the (flat) global-merge shape in the context metrics.
-
-        ``fallback`` carries the *runtime* reason a planned hierarchical
-        merge dropped back to the flat pass (unmergeable data, too few
-        partials); the planner-side reason lives in ``reason``.
-        """
-        plan = self.merge_plan
-        ctx.global_merge = {
-            "strategy": "flat", "fan_in": None, "partials": None,
-            "tree": None,
-            "reason": plan.reason if plan is not None
-            else "single-task global phase",
-            "rounds_planned": 0, "rounds_completed": 0,
-            "round_tasks": [], "concat_merges": 0, "short_circuits": 0,
-            "fallback": fallback,
-        }
-
-    def _init_merge_info(self, ctx: ExecutionContext,
-                         num_partials: int) -> dict:
-        plan = self.merge_plan
-        info = {
-            "strategy": "hierarchical", "fan_in": plan.fan_in,
-            "partials": num_partials,
-            "tree": tree_shape(num_partials, plan.fan_in),
-            "reason": plan.reason,
-            "rounds_planned":
-                len(merge_round_sizes(num_partials, plan.fan_in)) - 1,
-            "rounds_completed": 0, "round_tasks": [],
-            "concat_merges": 0, "short_circuits": 0, "fallback": None,
-        }
-        ctx.global_merge = info
-        return info
-
-    def _scores_finite_rows(self, rows) -> bool | None:
-        """Whether every SFS monotone score is finite (``None``:
-        not computable -- non-numeric dimension values)."""
-        try:
-            return all(math.isfinite(monotone_score(row, self.dims))
-                       for row in rows)
-        except TypeError:
-            return None
-
-    def _scores_finite_batches(self, parts: Sequence[ColumnBatch]
-                               ) -> bool | None:
-        for part in parts:
-            block = columnize_batch(part, self.dims)
-            if block is None:
-                finite = self._scores_finite_rows(part.to_rows())
-            else:
-                finite = bool(_np.isfinite(
-                    _monotone_scores(block.values)).all())
-            if finite is not True:
-                return finite
-        return True
-
-    def _run_merge_rounds(self, ctx: ExecutionContext, partials: list,
-                          merge_func: Callable, *, blocks_of: Callable,
-                          size_of: Callable, concat: Callable | None):
-        """Execute the merge tree as real scheduled stages.
-
-        ``partials`` are row lists or :class:`ColumnBatch`es (opaque
-        here); each round recomputes the grid summaries from the
-        *surviving* rows -- a stale summary could claim dominance rows
-        it no longer has -- reduces every consecutive fan-in group with
-        the shortcut rules, and runs one merge task per group that
-        still needs comparisons.  Retry/deadline semantics ride on
-        :meth:`ExecutionContext.run_stage` per round.
-        """
-        plan = self.merge_plan
-        info = ctx.global_merge
-        fan_in = max(2, plan.fan_in or 2)
-        rounds = 0
-        while len(partials) > 1:
-            rounds += 1
-            stage = f"{self.stage_name()}.round{rounds}"
-            summaries = build_summaries(
-                [blocks_of(p) for p in partials])
-            next_partials: list = []
-            tasks: list[StageTask] = []
-            slots: list[int] = []
-            for g in range(0, len(partials), fan_in):
-                group = partials[g:g + fan_in]
-                gsum = summaries[g:g + fan_in] \
-                    if summaries is not None else None
-                segments = reduce_group(group, gsum, info, concat)
-                if len(segments) == 1:
-                    next_partials.append(segments[0])
-                    continue
-                next_partials.append(None)
-                slots.append(len(next_partials) - 1)
-                args = (segments, self.dims, self.distinct)
-                tasks.append(StageTask(
-                    partition=len(tasks),
-                    rows_in=sum(size_of(s) for s in segments),
-                    fn=functools.partial(
-                        merge_func, *args,
-                        check_deadline=ctx.check_deadline),
-                    func=merge_func, args=args,
-                    kernel=self.kernels.name))
-            if tasks:
-                ctx.record_shuffle(stage, sum(t.rows_in for t in tasks))
-                results = ctx.run_stage(stage, tasks)
-                for slot, result in zip(slots, results):
-                    next_partials[slot] = result
-            info["round_tasks"].append(len(tasks))
-            info["rounds_completed"] = rounds
-            partials = next_partials
-        return partials[0]
-
-    def _try_hierarchical_rows(self, ctx: ExecutionContext,
-                               child_out: "RDD | BatchRDD",
-                               sfs: bool = False) -> "RDD | None":
-        """The multi-round merge over row partials, or ``None`` when the
-        flat global phase should run (shape recorded either way)."""
-        plan = self.merge_plan
-        if plan is None or plan.strategy != "hierarchical":
-            self._record_flat_merge(ctx)
-            return None
-        partials = [list(p) for p in _rows_rdd(child_out).partitions if p]
-        if len(partials) < 2:
-            self._record_flat_merge(
-                ctx, fallback="fewer than two non-empty local skylines")
-            return None
-        reason = merge_unsafe_reason(partials, self.dims)
-        if reason is not None:
-            self._record_flat_merge(ctx, fallback=reason)
-            return None
-        finalize = None
-        if sfs:
-            finite = self._scores_finite_rows(
-                row for part in partials for row in part)
-            if finite is None:
-                self._record_flat_merge(
-                    ctx, fallback="non-numeric skyline dimension values")
-                return None
-            if finite:
-                # All-finite scores: the flat global SFS task would
-                # sort; reproduce it with one final SFS pass over the
-                # merged skyline.  Non-finite scores pin flat SFS to
-                # its BNL fallback -- which the merge tree *is*.
-                finalize = self.kernels.local_sfs
-        self._init_merge_info(ctx, len(partials))
-        merge_func = vec_merge_partials_task \
-            if self.kernels.name == "vectorized" else merge_partials_task
-        merged = self._run_merge_rounds(
-            ctx, partials, merge_func,
-            blocks_of=lambda p: columnize(p, self.dims),
-            size_of=len, concat=None)
-        if finalize is not None:
-            fstage = f"{self.stage_name()}.finalize"
-            ctx.record_shuffle(fstage, len(merged))
-            task = functools.partial(finalize, merged, self.dims,
-                                     self.distinct,
-                                     check_deadline=ctx.check_deadline)
-            merged = ctx.run_task(fstage, 0, task, len(merged),
-                                  parallelizable=False,
-                                  kernel=self.kernels.name)
-        return RDD([merged])
-
-    def _try_hierarchical_batches(self, ctx: ExecutionContext,
-                                  batches: "BatchRDD",
-                                  sfs: bool = False) -> "BatchRDD | None":
-        """Batch-plane twin of :meth:`_try_hierarchical_rows`."""
-        plan = self.merge_plan
-        if plan is None or plan.strategy != "hierarchical":
-            self._record_flat_merge(ctx)
-            return None
-        parts = [b for b in batches.batches if b.num_rows]
-        if len(parts) < 2:
-            self._record_flat_merge(
-                ctx, fallback="fewer than two non-empty local skylines")
-            return None
-        reason = batch_merge_unsafe_reason(parts, self.dims)
-        if reason is not None:
-            self._record_flat_merge(ctx, fallback=reason)
-            return None
-        finalize = None
-        if sfs:
-            finite = self._scores_finite_batches(parts)
-            if finite is None:
-                self._record_flat_merge(
-                    ctx, fallback="non-numeric skyline dimension values")
-                return None
-            if finite:
-                finalize = self._batch_kernel()
-        self._init_merge_info(ctx, len(parts))
-        merged = self._run_merge_rounds(
-            ctx, parts, vec_merge_batches_task,
-            blocks_of=lambda b: columnize_batch(b, self.dims),
-            size_of=lambda b: b.num_rows,
-            concat=lambda items: ColumnBatch.concat(list(items)))
-        if finalize is not None:
-            fstage = f"{self.stage_name()}.finalize"
-            ctx.record_shuffle(fstage, merged.num_rows)
-            task = functools.partial(finalize, merged, self.dims,
-                                     self.distinct,
-                                     check_deadline=ctx.check_deadline)
-            merged = ctx.run_task(fstage, 0, task, merged.num_rows,
-                                  parallelizable=False,
-                                  kernel=self.kernels.name)
-        return BatchRDD([merged])
+    def node_description(self) -> str:
+        name, algorithm = self.LABELS[self.mode]
+        if self.vectorized:
+            algorithm = f"vectorized {algorithm}"
+        dims = ", ".join(i.sql() for i in self.items)
+        return f"{name}({algorithm}, [{dims}])" + self._mode_tag()
 
 
 class SkylineRepartitionExec(PhysicalPlan):
@@ -1292,8 +943,7 @@ class SkylineRepartitionExec(PhysicalPlan):
 
             index_lists = ctx.run_task(stage, 0, task, len(rows),
                                        parallelizable=False,
-                                       kernel=select_kernels(
-                                           self.vectorized).name)
+                                       kernel=kernel_name(self.vectorized))
             return BatchRDD([merged.take(ix) for ix in index_lists]
                             if index_lists else [merged.take([])])
         child_rdd = _rows_rdd(child_out)
@@ -1310,8 +960,7 @@ class SkylineRepartitionExec(PhysicalPlan):
 
         partitions = ctx.run_task(stage, 0, task, len(rows),
                                   parallelizable=False,
-                                  kernel=select_kernels(
-                                      self.vectorized).name)
+                                  kernel=kernel_name(self.vectorized))
         return RDD(partitions if partitions else [[]])
 
     def node_description(self) -> str:
@@ -1320,228 +969,341 @@ class SkylineRepartitionExec(PhysicalPlan):
 
 
 class SkylineLocalExec(_SkylineExec):
-    """Local (per-partition) BNL skyline -- the distributed stage.
+    """Local (per-partition) skyline -- the distributed stage.
 
-    Keeps the child's partitioning ("to avoid unnecessary communication
-    cost, we refrain from overriding Spark's partitioning mechanism",
-    Section 2); each partition's window survivors feed the global node.
+    ``complete`` (BNL) and ``sfs`` (Sort-Filter-Skyline, the Section 7
+    future-work algorithm behind ``skyline.algorithm=sfs``) keep the
+    child's partitioning ("to avoid unnecessary communication cost, we
+    refrain from overriding Spark's partitioning mechanism", Section 2).
+    ``bitmap-local`` first re-distributes the child's rows so that all
+    tuples sharing a bitmap of null skyline dimensions land in the same
+    partition (Section 5.7: crafted "via the integrated distribution of
+    the nodes ... using the predefined IsNull() method"); BNL with the
+    incomplete dominance test is then safe per partition.  Each
+    partition's survivors feed the global node.
     """
 
-    batch_kernel_attr = "local_bnl_batch"
+    LABELS = {
+        "complete": ("SkylineLocal", "BNL"),
+        "bitmap-local": ("SkylineLocalIncomplete",
+                         "bitmap-partitioned BNL"),
+        "sfs": ("SkylineLocalSFS", "SFS"),
+    }
 
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
-        child_out = self._resident_child(ctx)
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            tasks = self._batch_tasks(ctx, batches.batches)
-            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-        child_rdd = _rows_rdd(child_out)
-        tasks = _local_skyline_tasks(ctx, child_rdd.partitions,
-                                     self.kernels.local_bnl,
-                                     (self.dims, self.distinct),
-                                     kernel=self.kernels.name)
-        return RDD(ctx.run_stage(self.stage_name(), tasks))
+    def __init__(self, items: Sequence[E.SkylineDimension], distinct: bool,
+                 child: PhysicalPlan, mode: str,
+                 vectorized: bool = False) -> None:
+        super().__init__(items, distinct, child, mode, vectorized)
+        #: Resident input partitions: ``(token, BatchRDD)`` reused by
+        #: re-executions under the shared-memory data plane.
+        self._pinned: "tuple | None" = None
 
-    def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        return f"SkylineLocal({self._kernel_label('BNL')}, [{dims}])" \
-            + self._mode_tag()
+    # -- resident input partitions (shared-memory data plane) -------------
 
+    def _input_token(self, ctx: ExecutionContext) -> "tuple | None":
+        """Validity token of this operator's input partitions.
 
-class SkylineGlobalCompleteExec(_SkylineExec):
-    """Global BNL skyline under the ``AllTuples`` distribution."""
-
-    batch_kernel_attr = "local_bnl_batch"
-
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        child_out = self.children[0].execute(ctx)
-        stage = self.stage_name()
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            merged = self._try_hierarchical_batches(ctx, batches)
-            if merged is not None:
-                return merged
-            return self._global_batch_execute(ctx, batches)
-        merged = self._try_hierarchical_rows(ctx, child_out)
-        if merged is not None:
-            return merged
-        rows = _rows_rdd(child_out).collect()
-        ctx.record_shuffle(stage, len(rows))
-        task = functools.partial(self.kernels.local_bnl, rows, self.dims,
-                                 self.distinct,
-                                 check_deadline=ctx.check_deadline)
-        result = ctx.run_task(stage, 0, task, len(rows),
-                              parallelizable=False,
-                              kernel=self.kernels.name)
-        return RDD([result])
-
-    def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        return f"SkylineGlobalComplete({self._kernel_label('BNL')}, " \
-               f"[{dims}])" + self._mode_tag() + self._merge_tag()
-
-
-class SkylineLocalIncompleteExec(_SkylineExec):
-    """Local skylines under the null-bitmap distribution (Section 5.7).
-
-    The child's rows are re-distributed so that all tuples sharing a
-    bitmap of null skyline dimensions land in the same partition (crafted
-    "via the integrated distribution of the nodes ... using the
-    predefined IsNull() method"); BNL with the incomplete dominance test
-    is then safe per partition.
-    """
-
-    batch_kernel_attr = "local_bnl_incomplete_batch"
-
-    def _bitmap_batches(self, batches: BatchRDD) -> list[ColumnBatch]:
-        """The null-bitmap distribution, computed column-wise.
-
-        Mirrors :meth:`~repro.engine.rdd.RDD.partition_by_key` exactly:
-        one partition per distinct bitmap, in first-seen order over the
-        concatenated input.
+        The chain below a local skyline operator is deterministic data
+        preparation (scan, filter, project, repartition), so its output
+        only changes when the scanned data or the partitioning does.
+        The token captures exactly that: the leaf scan's identity and
+        catalog ``data_version`` plus the parallelism.  ``None`` means
+        the chain has an unexpected shape -- never pin then.
         """
-        from ..core.vectorized import batch_null_bitmaps
-        merged = batches.concat()
-        bitmaps = batch_null_bitmaps(merged, self.dims)
-        groups: dict[int, list[int]] = {}
-        for i, bitmap in enumerate(bitmaps):
-            groups.setdefault(bitmap, []).append(i)
-        if not groups:
-            return [merged]
-        return [merged.take(indices) for indices in groups.values()]
+        node: PhysicalPlan = self.children[0]
+        while True:
+            if isinstance(node, ScanExec):
+                version = node.table.data_version \
+                    if node.table is not None else None
+                return (id(node.rows), len(node.rows), version,
+                        ctx.config.default_parallelism)
+            if isinstance(node, (FilterExec, ProjectExec,
+                                 SkylineRepartitionExec)):
+                node = node.children[0]
+                continue
+            return None
+
+    def _resident_child(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
+        """The child output, kept resident across plan re-executions.
+
+        Only under an active :class:`~repro.engine.shm.SharedColumnStore`
+        (process backend with ``shared_memory`` on): the input batches
+        are pinned in the store, so repeat executions of a prepared
+        query ship the *same* segments as handles instead of
+        re-columnizing, re-filtering and re-copying -- this is what
+        "partitions stay resident across stages" buys end to end.
+        Catalog DML bumps the leaf table's ``data_version``, which
+        invalidates the pin (and releases the stale segments).
+        """
+        store = getattr(ctx, "shm_store", None)
+        if store is None or store.closed:
+            return self.children[0].execute(ctx)
+        token = self._input_token(ctx)
+        if token is not None and self._pinned is not None \
+                and self._pinned[0] == token:
+            rdd = self._pinned[1]
+            store.pin(rdd.batches)  # idempotent; re-pins after close
+            return rdd
+        child_out = self.children[0].execute(ctx)
+        if token is not None and self.on_batch_plane(child_out):
+            if self._pinned is not None:
+                store.unpin(self._pinned[1].batches)
+            store.pin(child_out.batches)
+            self._pinned = (token, child_out)
+        return child_out
+
+    def morsel_chain(self) -> "tuple[tuple, ScanExec] | None":
+        """The ``(transforms, scan)`` the pipelined executor can drive
+        morsel by morsel, else ``None``.
+
+        Supported: ``Scan`` optionally below any stack of
+        ``Filter``/``Project`` nodes.  Anything else (repartitions,
+        joins, ...) executes the child staged and pipelines only the
+        fold.
+        """
+        specs = []
+        node = self.children[0]
+        while True:
+            if isinstance(node, ScanExec):
+                return tuple(reversed(specs)), node
+            if isinstance(node, FilterExec):
+                specs.append(("filter", node.condition))
+            elif isinstance(node, ProjectExec):
+                specs.append(("project", tuple(node.projections)))
+            else:
+                return None
+            node = node.children[0]
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
+        if self.execution == "pipelined":
+            from ..engine.pipeline import run_pipelined_local
+            return run_pipelined_local(self, ctx)
         child_out = self._resident_child(ctx)
         stage = self.stage_name()
-        dims = self.dims
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            ctx.record_shuffle(stage, batches.count())
-            func = self._batch_kernel()
-            tasks = []
-            for i, batch in enumerate(self._bitmap_batches(batches)):
-                args = (batch, dims)
-                tasks.append(StageTask(
-                    partition=i, rows_in=batch.num_rows,
-                    bytes_in=batch.nbytes,
-                    fn=functools.partial(
-                        func, *args, check_deadline=ctx.check_deadline),
-                    func=func, args=args, kernel=self.kernels.name))
-            return BatchRDD(ctx.run_stage(stage, tasks))
-        child_rdd = _rows_rdd(child_out)
-        ctx.record_shuffle(stage, child_rdd.count())
-        partitioned = child_rdd.partition_by_key(
-            lambda row: null_bitmap(row, dims))
-        tasks = _local_skyline_tasks(ctx, partitioned.partitions,
-                                     self.kernels.local_bnl_incomplete,
-                                     (dims,), kernel=self.kernels.name)
-        return RDD(ctx.run_stage(stage, tasks))
+        on_batches = self.on_batch_plane(child_out)
+        if not on_batches:
+            child_out = _rows_rdd(child_out)
+        if self.mode == "bitmap-local":
+            # One partition per distinct bitmap, in first-seen order
+            # over the concatenated input -- on either data plane.
+            ctx.record_shuffle(stage, child_out.count())
+            whole = child_out.concat() if on_batches \
+                else child_out.collect()
+            partitions = list(split_by_null_bitmap(
+                whole, self.dims).values()) or [whole]
+        else:
+            partitions = child_out.batches if on_batches \
+                else child_out.partitions
+        # ``fn`` is a deadline-aware in-process closure (used by the
+        # local and thread backends); ``func``/``args`` is the picklable
+        # payload process backends ship to workers (workers cannot see
+        # the driver's deadline clock, so the budget is checked between
+        # stages instead).
+        tasks = []
+        for i, partition in enumerate(partitions):
+            args = (partition, self.dims, self.mode, self.distinct,
+                    self.vectorized)
+            tasks.append(StageTask(
+                partition=i, rows_in=len(partition),
+                bytes_in=partition.nbytes if on_batches else 0,
+                fn=functools.partial(skyline_task, *args,
+                                     check_deadline=ctx.check_deadline),
+                func=skyline_task, args=args, kernel=self.kernel))
+        results = ctx.run_stage(stage, tasks)
+        return BatchRDD(results) if on_batches else RDD(results)
 
-    def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        label = self._kernel_label("bitmap-partitioned BNL")
-        return f"SkylineLocalIncomplete({label}, [{dims}])" \
-            + self._mode_tag()
 
+class SkylineGlobalExec(_SkylineExec):
+    """Global skyline under the ``AllTuples`` distribution.
 
-class SkylineGlobalIncompleteExec(_SkylineExec):
-    """Flag-based all-pairs global skyline for incomplete data.
-
-    Cannot delete dominated tuples early (cyclic dominance, Appendix A);
-    compares all pairs, flags, and deletes at the end.
+    ``complete`` and ``sfs`` merge the local skylines either flat (one
+    task over their union) or, when the planner's
+    :class:`~repro.plan.cost.MergeDecision` says so, as a tournament
+    tree of pairwise merge rounds.  ``flagged`` is the flag-based
+    all-pairs test for incomplete data: it cannot delete dominated
+    tuples early (cyclic dominance, Appendix A), so it compares all
+    pairs, flags, and deletes at the end.
     """
 
-    batch_kernel_attr = "global_flagged_batch"
+    LABELS = {
+        "complete": ("SkylineGlobalComplete", "BNL"),
+        "flagged": ("SkylineGlobalIncomplete", "all-pairs flagged"),
+        "sfs": ("SkylineGlobalSFS", "SFS"),
+    }
+
+    def __init__(self, items: Sequence[E.SkylineDimension], distinct: bool,
+                 child: PhysicalPlan, mode: str,
+                 vectorized: bool = False, merge=None) -> None:
+        super().__init__(items, distinct, child, mode, vectorized)
+        #: The planner's :class:`~repro.plan.cost.MergeDecision`
+        #: (``None`` on direct constructions: the flat single-task
+        #: merge).
+        self.merge_plan = merge
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
         child_out = self.children[0].execute(ctx)
-        stage = self.stage_name()
-        # Flag-based dominance is not transitive; pairwise merging of
-        # flagged partials is unsound, so this node is always flat.
-        self._record_flat_merge(ctx)
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            return self._global_batch_execute(ctx, batches)
-        rows = _rows_rdd(child_out).collect()
-        ctx.record_shuffle(stage, len(rows))
-        task = functools.partial(self.kernels.global_flagged, rows,
-                                 self.dims, self.distinct,
+        on_batches = self.on_batch_plane(child_out)
+        if not on_batches:
+            child_out = _rows_rdd(child_out)
+        merged = self._try_hierarchical(
+            ctx, child_out.batches if on_batches else child_out.partitions)
+        if merged is None:
+            stage = self.stage_name()
+            whole = child_out.concat() if on_batches \
+                else child_out.collect()
+            ctx.record_shuffle(stage, len(whole))
+            merged = self._single_task(ctx, stage, whole)
+        return BatchRDD([merged]) if on_batches else RDD([merged])
+
+    def _single_task(self, ctx: ExecutionContext, stage: str,
+                     partition: "list | ColumnBatch"
+                     ) -> "list | ColumnBatch":
+        """The skyline of ``partition`` as one non-parallelizable task
+        (the ``AllTuples`` stage shape)."""
+        task = functools.partial(skyline_task, partition, self.dims,
+                                 self.mode, self.distinct, self.vectorized,
                                  check_deadline=ctx.check_deadline)
-        result = ctx.run_task(stage, 0, task, len(rows),
-                              parallelizable=False,
-                              kernel=self.kernels.name)
-        return RDD([result])
+        return ctx.run_task(stage, 0, task, len(partition),
+                            parallelizable=False, kernel=self.kernel)
 
     def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        label = self._kernel_label("all-pairs flagged")
-        return f"SkylineGlobalIncomplete({label}, [{dims}])" \
-            + self._mode_tag()
+        text = super().node_description()
+        plan = self.merge_plan
+        if plan is not None and plan.strategy == "hierarchical":
+            text += f" [merge tree fan-in {plan.fan_in}]"
+        return text
 
+    # -- hierarchical global merge (tournament tree) ---------------------
 
-class SkylineLocalSFSExec(_SkylineExec):
-    """Local skyline via Sort-Filter-Skyline -- the future-work algorithm
-    (Section 7), available through the ``skyline.algorithm=sfs`` session
-    option and exercised by the ablation benchmarks."""
+    def _record_flat_merge(self, ctx: ExecutionContext,
+                           fallback: str | None = None) -> None:
+        """Surface the (flat) global-merge shape in the context metrics.
 
-    batch_kernel_attr = "local_sfs_batch"
+        ``fallback`` carries the *runtime* reason a planned hierarchical
+        merge dropped back to the flat pass (unmergeable data, too few
+        partials); the planner-side reason lives in ``reason``.
+        """
+        plan = self.merge_plan
+        ctx.global_merge = {
+            "strategy": "flat", "fan_in": None, "partials": None,
+            "tree": None,
+            "reason": plan.reason if plan is not None
+            else "single-task global phase",
+            "rounds_planned": 0, "rounds_completed": 0,
+            "round_tasks": [], "concat_merges": 0, "short_circuits": 0,
+            "fallback": fallback,
+        }
 
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
-        child_out = self._resident_child(ctx)
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            tasks = self._batch_tasks(ctx, batches.batches)
-            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-        child_rdd = _rows_rdd(child_out)
-        tasks = _local_skyline_tasks(ctx, child_rdd.partitions,
-                                     self.kernels.local_sfs,
-                                     (self.dims, self.distinct),
-                                     kernel=self.kernels.name)
-        return RDD(ctx.run_stage(self.stage_name(), tasks))
+    def _init_merge_info(self, ctx: ExecutionContext,
+                         num_partials: int) -> dict:
+        plan = self.merge_plan
+        info = {
+            "strategy": "hierarchical", "fan_in": plan.fan_in,
+            "partials": num_partials,
+            "tree": tree_shape(num_partials, plan.fan_in),
+            "reason": plan.reason,
+            "rounds_planned":
+                len(merge_round_sizes(num_partials, plan.fan_in)) - 1,
+            "rounds_completed": 0, "round_tasks": [],
+            "concat_merges": 0, "short_circuits": 0, "fallback": None,
+        }
+        ctx.global_merge = info
+        return info
 
-    def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        return f"SkylineLocalSFS({self._kernel_label('SFS')}, [{dims}])" \
-            + self._mode_tag()
+    def _run_merge_rounds(self, ctx: ExecutionContext, partials: list
+                          ) -> "list | ColumnBatch":
+        """Execute the merge tree as real scheduled stages.
 
+        ``partials`` are row lists or :class:`ColumnBatch`es (opaque
+        here); each round recomputes the grid summaries from the
+        *surviving* rows -- a stale summary could claim dominance rows
+        it no longer has -- reduces every consecutive fan-in group with
+        the shortcut rules, and runs one merge task per group that
+        still needs comparisons.  Retry/deadline semantics ride on
+        :meth:`ExecutionContext.run_stage` per round.
+        """
+        plan = self.merge_plan
+        info = ctx.global_merge
+        fan_in = max(2, plan.fan_in or 2)
+        rounds = 0
+        while len(partials) > 1:
+            rounds += 1
+            stage = f"{self.stage_name()}.round{rounds}"
+            summaries = build_summaries(
+                [columnize(p, self.dims) for p in partials])
+            next_partials: list = []
+            tasks: list[StageTask] = []
+            slots: list[int] = []
+            for g in range(0, len(partials), fan_in):
+                group = partials[g:g + fan_in]
+                gsum = summaries[g:g + fan_in] \
+                    if summaries is not None else None
+                segments = reduce_group(group, gsum, info)
+                if len(segments) == 1:
+                    next_partials.append(segments[0])
+                    continue
+                next_partials.append(None)
+                slots.append(len(next_partials) - 1)
+                args = (segments, self.dims, self.distinct,
+                        self.vectorized)
+                tasks.append(StageTask(
+                    partition=len(tasks),
+                    rows_in=sum(len(s) for s in segments),
+                    fn=functools.partial(
+                        merge_task, *args,
+                        check_deadline=ctx.check_deadline),
+                    func=merge_task, args=args, kernel=self.kernel))
+            if tasks:
+                ctx.record_shuffle(stage, sum(t.rows_in for t in tasks))
+                results = ctx.run_stage(stage, tasks)
+                for slot, result in zip(slots, results):
+                    next_partials[slot] = result
+            info["round_tasks"].append(len(tasks))
+            info["rounds_completed"] = rounds
+            partials = next_partials
+        return partials[0]
 
-class SkylineGlobalSFSExec(_SkylineExec):
-    """Global SFS skyline under the ``AllTuples`` distribution."""
-
-    batch_kernel_attr = "local_sfs_batch"
-
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        child_out = self.children[0].execute(ctx)
-        stage = self.stage_name()
-        batches = self._batch_input(child_out)
-        if batches is not None:
-            merged = self._try_hierarchical_batches(ctx, batches, sfs=True)
-            if merged is not None:
-                return merged
-            return self._global_batch_execute(ctx, batches)
-        merged = self._try_hierarchical_rows(ctx, child_out, sfs=True)
-        if merged is not None:
-            return merged
-        rows = _rows_rdd(child_out).collect()
-        ctx.record_shuffle(stage, len(rows))
-        task = functools.partial(self.kernels.local_sfs, rows, self.dims,
-                                 self.distinct,
-                                 check_deadline=ctx.check_deadline)
-        result = ctx.run_task(stage, 0, task, len(rows),
-                              parallelizable=False,
-                              kernel=self.kernels.name)
-        return RDD([result])
-
-    def node_description(self) -> str:
-        dims = ", ".join(i.sql() for i in self.items)
-        return f"SkylineGlobalSFS({self._kernel_label('SFS')}, " \
-               f"[{dims}])" + self._mode_tag() + self._merge_tag()
+    def _try_hierarchical(self, ctx: ExecutionContext, partials: list
+                          ) -> "list | ColumnBatch | None":
+        """The multi-round merge over the local skylines (row lists or
+        batches), or ``None`` when the flat global phase should run
+        (shape recorded either way)."""
+        plan = self.merge_plan
+        if plan is None or plan.strategy != "hierarchical" \
+                or self.mode == "flagged":
+            # Flag-based dominance is not transitive; pairwise merging
+            # of flagged partials is unsound, so that mode is always
+            # flat.
+            self._record_flat_merge(ctx)
+            return None
+        partials = [p for p in partials if len(p)]
+        if len(partials) < 2:
+            self._record_flat_merge(
+                ctx, fallback="fewer than two non-empty local skylines")
+            return None
+        reason = merge_unsafe_reason(partials, self.dims)
+        if reason is not None:
+            self._record_flat_merge(ctx, fallback=reason)
+            return None
+        finalize = False
+        if self.mode == "sfs":
+            for part in partials:
+                finite = sfs_scores_finite(part, self.dims)
+                if finite is not True:
+                    break
+            if finite is None:
+                self._record_flat_merge(
+                    ctx, fallback="non-numeric skyline dimension values")
+                return None
+            # All-finite scores: the flat global SFS task would sort;
+            # reproduce it with one final SFS pass over the merged
+            # skyline.  Non-finite scores pin flat SFS to its BNL
+            # fallback -- which the merge tree *is*.
+            finalize = finite
+        self._init_merge_info(ctx, len(partials))
+        merged = self._run_merge_rounds(ctx, partials)
+        if finalize:
+            fstage = f"{self.stage_name()}.finalize"
+            ctx.record_shuffle(fstage, len(merged))
+            merged = self._single_task(ctx, fstage, merged)
+        return merged

@@ -42,6 +42,16 @@ PARTITIONING_SCHEMES = ("keep", "random", "grid", "angle")
 #: Strategies whose local stage accepts a partitioning override.
 _PARTITIONABLE = ("distributed-complete", "sfs")
 
+#: Resolved strategy -> (local mode, global mode) of the two skyline
+#: operators (:data:`repro.core.vectorized.SKYLINE_MODES`); ``None``
+#: plans no local stage.
+SKYLINE_OPERATOR_MODES = {
+    "distributed-complete": ("complete", "complete"),
+    "non-distributed-complete": (None, "complete"),
+    "distributed-incomplete": ("bitmap-local", "flagged"),
+    "sfs": ("sfs", "sfs"),
+}
+
 #: Valid values of the ``global_merge`` session option: ``auto`` lets
 #: the cost model pick, ``flat``/``hierarchical`` force the global
 #: phase's merge strategy (hierarchical still falls back to flat when
@@ -333,29 +343,15 @@ class Planner:
             child = P.SkylineRepartitionExec(
                 items, partitioning, applied_count, child,
                 cells_per_dimension=grid_cells, vectorized=vectorized)
-        if strategy == "distributed-complete":
-            local = stamp(P.SkylineLocalExec(items, node.distinct, child,
+        if strategy not in SKYLINE_OPERATOR_MODES:
+            raise PlanningError(f"unhandled skyline strategy {strategy!r}")
+        local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]
+        if local_mode is not None:
+            child = stamp(P.SkylineLocalExec(items, node.distinct, child,
+                                             local_mode,
                                              vectorized=vectorized))
-            return P.SkylineGlobalCompleteExec(items, node.distinct, local,
-                                               vectorized=vectorized,
-                                               merge=merge)
-        if strategy == "non-distributed-complete":
-            return P.SkylineGlobalCompleteExec(items, node.distinct, child,
-                                               vectorized=vectorized,
-                                               merge=merge)
-        if strategy == "distributed-incomplete":
-            local = stamp(P.SkylineLocalIncompleteExec(
-                items, node.distinct, child, vectorized=vectorized))
-            return P.SkylineGlobalIncompleteExec(items, node.distinct, local,
-                                                 vectorized=vectorized,
-                                                 merge=merge)
-        if strategy == "sfs":
-            local = stamp(P.SkylineLocalSFSExec(items, node.distinct, child,
-                                                vectorized=vectorized))
-            return P.SkylineGlobalSFSExec(items, node.distinct, local,
-                                          vectorized=vectorized,
-                                          merge=merge)
-        raise PlanningError(f"unhandled skyline strategy {strategy!r}")
+        return P.SkylineGlobalExec(items, node.distinct, child, global_mode,
+                                   vectorized=vectorized, merge=merge)
 
 
 class _RenameExec(P.PhysicalPlan):

@@ -148,37 +148,18 @@ class TestConnect:
 
 
 class TestDeprecatedSurface:
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning):
-            session = SkylineSession(num_executors=7)
-        assert session.cluster_config.num_executors == 7
-
-    def test_config_and_kwargs_merge(self):
-        # Legacy kwargs layered on an explicit config still warn, and
-        # the kwarg wins (it is the more specific request).
-        with pytest.warns(DeprecationWarning):
-            session = SkylineSession(num_executors=3,
-                                     config=SessionConfig())
+    def test_legacy_kwargs_and_builders_are_gone(self):
+        # The pre-1.1 constructor keywords and with_* builders were
+        # deprecation shims; SessionConfig fields go through
+        # repro.connect / with_options only.
+        with pytest.raises(TypeError):
+            SkylineSession(num_executors=7)
+        session = SkylineSession(config=SessionConfig(num_executors=3))
         assert session.config.num_executors == 3
-
-    @pytest.mark.parametrize("method,args,attr,expected", [
-        ("with_executors", (6,), None, None),
-        ("with_backend", ("thread",), None, None),
-        ("with_skyline_algorithm", ("sfs",), "skyline_algorithm", "sfs"),
-        ("with_vectorized", (False,), "vectorized", False),
-        ("with_columnar", (False,), "columnar", False),
-        ("with_skyline_partitioning", ("random", 4),
-         "skyline_partitioning", "random"),
-    ])
-    def test_builders_warn_and_delegate(self, method, args, attr,
-                                        expected):
-        session = repro.connect()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            derived = getattr(session, method)(*args)
-        assert isinstance(derived, SkylineSession)
-        assert derived is not session
-        if attr is not None:
-            assert getattr(derived, attr) == expected
+        for builder in ("with_executors", "with_backend",
+                        "with_skyline_algorithm", "with_vectorized",
+                        "with_columnar", "with_skyline_partitioning"):
+            assert not hasattr(session, builder)
 
     def test_with_options_no_warning(self, recwarn):
         session = repro.connect().with_options(skyline_algorithm="sfs")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import (INTEGER, STRING, BenchmarkTimeout, SkylineSession)
+from repro import (INTEGER, STRING, BenchmarkTimeout, SkylineSession, connect)
 from repro.engine.cluster import ClusterConfig
 from repro.engine.row import Field, Schema
 from repro.sql.parser import parse_query
@@ -10,29 +10,29 @@ from repro.sql.parser import parse_query
 
 class TestConfiguration:
     def test_executor_count_applied(self):
-        session = SkylineSession(num_executors=7)
+        session = connect(num_executors=7)
         assert session.cluster_config.num_executors == 7
 
     def test_invalid_algorithm_rejected(self):
         with pytest.raises(ValueError, match="skyline_algorithm"):
-            SkylineSession(skyline_algorithm="warp")
+            connect(skyline_algorithm="warp")
 
     def test_with_executors_shares_catalog(self, hotels_session):
-        clone = hotels_session.with_executors(5)
+        clone = hotels_session.with_options(num_executors=5)
         assert clone.catalog is hotels_session.catalog
         assert clone.cluster_config.num_executors == 5
         # Original unchanged.
         assert hotels_session.cluster_config.num_executors == 2
 
     def test_with_skyline_algorithm(self, hotels_session):
-        clone = hotels_session.with_skyline_algorithm("sfs")
+        clone = hotels_session.with_options(skyline_algorithm="sfs")
         assert clone.skyline_algorithm == "sfs"
         with pytest.raises(ValueError):
-            hotels_session.with_skyline_algorithm("warp")
+            hotels_session.with_options(skyline_algorithm="warp")
 
     def test_cluster_config_override(self):
         config = ClusterConfig(executor_base_memory_mb=100.0)
-        session = SkylineSession(num_executors=3, cluster_config=config)
+        session = connect(num_executors=3, cluster_config=config)
         assert session.cluster_config.executor_base_memory_mb == 100.0
         assert session.cluster_config.num_executors == 3
 
@@ -96,20 +96,20 @@ class TestQueryExecution:
 class TestBackendConfiguration:
     def test_unknown_backend_rejected_eagerly(self):
         with pytest.raises(ValueError):
-            SkylineSession(backend="gpu")
+            connect(backend="gpu")
 
     def test_clone_shares_lazily_created_pool(self):
         # The pool must be shared even when the clone is created before
         # the backend is materialised: exactly one pool per session tree.
-        session = SkylineSession(backend="thread", num_workers=2)
-        clone = session.with_executors(5)
+        session = connect(backend="thread", num_workers=2)
+        clone = session.with_options(num_executors=5)
         assert session.backend is clone.backend
         session.close()
 
     def test_close_through_any_sharer_closes_the_one_pool(self):
         from repro.engine.backends import StageTask
-        session = SkylineSession(backend="thread", num_workers=2)
-        clone = session.with_executors(3)
+        session = connect(backend="thread", num_workers=2)
+        clone = session.with_options(num_executors=3)
         backend = clone.backend
         # Materialise the pool (a multi-task stage bypasses the inline
         # short-cut), then close through the *other* sharer.
@@ -120,8 +120,8 @@ class TestBackendConfiguration:
         assert backend._pool is None
 
     def test_with_backend_gets_its_own_spec(self):
-        session = SkylineSession(backend="local")
-        clone = session.with_backend("thread", num_workers=2)
+        session = connect(backend="local")
+        clone = session.with_options(backend="thread", num_workers=2)
         assert session.backend.name == "local"
         assert clone.backend.name == "thread"
         assert session.catalog is clone.catalog
@@ -130,9 +130,9 @@ class TestBackendConfiguration:
     def test_backend_instance_passthrough(self):
         from repro.engine.backends import LocalBackend
         backend = LocalBackend()
-        session = SkylineSession(backend=backend)
+        session = connect(backend=backend)
         assert session.backend is backend
-        assert session.with_executors(4).backend is backend
+        assert session.with_options(num_executors=4).backend is backend
 
 
 class TestVectorizedConfiguration:
@@ -143,13 +143,13 @@ class TestVectorizedConfiguration:
         assert session.vectorized_enabled == numpy_available()
 
     def test_false_disables(self):
-        assert SkylineSession(vectorized=False).vectorized_enabled is False
+        assert connect(vectorized=False).vectorized_enabled is False
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError, match="vectorized"):
-            SkylineSession(vectorized="yes")
+            connect(vectorized="yes")
         with pytest.raises(ValueError, match="vectorized"):
-            SkylineSession().with_vectorized("maybe")
+            SkylineSession().with_options(vectorized="maybe")
 
     def test_int_aliases_rejected(self):
         # Regression: 1 == True under membership tests, but the NumPy
@@ -157,42 +157,42 @@ class TestVectorizedConfiguration:
         # validation yet silently require nothing.  Reject ints.
         for bad in (1, 0):
             with pytest.raises(ValueError, match="vectorized"):
-                SkylineSession(vectorized=bad)
+                connect(vectorized=bad)
             with pytest.raises(ValueError, match="vectorized"):
-                SkylineSession().with_vectorized(bad)
+                SkylineSession().with_options(vectorized=bad)
 
     def test_with_vectorized_clones_and_shares_catalog(self):
-        session = SkylineSession(vectorized=False)
+        session = connect(vectorized=False)
         session.create_table("v", [("a", INTEGER, False)], [(1,), (2,)])
-        clone = session.with_vectorized("auto")
+        clone = session.with_options(vectorized="auto")
         assert clone.catalog is session.catalog
         assert session.vectorized is False
         assert clone.vectorized == "auto"
 
     def test_clones_inherit_the_flag(self):
-        session = SkylineSession(vectorized=False)
-        assert session.with_executors(4).vectorized is False
+        session = connect(vectorized=False)
+        assert session.with_options(num_executors=4).vectorized is False
 
     def test_true_requires_numpy(self):
         from repro.core.vectorized import numpy_available
         if numpy_available():
-            assert SkylineSession(vectorized=True).vectorized_enabled
+            assert connect(vectorized=True).vectorized_enabled
         else:
             with pytest.raises(ValueError, match="NumPy"):
-                SkylineSession(vectorized=True)
+                connect(vectorized=True)
 
     def test_explain_labels_the_kernels(self):
         from repro.core.vectorized import numpy_available
         if not numpy_available():
             pytest.skip("NumPy not available")
-        session = SkylineSession(vectorized=True)
+        session = connect(vectorized=True)
         session.create_table(
             "pts", [("a", INTEGER, False), ("b", INTEGER, False)],
             [(1, 2), (2, 1)])
         text = session.explain(parse_query(
             "SELECT * FROM pts SKYLINE OF a MIN, b MIN"))
         assert "vectorized BNL" in text
-        scalar = session.with_vectorized(False)
+        scalar = session.with_options(vectorized=False)
         assert "vectorized" not in scalar.explain(parse_query(
             "SELECT * FROM pts SKYLINE OF a MIN, b MIN"))
 
@@ -201,23 +201,23 @@ class TestColumnarConfiguration:
     def test_invalid_flags_rejected(self):
         for bad in (1, 0, "yes", None):
             with pytest.raises(ValueError, match="columnar"):
-                SkylineSession(columnar=bad)
+                connect(columnar=bad)
             with pytest.raises(ValueError, match="columnar"):
-                SkylineSession().with_columnar(bad)
+                SkylineSession().with_options(columnar=bad)
 
     def test_with_columnar_clones_and_shares_catalog(self):
-        session = SkylineSession(columnar=False)
+        session = connect(columnar=False)
         session.create_table("c", [("a", INTEGER, False)], [(1,), (2,)])
-        clone = session.with_columnar(True)
+        clone = session.with_options(columnar=True)
         assert clone.catalog is session.catalog
         assert session.columnar is False
         assert clone.columnar is True
-        assert session.with_executors(4).columnar is False
+        assert session.with_options(num_executors=4).columnar is False
 
     def test_true_works_without_numpy(self):
         # Unlike vectorized=True, the batch plane has a scalar-list
         # fallback, so forcing it never requires NumPy.
-        session = SkylineSession(columnar=True)
+        session = connect(columnar=True)
         assert session.columnar_enabled
         session.create_table("c", [("a", INTEGER, False),
                                    ("b", INTEGER, False)],
@@ -228,14 +228,14 @@ class TestColumnarConfiguration:
 
     def test_auto_honours_disable_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_COLUMNAR", "1")
-        assert not SkylineSession(columnar="auto").columnar_enabled
-        assert SkylineSession(columnar=True).columnar_enabled
+        assert not connect(columnar="auto").columnar_enabled
+        assert connect(columnar=True).columnar_enabled
 
     def test_explain_reports_per_operator_modes(self):
         from repro.core.vectorized import numpy_available
         if not numpy_available():
             pytest.skip("NumPy not available")
-        session = SkylineSession(columnar=True)
+        session = connect(columnar=True)
         session.create_table(
             "pts", [("a", INTEGER, False), ("b", INTEGER, False)],
             [(1, 2), (2, 1)])
@@ -244,7 +244,7 @@ class TestColumnarConfiguration:
         text = session.explain(query)
         assert "[batch]" in text
         assert "Filter" in text and "Scan" in text
-        row_text = session.with_columnar(False).explain(query)
+        row_text = session.with_options(columnar=False).explain(query)
         assert "[row]" in row_text
         assert "[batch]" not in row_text
 
@@ -252,7 +252,7 @@ class TestColumnarConfiguration:
         from repro.core.vectorized import numpy_available
         if not numpy_available():
             pytest.skip("NumPy not available")
-        session = SkylineSession(
+        session = connect(
             columnar=True, skyline_partitioning="grid",
             skyline_partitions=4)
         session.create_table(

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DOUBLE, INTEGER, STRING, SkylineSession
+from repro import DOUBLE, INTEGER, STRING, SkylineSession, connect
 
 
 @pytest.fixture
 def session() -> SkylineSession:
-    return SkylineSession(num_executors=2)
+    return connect(num_executors=2)
 
 
 @pytest.fixture
 def hotels_session() -> SkylineSession:
     """The running example of the paper: hotels with price and rating."""
-    session = SkylineSession(num_executors=2)
+    session = connect(num_executors=2)
     session.create_table(
         "hotels",
         [("name", STRING, False), ("price", DOUBLE, False),
@@ -35,7 +35,7 @@ def hotels_session() -> SkylineSession:
 @pytest.fixture
 def nullable_session() -> SkylineSession:
     """A table with nulls in skyline dimensions (incomplete data)."""
-    session = SkylineSession(num_executors=2)
+    session = connect(num_executors=2)
     session.create_table(
         "items",
         [("id", INTEGER, False), ("a", INTEGER, True),

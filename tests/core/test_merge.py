@@ -19,7 +19,7 @@ from repro.core import (BoundDimension, DimensionKind, bnl_skyline,
                         merge_round_sizes, merge_skylines,
                         merge_unsafe_reason, tree_shape,
                         vec_merge_skylines)
-from repro.core.merge import (make_merge_counters, merge_partials_task,
+from repro.core.merge import (make_merge_counters, merge_task,
                               reduce_group, summary_disjoint,
                               summary_dominates)
 from repro.core.vectorized import numpy_available
@@ -283,7 +283,7 @@ class TestSummaries:
         if summaries is None:
             return
         segments = reduce_group(locals_, summaries)
-        out, _, _ = merge_partials_task(segments, MIN2)
+        out, _, _ = merge_task(segments, MIN2, vectorized=False)
         flat = bnl_skyline([r for p in locals_ for r in p], MIN2)
         assert sorted(out) == sorted(flat)
 
@@ -298,8 +298,8 @@ class TestTreeShapes:
         assert tree_shape(10, 2) == "10 -> 5 -> 3 -> 2 -> 1"
 
     def test_merge_task_reports_totals(self):
-        out, total_in, comparisons = merge_partials_task(
-            [[(1, 3)], [(2, 2)], [(3, 1)]], MIN2)
+        out, total_in, comparisons = merge_task(
+            [[(1, 3)], [(2, 2)], [(3, 1)]], MIN2, vectorized=False)
         assert sorted(out) == [(1, 3), (2, 2), (3, 1)]
         assert total_in == 3
         assert comparisons > 0

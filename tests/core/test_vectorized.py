@@ -1,7 +1,9 @@
 """Columnar NumPy kernels: agreement with the scalar reference,
 columnization edge cases, and the pinned NaN/±inf semantics."""
 
+import functools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -15,12 +17,10 @@ from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
                         vec_flagged_global_skyline, vec_sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
-from repro.core.vectorized import (columnize, prune_dominated_cells_vec,
-                                   select_kernels,
-                                   vec_bnl_skyline_incomplete,
-                                   vec_global_flagged_batch_task,
-                                   vec_local_bnl_batch_task,
-                                   vec_local_sfs_batch_task)
+from repro.core.merge import merge_task
+from repro.core.vectorized import (columnize, kernel_name,
+                                   prune_dominated_cells_vec, skyline_task)
+from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
 
 pytestmark = pytest.mark.skipif(not V.numpy_available(),
@@ -43,6 +43,35 @@ rows_special = st.lists(st.tuples(special, special), max_size=40)
 
 def srt(rows):
     return sorted(rows, key=repr)
+
+
+def bitmap_local(rows, dims):
+    return skyline_task(rows, dims, "bitmap-local")[0]
+
+
+bnl_incomplete = functools.partial(bnl, dominance=dominates_incomplete)
+MIN_MAX_MIN = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
+any_value = st.one_of(st.none(), values, special)
+
+#: mode -> (rows strategy, dims choices, scalar reference).  The
+#: complete-data modes also see NaN/+-inf data and NaN DIFF keys (the
+#: vectorized path must defer), the incomplete modes null/NaN DIFF keys
+#: and -- ``bitmap-local`` -- heterogeneous null bitmaps.
+MODE_CASES = {
+    "complete": (st.one_of(rows_3d, st.lists(
+        st.tuples(special, special, special), max_size=40)),
+        [MIXED3, MIN_MAX_MIN], bnl_skyline),
+    "sfs": (st.one_of(rows_3d, st.lists(
+        st.tuples(special, special, special), max_size=40)),
+        [MIXED3, MIN_MAX_MIN], sfs_skyline),
+    "bitmap-local": (st.one_of(
+        rows_3d.map(lambda rows: [(None, b, c) for _, b, c in rows]),
+        st.lists(st.tuples(any_value, any_value, any_value), max_size=40)),
+        [MIXED3, MIN_MAX_MIN], bnl_incomplete),
+    "flagged": (st.lists(st.tuples(any_value, any_value, any_value),
+                         max_size=40),
+                [MIXED3, MIN_MAX_MIN], flagged_global_skyline),
+}
 
 
 class TestColumnize:
@@ -85,6 +114,67 @@ class TestColumnize:
 
 
 class TestKernelAgreement:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("as_batch", [False, True])
+    @pytest.mark.parametrize("mode", list(MODE_CASES))
+    @given(data=st.data(), distinct=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_task_matches_scalar_reference(self, mode, as_batch,
+                                           vectorized, data, distinct):
+        # Same survivors in the same order, in the representation that
+        # went in -- whichever of guard, fallback or selector ran.
+        strategy, dims_choices, reference = MODE_CASES[mode]
+        rows = data.draw(strategy)
+        dims = data.draw(st.sampled_from(dims_choices))
+        expected = reference(
+            rows, dims, distinct=distinct and mode != "bitmap-local")
+        partition = ColumnBatch.from_rows(rows, 3) if as_batch else rows
+        result, _, _ = skyline_task(partition, dims, mode, distinct,
+                                    vectorized)
+        assert isinstance(result, ColumnBatch) == as_batch
+        out = result.to_rows() if as_batch else result
+        assert [repr(row) for row in out] == \
+            [repr(row) for row in expected]
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("as_batch", [False, True])
+    @pytest.mark.parametrize("mode", ["complete", "sfs"])
+    def test_task_raises_on_nulls_like_scalar(self, mode, as_batch,
+                                              vectorized):
+        rows = [(None, 1.0), (2.0, 2.0)]
+        partition = ColumnBatch.from_rows(rows, 2) if as_batch else rows
+        with pytest.raises(TypeError):
+            skyline_task(partition, MIN2, mode, False, vectorized)
+
+    def test_tasks_ship_to_process_workers(self):
+        # The mode is a plain string and both tasks are top level, so a
+        # partial pickles and a process worker can run it.
+        rows = [(float(i % 7), float(7 - i % 7)) for i in range(60)]
+        batch = ColumnBatch.from_rows(rows, 2)
+        task = functools.partial(skyline_task, batch, MIN2, "complete",
+                                 True, True)
+        assert pickle.loads(pickle.dumps(task))()[0].to_rows() == \
+            bnl_skyline(rows, MIN2, distinct=True)
+        left, right = bnl_skyline(rows[:30], MIN2), \
+            bnl_skyline(rows[30:], MIN2)
+        tasks = [
+            StageTask(partition=0, rows_in=len(rows), func=skyline_task,
+                      args=(batch, MIN2, "sfs", False, True)),
+            StageTask(partition=1, rows_in=len(left) + len(right),
+                      func=merge_task,
+                      args=([left, right], MIN2, False, True)),
+            StageTask(partition=2, rows_in=len(left) + len(right),
+                      func=merge_task,
+                      args=([ColumnBatch.from_rows(left, 2),
+                             ColumnBatch.from_rows(right, 2)],
+                            MIN2, False, True)),
+        ]
+        with ProcessBackend(num_workers=2) as backend:
+            outcomes = backend.run_stage(tasks)
+        assert outcomes[0].result[0].to_rows() == sfs_skyline(rows, MIN2)
+        assert outcomes[1].result[0] == outcomes[2].result[0].to_rows() \
+            == bnl_skyline(left + right, MIN2)
+
     @given(rows_3d, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_bnl_matches_scalar(self, rows, distinct):
@@ -129,7 +219,7 @@ class TestKernelAgreement:
     def test_incomplete_bnl_matches_scalar_per_bitmap(self, rows):
         # Uniform null pattern (the engine's per-partition guarantee).
         nulled = [(None, b) for _, b in rows]
-        assert srt(vec_bnl_skyline_incomplete(nulled, MIN2)) == \
+        assert srt(bitmap_local(nulled, MIN2)) == \
             srt(bnl(nulled, MIN2, dominance=dominates_incomplete))
 
     def test_complete_kernels_raise_on_nulls_like_scalar(self):
@@ -148,15 +238,15 @@ class TestKernelAgreement:
         # express -- the vectorized kernel must defer to the scalar one.
         dims = make_dimensions([(0, "min"), (1, "diff")])
         rows = [(1.0, None), (2.0, "x")]
-        assert srt(vec_bnl_skyline_incomplete(rows, dims)) == \
+        assert srt(bitmap_local(rows, dims)) == \
             srt(bnl(rows, dims, dominance=dominates_incomplete))
-        assert vec_bnl_skyline_incomplete(rows, dims) == [(1.0, None)]
+        assert bitmap_local(rows, dims) == [(1.0, None)]
 
     def test_incomplete_mixed_bitmaps_fall_back(self):
         # Heterogeneous null patterns: the vectorized kernel must defer
         # to the scalar window semantics (dominance is not transitive).
         rows = [(None, 1), (1, None), (2, 2), (0, 3)]
-        assert srt(vec_bnl_skyline_incomplete(rows, MIN2)) == \
+        assert srt(bitmap_local(rows, MIN2)) == \
             srt(bnl(rows, MIN2, dominance=dominates_incomplete))
 
     def test_blocks_larger_than_block_rows(self):
@@ -305,11 +395,11 @@ class TestSortFirstKernel:
         monkeypatch.setattr(
             ColumnBatch, "to_rows",
             lambda self: materialised.append(self.num_rows) or to_rows(self))
-        for task, reference in [
-                (vec_local_bnl_batch_task, bnl_skyline),
-                (vec_local_sfs_batch_task, sfs_skyline),
-                (vec_global_flagged_batch_task, flagged_global_skyline)]:
-            survivors = task(batch, MIN2, distinct=True)[0]
+        for mode, reference in [
+                ("complete", bnl_skyline),
+                ("sfs", sfs_skyline),
+                ("flagged", flagged_global_skyline)]:
+            survivors = skyline_task(batch, MIN2, mode, distinct=True)[0]
             assert to_rows(survivors) == \
                 reference(rows, MIN2, distinct=True)
         assert max(materialised) == 400
@@ -407,11 +497,7 @@ class TestFallbacks:
         assert columnize(rows, MIN2) is None
         assert srt(vec_bnl_skyline(rows, MIN2)) == \
             srt(bnl_skyline(rows, MIN2))
-        assert select_kernels(True).name == "scalar"
-
-    def test_select_kernels(self):
-        assert select_kernels(False).name == "scalar"
-        assert select_kernels(True).name == "vectorized"
+        assert kernel_name(True) == "scalar"
 
     def test_non_numeric_rows_fall_back(self):
         rows = [("b", 2), ("a", 1), ("c", 0)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.datasets import (AIRBNB_SKYLINE_DIMENSIONS,
                             MUSICBRAINZ_SKYLINE_DIMENSIONS,
                             STORE_SALES_SKYLINE_DIMENSIONS,
@@ -140,7 +140,7 @@ class TestWorkloadSql:
             wl.dimensions(0)
 
     def test_queries_parse_and_run(self):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         wl = store_sales_workload(120)
         wl.register(session)
         sky = session.sql(wl.skyline_sql(3)).to_tuples()
@@ -170,7 +170,7 @@ class TestMusicBrainz:
         assert 0.25 < rated / 3000 < 0.42
 
     def test_workload_queries_run_and_agree(self):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         wl = musicbrainz_workload(150)
         wl.register(session)
         sky = session.sql(wl.skyline_sql(3)).to_tuples()
@@ -179,7 +179,7 @@ class TestMusicBrainz:
         assert wl.skyline_dimensions == MUSICBRAINZ_SKYLINE_DIMENSIONS
 
     def test_incomplete_workload_runs(self):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         wl = musicbrainz_workload(150, incomplete=True)
         wl.register(session)
         rows = session.sql(wl.skyline_sql(4)).collect()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.algorithms import local_bnl_task, make_dimensions
+from repro.core.algorithms import make_dimensions
+from repro.core.vectorized import skyline_task
 from repro.engine.backends import (BACKEND_NAMES, Backend, LocalBackend,
                                    ProcessBackend, StageTask, ThreadBackend,
                                    create_backend, default_num_workers)
@@ -96,9 +97,11 @@ class TestProcessBackend:
     def test_skyline_kernel_round_trips(self):
         rows = [(1, 4), (2, 3), (3, 3), (0, 9)]
         tasks = [StageTask(partition=0, rows_in=len(rows),
-                           func=local_bnl_task, args=(rows, MIN2, False)),
+                           func=skyline_task,
+                           args=(rows, MIN2, "complete", False, False)),
                  StageTask(partition=1, rows_in=len(rows),
-                           func=local_bnl_task, args=(rows, MIN2, False))]
+                           func=skyline_task,
+                           args=(rows, MIN2, "complete", False, False))]
         with ProcessBackend(num_workers=2) as backend:
             outcomes = backend.run_stage(tasks)
         skyline, peak, comparisons = outcomes[0].result

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.engine.io import read_csv, write_csv
 from repro.engine.row import Field, Schema
 from repro.engine.types import DOUBLE, INTEGER, STRING
@@ -80,12 +80,12 @@ class TestWriteCsv:
 
 class TestSessionIntegration:
     def test_read_csv_into_dataframe(self, csv_file):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         df = session.read_csv(csv_file)
         assert df.count() == 3
 
     def test_read_csv_registers_table_and_skylines(self, csv_file):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         session.read_csv(csv_file, table_name="hotels")
         rows = session.sql(
             "SELECT name FROM hotels "

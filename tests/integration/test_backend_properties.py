@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.engine.backends import BACKEND_NAMES, create_backend
 from repro.engine.types import INTEGER
 from tests.conftest import skyline_oracle
@@ -45,9 +45,9 @@ def backends():
 
 
 def run_on(backend, rows, nullable, strategy="auto", num_executors=3):
-    session = SkylineSession(num_executors=num_executors,
-                             skyline_algorithm=strategy,
-                             backend=backend)
+    session = connect(num_executors=num_executors,
+                      skyline_algorithm=strategy,
+                      backend=backend)
     session.create_table(
         "pts", [("a", INTEGER, nullable), ("b", INTEGER, nullable),
                 ("c", INTEGER, nullable)], rows)
@@ -102,7 +102,7 @@ class TestMetricsAcrossBackends:
         rows = [(i % 7, (i * 3) % 11, (i * 5) % 13) for i in range(60)]
         summaries = {}
         for name, instance in backends.items():
-            session = SkylineSession(num_executors=3, backend=instance)
+            session = connect(num_executors=3, backend=instance)
             session.create_table(
                 "pts", [("a", INTEGER, False), ("b", INTEGER, False),
                         ("c", INTEGER, False)], rows)
@@ -114,7 +114,7 @@ class TestMetricsAcrossBackends:
     def test_real_time_recorded_on_every_backend(self, backends):
         rows = [(i, i, i) for i in range(20)]
         for name, instance in backends.items():
-            session = SkylineSession(num_executors=2, backend=instance)
+            session = connect(num_executors=2, backend=instance)
             session.create_table(
                 "pts", [("a", INTEGER, False), ("b", INTEGER, False),
                         ("c", INTEGER, False)], rows)

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro import SkylineSession
+from repro import SkylineSession, connect
 from repro.core import make_dimensions
 from repro.core.vectorized import numpy_available
 from repro.engine.backends import ProcessBackend, ThreadBackend
@@ -90,7 +90,7 @@ def shared_backends():
 def _make_session(rows, nullable: bool, algorithm: str, scheme: str,
                   backend, vectorized,
                   columnar="auto") -> SkylineSession:
-    session = SkylineSession(
+    session = connect(
         num_executors=3, skyline_algorithm=algorithm,
         skyline_partitioning=scheme, skyline_partitions=3,
         backend=backend, vectorized=vectorized, columnar=columnar)
@@ -234,7 +234,7 @@ def test_batch_mode_actually_ran():
     text = session.explain(plan)
     assert "Scan(t, 154 rows) [batch]" in text
     assert "[row]" not in text
-    row_text = session.with_columnar(False).explain(plan)
+    row_text = session.with_options(columnar=False).explain(plan)
     assert "[batch]" not in row_text
 
 

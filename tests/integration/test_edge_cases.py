@@ -3,12 +3,12 @@
 import pytest
 
 from repro import (AnalysisError, DOUBLE, ExecutionError, INTEGER,
-                   ParseError, STRING, SkylineSession)
+                   ParseError, STRING, connect)
 
 
 @pytest.fixture
 def session():
-    return SkylineSession(num_executors=2)
+    return connect(num_executors=2)
 
 
 class TestEmptyInputs:
@@ -155,7 +155,7 @@ class TestNumericEdges:
 
 class TestExecutorEdges:
     def test_more_executors_than_rows(self):
-        session = SkylineSession(num_executors=16)
+        session = connect(num_executors=16)
         session.create_table(
             "tiny", [("a", INTEGER, False), ("b", INTEGER, False)],
             [(1, 2), (2, 1)])
@@ -164,7 +164,7 @@ class TestExecutorEdges:
         assert sorted(rows) == [(1,), (2,)]
 
     def test_single_executor(self):
-        session = SkylineSession(num_executors=1)
+        session = connect(num_executors=1)
         session.create_table(
             "t", [("a", INTEGER, False)], [(3,), (1,), (2,)])
         rows = session.sql("SELECT a FROM t SKYLINE OF a MIN").to_tuples()

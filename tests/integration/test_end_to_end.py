@@ -3,7 +3,7 @@ brute-force oracle (the Section 5.9 verification methodology)."""
 
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.core import make_dimensions
 from repro.datasets import (airbnb_workload, musicbrainz_workload,
                             store_sales_workload)
@@ -12,7 +12,7 @@ from tests.conftest import skyline_oracle
 
 @pytest.fixture(scope="module")
 def airbnb():
-    session = SkylineSession(num_executors=3)
+    session = connect(num_executors=3)
     workload = airbnb_workload(400, seed=5)
     workload.register(session)
     return session, workload
@@ -20,7 +20,7 @@ def airbnb():
 
 @pytest.fixture(scope="module")
 def airbnb_incomplete():
-    session = SkylineSession(num_executors=3)
+    session = connect(num_executors=3)
     workload = airbnb_workload(400, seed=5, incomplete=True)
     workload.register(session)
     return session, workload
@@ -36,7 +36,7 @@ class TestIntegratedVsReference:
 
     @pytest.mark.parametrize("dims", [1, 3, 6])
     def test_store_sales(self, dims):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         workload = store_sales_workload(300)
         workload.register(session)
         sky = session.sql(workload.skyline_sql(dims)).to_tuples()
@@ -45,7 +45,7 @@ class TestIntegratedVsReference:
 
     @pytest.mark.parametrize("dims", [2, 4, 6])
     def test_musicbrainz_complex_queries(self, dims):
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         workload = musicbrainz_workload(200)
         workload.register(session)
         sky = session.sql(workload.skyline_sql(dims)).to_tuples()
@@ -82,7 +82,7 @@ class TestAlgorithmStrategiesAgree:
         session, workload = airbnb
         results = {}
         for strategy in self.STRATEGIES:
-            forced = session.with_skyline_algorithm(strategy)
+            forced = session.with_options(skyline_algorithm=strategy)
             results[strategy] = sorted(
                 forced.sql(workload.skyline_sql(5)).to_tuples())
         assert len({tuple(v) for v in results.values()}) == 1
@@ -90,11 +90,11 @@ class TestAlgorithmStrategiesAgree:
     def test_executor_count_does_not_change_result(self, airbnb):
         session, workload = airbnb
         baseline = sorted(
-            session.with_executors(1).sql(
+            session.with_options(num_executors=1).sql(
                 workload.skyline_sql(6)).to_tuples())
         for executors in (2, 5, 10):
             scaled = sorted(
-                session.with_executors(executors).sql(
+                session.with_options(num_executors=executors).sql(
                     workload.skyline_sql(6)).to_tuples())
             assert scaled == baseline
 
@@ -102,8 +102,7 @@ class TestAlgorithmStrategiesAgree:
             self, airbnb_incomplete):
         session, workload = airbnb_incomplete
         auto = session.sql(workload.skyline_sql(4)).to_tuples()
-        forced = session.with_skyline_algorithm(
-            "distributed-incomplete").sql(
+        forced = session.with_options(skyline_algorithm="distributed-incomplete").sql(
             workload.skyline_sql(4)).to_tuples()
         assert sorted(auto, key=repr) == sorted(forced, key=repr)
 

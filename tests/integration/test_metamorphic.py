@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.core import bnl_skyline, make_dimensions, vec_bnl_skyline
 from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER
@@ -109,7 +109,7 @@ class TestEnginePipelineMetamorphic:
     SQL = "SELECT * FROM t SKYLINE OF a MIN, b MAX, c MIN"
 
     def _run(self, rows, vectorized):
-        session = SkylineSession(num_executors=3, vectorized=vectorized)
+        session = connect(num_executors=3, vectorized=vectorized)
         session.create_table(
             "t",
             [("id", INTEGER, False), ("a", DOUBLE, False),

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SkylineSession
+from repro import connect
 from repro.core import make_dimensions
 from tests.conftest import skyline_oracle
 
@@ -22,8 +22,8 @@ DIMS = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
 
 def run_skyline(rows, nullable, strategy="auto", num_executors=3,
                 complete_keyword=False):
-    session = SkylineSession(num_executors=num_executors,
-                             skyline_algorithm=strategy)
+    session = connect(num_executors=num_executors,
+                      skyline_algorithm=strategy)
     session.create_table(
         "pts", [("a", INTEGER, nullable), ("b", INTEGER, nullable),
                 ("c", INTEGER, nullable)], rows)

@@ -3,12 +3,12 @@ of the language, plus general SQL semantics end to end."""
 
 import pytest
 
-from repro import DOUBLE, INTEGER, STRING, SkylineSession
+from repro import DOUBLE, INTEGER, STRING, connect
 
 
 @pytest.fixture
 def shop():
-    session = SkylineSession(num_executors=2)
+    session = connect(num_executors=2)
     session.create_table(
         "products",
         [("id", INTEGER, False), ("category", STRING, False),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SkylineSession
+from repro import connect
 from repro.core import make_dimensions
 from repro.datasets import (anticorrelated_rows, correlated_rows,
                             independent_rows)
@@ -21,7 +21,7 @@ SQL3 = "SELECT id FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN"
 
 
 def make_session(rows, nullable=False, n_dims=3, **kwargs):
-    session = SkylineSession(num_executors=4, **kwargs)
+    session = connect(num_executors=4, **kwargs)
     columns = [("id", INTEGER, False)] + [
         (f"d{i}", DOUBLE, nullable) for i in range(n_dims)]
     session.create_table(
@@ -152,7 +152,7 @@ class TestCostModelDecisions:
         assert decision.estimated_rows == SMALL_INPUT_ROWS + 200
 
     def test_local_relation_without_catalog(self):
-        session = SkylineSession(num_executors=4)
+        session = connect(num_executors=4)
         df = session.create_dataframe(
             [(float(i), float(i)) for i in range(50)], ["a", "b"])
         plan = session.analyze(
@@ -254,7 +254,7 @@ class TestGridPruningWithDiffDimensions:
         from repro.engine.types import STRING
         rows = [(i, "red", 0.1 + i * 0.01, 0.1 + i * 0.01)
                 for i in range(20)] + [(99, "blue", 10.0, 10.0)]
-        session = SkylineSession(num_executors=4)
+        session = connect(num_executors=4)
         session.create_table(
             "items",
             [("id", INTEGER, False), ("color", STRING, False),
@@ -263,7 +263,7 @@ class TestGridPruningWithDiffDimensions:
         sql = ("SELECT * FROM items "
                "SKYLINE OF price MIN, weight MIN, color DIFF")
         baseline = sorted(session.sql(sql).to_tuples())
-        grid = session.with_skyline_partitioning("grid")
+        grid = session.with_options(skyline_partitioning="grid")
         assert sorted(grid.sql(sql).to_tuples()) == baseline
         assert any(row[1] == "blue" for row in baseline)
 
@@ -295,30 +295,30 @@ class TestExplainReportsAppliedChoices:
 
 class TestSessionConfiguration:
     def test_adaptive_flag_sets_algorithm(self):
-        session = SkylineSession(adaptive=True)
+        session = connect(adaptive=True)
         assert session.adaptive
         assert session.skyline_algorithm == "adaptive"
 
     def test_adaptive_conflicts_with_forced_algorithm(self):
         with pytest.raises(ValueError):
-            SkylineSession(adaptive=True, skyline_algorithm="sfs")
+            connect(adaptive=True, skyline_algorithm="sfs")
 
     def test_unknown_partitioning_rejected(self):
         with pytest.raises(ValueError):
-            SkylineSession(skyline_partitioning="hilbert")
+            connect(skyline_partitioning="hilbert")
 
     def test_with_skyline_partitioning_clone(self):
         session = make_session(correlated_rows(100, 3))
-        clone = session.with_skyline_partitioning("grid", 9)
+        clone = session.with_options(skyline_partitioning="grid", skyline_partitions=9)
         assert clone.skyline_partitioning == "grid"
         assert clone.skyline_partitions == 9
         assert session.skyline_partitioning == "keep"
         assert clone.catalog is session.catalog
 
     def test_clones_preserve_partitioning(self):
-        session = SkylineSession(skyline_partitioning="angle",
-                                 skyline_partitions=5)
-        clone = session.with_executors(8)
+        session = connect(skyline_partitioning="angle",
+                          skyline_partitions=5)
+        clone = session.with_options(num_executors=8)
         assert clone.skyline_partitioning == "angle"
         assert clone.skyline_partitions == 5
 
@@ -350,8 +350,7 @@ class TestAdaptiveMatchesFixedCombinations:
             [(i,) + tuple(r) for i, r in enumerate(rows)], DIMS)
         assert expected == sorted((row[0],) for row in oracle)
         for algorithm, scheme in FIXED_COMBOS:
-            forced = session.with_skyline_algorithm(
-                algorithm).with_skyline_partitioning(scheme)
+            forced = session.with_options(skyline_algorithm=algorithm).with_options(skyline_partitioning=scheme)
             assert sorted(forced.sql(SQL3).to_tuples()) == expected, (
                 f"{algorithm}/{scheme} disagrees with adaptive")
 
@@ -364,11 +363,11 @@ class TestAdaptiveMatchesFixedCombinations:
     def test_property_adaptive_equals_fixed(self, rows, combo):
         algorithm, scheme = combo
         data = [(i,) + tuple(r) for i, r in enumerate(rows)]
-        adaptive = SkylineSession(num_executors=3, adaptive=True)
-        forced = SkylineSession(num_executors=3,
-                                skyline_algorithm=algorithm,
-                                skyline_partitioning=scheme,
-                                skyline_partitions=3)
+        adaptive = connect(num_executors=3, adaptive=True)
+        forced = connect(num_executors=3,
+                         skyline_algorithm=algorithm,
+                         skyline_partitioning=scheme,
+                         skyline_partitions=3)
         for session in (adaptive, forced):
             session.create_table(
                 "pts",

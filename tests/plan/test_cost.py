@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SkylineSession
+from repro import connect
 from repro.datasets import anticorrelated_rows, correlated_rows
 from repro.engine.types import DOUBLE, INTEGER
 from repro.plan import logical as L
@@ -12,8 +12,8 @@ from repro.sql.parser import parse_query
 
 
 def make_session(rows, nullable=False, n_dims=3):
-    session = SkylineSession(num_executors=2,
-                             skyline_algorithm="cost-based")
+    session = connect(num_executors=2,
+                      skyline_algorithm="cost-based")
     columns = [("id", INTEGER, False)] + [
         (f"d{i}", DOUBLE, nullable) for i in range(n_dims)]
     data = [(i,) + tuple(values) for i, values in enumerate(rows)]
@@ -84,8 +84,7 @@ class TestCostBasedExecution:
         rows = generator(800, 3, seed=4)
         session = make_session(rows)
         cost_based = session.sql(SQL3).to_tuples()
-        forced = session.with_skyline_algorithm(
-            "distributed-complete").sql(SQL3).to_tuples()
+        forced = session.with_options(skyline_algorithm="distributed-complete").sql(SQL3).to_tuples()
         assert sorted(cost_based) == sorted(forced)
 
     def test_cost_based_on_nullable_data(self):

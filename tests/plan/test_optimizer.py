@@ -221,8 +221,8 @@ class TestOptimizedPlansStillCorrect:
     """Optimizations must not change results (Section 5.9)."""
 
     def test_single_dimension_results_match_unoptimized(self, catalog):
-        from repro.api.session import SkylineSession
-        session = SkylineSession(num_executors=2)
+        from repro.api.session import connect
+        session = connect(num_executors=2)
         session.catalog = catalog
         catalog.create_table(
             "pts",
@@ -230,22 +230,22 @@ class TestOptimizedPlansStillCorrect:
                     Field("y", INTEGER, True)]),
             [(3, 1), (1, 2), (1, 9), (2, None), (5, None)])
         optimized = session.sql("SELECT x FROM pts SKYLINE OF x MIN")
-        plain = session.with_skyline_algorithm("auto")
+        plain = session.with_options(skyline_algorithm="auto")
         plain.enable_skyline_optimizations = False
         raw = plain.sql("SELECT x FROM pts SKYLINE OF x MIN")
         assert sorted(optimized.to_tuples()) == sorted(raw.to_tuples())
 
     def test_nullable_single_dimension_results_match(self, catalog):
-        from repro.api.session import SkylineSession
-        session = SkylineSession(num_executors=2)
+        from repro.api.session import connect
+        session = connect(num_executors=2)
         session.catalog = catalog
         catalog.create_table(
             "pts",
             Schema([Field("x", INTEGER, True)]),
             [(3,), (1,), (None,), (2,)])
         fast = session.sql("SELECT x FROM pts SKYLINE OF x MIN")
-        slow = SkylineSession(num_executors=2,
-                              enable_skyline_optimizations=False)
+        slow = connect(num_executors=2,
+                       enable_skyline_optimizations=False)
         slow.catalog = catalog
         raw = slow.sql("SELECT x FROM pts SKYLINE OF x MIN")
         # Both must keep the null row (incomparable) and the minimum.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api.session import SkylineSession
+from repro.api.session import connect
+from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.errors import PlanningError
 from repro.plan import physical as P
@@ -12,7 +13,7 @@ from repro.sql.parser import parse_query
 
 @pytest.fixture
 def session():
-    session = SkylineSession(num_executors=2)
+    session = connect(num_executors=2)
     session.create_table(
         "pts",
         [("id", INTEGER, False), ("x", DOUBLE, False),
@@ -79,43 +80,79 @@ class TestJoinStrategy:
         assert loops and loops[0].join_type == "left_anti"
 
 
+def skyline_modes(plan):
+    """(local mode, global mode) of a plan's skyline operators."""
+    local = find_exec(plan, P.SkylineLocalExec)
+    global_ = find_exec(plan, P.SkylineGlobalExec)
+    assert len(global_) == 1 and len(local) <= 1
+    return (local[0].mode if local else None, global_[0].mode)
+
+
+#: ``EXPLAIN``'s physical-plan section per strategy, with ``{v}`` the
+#: kernel prefix and ``{m}`` the skyline operators' exec mode.  Golden:
+#: operator names, algorithm labels and tags are a stable surface.
+GOLDEN_PLANS = {
+    "distributed-complete":
+        "SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  SkylineLocal({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "    Project [batch]\n"
+        "      Scan(pts, 3 rows) [batch]\n",
+    "non-distributed-complete":
+        "SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  Project [batch]\n"
+        "    Scan(pts, 3 rows) [batch]\n",
+    "distributed-incomplete":
+        "SkylineGlobalIncomplete({v}all-pairs flagged, "
+        "[pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  SkylineLocalIncomplete({v}bitmap-partitioned BNL, "
+        "[pts.id MIN, pts.x MIN]) [{m}]\n"
+        "    Project [batch]\n"
+        "      Scan(pts, 3 rows) [batch]\n",
+    "sfs":
+        "SkylineGlobalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  SkylineLocalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "    Project [batch]\n"
+        "      Scan(pts, 3 rows) [batch]\n",
+}
+
+
 class TestListing8AlgorithmSelection:
     SQL_NULLABLE = "SELECT x, y FROM pts SKYLINE OF x MIN, y MAX"
     SQL_COMPLETE_KW = \
         "SELECT x, y FROM pts SKYLINE OF COMPLETE x MIN, y MAX"
     SQL_NON_NULLABLE = "SELECT id, x FROM pts SKYLINE OF id MIN, x MIN"
 
-    def test_nullable_dimensions_select_incomplete_nodes(self, session):
-        plan = physical_plan(session, self.SQL_NULLABLE)
-        assert find_exec(plan, P.SkylineLocalIncompleteExec)
-        assert find_exec(plan, P.SkylineGlobalIncompleteExec)
+    @pytest.mark.parametrize("sql, strategy, modes", [
+        # Listing 8: nullable dimensions need the incomplete pair ...
+        (SQL_NULLABLE, "auto", ("bitmap-local", "flagged")),
+        # ... unless COMPLETE is set or no dimension is nullable.
+        (SQL_COMPLETE_KW, "auto", ("complete", "complete")),
+        (SQL_NON_NULLABLE, "auto", ("complete", "complete")),
+        (SQL_COMPLETE_KW, "distributed-complete",
+         ("complete", "complete")),
+        (SQL_COMPLETE_KW, "non-distributed-complete", (None, "complete")),
+        (SQL_NON_NULLABLE, "distributed-incomplete",
+         ("bitmap-local", "flagged")),
+        (SQL_COMPLETE_KW, "sfs", ("sfs", "sfs")),
+    ])
+    def test_strategy_selects_operator_modes(self, session, sql, strategy,
+                                             modes):
+        assert skyline_modes(physical_plan(session, sql, strategy)) == modes
 
-    def test_complete_keyword_forces_complete_nodes(self, session):
-        plan = physical_plan(session, self.SQL_COMPLETE_KW)
-        assert find_exec(plan, P.SkylineLocalExec)
-        assert find_exec(plan, P.SkylineGlobalCompleteExec)
-
-    def test_non_nullable_dimensions_select_complete_nodes(self, session):
-        plan = physical_plan(session, self.SQL_NON_NULLABLE)
-        assert find_exec(plan, P.SkylineLocalExec)
-        assert find_exec(plan, P.SkylineGlobalCompleteExec)
-
-    def test_forced_non_distributed_skips_local_node(self, session):
-        plan = physical_plan(session, self.SQL_COMPLETE_KW,
-                             strategy="non-distributed-complete")
-        assert not find_exec(plan, P.SkylineLocalExec)
-        assert find_exec(plan, P.SkylineGlobalCompleteExec)
-
-    def test_forced_incomplete_on_complete_data(self, session):
-        plan = physical_plan(session, self.SQL_NON_NULLABLE,
-                             strategy="distributed-incomplete")
-        assert find_exec(plan, P.SkylineGlobalIncompleteExec)
-
-    def test_sfs_strategy(self, session):
-        plan = physical_plan(session, self.SQL_COMPLETE_KW,
-                             strategy="sfs")
-        assert find_exec(plan, P.SkylineLocalSFSExec)
-        assert find_exec(plan, P.SkylineGlobalSFSExec)
+    @pytest.mark.parametrize("vectorized", [
+        pytest.param(True, marks=pytest.mark.skipif(
+            not numpy_available(), reason="NumPy not available")),
+        False])
+    @pytest.mark.parametrize("strategy", list(GOLDEN_PLANS))
+    def test_explain_is_golden(self, session, strategy, vectorized):
+        forced = session.with_options(skyline_algorithm=strategy,
+                                      vectorized=vectorized, columnar=True)
+        text = forced.explain(forced.sql(self.SQL_NON_NULLABLE).plan)
+        physical = text.split("== Physical Plan ==\n")[1] \
+            .split("== Skyline Strategy ==")[0]
+        assert physical == GOLDEN_PLANS[strategy].format(
+            v="vectorized " if vectorized else "",
+            m="batch" if vectorized else "row")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(PlanningError):
@@ -123,7 +160,7 @@ class TestListing8AlgorithmSelection:
 
     def test_global_node_has_local_child(self, session):
         plan = physical_plan(session, self.SQL_COMPLETE_KW)
-        global_node = find_exec(plan, P.SkylineGlobalCompleteExec)[0]
+        global_node = find_exec(plan, P.SkylineGlobalExec)[0]
         assert isinstance(global_node.children[0], P.SkylineLocalExec)
 
 
@@ -133,7 +170,7 @@ class TestExecutionSemantics:
         for strategy in ("distributed-complete",
                          "non-distributed-complete",
                          "distributed-incomplete", "sfs"):
-            forced = session.with_skyline_algorithm(strategy)
+            forced = session.with_options(skyline_algorithm=strategy)
             result = forced.sql(
                 "SELECT id, x FROM pts SKYLINE OF id MIN, x MIN")
             rows[strategy] = sorted(result.to_tuples())
@@ -146,16 +183,16 @@ class TestExecutionSemantics:
         local = [s for name, s in stages.items()
                  if name.startswith("SkylineLocalExec")]
         global_ = [s for name, s in stages.items()
-                   if name.startswith("SkylineGlobalCompleteExec")]
+                   if name.startswith("SkylineGlobalExec")]
         assert local and local[0].parallelizable
         assert global_ and not global_[0].parallelizable
 
     def test_incomplete_local_partitions_by_bitmap(self, session):
-        result = session.with_skyline_algorithm(
-            "distributed-incomplete").sql(
+        result = session.with_options(
+            skyline_algorithm="distributed-incomplete").sql(
             "SELECT x, y FROM pts SKYLINE OF x MIN, y MAX").run()
         stages = [s for s in result.context.stages
-                  if s.name.startswith("SkylineLocalIncompleteExec")]
+                  if s.name.startswith("SkylineLocalExec")]
         # Two bitmap groups: y null vs y present.
         assert stages and len(stages[0].tasks) == 2
 

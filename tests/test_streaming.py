@@ -230,9 +230,9 @@ class TestStreamMatchesBatchEngine:
     sequence -- the stream is the incremental view of the same query."""
 
     def _engine_skyline(self, rows, nullable=False):
-        from repro import SkylineSession
+        from repro import connect
         from repro.engine.types import INTEGER
-        session = SkylineSession(num_executors=2)
+        session = connect(num_executors=2)
         session.create_table(
             "s", [("a", INTEGER, nullable), ("b", INTEGER, nullable)],
             rows)
