@@ -28,6 +28,9 @@ from ..engine.cluster import ClusterConfig
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
+#: Accepted ``global_merge`` names (one behaviour behind both).
+GLOBAL_MERGE_STRATEGIES = ("auto", "flat")
+
 
 def _validate_vectorized(vectorized: "bool | str") -> None:
     """Reject invalid ``vectorized`` flags.
@@ -128,15 +131,11 @@ class SessionConfig:
         Base of the exponential retry backoff (deterministic seeded
         jitter in [0.5x, 1.5x) per attempt).
     global_merge:
-        Global skyline phase strategy: ``"auto"`` (cost model picks),
-        ``"flat"`` (single-task merge), or ``"hierarchical"``
-        (tournament-tree pairwise merge rounds).  ``hierarchical`` is
-        a *request*, not a guarantee: incomplete-data queries and
-        nullable skyline dimensions always fall back to flat because
-        dominance over incomplete rows is not transitive.
-    merge_fan_in:
-        Partials merged per task in each hierarchical round
-        (``None`` = derived from executor count and partial count).
+        A validated name with one behaviour: ``"auto"`` and ``"flat"``
+        both run the global skyline phase as one ``AllTuples`` task.
+        Kept only because the benchmark harness's reference session
+        (``perf/run.py``) passes ``global_merge="flat"``; the
+        ``"hierarchical"`` tournament tree was removed.
     shared_memory:
         Zero-copy shared-memory transport for the process backend's
         columnar batches: ``"auto"`` (on where the platform serves
@@ -151,9 +150,12 @@ class SessionConfig:
         ``"pipelined"`` (morsel-driven operator overlap with
         per-operator memory budgets, backpressure and out-of-core
         spill), or ``"auto"`` (the cost model pipelines when a
-        parallel backend and enough rows make overlap pay).  EXPLAIN
-        marks pipelined stages ``[pipelined]``; the global phase is
-        staged either way.
+        parallel backend and enough rows make overlap pay).  A local
+        skyline over anything but a scan -> filter/project chain
+        (joins, aggregates, repartitions) stays staged even under
+        ``"pipelined"``: nothing could overlap.  EXPLAIN marks
+        pipelined stages ``[pipelined]``; the global phase is staged
+        either way.
     operator_memory_mb:
         Per-operator memory budget (MB) for the pipelined executor:
         an operator whose buffered input exceeds the budget
@@ -178,7 +180,6 @@ class SessionConfig:
     task_timeout_s: "float | None" = None
     retry_backoff_s: float = 0.05
     global_merge: str = "auto"
-    merge_fan_in: "int | None" = None
     shared_memory: "bool | str" = "auto"
     execution: str = "auto"
     operator_memory_mb: "float | None" = None
@@ -187,7 +188,6 @@ class SessionConfig:
         # Imported here: repro.plan imports repro.engine, which must not
         # circularly depend on the api package at import time.
         from ..plan.planner import (EXECUTION_MODES,
-                                    GLOBAL_MERGE_STRATEGIES,
                                     PARTITIONING_SCHEMES,
                                     SKYLINE_STRATEGIES)
 
@@ -230,12 +230,14 @@ class SessionConfig:
             raise ValueError("task_timeout_s must be > 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
+        if self.global_merge == "hierarchical":
+            raise ValueError(
+                "global_merge='hierarchical' was removed: the global "
+                "skyline phase is always one flat task; use 'auto'")
         if self.global_merge not in GLOBAL_MERGE_STRATEGIES:
             raise ValueError(
                 f"unknown global_merge {self.global_merge!r}; expected "
                 f"one of {GLOBAL_MERGE_STRATEGIES}")
-        if self.merge_fan_in is not None and self.merge_fan_in < 2:
-            raise ValueError("merge_fan_in must be >= 2")
         if not (self.shared_memory is True or self.shared_memory is False
                 or self.shared_memory == "auto"):
             raise ValueError(
@@ -304,8 +306,6 @@ class SessionConfig:
             self.num_workers,
             self.vectorized_enabled,
             self.columnar_enabled,
-            self.global_merge,
-            self.merge_fan_in,
             self.shared_memory_enabled,
             self.execution,
             self.operator_memory_mb,

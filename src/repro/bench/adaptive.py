@@ -80,10 +80,10 @@ def default_classes(scale: float = 1.0) -> list[WorkloadClass]:
     ]
 
 
-#: Runs per query, of which the best counts (as in
-#: :mod:`repro.bench.global_merge`): simulated time is derived from
-#: measured task durations, and a class with one repetition would
-#: otherwise turn a single host/GC pause into its whole score.
+#: Runs per query, of which the best counts: simulated time is
+#: derived from measured task durations, and a class with one
+#: repetition would otherwise turn a single host/GC pause into its
+#: whole score.
 _BEST_OF = 3
 
 

@@ -185,15 +185,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--min-cache-speedup", type=float, default=None,
                         help="fail unless the result-cache hit speedup "
                              "reaches this factor")
-    parser.add_argument("--global-merge", action="store_true",
-                        dest="global_merge",
-                        help="measure the hierarchical tournament-tree "
-                             "global merge against the flat single-task "
-                             "merge on store_sales and emit "
-                             "BENCH_global_merge.json")
-    parser.add_argument("--min-merge-speedup", type=float, default=None,
-                        help="fail unless the hierarchical global-phase "
-                             "speedup reaches this factor")
     parser.add_argument("--chaos", action="store_true",
                         help="run the query mix clean and under a seeded "
                              "fault plan (crashes/errors/delays), assert "
@@ -244,11 +235,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.smoke or args.speedup or args.adaptive
             or args.vectorized or args.columnar or args.serving
-            or args.global_merge or args.chaos or args.shm
-            or args.pipeline):
+            or args.chaos or args.shm or args.pipeline):
         parser.error("nothing to do: pass --smoke, --speedup, "
                      "--adaptive, --vectorized, --columnar, --serving, "
-                     "--global-merge, --chaos, --shm and/or --pipeline")
+                     "--chaos, --shm and/or --pipeline")
 
     status = 0
     if args.smoke:
@@ -320,22 +310,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report["cache_speedup"] < args.min_cache_speedup:
             print(f"FAIL: cache-hit speedup below required "
                   f"{args.min_cache_speedup:.2f}x", file=sys.stderr)
-            status = 1
-    if args.global_merge:
-        from .global_merge import measure_merge_speedup, render_merge_report
-        report = measure_merge_speedup(num_rows=args.rows or 180_000)
-        with open("BENCH_global_merge.json", "w",
-                  encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(render_merge_report(report))
-        if not report["bit_identical"]:
-            print("FAIL: hierarchical merge produced different answers "
-                  "than the flat merge", file=sys.stderr)
-            status = 1
-        if args.min_merge_speedup is not None and \
-                report["speedup"] < args.min_merge_speedup:
-            print(f"FAIL: global-phase speedup below required "
-                  f"{args.min_merge_speedup:.2f}x", file=sys.stderr)
             status = 1
     if args.chaos:
         from .chaos import render_chaos_report, run_chaos_bench

@@ -10,14 +10,11 @@ from .algorithms import (Algorithm, distributed_complete,
                          distributed_incomplete, make_dimensions,
                          non_distributed_complete, reference, sfs_complete,
                          skyline)
-from .bnl import bnl_skyline, bnl_skyline_incremental
+from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         compare, dominates, dominates_incomplete,
                         equal_on_dimensions, has_null_dimension,
                         null_bitmap)
-from .merge import (MergeSummary, build_summaries, hierarchical_merge,
-                    merge_round_sizes, merge_skylines, merge_unsafe_reason,
-                    tree_shape, vec_merge_skylines)
 from .incomplete import (flagged_global_skyline, gulzar_global_skyline,
                          local_skylines_incomplete,
                          partition_by_null_bitmap)
@@ -33,14 +30,12 @@ __all__ = [
     "BoundDimension",
     "DimensionKind",
     "DominanceStats",
-    "MergeSummary",
     "angle_partitions",
     "grid_partitions",
     "partition_rows",
     "prune_dominated_cells",
     "random_partitions",
     "bnl_skyline",
-    "bnl_skyline_incremental",
     "columnize",
     "compare",
     "distributed_complete",
@@ -51,13 +46,8 @@ __all__ = [
     "flagged_global_skyline",
     "gulzar_global_skyline",
     "has_null_dimension",
-    "hierarchical_merge",
     "local_skylines_incomplete",
     "make_dimensions",
-    "build_summaries",
-    "merge_round_sizes",
-    "merge_skylines",
-    "merge_unsafe_reason",
     "monotone_score",
     "non_distributed_complete",
     "null_bitmap",
@@ -67,9 +57,7 @@ __all__ = [
     "sfs_complete",
     "sfs_skyline",
     "skyline",
-    "tree_shape",
     "vec_bnl_skyline",
-    "vec_merge_skylines",
     "vec_flagged_global_skyline",
     "vec_sfs_skyline",
 ]

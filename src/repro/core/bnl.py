@@ -88,41 +88,3 @@ def bnl_skyline(rows: Iterable[Sequence], dims: Sequence[BoundDimension],
         stats.note_window(window_peak)
     return window
 
-
-def bnl_skyline_incremental(dims: Sequence[BoundDimension],
-                            distinct: bool = False,
-                            dominance: Callable = dominates):
-    """A reusable BNL accumulator.
-
-    Returns ``(add, current)`` where ``add(row)`` folds one tuple into the
-    window and ``current()`` returns the present skyline.  Useful for
-    streaming-style consumption and for tests that probe intermediate
-    window states.
-    """
-    window: list[Sequence] = []
-
-    def add(t: Sequence) -> None:
-        nonlocal window
-        t_dominated = False
-        survivors: list[Sequence] = []
-        for w in window:
-            if t_dominated:
-                survivors.append(w)
-                continue
-            if dominance(w, t, dims):
-                t_dominated = True
-                survivors.append(w)
-                continue
-            if dominance(t, w, dims):
-                continue
-            if distinct and equal_on_dimensions(t, w, dims):
-                t_dominated = True
-            survivors.append(w)
-        window = survivors
-        if not t_dominated:
-            window.append(t)
-
-    def current() -> list[Sequence]:
-        return list(window)
-
-    return add, current

@@ -32,9 +32,8 @@ select their survivors with it:
 * *Column layout.*  The dominance primitives (:func:`_dominated_by`,
   :func:`_pairwise_dominated`) take ``(dims, rows)`` C-contiguous
   arrays (:func:`_columns`), one contiguous vector per dimension, and
-  compare at most :data:`PAIR_BUDGET` pairs per broadcast; the merge
-  kernels, the flagged kernel and the serving cache's re-filter share
-  them.
+  compare at most :data:`PAIR_BUDGET` pairs per broadcast; the flagged
+  kernel and the serving cache's re-filter share them.
 
 Semantics are pinned to the scalar reference implementation:
 
@@ -78,7 +77,6 @@ with NumPy installed (used by CI to keep the fallback path honest).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -93,7 +91,7 @@ from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates_incomplete)
 from .incomplete import flagged_global_skyline, partition_by_null_bitmap
-from .sfs import monotone_score, sfs_skyline
+from .sfs import sfs_skyline
 
 #: ``by`` rows per step of the flagged all-pairs kernel (one deadline
 #: check per step).
@@ -483,23 +481,6 @@ def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
         return indices
     chosen = np.asarray(indices, dtype=np.intp)
     return chosen[np.argsort(scores[chosen], kind="stable")].tolist()
-
-
-def sfs_scores_finite(partition: "Sequence[Sequence] | ColumnBatch",
-                      dims: Sequence[BoundDimension]) -> bool | None:
-    """Whether every SFS monotone score of ``partition`` is finite, i.e.
-    whether flat SFS would sort it rather than take its BNL fallback
-    (``None``: not computable -- non-numeric dimension values)."""
-    block = columnize(partition, dims)
-    if block is not None:
-        return bool(np.isfinite(_monotone_scores(block.values)).all())
-    rows = partition.to_rows() if isinstance(partition, ColumnBatch) \
-        else partition
-    try:
-        return all(math.isfinite(monotone_score(row, dims))
-                   for row in rows)
-    except TypeError:
-        return None
 
 
 # ---------------------------------------------------------------------------

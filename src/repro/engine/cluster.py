@@ -185,12 +185,6 @@ class ExecutionContext:
         self.retry_policy = retry_policy or RetryPolicy()
         #: Query-wide fault-tolerance counters, merged from every stage.
         self.fault_stats = FaultStats()
-        #: How the (last) skyline global phase merged its local
-        #: skylines: strategy, fan-in, rounds planned/completed,
-        #: per-round task counts, summary-shortcut counters, and any
-        #: runtime fallback reason.  Filled in by the global skyline
-        #: operators; ``None`` for queries without a skyline.
-        self.global_merge: dict | None = None
         #: Tracked (non-simulated) per-operator memory high-water marks
         #: in bytes: stage/operator name -> max concurrently-resident
         #: tracked payload bytes.  Fed by tasks carrying ``bytes_in``
@@ -260,20 +254,12 @@ class ExecutionContext:
         """How far the query got -- attached to :class:`QueryTimeout`
         payloads so a client can decide whether a bigger budget would
         plausibly finish the query."""
-        progress = {
+        return {
             "stages_completed": len(self.stages),
             "tasks_completed": sum(len(s.tasks) for s in self.stages),
             "rows_out": sum(s.rows_out for s in self.stages),
             **self.fault_stats.as_dict(),
         }
-        if self.global_merge is not None:
-            # A deadline can land mid-tree: report how deep the merge
-            # got so clients can judge whether a bigger budget helps.
-            progress["merge_rounds_completed"] = \
-                self.global_merge.get("rounds_completed", 0)
-            progress["merge_rounds_planned"] = \
-                self.global_merge.get("rounds_planned", 0)
-        return progress
 
     # -- recording ---------------------------------------------------------
 
@@ -493,7 +479,6 @@ class ExecutionContext:
             "total_task_time_s": self.total_task_time_s(),
             "dominance_comparisons": self.dominance_comparisons,
             "faults": self.fault_stats.as_dict(),
-            "global_merge": self.global_merge,
             "pipeline": self.pipeline,
             "stages": [
                 {

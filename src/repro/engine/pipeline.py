@@ -422,48 +422,18 @@ class _PipelineDriver:
     def execute(self) -> "RDD | BatchRDD":
         ctx = self.ctx
         local = self.local
-        chain = local.morsel_chain()
-        source = "pipeline" if chain is not None else "staged-child"
+        specs, scan_exec = local.morsel_chain()
         incomplete = local.mode == "bitmap-local"
-
-        if chain is not None:
-            specs, scan_exec = chain
-            self.batch_plane = bool(scan_exec.columnar) and \
-                local.vectorized
-            width = len(scan_exec.output)
-            pending_scans = deque(self.split_morsels(
-                scan_exec.rows, ctx.config.default_parallelism))
-            maps_picklable = _probe_picklable(specs) if specs else True
-        else:
-            # Unsupported chain shape: produce the morsel stream from
-            # the staged child's partitions; scan + maps are done.
-            child_out = local.children[0].execute(ctx)
-            self.batch_plane = local.on_batch_plane(child_out)
-            specs, pending_scans, maps_picklable = (), deque(), True
-            if self.batch_plane:
-                for p, batch in enumerate(child_out.batches):
-                    for start in range(0, max(batch.num_rows, 1),
-                                       PIPELINE_MORSEL_ROWS):
-                        indices = list(range(
-                            start, min(start + PIPELINE_MORSEL_ROWS,
-                                       batch.num_rows)))
-                        self.ingest(p, batch.take(indices), incomplete)
-            else:
-                from ..plan.physical import _rows_rdd
-                for p, rows in enumerate(_rows_rdd(child_out).partitions):
-                    for _, morsel in self.split_morsels(rows, 1):
-                        self.ingest(p, morsel, incomplete)
-            if not self.key_order:
-                # Zero partitions still need one (empty) fold key so the
-                # output shape matches the staged path.
-                self.touch_key(0)
-
-        if chain is not None:
-            # Every partition folds at least once (empty partitions
-            # produce the same empty partial the staged stage does).
+        self.batch_plane = bool(scan_exec.columnar) and local.vectorized
+        width = len(scan_exec.output)
+        pending_scans = deque(self.split_morsels(
+            scan_exec.rows, ctx.config.default_parallelism))
+        maps_picklable = _probe_picklable(specs) if specs else True
+        # Every partition folds at least once (empty partitions
+        # produce the same empty partial the staged stage does).
+        if not incomplete:
             for p in range(ctx.config.default_parallelism):
-                if not incomplete:
-                    self.touch_key(p)
+                self.touch_key(p)
 
         routed_rows = 0
         while True:
@@ -568,7 +538,6 @@ class _PipelineDriver:
             "stage": local.stage_name(),
             "algorithm": local.mode,
             "plane": "batch" if self.batch_plane else "row",
-            "source": source,
             "morsel_rows": PIPELINE_MORSEL_ROWS,
             "budget_bytes": self.budget,
             "waves": self.waves,

@@ -376,6 +376,14 @@ def activation(store: "SharedColumnStore | None"):
 _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 
 
+def _close_attached(name: str) -> None:
+    """Drop ``name`` from the cache and unmap it."""
+    try:
+        _ATTACHED.pop(name).close()
+    except BufferError:  # pragma: no cover - views still alive
+        pass  # dropped from the cache; GC unmaps when views die
+
+
 def _attach(name: str):
     """Map a segment by name, LRU-cached so partitions shipped across
     several stages of one query are mapped once per worker."""
@@ -383,6 +391,16 @@ def _attach(name: str):
     if segment is not None:
         _ATTACHED.move_to_end(name)
         return segment
+    # A new name means a new stage or query: first unmap the cached
+    # segments the driver has released since.  An unlinked segment's
+    # pages stay resident until every mapping closes, and no
+    # ``/dev/shm`` listing (leaked_segments) shows them.
+    try:
+        linked = os.listdir("/dev/shm")
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        linked = list(_ATTACHED)
+    for cached in set(_ATTACHED).difference(linked):
+        _close_attached(cached)
     # Attaching registers the segment with the resource tracker
     # (pre-3.13 behaviour, no track=False yet), and fork-started
     # workers share the driver's tracker -- so either the worker's
@@ -400,11 +418,7 @@ def _attach(name: str):
         segment = shared_memory.SharedMemory(name=name)
     _ATTACHED[name] = segment
     while len(_ATTACHED) > MAX_ATTACHED_SEGMENTS:
-        _, stale = _ATTACHED.popitem(last=False)
-        try:
-            stale.close()
-        except BufferError:  # pragma: no cover - views still alive
-            pass  # dropped from the cache; GC unmaps when views die
+        _close_attached(next(iter(_ATTACHED)))
     return segment
 
 

@@ -86,16 +86,6 @@ LOCAL_STATS_MAX_ROWS = 4096
 _PRESERVING = (L.Filter, L.Distinct, L.Sort, L.SubqueryAlias, L.Limit,
                L.Project)
 
-#: Fewer local skylines than this and a merge tree is all stage
-#: overhead: the flat single-task global pass wins.
-MERGE_MIN_PARTIALS = 3
-#: Ceiling on the chosen merge fan-in; beyond this each merge task is
-#: itself so large the tree degenerates toward the flat pass.
-MERGE_MAX_FAN_IN = 8
-#: Estimated input rows below which the whole global phase is too cheap
-#: for multi-round scheduling (per-stage overhead dominates).
-MERGE_MIN_ROWS = 2048
-
 #: Estimated input rows below which pipelined execution cannot win:
 #: morsel scheduling adds a per-wave overhead that a handful of rows
 #: never amortises, and the staged path's single barrier is cheap.
@@ -205,103 +195,6 @@ def applied_decision(model: "PlanDecision | None", algorithm: str,
 
 
 # ---------------------------------------------------------------------------
-# Global-merge strategy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergeDecision:
-    """How the global phase merges local skylines, for EXPLAIN.
-
-    ``strategy`` is ``"flat"`` (one single-threaded all-pairs task) or
-    ``"hierarchical"`` (the tournament-tree merge of
-    :mod:`repro.core.merge`).  ``tree`` renders the planned round
-    sizes; the executed shape can differ when summary shortcuts prune
-    whole partials at run time.
-    """
-
-    strategy: str
-    fan_in: int | None
-    est_partials: int | None
-    est_rounds: int | None
-    tree: str | None
-    reason: str
-
-    def describe(self) -> str:
-        lines = [f"global merge = {self.strategy:<26} -- {self.reason}"]
-        if self.strategy == "hierarchical":
-            lines.append(
-                f"fan-in       = {self.fan_in:<26} -- "
-                f"ceil(partials / executors), clamped to "
-                f"[2, {MERGE_MAX_FAN_IN}]")
-            lines.append(
-                f"merge tree   = {self.tree} "
-                f"({self.est_rounds} rounds planned)")
-        return "\n".join(lines)
-
-
-def choose_global_merge(algorithm: str, *, num_executors: int,
-                        est_partials: int,
-                        estimated_rows: int | None = None,
-                        dimensions_nullable: bool = False,
-                        forced: str = "auto",
-                        fan_in: int | None = None) -> MergeDecision:
-    """Pick the global-merge strategy for one skyline operator.
-
-    Correctness gates come first and cannot be overridden: flag-based
-    dominance (incomplete data) and nullable skyline dimensions are
-    non-transitive, where a merge tree may drop rows the flat pass
-    keeps, so those queries always take the flat global phase -- even
-    under ``global_merge="hierarchical"``.
-    """
-
-    def flat(reason: str) -> MergeDecision:
-        return MergeDecision(strategy="flat", fan_in=None,
-                             est_partials=est_partials, est_rounds=None,
-                             tree=None, reason=reason)
-
-    if algorithm == "distributed-incomplete":
-        return flat("flag-based dominance is not transitive; pairwise "
-                    "merging of flagged partials is unsound")
-    if dimensions_nullable:
-        return flat("nullable skyline dimension(s): incomplete rows make "
-                    "dominance non-transitive")
-    if algorithm not in ("distributed-complete", "sfs"):
-        return flat("single global task only (no local skylines to merge)")
-    if forced == "flat":
-        return flat("forced by session configuration")
-    if est_partials < 2:
-        return flat("a single local skyline needs no merging")
-    if forced != "hierarchical":
-        if num_executors < 2:
-            return flat("one executor: merge rounds cannot run in parallel")
-        if est_partials < MERGE_MIN_PARTIALS:
-            return flat(f"only {est_partials} local skylines "
-                        f"(< {MERGE_MIN_PARTIALS}); per-stage overhead "
-                        f"would dominate")
-        if estimated_rows is not None and estimated_rows < MERGE_MIN_ROWS:
-            return flat(f"~{estimated_rows} input rows "
-                        f"(< {MERGE_MIN_ROWS}); the flat merge is "
-                        f"already cheap")
-    # Late import: repro.core.merge pulls in the engine batch plane,
-    # which this module otherwise does not need at import time.
-    from ..core.merge import merge_round_sizes, tree_shape
-    chosen = fan_in if fan_in is not None else max(
-        2, min(MERGE_MAX_FAN_IN,
-               math.ceil(est_partials / max(1, num_executors))))
-    chosen = max(2, int(chosen))
-    reason = "forced by session configuration" \
-        if forced == "hierarchical" else (
-            f"~{est_partials} local skylines over {num_executors} "
-            f"executors amortise the serial merge tail")
-    return MergeDecision(
-        strategy="hierarchical", fan_in=chosen,
-        est_partials=est_partials,
-        est_rounds=len(merge_round_sizes(est_partials, chosen)) - 1,
-        tree=tree_shape(est_partials, chosen), reason=reason)
-
-
-# ---------------------------------------------------------------------------
 # Execution mode (staged vs. pipelined)
 # ---------------------------------------------------------------------------
 
@@ -338,12 +231,16 @@ class ExecutionDecision:
 def choose_execution_mode(algorithm: str, *, backend: str,
                           estimated_rows: int | None,
                           operator_memory_mb: float | None = None,
-                          forced: str = "auto") -> ExecutionDecision:
+                          forced: str = "auto",
+                          chain_supported: bool = True
+                          ) -> ExecutionDecision:
     """Pick staged vs. pipelined execution for one skyline operator.
 
-    An explicit session setting always wins (a pipelined request on an
-    unsupported plan shape falls back per node at run time, recorded in
-    the pipeline report).  ``auto`` only pipelines when overlap can
+    An explicit session setting wins, except that a pipelined request
+    is refused when the local skyline's child is not a scan ->
+    filter/project chain (``chain_supported=False``: joins,
+    aggregates, repartitions): the child would finish staged before
+    the first morsel exists.  ``auto`` only pipelines when overlap can
     actually pay: a parallel backend, a distributed algorithm with a
     local phase to fold incrementally, and enough rows to amortise the
     per-wave scheduling overhead.
@@ -356,28 +253,30 @@ def choose_execution_mode(algorithm: str, *, backend: str,
 
     if forced == "staged":
         return staged("forced by session configuration", is_forced=True)
-    if forced == "pipelined":
-        return ExecutionDecision(
-            mode="pipelined", reason="forced by session configuration",
-            estimated_rows=estimated_rows,
-            operator_memory_mb=operator_memory_mb, forced=True)
-    if backend == "local":
-        return staged("sequential local backend: operators cannot "
-                      "overlap, so pipelining only adds overhead")
-    if algorithm == "non-distributed-complete":
-        return staged("single global task only (no local phase to "
-                      "pipeline)")
-    if estimated_rows is not None and estimated_rows < PIPELINE_MIN_ROWS:
-        return staged(f"~{estimated_rows} input rows "
-                      f"(< {PIPELINE_MIN_ROWS}); per-wave scheduling "
-                      f"overhead would dominate")
+    if forced == "auto":
+        if backend == "local":
+            return staged("sequential local backend: operators cannot "
+                          "overlap, so pipelining only adds overhead")
+        if algorithm == "non-distributed-complete":
+            return staged("single global task only (no local phase to "
+                          "pipeline)")
+        if estimated_rows is not None and \
+                estimated_rows < PIPELINE_MIN_ROWS:
+            return staged(f"~{estimated_rows} input rows "
+                          f"(< {PIPELINE_MIN_ROWS}); per-wave scheduling "
+                          f"overhead would dominate")
+    if not chain_supported:
+        return staged("no scan -> filter/project chain under the local "
+                      "skyline: nothing to overlap")
     return ExecutionDecision(
         mode="pipelined",
-        reason=f"parallel '{backend}' backend and "
-               f"{'unknown' if estimated_rows is None else f'~{estimated_rows}'} "
-               f"input rows: scan/filter/fold overlap pays",
+        reason="forced by session configuration" if forced == "pipelined"
+        else f"parallel '{backend}' backend and "
+             f"{'unknown' if estimated_rows is None else f'~{estimated_rows}'} "
+             f"input rows: scan/filter/fold overlap pays",
         estimated_rows=estimated_rows,
-        operator_memory_mb=operator_memory_mb, forced=False)
+        operator_memory_mb=operator_memory_mb,
+        forced=forced == "pipelined")
 
 
 # ---------------------------------------------------------------------------

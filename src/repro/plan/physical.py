@@ -20,11 +20,8 @@ import math
 from typing import Any, Callable, Sequence
 
 from ..core.dominance import BoundDimension, DimensionKind
-from ..core.merge import (build_summaries, merge_round_sizes, merge_task,
-                          merge_unsafe_reason, reduce_group, tree_shape)
 from ..core.partitioning import partition_indices, partition_rows
-from ..core.vectorized import (columnize, kernel_name,
-                               sfs_scores_finite, skyline_task,
+from ..core.vectorized import (kernel_name, skyline_task,
                                split_by_null_bitmap)
 from ..engine import expressions as E
 from ..engine.backends import StageTask
@@ -1058,8 +1055,8 @@ class SkylineLocalExec(_SkylineExec):
 
         Supported: ``Scan`` optionally below any stack of
         ``Filter``/``Project`` nodes.  Anything else (repartitions,
-        joins, ...) executes the child staged and pipelines only the
-        fold.
+        joins, ...) finishes before the first morsel exists, so the
+        planner keeps the operator staged.
         """
         specs = []
         node = self.children[0]
@@ -1116,10 +1113,8 @@ class SkylineLocalExec(_SkylineExec):
 class SkylineGlobalExec(_SkylineExec):
     """Global skyline under the ``AllTuples`` distribution.
 
-    ``complete`` and ``sfs`` merge the local skylines either flat (one
-    task over their union) or, when the planner's
-    :class:`~repro.plan.cost.MergeDecision` says so, as a tournament
-    tree of pairwise merge rounds.  ``flagged`` is the flag-based
+    One task over the union of the local skylines, in every mode (the
+    paper's global node, Section 5.6).  ``flagged`` is the flag-based
     all-pairs test for incomplete data: it cannot delete dominated
     tuples early (cyclic dominance, Appendix A), so it compares all
     pairs, flags, and deletes at the end.
@@ -1131,179 +1126,17 @@ class SkylineGlobalExec(_SkylineExec):
         "sfs": ("SkylineGlobalSFS", "SFS"),
     }
 
-    def __init__(self, items: Sequence[E.SkylineDimension], distinct: bool,
-                 child: PhysicalPlan, mode: str,
-                 vectorized: bool = False, merge=None) -> None:
-        super().__init__(items, distinct, child, mode, vectorized)
-        #: The planner's :class:`~repro.plan.cost.MergeDecision`
-        #: (``None`` on direct constructions: the flat single-task
-        #: merge).
-        self.merge_plan = merge
-
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
         child_out = self.children[0].execute(ctx)
         on_batches = self.on_batch_plane(child_out)
         if not on_batches:
             child_out = _rows_rdd(child_out)
-        merged = self._try_hierarchical(
-            ctx, child_out.batches if on_batches else child_out.partitions)
-        if merged is None:
-            stage = self.stage_name()
-            whole = child_out.concat() if on_batches \
-                else child_out.collect()
-            ctx.record_shuffle(stage, len(whole))
-            merged = self._single_task(ctx, stage, whole)
-        return BatchRDD([merged]) if on_batches else RDD([merged])
-
-    def _single_task(self, ctx: ExecutionContext, stage: str,
-                     partition: "list | ColumnBatch"
-                     ) -> "list | ColumnBatch":
-        """The skyline of ``partition`` as one non-parallelizable task
-        (the ``AllTuples`` stage shape)."""
-        task = functools.partial(skyline_task, partition, self.dims,
+        stage = self.stage_name()
+        whole = child_out.concat() if on_batches else child_out.collect()
+        ctx.record_shuffle(stage, len(whole))
+        task = functools.partial(skyline_task, whole, self.dims,
                                  self.mode, self.distinct, self.vectorized,
                                  check_deadline=ctx.check_deadline)
-        return ctx.run_task(stage, 0, task, len(partition),
-                            parallelizable=False, kernel=self.kernel)
-
-    def node_description(self) -> str:
-        text = super().node_description()
-        plan = self.merge_plan
-        if plan is not None and plan.strategy == "hierarchical":
-            text += f" [merge tree fan-in {plan.fan_in}]"
-        return text
-
-    # -- hierarchical global merge (tournament tree) ---------------------
-
-    def _record_flat_merge(self, ctx: ExecutionContext,
-                           fallback: str | None = None) -> None:
-        """Surface the (flat) global-merge shape in the context metrics.
-
-        ``fallback`` carries the *runtime* reason a planned hierarchical
-        merge dropped back to the flat pass (unmergeable data, too few
-        partials); the planner-side reason lives in ``reason``.
-        """
-        plan = self.merge_plan
-        ctx.global_merge = {
-            "strategy": "flat", "fan_in": None, "partials": None,
-            "tree": None,
-            "reason": plan.reason if plan is not None
-            else "single-task global phase",
-            "rounds_planned": 0, "rounds_completed": 0,
-            "round_tasks": [], "concat_merges": 0, "short_circuits": 0,
-            "fallback": fallback,
-        }
-
-    def _init_merge_info(self, ctx: ExecutionContext,
-                         num_partials: int) -> dict:
-        plan = self.merge_plan
-        info = {
-            "strategy": "hierarchical", "fan_in": plan.fan_in,
-            "partials": num_partials,
-            "tree": tree_shape(num_partials, plan.fan_in),
-            "reason": plan.reason,
-            "rounds_planned":
-                len(merge_round_sizes(num_partials, plan.fan_in)) - 1,
-            "rounds_completed": 0, "round_tasks": [],
-            "concat_merges": 0, "short_circuits": 0, "fallback": None,
-        }
-        ctx.global_merge = info
-        return info
-
-    def _run_merge_rounds(self, ctx: ExecutionContext, partials: list
-                          ) -> "list | ColumnBatch":
-        """Execute the merge tree as real scheduled stages.
-
-        ``partials`` are row lists or :class:`ColumnBatch`es (opaque
-        here); each round recomputes the grid summaries from the
-        *surviving* rows -- a stale summary could claim dominance rows
-        it no longer has -- reduces every consecutive fan-in group with
-        the shortcut rules, and runs one merge task per group that
-        still needs comparisons.  Retry/deadline semantics ride on
-        :meth:`ExecutionContext.run_stage` per round.
-        """
-        plan = self.merge_plan
-        info = ctx.global_merge
-        fan_in = max(2, plan.fan_in or 2)
-        rounds = 0
-        while len(partials) > 1:
-            rounds += 1
-            stage = f"{self.stage_name()}.round{rounds}"
-            summaries = build_summaries(
-                [columnize(p, self.dims) for p in partials])
-            next_partials: list = []
-            tasks: list[StageTask] = []
-            slots: list[int] = []
-            for g in range(0, len(partials), fan_in):
-                group = partials[g:g + fan_in]
-                gsum = summaries[g:g + fan_in] \
-                    if summaries is not None else None
-                segments = reduce_group(group, gsum, info)
-                if len(segments) == 1:
-                    next_partials.append(segments[0])
-                    continue
-                next_partials.append(None)
-                slots.append(len(next_partials) - 1)
-                args = (segments, self.dims, self.distinct,
-                        self.vectorized)
-                tasks.append(StageTask(
-                    partition=len(tasks),
-                    rows_in=sum(len(s) for s in segments),
-                    fn=functools.partial(
-                        merge_task, *args,
-                        check_deadline=ctx.check_deadline),
-                    func=merge_task, args=args, kernel=self.kernel))
-            if tasks:
-                ctx.record_shuffle(stage, sum(t.rows_in for t in tasks))
-                results = ctx.run_stage(stage, tasks)
-                for slot, result in zip(slots, results):
-                    next_partials[slot] = result
-            info["round_tasks"].append(len(tasks))
-            info["rounds_completed"] = rounds
-            partials = next_partials
-        return partials[0]
-
-    def _try_hierarchical(self, ctx: ExecutionContext, partials: list
-                          ) -> "list | ColumnBatch | None":
-        """The multi-round merge over the local skylines (row lists or
-        batches), or ``None`` when the flat global phase should run
-        (shape recorded either way)."""
-        plan = self.merge_plan
-        if plan is None or plan.strategy != "hierarchical" \
-                or self.mode == "flagged":
-            # Flag-based dominance is not transitive; pairwise merging
-            # of flagged partials is unsound, so that mode is always
-            # flat.
-            self._record_flat_merge(ctx)
-            return None
-        partials = [p for p in partials if len(p)]
-        if len(partials) < 2:
-            self._record_flat_merge(
-                ctx, fallback="fewer than two non-empty local skylines")
-            return None
-        reason = merge_unsafe_reason(partials, self.dims)
-        if reason is not None:
-            self._record_flat_merge(ctx, fallback=reason)
-            return None
-        finalize = False
-        if self.mode == "sfs":
-            for part in partials:
-                finite = sfs_scores_finite(part, self.dims)
-                if finite is not True:
-                    break
-            if finite is None:
-                self._record_flat_merge(
-                    ctx, fallback="non-numeric skyline dimension values")
-                return None
-            # All-finite scores: the flat global SFS task would sort;
-            # reproduce it with one final SFS pass over the merged
-            # skyline.  Non-finite scores pin flat SFS to its BNL
-            # fallback -- which the merge tree *is*.
-            finalize = finite
-        self._init_merge_info(ctx, len(partials))
-        merged = self._run_merge_rounds(ctx, partials)
-        if finalize:
-            fstage = f"{self.stage_name()}.finalize"
-            ctx.record_shuffle(fstage, len(merged))
-            merged = self._single_task(ctx, fstage, merged)
-        return merged
+        merged = ctx.run_task(stage, 0, task, len(whole),
+                              parallelizable=False, kernel=self.kernel)
+        return BatchRDD([merged]) if on_batches else RDD([merged])

@@ -52,12 +52,6 @@ SKYLINE_OPERATOR_MODES = {
     "sfs": ("sfs", "sfs"),
 }
 
-#: Valid values of the ``global_merge`` session option: ``auto`` lets
-#: the cost model pick, ``flat``/``hierarchical`` force the global
-#: phase's merge strategy (hierarchical still falls back to flat when
-#: dominance is not transitive -- incomplete data, nullable dims).
-GLOBAL_MERGE_STRATEGIES = ("auto", "flat", "hierarchical")
-
 #: Valid values of the ``execution`` session option: ``staged`` runs
 #: the bulk-synchronous operator barriers, ``pipelined`` the
 #: morsel-driven overlapping executor (:mod:`repro.engine.pipeline`),
@@ -85,8 +79,6 @@ class Planner:
                  num_partitions: int | None = None,
                  vectorized: bool = False,
                  columnar: bool = False,
-                 global_merge: str = "auto",
-                 merge_fan_in: int | None = None,
                  execution: str = "auto",
                  operator_memory_mb: float | None = None,
                  backend: str = "local") -> None:
@@ -98,12 +90,6 @@ class Planner:
             raise PlanningError(
                 f"unknown partitioning scheme {partitioning!r}; expected "
                 f"one of {PARTITIONING_SCHEMES}")
-        if global_merge not in GLOBAL_MERGE_STRATEGIES:
-            raise PlanningError(
-                f"unknown global merge strategy {global_merge!r}; "
-                f"expected one of {GLOBAL_MERGE_STRATEGIES}")
-        if merge_fan_in is not None and merge_fan_in < 2:
-            raise PlanningError("merge_fan_in must be >= 2")
         if execution not in EXECUTION_MODES:
             raise PlanningError(
                 f"unknown execution mode {execution!r}; expected one "
@@ -123,10 +109,6 @@ class Planner:
         #: scans columnize their partitions and the batch-capable
         #: operators exchange :class:`~repro.engine.batch.ColumnBatch`es.
         self.columnar = columnar
-        #: Global-merge strategy ("auto"/"flat"/"hierarchical") and an
-        #: optional forced fan-in for the hierarchical merge tree.
-        self.global_merge = global_merge
-        self.merge_fan_in = merge_fan_in
         #: Execution mode ("staged"/"pipelined"/"auto"), the pipelined
         #: per-operator memory budget, and the backend name the cost
         #: model consults (pipelining never pays on the sequential
@@ -136,10 +118,6 @@ class Planner:
         self.backend = backend
         #: One entry per planned skyline operator, in plan order.
         self.decisions: list = []
-        #: One :class:`~repro.plan.cost.MergeDecision` per planned
-        #: skyline operator, in plan order (EXPLAIN's Global Merge
-        #: section).
-        self.merge_decisions: list = []
         #: One :class:`~repro.plan.cost.ExecutionDecision` per planned
         #: skyline operator, in plan order (EXPLAIN's Execution
         #: section).
@@ -156,8 +134,7 @@ class Planner:
         """
         return (self.skyline_strategy, self.num_executors,
                 self.max_workers, self.partitioning, self.num_partitions,
-                self.vectorized, self.columnar, self.global_merge,
-                self.merge_fan_in, self.execution,
+                self.vectorized, self.columnar, self.execution,
                 self.operator_memory_mb, self.backend)
 
     # -- entry point ------------------------------------------------------
@@ -259,8 +236,7 @@ class Planner:
 
     def _plan_skyline(self, node: L.SkylineOperator) -> P.PhysicalPlan:
         from .cost import (CostModel, applied_decision,
-                           choose_execution_mode, choose_global_merge,
-                           estimate_input_rows)
+                           choose_execution_mode, estimate_input_rows)
 
         child = self.plan(node.child)
         items = node.skyline_items
@@ -303,40 +279,6 @@ class Planner:
             applied_count, auto=self.skyline_strategy == "auto"))
         est_rows = decision.estimated_rows if decision is not None \
             else estimate_input_rows(node)
-        merge = choose_global_merge(
-            strategy,
-            num_executors=self.num_executors,
-            est_partials=applied_count if applies else self.num_executors,
-            estimated_rows=est_rows,
-            dimensions_nullable=node.dimensions_nullable,
-            forced=self.global_merge, fan_in=self.merge_fan_in)
-        self.merge_decisions.append(merge)
-        exec_decision = choose_execution_mode(
-            strategy, backend=self.backend, estimated_rows=est_rows,
-            operator_memory_mb=self.operator_memory_mb,
-            forced=self.execution)
-        self.execution_decisions.append(exec_decision)
-
-        def stamp(local: P.PhysicalPlan) -> P.PhysicalPlan:
-            """Mark the local chain with the chosen execution mode.
-
-            Pipelined stamps the whole scan -> ... -> local chain
-            (every operator participates in the morsel pipeline); a
-            *forced* staged session stamps the local exec only.  The
-            auto-resolved staged default stays unmarked so EXPLAIN
-            output is unchanged for existing sessions.
-            """
-            if exec_decision.mode == "pipelined":
-                local.operator_memory_mb = self.operator_memory_mb
-                here: P.PhysicalPlan | None = local
-                while here is not None:
-                    here.execution = "pipelined"
-                    if isinstance(here, P.ScanExec) or not here.children:
-                        break
-                    here = here.children[0]
-            elif exec_decision.forced:
-                local.execution = "staged"
-            return local
 
         vectorized = self.vectorized
         if applies:
@@ -346,12 +288,36 @@ class Planner:
         if strategy not in SKYLINE_OPERATOR_MODES:
             raise PlanningError(f"unhandled skyline strategy {strategy!r}")
         local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]
+        local = None
         if local_mode is not None:
-            child = stamp(P.SkylineLocalExec(items, node.distinct, child,
-                                             local_mode,
-                                             vectorized=vectorized))
+            local = child = P.SkylineLocalExec(
+                items, node.distinct, child, local_mode,
+                vectorized=vectorized)
+        exec_decision = choose_execution_mode(
+            strategy, backend=self.backend, estimated_rows=est_rows,
+            operator_memory_mb=self.operator_memory_mb,
+            forced=self.execution,
+            chain_supported=local is None
+            or local.morsel_chain() is not None)
+        self.execution_decisions.append(exec_decision)
+        # Mark the local chain with the chosen execution mode.
+        # Pipelined stamps the whole scan -> ... -> local chain (every
+        # operator participates in the morsel pipeline); a *forced*
+        # staged session stamps the local exec only.  The auto-resolved
+        # staged default stays unmarked so EXPLAIN output is unchanged
+        # for existing sessions.
+        if local is not None and exec_decision.mode == "pipelined":
+            local.operator_memory_mb = self.operator_memory_mb
+            here: P.PhysicalPlan | None = local
+            while here is not None:
+                here.execution = "pipelined"
+                if isinstance(here, P.ScanExec) or not here.children:
+                    break
+                here = here.children[0]
+        elif local is not None and exec_decision.forced:
+            local.execution = "staged"
         return P.SkylineGlobalExec(items, node.distinct, child, global_mode,
-                                   vectorized=vectorized, merge=merge)
+                                   vectorized=vectorized)
 
 
 class _RenameExec(P.PhysicalPlan):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (BoundDimension, DimensionKind, DominanceStats,
-                        bnl_skyline, bnl_skyline_incremental, dominates)
+                        bnl_skyline, dominates)
+from repro.streaming import SkylineStream
 from tests.conftest import skyline_oracle
 
 MIN2 = [BoundDimension(0, DimensionKind.MIN),
@@ -101,27 +102,27 @@ class TestBnlAgainstOracle:
 class TestIncrementalBnl:
     def test_streaming_matches_batch(self):
         rows = [(3, 3), (1, 4), (4, 1), (2, 2), (5, 5)]
-        add, current = bnl_skyline_incremental(MIN2)
+        stream = SkylineStream(MIN2)
         for row in rows:
-            add(row)
-        assert sorted(current()) == sorted(bnl_skyline(rows, MIN2))
+            stream.add(row)
+        assert sorted(stream.current()) == sorted(bnl_skyline(rows, MIN2))
 
     def test_intermediate_window_is_prefix_skyline(self):
         rows = [(3, 3), (2, 2), (1, 1)]
-        add, current = bnl_skyline_incremental(MIN2)
-        add(rows[0])
-        assert current() == [(3, 3)]
-        add(rows[1])
-        assert current() == [(2, 2)]
-        add(rows[2])
-        assert current() == [(1, 1)]
+        stream = SkylineStream(MIN2)
+        stream.add(rows[0])
+        assert stream.current() == [(3, 3)]
+        stream.add(rows[1])
+        assert stream.current() == [(2, 2)]
+        stream.add(rows[2])
+        assert stream.current() == [(1, 1)]
 
     def test_current_returns_copy(self):
-        add, current = bnl_skyline_incremental(MIN2)
-        add((1, 1))
-        snapshot = current()
+        stream = SkylineStream(MIN2)
+        stream.add((1, 1))
+        snapshot = stream.current()
         snapshot.append((0, 0))
-        assert current() == [(1, 1)]
+        assert stream.current() == [(1, 1)]
 
 
 class TestDeadlineCallback:

@@ -17,7 +17,6 @@ from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
                         vec_flagged_global_skyline, vec_sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
-from repro.core.merge import merge_task
 from repro.core.vectorized import (columnize, kernel_name,
                                    prune_dominated_cells_vec, skyline_task)
 from repro.engine.backends import ProcessBackend, StageTask
@@ -147,7 +146,7 @@ class TestKernelAgreement:
             skyline_task(partition, MIN2, mode, False, vectorized)
 
     def test_tasks_ship_to_process_workers(self):
-        # The mode is a plain string and both tasks are top level, so a
+        # The mode is a plain string and the task is top level, so a
         # partial pickles and a process worker can run it.
         rows = [(float(i % 7), float(7 - i % 7)) for i in range(60)]
         batch = ColumnBatch.from_rows(rows, 2)
@@ -155,25 +154,13 @@ class TestKernelAgreement:
                                  True, True)
         assert pickle.loads(pickle.dumps(task))()[0].to_rows() == \
             bnl_skyline(rows, MIN2, distinct=True)
-        left, right = bnl_skyline(rows[:30], MIN2), \
-            bnl_skyline(rows[30:], MIN2)
         tasks = [
             StageTask(partition=0, rows_in=len(rows), func=skyline_task,
                       args=(batch, MIN2, "sfs", False, True)),
-            StageTask(partition=1, rows_in=len(left) + len(right),
-                      func=merge_task,
-                      args=([left, right], MIN2, False, True)),
-            StageTask(partition=2, rows_in=len(left) + len(right),
-                      func=merge_task,
-                      args=([ColumnBatch.from_rows(left, 2),
-                             ColumnBatch.from_rows(right, 2)],
-                            MIN2, False, True)),
         ]
         with ProcessBackend(num_workers=2) as backend:
             outcomes = backend.run_stage(tasks)
         assert outcomes[0].result[0].to_rows() == sfs_skyline(rows, MIN2)
-        assert outcomes[1].result[0] == outcomes[2].result[0].to_rows() \
-            == bnl_skyline(left + right, MIN2)
 
     @given(rows_3d, st.booleans())
     @settings(max_examples=120, deadline=None)

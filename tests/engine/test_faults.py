@@ -290,6 +290,30 @@ class TestTimeouts:
         assert "stages_completed" in info.value.partial_stats
         assert info.value.budget == 0.0
 
+    def test_deadline_landing_in_global_stage(self, monkeypatch):
+        original = ExecutionContext.run_stage
+
+        def expiring(self, stage, tasks, parallelizable=True):
+            result = original(self, stage, tasks, parallelizable)
+            if stage.startswith("SkylineLocal"):
+                # Collapse the budget the moment the local phase lands,
+                # so the global stage's entry check trips.
+                self.set_budget(0.0)
+            return result
+
+        monkeypatch.setattr(ExecutionContext, "run_stage", expiring)
+        session = SkylineSession(config=SessionConfig(
+            num_executors=4, time_budget_s=60.0))
+        session.create_table(
+            "t", [("x", INTEGER, False), ("y", INTEGER, False)],
+            [(i, 50 - i) for i in range(50)])
+        with pytest.raises(QueryTimeout) as info:
+            session.sql("SELECT * FROM t SKYLINE OF x MIN, y MIN").collect()
+        stats = info.value.partial_stats
+        assert stats["tasks_completed"] >= 4  # the local phase finished
+        assert stats["rows_out"] > 0
+        assert info.value.budget == 0.0
+
     def test_benchmark_timeout_alias_still_catches(self):
         assert BenchmarkTimeout is QueryTimeout
         context = ExecutionContext()

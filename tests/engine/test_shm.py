@@ -191,6 +191,27 @@ class TestLifecycle:
         assert set(leaked_segments()) <= before
 
 
+class TestWorkerAttachments:
+    def test_released_segments_are_unmapped_on_next_attach(self, store):
+        # Worker view of two consecutive stages: the mapping of a
+        # segment the driver released at the stage barrier must not
+        # stay cached (its pages would stay resident, invisible to
+        # leaked_segments()).
+        first_name = store.state_for(make_batch())[1]
+        first = shm._attach(first_name)
+        assert shm._attach(first_name) is first  # cached while linked
+        store.end_stage()  # driver unlinks
+        assert first_name in shm._ATTACHED
+        second_name = store.state_for(make_batch(n=5000))[1]
+        try:
+            shm._attach(second_name)
+            assert first_name not in shm._ATTACHED
+            assert first.buf is None  # closed, not merely evicted
+            assert second_name in shm._ATTACHED
+        finally:
+            shm._close_attached(second_name)
+
+
 class TestStats:
     def test_stats_keys(self, store):
         stats = store.stats()

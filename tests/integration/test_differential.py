@@ -89,10 +89,11 @@ def shared_backends():
 
 def _make_session(rows, nullable: bool, algorithm: str, scheme: str,
                   backend, vectorized,
-                  columnar="auto") -> SkylineSession:
+                  columnar="auto", num_executors: int = 3,
+                  partitions: int = 3) -> SkylineSession:
     session = connect(
-        num_executors=3, skyline_algorithm=algorithm,
-        skyline_partitioning=scheme, skyline_partitions=3,
+        num_executors=num_executors, skyline_algorithm=algorithm,
+        skyline_partitioning=scheme, skyline_partitions=partitions,
         backend=backend, vectorized=vectorized, columnar=columnar)
     session.create_table(
         "t",
@@ -128,6 +129,63 @@ def test_incomplete_data_matches_oracle(algorithm, scheme, backend_name,
     assert result == INCOMPLETE_ORACLE, (
         f"{algorithm}/{scheme}/{backend_name}/vectorized={vectorized} "
         f"diverged from the null-aware all-pairs oracle")
+
+
+def _adversarial_rows(seed: int) -> list[tuple]:
+    """Values that break naive kernels: +/-inf, signed zeros, 1e16
+    neighbours whose sums tie in float64 (SFS scores), exact duplicates,
+    and all-NaN rows.  NaN sits in *every* value dimension of a row or
+    in none: such a row is incomparable to everything, so dominance
+    stays transitive and the all-pairs oracle is order-independent."""
+    rng = random.Random(seed)
+    grid = [-0.0, 0.0, 1.0, 2.0, 3.0, 1e16, 1e16 + 2]  # best -> worst
+
+    def value(rank: int, maximise: bool = False) -> float:
+        if rng.random() < 0.04:
+            return rng.choice([float("inf"), float("-inf")])
+        return grid[6 - rank] if maximise else grid[rank]
+
+    rows = []
+    for i in range(120):
+        # Ranks that sum to ~9: anti-correlated, so the skyline is wide.
+        ra, rb = rng.randrange(7), rng.randrange(7)
+        rc = min(6, max(0, 9 - ra - rb + rng.choice([0, 0, 1, 2])))
+        rows.append((i, value(ra), value(rb, maximise=True), value(rc)))
+    rows += [(len(rows) + k,) + (float("nan"),) * 3 for k in range(3)]
+    rng.shuffle(rows)
+    return rows + rows[:40]
+
+
+def _nan_safe(rows) -> list[tuple]:
+    """Sorted rows with NaN spelled out (``nan != nan`` would fail an
+    equality of otherwise identical tuples)."""
+    return sorted((tuple("NaN" if v != v else v for v in row)
+                   for row in rows), key=repr)
+
+
+ADVERSARIAL_ROWS = _adversarial_rows(SEED + 2)
+ADVERSARIAL_ORACLE = _nan_safe(skyline_oracle(ADVERSARIAL_ROWS, DIMS3,
+                                              complete=True))
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
+@pytest.mark.parametrize("num_executors", (2, 5, 10))
+@pytest.mark.parametrize("partitions", (2, 7))
+@pytest.mark.parametrize("scheme", PARTITIONING_SCHEMES)
+def test_adversarial_data_invariant_under_partitioning(
+        scheme, partitions, num_executors, vectorized):
+    """However the rows are cut into local skylines -- scheme x
+    partition count x executor count -- the one global task must return
+    the all-pairs oracle."""
+    for algorithm in COMPLETE_ALGORITHMS:
+        session = _make_session(
+            ADVERSARIAL_ROWS, False, algorithm, scheme, "local",
+            vectorized, num_executors=num_executors,
+            partitions=partitions)
+        assert _nan_safe(session.sql(SQL3).to_tuples()) == \
+            ADVERSARIAL_ORACLE, (
+            f"{algorithm}/{scheme}/{partitions} partitions/"
+            f"{num_executors} executors/vectorized={vectorized}")
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)

@@ -121,7 +121,6 @@ def test_pipeline_report_and_metrics(shared_backends):
     report = result.pipeline
     assert report is not None
     assert report["mode"] == "pipelined"
-    assert report["source"] == "pipeline"
     assert report["waves"] >= 1
     assert report["budget_bytes"] == int(TINY_BUDGET_MB * 1e6)
     assert report["spilled_bytes"] > 0  # the tiny budget forced spill
@@ -173,6 +172,35 @@ def test_pipelined_explain_markers():
     assert "[pipelined]" in text
     assert "== Execution ==" in text
     assert "execution    = pipelined" in text
+
+
+def test_unsupported_chain_plans_staged(shared_backends):
+    """A join + aggregate under the skyline finishes before the first
+    morsel could exist: even a forced ``pipelined`` session plans that
+    operator staged, says why, and returns the staged answer."""
+    sql = ("SELECT t.id, sum(u.b) AS total, max(t.c) AS worst "
+           "FROM t JOIN u ON t.id = u.id GROUP BY t.id "
+           "SKYLINE OF total MAX, worst MIN")
+    answers = {}
+    for execution in ("pipelined", "staged"):
+        session = _make_session(
+            COMPLETE_ROWS, False, "distributed-complete", "keep",
+            shared_backends["thread"](), True, execution=execution,
+            operator_memory_mb=None)
+        session.create_table(
+            "u", [("id", INTEGER, False), ("b", DOUBLE, False)],
+            [(row[0], row[2]) for row in COMPLETE_ROWS])
+        if execution == "pipelined":
+            text = session.explain(session.sql(sql).plan)
+            assert "execution    = staged" in text
+            assert "nothing to overlap" in text
+            assert "[pipelined]" not in text
+        result = session.sql(sql).run()
+        assert result.pipeline is None
+        assert not any(stage.name.startswith("Pipeline.wave")
+                       for stage in result.context.stages)
+        answers[execution] = sorted(result.as_tuples(), key=repr)
+    assert answers["pipelined"] == answers["staged"] != []
 
 
 def test_auto_mode_gates():

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.api.config import SessionConfig
 from repro.api.session import connect
 from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.errors import PlanningError
 from repro.plan import physical as P
-from repro.plan.planner import Planner
+from repro.plan.planner import PARTITIONING_SCHEMES, Planner
 from repro.sql.parser import parse_query
 
 
@@ -187,6 +188,28 @@ class TestExecutionSemantics:
         assert local and local[0].parallelizable
         assert global_ and not global_[0].parallelizable
 
+    @pytest.mark.parametrize("num_executors", [2, 5, 10])
+    @pytest.mark.parametrize("partitioning", PARTITIONING_SCHEMES)
+    @pytest.mark.parametrize("strategy", list(GOLDEN_PLANS))
+    def test_global_phase_is_one_task(self, strategy, partitioning,
+                                      num_executors):
+        # Enough rows and local skylines that a multi-round global
+        # phase would have been worth planning: there is none.
+        session = connect(num_executors=num_executors,
+                          skyline_algorithm=strategy,
+                          skyline_partitioning=partitioning)
+        session.create_table(
+            "big", [("id", INTEGER, False), ("x", DOUBLE, False)],
+            [(i, float((i * 37) % 2500)) for i in range(2500)])
+        result = session.sql(
+            "SELECT id, x FROM big SKYLINE OF id MIN, x MIN").run()
+        global_ = [s for s in result.context.stages
+                   if s.name.startswith("SkylineGlobal")]
+        assert len(global_) == 1
+        assert len(global_[0].tasks) == 1
+        assert not global_[0].parallelizable
+        assert result.global_merge is None
+
     def test_incomplete_local_partitions_by_bitmap(self, session):
         result = session.with_options(
             skyline_algorithm="distributed-incomplete").sql(
@@ -200,3 +223,21 @@ class TestExecutionSemantics:
         result = session.sql(
             "SELECT id FROM pts WHERE x = (SELECT min(x) AS m FROM pts)")
         assert result.to_tuples() == [(1,)]
+
+
+class TestGlobalMergeOption:
+    """``global_merge`` is a validated name with one behaviour."""
+
+    def test_removed_strategy_and_fan_in_rejected(self):
+        with pytest.raises(ValueError, match="removed"):
+            SessionConfig(global_merge="hierarchical")
+        with pytest.raises(ValueError, match="global_merge"):
+            SessionConfig(global_merge="tournament")
+        with pytest.raises(TypeError, match="merge_fan_in"):
+            SessionConfig(merge_fan_in=2)
+        with pytest.raises(TypeError, match="merge_fan_in"):
+            connect(merge_fan_in=2)
+
+    def test_both_names_plan_identically(self):
+        assert SessionConfig(global_merge="auto").fingerprint() == \
+            SessionConfig(global_merge="flat").fingerprint()
