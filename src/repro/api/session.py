@@ -84,6 +84,12 @@ class QueryResult:
         the query ran staged."""
         return getattr(self.context, "pipeline", None)
 
+    @property
+    def scan(self) -> dict:
+        """``{columnized_rows, resident_rows}``: rows this execution's
+        scans columnized vs. sliced from tables' resident columns."""
+        return dict(self.context.scan)
+
 
 @dataclass
 class PreparedQuery:

@@ -594,6 +594,13 @@ class ProcessBackend(_PooledBackend):
 
     name = "process"
 
+    def __init__(self, num_workers: int | None = None) -> None:
+        super().__init__(num_workers)
+        # Fork the workers now, while the driver is small: one forked
+        # mid-query inherits -- and its RSS is charged for -- whatever
+        # the driver holds by then (e.g. a table's resident columns).
+        self.pool.submit(int).result()
+
     def _make_pool(self) -> Executor:
         return ProcessPoolExecutor(max_workers=self.num_workers)
 

@@ -28,7 +28,8 @@ skyline kernels and the batch plane now share it.
 
 Batches are picklable (arrays and lists both travel through the process
 backend) and cheap to slice: ``take``/``compress`` produce new batches
-without materialising rows.
+without materialising rows, and ``slice`` is a zero-copy view (how
+scans read :meth:`repro.engine.catalog.Table.column_batch`).
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the list fallback even with
 NumPy installed (same switch as :mod:`repro.core.vectorized`).
@@ -37,7 +38,7 @@ NumPy installed (same switch as :mod:`repro.core.vectorized`).
 from __future__ import annotations
 
 import os
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     if os.environ.get("REPRO_DISABLE_NUMPY"):
@@ -297,6 +298,11 @@ class Column:
 
     # -- slicing ----------------------------------------------------------
 
+    def slice(self, start: int, stop: int) -> "Column":
+        """Rows ``[start, stop)``: a view (arrays), a list slice (obj)."""
+        mask = self.mask[start:stop] if self.mask is not None else None
+        return Column(self.kind, self.data[start:stop], mask)
+
     def take(self, indices) -> "Column":
         """Rows at ``indices`` (a list or intp array), in that order."""
         if self.kind == OBJ:
@@ -450,6 +456,26 @@ class ColumnBatch:
 
     # -- slicing ----------------------------------------------------------
 
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """Rows ``[start, stop)`` (clamped like a list slice), zero-copy:
+        array columns are views of this batch's buffers and the source
+        row tuples are carried along (``to_rows()`` rebuilds nothing)."""
+        start, stop, _ = slice(start, stop).indices(self._num_rows)
+        batch = ColumnBatch([c.slice(start, stop) for c in self.columns],
+                            num_rows=max(0, stop - start))
+        if self._rows is not None:
+            batch._rows = self._rows[start:stop]
+        return batch
+
+    def set_read_only(self) -> None:
+        """Make the array buffers, and every view of them, refuse
+        writes: an in-place kernel fails loudly, corrupts nothing."""
+        for column in self.columns:
+            if column.is_array:
+                column.data.flags.writeable = False
+                if column.mask is not None:
+                    column.mask.flags.writeable = False
+
     def take(self, indices) -> "ColumnBatch":
         indices = indices if isinstance(indices, list) else list(indices)
         return ColumnBatch([c.take(indices) for c in self.columns],
@@ -477,9 +503,3 @@ class ColumnBatch:
         columns = [Column.concat([b.columns[j] for b in batches])
                    for j in range(width)]
         return cls(columns, num_rows=sum(b.num_rows for b in batches))
-
-
-def batches_from_partitions(partitions: Iterable[Sequence[tuple]],
-                            num_columns: int) -> list[ColumnBatch]:
-    """Columnize each partition of a row RDD."""
-    return [ColumnBatch.from_rows(p, num_columns) for p in partitions]

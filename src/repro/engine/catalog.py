@@ -22,6 +22,9 @@ For the serving layer the catalog additionally provides:
   of dropping everything on any write.
 * **A version counter** -- bumped on every mutation; cross-session plan
   caches key on it.
+
+A table also owns the **columnar form** of its rows, shared by every
+session on the catalog: see :meth:`Table.column_batch`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..errors import AnalysisError
+from .batch import ColumnBatch
 from .row import Schema
+
+
+def table_fingerprint(table) -> tuple:
+    """THE staleness token of ``table.rows`` (a :class:`Table`, or any
+    object with a ``rows`` list): the resident columns, the statistics
+    store and pinned prepared-query inputs are each valid for one token.
+    Catalog DML bumps ``data_version``, re-registration changes the
+    list object, a direct ``rows.append`` the length; only a same-length
+    overwrite behind the catalog's back goes unseen (``ANALYZE TABLE``)."""
+    return (id(table.rows), len(table.rows),
+            getattr(table, "data_version", 0))
+
+
+#: Builds :meth:`Table.column_batch` tries against a write-hot table.
+COLUMNIZE_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -58,12 +77,12 @@ class Table:
     foreign_keys: list[ForeignKey] = field(default_factory=list)
     #: Columns with a UNIQUE constraint (each a tuple of column names).
     unique_keys: list[tuple[str, ...]] = field(default_factory=list)
-    #: Bumped by every catalog DML delta against this table.  Caches of
-    #: derived row representations (columnized scan partitions, pinned
-    #: prepared-query inputs) key on it; like the statistics cache,
-    #: mutating ``table.rows`` behind the catalog's back is undetectable
-    #: and leaves such caches stale.
+    #: Bumped by every catalog DML delta against this table; part of
+    #: :func:`table_fingerprint`.
     data_version: int = 0
+    #: ``(table_fingerprint, ColumnBatch)`` of the resident columns.
+    _columns: "tuple | None" = field(default=None, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.schema)
@@ -76,6 +95,38 @@ class Table:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
+
+    def column_batch(self) -> "tuple[ColumnBatch, bool]":
+        """``(batch, built)``: the whole table as ONE read-only batch,
+        built once per :func:`table_fingerprint` and read by every
+        columnar scan through zero-copy :meth:`ColumnBatch.slice` views.
+
+        Publish after verify: read the token, columnize an atomic
+        snapshot of the row list, re-read the token -- a batch that DML
+        overtook is discarded and rebuilt, never cached (concurrent
+        builders may both build; last publish wins).  When DML overtakes
+        :data:`COLUMNIZE_ATTEMPTS` builds in a row the caller gets the
+        last snapshot unpublished -- a consistent read, merely not the
+        newest -- instead of spinning behind a write-hot table.
+        """
+        for attempt in range(COLUMNIZE_ATTEMPTS):
+            token = table_fingerprint(self)
+            cached = self._columns
+            if cached is not None and cached[0] == token:
+                return cached[1], attempt > 0
+            batch = ColumnBatch.from_rows(list(self.rows),
+                                          len(self.schema))
+            batch.set_read_only()
+            if table_fingerprint(self) == token:
+                self._columns = (token, batch)
+                break
+        return batch, True
+
+    @property
+    def resident_column_bytes(self) -> int:
+        """Bytes of the resident columns (0 when none are built)."""
+        cached = self._columns
+        return cached[1].nbytes if cached is not None else 0
 
 
 @dataclass(frozen=True)
@@ -134,6 +185,9 @@ class Catalog:
         key = table.name.lower()
         if not replace and key in self._tables:
             raise AnalysisError(f"table {table.name!r} already exists")
+        replaced = self._tables.get(key)
+        if replaced is not None:
+            replaced._columns = None
         self._tables[key] = table
         self.stats.invalidate(key)
         self._notify("register", key)
@@ -163,10 +217,16 @@ class Catalog:
         existed = self._tables.pop(name.lower(), None)
         self.stats.invalidate(name)
         if existed is not None:
+            existed._columns = None
             self._notify("drop", name)
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
+
+    def resident_column_bytes(self) -> dict[str, int]:
+        """Bytes of resident columns per table (one atomic snapshot)."""
+        return {name: table.resident_column_bytes
+                for name, table in sorted(self._tables.items())}
 
     # -- DML deltas -------------------------------------------------------
 
@@ -195,6 +255,7 @@ class Catalog:
             inserted.append(row)
         table.rows.extend(inserted)
         table.data_version += 1
+        table._columns = None
         self.stats.invalidate(name)
         self._notify("insert", name, inserted)
         return len(inserted)
@@ -229,6 +290,7 @@ class Catalog:
                 removed.append(target)
         if removed:
             table.data_version += 1
+            table._columns = None
             self.stats.invalidate(name)
             self._notify("delete", name, removed)
         return len(removed)

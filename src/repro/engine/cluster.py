@@ -200,6 +200,8 @@ class ExecutionContext:
         #: known (or for non-skyline queries).
         self.time_to_first_batch_s: float | None = None
         self._exec_start: float | None = None
+        #: Rows this query's columnar scans columnized / found resident.
+        self.scan = {"columnized_rows": 0, "resident_rows": 0}
 
     # -- deadline handling -------------------------------------------------
 
@@ -480,6 +482,7 @@ class ExecutionContext:
             "dominance_comparisons": self.dominance_comparisons,
             "faults": self.fault_stats.as_dict(),
             "pipeline": self.pipeline,
+            "scan": dict(self.scan),
             "stages": [
                 {
                     "name": s.name,

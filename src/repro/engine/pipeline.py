@@ -4,11 +4,13 @@ The staged executor (:meth:`ExecutionContext.run_stage`) runs one
 operator at a time with a barrier between operators: every partition is
 scanned before anything is filtered, everything is filtered before any
 local skyline starts.  This module provides the alternative the
-``execution="pipelined"`` session option selects: the scan is split
+``execution="pipelined"`` session option selects: the scan is cut
 into fixed-size *morsels* (:data:`PIPELINE_MORSEL_ROWS` rows), and a
 driver loop keeps the configured backend pool saturated with a mix of
-scan, filter/project and local-skyline *fold* tasks, so the three
-operators overlap instead of running back to back.
+filter/project and local-skyline *fold* tasks, so the operators
+overlap instead of running back to back.  The scan is no task: a
+morsel is a zero-copy :meth:`ColumnBatch.slice` of the table's resident
+columns (a row-list slice on the row plane), admitted onto the queues.
 
 Correctness rests on the fold identity ``skyline(skyline(A) + B) ==
 skyline(A + B)``: the local-skyline operator keeps one running window
@@ -26,7 +28,7 @@ partials bit-for-bit as before.
 Memory is bounded per operator: each operator's input queue has a
 byte-denominated budget (``operator_memory_mb``).  The driver does not
 schedule an upstream operator while its downstream queue is over
-budget (*backpressure*, accounted as stall time), and results that
+budget (*backpressure*, accounted as stall time), and morsels that
 land on an already-full queue -- the overshoot of one in-flight wave
 -- are spilled to disk and re-loaded on demand (*out-of-core*), so the
 buffered working set never grows with the input.
@@ -56,7 +58,7 @@ from ..core.vectorized import (concat_partitions, skyline_task,
 from ..streaming import SkylineStream
 from .backends import StageTask
 from .batch import ColumnBatch
-from .rdd import RDD, BatchRDD
+from .rdd import RDD, BatchRDD, partition_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ExecutionContext
@@ -78,16 +80,6 @@ _ROW_VALUE_BYTES = 56
 # ---------------------------------------------------------------------------
 # Task payload functions (module-level: picklable for process backends)
 # ---------------------------------------------------------------------------
-
-
-def _scan_rows_task(rows):
-    """Row-plane scan: the morsel slice itself is the output."""
-    return rows
-
-
-def _columnize_task(rows, width):
-    """Batch-plane scan: columnize one morsel."""
-    return ColumnBatch.from_rows(rows, width)
 
 
 def _map_task(morsel, specs):
@@ -294,8 +286,8 @@ class _PipelineDriver:
     """Wave-scheduling driver for one local skyline chain.
 
     Walks scan -> filter/project -> fold work through per-operator
-    queues; each wave packs runnable tasks (folds first, then maps,
-    then scans, newest operators starved by backpressure) into one
+    queues; each wave admits scan morsels (starved by backpressure),
+    then packs runnable tasks (folds first, then maps) into one
     ``ctx.run_stage`` call so the backend pool stays saturated while
     every fault-tolerance feature of the staged path still applies.
     """
@@ -326,22 +318,17 @@ class _PipelineDriver:
     # -- morsel generation ------------------------------------------------
 
     @staticmethod
-    def split_morsels(rows: list, num_partitions: int
-                      ) -> list[tuple[int, list]]:
-        """(partition, slice) morsels replicating ``RDD.from_rows``.
-
-        The partition split must be byte-identical to the staged scan's
-        so per-partition fold results equal the staged local stage.
-        """
-        partitions = RDD.from_rows(rows, num_partitions).partitions
+    def split_morsels(num_rows: int, num_partitions: int
+                      ) -> list[tuple[int, int, int]]:
+        """``(partition, start, stop)`` morsel bounds, cut inside the
+        staged scan's partition bounds so per-partition folds equal the
+        staged local stage (an empty partition emits one empty morsel)."""
         morsels = []
-        for p, partition in enumerate(partitions):
-            if not partition:
-                morsels.append((p, []))
-                continue
-            for start in range(0, len(partition), PIPELINE_MORSEL_ROWS):
+        for p, (lo, hi) in enumerate(partition_bounds(num_rows,
+                                                      num_partitions)):
+            for start in range(lo, max(hi, lo + 1), PIPELINE_MORSEL_ROWS):
                 morsels.append(
-                    (p, partition[start:start + PIPELINE_MORSEL_ROWS]))
+                    (p, start, min(hi, start + PIPELINE_MORSEL_ROWS)))
         return morsels
 
     # -- wave execution ---------------------------------------------------
@@ -425,10 +412,14 @@ class _PipelineDriver:
         specs, scan_exec = local.morsel_chain()
         incomplete = local.mode == "bitmap-local"
         self.batch_plane = bool(scan_exec.columnar) and local.vectorized
-        width = len(scan_exec.output)
+        # What morsels are sliced from (row plane: an atomic snapshot).
+        source = scan_exec.whole_batch(ctx) if self.batch_plane \
+            else list(scan_exec.rows)
         pending_scans = deque(self.split_morsels(
-            scan_exec.rows, ctx.config.default_parallelism))
+            len(source), ctx.config.default_parallelism))
         maps_picklable = _probe_picklable(specs) if specs else True
+        # Scans feed the map queue, or the fold queue without maps.
+        downstream = self.map if specs else self.fold
         # Every partition folds at least once (empty partitions
         # produce the same empty partial the staged stage does).
         if not incomplete:
@@ -441,7 +432,22 @@ class _PipelineDriver:
             routes: list[tuple] = []
             seq = 0
 
-            # 1. Folds first: they release queue memory and advance
+            # 1. Scans: admit a wave's worth of morsels unless downstream
+            #    is over budget (backpressure; the overshoot spills).
+            admitted = 0 if downstream.over_budget() \
+                else min(len(pending_scans), self.wave_cap)
+            self.scan.batches_out += admitted
+            for _ in range(admitted):
+                p, start, stop = pending_scans.popleft()
+                morsel = source.slice(start, stop) if self.batch_plane \
+                    else source[start:stop]
+                if specs:
+                    self.map.enqueue(p, morsel, _payload_nbytes(morsel),
+                                     self.spiller)
+                else:
+                    routed_rows += self.ingest(p, morsel, incomplete)
+
+            # 2. Folds: they release queue memory and advance
             #    time-to-first-batch.  (Keys with no morsels are never
             #    folded -- ``assemble`` emits the staged-identical
             #    empty partial for them.)
@@ -454,7 +460,7 @@ class _PipelineDriver:
                     routes.append(("fold", key))
                     seq += 1
 
-            # 2. Maps: blocked while the fold queue is over budget.
+            # 3. Maps: blocked while the fold queue is over budget.
             map_blocked = self.fold.over_budget()
             while self.map.queue and not map_blocked and \
                     len(tasks) < self.wave_cap:
@@ -471,38 +477,16 @@ class _PipelineDriver:
                 routes.append(("map", morsel.key))
                 seq += 1
 
-            # 3. Scans: backpressured by the downstream queue (the map
-            #    input queue, or the fold queue when there are no
-            #    maps).
-            downstream = self.map if specs else self.fold
-            scan_blocked = downstream.over_budget()
-            while pending_scans and not scan_blocked and \
-                    len(tasks) < self.wave_cap:
-                p, rows = pending_scans.popleft()
-                if self.batch_plane:
-                    args = (rows, width)
-                    func = _columnize_task
-                else:
-                    args = (rows,)
-                    func = _scan_rows_task
-                task = StageTask(
-                    partition=seq, rows_in=len(rows),
-                    fn=functools.partial(func, *args),
-                    func=func, args=args,
-                    kernel=self.local.kernel)
-                tasks.append(task)
-                routes.append(("scan", p))
-                seq += 1
-
             if not tasks:
+                if pending_scans:  # only empty morsels were admitted
+                    continue
                 break
 
             outcomes, duration = self.run_wave(tasks, routes)
 
             # Stall accounting: pending work, nothing scheduled, and
-            # the reason was a budget gate.
-            if pending_scans and scan_blocked and \
-                    not any(r[0] == "scan" for r in routes):
+            # the reason was a budget gate (the only one scans have).
+            if pending_scans and not admitted:
                 self.scan.stall_s += duration
             if self.map.queue and map_blocked and \
                     not any(r[0] == "map" for r in routes):
@@ -511,18 +495,9 @@ class _PipelineDriver:
             for (kind, key), result in outcomes:
                 if kind == "fold":
                     self.route_fold_result(key, result, self.batch_plane)
-                elif kind == "map":
+                else:
                     self.map.batches_out += 1
                     routed_rows += self.ingest(key, result, incomplete)
-                else:
-                    self.scan.batches_out += 1
-                    if specs:
-                        self.map.enqueue(key, result,
-                                         _payload_nbytes(result),
-                                         self.spiller)
-                    else:
-                        routed_rows += self.ingest(key, result,
-                                                   incomplete)
 
         if incomplete and routed_rows:
             ctx.record_shuffle(local.stage_name(), routed_rows)

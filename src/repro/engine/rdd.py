@@ -56,6 +56,23 @@ def stable_hash(key: Any) -> int:
     return zlib.crc32(repr(_canonical_key(key)).encode("utf-8"))
 
 
+def partition_bounds(num_rows: int, num_partitions: int
+                     ) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each partition of the even contiguous scan
+    split: :meth:`RDD.from_rows` cuts row lists here and the columnar
+    scans slice a table's resident :class:`ColumnBatch` at the same."""
+    if num_partitions < 1:
+        raise ValueError("num_partitions must be >= 1")
+    size, extra = divmod(num_rows, num_partitions)
+    bounds = []
+    start = 0
+    for i in range(num_partitions):
+        stop = start + size + (1 if i < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
 class RDD:
     """A partitioned collection of row tuples."""
 
@@ -77,18 +94,8 @@ class RDD:
         tuples each" -- Section 5.5).
         """
         rows = list(rows)
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        if num_partitions == 1:
-            return cls([rows])
-        size, extra = divmod(len(rows), num_partitions)
-        partitions = []
-        start = 0
-        for i in range(num_partitions):
-            end = start + size + (1 if i < extra else 0)
-            partitions.append(rows[start:end])
-            start = end
-        return cls(partitions)
+        return cls([rows[start:stop] for start, stop
+                    in partition_bounds(len(rows), num_partitions)])
 
     @classmethod
     def empty(cls, num_partitions: int = 1) -> "RDD":
@@ -188,13 +195,6 @@ class BatchRDD:
 
     def __init__(self, batches: Sequence[ColumnBatch]) -> None:
         self.batches: list[ColumnBatch] = list(batches)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_row_rdd(cls, rdd: RDD, num_columns: int) -> "BatchRDD":
-        return cls([ColumnBatch.from_rows(p, num_columns)
-                    for p in rdd.partitions])
 
     # -- inspection ------------------------------------------------------
 

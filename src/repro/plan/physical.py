@@ -26,8 +26,9 @@ from ..core.vectorized import (kernel_name, skyline_task,
 from ..engine import expressions as E
 from ..engine.backends import StageTask
 from ..engine.batch import ColumnBatch
+from ..engine.catalog import table_fingerprint
 from ..engine.cluster import ExecutionContext
-from ..engine.rdd import RDD, BatchRDD
+from ..engine.rdd import RDD, BatchRDD, partition_bounds
 from ..errors import ExecutionError
 from . import logical as L
 
@@ -176,10 +177,11 @@ def physical_tree_string(plan: PhysicalPlan, indent: int = 0) -> str:
 class ScanExec(PhysicalPlan):
     """Read a catalog table, split over the default parallelism.
 
-    With ``columnar=True`` (the session's batch data plane) each
-    partition is columnized **once** here -- the single row->batch
-    boundary of a fully columnar plan -- and every downstream
-    batch-capable operator exchanges :class:`ColumnBatch`es.
+    With ``columnar=True`` (the session's batch data plane) the scan
+    emits zero-copy slices of the table's resident :class:`ColumnBatch`
+    (:meth:`~repro.engine.catalog.Table.column_batch`: columnized once
+    per data version, not per query) at the :meth:`RDD.from_rows`
+    bounds, and downstream batch-capable operators exchange batches.
     """
 
     def __init__(self, rows: list[tuple],
@@ -193,10 +195,8 @@ class ScanExec(PhysicalPlan):
         self.description = description
         self.columnar = columnar
         #: The catalog :class:`~repro.engine.catalog.Table` behind
-        #: ``rows`` (``None`` for literal relations).  Its
-        #: ``data_version`` keys the columnize cache below.
+        #: ``rows`` (``None``: a literal relation, columnized per run).
         self.table = table
-        self._batch_cache: "tuple | None" = None
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -206,37 +206,30 @@ class ScanExec(PhysicalPlan):
     def exec_mode(self) -> str:
         return "batch" if self.columnar else "row"
 
-    def _cache_key(self, num_partitions: int) -> tuple:
-        version = self.table.data_version if self.table is not None \
-            else None
-        return (id(self.rows), len(self.rows), version, num_partitions)
+    def whole_batch(self, ctx: ExecutionContext) -> ColumnBatch:
+        """Every scanned row as one batch for this scan and the
+        pipelined driver to slice, counted into ``ctx.scan``."""
+        if self.table is not None:
+            batch, built = self.table.column_batch()
+        else:
+            batch = ColumnBatch.from_rows(list(self.rows),
+                                          len(self._output))
+            built = True
+        ctx.scan["columnized_rows" if built else "resident_rows"] += len(batch)
+        return batch
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
         num_partitions = ctx.config.default_parallelism
-        rdd = RDD.from_rows(self.rows, num_partitions)
         if self.columnar:
-            # "Columnize once": re-executions of a prepared plan reuse
-            # the typed batches as long as the table version (bumped by
-            # every catalog DML delta) and partitioning are unchanged.
-            # Same caveat as the statistics cache: mutating the row
-            # list behind the catalog's back is undetectable.
-            width = len(self._output)
-            key = self._cache_key(num_partitions)
-            cached = self._batch_cache
-            if cached is not None and cached[0] == key:
-                tasks = [StageTask(partition=i, rows_in=batch.num_rows,
-                                   bytes_in=batch.nbytes,
-                                   fn=lambda batch=batch: batch)
-                         for i, batch in enumerate(cached[1])]
-                return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-            tasks = [StageTask(
-                partition=i, rows_in=len(partition),
-                fn=lambda rows=partition: ColumnBatch.from_rows(
-                    rows, width))
-                for i, partition in enumerate(rdd.partitions)]
-            batches = ctx.run_stage(self.stage_name(), tasks)
-            self._batch_cache = (key, batches)
-            return BatchRDD(batches)
+            whole = self.whole_batch(ctx)
+            batches = [whole.slice(start, stop) for start, stop
+                       in partition_bounds(whole.num_rows, num_partitions)]
+            tasks = [StageTask(partition=i, rows_in=batch.num_rows,
+                               bytes_in=batch.nbytes,
+                               fn=lambda batch=batch: batch)
+                     for i, batch in enumerate(batches)]
+            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
+        rdd = RDD.from_rows(self.rows, num_partitions)
         tasks = [StageTask(partition=i, rows_in=len(partition),
                            fn=lambda rows=partition: rows)
                  for i, partition in enumerate(rdd.partitions)]
@@ -1002,17 +995,15 @@ class SkylineLocalExec(_SkylineExec):
 
         The chain below a local skyline operator is deterministic data
         preparation (scan, filter, project, repartition), so its output
-        only changes when the scanned data or the partitioning does.
-        The token captures exactly that: the leaf scan's identity and
-        catalog ``data_version`` plus the parallelism.  ``None`` means
-        the chain has an unexpected shape -- never pin then.
+        only changes when the scanned data or the partitioning does:
+        the leaf scan's :func:`table_fingerprint` plus the parallelism.
+        ``None`` means the chain has an unexpected shape -- never pin
+        then.
         """
         node: PhysicalPlan = self.children[0]
         while True:
             if isinstance(node, ScanExec):
-                version = node.table.data_version \
-                    if node.table is not None else None
-                return (id(node.rows), len(node.rows), version,
+                return (table_fingerprint(node.table or node),
                         ctx.config.default_parallelism)
             if isinstance(node, (FilterExec, ProjectExec,
                                  SkylineRepartitionExec)):
@@ -1029,7 +1020,7 @@ class SkylineLocalExec(_SkylineExec):
         query ship the *same* segments as handles instead of
         re-columnizing, re-filtering and re-copying -- this is what
         "partitions stay resident across stages" buys end to end.
-        Catalog DML bumps the leaf table's ``data_version``, which
+        Catalog DML changes the leaf table's fingerprint, which
         invalidates the pin (and releases the stale segments).
         """
         store = getattr(ctx, "shm_store", None)

@@ -173,6 +173,8 @@ class CatalogService:
             faults = self.fault_stats.as_dict()
         return {"catalog_version": self.catalog.version,
                 "tables": self.catalog.table_names(),
+                "resident_column_bytes":
+                    self.catalog.resident_column_bytes(),
                 "plan_cache": plan,
                 "result_cache": self.result_cache.stats.as_dict(),
                 "faults": faults}

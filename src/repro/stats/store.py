@@ -2,25 +2,17 @@
 
 The catalog owns one :class:`StatsStore`.  Statistics are collected on
 first use (the planner asking, or ``ANALYZE TABLE``), cached by table
-name, and invalidated when the table is re-registered, dropped, or its
-row list visibly changes (a different list object, or a different
-length -- in-place same-length overwrites are not detected; run
-``ANALYZE TABLE`` or :meth:`SkylineSession.stats_refresh` after such
-writes).
+name, and valid for one :func:`~repro.engine.catalog.table_fingerprint`
+-- the same token the table's resident columns use, so the two caches
+go stale together (in-place same-length overwrites are not detected;
+run ``ANALYZE TABLE`` or :meth:`SkylineSession.stats_refresh` after
+such writes).
 """
 
 from __future__ import annotations
 
+from ..engine.catalog import table_fingerprint
 from .statistics import TableStats, collect_table_stats
-
-
-def table_fingerprint(table) -> tuple:
-    """Identity of a table's current data snapshot.
-
-    ``table`` is any object with ``name`` and ``rows`` attributes (the
-    catalog's :class:`~repro.engine.catalog.Table`).
-    """
-    return (id(table.rows), len(table.rows))
 
 
 def stats_for_table(table) -> TableStats:

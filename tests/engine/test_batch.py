@@ -4,6 +4,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batch import (HAVE_NUMPY, OBJ, ColumnBatch,
                                 encode_numeric_column)
@@ -151,6 +153,102 @@ class TestZeroRowBatches:
         block = columnize_batch(batch,
                                 make_dimensions([(0, "min"), (1, "min")]))
         assert block is None or block.values.shape[0] == 0
+
+
+def _nullable(values):
+    return st.one_of(values, st.none() | values)
+
+
+#: One strategy per storage kind: f8 (NaN / +-inf data beside masked
+#: nulls), i8, b1, and obj (strings, mixed int/float, beyond-int64).
+_COLUMN_KINDS = [
+    _nullable(st.floats(allow_nan=True, allow_infinity=True)),
+    _nullable(st.integers(-2 ** 63, 2 ** 63 - 1)),
+    _nullable(st.booleans()),
+    st.text(max_size=3) | st.none(),
+    st.integers(-5, 5) | st.floats(allow_nan=False),
+    st.integers(2 ** 63, 2 ** 70),
+]
+
+
+@st.composite
+def _tables(draw):
+    """``(rows, width)``: 0-4 columns of one kind each, 0-40 rows."""
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), max_size=4))
+    n = draw(st.integers(0, 40))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n))
+               for kind in kinds]
+    return [tuple(col[i] for col in columns) for i in range(n)], len(kinds)
+
+
+class TestSlice:
+    """``ColumnBatch.slice``: the zero-copy read of resident columns.
+
+    Runs unchanged under ``REPRO_DISABLE_NUMPY=1`` (every column is then
+    a list and a slice is a list slice).
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), st.integers(-5, 45), st.integers(-5, 45))
+    def test_slice_equals_row_slice_with_types(self, table, a, b):
+        rows, width = table
+        batch = ColumnBatch.from_rows(rows, width) if width \
+            else ColumnBatch([], num_rows=len(rows))
+        expected = rows[a:b]
+        piece = batch.slice(a, b)
+        assert piece.num_rows == len(piece) == len(expected)
+        assert piece.num_columns == width
+        if width:
+            # The source tuples ride along: no rebuild, same objects.
+            assert all(x is y for x, y in zip(piece.to_rows(), expected))
+            piece._rows = None  # now really decode the sliced columns
+        decoded = piece.to_rows()
+        assert len(decoded) == len(expected)
+        for want, got in zip(expected, decoded):
+            assert len(want) == len(got)
+            assert all(same_value(x, y) for x, y in zip(want, got))
+
+    def test_empty_and_reversed_bounds(self):
+        batch = ColumnBatch.from_rows([(1.0, "a"), (2.0, "b")], 2)
+        for a, b in ((0, 0), (2, 2), (2, 1), (5, 9)):
+            piece = batch.slice(a, b)
+            assert piece.num_rows == 0 and piece.to_rows() == []
+            assert piece.num_columns == 2
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
+    def test_slice_is_a_view_not_a_copy(self):
+        import numpy as np
+        rows = [(float(i), i, i % 2 == 0, None if i % 3 else float(i))
+                for i in range(100)]
+        batch = ColumnBatch.from_rows(rows, 4)
+        piece = batch.slice(10, 60).slice(5, 20)  # slices of slices too
+        for whole, part in zip(batch.columns, piece.columns):
+            assert part.kind == whole.kind
+            assert np.shares_memory(part.data, whole.data)
+        assert np.shares_memory(piece.column(3).mask, batch.column(3).mask)
+        assert piece.nbytes < batch.nbytes
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
+    def test_read_only_store_rejects_writes_through_views(self):
+        rows = [(float(i), None if i % 3 else i) for i in range(10)]
+        batch = ColumnBatch.from_rows(rows, 2)
+        batch.set_read_only()
+        piece = batch.slice(2, 8)
+        for column in piece.columns + batch.columns:
+            with pytest.raises(ValueError):
+                column.data[0] = 0
+        with pytest.raises(ValueError):
+            piece.column(1).mask[0] = True
+        assert piece.to_rows() == rows[2:8]
+
+    def test_pickled_slice_carries_only_its_rows(self):
+        rows = [(float(i), i, f"s{i}") for i in range(5000)]
+        batch = ColumnBatch.from_rows(rows, 3)
+        batch.set_read_only()
+        piece = batch.slice(100, 200)
+        blob = pickle.dumps(piece)
+        assert len(blob) < len(pickle.dumps(batch)) / 10
+        assert pickle.loads(blob).to_rows() == rows[100:200]
 
 
 class TestEncodeNumericColumn:

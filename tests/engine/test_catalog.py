@@ -62,3 +62,156 @@ class TestTable:
 
     def test_num_rows(self):
         assert Table("t", make_schema(), [(1, "a")]).num_rows == 1
+
+
+class TestResidentColumns:
+    """The table-owned columnar form: one batch per data version."""
+
+    ROWS = [(i, f"n{i}") for i in range(50)]
+
+    @pytest.fixture
+    def table(self, catalog):
+        return catalog.create_table("t", make_schema(), list(self.ROWS))
+
+    def test_lazy_then_shared(self, table):
+        assert table.resident_column_bytes == 0  # nobody asked yet
+        first, built = table.column_batch()
+        assert built and first.to_rows() == self.ROWS
+        again, built = table.column_batch()
+        assert again is first and not built
+        assert table.resident_column_bytes == first.nbytes > 0
+
+    def test_every_dml_drops_the_store(self, catalog, table):
+        steps = [
+            lambda: catalog.insert_into("t", [(99, "new")]),
+            lambda: catalog.delete_from("t", rows=[(99, "new")]),
+            lambda: catalog.delete_from("t", predicate=lambda r: r[0] < 5),
+            lambda: table.rows.append((100, "behind the catalog's back")),
+        ]
+        for step in steps:
+            stale, _ = table.column_batch()
+            step()
+            fresh, built = table.column_batch()
+            assert built and fresh is not stale
+            assert fresh.to_rows() == table.rows
+        # A no-op delete changed nothing: the store survives it.
+        kept, _ = table.column_batch()
+        assert catalog.delete_from("t", rows=[(12345, "ghost")]) == 0
+        assert table.column_batch() == (kept, False)
+
+    def test_token_is_the_stats_token(self, catalog, table):
+        from repro.engine.catalog import table_fingerprint
+        table.column_batch()
+        stats = catalog.statistics("t")
+        assert table._columns[0] == stats.fingerprint \
+            == table_fingerprint(table)
+
+    @pytest.mark.parametrize("release", ["drop", "replace"])
+    def test_drop_and_replace_release_the_store(self, catalog, table,
+                                                release):
+        import gc
+        import weakref
+        ref = weakref.ref(table.column_batch()[0])
+        if release == "drop":
+            catalog.drop("t")
+        else:
+            catalog.create_table("t", make_schema(), [(1, "a")])
+        gc.collect()
+        # Released even though the old Table object is still held here.
+        assert ref() is None and table.resident_column_bytes == 0
+
+    def test_rows_are_snapshotted_not_aliased(self, table):
+        batch, _ = table.column_batch()
+        table.rows.clear()
+        assert batch.to_rows() == self.ROWS
+
+    def test_store_built_across_a_dml_is_never_published(
+            self, catalog, table, monkeypatch):
+        """Publish-after-verify: a DML lands (from another thread)
+        between the build's two token reads -- after the row snapshot
+        was taken -- so the batch being built lacks the new row.  It
+        must be used for nothing and cached never."""
+        import threading
+
+        from repro.engine import catalog as catalog_module
+        real = catalog_module.ColumnBatch.from_rows
+        built = []
+
+        overtaken = [1]  # how many builds a DML overtakes
+
+        def hooked(rows, width):
+            if len(built) < overtaken[0]:
+                writer = threading.Thread(
+                    target=catalog.insert_into,
+                    args=("t", [(777 + len(built), "dml")]))
+                writer.start()
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            built.append(real(rows, width))
+            return built[-1]
+
+        monkeypatch.setattr(catalog_module.ColumnBatch, "from_rows",
+                            staticmethod(hooked))
+        batch, was_built = table.column_batch()
+        assert was_built and len(built) == 2
+        assert built[0].num_rows == 50  # the overtaken build: pre-DML
+        assert batch is built[1] is table._columns[1]
+        assert batch.to_rows()[-1] == (777, "dml")
+
+        # A write-hot table (every build overtaken) does not spin: the
+        # reader gets a consistent snapshot and nothing is cached.
+        catalog.insert_into("t", [(0, "invalidate")])
+        del built[:]
+        overtaken[0] = 10 ** 6
+        batch, was_built = table.column_batch()
+        assert was_built
+        assert len(built) == catalog_module.COLUMNIZE_ATTEMPTS
+        assert table._columns is None
+        assert batch.to_rows() == table.rows[:-1]  # all but the last DML
+
+    def test_concurrent_readers_and_writers_stress(self, catalog, table):
+        """More threads than cores hammer build/publish against DML.
+        Invariant a lost or torn publish would break: every batch a
+        reader gets is internally consistent (decoded columns == the
+        row snapshot it carries) and a published store's token length
+        equals its row count."""
+        import sys
+        import threading
+        import time
+        stop = time.monotonic() + 1.0
+        errors = []
+
+        def reader():
+            while time.monotonic() < stop:
+                batch, _ = table.column_batch()
+                carried = batch.to_rows()
+                ids = batch.column(0).to_values()
+                if ids != [row[0] for row in carried]:
+                    errors.append("columns disagree with carried rows")
+                published = table._columns
+                if published is not None and \
+                        published[0][1] != published[1].num_rows:
+                    errors.append("published token/batch length mismatch")
+
+        def writer():
+            i = 1000
+            while time.monotonic() < stop:
+                catalog.insert_into("t", [(i, "w"), (i + 1, "w")])
+                catalog.delete_from("t", rows=[(i, "w")])
+                i += 2
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        final, _ = table.column_batch()
+        assert final.to_rows() == table.rows

@@ -100,6 +100,8 @@ class TestExecutionContext:
         assert summary["stages"][0]["name"] == "s"
         assert summary["stages"][0]["rows_out"] == 1
         assert "simulated_time_s" in summary
+        assert summary["scan"] == {"columnized_rows": 0,
+                                   "resident_rows": 0}
 
 
 class TestMemoryModel:

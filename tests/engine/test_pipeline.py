@@ -38,16 +38,16 @@ class TestSplitMorsels:
         windows then see the same rows in the same order."""
         rows = _rows(n)
         staged = RDD.from_rows(rows, parts).partitions
-        morsels = _PipelineDriver.split_morsels(rows, parts)
+        morsels = _PipelineDriver.split_morsels(len(rows), parts)
         rebuilt: dict[int, list] = {p: [] for p in range(len(staged))}
-        for partition, chunk in morsels:
-            assert len(chunk) <= PIPELINE_MORSEL_ROWS
-            rebuilt[partition].extend(chunk)
+        for partition, start, stop in morsels:
+            assert stop - start <= PIPELINE_MORSEL_ROWS
+            rebuilt[partition].extend(rows[start:stop])
         assert [rebuilt[p] for p in sorted(rebuilt)] == staged
 
     def test_empty_partitions_still_emit_keys(self):
-        morsels = _PipelineDriver.split_morsels(_rows(2), 4)
-        assert {p for p, _ in morsels} == {0, 1, 2, 3}
+        morsels = _PipelineDriver.split_morsels(2, 4)
+        assert {p for p, _, _ in morsels} == {0, 1, 2, 3}
 
 
 class TestSpillManager:

@@ -120,6 +120,52 @@ class TestHandleRoundTrip:
         assert store.stats()["segments_created"] == 0
 
 
+def _decode(batch):
+    """Worker-side payload: decode the shipped columns back to rows
+    (the carried row tuples never travel)."""
+    return batch.to_rows()
+
+
+class TestSliceTransport:
+    """Zero-copy slices of a read-only resident batch ship like any
+    other batch: as shm handles on the process backend, by value
+    otherwise, and leave ``/dev/shm`` clean."""
+
+    def test_slices_round_trip_on_process_backend(self):
+        from repro.engine.backends import ProcessBackend, StageTask
+        from repro.engine.cluster import ExecutionContext
+        before = set(leaked_segments())
+        whole = make_mixed_batch(n=12000)
+        whole.set_read_only()
+        rows = whole.to_rows()
+        bounds = [(0, 5000), (5000, 5003), (5003, 12000), (12000, 12000)]
+        store = SharedColumnStore()
+        backend = ProcessBackend(2)
+        try:
+            ctx = ExecutionContext(backend=backend, shm_store=store)
+            tasks = [StageTask(partition=i, rows_in=b - a, func=_decode,
+                               args=(whole.slice(a, b),))
+                     for i, (a, b) in enumerate(bounds)]
+            results = ctx.run_stage("slices", tasks)
+            assert results == [rows[a:b] for a, b in bounds]
+            stats = store.stats()
+            # The two big slices travelled as handles; the 3-row and
+            # the empty one fell back to pickling by value.
+            assert stats["handles_served"] == 2
+            assert stats["pickle_fallbacks"] == 2
+            assert stats["active_segments"] == 0  # released at the barrier
+        finally:
+            backend.close()
+            store.close()
+        assert set(leaked_segments()) <= before
+
+    def test_slice_registers_only_its_own_bytes(self, store):
+        whole = make_batch(n=20000)
+        piece = whole.slice(0, 5000)
+        assert store.state_for(piece) is not None
+        assert store.stats()["active_bytes"] == piece.nbytes
+
+
 class TestActivation:
     def test_activation_scopes_the_global(self, store):
         assert active_store() is None

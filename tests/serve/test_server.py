@@ -168,6 +168,11 @@ class TestProtocol:
                 assert stats["ok"]
                 assert stats["service"]["result_cache"]["exact_hits"] == 1
                 assert "pts" in stats["service"]["tables"]
+                # One resident columnar form per table, reported in
+                # bytes (0 where the row plane is forced: no store).
+                resident = stats["service"]["resident_column_bytes"]
+                columnar = server.tenant("default").config.columnar_enabled
+                assert (resident["pts"] > 0) == columnar
 
                 deleted = await self.roundtrip(reader, writer, {
                     "op": "delete", "table": "pts",

@@ -147,12 +147,21 @@ class TestStatsStoreInvalidation:
         assert fresh.num_rows == 1
 
     def test_row_append_detected_by_fingerprint(self):
+        """A write behind the catalog's back stales the statistics and
+        the table's resident columns the same way: one token."""
         session = self._session()
+        table = session.catalog.lookup("t")
         stale = session.catalog.statistics("t")
-        session.catalog.lookup("t").rows.append((4,))
+        stale_columns, _ = table.column_batch()
+        assert table._columns[0] == stale.fingerprint
+        table.rows.append((4,))
         fresh = session.catalog.statistics("t")
         assert fresh is not stale
         assert fresh.num_rows == 4
+        fresh_columns, built = table.column_batch()
+        assert built and fresh_columns is not stale_columns
+        assert fresh_columns.num_rows == 4
+        assert table._columns[0] == fresh.fingerprint
 
     def test_drop_clears_cache_entry(self):
         session = self._session()
