@@ -9,7 +9,7 @@ and is otherwise the slowest.
 
 import pytest
 
-from helpers import (assert_no_specialized_timeouts,
+from helpers import (assert_executors_help, assert_no_specialized_timeouts,
                      assert_reference_is_slowest_overall,
                      bench_representative, record, scaled)
 from repro.bench import (ALGORITHMS_COMPLETE, ALGORITHMS_INCOMPLETE,
@@ -55,10 +55,11 @@ def test_specialized_beat_reference(complete_grid):
 
 
 def test_executors_help_distributed_complete(complete_grid):
-    dims, results = complete_grid
-    cells = results[Algorithm.DISTRIBUTED_COMPLETE]
+    dims, _ = complete_grid
     if dims >= 6:
-        assert cells[-1].simulated_time_s < cells[0].simulated_time_s
+        assert_executors_help(store_sales_workload(ROWS),
+                              Algorithm.DISTRIBUTED_COMPLETE, dims,
+                              EXECUTOR_VALUES[0], EXECUTOR_VALUES[-1])
 
 
 def test_incomplete_no_specialized_timeouts(incomplete_grid):

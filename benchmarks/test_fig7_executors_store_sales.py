@@ -10,7 +10,7 @@ executors) and stays slowest where it finishes.
 
 import pytest
 
-from helpers import (assert_no_specialized_timeouts,
+from helpers import (assert_executors_help, assert_no_specialized_timeouts,
                      assert_reference_is_slowest_overall,
                      bench_representative, record, scaled)
 from repro.bench import (ALGORITHMS_COMPLETE, ALGORITHMS_INCOMPLETE,
@@ -68,9 +68,10 @@ def test_reference_finishes_with_many_executors(complete_results):
     assert not complete_results[Algorithm.REFERENCE][-1].timed_out
 
 
-def test_distributed_complete_profits_from_executors(complete_results):
-    cells = complete_results[Algorithm.DISTRIBUTED_COMPLETE]
-    assert cells[-1].simulated_time_s < cells[0].simulated_time_s
+def test_distributed_complete_profits_from_executors():
+    assert_executors_help(store_sales_workload(COMPLETE_ROWS),
+                          Algorithm.DISTRIBUTED_COMPLETE, DIMENSIONS,
+                          EXECUTOR_VALUES[0], EXECUTOR_VALUES[-1])
 
 
 def test_specialized_beat_reference(complete_results):

@@ -31,6 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Accepted ``global_merge`` names (one behaviour behind both).
 GLOBAL_MERGE_STRATEGIES = ("auto", "flat")
 
+#: Accepted ``execution`` names (one executor behind both).  Vestigial
+#: beside ``GLOBAL_MERGE_STRATEGIES``: ``perf/run.py::_oracle`` passes
+#: both options and ``perf/rounds.py`` reads ``QueryResult.pipeline`` /
+#: ``.global_merge``, so the fields and accessors stay until the
+#: benchmark-only PR of ROADMAP's Debts drops the pins; ``src/`` then
+#: drops the fields.
+EXECUTION_MODES = ("auto", "staged")
+
 
 def _validate_vectorized(vectorized: "bool | str") -> None:
     """Reject invalid ``vectorized`` flags.
@@ -145,23 +153,14 @@ class SessionConfig:
         the columnar data plane; EXPLAIN marks each batch stage
         ``[shm]`` or ``[pickle]``.
     execution:
-        Physical execution mode for the local skyline phase:
-        ``"staged"`` (bulk-synchronous operator barriers),
-        ``"pipelined"`` (morsel-driven operator overlap with
-        per-operator memory budgets, backpressure and out-of-core
-        spill), or ``"auto"`` (the cost model pipelines when a
-        parallel backend and enough rows make overlap pay).  A local
-        skyline over anything but a scan -> filter/project chain
-        (joins, aggregates, repartitions) stays staged even under
-        ``"pipelined"``: nothing could overlap.  EXPLAIN marks
-        pipelined stages ``[pipelined]``; the global phase is staged
-        either way.
-    operator_memory_mb:
-        Per-operator memory budget (MB) for the pipelined executor:
-        an operator whose buffered input exceeds the budget
-        backpressures its upstream, and a scan whose working set
-        exceeds it spills morsels to disk, reloading them on demand.
-        ``None`` uses the built-in default.
+        Vestigial, like ``global_merge``: a validated name with one
+        behaviour.  ``"auto"`` and ``"staged"`` both mean the one
+        executor (scan/filter/project chains fused into their consumer's
+        stage, see ``docs/architecture.md``); ``"pipelined"`` -- the
+        morsel-driven executor stage fusion replaced -- raises.  Kept
+        only because the benchmark harness's reference session
+        (``perf/run.py``) passes ``execution="staged"``; both fields go
+        when the benchmark stops passing them.
     """
 
     num_executors: int = 2
@@ -182,14 +181,11 @@ class SessionConfig:
     global_merge: str = "auto"
     shared_memory: "bool | str" = "auto"
     execution: str = "auto"
-    operator_memory_mb: "float | None" = None
 
     def __post_init__(self) -> None:
         # Imported here: repro.plan imports repro.engine, which must not
         # circularly depend on the api package at import time.
-        from ..plan.planner import (EXECUTION_MODES,
-                                    PARTITIONING_SCHEMES,
-                                    SKYLINE_STRATEGIES)
+        from ..plan.planner import PARTITIONING_SCHEMES, SKYLINE_STRATEGIES
 
         if self.adaptive:
             if self.skyline_algorithm not in ("auto", "adaptive"):
@@ -243,13 +239,15 @@ class SessionConfig:
             raise ValueError(
                 f"shared_memory must be True, False or 'auto', got "
                 f"{self.shared_memory!r}")
+        if self.execution == "pipelined":
+            raise ValueError(
+                "execution='pipelined' was removed (PR 18, stage "
+                "fusion): scan/filter/project chains run inside their "
+                "consumer's tasks on the one executor; use 'auto'")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution {self.execution!r}; expected one "
                 f"of {EXECUTION_MODES}")
-        if self.operator_memory_mb is not None and \
-                self.operator_memory_mb <= 0:
-            raise ValueError("operator_memory_mb must be > 0")
 
     # -- derived views ----------------------------------------------------
 
@@ -307,8 +305,6 @@ class SessionConfig:
             self.vectorized_enabled,
             self.columnar_enabled,
             self.shared_memory_enabled,
-            self.execution,
-            self.operator_memory_mb,
         )
 
     def retry_policy(self) -> RetryPolicy:

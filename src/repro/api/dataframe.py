@@ -253,9 +253,11 @@ class DataFrame:
 
         Skyline queries include a ``== Skyline Strategy ==`` section:
         the chosen algorithm, partitioning scheme and partition count,
-        with the statistics that drove each choice.  Data-plane
-        operators (scans, filters, projections, skylines) are tagged
-        with their execution mode -- ``[batch]`` when they exchange
+        with the statistics that drove each choice.  Every physical
+        operator is marked ``*(N)`` with the stage it executes in
+        (operators sharing a number run fused in one stage), and
+        data-plane operators (scans, filters, projections, skylines)
+        are tagged with their execution mode -- ``[batch]`` when they exchange
         :class:`~repro.engine.batch.ColumnBatch`es on the columnar
         data plane, ``[row]`` otherwise.
 

@@ -72,17 +72,17 @@ class QueryResult:
     @property
     def time_to_first_batch_s(self) -> "float | None":
         """Wall-clock seconds from execution start until the first
-        local-skyline partial was produced (pipelined: the first fold
-        completing; staged: the first skyline stage finishing).
-        ``None`` when no skyline stage ran."""
-        return getattr(self.context, "time_to_first_batch_s", None)
+        skyline stage finished (the local partials, or the global task
+        of a non-distributed plan).  ``None`` when no skyline stage
+        ran."""
+        return self.context.time_to_first_batch_s
 
     @property
-    def pipeline(self) -> "dict | None":
-        """The pipelined executor's report for this execution (waves,
-        per-operator batch/stall/spill/peak counters); ``None`` when
-        the query ran staged."""
-        return getattr(self.context, "pipeline", None)
+    def pipeline(self) -> None:
+        """Always ``None``: there is one executor and it has no report
+        of its own beyond the stage records.  Readable only because the
+        benchmark harness (``perf/rounds.py``) still evaluates it."""
+        return None
 
     @property
     def scan(self) -> dict:
@@ -381,10 +381,7 @@ class SkylineSession:
             partitioning=self.skyline_partitioning,
             num_partitions=self.skyline_partitions,
             vectorized=self.vectorized_enabled,
-            columnar=self.columnar_enabled,
-            execution=self.config.execution,
-            operator_memory_mb=self.config.operator_memory_mb,
-            backend=spec.name)
+            columnar=self.columnar_enabled)
 
     _ANALYZE_SCHEMA = Schema([
         Field("table_name", STRING, False),
@@ -449,6 +446,12 @@ class SkylineSession:
             from ..engine.shm import SharedColumnStore
             self._shm_store = SharedColumnStore()
         return self._shm_store
+
+    def shm_stats(self) -> "dict | None":
+        """Counters of this session's shared-memory store (segments,
+        handles served, pickle fallbacks by reason); ``None`` while the
+        session has none."""
+        return None if self._shm_store is None else self._shm_store.stats()
 
     def prepare(self, plan: LogicalPlan) -> PreparedQuery:
         """Run analysis, optimization, and physical planning only.
@@ -532,10 +535,6 @@ class SkylineSession:
         if planner.decisions:
             sections.append("== Skyline Strategy ==")
             sections.extend(d.describe() for d in planner.decisions)
-        if planner.execution_decisions:
-            sections.append("== Execution ==")
-            sections.extend(d.describe()
-                            for d in planner.execution_decisions)
         return "\n".join(sections)
 
 

@@ -80,10 +80,14 @@ def default_classes(scale: float = 1.0) -> list[WorkloadClass]:
     ]
 
 
-#: Runs per query, of which the best counts: simulated time is
-#: derived from measured task durations, and a class with one
+#: Runs per query, of which the best counts, and interleaved rounds
+#: per class, of which each configuration's best counts.  Simulated
+#: time is derived from measured task durations: a class with one
 #: repetition would otherwise turn a single host/GC pause into its
-#: whole score.
+#: whole score, and on a shared host the *same* plan reads in two
+#: modes ~20 % apart that last seconds -- longer than one
+#: configuration's turn -- so every configuration takes its turn in
+#: every round instead of all its runs back to back.
 _BEST_OF = 3
 
 
@@ -111,26 +115,27 @@ def run_adaptive_bench(scale: float = 1.0,
     """
     classes = list(classes) if classes is not None \
         else default_classes(scale)
-    fixed: dict[str, dict[str, float]] = {}
-    sizes: dict[str, set[int]] = {c.name: set() for c in classes}
-    for algorithm, scheme in FIXED_COMBOS:
-        label = f"{algorithm}/{scheme}"
-        fixed[label] = {}
-        for workload in classes:
-            total, rows = _run_class(
-                workload, skyline_algorithm=algorithm,
-                skyline_partitioning=scheme)
-            fixed[label][workload.name] = total
-            sizes[workload.name].add(rows)
-    adaptive: dict[str, float] = {}
+    configurations = {
+        f"{algorithm}/{scheme}": dict(skyline_algorithm=algorithm,
+                                      skyline_partitioning=scheme)
+        for algorithm, scheme in FIXED_COMBOS}
+    configurations["adaptive"] = dict(adaptive=True)
+    cells: dict[str, dict[str, float]] = {
+        label: {} for label in configurations}
     for workload in classes:
-        total, rows = _run_class(workload, adaptive=True)
-        adaptive[workload.name] = total
-        sizes[workload.name].add(rows)
-    for name, observed in sizes.items():
-        if len(observed) != 1:
+        sizes = set()
+        for _ in range(_BEST_OF):
+            for label, session_kwargs in configurations.items():
+                total, rows = _run_class(workload, **session_kwargs)
+                cells[label][workload.name] = min(
+                    total, cells[label].get(workload.name, total))
+                sizes.add(rows)
+        if len(sizes) != 1:
             raise AssertionError(
-                f"configurations disagree on class {name!r}: {observed}")
+                f"configurations disagree on class {workload.name!r}: "
+                f"{sizes}")
+    adaptive = cells.pop("adaptive")
+    fixed = cells
 
     fixed_totals = {label: sum(times.values())
                     for label, times in fixed.items()}

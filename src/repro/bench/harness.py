@@ -75,9 +75,8 @@ class RunResult:
     #: measured counterpart of the *simulated* makespan, used to validate
     #: executor-scaling curves against actual parallel speedups.
     real_time_s: float = float("nan")
-    #: Wall-clock seconds from execution start until the first local
-    #: skyline partial was available -- the pipelined executor's
-    #: responsiveness metric (NaN when the engine did not report one).
+    #: Wall-clock seconds from execution start until the first skyline
+    #: stage finished (NaN when the engine did not report one).
     time_to_first_batch_s: float = float("nan")
 
     @property

@@ -7,14 +7,18 @@ plane ships a ~100-byte handle instead and keeps a prepared query's
 input partitions resident in ``/dev/shm`` across executions, so the
 per-execution cost drops to mapping segments that are already there.
 
-The ablation mirrors that serving-style shape: a prepared store_sales
-skyline query whose projection carries a wide block of computed
-columns (the regime where transport, not the kernels, dominates --
-exactly when a real deployment would reach for zero-copy).  Both legs
-run the identical prepared plan on the identical process pool
-configuration, differing only in ``shared_memory=``; results are
-asserted bit-identical and the shm leg must leave ``/dev/shm`` clean,
-so the ablation doubles as a leak check at benchmark scale.
+The ablation mirrors that serving-style shape: a prepared ``SELECT *``
+skyline query over a store_sales table widened with a block of derived
+metric columns (the regime where transport, not the kernels, dominates
+-- exactly when a real deployment would reach for zero-copy).  With
+stage fusion the only batches that travel are the scan slices the
+local tasks read (a projection runs in the worker, and a chain that
+projects ships only the columns it reads), so the width has to be
+physical: ``SELECT *`` reads every column.  Both legs run the identical
+prepared plan on the identical process pool configuration, differing
+only in ``shared_memory=``; results are asserted bit-identical and the
+shm leg must leave ``/dev/shm`` clean, so the ablation doubles as a
+leak check at benchmark scale.
 
 Reachable via ``python -m repro.bench --shm``; the rendered table is
 committed under ``benchmarks/results/ablation_shm.txt``.
@@ -29,22 +33,20 @@ from typing import Sequence
 
 from ..api.config import SessionConfig
 from ..api.session import SkylineSession
+from ..engine.types import DOUBLE
 
-#: Computed projection columns widening the shipped batches.  Eight
-#: physical columns pickle in ~the time they map; a serving projection
-#: of derived metrics (margins, ratios, scaled prices) pushes the
+#: Derived metric columns (scaled list prices) stored beside the eight
+#: store_sales columns.  Eight columns pickle in ~the time they map; a
+#: serving table of margins, ratios and scaled prices pushes the
 #: by-value transport into copy-bound territory while the handle stays
 #: a handle.
 WIDE_COLUMNS = 24
 
 
-def _ablation_sql(num_dimensions: int, wide_columns: int) -> str:
-    extras = ", ".join(
-        f"ss_list_price * {k + 1} AS x{k}" for k in range(wide_columns))
+def _ablation_sql(num_dimensions: int) -> str:
     dims = ", ".join(("ss_quantity MAX", "ss_wholesale_cost MIN",
                       "ss_list_price MIN")[:num_dimensions])
-    return (f"SELECT ss_quantity, ss_wholesale_cost, ss_list_price, "
-            f"{extras} FROM store_sales WHERE ss_quantity > 5 "
+    return (f"SELECT * FROM store_sales WHERE ss_quantity > 5 "
             f"SKYLINE OF {dims}")
 
 
@@ -70,8 +72,15 @@ def measure_shm_speedup(num_rows: int = 60_000,
             "shared memory unavailable on this platform; the shm "
             "ablation cannot run")
 
-    sql = _ablation_sql(num_dimensions, wide_columns)
+    sql = _ablation_sql(num_dimensions)
     workload = store_sales_workload(num_rows)
+    list_price = [name for name, _, _ in workload.columns].index(
+        "ss_list_price")
+    columns = workload.columns + [(f"x{k}", DOUBLE, False)
+                                  for k in range(wide_columns)]
+    rows = [row + tuple(row[list_price] * (k + 1)
+                        for k in range(wide_columns))
+            for row in workload.rows]
     report: dict = {
         "kind": "shm",
         "python": platform.python_version(),
@@ -80,7 +89,7 @@ def measure_shm_speedup(num_rows: int = 60_000,
         "num_dimensions": num_dimensions,
         "num_executors": num_executors,
         "num_workers": num_workers,
-        "wide_columns": wide_columns,
+        "shipped_columns": len(columns),
         "repeats": repeats,
         "sql": sql,
     }
@@ -93,7 +102,7 @@ def measure_shm_speedup(num_rows: int = 60_000,
             num_workers=num_workers, columnar=True,
             shared_memory=shared))
         try:
-            workload.register(session)
+            session.create_table(workload.table_name, columns, rows)
             prepared = session.prepare(session.sql(sql).plan)
             result = session.execute_prepared(prepared)  # warm-up
             best = float("inf")
@@ -124,7 +133,7 @@ def render_shm_report(report: dict) -> str:
     lines = [
         f"shared-memory transport ablation -- store_sales, "
         f"{report['num_rows']} rows x "
-        f"{3 + report['wide_columns']} shipped columns, "
+        f"{report['shipped_columns']} shipped columns, "
         f"{report['num_dimensions']} dimensions, process backend "
         f"({report['num_workers']} workers, prepared query, best of "
         f"{report['repeats']}; python {report['python']})",

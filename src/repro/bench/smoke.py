@@ -204,23 +204,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--min-shm-speedup", type=float, default=None,
                         help="fail unless the shared-memory transport "
                              "speedup reaches this factor")
-    parser.add_argument("--pipeline", action="store_true",
-                        help="measure the pipelined executor against the "
-                             "staged one (operator overlap + "
-                             "time-to-first-batch) plus an out-of-core "
-                             "leg under a tiny operator budget, and "
-                             "emit BENCH_pipeline.json")
-    parser.add_argument("--min-pipeline-speedup", type=float, default=None,
-                        help="overlap gate: pass if the end-to-end "
-                             "pipelined speedup reaches this factor (OR "
-                             "the --min-ttfb-speedup gate passes)")
-    parser.add_argument("--min-ttfb-speedup", type=float, default=None,
-                        help="overlap gate: pass if the time-to-first-"
-                             "batch speedup reaches this factor (OR the "
-                             "--min-pipeline-speedup gate passes)")
-    parser.add_argument("--max-pipeline-rss-mb", type=float, default=None,
-                        help="fail the out-of-core leg if process peak "
-                             "RSS exceeds this many MB")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="size multiplier for the adaptive mix")
     parser.add_argument("--rows", type=int, default=None,
@@ -235,10 +218,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.smoke or args.speedup or args.adaptive
             or args.vectorized or args.columnar or args.serving
-            or args.chaos or args.shm or args.pipeline):
+            or args.chaos or args.shm):
         parser.error("nothing to do: pass --smoke, --speedup, "
                      "--adaptive, --vectorized, --columnar, --serving, "
-                     "--chaos, --shm and/or --pipeline")
+                     "--chaos and/or --shm")
 
     status = 0
     if args.smoke:
@@ -352,44 +335,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report["speedup"] < args.min_shm_speedup:
             print(f"FAIL: shared-memory transport speedup below "
                   f"required {args.min_shm_speedup:.2f}x",
-                  file=sys.stderr)
-            status = 1
-    if args.pipeline:
-        from .pipeline import measure_pipeline, render_pipeline_report
-        report = measure_pipeline(num_rows=args.rows or 40_000,
-                                  num_workers=args.workers or 2)
-        with open("BENCH_pipeline.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(render_pipeline_report(report))
-        overlap = report["overlap"]
-        ooc = report["out_of_core"]
-        if not overlap["bit_identical"] or not ooc["bit_identical"]:
-            print("FAIL: pipelined execution produced different answers "
-                  "than staged execution", file=sys.stderr)
-            status = 1
-        if ooc["ratio"] < 4.0:
-            print(f"FAIL: out-of-core input only {ooc['ratio']:.1f}x "
-                  f"the operator budget (need >= 4x)", file=sys.stderr)
-            status = 1
-        if not ooc["spilled_bytes"]:
-            print("FAIL: the out-of-core leg never spilled (gate would "
-                  "be vacuous)", file=sys.stderr)
-            status = 1
-        if args.min_pipeline_speedup is not None or \
-                args.min_ttfb_speedup is not None:
-            e2e_ok = (args.min_pipeline_speedup is not None
-                      and overlap["speedup"] >= args.min_pipeline_speedup)
-            ttfb_ok = (args.min_ttfb_speedup is not None
-                       and overlap["ttfb_speedup"] >= args.min_ttfb_speedup)
-            if not (e2e_ok or ttfb_ok):
-                print(f"FAIL: overlap gate missed -- end-to-end "
-                      f"{overlap['speedup']:.2f}x, time-to-first-batch "
-                      f"{overlap['ttfb_speedup']:.2f}x", file=sys.stderr)
-                status = 1
-        if args.max_pipeline_rss_mb is not None and \
-                ooc["rss_mb"] > args.max_pipeline_rss_mb:
-            print(f"FAIL: out-of-core peak RSS {ooc['rss_mb']:.0f} MB "
-                  f"above allowed {args.max_pipeline_rss_mb:.0f} MB",
                   file=sys.stderr)
             status = 1
     return status

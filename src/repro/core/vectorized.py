@@ -9,8 +9,8 @@ smaller is uniformly better, SQL nulls encoded as NaN plus an explicit
 null mask) and dominance is evaluated with NumPy broadcasting.
 
 There is **one window kernel**, :func:`_block_skyline_indices` -- local
-BNL, the null-bitmap local phase, the pipelined batch fold and SFS all
-select their survivors with it:
+BNL, the null-bitmap local phase, the global phase and SFS all select
+their survivors with it:
 
 * *Key.*  Every row gets the rank-volume key ``-sum_j log(1 - F_j)``,
   ``F_j`` the fraction of rows strictly better in dimension ``j``: the

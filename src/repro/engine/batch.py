@@ -68,8 +68,8 @@ _DTYPES = {F8: "float64", I8: "int64", B1: "bool"}
 
 #: Flat per-value byte estimate for ``obj`` (Python-list) columns:
 #: a pointer (8) plus a small-object payload allowance.  Deliberately
-#: deterministic -- the pipelined executor's memory budgets must not
-#: depend on ``sys.getsizeof`` details that vary across interpreters.
+#: deterministic -- tracked memory high-water marks must not depend on
+#: ``sys.getsizeof`` details that vary across interpreters.
 _OBJ_VALUE_BYTES = 48
 
 
@@ -153,7 +153,7 @@ class Column:
 
         Exact for array-backed kinds (buffer plus null mask); a
         deterministic per-value estimate for ``obj`` lists (pointer plus
-        a flat payload allowance), so budget accounting stays stable
+        a flat payload allowance), so memory accounting stays stable
         across runs and platforms.
         """
         if self.kind != OBJ:
@@ -411,10 +411,8 @@ class ColumnBatch:
     def nbytes(self) -> int:
         """Resident bytes across all columns (see :attr:`Column.nbytes`).
 
-        This is the unit the pipelined executor's byte-denominated
-        operator budgets, backpressure and spill accounting work in,
-        and what the execution context's tracked (non-simulated) memory
-        high-water marks sum up.
+        This is what the execution context's tracked (non-simulated)
+        memory high-water marks sum up.
         """
         return sum(column.nbytes for column in self.columns)
 
@@ -466,6 +464,13 @@ class ColumnBatch:
         if self._rows is not None:
             batch._rows = self._rows[start:stop]
         return batch
+
+    def select(self, ordinals: Sequence[int]) -> "ColumnBatch":
+        """The columns at ``ordinals``, in that order, zero-copy: the
+        :class:`Column` objects themselves are shared (how a fused scan
+        chain narrows a table's resident columns to the ones it reads)."""
+        return ColumnBatch([self.columns[i] for i in ordinals],
+                           num_rows=self._num_rows)
 
     def set_read_only(self) -> None:
         """Make the array buffers, and every view of them, refuse

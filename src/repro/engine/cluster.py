@@ -187,14 +187,9 @@ class ExecutionContext:
         self.fault_stats = FaultStats()
         #: Tracked (non-simulated) per-operator memory high-water marks
         #: in bytes: stage/operator name -> max concurrently-resident
-        #: tracked payload bytes.  Fed by tasks carrying ``bytes_in``
-        #: and by the pipelined executor's queue accounting; empty when
-        #: nothing tracked bytes (e.g. the row plane).
+        #: tracked payload bytes.  Fed by tasks carrying ``bytes_in``;
+        #: empty when nothing tracked bytes (e.g. the row plane).
         self.operator_peaks: dict[str, int] = {}
-        #: Pipelined-execution report (operators, waves, spill and
-        #: stall accounting) -- filled in by
-        #: :mod:`repro.engine.pipeline`; ``None`` for staged queries.
-        self.pipeline: dict | None = None
         #: Wall-clock seconds from :meth:`mark_execution_start` until
         #: the first skyline output batch existed.  ``None`` until
         #: known (or for non-skyline queries).
@@ -222,13 +217,10 @@ class ExecutionContext:
         self.time_to_first_batch_s = None
 
     def note_first_batch(self) -> None:
-        """Record the first skyline output batch, once.
-
-        Staged stages call this implicitly from :meth:`run_stage` when a
-        ``SkylineLocal``/``SkylineGlobal`` stage completes (the whole
-        stage barrier *is* the first batch there); the pipelined driver
-        calls it the moment the first morsel fold finishes.
-        """
+        """Record the first skyline output batch, once:
+        :meth:`run_stage` calls this when a ``SkylineLocal``/
+        ``SkylineGlobal`` stage completes (the stage barrier *is* the
+        first batch)."""
         if self._exec_start is not None and \
                 self.time_to_first_batch_s is None:
             self.time_to_first_batch_s = \
@@ -322,9 +314,9 @@ class ExecutionContext:
             results.append(rows)
         tracked_bytes = sum(task.bytes_in for task in tasks)
         if tracked_bytes:
-            # Staged semantics: every partition of the stage is resident
-            # at the barrier, so the stage's high-water mark is the sum
-            # of its tracked task inputs.
+            # Every partition of the stage is resident at the barrier,
+            # so the stage's high-water mark is the sum of its tracked
+            # task inputs.
             self.record_memory(stage, tracked_bytes)
         if stage.startswith(("SkylineLocal", "SkylineGlobal")):
             self.note_first_batch()
@@ -397,9 +389,8 @@ class ExecutionContext:
 
         The maximum over operators/stages of the tracked resident
         payload bytes (:meth:`record_memory`): batch-plane stages stamp
-        their task input bytes, the pipelined executor accounts its
-        queues, windows and in-flight morsels.  ``None`` when nothing
-        was tracked (row plane, metric-only contexts).
+        their task input bytes.  ``None`` when nothing was tracked (row
+        plane, metric-only contexts).
         """
         if not self.operator_peaks:
             return None
@@ -410,11 +401,10 @@ class ExecutionContext:
 
         On the real parallel backends (thread/process) with tracked
         payload bytes available this reports the true high-water mark
-        (:meth:`tracked_peak_mb`) -- what the pipelined executor's
-        memory gate measures.  Otherwise it falls back to the paper's
-        simulated Appendix-C model below, which remains the quantity
-        the figure benchmarks plot (the local backend always simulates,
-        keeping those curves stable).
+        (:meth:`tracked_peak_mb`).  Otherwise it falls back to the
+        paper's simulated Appendix-C model below, which remains the
+        quantity the figure benchmarks plot (the local backend always
+        simulates, keeping those curves stable).
         """
         if self.backend.name != "local":
             tracked = self.tracked_peak_mb()
@@ -481,7 +471,6 @@ class ExecutionContext:
             "total_task_time_s": self.total_task_time_s(),
             "dominance_comparisons": self.dominance_comparisons,
             "faults": self.fault_stats.as_dict(),
-            "pipeline": self.pipeline,
             "scan": dict(self.scan),
             "stages": [
                 {

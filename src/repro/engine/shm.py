@@ -43,8 +43,9 @@ partitions as handles on every execution -- and are dropped by
 
 Everything degrades gracefully: no NumPy, object columns, zero-row or
 tiny batches, exhausted budgets and closed stores all fall back to
-ordinary pickling (counted in :meth:`stats`), which remains
-bit-identical.
+ordinary pickling, which remains bit-identical -- and every fallback
+is counted under its reason (:data:`FALLBACK_REASONS`) in
+:meth:`SharedColumnStore.stats`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,18 @@ SHM_STATE_TAG = "__repro_shm__"
 
 #: Batches smaller than this pickle faster than they map; ship by value.
 MIN_SHARE_BYTES = 32 * 1024
+
+#: Why a batch shipped by value instead of as a handle; ``stats()``
+#: reports one ``fallback_<reason>`` counter each.  ``too_small``: the
+#: typed buffers total less than the store's ``min_batch_bytes``
+#: (pickling is cheaper than mapping); ``object_column``: no column is
+#: array-backed at all (strings, mixed types, no NumPy), so there is
+#: nothing to place in a segment; ``zero_rows``: an empty batch;
+#: ``budget``: ``max_bytes`` (or ``/dev/shm`` itself) is exhausted;
+#: ``closed``: the store was closed, or the platform cannot serve
+#: segments.
+FALLBACK_REASONS = ("too_small", "object_column", "zero_rows", "budget",
+                    "closed")
 
 #: Worker-side cap on concurrently mapped segments (LRU).
 MAX_ATTACHED_SEGMENTS = 64
@@ -161,6 +174,8 @@ class SharedColumnStore:
         self.bytes_shared = 0
         self.handles_served = 0
         self.pickle_fallbacks = 0
+        #: ``pickle_fallbacks`` split by :data:`FALLBACK_REASONS`.
+        self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
 
     # -- registration -----------------------------------------------------
 
@@ -168,8 +183,7 @@ class SharedColumnStore:
         """The handle state to pickle for ``batch``, or ``None``.
 
         Registers the batch on first sight; ``None`` means "pickle by
-        value" (store closed, batch too small / object-typed / zero-row,
-        or the byte budget is exhausted).
+        value", counted under the reason the registration was refused.
         """
         with self._lock:
             self._sweep_locked()
@@ -177,9 +191,10 @@ class SharedColumnStore:
             if entry is not None:
                 self.handles_served += 1
                 return entry.state
-            state = self._register_locked(batch, persistent=False)
+            state, refusal = self._register_locked(batch, persistent=False)
             if state is None:
                 self.pickle_fallbacks += 1
+                self.fallbacks[refusal] += 1
             else:
                 self.handles_served += 1
             return state
@@ -199,7 +214,7 @@ class SharedColumnStore:
                     entry.persistent = True
                     entry.strong = None
                     pinned += 1
-                elif self._register_locked(batch, persistent=True):
+                elif self._register_locked(batch, persistent=True)[0]:
                     pinned += 1
         return pinned
 
@@ -234,11 +249,15 @@ class SharedColumnStore:
                 if entry is not None and entry.batch() is batch:
                     self._release_locked(id(batch))
 
-    def _register_locked(self, batch, persistent) -> "tuple | None":
+    def _register_locked(self, batch: ColumnBatch, persistent: bool
+                         ) -> "tuple[tuple | None, str | None]":
+        """Export ``batch``: ``(handle state, None)``, or ``(None,
+        reason)`` with the :data:`FALLBACK_REASONS` entry that refused
+        it."""
         if self._closed or np is None or shared_memory is None:
-            return None
-        if not isinstance(batch, ColumnBatch) or batch.num_rows == 0:
-            return None
+            return None, "closed"
+        if batch.num_rows == 0:
+            return None, "zero_rows"
         arrays = []   # (ndarray, offset)
         specs = []
         total = 0
@@ -257,16 +276,18 @@ class SharedColumnStore:
                 total = mask_offset + mask.nbytes
                 arrays.append((mask, mask_offset))
             specs.append((column.kind, offset, mask_offset, len(column)))
+        if not arrays:
+            return None, "object_column"
         if total < self.min_batch_bytes:
-            return None
+            return None, "too_small"
         if self.max_bytes is not None and \
                 self._bytes + total > self.max_bytes:
-            return None
+            return None, "budget"
         self._counter += 1
         try:
             segment = shared_memory.SharedMemory(create=True, size=total)
         except OSError:  # pragma: no cover - /dev/shm full mid-run
-            return None
+            return None, "budget"
         for array, offset in arrays:
             dest = np.frombuffer(segment.buf, dtype=array.dtype,
                                  count=array.size, offset=offset)
@@ -279,7 +300,7 @@ class SharedColumnStore:
         self._bytes += total
         self.segments_created += 1
         self.bytes_shared += total
-        return state
+        return state, None
 
     # -- release ----------------------------------------------------------
 
@@ -324,6 +345,8 @@ class SharedColumnStore:
             return [e.segment.name for e in self._entries.values()]
 
     def stats(self) -> dict:
+        """Flat integer counters, cumulative over the store's life (a
+        per-query share is the difference of two snapshots)."""
         return {
             "active_segments": len(self._entries),
             "active_bytes": self._bytes,
@@ -332,6 +355,8 @@ class SharedColumnStore:
             "bytes_shared": self.bytes_shared,
             "handles_served": self.handles_served,
             "pickle_fallbacks": self.pickle_fallbacks,
+            **{f"fallback_{reason}": count
+               for reason, count in self.fallbacks.items()},
         }
 
 

@@ -86,11 +86,6 @@ LOCAL_STATS_MAX_ROWS = 4096
 _PRESERVING = (L.Filter, L.Distinct, L.Sort, L.SubqueryAlias, L.Limit,
                L.Project)
 
-#: Estimated input rows below which pipelined execution cannot win:
-#: morsel scheduling adds a per-wave overhead that a handful of rows
-#: never amortises, and the staged path's single barrier is cheap.
-PIPELINE_MIN_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class CostDecision:
@@ -192,91 +187,6 @@ def applied_decision(model: "PlanDecision | None", algorithm: str,
         grid_cells_per_dim=None, estimated_rows=model.estimated_rows,
         skyline_density=model.skyline_density,
         stats_lines=model.stats_lines)
-
-
-# ---------------------------------------------------------------------------
-# Execution mode (staged vs. pipelined)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionDecision:
-    """How the local phase executes, for EXPLAIN.
-
-    ``mode`` is ``"staged"`` (bulk-synchronous: every operator finishes
-    before the next starts) or ``"pipelined"`` (morsel-driven: scan,
-    filter/project and the local-skyline fold overlap under
-    per-operator memory budgets with backpressure and out-of-core
-    spill).  The global phase is staged either way -- the pipelined
-    local phase drains into the same global merge.
-    """
-
-    mode: str
-    reason: str
-    estimated_rows: int | None
-    operator_memory_mb: float | None
-    forced: bool
-
-    def describe(self) -> str:
-        lines = [f"execution    = {self.mode:<26} -- {self.reason}"]
-        if self.mode == "pipelined":
-            budget = "default" if self.operator_memory_mb is None \
-                else f"{self.operator_memory_mb:g} MB"
-            lines.append(
-                f"op budget    = {budget:<26} -- per-operator byte "
-                f"budget (backpressure + spill threshold)")
-        return "\n".join(lines)
-
-
-def choose_execution_mode(algorithm: str, *, backend: str,
-                          estimated_rows: int | None,
-                          operator_memory_mb: float | None = None,
-                          forced: str = "auto",
-                          chain_supported: bool = True
-                          ) -> ExecutionDecision:
-    """Pick staged vs. pipelined execution for one skyline operator.
-
-    An explicit session setting wins, except that a pipelined request
-    is refused when the local skyline's child is not a scan ->
-    filter/project chain (``chain_supported=False``: joins,
-    aggregates, repartitions): the child would finish staged before
-    the first morsel exists.  ``auto`` only pipelines when overlap can
-    actually pay: a parallel backend, a distributed algorithm with a
-    local phase to fold incrementally, and enough rows to amortise the
-    per-wave scheduling overhead.
-    """
-
-    def staged(reason: str, is_forced: bool = False) -> ExecutionDecision:
-        return ExecutionDecision(
-            mode="staged", reason=reason, estimated_rows=estimated_rows,
-            operator_memory_mb=operator_memory_mb, forced=is_forced)
-
-    if forced == "staged":
-        return staged("forced by session configuration", is_forced=True)
-    if forced == "auto":
-        if backend == "local":
-            return staged("sequential local backend: operators cannot "
-                          "overlap, so pipelining only adds overhead")
-        if algorithm == "non-distributed-complete":
-            return staged("single global task only (no local phase to "
-                          "pipeline)")
-        if estimated_rows is not None and \
-                estimated_rows < PIPELINE_MIN_ROWS:
-            return staged(f"~{estimated_rows} input rows "
-                          f"(< {PIPELINE_MIN_ROWS}); per-wave scheduling "
-                          f"overhead would dominate")
-    if not chain_supported:
-        return staged("no scan -> filter/project chain under the local "
-                      "skyline: nothing to overlap")
-    return ExecutionDecision(
-        mode="pipelined",
-        reason="forced by session configuration" if forced == "pipelined"
-        else f"parallel '{backend}' backend and "
-             f"{'unknown' if estimated_rows is None else f'~{estimated_rows}'} "
-             f"input rows: scan/filter/fold overlap pays",
-        estimated_rows=estimated_rows,
-        operator_memory_mb=operator_memory_mb,
-        forced=forced == "pipelined")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ The skyline operators implement the two-node split of Section 5.5: a
 node that requires the ``AllTuples`` distribution (one partition).  For
 incomplete data the local node uses the null-bitmap distribution of
 Section 5.7 and the global node uses flag-based all-pairs testing.
+
+**Stage fusion.**  Scans, filters and projections are narrow
+dependencies, so -- like Catalyst putting them into one stage -- they
+never open a stage of their own: a maximal ``Scan -> (Filter |
+Project)*`` chain compiles into one picklable map body
+(:func:`_map_task`).  Under a ``complete``/``sfs`` local skyline the
+body runs *inside* the local task (one task per partition: slice in,
+local skyline out); where the consumer needs every row first it runs as
+one fused map stage, named after the chain's top operator.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ from typing import Any, Callable, Sequence
 
 from ..core.dominance import BoundDimension, DimensionKind
 from ..core.partitioning import partition_indices, partition_rows
-from ..core.vectorized import (kernel_name, skyline_task,
-                               split_by_null_bitmap)
+from ..core.vectorized import (concat_partitions, kernel_name,
+                               skyline_task, split_by_null_bitmap)
 from ..engine import expressions as E
 from ..engine.backends import StageTask
 from ..engine.batch import ColumnBatch
@@ -31,6 +40,7 @@ from ..engine.cluster import ExecutionContext
 from ..engine.rdd import RDD, BatchRDD, partition_bounds
 from ..errors import ExecutionError
 from . import logical as L
+
 
 def _rows_rdd(result: "RDD | BatchRDD") -> RDD:
     """A row RDD view of an operator's output (no-op for row RDDs).
@@ -43,6 +53,13 @@ def _rows_rdd(result: "RDD | BatchRDD") -> RDD:
     if isinstance(result, BatchRDD):
         return result.to_row_rdd()
     return result
+
+
+def _partitions(result: "RDD | BatchRDD") -> list:
+    """An operator's output partitions: batches or row lists."""
+    return result.batches if isinstance(result, BatchRDD) \
+        else result.partitions
+
 
 _node_ids = itertools.count(1)
 
@@ -57,8 +74,15 @@ class PhysicalScalarSubquery(E.LeafExpression):
 
     def __init__(self, plan: "PhysicalPlan") -> None:
         self.plan = plan
+        self._dtype = plan.output[0].dtype
         self._value: Any = None
         self._prepared = False
+
+    def __getstate__(self) -> dict:
+        # Ships to a worker inside a fused map body: the prepared value
+        # travels, the subplan (and the table rows under it) does not.
+        return {"plan": None, "_dtype": self._dtype,
+                "_value": self._value, "_prepared": self._prepared}
 
     @property
     def resolved(self) -> bool:
@@ -66,8 +90,7 @@ class PhysicalScalarSubquery(E.LeafExpression):
 
     @property
     def dtype(self):
-        output = self.plan.output
-        return output[0].dtype
+        return self._dtype
 
     def prepare(self, ctx: ExecutionContext) -> None:
         if self._prepared:
@@ -106,18 +129,6 @@ class PhysicalPlan:
     #: EXPLAIN/execution; purely informational.
     transport: "str | None" = None
 
-    #: Physical execution mode of the local skyline chain this operator
-    #: belongs to: ``"pipelined"`` (morsel-driven overlap, stamped down
-    #: the scan -> local chain by the planner), ``"staged"`` (only
-    #: stamped when the session *forces* staged execution), or ``None``
-    #: (the unmarked staged default).
-    execution: "str | None" = None
-
-    #: Per-operator memory budget (MB) for the pipelined executor;
-    #: stamped onto the local skyline exec by the planner.  ``None``
-    #: means the executor's built-in default.
-    operator_memory_mb: "float | None" = None
-
     def __init__(self) -> None:
         self.node_id = next(_node_ids)
 
@@ -142,9 +153,14 @@ class PhysicalPlan:
         tag = f" [{self.exec_mode}]"
         if self.transport is not None and self.exec_mode == "batch":
             tag += f" [{self.transport}]"
-        if self.execution is not None:
-            tag += f" [{self.execution}]"
         return tag
+
+    @property
+    def fuses_child(self) -> bool:
+        """True when this operator executes in the same stage as its
+        first child (stage fusion); ``EXPLAIN`` numbers stages by it
+        and ``execute`` follows it, so the two cannot drift."""
+        return False
 
     def stage_name(self, suffix: str = "") -> str:
         base = f"{type(self).__name__}-{self.node_id}"
@@ -162,19 +178,218 @@ class PhysicalPlan:
         return type(self).__name__
 
 
-def physical_tree_string(plan: PhysicalPlan, indent: int = 0) -> str:
-    lines = ["  " * indent + plan.node_description()]
-    for child in plan.children:
-        lines.append(physical_tree_string(child, indent + 1))
-    return "\n".join(lines)
+def stage_numbers(plan: PhysicalPlan) -> dict[int, int]:
+    """``node_id`` -> number of the stage the operator executes in,
+    counted in execution order (children first); operators fused into
+    one stage share a number."""
+    numbers: dict[int, int] = {}
+    fresh = itertools.count(1)
+
+    def visit(node: PhysicalPlan) -> None:
+        for child in node.children:
+            visit(child)
+        numbers[node.node_id] = numbers[node.children[0].node_id] \
+            if node.fuses_child else next(fresh)
+
+    visit(plan)
+    return numbers
+
+
+def physical_tree_string(plan: PhysicalPlan) -> str:
+    """The operator tree, each node marked ``*(N)`` with the stage it
+    executes in -- the way Spark marks whole-stage chains."""
+    numbers = stage_numbers(plan)
+
+    def render(node: PhysicalPlan, indent: int) -> list[str]:
+        lines = ["  " * indent + f"*({numbers[node.node_id]}) "
+                 + node.node_description()]
+        for child in node.children:
+            lines.extend(render(child, indent + 1))
+        return lines
+
+    return "\n".join(render(plan, 0))
 
 
 # ---------------------------------------------------------------------------
-# Scans
+# Narrow operators: scan, filter, project -- fused into one map body
 # ---------------------------------------------------------------------------
 
 
-class ScanExec(PhysicalPlan):
+def _filter_batch(batch: ColumnBatch,
+                  condition: E.Expression) -> ColumnBatch:
+    """One batch filtered to the rows where ``condition`` is TRUE."""
+    verdict = condition.eval_batch(batch)
+    if verdict.is_array:
+        keep = verdict.data if verdict.mask is None \
+            else (verdict.data & ~verdict.mask)
+    else:
+        keep = [v is True for v in verdict.data]
+    return batch.compress(keep)
+
+
+def _map_task(partition, specs):
+    """Apply a fused filter/project chain to one partition (a batch or
+    a row list).  ``specs`` are ``(kind, expressions)`` pairs, bottom
+    up: a ``"filter"`` carries its one condition, a ``"project"`` its
+    projection list.  Top-level and plain-data, hence shippable to
+    process-pool workers."""
+    on_batches = isinstance(partition, ColumnBatch)
+    for kind, exprs in specs:
+        if kind == "filter" and on_batches:
+            partition = _filter_batch(partition, exprs[0])
+        elif kind == "filter":
+            predicate = exprs[0].eval
+            partition = [row for row in partition
+                         if predicate(row) is True]
+        elif on_batches:
+            partition = ColumnBatch([e.eval_batch(partition) for e in exprs],
+                                    num_rows=partition.num_rows)
+        else:
+            evaluators = [e.eval for e in exprs]
+            partition = [tuple(ev(row) for ev in evaluators)
+                         for row in partition]
+    return partition
+
+
+def _local_skyline_task(partition, specs, dims, mode, distinct, vectorized,
+                         check_deadline=None):
+    """One partition's local skyline, computed where the partition is:
+    the fused filter/project chain (``specs``, possibly empty) and then
+    :func:`~repro.core.vectorized.skyline_task` over what it lets
+    through.  A scalar operator drops to rows first (honouring
+    ``vectorized=False`` even in a columnar session)."""
+    partition = _map_task(partition, specs)
+    if not vectorized and isinstance(partition, ColumnBatch):
+        partition = partition.to_rows()
+    return skyline_task(partition, dims, mode, distinct, vectorized,
+                        check_deadline=check_deadline)
+
+
+def _read_columns(specs: tuple, width: int) -> "list[int] | None":
+    """Ordinals of the scan columns a chain reads, or ``None`` when
+    narrowing the scan would not pay or is not possible: a chain
+    without a projection emits the scan's own schema (every column is
+    output), and one that reads every column has nothing to drop."""
+    exprs: list[E.Expression] = []
+    for kind, payload in specs:
+        exprs.extend(payload)
+        if kind == "project":
+            break
+    else:
+        return None
+    read = sorted({node.index for expr in exprs for node in expr.iter_tree()
+                   if isinstance(node, E.BoundReference)})
+    return read if len(read) < width else None
+
+
+def _rebind(specs: tuple, columns: list[int]) -> tuple:
+    """``specs`` reading a batch narrowed to ``columns``: the
+    ``BoundReference``s up to and including the first projection (the
+    ones that index the scan's schema) move to the narrowed ordinals."""
+    position = {old: new for new, old in enumerate(columns)}
+
+    def rebind(node: E.Expression) -> E.Expression:
+        if isinstance(node, E.BoundReference):
+            return E.BoundReference(position[node.index], node.dtype,
+                                    node.nullable, node.name)
+        return node
+
+    rebound = []
+    for i, (kind, exprs) in enumerate(specs):
+        rebound.append((kind, tuple(e.transform_up(rebind) for e in exprs)))
+        if kind == "project":
+            return tuple(rebound) + specs[i + 1:]
+    return tuple(rebound)
+
+
+def _resident(holder, store, token) -> "list | None":
+    """The batches ``holder`` (an operator of a prepared plan) keeps
+    pinned in ``store`` under ``token``; ``None`` when it holds none or
+    they are stale."""
+    if store is None or holder._pinned is None \
+            or holder._pinned[0] != token:
+        return None
+    store.pin(holder._pinned[1])  # idempotent; re-pins after a close
+    return holder._pinned[1]
+
+
+def _keep_resident(holder, store, token, batches: list) -> None:
+    """Pin ``batches`` in ``store`` and keep them on ``holder`` under
+    ``token``, releasing what it held before (stale after DML)."""
+    if holder._pinned is not None:
+        store.unpin(holder._pinned[1])
+    store.pin(batches)
+    holder._pinned = (token, batches)
+
+
+class _NarrowExec(PhysicalPlan):
+    """Scan, filter and project: per-partition operators without a
+    stage of their own.
+
+    ``execute`` on any of them runs the whole chain beneath it -- down
+    to its *source*, the first operator that is not a filter or a
+    projection -- as ONE map stage of :func:`_map_task` tasks, named
+    after the operator it was called on.  A consumer that can fuse the
+    chain into its own tasks (:class:`SkylineLocalExec`) takes
+    :meth:`chain_inputs` instead and opens no stage for it at all.
+    """
+
+    #: ``(kind, expressions)`` this operator contributes to the fused
+    #: map body; ``None`` for the scan (it *is* the input).
+    spec: "tuple | None" = None
+
+    @property
+    def fuses_child(self) -> bool:
+        return bool(self.children) and \
+            isinstance(self.children[0], _NarrowExec)
+
+    def chain_inputs(self, ctx: ExecutionContext, resident: bool = False
+                     ) -> "tuple[list, tuple]":
+        """``(partitions, specs)`` of the chain topped by this operator.
+
+        Scalar subqueries are prepared here, in the driver, before any
+        task ships.  A columnar scan source is cut into zero-copy
+        slices of the table's resident columns, narrowed to the columns
+        the chain reads with ``specs`` rebound to match (``resident``:
+        see :meth:`ScanExec.slices`).  Any other source is executed and
+        hands over its partitions.
+        """
+        specs = []
+        source: PhysicalPlan = self
+        while isinstance(source, _NarrowExec) and source.spec is not None:
+            for expr in source.spec[1]:
+                _prepare_subqueries(expr, ctx)
+            specs.append(source.spec)
+            source = source.children[0]
+        specs = tuple(reversed(specs))
+        if not isinstance(source, ScanExec):
+            return _partitions(source.execute(ctx)), specs
+        if not source.columnar:
+            rows = list(source.rows)  # an atomic snapshot
+            return [rows[start:stop] for start, stop in partition_bounds(
+                len(rows), ctx.config.default_parallelism)], specs
+        columns = _read_columns(specs, len(source.output))
+        if columns is not None:
+            specs = _rebind(specs, columns)
+        return source.slices(ctx, columns, resident), specs
+
+    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
+        partitions, specs = self.chain_inputs(ctx)
+        on_batches = self.exec_mode == "batch"
+        # Closure-only tasks: a process backend runs them in the driver.
+        # Everything a standalone map lets through would have to come
+        # back by value, which costs more than the map itself (a plain
+        # filter/project query measured 1.2-1.5x slower shipped).
+        tasks = [StageTask(
+            partition=i, rows_in=len(partition),
+            bytes_in=partition.nbytes if on_batches else 0,
+            fn=functools.partial(_map_task, partition, specs))
+            for i, partition in enumerate(partitions)]
+        results = ctx.run_stage(self.stage_name(), tasks)
+        return BatchRDD(results) if on_batches else RDD(results)
+
+
+class ScanExec(_NarrowExec):
     """Read a catalog table, split over the default parallelism.
 
     With ``columnar=True`` (the session's batch data plane) the scan
@@ -197,6 +412,8 @@ class ScanExec(PhysicalPlan):
         #: The catalog :class:`~repro.engine.catalog.Table` behind
         #: ``rows`` (``None``: a literal relation, columnized per run).
         self.table = table
+        #: ``(token, slices)`` kept for re-executions; see :meth:`slices`.
+        self._pinned: "tuple | None" = None
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -206,63 +423,64 @@ class ScanExec(PhysicalPlan):
     def exec_mode(self) -> str:
         return "batch" if self.columnar else "row"
 
-    def whole_batch(self, ctx: ExecutionContext) -> ColumnBatch:
-        """Every scanned row as one batch for this scan and the
-        pipelined driver to slice, counted into ``ctx.scan``."""
+    def token(self, ctx: ExecutionContext) -> tuple:
+        """What the scan's partitions -- and anything deterministically
+        derived from them -- are valid for: one
+        :func:`table_fingerprint` (the resident columns' own token, so
+        catalog DML invalidates both together) plus the parallelism."""
+        return (table_fingerprint(self.table or self),
+                ctx.config.default_parallelism)
+
+    def slices(self, ctx: ExecutionContext,
+               columns: "list[int] | None" = None,
+               resident: bool = False) -> list[ColumnBatch]:
+        """One zero-copy slice of the scanned columns per partition
+        (only ``columns``, when given), counted into ``ctx.scan``.
+
+        ``resident`` is asked for by a consumer whose tasks ship these
+        slices to process workers.  Under an active
+        :class:`~repro.engine.shm.SharedColumnStore` the slices are then
+        pinned in the store and kept on the plan, so re-executions of a
+        prepared query hand out the *same* objects and ship handles to
+        the same segments instead of copying them again -- for as long
+        as :meth:`token` holds (DML releases the stale segments).
+        """
+        store = ctx.shm_store if resident else None
+        if store is not None and store.closed:
+            store = None
+        token = self.token(ctx)
+        slices = _resident(self, store, token)
+        if slices is not None:
+            ctx.scan["resident_rows"] += sum(map(len, slices))
+            return slices
         if self.table is not None:
-            batch, built = self.table.column_batch()
+            whole, built = self.table.column_batch()
         else:
-            batch = ColumnBatch.from_rows(list(self.rows),
+            whole = ColumnBatch.from_rows(list(self.rows),
                                           len(self._output))
             built = True
-        ctx.scan["columnized_rows" if built else "resident_rows"] += len(batch)
-        return batch
-
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        num_partitions = ctx.config.default_parallelism
-        if self.columnar:
-            whole = self.whole_batch(ctx)
-            batches = [whole.slice(start, stop) for start, stop
-                       in partition_bounds(whole.num_rows, num_partitions)]
-            tasks = [StageTask(partition=i, rows_in=batch.num_rows,
-                               bytes_in=batch.nbytes,
-                               fn=lambda batch=batch: batch)
-                     for i, batch in enumerate(batches)]
-            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-        rdd = RDD.from_rows(self.rows, num_partitions)
-        tasks = [StageTask(partition=i, rows_in=len(partition),
-                           fn=lambda rows=partition: rows)
-                 for i, partition in enumerate(rdd.partitions)]
-        ctx.run_stage(self.stage_name(), tasks)
-        return rdd
+        ctx.scan["columnized_rows" if built
+                 else "resident_rows"] += len(whole)
+        if columns is not None:
+            whole = whole.select(columns)
+        slices = [whole.slice(start, stop) for start, stop in
+                  partition_bounds(whole.num_rows,
+                                   ctx.config.default_parallelism)]
+        if store is not None:
+            _keep_resident(self, store, token, slices)
+        return slices
 
     def node_description(self) -> str:
         return f"Scan({self.description}, {len(self.rows)} rows)" \
             + self._mode_tag()
 
 
-# ---------------------------------------------------------------------------
-# Row-at-a-time operators
-# ---------------------------------------------------------------------------
-
-
-def _filter_batch(batch: ColumnBatch,
-                  condition: E.Expression) -> ColumnBatch:
-    """One batch filtered to the rows where ``condition`` is TRUE."""
-    verdict = condition.eval_batch(batch)
-    if verdict.is_array:
-        keep = verdict.data if verdict.mask is None \
-            else (verdict.data & ~verdict.mask)
-    else:
-        keep = [v is True for v in verdict.data]
-    return batch.compress(keep)
-
-
-class FilterExec(PhysicalPlan):
+class FilterExec(_NarrowExec):
     def __init__(self, condition: E.Expression, child: PhysicalPlan) -> None:
         super().__init__()
         self.children = (child,)
         self.condition = E.bind_expression(condition, child.output)
+        self.spec = ("filter", (self.condition,))
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -272,31 +490,11 @@ class FilterExec(PhysicalPlan):
     def exec_mode(self) -> str:
         return self.children[0].exec_mode
 
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        _prepare_subqueries(self.condition, ctx)
-        child_out = self.children[0].execute(ctx)
-        if isinstance(child_out, BatchRDD):
-            condition = self.condition
-            tasks = [StageTask(
-                partition=i, rows_in=batch.num_rows,
-                bytes_in=batch.nbytes,
-                fn=lambda batch=batch: _filter_batch(batch, condition))
-                for i, batch in enumerate(child_out.batches)]
-            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-        predicate = self.condition.eval
-        tasks = []
-        for i, partition in enumerate(child_out.partitions):
-            def task(rows=partition):
-                return [row for row in rows if predicate(row) is True]
-            tasks.append(StageTask(partition=i, rows_in=len(partition),
-                                   fn=task))
-        return RDD(ctx.run_stage(self.stage_name(), tasks))
-
     def node_description(self) -> str:
         return f"Filter({self.condition!r})" + self._mode_tag()
 
 
-class ProjectExec(PhysicalPlan):
+class ProjectExec(_NarrowExec):
     def __init__(self, projections: Sequence[E.Expression],
                  child: PhysicalPlan) -> None:
         super().__init__()
@@ -304,6 +502,7 @@ class ProjectExec(PhysicalPlan):
         self._output = [E.named_output(p) for p in projections]
         self.projections = [E.bind_expression(p, child.output)
                             for p in projections]
+        self.spec = ("project", tuple(self.projections))
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -312,29 +511,6 @@ class ProjectExec(PhysicalPlan):
     @property
     def exec_mode(self) -> str:
         return self.children[0].exec_mode
-
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        for projection in self.projections:
-            _prepare_subqueries(projection, ctx)
-        child_out = self.children[0].execute(ctx)
-        if isinstance(child_out, BatchRDD):
-            projections = self.projections
-            tasks = [StageTask(
-                partition=i, rows_in=batch.num_rows,
-                bytes_in=batch.nbytes,
-                fn=lambda batch=batch: ColumnBatch(
-                    [p.eval_batch(batch) for p in projections],
-                    num_rows=batch.num_rows))
-                for i, batch in enumerate(child_out.batches)]
-            return BatchRDD(ctx.run_stage(self.stage_name(), tasks))
-        evaluators = [p.eval for p in self.projections]
-        tasks = []
-        for i, partition in enumerate(child_out.partitions):
-            def task(rows=partition):
-                return [tuple(ev(row) for ev in evaluators) for row in rows]
-            tasks.append(StageTask(partition=i, rows_in=len(partition),
-                                   fn=task))
-        return RDD(ctx.run_stage(self.stage_name(), tasks))
 
     def node_description(self) -> str:
         return "Project" + self._mode_tag()
@@ -847,10 +1023,6 @@ class _SkylineExec(PhysicalPlan):
             return "batch"
         return "row"
 
-    def on_batch_plane(self, child_out: "RDD | BatchRDD") -> bool:
-        """True when the tasks consume and produce batches."""
-        return isinstance(child_out, BatchRDD) and self.vectorized
-
     def node_description(self) -> str:
         name, algorithm = self.LABELS[self.mode]
         if self.vectorized:
@@ -971,6 +1143,12 @@ class SkylineLocalExec(_SkylineExec):
     the nodes ... using the predefined IsNull() method"); BNL with the
     incomplete dominance test is then safe per partition.  Each
     partition's survivors feed the global node.
+
+    Keeping the child's partitioning is what lets the operator share a
+    stage with a scan/filter/project chain beneath it (stage fusion,
+    see the module docstring): its tasks are then
+    :func:`_local_skyline_task` over scan slices, and the chain opens no
+    stage at all.
     """
 
     LABELS = {
@@ -980,108 +1158,72 @@ class SkylineLocalExec(_SkylineExec):
         "sfs": ("SkylineLocalSFS", "SFS"),
     }
 
+    @property
+    def fuses_child(self) -> bool:
+        """``complete``/``sfs`` keep the child's partitioning, so a
+        scan/filter/project chain beneath runs inside the local tasks;
+        ``bitmap-local`` regroups every row first."""
+        return self.mode != "bitmap-local" and \
+            isinstance(self.children[0], _NarrowExec)
+
     def __init__(self, items: Sequence[E.SkylineDimension], distinct: bool,
                  child: PhysicalPlan, mode: str,
                  vectorized: bool = False) -> None:
         super().__init__(items, distinct, child, mode, vectorized)
-        #: Resident input partitions: ``(token, BatchRDD)`` reused by
-        #: re-executions under the shared-memory data plane.
+        #: ``(token, batches)`` kept for re-executions; see
+        #: :meth:`_child_partitions`.
         self._pinned: "tuple | None" = None
 
-    # -- resident input partitions (shared-memory data plane) -------------
+    def _child_partitions(self, ctx: ExecutionContext) -> list:
+        """The executed child's partitions, for a child that does not
+        fuse (a repartition, the ``bitmap-local`` regroup's chain, a
+        join).
 
-    def _input_token(self, ctx: ExecutionContext) -> "tuple | None":
-        """Validity token of this operator's input partitions.
-
-        The chain below a local skyline operator is deterministic data
-        preparation (scan, filter, project, repartition), so its output
-        only changes when the scanned data or the partitioning does:
-        the leaf scan's :func:`table_fingerprint` plus the parallelism.
-        ``None`` means the chain has an unexpected shape -- never pin
-        then.
+        When everything beneath is deterministic data preparation over
+        one scan (filter, project, repartition), the batches depend only
+        on :meth:`ScanExec.token`; under an active
+        :class:`~repro.engine.shm.SharedColumnStore` they are then
+        pinned and kept on the plan like the fused path's scan slices,
+        and a prepared query's re-execution skips the chain and ships
+        handles to the same segments.
         """
-        node: PhysicalPlan = self.children[0]
-        while True:
-            if isinstance(node, ScanExec):
-                return (table_fingerprint(node.table or node),
-                        ctx.config.default_parallelism)
-            if isinstance(node, (FilterExec, ProjectExec,
-                                 SkylineRepartitionExec)):
-                node = node.children[0]
-                continue
-            return None
-
-    def _resident_child(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        """The child output, kept resident across plan re-executions.
-
-        Only under an active :class:`~repro.engine.shm.SharedColumnStore`
-        (process backend with ``shared_memory`` on): the input batches
-        are pinned in the store, so repeat executions of a prepared
-        query ship the *same* segments as handles instead of
-        re-columnizing, re-filtering and re-copying -- this is what
-        "partitions stay resident across stages" buys end to end.
-        Catalog DML changes the leaf table's fingerprint, which
-        invalidates the pin (and releases the stale segments).
-        """
-        store = getattr(ctx, "shm_store", None)
-        if store is None or store.closed:
-            return self.children[0].execute(ctx)
-        token = self._input_token(ctx)
-        if token is not None and self._pinned is not None \
-                and self._pinned[0] == token:
-            rdd = self._pinned[1]
-            store.pin(rdd.batches)  # idempotent; re-pins after close
-            return rdd
-        child_out = self.children[0].execute(ctx)
-        if token is not None and self.on_batch_plane(child_out):
-            if self._pinned is not None:
-                store.unpin(self._pinned[1].batches)
-            store.pin(child_out.batches)
-            self._pinned = (token, child_out)
-        return child_out
-
-    def morsel_chain(self) -> "tuple[tuple, ScanExec] | None":
-        """The ``(transforms, scan)`` the pipelined executor can drive
-        morsel by morsel, else ``None``.
-
-        Supported: ``Scan`` optionally below any stack of
-        ``Filter``/``Project`` nodes.  Anything else (repartitions,
-        joins, ...) finishes before the first morsel exists, so the
-        planner keeps the operator staged.
-        """
-        specs = []
-        node = self.children[0]
-        while True:
-            if isinstance(node, ScanExec):
-                return tuple(reversed(specs)), node
-            if isinstance(node, FilterExec):
-                specs.append(("filter", node.condition))
-            elif isinstance(node, ProjectExec):
-                specs.append(("project", tuple(node.projections)))
-            else:
-                return None
-            node = node.children[0]
+        child = self.children[0]
+        store = token = None
+        if self.exec_mode == "batch" and ctx.shm_store is not None \
+                and not ctx.shm_store.closed:
+            scan = child
+            while isinstance(scan, (FilterExec, ProjectExec,
+                                    SkylineRepartitionExec)):
+                scan = scan.children[0]
+            if isinstance(scan, ScanExec):
+                store, token = ctx.shm_store, scan.token(ctx)
+        partitions = _resident(self, store, token)
+        if partitions is None:
+            child_out = child.execute(ctx)
+            if self.exec_mode != "batch":
+                # A scalar operator reads rows (and regroups rows: the
+                # columnar bitmap pass needs NumPy).
+                child_out = _rows_rdd(child_out)
+            partitions = _partitions(child_out)
+            if store is not None:
+                _keep_resident(self, store, token, partitions)
+        return partitions
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        if self.execution == "pipelined":
-            from ..engine.pipeline import run_pipelined_local
-            return run_pipelined_local(self, ctx)
-        child_out = self._resident_child(ctx)
         stage = self.stage_name()
-        on_batches = self.on_batch_plane(child_out)
-        if not on_batches:
-            child_out = _rows_rdd(child_out)
+        specs: tuple = ()
+        if self.fuses_child:
+            partitions, specs = self.children[0].chain_inputs(
+                ctx, resident=True)
+        else:
+            partitions = self._child_partitions(ctx)
         if self.mode == "bitmap-local":
             # One partition per distinct bitmap, in first-seen order
             # over the concatenated input -- on either data plane.
-            ctx.record_shuffle(stage, child_out.count())
-            whole = child_out.concat() if on_batches \
-                else child_out.collect()
+            ctx.record_shuffle(stage, sum(map(len, partitions)))
+            whole = concat_partitions(partitions)
             partitions = list(split_by_null_bitmap(
                 whole, self.dims).values()) or [whole]
-        else:
-            partitions = child_out.batches if on_batches \
-                else child_out.partitions
         # ``fn`` is a deadline-aware in-process closure (used by the
         # local and thread backends); ``func``/``args`` is the picklable
         # payload process backends ship to workers (workers cannot see
@@ -1089,16 +1231,18 @@ class SkylineLocalExec(_SkylineExec):
         # stages instead).
         tasks = []
         for i, partition in enumerate(partitions):
-            args = (partition, self.dims, self.mode, self.distinct,
+            args = (partition, specs, self.dims, self.mode, self.distinct,
                     self.vectorized)
             tasks.append(StageTask(
                 partition=i, rows_in=len(partition),
-                bytes_in=partition.nbytes if on_batches else 0,
-                fn=functools.partial(skyline_task, *args,
+                bytes_in=partition.nbytes
+                if isinstance(partition, ColumnBatch) else 0,
+                fn=functools.partial(_local_skyline_task, *args,
                                      check_deadline=ctx.check_deadline),
-                func=skyline_task, args=args, kernel=self.kernel))
+                func=_local_skyline_task, args=args, kernel=self.kernel))
         results = ctx.run_stage(stage, tasks)
-        return BatchRDD(results) if on_batches else RDD(results)
+        return BatchRDD(results) if self.exec_mode == "batch" \
+            else RDD(results)
 
 
 class SkylineGlobalExec(_SkylineExec):
@@ -1119,7 +1263,7 @@ class SkylineGlobalExec(_SkylineExec):
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
         child_out = self.children[0].execute(ctx)
-        on_batches = self.on_batch_plane(child_out)
+        on_batches = self.exec_mode == "batch"
         if not on_batches:
             child_out = _rows_rdd(child_out)
         stage = self.stage_name()

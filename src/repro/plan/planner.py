@@ -52,12 +52,6 @@ SKYLINE_OPERATOR_MODES = {
     "sfs": ("sfs", "sfs"),
 }
 
-#: Valid values of the ``execution`` session option: ``staged`` runs
-#: the bulk-synchronous operator barriers, ``pipelined`` the
-#: morsel-driven overlapping executor (:mod:`repro.engine.pipeline`),
-#: and ``auto`` lets the cost model pick per skyline operator.
-EXECUTION_MODES = ("staged", "pipelined", "auto")
-
 
 class Planner:
     """Lowers logical plans to physical plans.
@@ -78,10 +72,7 @@ class Planner:
                  partitioning: str = "keep",
                  num_partitions: int | None = None,
                  vectorized: bool = False,
-                 columnar: bool = False,
-                 execution: str = "auto",
-                 operator_memory_mb: float | None = None,
-                 backend: str = "local") -> None:
+                 columnar: bool = False) -> None:
         if skyline_strategy not in SKYLINE_STRATEGIES:
             raise PlanningError(
                 f"unknown skyline strategy {skyline_strategy!r}; expected "
@@ -90,12 +81,6 @@ class Planner:
             raise PlanningError(
                 f"unknown partitioning scheme {partitioning!r}; expected "
                 f"one of {PARTITIONING_SCHEMES}")
-        if execution not in EXECUTION_MODES:
-            raise PlanningError(
-                f"unknown execution mode {execution!r}; expected one "
-                f"of {EXECUTION_MODES}")
-        if operator_memory_mb is not None and operator_memory_mb <= 0:
-            raise PlanningError("operator_memory_mb must be > 0")
         self.skyline_strategy = skyline_strategy
         self.catalog = catalog
         self.num_executors = num_executors
@@ -109,19 +94,8 @@ class Planner:
         #: scans columnize their partitions and the batch-capable
         #: operators exchange :class:`~repro.engine.batch.ColumnBatch`es.
         self.columnar = columnar
-        #: Execution mode ("staged"/"pipelined"/"auto"), the pipelined
-        #: per-operator memory budget, and the backend name the cost
-        #: model consults (pipelining never pays on the sequential
-        #: local backend).
-        self.execution = execution
-        self.operator_memory_mb = operator_memory_mb
-        self.backend = backend
         #: One entry per planned skyline operator, in plan order.
         self.decisions: list = []
-        #: One :class:`~repro.plan.cost.ExecutionDecision` per planned
-        #: skyline operator, in plan order (EXPLAIN's Execution
-        #: section).
-        self.execution_decisions: list = []
 
     def settings_key(self) -> tuple:
         """Hashable snapshot of every planning-relevant setting.
@@ -134,8 +108,7 @@ class Planner:
         """
         return (self.skyline_strategy, self.num_executors,
                 self.max_workers, self.partitioning, self.num_partitions,
-                self.vectorized, self.columnar, self.execution,
-                self.operator_memory_mb, self.backend)
+                self.vectorized, self.columnar)
 
     # -- entry point ------------------------------------------------------
 
@@ -235,8 +208,7 @@ class Planner:
     # -- skyline (Listing 8) -------------------------------------------------------
 
     def _plan_skyline(self, node: L.SkylineOperator) -> P.PhysicalPlan:
-        from .cost import (CostModel, applied_decision,
-                           choose_execution_mode, estimate_input_rows)
+        from .cost import CostModel, applied_decision
 
         child = self.plan(node.child)
         items = node.skyline_items
@@ -277,8 +249,6 @@ class Planner:
         self.decisions.append(applied_decision(
             decision, strategy, partitioning if applies else "keep",
             applied_count, auto=self.skyline_strategy == "auto"))
-        est_rows = decision.estimated_rows if decision is not None \
-            else estimate_input_rows(node)
 
         vectorized = self.vectorized
         if applies:
@@ -288,34 +258,10 @@ class Planner:
         if strategy not in SKYLINE_OPERATOR_MODES:
             raise PlanningError(f"unhandled skyline strategy {strategy!r}")
         local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]
-        local = None
         if local_mode is not None:
-            local = child = P.SkylineLocalExec(
+            child = P.SkylineLocalExec(
                 items, node.distinct, child, local_mode,
                 vectorized=vectorized)
-        exec_decision = choose_execution_mode(
-            strategy, backend=self.backend, estimated_rows=est_rows,
-            operator_memory_mb=self.operator_memory_mb,
-            forced=self.execution,
-            chain_supported=local is None
-            or local.morsel_chain() is not None)
-        self.execution_decisions.append(exec_decision)
-        # Mark the local chain with the chosen execution mode.
-        # Pipelined stamps the whole scan -> ... -> local chain (every
-        # operator participates in the morsel pipeline); a *forced*
-        # staged session stamps the local exec only.  The auto-resolved
-        # staged default stays unmarked so EXPLAIN output is unchanged
-        # for existing sessions.
-        if local is not None and exec_decision.mode == "pipelined":
-            local.operator_memory_mb = self.operator_memory_mb
-            here: P.PhysicalPlan | None = local
-            while here is not None:
-                here.execution = "pipelined"
-                if isinstance(here, P.ScanExec) or not here.children:
-                    break
-                here = here.children[0]
-        elif local is not None and exec_decision.forced:
-            local.execution = "staged"
         return P.SkylineGlobalExec(items, node.distinct, child, global_mode,
                                    vectorized=vectorized)
 
@@ -335,6 +281,10 @@ class _RenameExec(P.PhysicalPlan):
     @property
     def exec_mode(self) -> str:
         return self.children[0].exec_mode
+
+    #: Runs no task of its own: it is part of whatever stage its child
+    #: executes in.
+    fuses_child = True
 
     def execute(self, ctx):
         return self.children[0].execute(ctx)

@@ -213,9 +213,13 @@ class SkylineServer:
             if op == "ping":
                 return {"ok": True, "pong": True}
             if op == "stats":
+                shm = {name: tenant.session.shm_stats()
+                       for name, tenant in self._tenants.items()}
                 return {"ok": True,
                         "service": self.service.stats(),
                         "scheduler": self.scheduler.stats.as_dict(),
+                        "shm": {name: stats for name, stats in shm.items()
+                                if stats is not None},
                         "tenants": sorted(self._tenants)}
             if op == "configure":
                 tenant = self.register_tenant(

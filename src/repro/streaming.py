@@ -8,16 +8,14 @@ accumulator (:class:`SkylineStream`) and as a micro-batch pipe
 (:meth:`SkylineStream.process_batch`) in the spirit of structured
 streaming's incremental queries.
 
-Since the pipelined executor landed (:mod:`repro.engine.pipeline`) this
-is no longer a side module: the pipelined local-skyline operator folds
-every morsel through a :class:`SkylineStream` window, restoring the
-running window from a :meth:`checkpoint` before each fold and
-checkpointing the survivors after it.  The ``dominance`` parameter is
-what makes that reuse possible for incomplete data: within one
+This is the public incremental API; the query engine does not import
+it.  A running window survives process boundaries through
+:meth:`checkpoint` / :meth:`restore`.  The ``dominance`` parameter lets
+a caller stream incomplete data where that is sound: within one
 null-bitmap partition the restricted dominance test
 (:func:`repro.core.dominance.dominates_incomplete`) *is* transitive, so
-the operator streams null rows through the window directly instead of
-buffering them.
+null rows can pass through the window directly instead of being
+buffered.
 
 Default semantics are complete-data only: with nulls, general dominance
 is not transitive, so dropping dominated tuples online would be
@@ -76,8 +74,7 @@ class SkylineStream:
         self._null_buffer: list[Sequence] = []
         self.rows_seen = 0
         self.rows_dropped = 0
-        #: Dominance tests performed so far (the engine's
-        #: ``dominance_comparisons`` metric for pipelined folds).
+        #: Dominance tests performed so far.
         self.comparisons = 0
         #: High-water mark of the window size (plus buffered nulls).
         self.window_peak = 0

@@ -18,6 +18,9 @@ class TestRunSmoke:
         assert {run["backend"] for run in encoded["runs"]} == \
             {"local", "thread", "process"}
         assert all(run["result_rows"] > 0 for run in encoded["runs"])
+        # Every backend run reports when its first skyline stage landed.
+        assert all(0.0 <= run["time_to_first_batch_s"]
+                   <= run["wall_time_s"] + 1.0 for run in encoded["runs"])
 
     def test_backends_agree_per_workload(self):
         report = run_smoke(num_rows=60, num_workers=2)

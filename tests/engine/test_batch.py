@@ -251,6 +251,82 @@ class TestSlice:
         assert pickle.loads(blob).to_rows() == rows[100:200]
 
 
+class TestSelect:
+    """``ColumnBatch.select``: how a fused scan chain narrows a table's
+    resident columns to the ones it reads.
+
+    Runs unchanged under ``REPRO_DISABLE_NUMPY=1`` (list columns).
+    """
+
+    @staticmethod
+    def _assert_rows(batch, expected):
+        decoded = batch.to_rows()
+        assert len(decoded) == batch.num_rows == len(expected)
+        for want, got in zip(expected, decoded):
+            assert len(want) == len(got)
+            assert all(same_value(x, y) for x, y in zip(want, got))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), st.data())
+    def test_select_equals_row_projection_with_types(self, table, data):
+        rows, width = table
+        batch = ColumnBatch.from_rows(rows, width) if width \
+            else ColumnBatch([], num_rows=len(rows))
+        # Any order, repeats allowed, possibly no column at all.
+        chosen = data.draw(st.lists(st.integers(0, width - 1), max_size=6)
+                           if width else st.just([]))
+        expected = [tuple(r[i] for i in chosen) for r in rows]
+        picked = batch.select(chosen)
+        assert picked.num_columns == len(chosen)
+        self._assert_rows(picked, expected)
+        # Zero-copy: the very same Column objects, no row cache carried.
+        assert all(picked.columns[j] is batch.columns[i]
+                   for j, i in enumerate(chosen))
+        # ... and it survives the pipe to a worker by value.
+        self._assert_rows(pickle.loads(pickle.dumps(picked)), expected)
+        # A slice of a selection is the selection of the slice.
+        self._assert_rows(picked.slice(1, 7),
+                          batch.slice(1, 7).select(chosen).to_rows())
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
+    def test_select_shares_memory_with_the_source(self):
+        import numpy as np
+        rows = [(float(i), i, i % 2 == 0, None if i % 3 else float(i))
+                for i in range(100)]
+        batch = ColumnBatch.from_rows(rows, 4)
+        picked = batch.select([3, 0]).slice(10, 60)
+        assert np.shares_memory(picked.column(0).data, batch.column(3).data)
+        assert np.shares_memory(picked.column(0).mask, batch.column(3).mask)
+        assert np.shares_memory(picked.column(1).data, batch.column(0).data)
+        assert picked.nbytes < batch.nbytes / 2
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
+    def test_select_round_trips_through_shared_memory(self):
+        from repro.engine.shm import (SharedColumnStore, activation,
+                                      leaked_segments,
+                                      shared_memory_available)
+        if not shared_memory_available():
+            pytest.skip("shared memory not available")
+        before = set(leaked_segments())
+        rows = [(float(i), i, f"s{i}", None if i % 3 else float(i))
+                for i in range(500)]
+        batch = ColumnBatch.from_rows(rows, 4)
+        batch.set_read_only()
+        picked = batch.select([3, 2, 0]).slice(100, 400)
+        store = SharedColumnStore(min_batch_bytes=0)
+        try:
+            with activation(store):
+                blob = pickle.dumps(picked)
+            assert store.stats()["handles_served"] == 1
+            assert len(blob) < len(pickle.dumps(picked)) / 2
+            self._assert_rows(
+                pickle.loads(blob),
+                [(r[3], r[2], r[0]) for r in rows[100:400]])
+        finally:
+            store.close()
+        assert set(leaked_segments()) <= before
+
+
 class TestEncodeNumericColumn:
     """The shared columnization point keeps the pinned semantics."""
 

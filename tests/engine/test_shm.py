@@ -266,6 +266,62 @@ class TestStats:
                     "pickle_fallbacks"):
             assert key in stats
 
+    # -- every pickle fallback is counted under its reason ----------------
+
+    @staticmethod
+    def _reasons(store):
+        return {key[len("fallback_"):]: value
+                for key, value in store.stats().items()
+                if key.startswith("fallback_")}
+
+    def _assert_only(self, store, reason):
+        stats = store.stats()
+        expected = dict.fromkeys(shm.FALLBACK_REASONS, 0)
+        expected[reason] = 1
+        assert self._reasons(store) == expected
+        assert stats["pickle_fallbacks"] == 1
+        assert stats["handles_served"] == stats["segments_created"] == 0
+        # Flat ints only: consumers difference two snapshots key by key.
+        assert all(type(value) is int for value in stats.values())
+
+    def test_fallback_too_small(self, store):
+        assert store.state_for(make_batch(n=8)) is None
+        self._assert_only(store, "too_small")
+
+    def test_fallback_object_column(self, store):
+        strings = ColumnBatch.from_rows(
+            [(f"s{i}", f"t{i}") for i in range(4096)], 2)
+        assert store.state_for(strings) is None
+        self._assert_only(store, "object_column")
+
+    def test_fallback_zero_rows(self, store):
+        assert store.state_for(make_batch().take([])) is None
+        self._assert_only(store, "zero_rows")
+
+    def test_fallback_budget(self):
+        store = SharedColumnStore(max_bytes=1)
+        try:
+            assert store.state_for(make_batch()) is None
+            self._assert_only(store, "budget")
+        finally:
+            store.close()
+
+    def test_fallback_closed(self, store):
+        store.close()
+        assert store.state_for(make_batch()) is None
+        self._assert_only(store, "closed")
+
+    def test_reasons_sum_to_pickle_fallbacks_and_skip_pins(self, store):
+        small, empty = make_batch(n=8), make_batch().take([])
+        assert store.pin([small, empty]) == 0  # refused, but not shipped
+        assert store.stats()["pickle_fallbacks"] == 0
+        for batch in (small, small, empty, make_batch()):
+            store.state_for(batch)
+        reasons = self._reasons(store)
+        assert reasons["too_small"] == 2 and reasons["zero_rows"] == 1
+        assert sum(reasons.values()) == store.stats()["pickle_fallbacks"] == 3
+        assert store.stats()["handles_served"] == 1
+
     def test_bytes_accounting_balances(self, store):
         store.state_for(make_batch())
         assert store.stats()["active_bytes"] > 0

@@ -23,7 +23,7 @@ from repro import SkylineSession, connect
 from repro.core import make_dimensions
 from repro.core.vectorized import numpy_available
 from repro.engine.backends import ProcessBackend, ThreadBackend
-from repro.engine.types import DOUBLE, INTEGER
+from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.plan.planner import PARTITIONING_SCHEMES
 from tests.conftest import skyline_oracle
 
@@ -314,12 +314,12 @@ def test_vectorized_kernels_actually_ran():
 # -- shared-memory transport (PR 9) ----------------------------------------
 
 
-def _shm_session(shared_memory, rows=None, nullable=False):
+def _shm_session(shared_memory, rows=None, nullable=False, **options):
     from repro import SessionConfig
     config = SessionConfig(
         num_executors=3, skyline_algorithm="distributed-complete",
         backend="process", num_workers=2, columnar=True,
-        shared_memory=shared_memory)
+        shared_memory=shared_memory, **options)
     session = SkylineSession(config=config)
     session.create_table(
         "t",
@@ -381,17 +381,20 @@ def test_shared_memory_no_leaks_after_worker_crash(monkeypatch):
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
-def test_shared_memory_prepared_inputs_stay_resident():
+@pytest.mark.parametrize("partitioning", ("keep", "grid"))
+def test_shared_memory_prepared_inputs_stay_resident(partitioning):
     """Re-executing a prepared query must re-serve the pinned input
     segments (no re-registration), and catalog DML must invalidate
-    them so the next execution sees the new data."""
+    them so the next execution sees the new data -- whether the local
+    tasks read scan slices (``keep``: the chain is fused into them) or
+    a repartition's output (``grid``)."""
     from repro.engine.shm import shared_memory_available
     if not shared_memory_available():
         pytest.skip("shared memory not available")
     # Wide rows so partition batches clear the minimum share size.
     wide = [(i,) + tuple(float((i * 7 + j) % 97) for j in range(60))
             for i in range(3000)]
-    session = _shm_session(True)
+    session = _shm_session(True, skyline_partitioning=partitioning)
     session.create_table(
         "w", [("id", INTEGER, False)] + [(f"c{j}", DOUBLE, False)
                                          for j in range(60)], wide)
@@ -403,6 +406,10 @@ def test_shared_memory_prepared_inputs_stay_resident():
         assert created > 0
         second = session.execute_prepared(prepared)
         assert second.context.shm_stats["segments_created"] == created
+        if partitioning == "grid":
+            # The pinned partitions stand in for the whole chain.
+            assert [s.name.split("-")[0] for s in second.context.stages] \
+                == ["SkylineLocalExec", "SkylineGlobalExec"]
         assert second.context.shm_stats["handles_served"] > \
             first.context.shm_stats["handles_served"]
         assert sorted(map(tuple, second.rows)) == \
@@ -416,3 +423,95 @@ def test_shared_memory_prepared_inputs_stay_resident():
         assert any(row[0] == -1 for row in third.rows)
     finally:
         session.close()
+
+
+# -- stage fusion: scan -> filter -> project inside the consumer's stage ---
+
+#: A filter plus computed columns over the scan (the chain that fuses
+#: into the local tasks, reading 4 of the table's 5 columns), and the
+#: same with a scalar-subquery predicate, which the driver must prepare
+#: before the chain ships to a worker.
+FUSED_SQL = {
+    "filter+computed":
+        "SELECT id, a, a + b AS ab, b * c AS bc FROM t "
+        "WHERE c > 0.2 AND id >= 0 SKYLINE OF {distinct}ab MIN, bc MAX",
+    "scalar-subquery":
+        "SELECT id, a, a + b AS ab, b * c AS bc FROM t "
+        "WHERE a <= (SELECT avg(a) FROM t) AND c > 0.2 "
+        "SKYLINE OF {distinct}ab MIN, bc MAX",
+}
+
+
+def _fused_rows(kind: str) -> list[tuple]:
+    """``(id, a, b, c, pad)`` rows; ``pad`` is never read."""
+    rows = [row + (f"pad{row[0]}",) for row in _random_rows(120, SEED + 3)]
+    if kind == "all-filtered-partition":
+        # With three executors the first partition is exactly these 60
+        # rows, and none of them passes ``c > 0.2``.
+        rows = [(-i, 9.0, 9.0, 0.0, "x") for i in range(1, 61)] + rows
+    elif kind == "empty-partition":
+        rows = rows[:2]  # three partitions, two rows
+    return rows
+
+
+FUSED_DATASETS = ("regular", "all-filtered-partition", "empty-partition")
+
+_FUSED_COLUMNS = [("id", INTEGER, False), ("a", DOUBLE, False),
+                  ("b", DOUBLE, False), ("c", DOUBLE, False),
+                  ("pad", STRING, False)]
+
+#: Strategy x DISTINCT legs: the chain fused into the local tasks
+#: (complete, and sfs + DISTINCT, where the representative kept must be
+#: the reference's), and as one fused map stage ahead of a consumer
+#: that needs every row first (the non-distributed global task, the
+#: null-bitmap regroup).
+FUSED_LEGS = (("distributed-complete", False), ("sfs", True),
+              ("non-distributed-complete", False),
+              ("distributed-incomplete", False))
+
+
+def _fused_answer(dataset, query, algorithm, distinct, backend,
+                  vectorized, columnar):
+    session = connect(num_executors=3, skyline_algorithm=algorithm,
+                      backend=backend, vectorized=vectorized,
+                      columnar=columnar)
+    session.create_table("t", _FUSED_COLUMNS, _fused_rows(dataset))
+    sql = FUSED_SQL[query].format(distinct="DISTINCT " if distinct else "")
+    return sorted(map(repr, session.sql(sql).to_tuples()))
+
+
+@pytest.fixture(scope="module")
+def fused_reference():
+    """The scalar row-plane answer per (dataset, query, leg), computed
+    once: ``vectorized=False, columnar=False`` on the local backend."""
+    cache: dict = {}
+
+    def lookup(dataset, query, algorithm, distinct):
+        key = (dataset, query, algorithm, distinct)
+        if key not in cache:
+            cache[key] = _fused_answer(dataset, query, algorithm, distinct,
+                                       "local", False, False)
+        return cache[key]
+
+    return lookup
+
+
+@pytest.mark.parametrize("columnar", (True, False))
+@pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("algorithm,distinct", FUSED_LEGS)
+@pytest.mark.parametrize("query", list(FUSED_SQL))
+@pytest.mark.parametrize("dataset", FUSED_DATASETS)
+def test_fused_chain_is_bit_identical_to_the_row_reference(
+        dataset, query, algorithm, distinct, backend_name, vectorized,
+        columnar, shared_backends, fused_reference):
+    expected = fused_reference(dataset, query, algorithm, distinct)
+    got = _fused_answer(dataset, query, algorithm, distinct,
+                        shared_backends[backend_name](), vectorized,
+                        columnar)
+    assert got == expected, (
+        f"{dataset}/{query}/{algorithm}/{backend_name}/"
+        f"vectorized={vectorized}/columnar={columnar} diverged from the "
+        f"scalar row-plane reference")
+    if dataset == "regular":
+        assert expected  # the comparison is not vacuous

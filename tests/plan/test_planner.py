@@ -91,29 +91,32 @@ def skyline_modes(plan):
 
 #: ``EXPLAIN``'s physical-plan section per strategy, with ``{v}`` the
 #: kernel prefix and ``{m}`` the skyline operators' exec mode.  Golden:
-#: operator names, algorithm labels and tags are a stable surface.
+#: operator names, algorithm labels, tags and the ``*(N)`` stage marks
+#: are a stable surface -- operators sharing a number run in one stage
+#: (the scan/project chain inside the local tasks, or as one fused map
+#: stage where the consumer needs every row first).
 GOLDEN_PLANS = {
     "distributed-complete":
-        "SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
-        "  SkylineLocal({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
-        "    Project [batch]\n"
-        "      Scan(pts, 3 rows) [batch]\n",
+        "*(2) SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  *(1) SkylineLocal({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "    *(1) Project [batch]\n"
+        "      *(1) Scan(pts, 3 rows) [batch]\n",
     "non-distributed-complete":
-        "SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
-        "  Project [batch]\n"
-        "    Scan(pts, 3 rows) [batch]\n",
+        "*(2) SkylineGlobalComplete({v}BNL, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  *(1) Project [batch]\n"
+        "    *(1) Scan(pts, 3 rows) [batch]\n",
     "distributed-incomplete":
-        "SkylineGlobalIncomplete({v}all-pairs flagged, "
+        "*(3) SkylineGlobalIncomplete({v}all-pairs flagged, "
         "[pts.id MIN, pts.x MIN]) [{m}]\n"
-        "  SkylineLocalIncomplete({v}bitmap-partitioned BNL, "
+        "  *(2) SkylineLocalIncomplete({v}bitmap-partitioned BNL, "
         "[pts.id MIN, pts.x MIN]) [{m}]\n"
-        "    Project [batch]\n"
-        "      Scan(pts, 3 rows) [batch]\n",
+        "    *(1) Project [batch]\n"
+        "      *(1) Scan(pts, 3 rows) [batch]\n",
     "sfs":
-        "SkylineGlobalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
-        "  SkylineLocalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
-        "    Project [batch]\n"
-        "      Scan(pts, 3 rows) [batch]\n",
+        "*(2) SkylineGlobalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "  *(1) SkylineLocalSFS({v}SFS, [pts.id MIN, pts.x MIN]) [{m}]\n"
+        "    *(1) Project [batch]\n"
+        "      *(1) Scan(pts, 3 rows) [batch]\n",
 }
 
 
@@ -241,3 +244,38 @@ class TestGlobalMergeOption:
     def test_both_names_plan_identically(self):
         assert SessionConfig(global_merge="auto").fingerprint() == \
             SessionConfig(global_merge="flat").fingerprint()
+
+
+class TestExecutionOption:
+    """``execution`` is a validated name with one behaviour: there is
+    one executor, and the pipelined one it used to select is gone."""
+
+    def test_removed_mode_and_budget_rejected(self):
+        with pytest.raises(ValueError, match=r"removed \(PR 18"):
+            SessionConfig(execution="pipelined")
+        with pytest.raises(ValueError, match="execution"):
+            SessionConfig(execution="vectorised")
+        with pytest.raises(TypeError, match="operator_memory_mb"):
+            SessionConfig(operator_memory_mb=64.0)
+        with pytest.raises(TypeError, match="operator_memory_mb"):
+            connect(operator_memory_mb=64.0)
+        with pytest.raises(TypeError):
+            Planner(execution="staged")
+
+    def test_both_names_plan_and_run_identically(self, session):
+        import dataclasses
+        assert len(dataclasses.fields(SessionConfig)) == 18
+        assert SessionConfig(execution="auto").fingerprint() == \
+            SessionConfig(execution="staged").fingerprint()
+        sql = "SELECT id, x FROM pts WHERE id > 0 SKYLINE OF id MIN, x MIN"
+        plans, stages = set(), set()
+        for execution in ("auto", "staged"):
+            forced = session.with_options(execution=execution)
+            plans.add(forced.explain(forced.sql(sql).plan))
+            result = forced.sql(sql).run()
+            stages.add(tuple(s.name.split("-")[0]
+                             for s in result.context.stages))
+            assert result.pipeline is None
+            assert result.time_to_first_batch_s >= 0.0
+        assert len(plans) == 1
+        assert stages == {("SkylineLocalExec", "SkylineGlobalExec")}

@@ -187,6 +187,35 @@ class TestProtocol:
 
         asyncio.run(run())
 
+    def test_stats_op_reports_transport_fallbacks_per_tenant(self):
+        """The shm store's counters -- pickle fallbacks split by reason
+        -- reach the ``stats`` op unchanged, for the tenants that have a
+        store (process backend + shared memory)."""
+        async def run():
+            server = make_server(port=0)
+            server.register_tenant("proc", backend="process",
+                                   num_workers=2, columnar=True)
+            server.register_tenant("plain")
+            try:
+                for tenant in ("proc", "plain"):
+                    await server.execute(tenant, FULL)
+                stats = await server.handle({"op": "stats"})
+                session = server.tenant("proc").session
+                expected = session.shm_stats()
+                if expected is None:  # platform without shared memory
+                    assert stats["shm"] == {}
+                    return
+                assert stats["shm"] == {"proc": expected}
+                # POINTS is tiny: every shipped batch is refused as
+                # too small, and says so.
+                assert expected["pickle_fallbacks"] \
+                    == expected["fallback_too_small"] > 0
+                assert json.loads(json.dumps(stats)) == stats
+            finally:
+                await server.aclose()
+
+        asyncio.run(run())
+
     def test_configure_op(self):
         async def run():
             server = SkylineServer(port=0)

@@ -214,7 +214,7 @@ class TestNullBuffering:
             restored.add((None, 1))
 
     def test_incomplete_dominance_streams_nulls_through_window(self):
-        """The pipelined incomplete fold path: an explicit restricted
+        """An explicit restricted
         dominance test lets null rows flow through the window (no
         buffering) -- sound within one null-bitmap partition."""
         from repro.core.dominance import dominates_incomplete
