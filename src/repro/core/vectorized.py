@@ -20,6 +20,13 @@ their survivors with it:
   terms add left to right -- weakly monotone under dominance even after
   rounding: a dominator never sorts after its victim unless their keys
   are equal.  Uniformly-null columns take no part.
+* *Filter before sort.*  A group of 4096 rows or more is first run,
+  unsorted, against the 32 best-keyed skyline rows of a strided
+  512-row sample of itself (the elimination filter of LESS); only the
+  survivors -- a tenth of a store_sales partition -- are ranked and
+  sorted.  Filter points are rows of the group, so every row they
+  remove has a dominator among the rows that stay and the skyline of
+  the survivors is the skyline of the group.
 * *Peel.*  One stable argsort by key, then rounds: take a head block
   (64 rows, doubling to 1024), reduce it to its own skyline, filter the
   *whole remainder* against it and compact.  The best-placed rows go
@@ -32,7 +39,8 @@ their survivors with it:
 * *Column layout.*  The dominance primitives (:func:`_dominated_by`,
   :func:`_pairwise_dominated`) take ``(dims, rows)`` C-contiguous
   arrays (:func:`_columns`), one contiguous vector per dimension, and
-  compare at most :data:`PAIR_BUDGET` pairs per broadcast; the flagged
+  compare at most :data:`PAIR_BUDGET` pairs per broadcast, under a
+  ufunc buffer bounded to :data:`UFUNC_BUFFER` elements; the flagged
   kernel and the serving cache's re-filter share them.
 
 Semantics are pinned to the scalar reference implementation:
@@ -108,6 +116,23 @@ HEAD_ROWS_MAX = 1024
 #: masks, one compacted candidate copy) to about 1 MB at six dimensions.
 PAIR_BUDGET = 1 << 16
 CANDIDATE_SPAN = 1 << 13
+
+#: NumPy's ufunc buffer (elements) while :func:`_dominated_by` runs.
+#: At the default 8192 a broadcast comparison whose rows are shorter
+#: than the buffer is copied through it: 65 536 pairs cost 9 us as
+#: 8 x 8192 but 54 us as 64 x 1024 (NumPy 2.4.6), the shape of every
+#: pass once candidates have dropped out -- and 10 us at 512.
+UFUNC_BUFFER = 512
+
+#: Filter before sort: a group of at least ``PREFILTER_MIN_ROWS`` rows
+#: is first filtered against the ``FILTER_POINTS`` best-keyed skyline
+#: rows of every ``n // SAMPLE_ROWS``-th of its own rows (512-575 of
+#: them; strided, not random, so counters repeat per seed).  On a
+#: smaller group the peel's own first round does that job as fast, and
+#: more filter points cost more tests per row than they remove.
+PREFILTER_MIN_ROWS = 4096
+SAMPLE_ROWS = 512
+FILTER_POINTS = 32
 
 
 def numpy_available() -> bool:
@@ -304,21 +329,25 @@ def _dominated_by(cand: "np.ndarray", by: "np.ndarray",
     rows keep eliminating).
     """
     out = np.zeros(cand.shape[1], dtype=bool)
-    for lo in range(0, cand.shape[1], CANDIDATE_SPAN):
-        live = cand[:, lo:lo + CANDIDATE_SPAN]
-        index = np.arange(lo, lo + live.shape[1])
-        start = 0
-        while start < by.shape[1] and len(index):
-            chunk = by[:, start:start + PAIR_BUDGET // len(index)]
-            start += chunk.shape[1]
-            if stats is not None:
-                stats.comparisons += chunk.shape[1] * len(index)
-            dead = _pairwise_dominated(chunk, live).any(axis=0)
-            if dead.any():
-                out[index[dead]] = True
-                # compress, unlike live[:, ~dead], stays C-contiguous.
-                live = np.compress(~dead, live, axis=1)
-                index = index[~dead]
+    previous = np.setbufsize(UFUNC_BUFFER)  # context-local in NumPy
+    try:
+        for lo in range(0, cand.shape[1], CANDIDATE_SPAN):
+            live = cand[:, lo:lo + CANDIDATE_SPAN]
+            index = np.arange(lo, lo + live.shape[1])
+            start = 0
+            while start < by.shape[1] and len(index):
+                chunk = by[:, start:start + PAIR_BUDGET // len(index)]
+                start += chunk.shape[1]
+                if stats is not None:
+                    stats.comparisons += chunk.shape[1] * len(index)
+                dead = _pairwise_dominated(chunk, live).any(axis=0)
+                if dead.any():
+                    out[index[dead]] = True
+                    # compress, unlike live[:, ~dead], stays C-contiguous.
+                    live = np.compress(~dead, live, axis=1)
+                    index = index[~dead]
+    finally:
+        np.setbufsize(previous)
     return out
 
 
@@ -362,25 +391,13 @@ def _equal_key_dominated(keys: "np.ndarray", cols: "np.ndarray",
     return dead
 
 
-def _block_skyline_indices(values: "np.ndarray",
-                           stats: DominanceStats | None = None,
-                           check_deadline: Callable[[], None] | None = None
-                           ) -> "np.ndarray":
-    """Indices (ascending) of the skyline rows of ``values``.
-
-    The sort-first peel of the module docstring.  Requires a transitive
-    dominance relation over the rows and NaN only as a uniformly-null
-    column (both guaranteed per DIFF/null-bitmap group by the callers'
-    guards).
-    """
-    live = [col for col in values.T if len(col) and not np.isnan(col[0])]
-    if not live:  # no rows, or an all-null group: nothing dominates
-        return np.arange(len(values))
-    keys = _volume_keys(live)
+def _peel(cols: "np.ndarray", stats: DominanceStats | None,
+          check_deadline: Callable[[], None] | None) -> "np.ndarray":
+    """Skyline positions of a :func:`_columns` array, best key first
+    (*Key*, *Peel* and *Tie pass* of the module docstring)."""
+    keys = _volume_keys(cols)
     order = np.argsort(keys, kind="stable")
-    cols = np.empty((len(live), len(values)))
-    for ordered, col in zip(cols, live):  # sort and transpose in one copy
-        ordered[:] = col[order]
+    cols = np.take(cols, order, axis=1)
     kept_rows, kept_cols = [], []
     head = HEAD_ROWS_MIN
     while len(order):
@@ -399,8 +416,37 @@ def _block_skyline_indices(values: "np.ndarray",
         order = order[alive]
         head = min(head * 2, HEAD_ROWS_MAX)
     kept = np.concatenate(kept_rows)
-    kept = kept[~_equal_key_dominated(
+    return kept[~_equal_key_dominated(
         keys[kept], np.concatenate(kept_cols, axis=1), stats)]
+
+
+def _block_skyline_indices(values: "np.ndarray",
+                           stats: DominanceStats | None = None,
+                           check_deadline: Callable[[], None] | None = None
+                           ) -> "np.ndarray":
+    """Indices (ascending) of the skyline rows of ``values``.
+
+    *Filter before sort*, then the sort-first peel of the module
+    docstring.  Requires a transitive dominance relation over the rows
+    and NaN only as a uniformly-null column (both guaranteed per
+    DIFF/null-bitmap group by the callers' guards).
+    """
+    live = [col for col in values.T if len(col) and not np.isnan(col[0])]
+    if not live:  # no rows, or an all-null group: nothing dominates
+        return np.arange(len(values))
+    cols = np.ascontiguousarray(live)
+    rows = np.arange(len(values))
+    if len(rows) >= PREFILTER_MIN_ROWS:
+        # Filter points are rows of this very group, so whatever they
+        # remove has a dominator among the rows that stay.
+        stride = len(rows) // SAMPLE_ROWS
+        best = stride * _peel(cols[:, ::stride], stats, check_deadline)
+        if check_deadline is not None:
+            check_deadline()
+        rows = np.flatnonzero(~_dominated_by(
+            cols, np.take(cols, best[:FILTER_POINTS], axis=1), stats))
+        cols = np.take(cols, rows, axis=1)
+    kept = rows[_peel(cols, stats, check_deadline)]
     if stats is not None:
         stats.note_window(len(kept))
     return np.sort(kept)
@@ -438,6 +484,8 @@ def _grouped_indices(select: Callable, block: ColumnBlock,
                      check_deadline: Callable[[], None] | None
                      ) -> list[int]:
     """Per-DIFF-group index selection, merged in ascending order."""
+    if block.diff_keys is None:  # one group: the matrix as is, no copy
+        return select(block.values, stats, check_deadline).tolist()
     indices: list[int] = []
     for group in block.diff_groups():
         chosen = select(block.values[group], stats, check_deadline)
@@ -705,7 +753,7 @@ def concat_partitions(parts: "Sequence[list | ColumnBatch]"
 
 
 def batch_null_bitmaps(batch: ColumnBatch,
-                       dims: Sequence[BoundDimension]) -> list[int]:
+                       dims: Sequence[BoundDimension]) -> "np.ndarray":
     """Per-row null bitmaps over the skyline dimensions, columnar.
 
     Matches :func:`repro.core.dominance.null_bitmap` bit for bit: bit
@@ -718,7 +766,7 @@ def batch_null_bitmaps(batch: ColumnBatch,
         if isinstance(flags, list):
             flags = np.asarray(flags, dtype=bool)
         acc |= flags.astype(np.int64) << i
-    return acc.tolist()
+    return acc
 
 
 def split_by_null_bitmap(partition: "Sequence[Sequence] | ColumnBatch",
@@ -729,11 +777,17 @@ def split_by_null_bitmap(partition: "Sequence[Sequence] | ColumnBatch",
     partition's own representation."""
     if not isinstance(partition, ColumnBatch):
         return partition_by_null_bitmap(partition, dims)
-    groups: dict[int, list[int]] = {}
-    for i, bitmap in enumerate(batch_null_bitmaps(partition, dims)):
-        groups.setdefault(bitmap, []).append(i)
-    return {bitmap: partition.take(indices)
-            for bitmap, indices in groups.items()}
+    if not partition.num_rows:
+        return {}
+    bitmaps = batch_null_bitmaps(partition, dims)
+    # Stable, so each bitmap's run keeps input order and opens with the
+    # row that saw the bitmap first.
+    order = np.argsort(bitmaps, kind="stable")
+    grouped = bitmaps[order]
+    pieces = np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1)
+    pieces.sort(key=lambda piece: piece[0])
+    return {int(bitmaps[piece[0]]): partition.take(piece)
+            for piece in pieces}
 
 
 # ---------------------------------------------------------------------------

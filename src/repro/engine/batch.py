@@ -307,6 +307,8 @@ class Column:
         """Rows at ``indices`` (a list or intp array), in that order."""
         if self.kind == OBJ:
             data = self.data
+            if not isinstance(indices, list):
+                indices = indices.tolist()
             return Column(OBJ, [data[i] for i in indices])
         idx = np.asarray(indices, dtype=np.intp)
         mask = self.mask[idx] if self.mask is not None else None
@@ -482,7 +484,10 @@ class ColumnBatch:
                     column.mask.flags.writeable = False
 
     def take(self, indices) -> "ColumnBatch":
-        indices = indices if isinstance(indices, list) else list(indices)
+        """Rows at ``indices`` (a list or intp array, passed through)."""
+        if not isinstance(indices, list) and not (
+                np is not None and isinstance(indices, np.ndarray)):
+            indices = list(indices)
         return ColumnBatch([c.take(indices) for c in self.columns],
                            num_rows=len(indices))
 

@@ -4,6 +4,7 @@ columnization edge cases, and the pinned NaN/±inf semantics."""
 import functools
 import math
 import pickle
+import threading
 import tracemalloc
 
 import pytest
@@ -17,10 +18,14 @@ from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
                         vec_flagged_global_skyline, vec_sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
+from repro.core.incomplete import partition_by_null_bitmap
 from repro.core.vectorized import (columnize, kernel_name,
-                                   prune_dominated_cells_vec, skyline_task)
+                                   prune_dominated_cells_vec, skyline_task,
+                                   split_by_null_bitmap)
+from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
+from repro.errors import QueryTimeout
 
 pytestmark = pytest.mark.skipif(not V.numpy_available(),
                                 reason="NumPy not available")
@@ -372,6 +377,188 @@ class TestSortFirstKernel:
         assert peak_of(lambda: V._dominated_by(cols, cols[:, :2048])) \
             <= 2 * 2 ** 20
 
+    # -- filter before sort ---------------------------------------------
+
+    @pytest.mark.parametrize("points", [2, 32])
+    @given(kernel_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_prefiltered_bit_identical_to_all_pairs(self, points, values):
+        # An 8-row sample from 32 rows up: every example of any size
+        # takes the pre-filter, with and without the best-k cap binding.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(V, "PREFILTER_MIN_ROWS", 32)
+            patch.setattr(V, "SAMPLE_ROWS", 8)
+            patch.setattr(V, "FILTER_POINTS", points)
+            assert V._block_skyline_indices(values).tolist() == \
+                all_pairs_skyline(values)
+
+    @staticmethod
+    def adversarial(shape, n):
+        i = np.arange(n, dtype=np.float64)
+        if shape == "chain":         # nothing dominated: filter is a no-op
+            return np.stack([i, -i], axis=1)
+        if shape == "duplicates":    # every row equal: nothing dominated
+            return np.full((n, 3), 7.0)
+        if shape == "periodic":
+            # Period = the sampling stride, phase 0 the WORST rows: the
+            # sample sees nothing but them.
+            phase = i % (n // V.SAMPLE_ROWS)
+            return np.stack([-phase, -phase + i % 3, i % 5], axis=1)
+        if shape == "inf":
+            values = np.stack([i % 11, -(i % 13), i % 7], axis=1)
+            values[::5, 0] = -INF
+            values[::7, 1] = INF
+            return values
+        if shape == "null-column":   # one bitmap group: column 1 null
+            return np.stack([i % 17, np.full(n, NAN), -(i % 19)], axis=1)
+        assert shape == "ties"       # neighbours at 1e16: raw sums tie
+        return np.stack([1e16 + 2 * (i % 3), 0.9 - (i % 101) * 1e-4],
+                        axis=1)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 517])
+    @pytest.mark.parametrize("shape", ["chain", "duplicates", "periodic",
+                                       "inf", "null-column", "ties"])
+    def test_adversarial_shapes_around_the_threshold(self, shape, offset):
+        # One below the threshold (no pre-filter), on it, one above, and
+        # a size the sampling stride does not divide.
+        values = self.adversarial(shape, V.PREFILTER_MIN_ROWS + offset)
+        assert V._block_skyline_indices(values).tolist() == \
+            all_pairs_skyline(values)
+
+    @pytest.mark.parametrize("foreign, lost", [
+        # No row of the matrix at all: just better than row 100.
+        ((99.5, -100.0), [100]),
+        # A row of another null-bitmap group: its null dimension is
+        # skipped, so it beats every row below 100 on the other alone.
+        ((NAN, -100.0), list(range(100))),
+    ])
+    def test_foreign_filter_point_breaks_identity(self, monkeypatch,
+                                                  foreign, lost):
+        # Mutation check of the soundness argument: filter points must
+        # be rows of the candidate matrix itself.  A point from outside
+        # removes rows that no surviving row dominates.
+        values = self.adversarial("chain", V.PREFILTER_MIN_ROWS)
+        expected = all_pairs_skyline(values)
+        assert V._block_skyline_indices(values).tolist() == expected
+        dominated_by = V._dominated_by
+
+        def planted(cand, by, stats=None):
+            if cand.shape[1] == len(values):  # the filter pass
+                by = V._columns(np.asarray([foreign]))
+            return dominated_by(cand, by, stats)
+
+        monkeypatch.setattr(V, "_dominated_by", planted)
+        assert V._block_skyline_indices(values).tolist() == \
+            [i for i in expected if i not in lost]
+
+    def test_deadline_polled_between_sample_filter_and_peel(
+            self, monkeypatch):
+        values = np.random.default_rng(5).random((6000, 3))
+        events = []
+        dominated_by = V._dominated_by
+
+        def spy(cand, by, stats=None):
+            events.append("filter" if cand.shape[1] == len(values)
+                          else "peel")
+            return dominated_by(cand, by, stats)
+
+        monkeypatch.setattr(V, "_dominated_by", spy)
+        V._block_skyline_indices(values, None,
+                                 lambda: events.append("check"))
+        at = events.index("filter")
+        assert events.count("filter") == 1
+        assert events[at - 1] == events[at + 1] == "check"
+        assert "peel" in events[:at] and "peel" in events[at:]
+        monkeypatch.undo()
+        # A raise at any of the polls propagates.
+        for fatal in range(events.count("check")):
+            polls = iter(range(len(events)))
+
+            def check():
+                if next(polls) == fatal:
+                    raise QueryTimeout(1.0, 0.5)
+
+            with pytest.raises(QueryTimeout):
+                V._block_skyline_indices(values, None, check)
+
+    def test_sort_sees_a_quarter_of_a_store_sales_partition(
+            self, monkeypatch):
+        # The regression guard of the lever, on a count: what reaches
+        # the ranking and the sort is the sample, then the survivors of
+        # its skyline -- never the partition.
+        workload = store_sales_workload(30_000, seed=1)
+        names = [column[0] for column in workload.columns]
+        dims = make_dimensions([(names.index(name), kind) for name, kind
+                                in workload.dimensions(6)])
+        values = columnize(workload.rows, dims).values
+        sorted_rows = []
+        volume_keys = V._volume_keys
+        monkeypatch.setattr(
+            V, "_volume_keys",
+            lambda cols: sorted_rows.append(len(cols[0]))
+            or volume_keys(cols))
+        first = V._block_skyline_indices(values)
+        sample, survivors = sorted_rows
+        assert sample <= V.SAMPLE_ROWS * 9 // 8
+        assert survivors <= len(values) // 4
+        assert V._block_skyline_indices(values).tolist() == first.tolist()
+        assert sorted_rows[2:] == [sample, survivors]  # exact per seed
+
+    # -- the bounded ufunc buffer ----------------------------------------
+
+    def test_ufunc_buffer_bounded_inside_and_restored(self, monkeypatch):
+        cols = V._columns(np.random.default_rng(3).random((3000, 3)))
+        default = np.getbufsize()
+        assert default != V.UFUNC_BUFFER
+        pairwise = V._pairwise_dominated
+        seen = set()
+        monkeypatch.setattr(
+            V, "_pairwise_dominated",
+            lambda by, cand: seen.add(np.getbufsize()) or pairwise(by, cand))
+        V._dominated_by(cols, cols[:, :64])
+        assert seen == {V.UFUNC_BUFFER}
+        assert np.getbufsize() == default
+
+        def boom(by, cand):
+            raise RuntimeError("inside the primitive")
+
+        monkeypatch.setattr(V, "_pairwise_dominated", boom)
+        with pytest.raises(RuntimeError):
+            V._dominated_by(cols, cols[:, :64])
+        assert np.getbufsize() == default
+
+    def test_ufunc_buffer_never_leaks_to_another_thread(self, monkeypatch):
+        cols = V._columns(np.random.default_rng(4).random((3000, 3)))
+        default = np.getbufsize()
+        inside, release = threading.Event(), threading.Event()
+        pairwise = V._pairwise_dominated
+
+        def parked(by, cand):
+            # Hold the primitive open, buffer bounded, until the other
+            # thread has looked.
+            inside.set()
+            assert release.wait(10)
+            return pairwise(by, cand)
+
+        monkeypatch.setattr(V, "_pairwise_dominated", parked)
+        observed = []
+
+        def observer():
+            assert inside.wait(10)
+            observed.append(np.getbufsize())
+            release.set()
+
+        thread = threading.Thread(target=observer)
+        thread.start()
+        try:
+            V._dominated_by(cols[:, :100], cols[:, :64])
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert observed == [default]
+        assert np.getbufsize() == default
+
     def test_distinct_batch_legs_materialise_only_survivors(
             self, monkeypatch):
         rows = [(float(i % 40), float(40 - i % 40)) for i in range(400)]
@@ -390,6 +577,37 @@ class TestSortFirstKernel:
             assert to_rows(survivors) == \
                 reference(rows, MIN2, distinct=True)
         assert max(materialised) == 400
+
+
+class TestNullBitmapSplit:
+    """The batch regroup of :func:`split_by_null_bitmap` against the
+    row plane's :func:`partition_by_null_bitmap`."""
+
+    @staticmethod
+    def agree(rows, dims, width):
+        expected = partition_by_null_bitmap(rows, dims)
+        pieces = split_by_null_bitmap(
+            ColumnBatch.from_rows(rows, width), dims)
+        assert list(pieces) == list(expected)   # keys, first-seen order
+        assert all(type(bitmap) is int for bitmap in pieces)
+        for bitmap, piece in pieces.items():
+            assert piece.to_rows() == expected[bitmap]
+
+    @given(st.lists(st.tuples(maybe, maybe, maybe, st.integers(0, 9)),
+                    max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_partitioning(self, rows):
+        self.agree(rows, MIN_MAX_MIN, 4)
+
+    def test_single_group_all_distinct_and_empty(self):
+        dims = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
+        self.agree([(1.0, None, 2.0), (0.5, None, 3.0)], dims, 3)
+        self.agree([tuple(None if bits >> j & 1 else float(j)
+                          for j in range(3))
+                    for bits in (5, 0, 7, 2, 1, 6, 3, 4)], dims, 3)
+        assert split_by_null_bitmap(ColumnBatch.from_rows([], 3),
+                                    dims) == {}
+        assert partition_by_null_bitmap([], dims) == {}
 
 
 class TestPinnedNaNSemantics:
