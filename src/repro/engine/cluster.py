@@ -197,6 +197,9 @@ class ExecutionContext:
         self._exec_start: float | None = None
         #: Rows this query's columnar scans columnized / found resident.
         self.scan = {"columnized_rows": 0, "resident_rows": 0}
+        #: ``{reason: count}`` of batch operators that ran their row body
+        #: (:class:`repro.engine.relational.Inexact` names the reasons).
+        self.fallbacks: dict[str, int] = {}
 
     # -- deadline handling -------------------------------------------------
 
@@ -369,6 +372,12 @@ class ExecutionContext:
     def record_shuffle(self, stage: str, rows: int) -> None:
         self.stage(stage).shuffled_rows += rows
 
+    def note_fallback(self, stage: str, reason: str) -> None:
+        """``stage``, a batch operator, ran its row body: count why."""
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+        for task in self.stage(stage).tasks:
+            task.kernel = "scalar"
+
     # -- derived quantities -------------------------------------------------
 
     def simulated_time_s(self) -> float:
@@ -472,6 +481,7 @@ class ExecutionContext:
             "dominance_comparisons": self.dominance_comparisons,
             "faults": self.fault_stats.as_dict(),
             "scan": dict(self.scan),
+            "fallbacks": dict(self.fallbacks),
             "stages": [
                 {
                     "name": s.name,

@@ -34,6 +34,26 @@ def next_expr_id() -> int:
     return next(_expr_id_counter)
 
 
+def resolved_property(compute: Callable[[Any], bool]) -> property:
+    """A ``resolved`` property that remembers a **True** verdict on the
+    instance (never a False one).  Nodes are rebuilt, never mutated, by
+    ``with_children``/``transform_*``, yet the analyzer's fixed point
+    asks each one per rule, and every answer recursed over the subtree.
+    Keyed per override: a ``super().resolved`` chain caches each level.
+    """
+    key = "_" + compute.__qualname__
+
+    def resolved(self) -> bool:
+        if key in self.__dict__:
+            return True
+        if compute(self):
+            self.__dict__[key] = True
+            return True
+        return False
+
+    return property(resolved, doc=compute.__doc__)
+
+
 class Expression:
     """Base class of all expressions."""
 
@@ -41,7 +61,7 @@ class Expression:
 
     # -- resolution ------------------------------------------------------
 
-    @property
+    @resolved_property
     def resolved(self) -> bool:
         """True once all children are resolved and the type is known."""
         return all(c.resolved for c in self.children)
@@ -608,7 +628,7 @@ class IfNull(Expression):
     def __init__(self, child: Expression, default: Expression) -> None:
         self.children = (child, default)
 
-    @property
+    @resolved_property
     def resolved(self) -> bool:
         if not all(c.resolved for c in self.children):
             return False
@@ -740,7 +760,7 @@ class BinaryExpression(Expression):
 class ArithmeticExpression(BinaryExpression):
     op: Callable[[Any, Any], Any]
 
-    @property
+    @resolved_property
     def resolved(self) -> bool:
         if not all(c.resolved for c in self.children):
             return False
@@ -816,7 +836,7 @@ class Modulo(ArithmeticExpression):
 class ComparisonExpression(BinaryExpression):
     op: Callable[[Any, Any], bool]
 
-    @property
+    @resolved_property
     def resolved(self) -> bool:
         if not all(c.resolved for c in self.children):
             return False
@@ -1126,7 +1146,8 @@ class AggregateFunction(Expression):
 
     Aggregates do not implement ``eval``; instead they provide the
     fold interface ``initial`` / ``update`` / ``result`` that the
-    physical operator drives, with nulls skipped per SQL semantics.
+    physical operator drives, with nulls skipped per SQL semantics
+    (``DISTINCT`` is the operator's: it folds each value once).
     """
 
     name = "agg"
@@ -1232,21 +1253,13 @@ class Count(AggregateFunction):
         return False
 
     def initial(self) -> Any:
-        return (0, set()) if self.is_distinct else 0
+        return 0
 
     def update(self, acc: Any, value: Any) -> Any:
-        if value is None:
-            return acc
-        if self.is_distinct:
-            count, seen = acc
-            if value in seen:
-                return acc
-            seen.add(value)
-            return (count + 1, seen)
-        return acc + 1
+        return acc if value is None else acc + 1
 
     def result(self, acc: Any) -> Any:
-        return acc[0] if self.is_distinct else acc
+        return acc
 
 
 class Average(AggregateFunction):
@@ -1395,7 +1408,7 @@ class SkylineDimension(Expression):
         return SkylineDimension(child if child is not None else self.child,
                                 kind if kind is not None else self.kind)
 
-    @property
+    @resolved_property
     def resolved(self) -> bool:
         if not self.child.resolved:
             return False

@@ -184,11 +184,11 @@ class BatchRDD:
     """A partitioned collection of :class:`ColumnBatch`es.
 
     The columnar twin of :class:`RDD`: one batch per partition, used by
-    the batch data plane (Scan -> Filter -> Project -> Skyline) when the
-    session's ``columnar`` flag is on.  Mirrors the RDD inspection API
-    so the execution context's metrics recording works unchanged, and
-    converts losslessly to a row RDD for operators that stay
-    row-oriented (sorts, joins, aggregates, shuffles).
+    the batch data plane (scan, filter, project, join, aggregate,
+    skyline) when the session's ``columnar`` flag is on.  Mirrors the
+    RDD inspection API so the execution context's metrics recording
+    works unchanged, and converts losslessly to a row RDD for operators
+    that stay row-oriented (sorts, nested-loop joins).
     """
 
     __slots__ = ("batches",)

@@ -31,7 +31,7 @@ class LogicalPlan:
         """The attributes this operator produces, in order."""
         raise NotImplementedError
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         return (all(c.resolved for c in self.children)
                 and all(e.resolved for e in self.expressions()))
@@ -228,7 +228,7 @@ class Project(UnaryNode):
     def output(self) -> list[E.AttributeReference]:
         return [E.named_output(p) for p in self.projections]
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         if not super().resolved:
             return False
@@ -264,7 +264,7 @@ class Filter(UnaryNode):
     def output(self) -> list[E.AttributeReference]:
         return self.child.output
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         return super().resolved and not self.missing_input
 
@@ -349,7 +349,7 @@ class Sort(UnaryNode):
     def output(self) -> list[E.AttributeReference]:
         return self.child.output
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         return super().resolved and not self.missing_input
 
@@ -398,7 +398,7 @@ class Aggregate(UnaryNode):
     def output(self) -> list[E.AttributeReference]:
         return [E.named_output(a) for a in self.aggregate_expressions]
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         if not super().resolved:
             return False
@@ -496,7 +496,7 @@ class Join(LogicalPlan):
             left_out = [a.with_nullability(True) for a in left_out]
         return left_out + right_out
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         if self.using_columns:
             return False  # awaiting analyzer rewrite
@@ -558,7 +558,7 @@ class SkylineOperator(UnaryNode):
     def output(self) -> list[E.AttributeReference]:
         return self.child.output
 
-    @property
+    @E.resolved_property
     def resolved(self) -> bool:
         if not self.skyline_items:
             return False

@@ -1,7 +1,8 @@
 """Physical operators.
 
 Each operator consumes and produces an :class:`~repro.engine.rdd.RDD`
-of row tuples, recording per-partition task metrics in the
+of row tuples or, on the batch plane, a ``BatchRDD`` of column batches
+(``exec_mode``), recording per-partition task metrics in the
 :class:`~repro.engine.cluster.ExecutionContext` so the simulated cluster
 can derive distributed execution times and memory peaks.
 
@@ -33,8 +34,9 @@ from ..core.partitioning import partition_indices, partition_rows
 from ..core.vectorized import (concat_partitions, kernel_name,
                                skyline_task, split_by_null_bitmap)
 from ..engine import expressions as E
+from ..engine import relational as R
 from ..engine.backends import StageTask
-from ..engine.batch import ColumnBatch
+from ..engine.batch import F8, HAVE_NUMPY, Column, ColumnBatch, np
 from ..engine.catalog import table_fingerprint
 from ..engine.cluster import ExecutionContext
 from ..engine.rdd import RDD, BatchRDD, partition_bounds
@@ -43,13 +45,9 @@ from . import logical as L
 
 
 def _rows_rdd(result: "RDD | BatchRDD") -> RDD:
-    """A row RDD view of an operator's output (no-op for row RDDs).
-
-    Row-oriented operators (sorts, joins, aggregates, shuffles) call
-    this on their child's output, so they work unchanged under the
-    batch data plane -- the conversion is exact, the batch plane's
-    invariant.
-    """
+    """A row RDD view of an operator's output (no-op for row RDDs): what
+    the row-only operators (sort, nested-loop join) and a batch
+    operator's row-body fallback read.  The conversion is exact."""
     if isinstance(result, BatchRDD):
         return result.to_row_rdd()
     return result
@@ -215,16 +213,18 @@ def physical_tree_string(plan: PhysicalPlan) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _true_rows(verdict: Column):
+    """Where a predicate's verdict is TRUE (not FALSE, not NULL)."""
+    if verdict.is_array:
+        return verdict.data if verdict.mask is None \
+            else (verdict.data & ~verdict.mask)
+    return [v is True for v in verdict.data]
+
+
 def _filter_batch(batch: ColumnBatch,
                   condition: E.Expression) -> ColumnBatch:
     """One batch filtered to the rows where ``condition`` is TRUE."""
-    verdict = condition.eval_batch(batch)
-    if verdict.is_array:
-        keep = verdict.data if verdict.mask is None \
-            else (verdict.data & ~verdict.mask)
-    else:
-        keep = [v is True for v in verdict.data]
-    return batch.compress(keep)
+    return batch.compress(_true_rows(condition.eval_batch(batch)))
 
 
 def _map_task(partition, specs):
@@ -516,7 +516,19 @@ class ProjectExec(_NarrowExec):
         return "Project" + self._mode_tag()
 
 
+def _relational_mode(self: PhysicalPlan) -> str:
+    """``exec_mode`` of the operators with array kernels (join,
+    aggregate, distinct, limit).  Static: batch children mean batch
+    output, also when a kernel turns out ``Inexact`` at run time -- the
+    operator then runs its row body and re-columnizes the result."""
+    if HAVE_NUMPY and all(c.exec_mode == "batch" for c in self.children):
+        return "batch"
+    return "row"
+
+
 class LimitExec(PhysicalPlan):
+    exec_mode = property(_relational_mode)
+
     def __init__(self, limit: int, child: PhysicalPlan) -> None:
         super().__init__()
         self.children = (child,)
@@ -526,42 +538,28 @@ class LimitExec(PhysicalPlan):
     def output(self) -> list[E.AttributeReference]:
         return self.children[0].output
 
-    def execute(self, ctx: ExecutionContext) -> RDD:
-        child_rdd = _rows_rdd(self.children[0].execute(ctx))
-        rows = child_rdd.collect()[:self.limit]
+    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
+        child_out = self.children[0].execute(ctx)
+        on_batches = self.exec_mode == "batch"
+        if on_batches:
+            # Slices of the leading partitions, in order.
+            pieces, wanted = [], self.limit
+            for batch in child_out.batches:
+                pieces.append(batch.slice(0, wanted))
+                wanted -= len(pieces[-1])
+                if wanted <= 0:
+                    break
+            rows = ColumnBatch.concat(pieces)
+        else:
+            rows = _rows_rdd(child_out).collect()[:self.limit]
         stage = self.stage_name()
         ctx.stage(stage, parallelizable=False)
-        ctx.run_task(stage, 0, lambda: rows, len(rows),
-                     parallelizable=False)
-        return RDD([rows])
+        ctx.run_task(stage, 0, lambda: rows, len(rows), parallelizable=False,
+                     kernel="vectorized" if on_batches else "scalar")
+        return BatchRDD([rows]) if on_batches else RDD([rows])
 
-
-class DistinctExec(PhysicalPlan):
-    def __init__(self, child: PhysicalPlan) -> None:
-        super().__init__()
-        self.children = (child,)
-
-    @property
-    def output(self) -> list[E.AttributeReference]:
-        return self.children[0].output
-
-    def execute(self, ctx: ExecutionContext) -> RDD:
-        child_rdd = _rows_rdd(self.children[0].execute(ctx))
-        stage = self.stage_name()
-        ctx.record_shuffle(stage, child_rdd.count())
-
-        def task():
-            seen: set = set()
-            result = []
-            for row in child_rdd.iter_rows():
-                if row not in seen:
-                    seen.add(row)
-                    result.append(row)
-            return result
-
-        rows = ctx.run_task(stage, 0, task, child_rdd.count(),
-                            parallelizable=False)
-        return RDD([rows])
+    def node_description(self) -> str:
+        return f"Limit({self.limit})" + self._mode_tag()
 
 
 class SortExec(PhysicalPlan):
@@ -625,6 +623,8 @@ class HashAggregateExec(PhysicalPlan):
     internal layout ``(grouping values..., aggregate results...)`` and
     evaluated per group.
     """
+
+    exec_mode = property(_relational_mode)
 
     def __init__(self, grouping: Sequence[E.Expression],
                  aggregates: Sequence[E.Expression],
@@ -694,47 +694,108 @@ class HashAggregateExec(PhysicalPlan):
     def output(self) -> list[E.AttributeReference]:
         return list(self._output)
 
-    def execute(self, ctx: ExecutionContext) -> RDD:
-        child_rdd = _rows_rdd(self.children[0].execute(ctx))
+    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
+        child_out = self.children[0].execute(ctx)
         stage = self.stage_name()
-        ctx.record_shuffle(stage, child_rdd.count())
-        grouping_evals = [g.eval for g in self.grouping]
-        functions = self.agg_functions
+        ctx.record_shuffle(stage, child_out.count())
+        on_batches = self.exec_mode == "batch"
+        fell_back = []
 
         def task():
-            groups: dict[tuple, list[Any]] = {}
-            for row in child_rdd.iter_rows():
-                key = tuple(ev(row) for ev in grouping_evals)
-                state = groups.get(key)
-                if state is None:
-                    state = [f.initial() for f in functions]
-                    groups[key] = state
-                for i, f in enumerate(functions):
-                    state[i] = f.update(state[i], f.child.eval(row))
-            if not groups and not self.grouping:
-                # Global aggregate over the empty input: one null row
-                # (count() handles its own zero via initial()).
-                groups[()] = [f.initial() for f in functions]
-            result = []
-            for key, state in groups.items():
-                internal = key + tuple(
-                    f.result(acc) for f, acc in zip(functions, state))
-                result.append(tuple(expr.eval(internal)
-                                    for expr in self.result_exprs))
-            return result
+            if on_batches:
+                try:
+                    return self._aggregate_batches(child_out.batches)
+                except R.Inexact as exc:
+                    fell_back.append(exc.reason)
+            rows = self._aggregate_rows(_rows_rdd(child_out).iter_rows())
+            return ColumnBatch.from_rows(rows, len(self._output)) \
+                if on_batches else rows
 
-        rows = ctx.run_task(stage, 0, task, child_rdd.count(),
-                            parallelizable=False)
-        return RDD([rows])
+        out = ctx.run_task(stage, 0, task, child_out.count(),
+                           parallelizable=False,
+                           kernel="vectorized" if on_batches else "scalar")
+        if fell_back:
+            ctx.note_fallback(stage, fell_back[0])
+        return BatchRDD([out]) if on_batches else RDD([out])
+
+    def _aggregate_rows(self, rows) -> list[tuple]:
+        grouping_evals = [g.eval for g in self.grouping]
+        functions = self.agg_functions
+        groups: dict[tuple, list[Any]] = {}
+        #: (group key, function) -> values a DISTINCT function has seen.
+        seen: dict[tuple, set] = {}
+        for row in rows:
+            key = tuple(ev(row) for ev in grouping_evals)
+            state = groups.get(key)
+            if state is None:
+                state = [f.initial() for f in functions]
+                groups[key] = state
+            for i, f in enumerate(functions):
+                value = f.child.eval(row)
+                if f.is_distinct and value is not None:
+                    values = seen.setdefault((key, i), set())
+                    if value in values:
+                        continue
+                    values.add(value)
+                state[i] = f.update(state[i], value)
+        if not groups and not self.grouping:
+            # Global aggregate over the empty input: one null row
+            # (count() handles its own zero via initial()).
+            groups[()] = [f.initial() for f in functions]
+        result = []
+        for key, state in groups.items():
+            internal = key + tuple(
+                f.result(acc) for f, acc in zip(functions, state))
+            result.append(tuple(expr.eval(internal)
+                                for expr in self.result_exprs))
+        return result
+
+    def _aggregate_batches(self, batches: list[ColumnBatch]) -> ColumnBatch:
+        """Factorised group ids (first-seen order), one grouped reduction
+        per function, then the output expressions over the internal batch."""
+        batches = [batch for batch in batches if len(batch)]
+        if not batches:
+            return ColumnBatch.from_rows(self._aggregate_rows(()),
+                                         len(self._output))
+
+        def evaluated(expr: E.Expression) -> Column:
+            return Column.concat([expr.eval_batch(b) for b in batches])
+
+        keys = [evaluated(g) for g in self.grouping]
+        ids, first = R.group_ids([R.key_array(k) for k in keys],
+                                 sum(map(len, batches)))
+        internal = ColumnBatch(
+            [k.take(first) for k in keys]
+            + [R.aggregate(f.name, f.is_distinct, evaluated(f.child), ids,
+                           len(first)) for f in self.agg_functions],
+            num_rows=len(first))
+        return ColumnBatch([expr.eval_batch(internal)
+                            for expr in self.result_exprs],
+                           num_rows=len(first))
 
     def node_description(self) -> str:
         keys = ", ".join(self._grouping_sql)
-        return f"HashAggregate(keys=[{keys}])"
+        return f"HashAggregate(keys=[{keys}])" + self._mode_tag()
+
+
+class DistinctExec(HashAggregateExec):
+    """``SELECT DISTINCT``: a grouping on every column with no aggregate
+    function -- first occurrences, in first-seen order."""
+
+    def __init__(self, child: PhysicalPlan) -> None:
+        super().__init__(child.output, child.output, child)
+
+    def node_description(self) -> str:
+        return "Distinct" + self._mode_tag()
 
 
 # ---------------------------------------------------------------------------
 # Joins
 # ---------------------------------------------------------------------------
+
+
+_OUTER_JOINS = (L.JoinType.LEFT_OUTER, L.JoinType.RIGHT_OUTER,
+                L.JoinType.FULL_OUTER)
 
 
 class HashJoinExec(PhysicalPlan):
@@ -758,23 +819,118 @@ class HashJoinExec(PhysicalPlan):
             if residual is not None else None
         self._output = output
 
+    exec_mode = property(_relational_mode)
+
     @property
     def output(self) -> list[E.AttributeReference]:
         return list(self._output)
 
-    def execute(self, ctx: ExecutionContext) -> RDD:
-        left_rdd = _rows_rdd(self.children[0].execute(ctx))
-        right_rdd = _rows_rdd(self.children[1].execute(ctx))
+    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
+        left_out = self.children[0].execute(ctx)
+        right_out = self.children[1].execute(ctx)
         stage = self.stage_name()
-        right_rows = right_rdd.collect()
-        ctx.record_shuffle(stage, len(right_rows))
+        ctx.record_shuffle(stage, right_out.count())
+        reason = None
+        if self.exec_mode == "batch":
+            try:
+                return BatchRDD(self._join_batches(
+                    ctx, stage, left_out.batches, right_out.concat()))
+            except R.Inexact as exc:
+                # Raised while the keys are prepared: no task has run.
+                reason = exc.reason
+        partitions = self._join_rows(
+            ctx, stage, _rows_rdd(left_out).partitions, right_out.collect())
+        if reason is None:
+            return RDD(partitions)
+        ctx.note_fallback(stage, reason)
+        return BatchRDD([ColumnBatch.from_rows(rows, len(self._output))
+                         for rows in partitions])
 
+    # -- batch plane: key arrays -> index arrays -> gathers ---------------
+
+    def _join_batches(self, ctx: ExecutionContext, stage: str,
+                      lefts: list[ColumnBatch], right: ColumnBatch
+                      ) -> list[ColumnBatch]:
+        """The row join's partitions, as batches: one probe task per left
+        batch against the build side prepared here; FULL OUTER's unmatched
+        right rows trail; RIGHT OUTER is one task probing from the right."""
+        from_right = self.join_type == L.JoinType.RIGHT_OUTER
+        if from_right:
+            lefts = [ColumnBatch.concat(lefts)]
+        keys = []  # per key column: one (data, null) per batch, right last
+        for left_key, right_key in zip(self.left_keys, self.right_keys):
+            columns = [left_key.eval_batch(batch) for batch in lefts] \
+                + [right_key.eval_batch(right)]
+            as_float = any(c.kind == F8 for c in columns if len(c))
+            keys.append([R.key_array(c, as_float) for c in columns])
+        *left_keys, right_key = keys[0] if len(keys) == 1 \
+            else R.joint_codes(keys)
+        if from_right:
+            task = functools.partial(
+                self._probe, right, right_key, R.with_null_row(lefts[0]),
+                R.join_build(*left_keys[0]), None)
+            return [ctx.run_task(stage + "-right", 0, task, len(right),
+                                 parallelizable=False, kernel="vectorized")]
+        build = R.join_build(*right_key)
+        build_side = R.with_null_row(right) \
+            if self.join_type in _OUTER_JOINS else right
+        matched = np.zeros(len(right), dtype=bool) \
+            if self.join_type == L.JoinType.FULL_OUTER else None
+        results = ctx.run_stage(stage, [
+            StageTask(partition=i, rows_in=len(batch), kernel="vectorized",
+                      fn=functools.partial(self._probe, batch, key,
+                                           build_side, build, matched))
+            for i, (batch, key) in enumerate(zip(lefts, left_keys))])
+        if matched is not None and not matched.all():
+            tail = right.compress(~matched)
+            results.append(ColumnBatch(
+                [Column.nulls(len(tail)) for _ in self.children[0].output]
+                + tail.columns, num_rows=len(tail)))
+        return results
+
+    def _probe(self, probe: ColumnBatch, key: tuple, build_side: ColumnBatch,
+               build: tuple, matched) -> ColumnBatch:
+        """One probe task.  As in the row loop, the residual predicate
+        runs over the candidate pairs before the outer-null fill and the
+        semi/anti verdicts; ``matched`` collects FULL OUTER's paired rows."""
+        join_type = self.join_type
+
+        def combined(probe_rows: ColumnBatch, build_rows: ColumnBatch):
+            left, right = (build_rows, probe_rows) \
+                if join_type == L.JoinType.RIGHT_OUTER \
+                else (probe_rows, build_rows)
+            return ColumnBatch(left.columns + right.columns,
+                               num_rows=len(probe_rows))
+
+        rows, others = R.join_indices(*key, build)
+        if self.residual is not None:
+            keep = np.asarray(_true_rows(self.residual.eval_batch(combined(
+                probe.take(rows), build_side.take(others)))), dtype=bool)
+            rows, others = rows[keep], others[keep]
+        if matched is not None:
+            matched[others] = True
+        if join_type in (L.JoinType.LEFT_SEMI, L.JoinType.LEFT_ANTI):
+            hit = np.bincount(rows, minlength=len(probe)) > 0
+            return probe.compress(
+                hit if join_type == L.JoinType.LEFT_SEMI else ~hit)
+        if join_type in _OUTER_JOINS:
+            rows, others = R.pad_unmatched(rows, others, len(probe),
+                                           len(build_side) - 1)
+        return combined(probe.take(rows), build_side.take(others))
+
+    # -- row plane (and the batch plane's fallback) ------------------------
+
+    def _join_rows(self, ctx: ExecutionContext, stage: str,
+                   left_partitions: list[list[tuple]],
+                   right_rows: list[tuple]) -> list[list[tuple]]:
+        # Entries carry the build row's position: FULL OUTER tracks it,
+        # never id(row) (a table may hold one tuple object many times).
         table: dict[tuple, list[tuple]] = {}
-        for row in right_rows:
+        for position, row in enumerate(right_rows):
             key = tuple(k.eval(row) for k in self.right_keys)
             if any(v is None for v in key):
                 continue  # null keys never match
-            table.setdefault(key, []).append(row)
+            table.setdefault(key, []).append((position, row))
 
         right_width = len(self.children[1].output)
         left_width = len(self.children[0].output)
@@ -783,10 +939,9 @@ class HashJoinExec(PhysicalPlan):
         residual = self.residual
         join_type = self.join_type
         matched_right: set[int] = set()
-        right_index = {id(row): i for i, row in enumerate(right_rows)}
 
         tasks = []
-        for i, partition in enumerate(left_rdd.partitions):
+        for i, partition in enumerate(left_partitions):
             def task(rows=partition):
                 out = []
                 for left_row in rows:
@@ -794,14 +949,14 @@ class HashJoinExec(PhysicalPlan):
                     matches = [] if any(v is None for v in key) \
                         else table.get(key, [])
                     kept = []
-                    for right_row in matches:
+                    for position, right_row in matches:
                         combined = left_row + right_row
                         if residual is not None and \
                                 residual.eval(combined) is not True:
                             continue
                         kept.append(right_row)
                         if join_type == L.JoinType.FULL_OUTER:
-                            matched_right.add(right_index[id(right_row)])
+                            matched_right.add(position)
                     if join_type == L.JoinType.LEFT_SEMI:
                         if kept:
                             out.append(left_row)
@@ -820,18 +975,19 @@ class HashJoinExec(PhysicalPlan):
         result_partitions = ctx.run_stage(stage, tasks)
 
         if join_type == L.JoinType.RIGHT_OUTER:
-            return self._right_outer(ctx, left_rdd, right_rows, stage)
+            return [self._right_outer(
+                ctx, [row for rows in left_partitions for row in rows],
+                right_rows, stage)]
         if join_type == L.JoinType.FULL_OUTER:
             tail = [null_left + row for i, row in enumerate(right_rows)
                     if i not in matched_right]
             if tail:
                 result_partitions.append(tail)
-        return RDD(result_partitions)
+        return result_partitions
 
-    def _right_outer(self, ctx: ExecutionContext, left_rdd: RDD,
-                     right_rows: list[tuple], stage: str) -> RDD:
+    def _right_outer(self, ctx: ExecutionContext, left_rows: list[tuple],
+                     right_rows: list[tuple], stage: str) -> list[tuple]:
         """Right outer join: probe from the right side instead."""
-        left_rows = left_rdd.collect()
         table: dict[tuple, list[tuple]] = {}
         for row in left_rows:
             key = tuple(k.eval(row) for k in self.left_keys)
@@ -860,12 +1016,11 @@ class HashJoinExec(PhysicalPlan):
                     out.append(null_left + right_row)
             return out
 
-        rows = ctx.run_task(stage + "-right", 0, task, len(right_rows),
+        return ctx.run_task(stage + "-right", 0, task, len(right_rows),
                             parallelizable=False)
-        return RDD([rows])
 
     def node_description(self) -> str:
-        return f"HashJoin({self.join_type})"
+        return f"HashJoin({self.join_type})" + self._mode_tag()
 
 
 class BroadcastNestedLoopJoinExec(PhysicalPlan):

@@ -267,3 +267,22 @@ class TestColumnarConfiguration:
         result = session.sql(
             "SELECT * FROM pts SKYLINE OF a MIN, b MIN").to_tuples()
         assert len(result) == 10
+
+    def test_complex_query_stays_batch(self):
+        """Joins and the aggregate print their tag, and under batch
+        scans it is ``[batch]`` from scan to global skyline."""
+        from repro.core.vectorized import numpy_available
+        from repro.datasets.musicbrainz import (register_musicbrainz,
+                                                skyline_query)
+        if not numpy_available():
+            pytest.skip("NumPy not available")
+        session = connect(columnar=True)
+        register_musicbrainz(session, 50, seed=1)
+        query = parse_query(skyline_query(6))
+        text = session.explain(query)
+        assert "HashJoin(left_outer) [batch]" in text
+        assert "HashAggregate(keys=[ri.id]) [batch]" in text
+        assert "[row]" not in text
+        row_text = session.with_options(columnar=False).explain(query)
+        assert "HashJoin(inner) [row]" in row_text
+        assert "[batch]" not in row_text

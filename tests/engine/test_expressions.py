@@ -157,11 +157,15 @@ class TestAggregates:
         assert c.result(acc) == 2
 
     def test_count_distinct(self):
-        c = E.Count(bound(0), is_distinct=True)
-        acc = c.initial()
-        for value in (1, 1, 2, None, 2):
-            acc = c.update(acc, value)
-        assert c.result(acc) == 2
+        # DISTINCT is the aggregate operator's: it folds each value of a
+        # group into the function once.
+        import repro
+        session = repro.connect(columnar=False)
+        session.create_table("t", [("v", INTEGER, True)],
+                             [(1,), (1,), (2,), (None,), (2,)])
+        assert session.sql(
+            "SELECT count(DISTINCT v), sum(DISTINCT v), count(v) FROM t"
+        ).to_tuples() == [(2, 3, 4)]
 
     def test_average(self):
         a = E.Average(bound(0))
