@@ -99,8 +99,8 @@ class PreparedQuery:
     :meth:`SkylineSession.execute_prepared`; the serving layer's plan
     cache stores these across sessions (the physical plan re-executes
     against the *current* table rows, so catalog DML does not stale it
-    -- the plan-cache key still includes the catalog version so
-    statistics-driven decisions get refreshed).
+    -- the plan-cache key holds the catalog's schema version, and the
+    full version only for statistics-driven strategies).
     """
 
     physical: PhysicalPlan
@@ -333,7 +333,8 @@ class SkylineSession:
         >>> session.table_stats("t").column("a").max_value
         3
         """
-        return self.catalog.statistics(name)
+        return self.catalog.statistics(
+            name, columnar=self.columnar_enabled)
 
     def stats_refresh(self, name: str | None = None) -> dict:
         """Force statistics re-collection for one table (or all).
@@ -344,7 +345,7 @@ class SkylineSession:
         check cannot detect.
         """
         names = [name] if name is not None else self.catalog.table_names()
-        return {n: self.catalog.statistics(n, refresh=True)
+        return {n: self.catalog.statistics(n, True, self.columnar_enabled)
                 for n in names}
 
     # -- the pipeline -------------------------------------------------------------
@@ -399,7 +400,8 @@ class SkylineSession:
         """Execute command nodes that bypass the physical planner."""
         if not isinstance(plan, AnalyzeTable):
             return None
-        stats = self.catalog.statistics(plan.name, refresh=True)
+        stats = self.catalog.statistics(plan.name, True,
+                                        self.columnar_enabled)
         schema = self._ANALYZE_SCHEMA
         rows = []
         for column in stats.columns.values():

@@ -823,20 +823,21 @@ def prune_dominated_cells_vec(cells: dict[tuple, list]) -> dict[tuple, list]:
 # ---------------------------------------------------------------------------
 
 
-def vec_dominated_mask(rows: Sequence[Sequence],
-                       by_rows: Sequence[Sequence],
+def vec_dominated_mask(rows: "Sequence[Sequence] | ColumnBatch",
+                       by_rows: "Sequence[Sequence] | ColumnBatch",
                        dims: Sequence[BoundDimension]
-                       ) -> "list[bool] | None":
-    """Per-row mask: is ``rows[i]`` dominated by *some* row of
-    ``by_rows`` (complete-data semantics)?
+                       ) -> "np.ndarray | None":
+    """Boolean array: is ``rows[i]`` dominated by *some* row of
+    ``by_rows`` (complete-data semantics)?  Either side may be a
+    :class:`ColumnBatch`, read through its typed columns.
 
     The serving layer's dominance-aware result cache answers a
-    subset-preference query by filtering the base table against a small
-    cached skyline; this is that filter's vectorized kernel.  Returns
-    ``None`` when the data cannot be columnized faithfully (NumPy
-    missing, non-numeric dimensions, DIFF dimensions, nulls) -- callers
-    then fall back to the scalar :func:`~repro.core.dominance.dominates`
-    loop, which is always exact.
+    subset-preference query by filtering the base table's resident
+    columns against a small cached skyline, and finds the rows a
+    deleted member dominated the same way.  Returns ``None`` when the
+    data cannot be columnized faithfully (NumPy missing, non-numeric
+    or DIFF dimensions, nulls) -- callers then fall back to the scalar
+    :func:`~repro.core.dominance.dominates` loop, which is always exact.
     """
     if np is None or any(d.is_diff for d in dims):
         return None
@@ -848,5 +849,4 @@ def vec_dominated_mask(rows: Sequence[Sequence],
         # Nulls demand the incomplete semantics; the cache never stores
         # nullable preference sets, so just refuse.
         return None
-    return _dominated_by(_columns(cand.values),
-                         _columns(by.values)).tolist()
+    return _dominated_by(_columns(cand.values), _columns(by.values))

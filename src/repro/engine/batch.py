@@ -38,6 +38,7 @@ NumPy installed (same switch as :mod:`repro.core.vectorized`).
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Any, Iterator, Sequence
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -113,6 +114,14 @@ def int64_fits_float_exact(data) -> bool:
     return not len(data) or (
         int(data.min()) >= -MAX_EXACT_INT
         and int(data.max()) <= MAX_EXACT_INT)
+
+
+def without_positions(values: list, positions: "list[int]") -> list:
+    """A copy of ``values`` without ``positions`` (ascending), chained
+    from the slices between them: O(len) for one position or many."""
+    bounds = [-1, *positions, len(values)]
+    return list(chain.from_iterable(
+        values[lo + 1:hi] for lo, hi in zip(bounds, bounds[1:])))
 
 
 class Column:
@@ -322,6 +331,30 @@ class Column:
         mask = self.mask[keep] if self.mask is not None else None
         return Column(self.kind, self.data[keep], mask)
 
+    def extend(self, values: list) -> "Column":
+        """A new column: this one plus ``values``, only they encoded.
+        A list stays a list; a typed column takes values of its own
+        type and ``None`` (a first one adds the mask).  Only a value it
+        cannot hold -- an ``int`` into ``f8``, a big int, a string --
+        re-encodes the whole column from values (:meth:`concat`), which
+        leaves it ``obj``."""
+        if self.kind == OBJ and self.data:
+            return Column(OBJ, self.data + values)
+        delta = Column.from_values(values)
+        if self.kind != OBJ and all(v is None for v in values):
+            # from_values cannot type NULLs alone; any kind holds them.
+            delta = Column(self.kind,
+                           np.zeros(len(values), self.data.dtype),
+                           np.ones(len(values), dtype=bool))
+        return Column.concat([self, delta])
+
+    def delete(self, positions: "list[int]") -> "Column":
+        """A new column without the rows at ``positions`` (ascending)."""
+        if self.kind == OBJ:
+            return Column(OBJ, without_positions(self.data, positions))
+        mask = None if self.mask is None else np.delete(self.mask, positions)
+        return Column(self.kind, np.delete(self.data, positions), mask)
+
     @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
         """Stack columns of the same attribute (re-encoded via values
@@ -465,6 +498,23 @@ class ColumnBatch:
                             num_rows=max(0, stop - start))
         if self._rows is not None:
             batch._rows = self._rows[start:stop]
+        return batch
+
+    def extend(self, rows: "list[tuple]") -> "ColumnBatch":
+        """A new batch: this one plus ``rows``, columnizing only them
+        (catalog DML on resident columns; row tuples carried along)."""
+        batch = ColumnBatch(
+            [column.extend(list(values)) for column, values
+             in zip(self.columns, zip(*rows))] if rows else self.columns,
+            num_rows=self._num_rows + len(rows))
+        batch._rows = self.to_rows() + rows
+        return batch
+
+    def delete(self, positions: "list[int]") -> "ColumnBatch":
+        """A new batch without the rows at ``positions`` (ascending)."""
+        batch = ColumnBatch([c.delete(positions) for c in self.columns],
+                            num_rows=self._num_rows - len(positions))
+        batch._rows = without_positions(self.to_rows(), positions)
         return batch
 
     def select(self, ordinals: Sequence[int]) -> "ColumnBatch":

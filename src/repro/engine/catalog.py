@@ -5,7 +5,8 @@ The analyzer "takes each identifier and translates it using the Catalog"
 metadata (primary/foreign keys) which the optimizer's non-reductive-join
 rule consults (Section 5.4).  The catalog also owns the statistics cache
 (:class:`~repro.stats.store.StatsStore`): per-table statistics are
-collected lazily on first use and invalidated when a table is
+collected lazily on first use -- from the resident columns, so
+recollecting is cheap -- and dropped (not merged) when a table is
 re-registered, dropped, or mutated through the DML entry points.
 
 For the serving layer the catalog additionally provides:
@@ -17,14 +18,16 @@ For the serving layer the catalog additionally provides:
 * **Change notification** -- listeners registered via
   :meth:`Catalog.add_listener` receive one :class:`CatalogEvent` per
   mutation; the dominance-aware result cache
-  (:class:`repro.serve.cache.SkylineResultCache`) uses the delta rows
-  carried by insert/delete events to invalidate *incrementally* instead
-  of dropping everything on any write.
-* **A version counter** -- bumped on every mutation; cross-session plan
-  caches key on it.
+  (:class:`repro.serve.cache.SkylineResultCache`) applies the delta
+  carried by insert/delete events to its cached skylines instead of
+  dropping them on any write.
+* **Two version counters** -- ``version`` is bumped on every mutation,
+  ``schema_version`` by register/drop only; cross-session plan caches
+  key on the latter (a prepared plan reads the table, not a snapshot).
 
 A table also owns the **columnar form** of its rows, shared by every
-session on the catalog: see :meth:`Table.column_batch`.
+session on the catalog (:meth:`Table.column_batch`); DML maintains it
+copy-on-write instead of dropping it (:meth:`Table._republish`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..errors import AnalysisError
-from .batch import ColumnBatch
+from .batch import ColumnBatch, without_positions
 from .row import Schema
 
 
@@ -50,6 +53,14 @@ def table_fingerprint(table) -> tuple:
 
 #: Builds :meth:`Table.column_batch` tries against a write-hot table.
 COLUMNIZE_ATTEMPTS = 3
+
+#: :attr:`Table.maintenance`: DML deltas applied to the resident columns
+#: (``appended`` / ``deleted``), whole-table builds, columns whose
+#: storage changed (another kind, a first null mask) for a value it could
+#: not hold, deltas that republished nothing (overtaken; none resident).
+MAINTENANCE_COUNTERS = ("appended", "deleted", "rebuilt",
+                        "reencoded_kind_drift", "overtaken_by_dml",
+                        "not_resident")
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,9 @@ class Table:
     #: ``(table_fingerprint, ColumnBatch)`` of the resident columns.
     _columns: "tuple | None" = field(default=None, init=False,
                                      repr=False, compare=False)
+    maintenance: dict = field(
+        default_factory=lambda: dict.fromkeys(MAINTENANCE_COUNTERS, 0),
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.schema)
@@ -117,10 +131,64 @@ class Table:
             batch = ColumnBatch.from_rows(list(self.rows),
                                           len(self.schema))
             batch.set_read_only()
+            self.maintenance["rebuilt"] += 1
             if table_fingerprint(self) == token:
                 self._columns = (token, batch)
                 break
         return batch, True
+
+    def resident_batch(self) -> "ColumnBatch | None":
+        """The resident batch if it is current, else ``None``; unlike
+        :meth:`column_batch` this never builds one."""
+        cached = self._columns
+        current = cached is not None and cached[0] == table_fingerprint(self)
+        return cached[1] if current else None
+
+    def _append(self, rows: "list[tuple]") -> "ColumnBatch | None":
+        """Insert delta: extend the row list, republish the columns."""
+        resident = self.resident_batch()
+        self.rows.extend(rows)
+        return self._republish("appended", resident,
+                               lambda batch: batch.extend(rows))
+
+    def _remove(self, positions: "list[int]") -> "ColumnBatch | None":
+        """Delete delta: the rows at ``positions`` (ascending) leave
+        the row list, in place, and the republished columns."""
+        resident = self.resident_batch()
+        self.rows[:] = without_positions(self.rows, positions)
+        return self._republish("deleted", resident,
+                               lambda batch: batch.delete(positions))
+
+    def _republish(self, counter: str, resident: "ColumnBatch | None",
+                   step: Callable[[ColumnBatch], ColumnBatch]
+                   ) -> "ColumnBatch | None":
+        """Close one DML delta already applied to the row list.
+        ``resident``, the batch that was *current* before it, is carried
+        across by ``step``, copy-on-write: an O(table bytes) memcpy for
+        the O(rows) columnization it replaces, and slices of the old
+        batch stay valid.  Publish after verify, as in
+        :meth:`column_batch`: only under the exact token this delta
+        produces, so an overtaking DML (or a stale or absent batch)
+        leaves nothing resident and the next reader rebuilds.  Returns
+        the published batch, or ``None``."""
+        self.data_version += 1
+        version = self.data_version
+        self._columns = None
+        if resident is None:
+            self.maintenance["not_resident"] += 1
+            return None
+        batch = step(resident)
+        batch.set_read_only()
+        for old, new in zip(resident.columns, batch.columns):
+            if len(old) and old.kind != new.kind:
+                self.maintenance["reencoded_kind_drift"] += 1
+        token = (id(self.rows), batch.num_rows, version)
+        if table_fingerprint(self) != token:
+            self.maintenance["overtaken_by_dml"] += 1
+            return None
+        self._columns = (token, batch)
+        self.maintenance[counter] += 1
+        return batch
 
     @property
     def resident_column_bytes(self) -> int:
@@ -135,15 +203,20 @@ class CatalogEvent:
 
     ``kind`` is ``"register"``, ``"drop"``, ``"insert"`` or
     ``"delete"``; for the DML kinds ``rows`` carries the delta (the
-    rows inserted / actually deleted), which is what makes incremental
-    cache invalidation possible.  ``version`` is the catalog version
-    *after* the mutation, so listeners can tag derived state.
+    rows inserted / actually deleted, in table order), which is what
+    lets the result cache maintain its entries.  ``version`` is the
+    catalog version *after* the mutation.  ``batch`` is the table's
+    resident columns as this mutation republished them (``None``: none
+    were resident and current) and ``positions`` the deleted rows'
+    ascending positions *before* it: a listener never reaches back.
     """
 
     kind: str
     table: str
     rows: tuple = ()
     version: int = 0
+    batch: "ColumnBatch | None" = field(default=None, compare=False)
+    positions: tuple = ()
 
 
 class Catalog:
@@ -152,9 +225,11 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._listeners: list[Callable[[CatalogEvent], None]] = []
-        #: Bumped on every mutation (register/drop/insert/delete);
-        #: cross-session plan caches key on it.
+        #: Bumped on every mutation (register/drop/insert/delete).
         self.version: int = 0
+        #: Bumped by register/drop only: what a plan that holds tables,
+        #: not snapshots, is valid for (cross-session plan caches).
+        self.schema_version: int = 0
         # Imported lazily at class-definition time would be circular;
         # the stats package only depends on repro.core.
         from ..stats import StatsStore
@@ -172,12 +247,15 @@ class Catalog:
         self._listeners = [ln for ln in self._listeners
                            if ln is not listener]
 
-    def _notify(self, kind: str, table: str, rows: Sequence[tuple] = ()
-                ) -> None:
+    def _notify(self, kind: str, table: str, rows: Sequence[tuple] = (),
+                batch: "ColumnBatch | None" = None,
+                positions: Sequence[int] = ()) -> None:
         self.version += 1
+        if kind in ("register", "drop"):
+            self.schema_version += 1
         if self._listeners:
             event = CatalogEvent(kind, table.lower(), tuple(rows),
-                                 self.version)
+                                 self.version, batch, tuple(positions))
             for listener in self._listeners:
                 listener(event)
 
@@ -228,15 +306,21 @@ class Catalog:
         return {name: table.resident_column_bytes
                 for name, table in sorted(self._tables.items())}
 
+    def column_maintenance(self) -> dict[str, dict]:
+        """:attr:`Table.maintenance` per table (one atomic snapshot)."""
+        return {name: dict(table.maintenance)
+                for name, table in sorted(self._tables.items())}
+
     # -- DML deltas -------------------------------------------------------
 
     def insert_into(self, name: str, rows: Iterable[tuple]) -> int:
         """Append rows to a registered table, in place.
 
         Physical plans holding the table's row list by reference see
-        the new rows immediately; statistics are invalidated and
-        listeners receive an ``insert`` event carrying the delta.
-        Returns the number of rows inserted.
+        the new rows immediately; resident columns are maintained (only
+        the delta is columnized), statistics dropped, and listeners
+        receive an ``insert`` event carrying the delta and the
+        republished batch.  Returns the number of rows inserted.
         """
         table = self.lookup(name)
         width = len(table.schema)
@@ -253,11 +337,9 @@ class Catalog:
                         f"NULL in NOT NULL column {column.name!r} of "
                         f"table {table.name!r}")
             inserted.append(row)
-        table.rows.extend(inserted)
-        table.data_version += 1
-        table._columns = None
+        batch = table._append(inserted)
         self.stats.invalidate(name)
-        self._notify("insert", name, inserted)
+        self._notify("insert", name, inserted, batch)
         return len(inserted)
 
     def delete_from(self, name: str,
@@ -266,41 +348,48 @@ class Catalog:
                     ) -> int:
         """Delete rows from a registered table, in place.
 
-        Exactly one of ``rows`` (each listed tuple removed once, by
-        value) or ``predicate`` (every matching row removed) must be
-        given.  Listeners receive a ``delete`` event carrying the rows
-        that were actually removed; returns their count.
+        Exactly one of ``rows`` (each listed tuple removes the first
+        remaining row equal to it, as ``list.remove`` would) or
+        ``predicate`` (every matching row removed) must be given.  The
+        *positions* are settled first and taken out of the row list and
+        the resident columns alike; listeners receive a ``delete``
+        event carrying the removed rows and positions.  Returns their
+        count; a delete that removes nothing publishes nothing.
         """
         if (rows is None) == (predicate is None):
             raise ValueError("pass exactly one of rows= or predicate=")
         table = self.lookup(name)
-        removed: list[tuple] = []
         if predicate is not None:
-            kept = []
-            for row in table.rows:
-                (removed if predicate(row) else kept).append(row)
-            table.rows[:] = kept
+            positions = [i for i, row in enumerate(table.rows)
+                         if predicate(row)]
         else:
+            positions, search_from = [], {}
             for target in rows:
                 target = tuple(target)
                 try:
-                    table.rows.remove(target)
+                    at = table.rows.index(target,
+                                          search_from.get(target, 0))
                 except ValueError:
                     continue
-                removed.append(target)
-        if removed:
-            table.data_version += 1
-            table._columns = None
-            self.stats.invalidate(name)
-            self._notify("delete", name, removed)
+                search_from[target] = at + 1
+                positions.append(at)
+            positions.sort()
+        if not positions:
+            return 0
+        removed = [table.rows[i] for i in positions]
+        batch = table._remove(positions)
+        self.stats.invalidate(name)
+        self._notify("delete", name, removed, batch, positions)
         return len(removed)
 
-    def statistics(self, name: str, refresh: bool = False):
+    def statistics(self, name: str, refresh: bool = False,
+                   columnar: bool = True):
         """Statistics for table ``name``, collected lazily and cached.
 
-        The cache is invalidated on :meth:`register`/:meth:`drop` and
-        when the table's row list visibly changes (different object or
-        length); pass ``refresh=True`` to force re-collection.
+        Valid for one :func:`table_fingerprint` (dropped by register,
+        drop and DML, never merged: collecting from the resident
+        columns is cheap -- a ``columnar=False`` caller builds none);
+        ``refresh=True`` forces re-collection.
         Returns a :class:`~repro.stats.statistics.TableStats`.
         """
-        return self.stats.get(self.lookup(name), refresh=refresh)
+        return self.stats.get(self.lookup(name), refresh, columnar)

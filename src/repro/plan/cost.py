@@ -276,7 +276,8 @@ class CostModel:
             if self.catalog is not None and \
                     self.catalog.exists(table.name) and \
                     self.catalog.lookup(table.name) is table:
-                return self.catalog.statistics(table.name)
+                return self.catalog.statistics(
+                    table.name, columnar=self.columnar)
             # Detached table (dropped/replaced in the catalog, or no
             # catalog at all): bounded one-shot profiling.
             return self._bounded_stats(

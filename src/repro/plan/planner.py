@@ -103,8 +103,8 @@ class Planner:
         Two planners with equal keys (over the same catalog state)
         lower identical logical plans to identical physical plans --
         the contract the serving layer's cross-session plan cache
-        relies on (its full key adds the catalog version, which covers
-        the statistics feeding the adaptive strategy).
+        relies on (its full key adds the catalog's schema version, or
+        for the statistics-fed strategies its data version).
         """
         return (self.skyline_strategy, self.num_executors,
                 self.max_workers, self.partitioning, self.num_partitions,

@@ -15,18 +15,37 @@ exactly, not approximately -- by one linear filter of the base table
 against the (small) cached skyline: ``O(n * k)`` instead of the
 ``O(n^2)`` dominance join.
 
-DML does not simply flush the cache; the catalog's delta events enable
-*incremental* invalidation:
+Entries **reference, never copy**: an entry holds the table's published
+resident batch (:meth:`repro.engine.catalog.Table.column_batch`, the
+very object the table holds) it was last reconciled with and its
+members' row positions in it.  The re-filter reads that batch's typed
+columns, so members and base are always one version and the cache
+keeps no columnized copy of any table.
 
-* **insert** -- an entry stays valid iff every inserted row is strictly
-  dominated by some cached skyline member (a dominated row changes no
-  skyline, for ``P`` or any subset of it).  A surviving or tying row
-  invalidates; so does a row with a NULL in a cached dimension (the
-  complete-semantics proof needs null-free dimensions).
-* **delete** -- an entry stays valid iff no removed row is tuple-equal
-  to a cached member: every non-member is dominated by *some* member
-  (transitivity), so removing it cannot promote new members.
+DML *maintains* the cache: the catalog's delta events carry the
+republished batch, and over complete data one delta changes a skyline
+by exactly one step.
+
+* **insert** -- one BNL window step (Börzsönyi, Kossmann, Stocker): a
+  row strictly dominated by a member changes no skyline, for ``P`` or
+  any subset of it; any other row joins and the members it dominates
+  leave (a tie on every dimension keeps both) -- whatever else it
+  dominates, a member dominated already.  It is the table's last row,
+  so appending keeps table order.  A NULL or NaN in a cached dimension
+  invalidates: the proofs need transitivity (Khalefa, Mokbel,
+  Levandoski).
+* **delete** -- a non-member changes nothing (a member dominates it,
+  before and after).  A deleted member ``d`` leaves and only the rows
+  ``d`` dominated are re-examined -- every other non-member keeps a
+  surviving dominator, by transitivity: those no remaining member
+  dominates, reduced to their own skyline, are promoted and merged in
+  by table position.
 * **register / drop** -- all entries for the table are discarded.
+
+An entry with no batch to reference (a row-plane tenant never builds
+one; a DML that found none current republishes none) keeps the older
+rules: a dominated insert or a non-member delete keeps it, any other
+delta invalidates.  Invalidations are counted by reason.
 
 Only plans of the shape ``Skyline(identity-Project(Relation))`` with
 ``DISTINCT`` off and null-free dimension columns are cached -- the
@@ -36,21 +55,17 @@ shape the optimizer produces for ``SELECT * FROM t SKYLINE OF ...``.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..core import BoundDimension, DimensionKind, dominates
-from ..core.vectorized import (_columns, _dominated_by, columnize,
-                               vec_dominated_mask)
+from ..core.vectorized import vec_dominated_mask
 from ..engine import expressions as E
-from ..engine.catalog import CatalogEvent
-from ..engine.row import Schema
+from ..engine.batch import F8, OBJ, Column, ColumnBatch
+from ..engine.batch import np as _np
+from ..engine.catalog import CatalogEvent, Table
 from ..plan import logical as L
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -71,10 +86,6 @@ class CacheableShape:
     @property
     def key(self) -> tuple:
         return (self.table, frozenset(self.dims))
-
-    @property
-    def dim_set(self) -> frozenset:
-        return frozenset(self.dims)
 
     def bound_dimensions(self) -> list[BoundDimension]:
         return [BoundDimension(index, kind)
@@ -131,6 +142,14 @@ def cacheable_shape(optimized: "L.LogicalPlan | None"
                           dims=tuple(dims), indices=tuple(indices))
 
 
+#: Why an entry was dropped, not maintained: a NULL / NaN in a cached
+#: dimension, a delta needing resident columns when none were published,
+#: a re-registered / dropped table, columns the delete step cannot read.
+INVALIDATION_REASONS = ("null_dimension", "nan_dimension",
+                        "no_resident_columns", "register", "drop",
+                        "unvectorizable")
+
+
 @dataclass
 class CacheStats:
     """Counters the server's ``stats`` op reports."""
@@ -140,74 +159,84 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     invalidations: int = 0
+    #: Inserted rows that entered / deletes that removed members of a
+    #: cached skyline that was updated and kept.
+    maintained_inserts: int = 0
+    maintained_deletes: int = 0
+    invalidation_reasons: dict = field(
+        default_factory=lambda: dict.fromkeys(INVALIDATION_REASONS, 0))
 
     @property
     def hits(self) -> int:
         return self.exact_hits + self.refilter_hits
 
     def as_dict(self) -> dict:
-        return {"exact_hits": self.exact_hits,
-                "refilter_hits": self.refilter_hits,
-                "misses": self.misses, "stores": self.stores,
-                "invalidations": self.invalidations}
-
-
-def _oriented_values(rows, bdims) -> "object | None":
-    """The MAX-negated float64 value matrix of ``rows`` over ``bdims``
-    (all dimensions oriented as MIN), or ``None`` when the rows cannot
-    be columnized faithfully or contain NULL dimension values."""
-    block = columnize(rows, bdims)
-    if block is None or (len(rows) and block.null_mask.any()):
-        return None
-    return block.values
+        return asdict(self)
 
 
 @dataclass
 class _Entry:
-    """One cached skyline plus the columnized state a re-filter needs.
-
-    ``base_values`` is the oriented value matrix of the *whole base
-    table* over the entry's preference set, tagged with the catalog
-    version it reflects; a validity-preserving insert appends to it so
-    subset lookups stay one small kernel call instead of re-columnizing
-    the table.  It degrades to ``None`` whenever it cannot be kept
-    aligned (a validity-preserving delete, un-columnizable rows) --
-    correctness never depends on it.
-    """
+    """One cached skyline.  ``base`` is the published resident batch
+    the members were last reconciled with and ``positions`` their
+    ascending row positions in it (``rows`` is in table order).  With
+    no batch to reference (``None``) re-filters read the table's row
+    list and only deltas that leave the members alone keep the entry."""
 
     shape: CacheableShape
     rows: tuple[tuple, ...]
-    schema: Schema
-    sky_values: "object | None" = None
-    base_values: "object | None" = None
-    base_version: "int | None" = None
-    row_set: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        self.row_set = frozenset(self.rows)
-
-    def value_columns(self, dims) -> "list[int] | None":
-        """Matrix column selector for a subset preference set, or
-        ``None`` if any requested dimension has no matrix column."""
-        non_diff = [d for d in self.shape.dims
-                    if d[1] is not DimensionKind.DIFF]
-        position = {dim: j for j, dim in enumerate(non_diff)}
-        selected = []
-        for dim in dims:
-            j = position.get(dim)
-            if j is None:
-                return None
-            selected.append(j)
-        return selected
+    base: "ColumnBatch | None" = None
+    positions: list = field(default_factory=list)
 
 
-def _dominated_mask(rows, by_rows, bdims) -> list[bool]:
-    """Which of ``rows`` are dominated by some row of ``by_rows``?"""
-    mask = vec_dominated_mask(rows, by_rows, bdims)
-    if mask is not None:
-        return mask
-    return [any(dominates(winner, row, bdims) for winner in by_rows)
-            for row in rows]
+def _complete(column: Column) -> bool:
+    """True when ``column`` holds neither NULL nor NaN: the data the
+    containment rule and both maintenance steps are proved for."""
+    if column.kind == OBJ:
+        return not any(v is None or v != v for v in column.data)
+    return not column.has_nulls() and not (
+        column.kind == F8 and bool(_np.isnan(column.data).any()))
+
+
+def _locate(base: ColumnBatch, members: list, column: int
+            ) -> "list[int] | None":
+    """Ascending positions of the skyline ``members`` in ``base``, or
+    ``None`` when a DML landed since they were computed.  A row equal
+    to a member ties it on every dimension, so is one: set membership
+    is exact; a typed dimension column narrows the rows worth hashing."""
+    rows, wanted = base.to_rows(), set(members)
+    near = range(len(rows))
+    if base.column(column).is_array:
+        near = _np.flatnonzero(_np.isin(
+            base.column(column).data, [m[column] for m in wanted])).tolist()
+    positions = [i for i in near if rows[i] in wanted]
+    return positions if len(positions) == len(members) else None
+
+
+def _window_step(members: list, positions: list, row: tuple, at: int,
+                 bdims) -> "tuple[list, list]":
+    """One BNL window step for a ``row`` (inserted at position ``at``)
+    no member dominates: the members it does not dominate, plus it."""
+    keep = [k for k, member in enumerate(members)
+            if not dominates(row, member, bdims)]
+    return ([members[k] for k in keep] + [row],
+            [positions[k] for k in keep] + [at])
+
+
+def _promoted(base: ColumnBatch, members: list, deleted: list, bdims
+              ) -> "list[int] | None":
+    """Positions in ``base`` (the batch *after* the delete) of the rows
+    entering the skyline as the ``deleted`` members leave: those they
+    dominated that neither a remaining member (at ``members``) nor
+    another such row dominates.  ``None``: the dimension columns cannot
+    serve (DIFF, non-numeric, no NumPy)."""
+    dominated = vec_dominated_mask(base, deleted, bdims)
+    if dominated is None:
+        return None
+    candidates = _np.flatnonzero(dominated)
+    pool = _np.concatenate(
+        [_np.asarray(members, dtype=_np.intp), candidates])
+    dead = vec_dominated_mask(base.take(candidates), base.take(pool), bdims)
+    return candidates[~dead].tolist()
 
 
 class SkylineResultCache:
@@ -232,15 +261,14 @@ class SkylineResultCache:
 
     # -- lookup -----------------------------------------------------------
 
-    def lookup(self, shape: CacheableShape, table_rows: list[tuple],
-               version: "int | None" = None) -> "list[tuple] | None":
+    def lookup(self, shape: CacheableShape, table: Table
+               ) -> "list[tuple] | None":
         """Rows answering ``shape``, or ``None`` on a miss.
 
         An exact entry (same preference set) is returned as stored; a
-        superset entry answers by re-filtering ``table_rows`` (the
-        *current* table) against the cached skyline under the query's
-        own dimensions.  ``version`` (the current catalog version)
-        enables the columnized fast path.
+        superset entry answers by re-filtering the base it references
+        (or ``table``'s row list) against the cached skyline under the
+        query's own dimensions.
         """
         with self._lock:
             exact = self._entries.get(shape.key)
@@ -248,102 +276,73 @@ class SkylineResultCache:
                 self._entries.move_to_end(shape.key)
                 self.stats.exact_hits += 1
                 return list(exact.rows)
-            best: "_Entry | None" = None
-            want = shape.dim_set
-            for entry in self._entries.values():
-                if entry.shape.table != shape.table:
-                    continue
-                if not want <= entry.shape.dim_set:
-                    continue
-                if best is None or len(entry.rows) < len(best.rows):
-                    best = entry
-            if best is None:
+            supersets = [entry for entry in self._entries.values()
+                         if entry.shape.table == shape.table
+                         and set(shape.dims) <= set(entry.shape.dims)]
+            if not supersets:
                 self.stats.misses += 1
                 return None
+            best = min(supersets, key=lambda entry: len(entry.rows))
             self._entries.move_to_end(best.shape.key)
             self.stats.refilter_hits += 1
-            return self._refilter(best, shape, table_rows, version)
+            return self._refilter(best, shape, table)
 
-    def _refilter(self, entry: _Entry, shape: CacheableShape,
-                  table_rows: list[tuple],
-                  version: "int | None") -> list[tuple]:
-        """The rows of ``table_rows`` not dominated under ``shape``.
-
-        Fast path: slice the entry's columnized base table (rebuilt
-        here if stale) and run the shared dominance kernel over the
-        cached skyline -- most candidates are dominated by the first few
-        skyline members, so they drop out before later steps.  Falls
-        back to generic row-wise filtering whenever the matrix cannot
-        serve.
-        """
-        selected = entry.value_columns(shape.dims) if _np is not None \
-            else None
-        if selected is not None and version is not None:
-            if entry.base_values is None or \
-                    entry.base_version != version or \
-                    len(entry.base_values) != len(table_rows):
-                entry.base_values = _oriented_values(
-                    table_rows, entry.shape.bound_dimensions())
-                entry.base_version = version \
-                    if entry.base_values is not None else None
-            if entry.base_values is not None and \
-                    entry.sky_values is not None:
-                dominated = _dominated_by(
-                    _columns(entry.base_values[:, selected]),
-                    _columns(entry.sky_values[:, selected]))
-                return [table_rows[i]
-                        for i in _np.flatnonzero(~dominated).tolist()]
-        mask = _dominated_mask(table_rows, entry.rows,
-                               shape.bound_dimensions())
-        return [row for row, dominated in zip(table_rows, mask)
-                if not dominated]
+    @staticmethod
+    def _refilter(entry: _Entry, shape: CacheableShape, table: Table
+                  ) -> list[tuple]:
+        """The base rows no cached member dominates under ``shape``, in
+        table order: the shared dominance kernel over the resident
+        dimension columns (most candidates drop out at the first few
+        members), the scalar loop where the columns cannot serve."""
+        base = entry.base
+        rows = base.to_rows() if base is not None else list(table.rows)
+        bdims = shape.bound_dimensions()
+        dominated = vec_dominated_mask(base if base is not None else rows,
+                                       entry.rows, bdims)
+        if dominated is not None:
+            return [rows[i] for i in _np.flatnonzero(~dominated).tolist()]
+        return [row for row in rows
+                if not any(dominates(member, row, bdims)
+                           for member in entry.rows)]
 
     # -- store ------------------------------------------------------------
 
     def store(self, shape: CacheableShape, rows: list[tuple],
-              schema: Schema, table_rows: "list[tuple] | None" = None,
-              version: "int | None" = None) -> bool:
+              table: Table, version: "int | None" = None) -> bool:
         """Cache ``rows`` as the skyline for ``shape``.
 
-        ``table_rows`` is the base table the result was computed from;
-        the store is refused (returns ``False``) if any dimension value
-        in it is NULL -- the containment rule is proved for complete
-        data only, and with null-free dimensions the engine's complete
-        and incomplete algorithms agree.
+        ``table`` is the base table the result was computed from; the
+        store is refused (returns ``False``) if any dimension value in
+        it is NULL or NaN: the containment rule and the maintenance
+        steps are proved for complete data only.  The entry references
+        the table's resident batch if one is current (it never builds
+        one) and is refused when its members are not all found there: a
+        DML landed since they were computed.
 
         ``version`` is the catalog version read *before* the result was
-        computed.  The store is also refused when the invalidation
-        listener has already applied a newer event: that event's delta
-        was checked against the entries of its time and can never
-        invalidate this one.  The test runs under the listener's lock,
-        so a mutation either is seen here or sees the stored entry.
+        computed.  The store is also refused when the listener has
+        already applied a newer event, whose delta can never reach this
+        entry.  The test runs under the listener's lock, so a mutation
+        either is seen here or sees the stored entry.
         """
         rows = [tuple(row) for row in rows]
         indices = shape.indices
-        for row in rows:
-            if any(row[i] is None for i in indices):
+        base, positions = table.resident_batch(), []
+        if base is None:
+            table_rows = list(table.rows)
+            columns = [Column(OBJ, [row[i] for row in table_rows])
+                       for i in indices]
+        else:
+            columns = [base.column(i) for i in indices]
+        if not all(map(_complete, columns)):
+            return False
+        if base is not None:
+            positions = _locate(base, rows, indices[0])
+            if positions is None:
                 return False
-        bdims = shape.bound_dimensions()
-        base_values = None
-        if table_rows is not None:
-            base_values = _oriented_values(table_rows, bdims)
-            if base_values is None:
-                # Could not prove null-freeness vectorized; scan.
-                for row in table_rows:
-                    if any(row[i] is None for i in indices):
-                        return False
-            else:
-                # The matrix skips DIFF dimensions; check those by hand.
-                diff_idx = [i for (_, kind), i in zip(shape.dims, indices)
-                            if kind is DimensionKind.DIFF]
-                for i in diff_idx:
-                    if any(row[i] is None for row in table_rows):
-                        return False
-        entry = _Entry(shape, tuple(rows), schema,
-                       sky_values=_oriented_values(rows, bdims),
-                       base_values=base_values,
-                       base_version=version
-                       if base_values is not None else None)
+            table_rows = base.to_rows()
+            rows = [table_rows[p] for p in positions]
+        entry = _Entry(shape, tuple(rows), base, positions)
         with self._lock:
             if version is not None and version < self._applied_version:
                 return False
@@ -354,87 +353,68 @@ class SkylineResultCache:
                 self._entries.popitem(last=False)
             return True
 
-    # -- invalidation -----------------------------------------------------
-
-    def invalidate_table(self, table: str) -> int:
-        with self._lock:
-            return self._drop_table(table.lower())
-
-    def _drop_table(self, table: str) -> int:
-        stale = [key for key, entry in self._entries.items()
-                 if entry.shape.table == table]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
+    # -- maintenance ------------------------------------------------------
 
     def on_catalog_event(self, event: CatalogEvent) -> None:
-        """Catalog listener: incremental invalidation from DML deltas."""
+        """Catalog listener: apply the delta to the table's entries."""
         with self._lock:
             self._applied_version = max(self._applied_version,
                                         event.version)
-            if event.kind in ("register", "drop"):
-                self._drop_table(event.table)
-                self._advance_others(event)
-                return
-            stale = []
-            for key, entry in self._entries.items():
+            for key, entry in list(self._entries.items()):
                 if entry.shape.table != event.table:
                     continue
-                if event.kind == "insert":
-                    if not self._insert_keeps(entry, event.rows):
-                        stale.append(key)
-                    else:
-                        self._append_base(entry, event.rows,
-                                          event.version)
-                elif event.kind == "delete":
-                    if any(row in entry.row_set for row in event.rows):
-                        stale.append(key)
-                    else:
-                        # The table shrank in place; the columnized
-                        # base no longer aligns.  Rebuilt lazily.
-                        entry.base_values = None
-                        entry.base_version = None
-            for key in stale:
-                del self._entries[key]
-            self.stats.invalidations += len(stale)
-            self._advance_others(event)
+                reason = self._reconcile(entry, event) \
+                    if event.kind in ("insert", "delete") else event.kind
+                if reason is not None:
+                    del self._entries[key]
+                    self.stats.invalidations += 1
+                    self.stats.invalidation_reasons[reason] += 1
 
-    def _advance_others(self, event: CatalogEvent) -> None:
-        """A mutation of one table leaves every *other* table's
-        columnized base aligned -- advance their version tags so the
-        global catalog version does not stale them."""
-        for entry in self._entries.values():
-            if entry.shape.table != event.table and \
-                    entry.base_values is not None:
-                entry.base_version = event.version
-
-    @staticmethod
-    def _append_base(entry: _Entry, rows: tuple, version: int) -> None:
-        """Keep the columnized base table aligned across an insert of
-        (already validity-checked) rows."""
-        if entry.base_values is None or _np is None:
-            return
-        appended = _oriented_values(list(rows),
-                                    entry.shape.bound_dimensions())
-        if appended is None:
-            entry.base_values = None
-            entry.base_version = None
-            return
-        entry.base_values = _np.concatenate(
-            [entry.base_values, appended])
-        entry.base_version = version
-
-    @staticmethod
-    def _insert_keeps(entry: _Entry, rows: tuple) -> bool:
-        """True iff every inserted row leaves the cached skyline valid:
-        null-free on the cached dimensions and strictly dominated by
-        some cached member (under the full preference set ``P``)."""
+    def _reconcile(self, entry: _Entry, event: CatalogEvent
+                   ) -> "str | None":
+        """Bring ``entry`` up to ``event`` (a DML delta); returns the
+        reason it has to be invalidated instead, if any.  DML is
+        serialised, so at most one delta is in flight, and an entry
+        stored meanwhile (the catalog had republished, this listener
+        not run) may reference either batch: an inserted row already
+        among its positions is skipped, and a base as long as the
+        post-delete batch already lacks the deleted rows."""
+        batch = event.batch if entry.base is not None else None
+        members, positions = list(entry.rows), entry.positions
         bdims = entry.shape.bound_dimensions()
-        for row in rows:
-            if any(row[i] is None for i in entry.shape.indices):
-                return False
-            if not any(dominates(winner, row, bdims)
-                       for winner in entry.rows):
-                return False
-        return True
+        if event.kind == "insert":
+            first = len(batch) - len(event.rows) if batch is not None else 0
+            for at, row in enumerate(event.rows, first):
+                if batch is not None and at in positions:
+                    continue
+                for i in entry.shape.indices:
+                    if row[i] is None:
+                        return "null_dimension"
+                    if row[i] != row[i]:
+                        return "nan_dimension"
+                if any(dominates(member, row, bdims) for member in members):
+                    continue
+                if batch is None:
+                    return "no_resident_columns"
+                members, positions = _window_step(members, positions,
+                                                  row, at, bdims)
+                self.stats.maintained_inserts += 1
+        elif batch is None:
+            if not set(members).isdisjoint(event.rows):
+                return "no_resident_columns"
+        elif entry.base.num_rows != batch.num_rows:
+            gone = set(event.positions)
+            deleted = [m for m, p in zip(members, positions) if p in gone]
+            positions = [p - bisect_left(event.positions, p)
+                         for p in positions if p not in gone]
+            if deleted:
+                promoted = _promoted(batch, positions, deleted, bdims)
+                if promoted is None:
+                    return "unvectorizable"
+                positions = sorted(positions + promoted)
+                self.stats.maintained_deletes += 1
+            rows = batch.to_rows()
+            members = [rows[p] for p in positions]
+        entry.rows, entry.positions, entry.base = \
+            tuple(members), positions, batch
+        return None

@@ -86,9 +86,13 @@ class CatalogService:
     # -- the serving execution path ---------------------------------------
 
     def _plan_key(self, session: SkylineSession, sql: str) -> tuple:
+        """A prepared plan holds tables, not snapshots: it outlives DML
+        unless the session plans from statistics, which DML drops."""
+        statistical = session.skyline_algorithm in ("cost-based", "adaptive")
         return (session._planner().settings_key(),
-                session.enable_skyline_optimizations,
-                sql, self.catalog.version)
+                session.enable_skyline_optimizations, sql,
+                self.catalog.version if statistical
+                else self.catalog.schema_version)
 
     def _prepared(self, session: SkylineSession, sql: str, key: tuple
                   ) -> "tuple[PreparedQuery, CacheableShape | None] | None":
@@ -114,8 +118,8 @@ class CatalogService:
         """Parse and run ``sql`` for a tenant, through the caches.
 
         The plan cache is consulted *before* parsing (its key is the
-        SQL text plus the session's planning settings and the catalog
-        version), so a hot query's latency is the result-cache lookup
+        SQL text plus the session's planning settings and the catalog's
+        schema version), so a hot query's latency is the result-cache lookup
         alone.  Cache-hit answers come back with ``cache_hit=True`` and
         zero simulated cost; everything else executes normally and,
         when the plan has the cacheable skyline shape, feeds the result
@@ -137,9 +141,8 @@ class CatalogService:
         if not self.result_cache_enabled:
             shape = None
         if shape is not None:
-            table_rows = self.catalog.lookup(shape.table).rows
-            cached = self.result_cache.lookup(shape, list(table_rows),
-                                              self.catalog.version)
+            cached = self.result_cache.lookup(
+                shape, self.catalog.lookup(shape.table))
             if cached is not None:
                 rows = [Row(values, prepared.schema) for values in cached]
                 return session.cached_result(rows, prepared.schema)
@@ -151,9 +154,7 @@ class CatalogService:
             # to the cache -- checked atomically with the insertion.
             self.result_cache.store(
                 shape, [row.as_tuple() for row in result.rows],
-                prepared.schema,
-                table_rows=list(self.catalog.lookup(shape.table).rows),
-                version=version)
+                self.catalog.lookup(shape.table), version=version)
         return result
 
     def _note_faults(self, result: QueryResult) -> None:
@@ -175,6 +176,7 @@ class CatalogService:
                 "tables": self.catalog.table_names(),
                 "resident_column_bytes":
                     self.catalog.resident_column_bytes(),
+                "column_maintenance": self.catalog.column_maintenance(),
                 "plan_cache": plan,
                 "result_cache": self.result_cache.stats.as_dict(),
                 "faults": faults}

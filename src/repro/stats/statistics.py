@@ -5,7 +5,8 @@ optimization"; a cost model is only as good as its inputs.  This module
 provides those inputs: per-table row counts, per-column min/max/null
 fraction/distinct counts, equi-width histograms over numeric columns,
 and sampled skyline-density estimates.  Statistics are collected in one
-pass over a table (plus a bounded seeded sample kept for density
+pass over a table (array reductions over its typed resident columns, a
+row loop elsewhere; plus a bounded seeded sample kept for density
 probes) and cached by :class:`repro.stats.store.StatsStore` inside the
 catalog, so the planner never re-scans a registered table at planning
 time (detached in-memory relations are profiled from a bounded sample
@@ -21,6 +22,7 @@ from typing import Any, Sequence
 
 from ..core.bnl import bnl_skyline
 from ..core.dominance import BoundDimension
+from ..engine.batch import F8, I8, np
 
 #: Bucket count of the per-column equi-width histograms.
 DEFAULT_BUCKETS = 16
@@ -55,18 +57,26 @@ class Histogram:
 
         A constant column collapses to a single bucket.  Non-finite
         values (NaN, +/-inf) are excluded -- they would poison the
-        bucket bounds.
+        bucket bounds.  ``values`` may be an ndarray (a typed resident
+        column): same buckets, by array reductions.
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        values = [v for v in values if math.isfinite(v)]
-        if not values:
+        array = np is not None and isinstance(values, np.ndarray)
+        values = values[np.isfinite(values)] if array else \
+            [v for v in values if math.isfinite(v)]
+        if not len(values):
             return None
-        low = float(min(values))
-        high = float(max(values))
+        low = float(values.min() if array else min(values))
+        high = float(values.max() if array else max(values))
         if high == low:
             return cls(low, high, (len(values),))
         width = (high - low) / num_buckets
+        if array:
+            index = np.minimum(num_buckets - 1,
+                               ((values - low) / width).astype(np.int64))
+            return cls(low, high, tuple(
+                np.bincount(index, minlength=num_buckets).tolist()))
         counts = [0] * num_buckets
         for value in values:
             index = min(num_buckets - 1, int((value - low) / width))
@@ -207,12 +217,36 @@ def _is_numeric(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _typed_column_stats(name: str, column, num_buckets: int
+                        ) -> "ColumnStats | None":
+    """Statistics of a typed resident :class:`~repro.engine.batch.Column`
+    by array reductions, field for field what the row loop of
+    :func:`collect_table_stats` computes -- or ``None`` to leave it to
+    that loop: list and bool columns, and NaN data (``set`` counts NaN
+    objects, ``np.unique`` collapses them)."""
+    if column.kind not in (F8, I8):
+        return None
+    data, nulls = column.data, 0
+    if column.mask is not None:
+        nulls = int(column.mask.sum())
+        data = data[~column.mask]
+    if column.kind == F8 and np.isnan(data).any():
+        return None
+    if not len(data):
+        return ColumnStats(name, len(column), nulls, None, None, 0, None)
+    return ColumnStats(name, len(column), nulls, data.min().item(),
+                       data.max().item(), int(np.unique(data).size),
+                       Histogram.from_values(data, num_buckets))
+
+
 def collect_table_stats(name: str, column_names: Sequence[str],
                         rows: Sequence[tuple],
                         num_buckets: int = DEFAULT_BUCKETS,
                         sample_rows: int = DEFAULT_SAMPLE_ROWS,
-                        fingerprint: tuple = ()) -> TableStats:
-    """One-pass statistics collection over ``rows``.
+                        fingerprint: tuple = (),
+                        batch=None) -> TableStats:
+    """One-pass statistics collection over ``rows``; ``batch``, their
+    columnar form when the caller has it, serves the typed columns.
 
     >>> stats = collect_table_stats("t", ["a", "b"],
     ...                             [(1, None), (2, 5), (3, 6)])
@@ -226,6 +260,11 @@ def collect_table_stats(name: str, column_names: Sequence[str],
     rows = list(rows)
     columns: dict[str, ColumnStats] = {}
     for index, column in enumerate(column_names):
+        typed = _typed_column_stats(column, batch.column(index),
+                                    num_buckets) if batch is not None else None
+        if typed is not None:
+            columns[column.lower()] = typed
+            continue
         values = [row[index] for row in rows]
         non_null = [v for v in values if v is not None]
         numeric = [v for v in non_null if _is_numeric(v)]

@@ -11,42 +11,49 @@ such writes).
 
 from __future__ import annotations
 
+from ..engine.batch import HAVE_NUMPY
 from ..engine.catalog import table_fingerprint
 from .statistics import TableStats, collect_table_stats
 
 
-def stats_for_table(table) -> TableStats:
-    """Collect statistics straight off a catalog table (uncached)."""
+def stats_for_table(table, columnar: bool = True) -> TableStats:
+    """Collect statistics straight off a catalog table (uncached), via
+    its resident columns: built here for a caller on the ``columnar``
+    plane (its first scan then finds them), only read if already
+    current for any other -- the row plane never gains a batch."""
+    fingerprint = table_fingerprint(table)
+    batch = table.column_batch()[0] if columnar and HAVE_NUMPY \
+        else table.resident_batch()
+    rows = batch.to_rows() if batch is not None else table.rows
     return collect_table_stats(
-        table.name, [f.name for f in table.schema], table.rows,
-        fingerprint=table_fingerprint(table))
+        table.name, [f.name for f in table.schema], rows,
+        fingerprint=fingerprint, batch=batch)
 
 
 class StatsStore:
     """Per-catalog cache of :class:`TableStats`, keyed by table name.
 
-    >>> class FakeField:
-    ...     def __init__(self, name): self.name = name
-    >>> class FakeTable:
-    ...     name = "t"
-    ...     schema = [FakeField("a")]
-    ...     rows = [(1,), (2,)]
-    >>> store = StatsStore()
-    >>> store.get(FakeTable()).num_rows
+    >>> from repro.engine.catalog import Table
+    >>> from repro.engine.row import Field, Schema
+    >>> from repro.engine.types import INTEGER
+    >>> table = Table("t", Schema([Field("a", INTEGER)]), [(1,), (2,)])
+    >>> StatsStore().get(table).num_rows
     2
     """
 
     def __init__(self) -> None:
         self._stats: dict[str, TableStats] = {}
 
-    def get(self, table, refresh: bool = False) -> TableStats:
-        """Statistics for ``table``, collecting on miss or staleness."""
+    def get(self, table, refresh: bool = False,
+            columnar: bool = True) -> TableStats:
+        """Statistics for ``table``, collecting on miss or staleness
+        (``columnar``: see :func:`stats_for_table`)."""
         key = table.name.lower()
         cached = self._stats.get(key)
         if (not refresh and cached is not None
                 and cached.fingerprint == table_fingerprint(table)):
             return cached
-        stats = stats_for_table(table)
+        stats = stats_for_table(table, columnar)
         self._stats[key] = stats
         return stats
 

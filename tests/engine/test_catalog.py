@@ -81,23 +81,65 @@ class TestResidentColumns:
         assert again is first and not built
         assert table.resident_column_bytes == first.nbytes > 0
 
-    def test_every_dml_drops_the_store(self, catalog, table):
+    def test_every_dml_republishes(self, catalog, table):
         steps = [
             lambda: catalog.insert_into("t", [(99, "new")]),
             lambda: catalog.delete_from("t", rows=[(99, "new")]),
             lambda: catalog.delete_from("t", predicate=lambda r: r[0] < 5),
-            lambda: table.rows.append((100, "behind the catalog's back")),
         ]
         for step in steps:
             stale, _ = table.column_batch()
+            before = stale.to_rows()[:]
             step()
             fresh, built = table.column_batch()
-            assert built and fresh is not stale
-            assert fresh.to_rows() == table.rows
-        # A no-op delete changed nothing: the store survives it.
-        kept, _ = table.column_batch()
+            assert not built and fresh is not stale
+            assert fresh.to_rows() == table.rows != before
+            assert stale.to_rows() == before  # copy-on-write
+        assert table.maintenance == {
+            "appended": 1, "deleted": 2, "rebuilt": 1,
+            "reencoded_kind_drift": 0, "overtaken_by_dml": 0,
+            "not_resident": 0}
+        # A write behind the catalog's back still rebuilds ...
+        table.rows.append((100, "behind the catalog's back"))
+        assert table.resident_batch() is None
+        fresh, built = table.column_batch()
+        assert built and fresh.to_rows() == table.rows
+        # ... and a no-op delete changes and publishes nothing.
         assert catalog.delete_from("t", rows=[(12345, "ghost")]) == 0
-        assert table.column_batch() == (kept, False)
+        assert table.column_batch() == (fresh, False)
+
+    def test_only_a_resident_batch_is_maintained(self, catalog, table):
+        catalog.insert_into("t", [(99, "new")])
+        assert table.resident_batch() is None  # nobody scanned it yet
+        assert table.maintenance["not_resident"] == 1
+        table.column_batch()
+        table.rows.append((100, "behind the catalog's back"))
+        catalog.delete_from("t", rows=[(99, "new")])  # finds it stale
+        assert table._columns is None
+        assert table.maintenance["not_resident"] == 2
+
+    def test_kind_drift_reencodes_that_column_only(self, catalog):
+        from repro.engine.batch import HAVE_NUMPY
+        from repro.engine.types import DOUBLE
+        if not HAVE_NUMPY:
+            pytest.skip("list-backed columns have one storage kind")
+        schema = Schema([Field("i", INTEGER, True),
+                         Field("f", DOUBLE, True)])
+        table = catalog.create_table("d", schema, [(1, 1.0), (2, 2.0)])
+        table.column_batch()
+        for row, kinds, drift in [
+                ((3, 3.0), ["i8", "f8"], 0),
+                ((None, 4.0), ["i8", "f8"], 0),   # gains its null mask
+                ((5, 5), ["i8", "obj"], 1),       # an int among floats
+                ((2 ** 70, "s"), ["obj", "obj"], 2)]:
+            catalog.insert_into("d", [row])
+            batch, built = table.column_batch()
+            assert not built and batch.to_rows() == table.rows
+            assert [c.kind for c in batch.columns] == kinds
+            assert table.maintenance["reencoded_kind_drift"] == drift
+        assert all(type(a) is type(b) for got, want
+                   in zip(batch.to_rows(), table.rows)
+                   for a, b in zip(got, want))
 
     def test_token_is_the_stats_token(self, catalog, table):
         from repro.engine.catalog import table_fingerprint
@@ -160,7 +202,7 @@ class TestResidentColumns:
 
         # A write-hot table (every build overtaken) does not spin: the
         # reader gets a consistent snapshot and nothing is cached.
-        catalog.insert_into("t", [(0, "invalidate")])
+        table._columns = None
         del built[:]
         overtaken[0] = 10 ** 6
         batch, was_built = table.column_batch()
@@ -215,3 +257,11 @@ class TestResidentColumns:
         assert errors == []
         final, _ = table.column_batch()
         assert final.to_rows() == table.rows
+        # The writer carried resident batches across its deltas (not
+        # only ever found the table batch-less) ...
+        counts = table.maintenance
+        assert counts["appended"] > 0 and counts["deleted"] > 0
+        # ... and every delta either republished or said why not.
+        assert counts["appended"] + counts["deleted"] \
+            + counts["not_resident"] + counts["overtaken_by_dml"] \
+            == table.data_version

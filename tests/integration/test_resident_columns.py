@@ -1,11 +1,12 @@
-"""Table-resident columns end to end: shared, invalidated, bit-identical.
+"""Table-resident columns end to end: shared, maintained, bit-identical.
 
 A catalog table keeps ONE columnar form per data version and every
 columnar scan -- any backend, any session on the catalog -- reads
 zero-copy slices of it.  These tests drive a DML
 script through that sharing and hold every answer to the row-plane
 scalar reference, and they read the engine's own ``scan`` counters
-(not a stopwatch) to prove an unchanged table is never re-columnized.
+(not a stopwatch) to prove that neither an unchanged table nor one
+changed through catalog DML is ever re-columnized.
 
 They also collect under ``REPRO_DISABLE_COLUMNAR=1`` and without NumPy,
 where ``columnar="auto"`` resolves to the row plane: there no store may
@@ -82,15 +83,15 @@ def test_dml_script_two_sessions_one_catalog(backend_name, backends):
               for s in first.sql(SQL).run().context.stages]
     assert stages == ["ProjectExec", "SkylineLocalExec",
                       "SkylineGlobalExec"]  # scan+filter+project: 1 stage
-    catalog.insert_into("t", [])  # back to "nothing columnized yet"
     for step, mutate in script:
         mutate()
         expected, _ = _answer(reference)
         table = catalog.lookup("t")
-        if step != "direct rows.append":  # unseen until the next scan
-            assert table.resident_column_bytes == 0, \
-                f"{step}: catalog writes release the store at once " \
-                f"(and the row plane never builds one)"
+        # Catalog DML carries the resident columns across its delta; a
+        # new table, or a write behind the catalog's back, rebuilds.
+        maintained = step not in ("re-register", "direct rows.append")
+        assert (table.resident_batch() is not None) == \
+            (columnar and maintained), step
         got, scan = _answer(first)
         assert got == expected, f"{step}: first session diverged"
         # A fresh plan, in another session, of the now-unchanged table.
@@ -98,8 +99,11 @@ def test_dml_script_two_sessions_one_catalog(backend_name, backends):
         assert again == expected, f"{step}: second session diverged"
         if columnar:
             n = table.num_rows
-            assert scan == {"columnized_rows": n, "resident_rows": 0}, step
-            assert rescan == {"columnized_rows": 0, "resident_rows": n}, \
+            resident = {"columnized_rows": 0, "resident_rows": n}
+            assert scan == (resident if maintained else
+                            {"columnized_rows": n, "resident_rows": 0}), \
+                f"{step}: {table.maintenance}"
+            assert rescan == resident, \
                 f"{step}: an unchanged table was re-columnized"
             assert table.resident_column_bytes > 0
         else:

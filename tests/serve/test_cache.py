@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from repro import DOUBLE, INTEGER
+from repro import DOUBLE, INTEGER, SessionConfig
 from repro.core import BoundDimension, DimensionKind
+from repro.engine.catalog import Table
 from repro.serve import CatalogService, SkylineResultCache, cacheable_shape
 
 from tests.conftest import skyline_oracle
@@ -31,6 +32,12 @@ POINTS = [
 
 COLUMNS = [("id", INTEGER, False), ("a", DOUBLE, False),
            ("b", DOUBLE, False), ("c", DOUBLE, False)]
+
+#: Entries are *maintained* under DML only where tables keep resident
+#: columns for them to reference; a row-plane tenant (no NumPy,
+#: ``REPRO_DISABLE_COLUMNAR=1``) never builds any, and there a delta
+#: that changes a cached skyline still invalidates it.
+MAINTAINED = SessionConfig().columnar_enabled
 
 
 @pytest.fixture
@@ -172,22 +179,33 @@ class TestInvalidation:
             POINTS + [(99, 9.5, 9.5, 9.5)],
             [(1, DimensionKind.MIN), (2, DimensionKind.MIN)])
 
-    def test_surviving_insert_invalidates(self, service):
+    DIMS = [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
+            (3, DimensionKind.MIN)]
+
+    def test_surviving_insert_enters_and_evicts(self, service):
         run(service, self.FULL)
         service.catalog.insert_into("pts", [(99, 0.5, 0.5, 0.5)])
         out = run(service, self.FULL)
-        assert not out.cache_hit
-        assert (99, 0.5, 0.5, 0.5) in out.as_tuples()
+        assert out.cache_hit == MAINTAINED
+        assert out.as_tuples() == [(99, 0.5, 0.5, 0.5)]
+        stats = service.result_cache.stats
+        assert (stats.maintained_inserts, stats.invalidations) == \
+            ((1, 0) if MAINTAINED else (0, 1))
+        assert stats.invalidation_reasons["no_resident_columns"] == \
+            (not MAINTAINED)
 
-    def test_tying_insert_invalidates(self, service):
+    def test_tying_insert_keeps_both(self, service):
         run(service, self.FULL)
         # Ties skyline member (2, 2.0, 8.0, 1.0) in every dimension and
         # no other row dominates it; ties are not strict dominance, so
-        # the entry goes (the new row belongs in the skyline itself).
+        # the new row belongs in the skyline beside it.
         service.catalog.insert_into("pts", [(99, 2.0, 8.0, 1.0)])
         out = run(service, self.FULL)
-        assert not out.cache_hit
-        assert (99, 2.0, 8.0, 1.0) in out.as_tuples()
+        assert out.cache_hit == MAINTAINED
+        assert sorted(out.as_tuples()) == oracle(
+            POINTS + [(99, 2.0, 8.0, 1.0)], self.DIMS)
+        assert {(2, 2.0, 8.0, 1.0), (99, 2.0, 8.0, 1.0)} <= \
+            set(out.as_tuples())
 
     def test_delete_nonmember_keeps_entry(self, service):
         run(service, self.FULL)
@@ -199,7 +217,8 @@ class TestInvalidation:
             remaining, [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
                         (3, DimensionKind.MIN)])
 
-    def test_subset_after_delete_rebuilds_matrix(self, service):
+    def test_subset_after_delete_reads_the_republished_columns(
+            self, service):
         run(service, self.FULL)
         service.catalog.delete_from("pts", rows=[(11, 9.0, 9.0, 9.0)])
         hot = run(service, "SELECT * FROM pts SKYLINE OF b MIN, c MIN")
@@ -208,12 +227,20 @@ class TestInvalidation:
         assert sorted(hot.as_tuples()) == oracle(
             remaining, [(2, DimensionKind.MIN), (3, DimensionKind.MIN)])
 
-    def test_delete_member_invalidates(self, service):
+    def test_delete_member_promotes_what_it_dominated(self, service):
         run(service, self.FULL)
-        service.catalog.delete_from("pts", rows=[(2, 2.0, 8.0, 1.0)])
+        # Only (10, 5, 5, 5) dominates (5, 5, 5, 8): it is promoted.
+        # (11, 9, 9, 9), which both dominate, is not.
+        service.catalog.delete_from("pts", rows=[(10, 5.0, 5.0, 5.0)])
         out = run(service, self.FULL)
-        assert not out.cache_hit
-        assert (2, 2.0, 8.0, 1.0) not in out.as_tuples()
+        assert out.cache_hit == MAINTAINED
+        remaining = [r for r in POINTS if r[0] != 10]
+        assert (5, 5.0, 5.0, 8.0) in out.as_tuples()
+        assert sorted(out.as_tuples()) == oracle(remaining, self.DIMS)
+        cold = CatalogService()
+        cold.session_for().create_table("pts", COLUMNS, remaining)
+        assert out.as_tuples() == run(cold, self.FULL).as_tuples()
+        assert service.result_cache.stats.maintained_deletes == MAINTAINED
 
     def test_register_flushes_table(self, service):
         run(service, self.FULL)
@@ -271,13 +298,15 @@ class TestNullSafety:
         # Null in a cached dimension: incomplete semantics from here on.
         service.catalog.insert_into("npts", [(4, None, 9.0)])
         assert len(service.result_cache) == 0
+        reasons = service.result_cache.stats.invalidation_reasons
+        assert reasons["null_dimension"] == 1
         assert not run(service, sql).cache_hit
 
 
 class TestCacheMechanics:
     def test_lru_eviction(self):
         cache = SkylineResultCache(max_entries=2)
-        from repro.engine.row import Schema
+        from repro.engine.row import Field, Schema
 
         def shape_for(table):
             from repro.serve.cache import CacheableShape
@@ -285,23 +314,25 @@ class TestCacheMechanics:
                                   dims=(("a", DimensionKind.MIN),),
                                   indices=(0,))
 
-        schema = Schema([])
+        schema = Schema([Field("a", DOUBLE, False)])
+        table = Table("t", schema, [(1.0,), (2.0,)])
         for name in ("t1", "t2", "t3"):
-            assert cache.store(shape_for(name), [(1.0,)], schema,
-                               table_rows=[(1.0,), (2.0,)], version=1)
+            assert cache.store(shape_for(name), [(1.0,)], table,
+                               version=1)
         assert len(cache) == 2
-        assert cache.lookup(shape_for("t1"), [(1.0,)], 1) is None
-        assert cache.lookup(shape_for("t3"), [(1.0,)], 1) is not None
+        assert cache.lookup(shape_for("t1"), table) is None
+        assert cache.lookup(shape_for("t3"), table) is not None
 
-    def test_store_refuses_null_result_rows(self):
-        from repro.engine.row import Schema
+    def test_store_refuses_a_null_dimension(self):
+        from repro.engine.row import Field, Schema
         from repro.serve.cache import CacheableShape
 
         cache = SkylineResultCache()
         shape = CacheableShape(table="t",
                                dims=(("a", DimensionKind.MIN),),
                                indices=(0,))
-        assert not cache.store(shape, [(None,)], Schema([]))
+        table = Table("t", Schema([Field("a", DOUBLE)]), [(None,)])
+        assert not cache.store(shape, [(None,)], table)
         assert len(cache) == 0
 
     def test_stats_counters(self, service):
@@ -314,10 +345,54 @@ class TestCacheMechanics:
         assert stats.refilter_hits == 1
         assert stats.hits == 2
         service.catalog.insert_into("pts", [(99, 0.0, 0.0, 0.0)])
-        assert stats.invalidations == 1
+        service.session_for().create_table("pts", COLUMNS, POINTS)
         as_dict = stats.as_dict()
         assert as_dict["exact_hits"] == 1
+        assert as_dict["maintained_inserts"] == MAINTAINED
         assert as_dict["invalidations"] == 1
+        assert as_dict["invalidation_reasons"][
+            "register" if MAINTAINED else "no_resident_columns"] == 1
+
+
+class TestPlanCache:
+    """Keyed on the schema, not the data: a prepared plan holds tables,
+    not snapshots, so DML neither stales nor re-plans it."""
+
+    COLD = "SELECT * FROM pts WHERE id > 0 SKYLINE OF a MIN, b MIN"
+
+    def test_dml_keeps_the_plan_and_the_plan_sees_the_new_rows(
+            self, service):
+        run(service, self.COLD)
+        assert (service.plan_hits, service.plan_misses) == (0, 1)
+        service.catalog.insert_into("pts", [(99, 0.5, 0.5, 9.0)])
+        service.catalog.delete_from("pts", rows=[POINTS[0]])
+        out = run(service, self.COLD)
+        assert (service.plan_hits, service.plan_misses) == (1, 1)
+        assert out.as_tuples() == [(99, 0.5, 0.5, 9.0)]
+
+    def test_drop_and_reregister_still_invalidate_plans(self, service):
+        run(service, self.COLD)
+        service.session_for().create_table("pts", COLUMNS, POINTS[:4])
+        out = run(service, self.COLD)  # a new Table object: re-planned
+        assert (service.plan_hits, service.plan_misses) == (0, 2)
+        assert sorted(out.as_tuples()) == oracle(
+            [r for r in POINTS[:4] if r[0] > 0],
+            [(1, DimensionKind.MIN), (2, DimensionKind.MIN)])
+        service.catalog.drop("pts")
+        with pytest.raises(Exception, match="not found"):
+            run(service, self.COLD)
+        assert service.plan_misses == 2 and service.plan_hits == 0
+
+    @pytest.mark.parametrize("algorithm", ["cost-based", "adaptive"])
+    def test_statistics_driven_sessions_replan_after_dml(
+            self, service, algorithm):
+        session = service.session_for(skyline_algorithm=algorithm)
+        service.execute(session, self.COLD)
+        service.catalog.insert_into("pts", [(99, 0.5, 0.5, 9.0)])
+        service.execute(session, self.COLD)
+        assert (service.plan_hits, service.plan_misses) == (0, 2)
+        service.execute(session, self.COLD)
+        assert (service.plan_hits, service.plan_misses) == (1, 2)
 
 
 class TestConcurrentDml:

@@ -95,20 +95,25 @@ class TestInProcess:
             assert not ref.cache_hit, sql
             assert sorted(hot.as_tuples()) == sorted(ref.as_tuples()), sql
 
-    def test_insert_invalidation_end_to_end(self):
+    def test_insert_maintenance_end_to_end(self):
         async def run():
             server = make_server(max_inflight=2)
             await server.execute("default", FULL)
             hit = await server.execute("default", FULL)
             assert hit.cache_hit
-            # A new overall winner must invalidate and then appear.
+            # A new overall winner must appear -- the cached skyline is
+            # maintained where the table keeps resident columns.
             response = await server.handle(
                 {"op": "insert", "table": "pts",
                  "rows": [[99, 0.5, 0.5, 0.5]]})
             assert response["ok"]
             fresh = await server.execute("default", FULL)
-            assert not fresh.cache_hit
-            assert (99, 0.5, 0.5, 0.5) in fresh.as_tuples()
+            assert fresh.as_tuples() == [(99, 0.5, 0.5, 0.5)]
+            service = (await server.handle({"op": "stats"}))["service"]
+            maintained = service["result_cache"]["maintained_inserts"]
+            assert fresh.cache_hit == bool(maintained)
+            assert service["column_maintenance"]["pts"]["appended"] == \
+                maintained
             await server.aclose()
 
         asyncio.run(run())
