@@ -87,22 +87,18 @@ class SessionConfig:
     Parameters
     ----------
     num_executors:
-        Simulated executor count (the paper's ``--num-executors``).
+        Simulated executor count (the paper's ``--num-executors``);
+        also the scan's partition count, which every skyline local
+        stage keeps.
     skyline_algorithm:
-        ``auto`` (Listing 8 selection), ``adaptive``/``cost-based``
-        (statistics-driven selection), or a forced strategy
+        ``auto`` (Listing 8 selection), ``adaptive`` (statistics-driven
+        selection of the algorithm), or a forced strategy
         (``distributed-complete``, ``non-distributed-complete``,
         ``distributed-incomplete``, ``sfs``).
     adaptive:
         Shorthand for ``skyline_algorithm="adaptive"``; the two fields
         are kept consistent (``adaptive is True`` iff the algorithm is
         ``"adaptive"``).
-    skyline_partitioning:
-        Forced local-stage partitioning scheme (``keep``, ``random``,
-        ``grid``, ``angle``).
-    skyline_partitions:
-        Partition count used with a forced scheme
-        (default: ``num_executors``).
     enable_skyline_optimizations:
         Toggles the Section 5.4 optimizer rules.
     cluster_config:
@@ -166,8 +162,6 @@ class SessionConfig:
     num_executors: int = 2
     skyline_algorithm: str = "auto"
     adaptive: bool = False
-    skyline_partitioning: str = "keep"
-    skyline_partitions: "int | None" = None
     enable_skyline_optimizations: bool = True
     cluster_config: "ClusterConfig | None" = None
     backend: "str | Backend" = "local"
@@ -185,7 +179,7 @@ class SessionConfig:
     def __post_init__(self) -> None:
         # Imported here: repro.plan imports repro.engine, which must not
         # circularly depend on the api package at import time.
-        from ..plan.planner import PARTITIONING_SCHEMES, SKYLINE_STRATEGIES
+        from ..plan.planner import SKYLINE_STRATEGIES
 
         if self.adaptive:
             if self.skyline_algorithm not in ("auto", "adaptive"):
@@ -200,11 +194,6 @@ class SessionConfig:
                 f"unknown skyline_algorithm "
                 f"{self.skyline_algorithm!r}; expected one of "
                 f"{SKYLINE_STRATEGIES}")
-        if self.skyline_partitioning not in PARTITIONING_SCHEMES:
-            raise ValueError(
-                f"unknown skyline_partitioning "
-                f"{self.skyline_partitioning!r}; expected one of "
-                f"{PARTITIONING_SCHEMES}")
         _validate_vectorized(self.vectorized)
         _validate_columnar(self.columnar)
         if not isinstance(self.backend, Backend) and \
@@ -297,8 +286,6 @@ class SessionConfig:
         return (
             self.num_executors,
             self.skyline_algorithm,
-            self.skyline_partitioning,
-            self.skyline_partitions,
             self.enable_skyline_optimizations,
             self.backend_name,
             self.num_workers,

@@ -252,9 +252,9 @@ class DataFrame:
         """Print and return the analyzed/optimized/physical plans.
 
         Skyline queries include a ``== Skyline Strategy ==`` section:
-        the chosen algorithm, partitioning scheme and partition count,
-        with the statistics that drove each choice.  Every physical
-        operator is marked ``*(N)`` with the stage it executes in
+        the chosen algorithm and the partitions its local stage runs
+        on, each with its reason.  Every physical operator is marked
+        ``*(N)`` with the stage it executes in
         (operators sharing a number run fused in one stage), and
         data-plane operators (scans, filters, projections, skylines)
         are tagged with their execution mode -- ``[batch]`` when they exchange
@@ -270,7 +270,7 @@ class DataFrame:
         >>> text = session.explain(df.plan)  # explain() also prints
         >>> "== Skyline Strategy ==" in text
         True
-        >>> "algorithm" in text and "partitioning" in text
+        >>> "algorithm" in text and "partitions" in text
         True
         """
         text = self._session.explain(self._plan)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from ..engine import expressions as E
-from ..engine.backends import (Backend, BackendSpec, default_num_workers)
+from ..engine.backends import Backend, BackendSpec
 from ..engine.catalog import Catalog, ForeignKey, Table
 from ..engine.cluster import ClusterConfig, ExecutionContext
 from ..engine.row import Field, Row, Schema, infer_schema
@@ -165,8 +165,6 @@ class SkylineSession:
         self.vectorized = config.vectorized
         self.columnar = config.columnar
         self.skyline_algorithm = config.skyline_algorithm
-        self.skyline_partitioning = config.skyline_partitioning
-        self.skyline_partitions = config.skyline_partitions
         self.enable_skyline_optimizations = \
             config.enable_skyline_optimizations
         self._time_budget_s: float | None = config.time_budget_s
@@ -370,17 +368,10 @@ class SkylineSession:
         return optimizer.optimize(plan)
 
     def _planner(self) -> Planner:
-        """A planner wired to this session's catalog and backend."""
-        spec = self._backend_spec
-        max_workers = spec.num_workers
-        if max_workers is None and spec.name in ("thread", "process"):
-            max_workers = default_num_workers()
+        """A planner wired to this session's catalog and settings."""
         return Planner(
             self.skyline_algorithm, catalog=self.catalog,
             num_executors=self.cluster_config.num_executors,
-            max_workers=max_workers,
-            partitioning=self.skyline_partitioning,
-            num_partitions=self.skyline_partitions,
             vectorized=self.vectorized_enabled,
             columnar=self.columnar_enabled)
 
@@ -513,11 +504,9 @@ class SkylineSession:
         """Analyzed, optimized and physical plans as a printable string.
 
         Skyline queries additionally get a ``== Skyline Strategy ==``
-        section reporting the chosen algorithm, partitioning scheme and
-        partition count together with the statistics that drove each
-        choice (populated by the cost model for ``adaptive`` /
-        ``cost-based`` sessions, and with the forced configuration
-        otherwise).
+        section reporting the chosen algorithm and the partitions its
+        local stage runs on, each with its reason (for ``adaptive``
+        sessions, with the statistics that drove the choice).
         """
         if isinstance(plan, AnalyzeTable):
             return "== Command ==\n" + plan.node_description()

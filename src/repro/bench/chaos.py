@@ -53,10 +53,8 @@ def _make_session(rows: list[tuple], backend: str,
                   num_partitions: int) -> SkylineSession:
     config = SessionConfig(
         backend=backend,
-        num_executors=4,
+        num_executors=num_partitions,
         skyline_algorithm="distributed-complete",
-        skyline_partitioning="random",
-        skyline_partitions=num_partitions,
         max_task_retries=3,
         # Keep the backoff tax tiny: the gate measures re-execution
         # overhead, not sleep time.

@@ -161,8 +161,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "process backend over sequential execution")
     parser.add_argument("--adaptive", action="store_true",
                         help="run the mixed workload under the adaptive "
-                             "planner and every fixed algorithm x "
-                             "partitioning combination")
+                             "planner and every fixed algorithm")
     parser.add_argument("--vectorized", action="store_true",
                         help="measure the columnar NumPy kernels against "
                              "the scalar reference kernels (local phase "

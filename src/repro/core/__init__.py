@@ -18,9 +18,6 @@ from .dominance import (BoundDimension, DimensionKind, DominanceStats,
 from .incomplete import (flagged_global_skyline, gulzar_global_skyline,
                          local_skylines_incomplete,
                          partition_by_null_bitmap)
-from .partitioning import (angle_partitions, grid_partitions,
-                           partition_rows, prune_dominated_cells,
-                           random_partitions)
 from .sfs import monotone_score, sfs_skyline
 from .vectorized import (columnize, numpy_available, vec_bnl_skyline,
                          vec_flagged_global_skyline, vec_sfs_skyline)
@@ -30,11 +27,6 @@ __all__ = [
     "BoundDimension",
     "DimensionKind",
     "DominanceStats",
-    "angle_partitions",
-    "grid_partitions",
-    "partition_rows",
-    "prune_dominated_cells",
-    "random_partitions",
     "bnl_skyline",
     "columnize",
     "compare",

@@ -791,34 +791,6 @@ def split_by_null_bitmap(partition: "Sequence[Sequence] | ColumnBatch",
 
 
 # ---------------------------------------------------------------------------
-# Grid-cell dominance pruning
-# ---------------------------------------------------------------------------
-
-
-def prune_dominated_cells_vec(cells: dict[tuple, list]) -> dict[tuple, list]:
-    """Vectorized grid-cell dominance pruning.
-
-    Identical result to
-    :func:`repro.core.partitioning.prune_dominated_cells`: a cell dies
-    when another occupied cell is strictly smaller on *every* (oriented)
-    coordinate.  Cell coordinates are small ints, so one ``(m, m, k)``
-    comparison resolves all cells at once.
-    """
-    coordinates = list(cells.keys())
-    if np is None or len(coordinates) < 2 or \
-            len({len(c) for c in coordinates}) != 1 or \
-            not len(coordinates[0]):
-        # Degenerate grids: the scalar loop.
-        from .partitioning import prune_dominated_cells
-        return prune_dominated_cells(cells, vectorized=False)
-    grid = np.asarray(coordinates, dtype=np.int64)
-    strictly_less = (grid[:, None, :] < grid[None, :, :]).all(axis=2)
-    dominated = strictly_less.any(axis=0)
-    return {coord: cells[coord]
-            for coord, dead in zip(coordinates, dominated) if not dead}
-
-
-# ---------------------------------------------------------------------------
 # Dominance re-filter (serving-layer result cache)
 # ---------------------------------------------------------------------------
 

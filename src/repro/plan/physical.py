@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Any, Callable, Sequence
 
-from ..core.dominance import BoundDimension, DimensionKind
-from ..core.partitioning import partition_indices, partition_rows
+from ..core.dominance import BoundDimension
 from ..core.vectorized import (concat_partitions, kernel_name,
                                skyline_task, split_by_null_bitmap)
 from ..engine import expressions as E
@@ -1186,105 +1184,6 @@ class _SkylineExec(PhysicalPlan):
         return f"{name}({algorithm}, [{dims}])" + self._mode_tag()
 
 
-class SkylineRepartitionExec(PhysicalPlan):
-    """Redistribute rows under a chosen partitioning scheme.
-
-    Placed below the local skyline stage when the planner (adaptive or
-    session-forced) overrides the paper's keep-Spark's-partitioning
-    default: ``random`` round-robin, ``grid`` (equi-width cells over the
-    oriented dimensions, dominated cells pruned before any per-tuple
-    work), or ``angle`` (angular slices, balancing local skylines on
-    anti-correlated data).  Grid and angle need *finite* comparable
-    values (a NaN or ±inf coordinate makes the cell fraction / angle
-    undefined), so rows with nulls or non-finite floats in a value
-    dimension fall back to random.
-    """
-
-    def __init__(self, items: Sequence[E.SkylineDimension], scheme: str,
-                 num_partitions: int, child: PhysicalPlan,
-                 cells_per_dimension: int | None = None,
-                 vectorized: bool = False) -> None:
-        super().__init__()
-        self.children = (child,)
-        self.items = list(items)
-        self.scheme = scheme
-        self.num_partitions = max(1, num_partitions)
-        self.cells_per_dimension = cells_per_dimension
-        self.vectorized = vectorized
-        self.dims = _bind_dimensions(items, child.output)
-
-    @property
-    def output(self) -> list[E.AttributeReference]:
-        return self.children[0].output
-
-    @property
-    def exec_mode(self) -> str:
-        return self.children[0].exec_mode
-
-    @staticmethod
-    def _downgrade_scheme(rows, scheme: str, value_dims) -> str:
-        """Grid/angle need finite comparable coordinates; otherwise
-        fall back to random (same rule on both data planes)."""
-        if scheme in ("grid", "angle") and any(
-                row[d.index] is None or
-                (isinstance(row[d.index], float) and
-                 not math.isfinite(row[d.index]))
-                for row in rows for d in value_dims):
-            return "random"
-        return scheme
-
-    def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        child_out = self.children[0].execute(ctx)
-        stage = self.stage_name()
-        dims = self.dims
-        value_dims = [d for d in dims
-                      if d.kind is not DimensionKind.DIFF]
-        if isinstance(child_out, BatchRDD):
-            # Batch-native shuffle: the scheme assigns row ordinals
-            # (placement identical to the row plane by construction,
-            # see partition_indices) and the batch columns are sliced
-            # directly -- no row materialisation round-trip, and typed
-            # columns/null masks survive the shuffle.
-            merged = child_out.concat()
-            rows = merged.to_rows()
-            ctx.record_shuffle(stage, len(rows))
-            scheme = self._downgrade_scheme(rows, self.scheme,
-                                            value_dims)
-
-            def task(scheme=scheme):
-                return partition_indices(
-                    rows, dims, scheme, self.num_partitions,
-                    prune_cells=scheme == "grid",
-                    cells_per_dimension=self.cells_per_dimension,
-                    vectorized=self.vectorized)
-
-            index_lists = ctx.run_task(stage, 0, task, len(rows),
-                                       parallelizable=False,
-                                       kernel=kernel_name(self.vectorized))
-            return BatchRDD([merged.take(ix) for ix in index_lists]
-                            if index_lists else [merged.take([])])
-        child_rdd = _rows_rdd(child_out)
-        rows = child_rdd.collect()
-        ctx.record_shuffle(stage, len(rows))
-        scheme = self._downgrade_scheme(rows, self.scheme, value_dims)
-
-        def task(scheme=scheme):
-            return partition_rows(
-                rows, dims, scheme, self.num_partitions,
-                prune_cells=scheme == "grid",
-                cells_per_dimension=self.cells_per_dimension,
-                vectorized=self.vectorized)
-
-        partitions = ctx.run_task(stage, 0, task, len(rows),
-                                  parallelizable=False,
-                                  kernel=kernel_name(self.vectorized))
-        return RDD(partitions if partitions else [[]])
-
-    def node_description(self) -> str:
-        return (f"SkylineRepartition({self.scheme}, "
-                f"{self.num_partitions} partitions)") + self._mode_tag()
-
-
 class SkylineLocalExec(_SkylineExec):
     """Local (per-partition) skyline -- the distributed stage.
 
@@ -1329,26 +1228,27 @@ class SkylineLocalExec(_SkylineExec):
         #: :meth:`_child_partitions`.
         self._pinned: "tuple | None" = None
 
-    def _child_partitions(self, ctx: ExecutionContext) -> list:
-        """The executed child's partitions, for a child that does not
-        fuse (a repartition, the ``bitmap-local`` regroup's chain, a
-        join).
+    def _child_partitions(self, ctx: ExecutionContext, stage: str) -> list:
+        """The partitions the local tasks read, for a child that does
+        not fuse (the ``bitmap-local`` regroup's chain, a join):
+        ``bitmap-local`` regroups the executed child into one partition
+        per distinct null bitmap, in first-seen order over the
+        concatenated input -- on either data plane.
 
         When everything beneath is deterministic data preparation over
-        one scan (filter, project, repartition), the batches depend only
-        on :meth:`ScanExec.token`; under an active
+        one scan (filter, project), those partitions depend only on
+        :meth:`ScanExec.token`; under an active
         :class:`~repro.engine.shm.SharedColumnStore` they are then
         pinned and kept on the plan like the fused path's scan slices,
-        and a prepared query's re-execution skips the chain and ships
-        handles to the same segments.
+        and a prepared query's re-execution skips the chain and the
+        regroup and ships handles to the same segments.
         """
         child = self.children[0]
         store = token = None
         if self.exec_mode == "batch" and ctx.shm_store is not None \
                 and not ctx.shm_store.closed:
             scan = child
-            while isinstance(scan, (FilterExec, ProjectExec,
-                                    SkylineRepartitionExec)):
+            while isinstance(scan, (FilterExec, ProjectExec)):
                 scan = scan.children[0]
             if isinstance(scan, ScanExec):
                 store, token = ctx.shm_store, scan.token(ctx)
@@ -1360,6 +1260,11 @@ class SkylineLocalExec(_SkylineExec):
                 # columnar bitmap pass needs NumPy).
                 child_out = _rows_rdd(child_out)
             partitions = _partitions(child_out)
+            if self.mode == "bitmap-local":
+                ctx.record_shuffle(stage, sum(map(len, partitions)))
+                whole = concat_partitions(partitions)
+                partitions = list(split_by_null_bitmap(
+                    whole, self.dims).values()) or [whole]
             if store is not None:
                 _keep_resident(self, store, token, partitions)
         return partitions
@@ -1371,14 +1276,7 @@ class SkylineLocalExec(_SkylineExec):
             partitions, specs = self.children[0].chain_inputs(
                 ctx, resident=True)
         else:
-            partitions = self._child_partitions(ctx)
-        if self.mode == "bitmap-local":
-            # One partition per distinct bitmap, in first-seen order
-            # over the concatenated input -- on either data plane.
-            ctx.record_shuffle(stage, sum(map(len, partitions)))
-            whole = concat_partitions(partitions)
-            partitions = list(split_by_null_bitmap(
-                whole, self.dims).values()) or [whole]
+            partitions = self._child_partitions(ctx, stage)
         # ``fn`` is a deadline-aware in-process closure (used by the
         # local and thread backends); ``func``/``args`` is the picklable
         # payload process backends ship to workers (workers cannot see

@@ -31,16 +31,8 @@ SKYLINE_STRATEGIES = (
     "non-distributed-complete",
     "distributed-incomplete",
     "sfs",
-    "cost-based",
     "adaptive",
 )
-
-#: Valid values of the ``skyline.partitioning`` session option;
-#: ``keep`` preserves the child's partitioning (the paper's default).
-PARTITIONING_SCHEMES = ("keep", "random", "grid", "angle")
-
-#: Strategies whose local stage accepts a partitioning override.
-_PARTITIONABLE = ("distributed-complete", "sfs")
 
 #: Resolved strategy -> (local mode, global mode) of the two skyline
 #: operators (:data:`repro.core.vectorized.SKYLINE_MODES`); ``None``
@@ -56,37 +48,27 @@ SKYLINE_OPERATOR_MODES = {
 class Planner:
     """Lowers logical plans to physical plans.
 
-    ``catalog``/``num_executors``/``max_workers`` feed the cost model
-    used by the ``cost-based`` and ``adaptive`` strategies;
-    ``partitioning``/``num_partitions`` force a local-stage partitioning
-    scheme for any distributed strategy (the benchmark harness uses this
-    to evaluate fixed algorithm x partitioning combinations).  Every
-    skyline operator planned leaves a
+    ``catalog`` feeds the cost model of the ``adaptive`` strategy.
+    Every skyline operator keeps its child's partitioning (the paper's
+    default, Section 2) and leaves a
     :class:`~repro.plan.cost.PlanDecision` in :attr:`decisions`, which
     ``EXPLAIN`` renders.
     """
 
     def __init__(self, skyline_strategy: str = "auto", *,
                  catalog=None, num_executors: int = 2,
-                 max_workers: int | None = None,
-                 partitioning: str = "keep",
-                 num_partitions: int | None = None,
                  vectorized: bool = False,
                  columnar: bool = False) -> None:
         if skyline_strategy not in SKYLINE_STRATEGIES:
             raise PlanningError(
                 f"unknown skyline strategy {skyline_strategy!r}; expected "
                 f"one of {SKYLINE_STRATEGIES}")
-        if partitioning not in PARTITIONING_SCHEMES:
-            raise PlanningError(
-                f"unknown partitioning scheme {partitioning!r}; expected "
-                f"one of {PARTITIONING_SCHEMES}")
         self.skyline_strategy = skyline_strategy
         self.catalog = catalog
+        #: The scan parallelism; part of :meth:`settings_key` because a
+        #: prepared plan pins its scan slices cut at it, and sessions of
+        #: different parallelism sharing one plan would keep re-pinning.
         self.num_executors = num_executors
-        self.max_workers = max_workers
-        self.partitioning = partitioning
-        self.num_partitions = num_partitions
         #: True when the skyline operators should run the columnar
         #: NumPy kernels (:mod:`repro.core.vectorized`).
         self.vectorized = vectorized
@@ -104,10 +86,9 @@ class Planner:
         lower identical logical plans to identical physical plans --
         the contract the serving layer's cross-session plan cache
         relies on (its full key adds the catalog's schema version, or
-        for the statistics-fed strategies its data version).
+        for the statistics-fed strategy its data version).
         """
         return (self.skyline_strategy, self.num_executors,
-                self.max_workers, self.partitioning, self.num_partitions,
                 self.vectorized, self.columnar)
 
     # -- entry point ------------------------------------------------------
@@ -208,55 +189,29 @@ class Planner:
     # -- skyline (Listing 8) -------------------------------------------------------
 
     def _plan_skyline(self, node: L.SkylineOperator) -> P.PhysicalPlan:
-        from .cost import CostModel, applied_decision
+        from .cost import CostModel, forced_decision
 
         child = self.plan(node.child)
         items = node.skyline_items
         strategy = self.skyline_strategy
-        partitioning = self.partitioning
-        num_partitions = self.num_partitions
-        grid_cells: int | None = None
-
-        decision = None
-        if strategy in ("cost-based", "adaptive"):
-            # Section 7's lightweight cost-based selection, fed by the
+        if strategy == "adaptive":
+            # Section 7's light-weight algorithm selection, fed by the
             # statistics subsystem.
-            model = CostModel(self.catalog, self.num_executors,
-                              self.max_workers,
-                              vectorized=self.vectorized,
-                              columnar=self.columnar)
-            decision = model.decide(node)
+            decision = CostModel(self.catalog, vectorized=self.vectorized,
+                                 columnar=self.columnar).decide(node)
             strategy = decision.algorithm
-            if self.skyline_strategy == "adaptive" and \
-                    partitioning == "keep":
-                # Adaptive also chooses the partitioning, unless the
-                # session forces a scheme explicitly.
-                partitioning = decision.partitioning
-                num_partitions = decision.num_partitions
-                grid_cells = decision.grid_cells_per_dim
-        elif strategy == "auto":
-            # Listing 8: COMPLETE keyword or non-nullable dimensions
-            # allow the (faster) complete algorithm.
-            use_complete = node.complete or not node.dimensions_nullable
-            strategy = "distributed-complete" if use_complete \
-                else "distributed-incomplete"
-
-        # What actually runs: a repartition is only inserted for the
-        # strategies with a partitionable local stage.
-        applies = partitioning != "keep" and strategy in _PARTITIONABLE
-        applied_count = (num_partitions or self.num_executors) \
-            if applies else None
-        self.decisions.append(applied_decision(
-            decision, strategy, partitioning if applies else "keep",
-            applied_count, auto=self.skyline_strategy == "auto"))
+        else:
+            if strategy == "auto":
+                # Listing 8: COMPLETE keyword or non-nullable dimensions
+                # allow the (faster) complete algorithm.
+                use_complete = node.complete or not node.dimensions_nullable
+                strategy = "distributed-complete" if use_complete \
+                    else "distributed-incomplete"
+            decision = forced_decision(
+                strategy, auto=self.skyline_strategy == "auto")
+        self.decisions.append(decision)
 
         vectorized = self.vectorized
-        if applies:
-            child = P.SkylineRepartitionExec(
-                items, partitioning, applied_count, child,
-                cells_per_dimension=grid_cells, vectorized=vectorized)
-        if strategy not in SKYLINE_OPERATOR_MODES:
-            raise PlanningError(f"unhandled skyline strategy {strategy!r}")
         local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]
         if local_mode is not None:
             child = P.SkylineLocalExec(

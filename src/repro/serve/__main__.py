@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker-pool size for thread/process "
                              "backends")
     parser.add_argument("--partitions", type=int, default=None,
-                        help="force a skyline partition count (random "
-                             "partitioning) so stages fan out")
+                        help="scan partition count (num_executors) so "
+                             "skyline stages fan out")
     parser.add_argument("--demo", action="store_true",
                         help="pre-register a demo 'hotels' table")
     parser.add_argument("--demo-rows", type=int, default=0,
@@ -75,9 +75,7 @@ async def amain(argv: "list[str] | None" = None) -> int:
     config = SessionConfig(backend=args.backend,
                            num_workers=args.workers)
     if args.partitions:
-        config = config.with_options(
-            skyline_partitioning="random",
-            skyline_partitions=args.partitions)
+        config = config.with_options(num_executors=args.partitions)
     server = SkylineServer(host=args.host, port=args.port,
                            max_inflight=args.max_inflight,
                            max_queue_per_tenant=args.max_queue,

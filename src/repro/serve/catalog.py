@@ -88,7 +88,7 @@ class CatalogService:
     def _plan_key(self, session: SkylineSession, sql: str) -> tuple:
         """A prepared plan holds tables, not snapshots: it outlives DML
         unless the session plans from statistics, which DML drops."""
-        statistical = session.skyline_algorithm in ("cost-based", "adaptive")
+        statistical = session.skyline_algorithm == "adaptive"
         return (session._planner().settings_key(),
                 session.enable_skyline_optimizations, sql,
                 self.catalog.version if statistical

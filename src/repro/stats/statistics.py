@@ -1,10 +1,10 @@
 """Table and column statistics for adaptive planning.
 
-Section 7 of the paper calls for "a light-weight form of cost-based
-optimization"; a cost model is only as good as its inputs.  This module
-provides those inputs: per-table row counts, per-column min/max/null
-fraction/distinct counts, equi-width histograms over numeric columns,
-and sampled skyline-density estimates.  Statistics are collected in one
+Section 7 of the paper calls for a light-weight optimizer that "selects
+the best-suited skyline algorithm"; a cost model is only as good as its
+inputs.  This module provides those inputs: per-table row counts,
+per-column min/max/null fraction/distinct counts, equi-width histograms
+over numeric columns, and sampled skyline-density estimates.  Statistics are collected in one
 pass over a table (array reductions over its typed resident columns, a
 row loop elsewhere; plus a bounded seeded sample kept for density
 probes) and cached by :class:`repro.stats.store.StatsStore` inside the
@@ -90,12 +90,6 @@ class Histogram:
     @property
     def num_buckets(self) -> int:
         return len(self.counts)
-
-    @property
-    def non_empty_buckets(self) -> int:
-        """Occupied buckets -- a crude measure of how spread out the
-        column is, used to size grid-partitioning cells."""
-        return sum(1 for c in self.counts if c)
 
     def selectivity_below(self, value: float) -> float:
         """Estimated fraction of values ``<= value``.

@@ -31,9 +31,11 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(skyline_algorithm="nope")
 
-    def test_validation_partitioning(self):
-        with pytest.raises(ValueError):
-            SessionConfig(skyline_partitioning="zigzag")
+    def test_partitioning_options_are_gone(self):
+        with pytest.raises(TypeError):
+            SessionConfig(skyline_partitioning="grid")
+        with pytest.raises(TypeError, match="unknown session option"):
+            repro.connect(skyline_partitions=4)
 
     def test_validation_backend(self):
         with pytest.raises(ValueError):

@@ -248,26 +248,6 @@ class TestColumnarConfiguration:
         assert "[row]" in row_text
         assert "[batch]" not in row_text
 
-    def test_repartitioned_skyline_stays_batch(self):
-        from repro.core.vectorized import numpy_available
-        if not numpy_available():
-            pytest.skip("NumPy not available")
-        session = connect(
-            columnar=True, skyline_partitioning="grid",
-            skyline_partitions=4)
-        session.create_table(
-            "pts", [("a", INTEGER, False), ("b", INTEGER, False)],
-            [(i, 10 - i) for i in range(10)])
-        text = session.explain(parse_query(
-            "SELECT * FROM pts SKYLINE OF a MIN, b MIN"))
-        # The grid shuffle routes batch indices natively, so the whole
-        # plan stays batch-mode instead of dropping to rows above it.
-        assert "SkylineRepartition(grid, 4 partitions) [batch]" in text
-        assert "[row]" not in text
-        result = session.sql(
-            "SELECT * FROM pts SKYLINE OF a MIN, b MIN").to_tuples()
-        assert len(result) == 10
-
     def test_complex_query_stays_batch(self):
         """Joins and the aggregate print their tag, and under batch
         scans it is ``[batch]`` from scan to global skyline."""

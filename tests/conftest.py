@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import DOUBLE, INTEGER, STRING, SkylineSession, connect
@@ -61,3 +63,36 @@ def skyline_oracle(rows, dims, complete=True):
     test = dominates if complete else dominates_incomplete
     return [r for r in rows
             if not any(test(s, r, dims) for s in rows)]
+
+
+#: Orders a table's rows are loaded in.  The scan keeps the table's
+#: partitioning (contiguous slices), so the partition a row lands in
+#: follows its position: ``loaded`` as generated, ``shuffled`` scatters
+#: neighbours, ``sorted`` cuts the value space into slabs along the
+#: first value column (the best rows share the first partition), and
+#: ``reversed`` puts the worst rows first (every local window fills with
+#: rows that are dominated later).
+ROW_LAYOUTS = ("loaded", "shuffled", "sorted", "reversed")
+
+
+def _value_key(row):
+    # NULL and NaN sort last: they order against nothing.
+    return tuple((1, 0.0) if v is None or v != v else (0, v)
+                 for v in row[1:])
+
+
+def lay_out(rows, layout: str, seed: int = 0) -> list[tuple]:
+    """``rows`` (``(id, value, ...)`` tuples) in the order ``layout``
+    names.  A permutation: every skyline of it is the same set."""
+    if layout == "loaded":
+        return list(rows)
+    if layout == "shuffled":
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        return shuffled
+    ordered = sorted(rows, key=_value_key)
+    if layout == "sorted":
+        return ordered
+    if layout == "reversed":
+        return ordered[::-1]
+    raise ValueError(f"unknown layout {layout!r}")

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 import repro.core.vectorized as V
 from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
-                        make_dimensions, prune_dominated_cells,
-                        sfs_skyline, vec_bnl_skyline,
+                        make_dimensions, sfs_skyline, vec_bnl_skyline,
                         vec_flagged_global_skyline, vec_sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
 from repro.core.incomplete import partition_by_null_bitmap
-from repro.core.vectorized import (columnize, kernel_name,
-                                   prune_dominated_cells_vec, skyline_task,
+from repro.core.vectorized import (columnize, kernel_name, skyline_task,
                                    split_by_null_bitmap)
 from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
@@ -709,27 +707,3 @@ class TestFallbacks:
         dims = make_dimensions([(0, "min"), (1, "min")])
         assert srt(vec_bnl_skyline(rows, dims)) == \
             srt(bnl_skyline(rows, dims))
-
-
-class TestCellPruning:
-    def test_matches_scalar_pruning(self):
-        import random
-        rng = random.Random(3)
-        cells = {}
-        for _ in range(80):
-            coord = (rng.randrange(6), rng.randrange(6), rng.randrange(6))
-            cells.setdefault(coord, []).append(coord)
-        scalar = {
-            cell for cell in cells
-            if not any(other != cell and all(o < c for o, c in
-                                             zip(other, cell))
-                       for other in cells)}
-        assert set(prune_dominated_cells_vec(cells)) == scalar
-        # The public entry point dispatches to the vectorized path for
-        # grids this size and must agree too.
-        assert set(prune_dominated_cells(cells)) == scalar
-
-    def test_degenerate_grids(self):
-        assert prune_dominated_cells_vec({(): ["r"]}) == {(): ["r"]}
-        mixed = {(0,): ["a"], (1, 1): ["b"]}
-        assert prune_dominated_cells_vec(mixed) == mixed

@@ -10,7 +10,6 @@ bit-identical to its fault-free run.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import time
@@ -27,7 +26,7 @@ from repro.engine.faults import (FAULT_PLAN_ENV, FaultPlan, InjectedFault,
                                  active_plan, maybe_inject)
 from repro.engine.types import DOUBLE, INTEGER
 from repro.errors import (BenchmarkTimeout, TaskError, WorkerCrashError)
-from repro.plan.planner import PARTITIONING_SCHEMES
+from tests.conftest import ROW_LAYOUTS, lay_out
 
 SEED = 20230331
 
@@ -395,10 +394,9 @@ COMPLETE_ROWS = _random_rows(120, SEED)
 INCOMPLETE_ROWS = _random_rows(90, SEED + 1, null_probability=0.25)
 
 
-def _chaos_session(rows, nullable, algorithm, scheme, backend):
+def _chaos_session(rows, nullable, algorithm, backend):
     config = SessionConfig(
         num_executors=3, skyline_algorithm=algorithm,
-        skyline_partitioning=scheme, skyline_partitions=3,
         backend=backend, max_task_retries=3, retry_backoff_s=0.0)
     session = SkylineSession(config=config)
     session.create_table(
@@ -409,32 +407,30 @@ def _chaos_session(rows, nullable, algorithm, scheme, backend):
     return session
 
 
-def _run_clean_and_chaos(rows, nullable, algorithm, scheme, backend):
-    with _chaos_session(rows, nullable, algorithm, scheme,
-                        backend) as session:
+def _run_clean_and_chaos(rows, nullable, algorithm, backend):
+    with _chaos_session(rows, nullable, algorithm, backend) as session:
         clean = sorted(session.sql(SQL3).to_tuples(), key=repr)
     with activate(CHAOS_PLAN):
-        with _chaos_session(rows, nullable, algorithm, scheme,
+        with _chaos_session(rows, nullable, algorithm,
                             backend) as session:
             result = session.sql(SQL3).run()
     chaos = sorted(result.as_tuples(), key=repr)
     return clean, chaos, result.context.fault_stats
 
 
-@pytest.mark.parametrize(
-    "algorithm,scheme",
-    list(itertools.product(COMPLETE_ALGORITHMS, PARTITIONING_SCHEMES)))
-def test_chaos_differential_local(algorithm, scheme):
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+@pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
+def test_chaos_differential_local(algorithm, layout):
     clean, chaos, _ = _run_clean_and_chaos(
-        COMPLETE_ROWS, False, algorithm, scheme, "local")
+        lay_out(COMPLETE_ROWS, layout), False, algorithm, "local")
     assert chaos == clean, (
-        f"{algorithm}/{scheme} diverged under the fault plan")
+        f"{algorithm}/{layout} diverged under the fault plan")
 
 
 @pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
 def test_chaos_differential_thread(algorithm):
     clean, chaos, _ = _run_clean_and_chaos(
-        COMPLETE_ROWS, False, algorithm, "random", "thread")
+        COMPLETE_ROWS, False, algorithm, "thread")
     assert chaos == clean
 
 
@@ -444,13 +440,13 @@ def test_chaos_differential_process(algorithm):
     """Real worker crashes (os._exit in the pool children) mid-query;
     answers must still be bit-identical to the fault-free run."""
     clean, chaos, _ = _run_clean_and_chaos(
-        COMPLETE_ROWS, False, algorithm, "random", "process")
+        COMPLETE_ROWS, False, algorithm, "process")
     assert chaos == clean
 
 
 def test_chaos_differential_incomplete_data():
     clean, chaos, _ = _run_clean_and_chaos(
-        INCOMPLETE_ROWS, True, "distributed-incomplete", "grid", "local")
+        INCOMPLETE_ROWS, True, "distributed-incomplete", "local")
     assert chaos == clean
 
 
@@ -458,10 +454,9 @@ def test_chaos_run_actually_injected_and_counted():
     """Guard against a vacuous grid: the plan must have injected faults
     and the context must have counted the recoveries."""
     totals = 0
-    for scheme in PARTITIONING_SCHEMES:
+    for algorithm in COMPLETE_ALGORITHMS:
         _, _, faults = _run_clean_and_chaos(
-            COMPLETE_ROWS, False, "distributed-complete", scheme,
-            "local")
+            COMPLETE_ROWS, False, algorithm, "local")
         totals += faults.retries + faults.crash_recoveries
     assert totals > 0
 
@@ -469,7 +464,7 @@ def test_chaos_run_actually_injected_and_counted():
 def test_chaos_counters_reach_the_summary():
     with activate(CHAOS_PLAN):
         with _chaos_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "random", "local") as session:
+                            "local") as session:
             result = session.sql(SQL3).run()
     summary = result.context.summary()
     assert summary["faults"]["retries"] == \

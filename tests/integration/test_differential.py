@@ -1,12 +1,13 @@
 """Differential-testing oracle suite.
 
-Runs every (algorithm x partitioning x backend x vectorized) combination
+Runs every (algorithm x row layout x backend x vectorized) combination
 through the full engine pipeline on seeded random datasets -- complete
 and incomplete -- and asserts the skyline identical to the naive
 all-pairs oracle.  This is the reference correctness net for the
 vectorized kernel layer: any divergence between the columnar NumPy
-kernels, the scalar reference kernels, the partitioning schemes and the
-execution backends surfaces here as a row-level mismatch.
+kernels, the scalar reference kernels, the rows each scan partition
+holds (its count and the table's row order) and the execution backends
+surfaces here as a row-level mismatch.
 
 Pool-backed backends are shared at module scope so the process pool is
 spawned once for the whole grid.
@@ -24,8 +25,7 @@ from repro.core import make_dimensions
 from repro.core.vectorized import numpy_available
 from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.types import DOUBLE, INTEGER, STRING
-from repro.plan.planner import PARTITIONING_SCHEMES
-from tests.conftest import skyline_oracle
+from tests.conftest import ROW_LAYOUTS, lay_out, skyline_oracle
 
 SEED = 20230331  # EDBT 2023 -- fixed so failures reproduce exactly
 
@@ -87,13 +87,11 @@ def shared_backends():
     process.close()
 
 
-def _make_session(rows, nullable: bool, algorithm: str, scheme: str,
-                  backend, vectorized,
-                  columnar="auto", num_executors: int = 3,
-                  partitions: int = 3) -> SkylineSession:
+def _make_session(rows, nullable: bool, algorithm: str, backend,
+                  vectorized, columnar="auto",
+                  num_executors: int = 3) -> SkylineSession:
     session = connect(
         num_executors=num_executors, skyline_algorithm=algorithm,
-        skyline_partitioning=scheme, skyline_partitions=partitions,
         backend=backend, vectorized=vectorized, columnar=columnar)
     session.create_table(
         "t",
@@ -104,30 +102,32 @@ def _make_session(rows, nullable: bool, algorithm: str, scheme: str,
 
 
 @pytest.mark.parametrize(
-    "algorithm,scheme,backend_name,vectorized",
-    list(itertools.product(COMPLETE_ALGORITHMS, PARTITIONING_SCHEMES,
-                           BACKENDS, VECTORIZED_MODES)))
-def test_complete_data_matches_oracle(algorithm, scheme, backend_name,
+    "algorithm,layout,backend_name,vectorized",
+    list(itertools.product(COMPLETE_ALGORITHMS, ROW_LAYOUTS, BACKENDS,
+                           VECTORIZED_MODES)))
+def test_complete_data_matches_oracle(algorithm, layout, backend_name,
                                       vectorized, shared_backends):
-    session = _make_session(COMPLETE_ROWS, False, algorithm, scheme,
-                            shared_backends[backend_name](), vectorized)
+    session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
+                            algorithm, shared_backends[backend_name](),
+                            vectorized)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == COMPLETE_ORACLE, (
-        f"{algorithm}/{scheme}/{backend_name}/vectorized={vectorized} "
+        f"{algorithm}/{layout}/{backend_name}/vectorized={vectorized} "
         f"diverged from the all-pairs oracle")
 
 
 @pytest.mark.parametrize(
-    "algorithm,scheme,backend_name,vectorized",
-    list(itertools.product(INCOMPLETE_ALGORITHMS, PARTITIONING_SCHEMES,
-                           BACKENDS, VECTORIZED_MODES)))
-def test_incomplete_data_matches_oracle(algorithm, scheme, backend_name,
+    "algorithm,layout,backend_name,vectorized",
+    list(itertools.product(INCOMPLETE_ALGORITHMS, ROW_LAYOUTS, BACKENDS,
+                           VECTORIZED_MODES)))
+def test_incomplete_data_matches_oracle(algorithm, layout, backend_name,
                                         vectorized, shared_backends):
-    session = _make_session(INCOMPLETE_ROWS, True, algorithm, scheme,
-                            shared_backends[backend_name](), vectorized)
+    session = _make_session(lay_out(INCOMPLETE_ROWS, layout), True,
+                            algorithm, shared_backends[backend_name](),
+                            vectorized)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == INCOMPLETE_ORACLE, (
-        f"{algorithm}/{scheme}/{backend_name}/vectorized={vectorized} "
+        f"{algorithm}/{layout}/{backend_name}/vectorized={vectorized} "
         f"diverged from the null-aware all-pairs oracle")
 
 
@@ -169,33 +169,35 @@ ADVERSARIAL_ORACLE = _nan_safe(skyline_oracle(ADVERSARIAL_ROWS, DIMS3,
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
-@pytest.mark.parametrize("num_executors", (2, 5, 10))
-@pytest.mark.parametrize("partitions", (2, 7))
-@pytest.mark.parametrize("scheme", PARTITIONING_SCHEMES)
+@pytest.mark.parametrize("num_executors", (2, 5, 7, 10))
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
 def test_adversarial_data_invariant_under_partitioning(
-        scheme, partitions, num_executors, vectorized):
-    """However the rows are cut into local skylines -- scheme x
-    partition count x executor count -- the one global task must return
-    the all-pairs oracle."""
+        layout, num_executors, vectorized):
+    """However the scan cuts the rows into local skylines -- row order
+    x partition count -- the one global task must return the
+    all-pairs oracle."""
+    rows = lay_out(ADVERSARIAL_ROWS, layout)
     for algorithm in COMPLETE_ALGORITHMS:
         session = _make_session(
-            ADVERSARIAL_ROWS, False, algorithm, scheme, "local",
-            vectorized, num_executors=num_executors,
-            partitions=partitions)
+            rows, False, algorithm, "local", vectorized,
+            num_executors=num_executors)
         assert _nan_safe(session.sql(SQL3).to_tuples()) == \
             ADVERSARIAL_ORACLE, (
-            f"{algorithm}/{scheme}/{partitions} partitions/"
-            f"{num_executors} executors/vectorized={vectorized}")
+            f"{algorithm}/{layout}/{num_executors} executors/"
+            f"vectorized={vectorized}")
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
 @pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
-def test_distinct_matches_oracle_modulo_representatives(algorithm,
+def test_distinct_matches_oracle_modulo_representatives(algorithm, layout,
                                                         vectorized):
     """DISTINCT keeps one row per skyline-dimension value set; compare
-    on the dimension values, which are representative-independent."""
-    session = _make_session(COMPLETE_ROWS, False, algorithm, "keep",
-                            "local", vectorized)
+    on the dimension values, which are representative-independent.
+    The layouts put duplicates in one partition (``sorted``) or spread
+    them over several (``loaded``, ``shuffled``)."""
+    session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
+                            algorithm, "local", vectorized)
     result = session.sql(SQL3_DISTINCT).to_tuples()
     expected = {row[1:] for row in COMPLETE_ORACLE}
     assert {row[1:] for row in result} == expected
@@ -207,7 +209,7 @@ def test_auto_strategy_matches_oracle_on_both_datasets(vectorized):
     for rows, nullable, oracle in (
             (COMPLETE_ROWS, False, COMPLETE_ORACLE),
             (INCOMPLETE_ROWS, True, INCOMPLETE_ORACLE)):
-        session = _make_session(rows, nullable, "auto", "keep", "local",
+        session = _make_session(rows, nullable, "auto", "local",
                                 vectorized)
         assert sorted(session.sql(SQL3).to_tuples(), key=repr) == oracle
 
@@ -215,7 +217,7 @@ def test_auto_strategy_matches_oracle_on_both_datasets(vectorized):
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
 def test_reference_sql_rewrite_matches_oracle(vectorized):
     """The plain-SQL NOT EXISTS rewrite against the same oracle."""
-    session = _make_session(COMPLETE_ROWS, False, "auto", "keep", "local",
+    session = _make_session(COMPLETE_ROWS, False, "auto", "local",
                             vectorized)
     sql = ("SELECT * FROM t AS o WHERE NOT EXISTS("
            "SELECT * FROM t AS i WHERE i.a <= o.a AND i.b >= o.b "
@@ -238,7 +240,7 @@ def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
     no-NumPy CI job); ``columnar=False`` pins the row reference plane.
     Results must be identical across both and every backend.
     """
-    session = _make_session(COMPLETE_ROWS, False, algorithm, "keep",
+    session = _make_session(COMPLETE_ROWS, False, algorithm,
                             shared_backends[backend_name](), "auto",
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
@@ -253,7 +255,7 @@ def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
 def test_columnar_plane_matches_oracle_incomplete(backend_name, columnar,
                                                   shared_backends):
     session = _make_session(INCOMPLETE_ROWS, True,
-                            "distributed-incomplete", "keep",
+                            "distributed-incomplete",
                             shared_backends[backend_name](), "auto",
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
@@ -263,11 +265,14 @@ def test_columnar_plane_matches_oracle_incomplete(backend_name, columnar,
 
 
 @pytest.mark.parametrize("columnar", (True, False))
-@pytest.mark.parametrize("scheme", PARTITIONING_SCHEMES)
-def test_columnar_plane_matches_oracle_under_partitioning(scheme,
-                                                          columnar):
-    session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            scheme, "local", "auto", columnar=columnar)
+@pytest.mark.parametrize("num_executors", (2, 7))
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+def test_columnar_plane_matches_oracle_under_partitioning(
+        layout, num_executors, columnar):
+    session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
+                            "distributed-complete", "local", "auto",
+                            columnar=columnar,
+                            num_executors=num_executors)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == COMPLETE_ORACLE
 
@@ -275,7 +280,7 @@ def test_columnar_plane_matches_oracle_under_partitioning(scheme,
 @pytest.mark.parametrize("columnar", (True, False))
 def test_columnar_distinct_matches_oracle(columnar):
     session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "keep", "local", "auto", columnar=columnar)
+                            "local", "auto", columnar=columnar)
     result = session.sql(SQL3_DISTINCT).to_tuples()
     expected = {row[1:] for row in COMPLETE_ORACLE}
     assert {row[1:] for row in result} == expected
@@ -287,7 +292,7 @@ def test_batch_mode_actually_ran():
     """Guard against silently testing the row plane twice: with
     columnar=True the data-plane operators must report batch mode."""
     session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "keep", "local", "auto", columnar=True)
+                            "local", "auto", columnar=True)
     plan = session.sql(SQL3).plan
     text = session.explain(plan)
     assert "Scan(t, 154 rows) [batch]" in text
@@ -302,7 +307,7 @@ def test_vectorized_kernels_actually_ran():
     vectorized=True and numeric data the skyline stages must record the
     vectorized kernel label."""
     session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "keep", "local", True)
+                            "local", True)
     result = session.sql(SQL3).run()
     kernels = {kernel
                for stage in result.context.summary()["stages"]
@@ -314,12 +319,13 @@ def test_vectorized_kernels_actually_ran():
 # -- shared-memory transport (PR 9) ----------------------------------------
 
 
-def _shm_session(shared_memory, rows=None, nullable=False, **options):
+def _shm_session(shared_memory, rows=None, nullable=False,
+                 algorithm="distributed-complete"):
     from repro import SessionConfig
     config = SessionConfig(
-        num_executors=3, skyline_algorithm="distributed-complete",
+        num_executors=3, skyline_algorithm=algorithm,
         backend="process", num_workers=2, columnar=True,
-        shared_memory=shared_memory, **options)
+        shared_memory=shared_memory)
     session = SkylineSession(config=config)
     session.create_table(
         "t",
@@ -381,22 +387,27 @@ def test_shared_memory_no_leaks_after_worker_crash(monkeypatch):
 
 
 @pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
-@pytest.mark.parametrize("partitioning", ("keep", "grid"))
-def test_shared_memory_prepared_inputs_stay_resident(partitioning):
+@pytest.mark.parametrize("algorithm", ("distributed-complete",
+                                       "distributed-incomplete"))
+def test_shared_memory_prepared_inputs_stay_resident(algorithm):
     """Re-executing a prepared query must re-serve the pinned input
     segments (no re-registration), and catalog DML must invalidate
     them so the next execution sees the new data -- whether the local
-    tasks read scan slices (``keep``: the chain is fused into them) or
-    a repartition's output (``grid``)."""
+    tasks read scan slices (``distributed-complete``: the chain is
+    fused into them) or the executed chain ahead of the null-bitmap
+    regroup (``distributed-incomplete``)."""
     from repro.engine.shm import shared_memory_available
     if not shared_memory_available():
         pytest.skip("shared memory not available")
-    # Wide rows so partition batches clear the minimum share size.
-    wide = [(i,) + tuple(float((i * 7 + j) % 97) for j in range(60))
+    incomplete = algorithm == "distributed-incomplete"
+    # Wide rows so partition batches clear the minimum share size; the
+    # incomplete leg nulls c1 on every fifth row (two null bitmaps).
+    wide = [(i,) + tuple(None if incomplete and j == 1 and i % 5 == 0
+                         else float((i * 7 + j) % 97) for j in range(60))
             for i in range(3000)]
-    session = _shm_session(True, skyline_partitioning=partitioning)
+    session = _shm_session(True, algorithm=algorithm)
     session.create_table(
-        "w", [("id", INTEGER, False)] + [(f"c{j}", DOUBLE, False)
+        "w", [("id", INTEGER, False)] + [(f"c{j}", DOUBLE, incomplete)
                                          for j in range(60)], wide)
     try:
         prepared = session.prepare(session.sql(
@@ -406,7 +417,7 @@ def test_shared_memory_prepared_inputs_stay_resident(partitioning):
         assert created > 0
         second = session.execute_prepared(prepared)
         assert second.context.shm_stats["segments_created"] == created
-        if partitioning == "grid":
+        if incomplete:
             # The pinned partitions stand in for the whole chain.
             assert [s.name.split("-")[0] for s in second.context.stages] \
                 == ["SkylineLocalExec", "SkylineGlobalExec"]

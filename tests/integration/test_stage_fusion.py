@@ -118,13 +118,7 @@ def test_chain_is_one_stage_under_every_consumer(algorithm, stages):
     assert _stage_names(result) == stages
 
 
-def test_repartition_and_join_break_the_chain():
-    with _session("local", rows=_rows(300),
-                  skyline_partitioning="random") as session:
-        result = session.sql(FILTERED_SQL).run()
-    assert _stage_names(result) == [
-        "ProjectExec", "SkylineRepartitionExec", "SkylineLocalExec",
-        "SkylineGlobalExec"]
+def test_join_breaks_the_chain():
     with _session("local", rows=_rows(300)) as session:
         session.create_table("u", [("id", INTEGER, False),
                                    ("w", DOUBLE, False)],
@@ -144,7 +138,6 @@ def test_repartition_and_join_break_the_chain():
     ({}, FILTERED_SQL),
     ({"skyline_algorithm": "non-distributed-complete"}, FILTERED_SQL),
     ({"skyline_algorithm": "distributed-incomplete"}, FILTERED_SQL),
-    ({"skyline_partitioning": "grid"}, FILTERED_SQL),
     ({}, "SELECT id, a FROM t WHERE c > 0.2 ORDER BY a LIMIT 5"),
     ({}, "SELECT t.id, t.a, u.b FROM t JOIN t AS u ON t.id = u.id "
          "WHERE t.c > 0.2 SKYLINE OF t.a MIN, u.b MAX"),

@@ -1,5 +1,5 @@
 """Adaptive planning: decisions, explain output, and equivalence of the
-adaptive plan with every fixed (algorithm x partitioning) combination."""
+adaptive plan with every fixed algorithm."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,9 @@ from repro.datasets import (anticorrelated_rows, correlated_rows,
                             independent_rows)
 from repro.engine.types import DOUBLE, INTEGER
 from repro.plan import logical as L
-from repro.plan.cost import (DENSE_SKYLINE_FRACTION, SMALL_INPUT_ROWS,
-                             CostModel)
-from repro.plan.planner import PARTITIONING_SCHEMES
+from repro.plan.cost import (DENSE_SKYLINE_FRACTION,
+                             DENSE_SKYLINE_FRACTION_VECTORIZED,
+                             SMALL_INPUT_ROWS, CostModel)
 from repro.sql.parser import parse_query
 from tests.conftest import skyline_oracle
 
@@ -37,9 +37,8 @@ def skyline_node(session, sql):
     return nodes[0]
 
 
-def decide(session, sql=SQL3, max_workers=None):
-    model = CostModel(session.catalog, num_executors=4,
-                      max_workers=max_workers)
+def decide(session, sql=SQL3, vectorized=False):
+    model = CostModel(session.catalog, vectorized=vectorized)
     return model.decide(skyline_node(session, sql))
 
 
@@ -48,50 +47,36 @@ class TestCostModelDecisions:
         session = make_session(correlated_rows(1000, 3), nullable=True)
         decision = decide(session)
         assert decision.algorithm == "distributed-incomplete"
-        assert decision.partitioning == "keep"
+        assert "per bitmap" in decision.describe()
 
     def test_small_input_runs_non_distributed(self):
         session = make_session(correlated_rows(SMALL_INPUT_ROWS - 10, 3))
         decision = decide(session)
         assert decision.algorithm == "non-distributed-complete"
-        assert decision.num_partitions == 1
+        assert "partitions   = 1 " in decision.describe()
 
-    def test_dense_uniform_orientation_picks_sfs_and_angle(self):
+    def test_dense_scalar_input_picks_sfs(self):
         session = make_session(anticorrelated_rows(2000, 3, spread=0.02))
         decision = decide(session)
         assert decision.algorithm == "sfs"
-        assert decision.partitioning == "angle"
         assert decision.skyline_density >= DENSE_SKYLINE_FRACTION
-        # Dense skylines use full parallelism.
-        assert decision.num_partitions == 4
 
-    def test_dense_mixed_orientation_rejects_angle(self):
+    def test_dense_vectorized_input_skips_the_local_stage(self):
+        # On the vectorized kernels BNL and SFS are one block kernel;
+        # what pays on dense data is running no local stage at all.
         session = make_session(anticorrelated_rows(2000, 3, spread=0.02))
-        sql = "SELECT id FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"
-        # MAX flips the orientation of d1: an anti-correlated MIN/MIN
-        # band stays dense under MIN/MAX on mirrored data, but the mix
-        # of kinds must veto the angular transform either way.
-        decision = decide(session, sql)
-        if decision.skyline_density is not None and \
-                decision.skyline_density >= DENSE_SKYLINE_FRACTION:
-            assert decision.partitioning == "random"
-        assert decision.partitioning != "angle"
+        decision = decide(session, vectorized=True)
+        assert decision.skyline_density >= \
+            DENSE_SKYLINE_FRACTION_VECTORIZED
+        assert decision.algorithm == "non-distributed-complete"
+        assert "vectorized" in decision.algorithm_reason
 
-    def test_sparse_small_windows_keep_partitioning(self):
+    def test_sparse_input_runs_distributed_bnl(self):
         session = make_session(independent_rows(8000, 3, seed=2))
-        decision = decide(session)
-        assert decision.algorithm == "distributed-complete"
-        assert decision.partitioning == "keep"
-
-    def test_moderate_density_large_input_picks_grid(self):
-        session = make_session(
-            anticorrelated_rows(20_000, 3, spread=0.35, seed=5))
-        decision = decide(session)
-        if decision.skyline_density < DENSE_SKYLINE_FRACTION:
-            assert decision.partitioning == "grid"
-            assert decision.grid_cells_per_dim >= 2
-            assert decision.num_partitions == \
-                decision.grid_cells_per_dim ** 3
+        for vectorized in (False, True):
+            decision = decide(session, vectorized=vectorized)
+            assert decision.algorithm == "distributed-complete"
+            assert "inherited" in decision.describe()
 
     def test_filter_selectivity_shrinks_estimate(self):
         session = make_session(independent_rows(2000, 3, seed=1))
@@ -114,26 +99,6 @@ class TestCostModelDecisions:
         assert decision.estimated_rows > SMALL_INPUT_ROWS
         assert decision.algorithm != "non-distributed-complete"
 
-    def test_worker_cap_raises_partition_count(self):
-        # Dense skylines use one partition per executor/worker, so the
-        # backend's pool size directly raises the partition count.
-        session = make_session(anticorrelated_rows(2000, 3, spread=0.02))
-        few = decide(session, max_workers=None)
-        many = decide(session, max_workers=16)
-        assert few.num_partitions == 4
-        assert many.num_partitions == 16
-
-    def test_grid_partition_count_respects_hard_cap(self):
-        from repro.plan.cost import MAX_ADAPTIVE_PARTITIONS
-        session = make_session(
-            anticorrelated_rows(20_000, 6, spread=0.35, seed=5),
-            n_dims=6)
-        sql = ("SELECT id FROM pts SKYLINE OF "
-               + ", ".join(f"d{i} MIN" for i in range(6)))
-        decision = decide(session, sql)
-        if decision.num_partitions is not None:
-            assert decision.num_partitions <= MAX_ADAPTIVE_PARTITIONS
-
     def test_nan_values_do_not_break_planning(self):
         rows = [(float("nan"), 1.0, 2.0)] + \
             [(float(i), float(i), float(i)) for i in range(600)]
@@ -147,8 +112,7 @@ class TestCostModelDecisions:
         session = make_session(correlated_rows(SMALL_INPUT_ROWS + 200, 3))
         node = skyline_node(session, SQL3)  # binds the old table object
         session.create_table("pts", [("id", INTEGER, False)], [(1,)])
-        model = CostModel(session.catalog, num_executors=4)
-        decision = model.decide(node)
+        decision = CostModel(session.catalog).decide(node)
         assert decision.estimated_rows == SMALL_INPUT_ROWS + 200
 
     def test_local_relation_without_catalog(self):
@@ -159,33 +123,120 @@ class TestCostModelDecisions:
             df.skyline_of([("a", "min"), ("b", "min")]).plan)
         node = next(n for n in plan.iter_tree()
                     if isinstance(n, L.SkylineOperator))
-        decision = CostModel(None, num_executors=4).decide(node)
+        decision = CostModel(None).decide(node)
         assert decision.algorithm == "non-distributed-complete"
         assert decision.estimated_rows == 50
 
 
+#: name -> (rows, nullable dimensions): one input per rule of the
+#: decision and per boundary between two rules.
+DECISION_INPUTS = {
+    "small": (lambda: correlated_rows(SMALL_INPUT_ROWS - 10, 3), False),
+    "small-dense": (lambda: anticorrelated_rows(SMALL_INPUT_ROWS - 10, 3,
+                                                spread=0.02), False),
+    "dense": (lambda: anticorrelated_rows(2000, 3, spread=0.02), False),
+    "between-crossovers": (lambda: anticorrelated_rows(2000, 3,
+                                                       spread=0.12), False),
+    "sparse": (lambda: correlated_rows(2000, 3), False),
+    "nullable-small": (lambda: correlated_rows(SMALL_INPUT_ROWS - 10, 3),
+                       True),
+    "nullable-dense": (lambda: anticorrelated_rows(2000, 3, spread=0.02),
+                       True),
+    "nullable-sparse": (lambda: correlated_rows(2000, 3), True),
+}
+
+
+class TestDecisionOrder:
+    """``decide`` applies its four rules in order -- nullable dimensions,
+    small input, dense skyline, distributed BNL -- with the dense rule's
+    outcome depending on the kernel family."""
+
+    @pytest.mark.parametrize("data,vectorized,expected", [
+        ("nullable-small", False, "distributed-incomplete"),
+        ("nullable-small", True, "distributed-incomplete"),
+        ("nullable-dense", False, "distributed-incomplete"),
+        ("nullable-dense", True, "distributed-incomplete"),
+        ("nullable-sparse", False, "distributed-incomplete"),
+        ("nullable-sparse", True, "distributed-incomplete"),
+        ("small-dense", False, "non-distributed-complete"),
+        ("small-dense", True, "non-distributed-complete"),
+        ("small", False, "non-distributed-complete"),
+        ("small", True, "non-distributed-complete"),
+        ("dense", False, "sfs"),
+        ("dense", True, "non-distributed-complete"),
+        ("between-crossovers", False, "sfs"),
+        ("between-crossovers", True, "distributed-complete"),
+        ("sparse", False, "distributed-complete"),
+        ("sparse", True, "distributed-complete"),
+    ])
+    def test_first_matching_rule_wins(self, data, vectorized, expected):
+        make_rows, nullable = DECISION_INPUTS[data]
+        session = make_session(make_rows(), nullable=nullable)
+        decision = decide(session, vectorized=vectorized)
+        assert decision.algorithm == expected, decision.describe()
+        assert decision.algorithm_reason
+
+
+class TestPartitionsLine:
+    """EXPLAIN's ``partitions =`` line names what the local stage runs
+    on, and the run agrees: the scan's partitions, no local stage (one
+    global task), or one task per null bitmap."""
+
+    @pytest.mark.parametrize("num_executors", (1, 2, 5, 8))
+    @pytest.mark.parametrize("algorithm,line", [
+        ("distributed-complete", "inherited"),
+        ("sfs", "inherited"),
+        ("non-distributed-complete", "1"),
+        ("distributed-incomplete", "per bitmap"),
+    ])
+    def test_line_matches_the_local_tasks(self, algorithm, line,
+                                          num_executors):
+        incomplete = algorithm == "distributed-incomplete"
+        # The incomplete leg nulls d1 on every fourth row: two bitmaps.
+        rows = [(i,) + tuple(None if incomplete and d == 1 and i % 4 == 0
+                             else v for d, v in enumerate(r))
+                for i, r in enumerate(independent_rows(800, 3, seed=5))]
+        session = connect(num_executors=num_executors,
+                          skyline_algorithm=algorithm)
+        session.create_table(
+            "pts", [("id", INTEGER, False)] + [
+                (f"d{i}", DOUBLE, incomplete) for i in range(3)], rows)
+        text = session.explain(parse_query(SQL3))
+        assert f"partitions   = {line} " in text
+        result = session.sql(SQL3).run()
+        local = [s for s in result.context.stages
+                 if s.name.startswith("SkylineLocalExec")]
+        global_ = [s for s in result.context.stages
+                   if s.name.startswith("SkylineGlobalExec")]
+        assert len(global_) == 1 and len(global_[0].tasks) == 1
+        expected_tasks = {"inherited": num_executors, "1": None,
+                          "per bitmap": 2}[line]
+        if expected_tasks is None:
+            assert not local
+        else:
+            assert len(local) == 1
+            assert len(local[0].tasks) == expected_tasks
+
+
 class TestExplainReportsDecision:
     def test_adaptive_explain_contains_full_decision(self):
-        # Scalar kernels: the dense anticorrelated class picks SFS with
-        # an angle repartition (vectorized kernels shift both choices,
-        # covered by TestVectorizedCostModel).
+        # Scalar kernels: the dense anticorrelated class picks SFS over
+        # the scan's partitions.
         session = make_session(anticorrelated_rows(2000, 3, spread=0.02),
                                adaptive=True, vectorized=False)
         text = session.explain(parse_query(SQL3))
         assert "== Skyline Strategy ==" in text
         assert "algorithm    = sfs" in text
-        assert "partitioning = angle" in text
-        assert "partitions   = 4" in text
+        assert "partitions   = inherited" in text
+        assert "partitioning =" not in text
         assert "sampled skyline density" in text
         assert "pts: 2000 rows" in text
 
     def test_forced_strategy_explain_reports_configuration(self):
         session = make_session(correlated_rows(600, 3),
-                               skyline_algorithm="sfs",
-                               skyline_partitioning="grid")
+                               skyline_algorithm="sfs")
         text = session.explain(parse_query(SQL3))
         assert "algorithm    = sfs" in text
-        assert "partitioning = grid" in text
         assert "forced by session configuration" in text
 
     def test_auto_selection_is_not_labelled_forced(self):
@@ -197,64 +248,55 @@ class TestExplainReportsDecision:
                               if l.startswith("algorithm"))
         assert "forced" not in algorithm_line
 
-    def test_physical_plan_shows_repartition(self):
-        session = make_session(correlated_rows(600, 3),
-                               skyline_algorithm="distributed-complete",
-                               skyline_partitioning="angle",
-                               skyline_partitions=3)
+    def test_columnar_explain_has_no_cost_factor_line(self):
+        session = make_session(correlated_rows(600, 3), adaptive=True,
+                               columnar=True)
         text = session.explain(parse_query(SQL3))
-        assert "SkylineRepartition(angle, 3 partitions)" in text
+        assert "cost factors" not in text
 
 
 class TestVectorizedCostModel:
-    """The vectorized kernels shift the cost model's crossovers."""
+    """The vectorized kernels shift the cost model's crossover."""
 
-    def test_vectorized_raises_the_sfs_crossover(self):
+    def test_vectorized_raises_the_dense_crossover(self):
         # Density ~0.3 sits between the scalar (0.25) and vectorized
         # (0.5) crossover: scalar picks SFS, vectorized keeps BNL.
         session = make_session(anticorrelated_rows(2000, 3, spread=0.12))
         node = skyline_node(session, SQL3)
-        scalar = CostModel(session.catalog, num_executors=4).decide(node)
-        vector = CostModel(session.catalog, num_executors=4,
-                           vectorized=True).decide(node)
+        scalar = CostModel(session.catalog).decide(node)
+        vector = CostModel(session.catalog, vectorized=True).decide(node)
         density = scalar.skyline_density
         assert density is not None and 0.25 <= density < 0.5, density
         assert scalar.algorithm == "sfs"
         assert vector.algorithm == "distributed-complete"
         assert "vectorized" in vector.algorithm_reason
 
-    def test_vectorized_raises_the_repartition_break_even(self):
-        session = make_session(anticorrelated_rows(2000, 3, spread=0.02))
-        node = skyline_node(session, SQL3)
-        scalar = CostModel(session.catalog, num_executors=4).decide(node)
-        vector = CostModel(session.catalog, num_executors=4,
-                           vectorized=True).decide(node)
-        assert scalar.partitioning == "angle"
-        assert vector.partitioning == "keep"
-
     def test_planner_threads_the_session_flag(self):
         from repro.core.vectorized import numpy_available
         if not numpy_available():
             pytest.skip("NumPy not available")
         rows = anticorrelated_rows(2000, 3, spread=0.02)
-        forced = make_session(rows, adaptive=True, vectorized=False)
-        text = forced.explain(parse_query(SQL3))
-        assert "partitioning = angle" in text
-        auto = make_session(rows, adaptive=True, vectorized=True)
-        text = auto.explain(parse_query(SQL3))
-        assert "partitioning = keep" in text
-        assert "vectorized" in text
+        scalar = make_session(rows, adaptive=True, vectorized=False)
+        text = scalar.explain(parse_query(SQL3))
+        assert "algorithm    = sfs" in text
+        vector = make_session(rows, adaptive=True, vectorized=True)
+        text = vector.explain(parse_query(SQL3))
+        assert "algorithm    = non-distributed-complete" in text
+        assert "SkylineLocal" not in text
 
 
-class TestGridPruningWithDiffDimensions:
-    def test_grid_keeps_rows_dominated_only_across_diff_groups(self):
-        # Regression: cell-dominance pruning ignores DIFF dimensions,
-        # so a lone "blue" row in a cell dominated by "red"-only cells
-        # must NOT be dropped -- DIFF dominance requires equal colour.
+class TestDiffDimensions:
+    @pytest.mark.parametrize("algorithm", [
+        "distributed-complete", "non-distributed-complete", "sfs",
+        "adaptive"])
+    def test_rows_dominated_only_across_diff_groups_survive(self,
+                                                           algorithm):
+        # DIFF dominance requires equal colour: a lone "blue" row that
+        # every "red" row beats on price and weight stays.
         from repro.engine.types import STRING
         rows = [(i, "red", 0.1 + i * 0.01, 0.1 + i * 0.01)
                 for i in range(20)] + [(99, "blue", 10.0, 10.0)]
-        session = connect(num_executors=4)
+        session = connect(num_executors=4, skyline_algorithm=algorithm)
         session.create_table(
             "items",
             [("id", INTEGER, False), ("color", STRING, False),
@@ -262,35 +304,8 @@ class TestGridPruningWithDiffDimensions:
             rows)
         sql = ("SELECT * FROM items "
                "SKYLINE OF price MIN, weight MIN, color DIFF")
-        baseline = sorted(session.sql(sql).to_tuples())
-        grid = session.with_options(skyline_partitioning="grid")
-        assert sorted(grid.sql(sql).to_tuples()) == baseline
-        assert any(row[1] == "blue" for row in baseline)
-
-
-class TestExplainReportsAppliedChoices:
-    def test_cost_based_explain_does_not_claim_unapplied_scheme(self):
-        # cost-based selects the algorithm only; EXPLAIN must not
-        # report the model's partitioning proposal as if it ran.
-        # (vectorized=False so the model proposes a scheme at all --
-        # the vectorized break-even keeps the child partitioning here.)
-        session = make_session(anticorrelated_rows(2000, 3, spread=0.02),
-                               skyline_algorithm="cost-based",
-                               vectorized=False)
-        text = session.explain(parse_query(SQL3))
-        assert "SkylineRepartition" not in text
-        assert "partitioning = keep" in text
-        assert "cost-based selects the algorithm only" in text
-
-    def test_adaptive_with_forced_scheme_reports_the_forced_one(self):
-        session = make_session(anticorrelated_rows(2000, 3, spread=0.02),
-                               adaptive=True,
-                               skyline_partitioning="random",
-                               skyline_partitions=2)
-        text = session.explain(parse_query(SQL3))
-        assert "partitioning = random" in text
-        assert "SkylineRepartition(random, 2 partitions)" in text
-        assert "forced by session configuration" in text
+        assert sorted(session.sql(sql).to_tuples()) == [
+            (0, "red", 0.1, 0.1), (99, "blue", 10.0, 10.0)]
 
 
 class TestSessionConfiguration:
@@ -303,71 +318,52 @@ class TestSessionConfiguration:
         with pytest.raises(ValueError):
             connect(adaptive=True, skyline_algorithm="sfs")
 
-    def test_unknown_partitioning_rejected(self):
-        with pytest.raises(ValueError):
-            connect(skyline_partitioning="hilbert")
-
-    def test_with_skyline_partitioning_clone(self):
-        session = make_session(correlated_rows(100, 3))
-        clone = session.with_options(skyline_partitioning="grid", skyline_partitions=9)
-        assert clone.skyline_partitioning == "grid"
-        assert clone.skyline_partitions == 9
-        assert session.skyline_partitioning == "keep"
-        assert clone.catalog is session.catalog
-
-    def test_clones_preserve_partitioning(self):
-        session = connect(skyline_partitioning="angle",
-                          skyline_partitions=5)
-        clone = session.with_options(num_executors=8)
-        assert clone.skyline_partitioning == "angle"
-        assert clone.skyline_partitions == 5
+    def test_cost_based_is_not_a_strategy(self):
+        with pytest.raises(ValueError, match="unknown skyline_algorithm"):
+            connect(skyline_algorithm="cost-based")
 
 
 DIMS = make_dimensions([(1, "min"), (2, "min"), (3, "min")])
 
-FIXED_COMBOS = [
-    (algorithm, scheme)
-    for algorithm in ("distributed-complete", "sfs")
-    for scheme in PARTITIONING_SCHEMES
-] + [("non-distributed-complete", "keep"),
-     ("distributed-incomplete", "keep")]
+FIXED_ALGORITHMS = ["distributed-complete", "sfs",
+                    "non-distributed-complete", "distributed-incomplete"]
 
 
-class TestAdaptiveMatchesFixedCombinations:
+class TestAdaptiveMatchesFixedAlgorithms:
     """Adaptive plans return the identical skyline as every fixed
-    (algorithm x partitioning) combination."""
+    algorithm."""
 
+    @pytest.mark.parametrize("vectorized", (False, "auto"))
     @pytest.mark.parametrize("generator,kwargs", [
         (correlated_rows, {"spread": 0.1}),
         (anticorrelated_rows, {"spread": 0.05}),
         (independent_rows, {}),
     ])
-    def test_on_canonical_distributions(self, generator, kwargs):
+    def test_on_canonical_distributions(self, generator, kwargs,
+                                        vectorized):
+        # Each kernel family has its own crossover, so adaptive may
+        # plan differently under each; the answer may not differ.
         rows = generator(700, 3, seed=11, **kwargs)
-        session = make_session(rows, adaptive=True)
+        session = make_session(rows, adaptive=True, vectorized=vectorized)
         expected = sorted(session.sql(SQL3).to_tuples())
         oracle = skyline_oracle(
             [(i,) + tuple(r) for i, r in enumerate(rows)], DIMS)
         assert expected == sorted((row[0],) for row in oracle)
-        for algorithm, scheme in FIXED_COMBOS:
-            forced = session.with_options(skyline_algorithm=algorithm).with_options(skyline_partitioning=scheme)
+        for algorithm in FIXED_ALGORITHMS:
+            forced = session.with_options(skyline_algorithm=algorithm)
             assert sorted(forced.sql(SQL3).to_tuples()) == expected, (
-                f"{algorithm}/{scheme} disagrees with adaptive")
+                f"{algorithm} disagrees with adaptive")
 
     values = st.integers(0, 5)
     rows_strategy = st.lists(st.tuples(values, values, values),
                              min_size=0, max_size=30)
 
-    @given(rows_strategy, st.sampled_from(FIXED_COMBOS))
+    @given(rows_strategy, st.sampled_from(FIXED_ALGORITHMS))
     @settings(max_examples=40, deadline=None)
-    def test_property_adaptive_equals_fixed(self, rows, combo):
-        algorithm, scheme = combo
+    def test_property_adaptive_equals_fixed(self, rows, algorithm):
         data = [(i,) + tuple(r) for i, r in enumerate(rows)]
         adaptive = connect(num_executors=3, adaptive=True)
-        forced = connect(num_executors=3,
-                         skyline_algorithm=algorithm,
-                         skyline_partitioning=scheme,
-                         skyline_partitions=3)
+        forced = connect(num_executors=3, skyline_algorithm=algorithm)
         for session in (adaptive, forced):
             session.create_table(
                 "pts",

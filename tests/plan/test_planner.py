@@ -8,8 +8,9 @@ from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.errors import PlanningError
 from repro.plan import physical as P
-from repro.plan.planner import PARTITIONING_SCHEMES, Planner
+from repro.plan.planner import Planner
 from repro.sql.parser import parse_query
+from tests.conftest import ROW_LAYOUTS, lay_out
 
 
 @pytest.fixture
@@ -192,18 +193,19 @@ class TestExecutionSemantics:
         assert global_ and not global_[0].parallelizable
 
     @pytest.mark.parametrize("num_executors", [2, 5, 10])
-    @pytest.mark.parametrize("partitioning", PARTITIONING_SCHEMES)
+    @pytest.mark.parametrize("layout", ROW_LAYOUTS)
     @pytest.mark.parametrize("strategy", list(GOLDEN_PLANS))
-    def test_global_phase_is_one_task(self, strategy, partitioning,
+    def test_global_phase_is_one_task(self, strategy, layout,
                                       num_executors):
         # Enough rows and local skylines that a multi-round global
-        # phase would have been worth planning: there is none.
+        # phase would have been worth planning: there is none, however
+        # the rows fall into the scan's partitions.
         session = connect(num_executors=num_executors,
-                          skyline_algorithm=strategy,
-                          skyline_partitioning=partitioning)
+                          skyline_algorithm=strategy)
         session.create_table(
             "big", [("id", INTEGER, False), ("x", DOUBLE, False)],
-            [(i, float((i * 37) % 2500)) for i in range(2500)])
+            lay_out([(i, float((i * 37) % 2500)) for i in range(2500)],
+                    layout))
         result = session.sql(
             "SELECT id, x FROM big SKYLINE OF id MIN, x MIN").run()
         global_ = [s for s in result.context.stages
@@ -264,7 +266,7 @@ class TestExecutionOption:
 
     def test_both_names_plan_and_run_identically(self, session):
         import dataclasses
-        assert len(dataclasses.fields(SessionConfig)) == 18
+        assert len(dataclasses.fields(SessionConfig)) == 16
         assert SessionConfig(execution="auto").fingerprint() == \
             SessionConfig(execution="staged").fingerprint()
         sql = "SELECT id, x FROM pts WHERE id > 0 SKYLINE OF id MIN, x MIN"

@@ -383,10 +383,8 @@ class TestPlanCache:
             run(service, self.COLD)
         assert service.plan_misses == 2 and service.plan_hits == 0
 
-    @pytest.mark.parametrize("algorithm", ["cost-based", "adaptive"])
-    def test_statistics_driven_sessions_replan_after_dml(
-            self, service, algorithm):
-        session = service.session_for(skyline_algorithm=algorithm)
+    def test_statistics_driven_sessions_replan_after_dml(self, service):
+        session = service.session_for(skyline_algorithm="adaptive")
         service.execute(session, self.COLD)
         service.catalog.insert_into("pts", [(99, 0.5, 0.5, 9.0)])
         service.execute(session, self.COLD)

@@ -49,14 +49,6 @@ class TestHistogram:
         assert h.selectivity_below(h.low) > 0.0
         assert h.selectivity_above(h.high + 1) == 0.0
 
-    def test_non_empty_buckets_measures_spread(self):
-        spread = Histogram.from_values([float(i) for i in range(16)],
-                                       num_buckets=16)
-        clumped = Histogram.from_values([0.0] * 15 + [100.0],
-                                        num_buckets=16)
-        assert spread.non_empty_buckets == 16
-        assert clumped.non_empty_buckets == 2
-
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
             Histogram.from_values([1.0], num_buckets=0)
