@@ -17,16 +17,10 @@ planning key those shared plan caches use.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from ..core.vectorized import numpy_available
 from ..engine.backends import BACKEND_NAMES, Backend, RetryPolicy
 from ..engine.cluster import ClusterConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: Accepted ``global_merge`` names (one behaviour behind both).
 GLOBAL_MERGE_STRATEGIES = ("auto", "flat")
@@ -40,35 +34,12 @@ GLOBAL_MERGE_STRATEGIES = ("auto", "flat")
 EXECUTION_MODES = ("auto", "staged")
 
 
-def _validate_vectorized(vectorized: "bool | str") -> None:
-    """Reject invalid ``vectorized`` flags.
-
-    Identity checks on purpose: ``1 == True`` would let the ints 1/0
-    slip past a membership test and then miss the ``is True`` NumPy
-    check below, silently requiring nothing.
-    """
-    if not (vectorized is True or vectorized is False
-            or vectorized == "auto"):
-        raise ValueError(
-            f"vectorized must be True, False or 'auto', "
-            f"got {vectorized!r}")
-    if vectorized is True and not numpy_available():
-        raise ValueError(
-            "vectorized=True requires NumPy (install the "
-            "'repro-skyline[numpy]' extra); use vectorized='auto' "
-            "to fall back to the pure-Python kernels")
-
-
-def _validate_columnar(columnar: "bool | str") -> None:
-    """Reject invalid ``columnar`` flags.
-
-    Unlike ``vectorized=True``, ``columnar=True`` is valid without
-    NumPy: the batch plane falls back to scalar-list columns and
-    per-row expression evaluation, producing identical results.
-    """
-    if not (columnar is True or columnar is False or columnar == "auto"):
-        raise ValueError(
-            f"columnar must be True, False or 'auto', got {columnar!r}")
+def _validate_plane(name: str, value) -> None:
+    """Reject a ``vectorized`` / ``columnar`` flag that is not a bool
+    (``"auto"`` included).  Identity checks on purpose: ``1 == True``,
+    so a membership test would let the ints 1/0 through."""
+    if not (value is True or value is False):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +81,11 @@ class SessionConfig:
     num_workers:
         Pool size for the thread/process backends.
     vectorized:
-        Skyline kernel selection: ``"auto"``, ``True`` (requires
-        NumPy), or ``False`` (scalar reference kernels).
+        Skyline kernels: ``True`` (default, the columnar NumPy kernels)
+        or ``False`` (the scalar reference kernels).
     columnar:
-        Batch data plane: ``"auto"``, ``True``, or ``False`` (row
-        plane).  ``REPRO_DISABLE_COLUMNAR=1`` makes ``"auto"`` resolve
-        to off.
+        Data plane: ``True`` (default, column batches) or ``False``
+        (the scalar row reference plane).
     time_budget_s:
         Per-query wall-clock budget; queries raise
         :class:`~repro.errors.QueryTimeout` beyond it.  ``None``
@@ -166,8 +136,8 @@ class SessionConfig:
     cluster_config: "ClusterConfig | None" = None
     backend: "str | Backend" = "local"
     num_workers: "int | None" = None
-    vectorized: "bool | str" = "auto"
-    columnar: "bool | str" = "auto"
+    vectorized: bool = True
+    columnar: bool = True
     time_budget_s: "float | None" = None
     max_task_retries: int = 3
     task_timeout_s: "float | None" = None
@@ -194,8 +164,8 @@ class SessionConfig:
                 f"unknown skyline_algorithm "
                 f"{self.skyline_algorithm!r}; expected one of "
                 f"{SKYLINE_STRATEGIES}")
-        _validate_vectorized(self.vectorized)
-        _validate_columnar(self.columnar)
+        _validate_plane("vectorized", self.vectorized)
+        _validate_plane("columnar", self.columnar)
         if not isinstance(self.backend, Backend) and \
                 self.backend not in BACKEND_NAMES:
             raise ValueError(
@@ -241,22 +211,6 @@ class SessionConfig:
     # -- derived views ----------------------------------------------------
 
     @property
-    def vectorized_enabled(self) -> bool:
-        """True when skyline queries run the columnar NumPy kernels."""
-        if self.vectorized == "auto":
-            return numpy_available()
-        return bool(self.vectorized)
-
-    @property
-    def columnar_enabled(self) -> bool:
-        """True when query plans execute on the batch data plane."""
-        if self.columnar == "auto":
-            if os.environ.get("REPRO_DISABLE_COLUMNAR"):
-                return False
-            return numpy_available()
-        return bool(self.columnar)
-
-    @property
     def shared_memory_enabled(self) -> bool:
         """True when process-backend batches may ship as shm handles.
 
@@ -289,8 +243,8 @@ class SessionConfig:
             self.enable_skyline_optimizations,
             self.backend_name,
             self.num_workers,
-            self.vectorized_enabled,
-            self.columnar_enabled,
+            self.vectorized,
+            self.columnar,
             self.shared_memory_enabled,
         )
 

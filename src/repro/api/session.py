@@ -174,29 +174,6 @@ class SkylineSession:
         """True when the statistics-driven adaptive planner is active."""
         return self.skyline_algorithm == "adaptive"
 
-    @property
-    def vectorized_enabled(self) -> bool:
-        """True when skyline queries run the columnar NumPy kernels.
-
-        >>> from repro import SessionConfig, SkylineSession
-        >>> session = SkylineSession(
-        ...     config=SessionConfig(vectorized=False))
-        >>> session.vectorized_enabled
-        False
-        """
-        return self.config.vectorized_enabled
-
-    @property
-    def columnar_enabled(self) -> bool:
-        """True when query plans execute on the batch data plane.
-
-        >>> from repro import SessionConfig, SkylineSession
-        >>> SkylineSession(
-        ...     config=SessionConfig(columnar=False)).columnar_enabled
-        False
-        """
-        return self.config.columnar_enabled
-
     # -- configuration ------------------------------------------------------
 
     @property
@@ -332,7 +309,7 @@ class SkylineSession:
         3
         """
         return self.catalog.statistics(
-            name, columnar=self.columnar_enabled)
+            name, columnar=self.columnar)
 
     def stats_refresh(self, name: str | None = None) -> dict:
         """Force statistics re-collection for one table (or all).
@@ -343,7 +320,7 @@ class SkylineSession:
         check cannot detect.
         """
         names = [name] if name is not None else self.catalog.table_names()
-        return {n: self.catalog.statistics(n, True, self.columnar_enabled)
+        return {n: self.catalog.statistics(n, True, self.columnar)
                 for n in names}
 
     # -- the pipeline -------------------------------------------------------------
@@ -372,8 +349,8 @@ class SkylineSession:
         return Planner(
             self.skyline_algorithm, catalog=self.catalog,
             num_executors=self.cluster_config.num_executors,
-            vectorized=self.vectorized_enabled,
-            columnar=self.columnar_enabled)
+            vectorized=self.vectorized,
+            columnar=self.columnar)
 
     _ANALYZE_SCHEMA = Schema([
         Field("table_name", STRING, False),
@@ -392,7 +369,7 @@ class SkylineSession:
         if not isinstance(plan, AnalyzeTable):
             return None
         stats = self.catalog.statistics(plan.name, True,
-                                        self.columnar_enabled)
+                                        self.columnar)
         schema = self._ANALYZE_SCHEMA
         rows = []
         for column in stats.columns.values():
@@ -417,7 +394,7 @@ class SkylineSession:
         ``"pickle"`` on the process backend's batch plane, ``None``
         elsewhere (in-process backends never serialise batches)."""
         if self._backend_spec.name != "process" \
-                or not self.columnar_enabled:
+                or not self.columnar:
             return None
         return "shm" if self.config.shared_memory_enabled else "pickle"
 

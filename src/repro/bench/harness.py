@@ -172,13 +172,11 @@ def _prepared_session(workload, num_executors: int,
     # comparison costs the scaled-down workloads are calibrated
     # against -- so the scalar reference kernels are pinned here.  The
     # columnar kernels collapse the local phase far below the simulated
-    # cluster's startup overheads at these sizes; their speedup is
-    # measured by the dedicated ``repro.bench --vectorized`` ablation.
-    # The batch data plane is pinned off alongside the kernels: its
-    # near-free filters/projections would likewise distort the
-    # per-stage time distribution the figures are calibrated against
-    # (its speedup has the dedicated ``repro.bench --columnar``
-    # ablation).
+    # cluster's startup overheads at these sizes.  The batch data plane
+    # is pinned off alongside the kernels: its near-free
+    # filters/projections would likewise distort the per-stage time
+    # distribution the figures are calibrated against.  The production
+    # plane is measured end to end by ``perf/``.
     session = connect(
         num_executors=num_executors,
         cluster_config=ClusterConfig(memory_scale=MEMORY_SCALE),

@@ -162,21 +162,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--adaptive", action="store_true",
                         help="run the mixed workload under the adaptive "
                              "planner and every fixed algorithm")
-    parser.add_argument("--vectorized", action="store_true",
-                        help="measure the columnar NumPy kernels against "
-                             "the scalar reference kernels (local phase "
-                             "and full queries) and emit "
-                             "BENCH_vectorized.json")
-    parser.add_argument("--min-vec-speedup", type=float, default=None,
-                        help="fail unless the best local-phase vectorized "
-                             "speedup reaches this factor")
-    parser.add_argument("--columnar", action="store_true",
-                        help="measure the batch data plane against the "
-                             "row plane on full filter+projection+skyline "
-                             "queries and emit BENCH_columnar.json")
-    parser.add_argument("--min-col-speedup", type=float, default=None,
-                        help="fail unless the best end-to-end columnar "
-                             "speedup reaches this factor")
     parser.add_argument("--serving", action="store_true",
                         help="benchmark the multi-tenant serving layer "
                              "(qps at 1/4/16 clients, result-cache "
@@ -215,12 +200,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="fail unless the measured speedup reaches "
                              "this factor (use on multi-core CI runners)")
     args = parser.parse_args(argv)
-    if not (args.smoke or args.speedup or args.adaptive
-            or args.vectorized or args.columnar or args.serving
+    if not (args.smoke or args.speedup or args.adaptive or args.serving
             or args.chaos or args.shm):
         parser.error("nothing to do: pass --smoke, --speedup, "
-                     "--adaptive, --vectorized, --columnar, --serving, "
-                     "--chaos and/or --shm")
+                     "--adaptive, --serving, --chaos and/or --shm")
 
     status = 0
     if args.smoke:
@@ -257,31 +240,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"best fixed: {report['best_fixed']} "
               f"({report['fixed_totals'][report['best_fixed']]:.3f}s), "
               f"adaptive: {report['adaptive_total']:.3f}s")
-    if args.vectorized:
-        from .vectorized import (measure_vectorized_speedup,
-                                 render_vectorized_report)
-        report = measure_vectorized_speedup(num_rows=args.rows or 40_000)
-        with open("BENCH_vectorized.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(render_vectorized_report(report))
-        if args.min_vec_speedup is not None and \
-                report["best_local_speedup"] < args.min_vec_speedup:
-            print(f"FAIL: best local-phase speedup below required "
-                  f"{args.min_vec_speedup:.2f}x", file=sys.stderr)
-            status = 1
-    if args.columnar:
-        from .columnar import (measure_columnar_speedup,
-                               render_columnar_report)
-        report = measure_columnar_speedup(num_rows=args.rows or 60_000)
-        with open("BENCH_columnar.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(render_columnar_report(report))
-        if args.min_col_speedup is not None and \
-                report["best_speedup"] < args.min_col_speedup:
-            print(f"FAIL: best end-to-end columnar speedup below "
-                  f"required {args.min_col_speedup:.2f}x",
-                  file=sys.stderr)
-            status = 1
     if args.serving:
         from .serving import render_serving_report, run_serving_bench
         report = run_serving_bench(num_rows=args.rows or 6000)

@@ -19,7 +19,7 @@ from .incomplete import (flagged_global_skyline, gulzar_global_skyline,
                          local_skylines_incomplete,
                          partition_by_null_bitmap)
 from .sfs import monotone_score, sfs_skyline
-from .vectorized import (columnize, numpy_available, vec_bnl_skyline,
+from .vectorized import (columnize, vec_bnl_skyline,
                          vec_flagged_global_skyline, vec_sfs_skyline)
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "monotone_score",
     "non_distributed_complete",
     "null_bitmap",
-    "numpy_available",
     "partition_by_null_bitmap",
     "reference",
     "sfs_complete",

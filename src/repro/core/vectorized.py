@@ -71,15 +71,11 @@ There is also **one partition task**, :func:`skyline_task`: the
 guard -> scalar fallback -> index selection -> DISTINCT sequence exists
 once, parameterised by a mode (:data:`SKYLINE_MODES`) and accepting a
 row list or a :class:`~repro.engine.batch.ColumnBatch`.  It
-transparently **falls back to the scalar implementation** when NumPy is
-unavailable, when a dimension holds non-numeric values, or when
-integers exceed the exactly-representable ``float64`` range
-(|v| > 2**53) -- the scalar kernels therefore remain the reference
-semantics, and the differential suite
-(``tests/integration/test_differential.py``) asserts agreement.
-
-Set ``REPRO_DISABLE_NUMPY=1`` to force the pure-Python fallbacks even
-with NumPy installed (used by CI to keep the fallback path honest).
+transparently **falls back to the scalar implementation** when a
+dimension holds non-numeric values or when integers exceed the
+exactly-representable ``float64`` range (|v| > 2**53) -- the scalar
+kernels therefore remain the reference semantics, and the differential
+suite (``tests/integration/test_differential.py``) asserts agreement.
 """
 
 from __future__ import annotations
@@ -88,13 +84,11 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 # The engine's batch module owns the single columnization point (the
-# pinned float64 + NaN + null-mask encoding), the float64-exact bound
-# (MAX_EXACT_INT) and the NumPy handle, including the
-# REPRO_DISABLE_NUMPY escape hatch; HAVE_NUMPY is re-exported here for
-# backwards compatibility.
-from ..engine.batch import (HAVE_NUMPY, ColumnBatch,
-                            encode_numeric_column, np)
+# pinned float64 + NaN + null-mask encoding).
+from ..engine.batch import ColumnBatch, encode_numeric_column
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates_incomplete)
@@ -133,11 +127,6 @@ UFUNC_BUFFER = 512
 PREFILTER_MIN_ROWS = 4096
 SAMPLE_ROWS = 512
 FILTER_POINTS = 32
-
-
-def numpy_available() -> bool:
-    """True when the vectorized kernels are usable in this process."""
-    return HAVE_NUMPY
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +202,7 @@ def columnize(rows: "Sequence[Sequence] | ColumnBatch",
               dims: Sequence[BoundDimension]) -> ColumnBlock | None:
     """Convert rows to a :class:`ColumnBlock`, or ``None`` when the data
     cannot be vectorized faithfully (non-numeric values, ints beyond the
-    float64-exact range, or NumPy missing).
+    float64-exact range).
 
     The per-column encoding is the engine-wide single columnization
     point, :func:`repro.engine.batch.encode_numeric_column`; this
@@ -223,8 +212,6 @@ def columnize(rows: "Sequence[Sequence] | ColumnBatch",
     """
     if isinstance(rows, ColumnBatch):
         return columnize_batch(rows, dims)
-    if np is None:
-        return None
     rows = rows if isinstance(rows, list) else list(rows)
     value_dims = [d for d in dims if d.kind is not DimensionKind.DIFF]
     diff_dims = [d for d in dims if d.kind is DimensionKind.DIFF]
@@ -260,8 +247,6 @@ def columnize_batch(batch: ColumnBatch,
     row encoder; a column that cannot encode faithfully returns
     ``None`` (scalar fallback), exactly like :func:`columnize`.
     """
-    if np is None:
-        return None
     value_dims = [d for d in dims if d.kind is not DimensionKind.DIFF]
     diff_dims = [d for d in dims if d.kind is DimensionKind.DIFF]
     n = batch.num_rows
@@ -609,7 +594,7 @@ class _Mode(NamedTuple):
     unsafe: Callable[[ColumnBlock], bool]
     #: ``(block, stats, check_deadline)`` -> surviving row indices.
     select: Callable
-    #: The scalar reference kernel and no-NumPy path.
+    #: The scalar reference kernel.
     reference: Callable
     #: Whether SKYLINE ... DISTINCT applies in this mode.
     distinct: bool
@@ -640,16 +625,6 @@ SKYLINE_MODES: dict[str, _Mode] = {
 }
 
 
-def kernel_name(vectorized: bool) -> str:
-    """The kernel-family label recorded tasks carry.
-
-    ``vectorized=True`` with NumPy missing is ``scalar`` -- session
-    construction validates the flag, and per-partition data that cannot
-    columnize falls back inside :func:`skyline_task` anyway.
-    """
-    return "vectorized" if vectorized and numpy_available() else "scalar"
-
-
 def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
                  dims: Sequence[BoundDimension], mode: str,
                  distinct: bool = False, vectorized: bool = True,
@@ -665,9 +640,8 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
     columnization) and survivors are selected by index, so the batch
     plane never materialises rows unless a guard forces the scalar
     reference.  ``mode`` keys :data:`SKYLINE_MODES`.  ``vectorized``
-    off, NumPy missing, data that cannot be columnized faithfully or a
-    tripped mode guard all run the mode's scalar reference kernel on
-    the row view.
+    off, data that cannot be columnized faithfully or a tripped mode
+    guard all run the mode's scalar reference kernel on the row view.
 
     Top-level and called with plain-data arguments, hence shippable to
     process-pool workers.  Returns ``(result, window_peak,
@@ -807,11 +781,11 @@ def vec_dominated_mask(rows: "Sequence[Sequence] | ColumnBatch",
     subset-preference query by filtering the base table's resident
     columns against a small cached skyline, and finds the rows a
     deleted member dominated the same way.  Returns ``None`` when the
-    data cannot be columnized faithfully (NumPy missing, non-numeric
-    or DIFF dimensions, nulls) -- callers then fall back to the scalar
+    data cannot be columnized faithfully (non-numeric or DIFF
+    dimensions, nulls) -- callers then fall back to the scalar
     :func:`~repro.core.dominance.dominates` loop, which is always exact.
     """
-    if np is None or any(d.is_diff for d in dims):
+    if any(d.is_diff for d in dims):
         return None
     cand = columnize(rows, dims)
     by = columnize(by_rows, dims)

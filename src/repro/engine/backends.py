@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Executor, Future, \
@@ -578,6 +579,19 @@ class ThreadBackend(_PooledBackend):
             _timed_in_thread, slot.task, slot.attempt)
 
 
+def _reset_worker_signals() -> None:
+    """Pool-worker initializer: the default SIGTERM and no wakeup fd.
+
+    A forked worker inherits the driver's signal handling.  Under a
+    driver that handles SIGTERM in its event loop (``python -m
+    repro.serve``), the SIGTERM a pool teardown sends its workers would
+    not end them and would reach the driver's loop through the inherited
+    wakeup fd, shutting the server down.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
 class ProcessBackend(_PooledBackend):
     """Process-pool execution: true multi-core parallelism.
 
@@ -602,7 +616,8 @@ class ProcessBackend(_PooledBackend):
         self.pool.submit(int).result()
 
     def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.num_workers)
+        return ProcessPoolExecutor(max_workers=self.num_workers,
+                                   initializer=_reset_worker_signals)
 
     def run_stage(self, tasks: Sequence[StageTask],
                   policy: "RetryPolicy | None" = None

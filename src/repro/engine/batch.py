@@ -1,15 +1,13 @@
 """Columnar batches -- the unit of exchange of the batch data plane.
 
 A :class:`ColumnBatch` is a partition's rows stored column-wise: each
-:class:`Column` holds one attribute for every row of the batch.  When
-NumPy is available, numeric columns are backed by typed arrays
-(``float64`` / ``int64`` / ``bool``) plus an explicit null mask, so
-filters, projections and the skyline kernels can evaluate whole columns
-at once; columns that cannot be stored faithfully in a typed array
-(strings, mixed int/float, integers beyond ``int64``) -- and *every*
-column when NumPy is absent -- fall back to a plain Python list, which
-keeps the batch plane fully functional (row-at-a-time under the hood)
-without NumPy.
+:class:`Column` holds one attribute for every row of the batch.  Numeric
+columns are backed by typed NumPy arrays (``float64`` / ``int64`` /
+``bool``) plus an explicit null mask, so filters, projections and the
+skyline kernels can evaluate whole columns at once; columns that cannot
+be stored faithfully in a typed array (strings, mixed int/float,
+integers beyond ``int64``) stay a plain Python list, which the
+operators evaluate row at a time.
 
 Conversion is **exact and lossless** in both directions:
 ``ColumnBatch.from_rows(rows).to_rows() == rows`` bit for bit, including
@@ -30,27 +28,14 @@ Batches are picklable (arrays and lists both travel through the process
 backend) and cheap to slice: ``take``/``compress`` produce new batches
 without materialising rows, and ``slice`` is a zero-copy view (how
 scans read :meth:`repro.engine.catalog.Table.column_batch`).
-
-Set ``REPRO_DISABLE_NUMPY=1`` to force the list fallback even with
-NumPy installed (same switch as :mod:`repro.core.vectorized`).
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 from typing import Any, Iterator, Sequence
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        np = None
-    else:
-        import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-#: True when typed-array column storage is available.
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: Largest integer magnitude exactly representable as float64; larger
 #: ints would change comparison outcomes under conversion, so they
@@ -80,11 +65,9 @@ def encode_numeric_column(values: Sequence) -> "tuple | None":
     Returns ``(data, null_mask)`` -- ``data`` is float64 with SQL
     ``NULL`` encoded as NaN, ``null_mask`` marks the encoded nulls (NaN
     *data* stays unmasked) -- or ``None`` when the column cannot be
-    encoded faithfully: non-numeric values, integers beyond the
-    float64-exact range (|v| > 2**53), or NumPy missing.
+    encoded faithfully: non-numeric values or integers beyond the
+    float64-exact range (|v| > 2**53).
     """
-    if np is None:
-        return None
     kinds = set(map(type, values))
     has_null = type(None) in kinds
     if not kinds <= {int, float, bool, type(None)}:
@@ -181,11 +164,10 @@ class Column:
         float columns (optionally with nulls) become ``f8`` with nulls
         as NaN + mask; int columns within ``int64`` become ``i8``; bool
         columns become ``b1``; everything else -- strings, mixed
-        numeric types, big ints, and all columns when NumPy is absent --
-        stays a Python list (``obj``).
+        numeric types, big ints -- stays a Python list (``obj``).
         """
         values = values if isinstance(values, list) else list(values)
-        if np is None or not values:
+        if not values:
             return cls(OBJ, values)
         kinds = set(map(type, values))
         has_null = type(None) in kinds
@@ -224,7 +206,7 @@ class Column:
     @classmethod
     def constant(cls, value: Any, n: int) -> "Column":
         """A column repeating ``value`` ``n`` times (literal broadcast)."""
-        if np is not None and n:
+        if n:
             if type(value) is float:
                 return cls(F8, np.full(n, value, dtype=np.float64))
             if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
@@ -264,8 +246,6 @@ class Column:
         range; returns ``None`` when exactness would be lost (big ints)
         or for list columns that :func:`encode_numeric_column` rejects.
         """
-        if np is None:
-            return None
         if self.kind == F8:
             mask = self.mask if self.mask is not None else \
                 np.zeros(len(self.data), dtype=bool)
@@ -535,21 +515,15 @@ class ColumnBatch:
 
     def take(self, indices) -> "ColumnBatch":
         """Rows at ``indices`` (a list or intp array, passed through)."""
-        if not isinstance(indices, list) and not (
-                np is not None and isinstance(indices, np.ndarray)):
+        if not isinstance(indices, (list, np.ndarray)):
             indices = list(indices)
         return ColumnBatch([c.take(indices) for c in self.columns],
                            num_rows=len(indices))
 
     def compress(self, keep) -> "ColumnBatch":
-        if np is not None and not isinstance(keep, list):
-            keep = np.asarray(keep, dtype=bool)
-            kept = int(keep.sum())
-        else:
-            keep = list(keep)
-            kept = sum(bool(k) for k in keep)
+        keep = np.asarray(keep, dtype=bool)
         return ColumnBatch([c.compress(keep) for c in self.columns],
-                           num_rows=kept)
+                           num_rows=int(keep.sum()))
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
 from ..core.dominance import DimensionKind
 from ..errors import AnalysisError
-from .batch import (B1, F8, I8, Column, ColumnBatch,
-                    int64_fits_float_exact, np)
+from .batch import B1, F8, I8, Column, ColumnBatch, int64_fits_float_exact
 from .types import (BOOLEAN, DOUBLE, INTEGER, STRING, DataType, common_type,
                     infer_type, is_numeric, is_orderable)
 
@@ -1485,8 +1486,6 @@ def _aligned_numeric(left: Column, right: Column):
     either column is non-numeric or the int->float cast would lose
     exactness.
     """
-    if np is None:
-        return None
     if left.kind not in (F8, I8) or right.kind not in (F8, I8):
         return None
     if left.kind == I8 and right.kind == I8:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .batch import (B1, F8, I8, OBJ, Column, ColumnBatch,
-                    int64_fits_float_exact, np)
+                    int64_fits_float_exact)
 
 
 class Inexact(Exception):

@@ -41,7 +41,7 @@ so release must wait for the stage barrier).  Entries registered via
 partitions as handles on every execution -- and are dropped by
 :meth:`unpin` or :meth:`close`.
 
-Everything degrades gracefully: no NumPy, object columns, zero-row or
+Everything degrades gracefully: object columns, zero-row or
 tiny batches, exhausted budgets and closed stores all fall back to
 ordinary pickling, which remains bit-identical -- and every fallback
 is counted under its reason (:data:`FALLBACK_REASONS`) in
@@ -56,7 +56,9 @@ import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 
-from .batch import _DTYPES, HAVE_NUMPY, OBJ, Column, ColumnBatch, np
+import numpy as np
+
+from .batch import _DTYPES, OBJ, Column, ColumnBatch
 
 try:  # pragma: no cover - absent on some exotic platforms
     from multiprocessing import resource_tracker, shared_memory
@@ -75,7 +77,7 @@ MIN_SHARE_BYTES = 32 * 1024
 #: reports one ``fallback_<reason>`` counter each.  ``too_small``: the
 #: typed buffers total less than the store's ``min_batch_bytes``
 #: (pickling is cheaper than mapping); ``object_column``: no column is
-#: array-backed at all (strings, mixed types, no NumPy), so there is
+#: array-backed at all (strings, mixed types), so there is
 #: nothing to place in a segment; ``zero_rows``: an empty batch;
 #: ``budget``: ``max_bytes`` (or ``/dev/shm`` itself) is exhausted;
 #: ``closed``: the store was closed, or the platform cannot serve
@@ -98,7 +100,7 @@ def shared_memory_available() -> bool:
     """
     global _AVAILABLE
     if _AVAILABLE is None:
-        if not HAVE_NUMPY or shared_memory is None:
+        if shared_memory is None:
             _AVAILABLE = False
         else:
             try:
@@ -254,7 +256,7 @@ class SharedColumnStore:
         """Export ``batch``: ``(handle state, None)``, or ``(None,
         reason)`` with the :data:`FALLBACK_REASONS` entry that refused
         it."""
-        if self._closed or np is None or shared_memory is None:
+        if self._closed or shared_memory is None:
             return None, "closed"
         if batch.num_rows == 0:
             return None, "zero_rows"

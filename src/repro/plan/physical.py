@@ -28,13 +28,15 @@ import functools
 import itertools
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..core.dominance import BoundDimension
-from ..core.vectorized import (concat_partitions, kernel_name,
-                               skyline_task, split_by_null_bitmap)
+from ..core.vectorized import (concat_partitions, skyline_task,
+                               split_by_null_bitmap)
 from ..engine import expressions as E
 from ..engine import relational as R
 from ..engine.backends import StageTask
-from ..engine.batch import F8, HAVE_NUMPY, Column, ColumnBatch, np
+from ..engine.batch import F8, Column, ColumnBatch
 from ..engine.catalog import table_fingerprint
 from ..engine.cluster import ExecutionContext
 from ..engine.rdd import RDD, BatchRDD, partition_bounds
@@ -519,7 +521,7 @@ def _relational_mode(self: PhysicalPlan) -> str:
     aggregate, distinct, limit).  Static: batch children mean batch
     output, also when a kernel turns out ``Inexact`` at run time -- the
     operator then runs its row body and re-columnizes the result."""
-    if HAVE_NUMPY and all(c.exec_mode == "batch" for c in self.children):
+    if all(c.exec_mode == "batch" for c in self.children):
         return "batch"
     return "row"
 
@@ -587,6 +589,16 @@ class SortExec(PhysicalPlan):
         return RDD([rows])
 
 
+def _compare_values(a: Any, b: Any) -> int:
+    """Ascending order of two non-null values, Spark's NaN rule
+    included: NaN equals NaN and is greater than every other number, so
+    the order stays total on DOUBLE columns that hold NaN."""
+    a_nan, b_nan = a != a, b != b
+    if a_nan or b_nan:
+        return a_nan - b_nan
+    return 0 if a == b else (-1 if a < b else 1)
+
+
 def _build_comparator(order: Sequence[L.SortOrder]
                       ) -> Callable[[tuple, tuple], int]:
     def comparator(a: tuple, b: tuple) -> int:
@@ -599,10 +611,9 @@ def _build_comparator(order: Sequence[L.SortOrder]
                 return -1 if spec.nulls_first else 1
             if bv is None:
                 return 1 if spec.nulls_first else -1
-            if av == bv:
-                continue
-            result = -1 if av < bv else 1
-            return result if spec.ascending else -result
+            result = _compare_values(av, bv)
+            if result:
+                return result if spec.ascending else -result
         return 0
 
     return comparator
@@ -1162,9 +1173,9 @@ class _SkylineExec(PhysicalPlan):
         self.distinct = distinct
         self.dims = _bind_dimensions(items, child.output)
         self.mode = mode
+        self.vectorized = bool(vectorized)
         #: Kernel-family label of this operator's tasks.
-        self.kernel = kernel_name(vectorized)
-        self.vectorized = self.kernel == "vectorized"
+        self.kernel = "vectorized" if vectorized else "scalar"
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -1256,8 +1267,7 @@ class SkylineLocalExec(_SkylineExec):
         if partitions is None:
             child_out = child.execute(ctx)
             if self.exec_mode != "batch":
-                # A scalar operator reads rows (and regroups rows: the
-                # columnar bitmap pass needs NumPy).
+                # A scalar operator reads (and regroups) rows.
                 child_out = _rows_rdd(child_out)
             partitions = _partitions(child_out)
             if self.mode == "bitmap-local":

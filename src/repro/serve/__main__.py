@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 
 from ..api.config import SessionConfig
 from ..engine.backends import BACKEND_NAMES
@@ -84,8 +85,13 @@ async def amain(argv: "list[str] | None" = None) -> int:
         load_demo(server, args.demo_rows)
     host, port = await server.start()
     print(f"repro.serve listening on {host}:{port}", flush=True)
+    serving = asyncio.ensure_future(server.serve_forever())
+    # SIGTERM cancels serving, so that aclose() below shuts the worker
+    # pools down instead of leaving them orphaned.
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                  serving.cancel)
     try:
-        await server.serve_forever()
+        await serving
     except asyncio.CancelledError:
         pass
     finally:

@@ -59,11 +59,12 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from ..core import BoundDimension, DimensionKind, dominates
 from ..core.vectorized import vec_dominated_mask
 from ..engine import expressions as E
 from ..engine.batch import F8, OBJ, Column, ColumnBatch
-from ..engine.batch import np as _np
 from ..engine.catalog import CatalogEvent, Table
 from ..plan import logical as L
 
@@ -194,7 +195,7 @@ def _complete(column: Column) -> bool:
     if column.kind == OBJ:
         return not any(v is None or v != v for v in column.data)
     return not column.has_nulls() and not (
-        column.kind == F8 and bool(_np.isnan(column.data).any()))
+        column.kind == F8 and bool(np.isnan(column.data).any()))
 
 
 def _locate(base: ColumnBatch, members: list, column: int
@@ -206,7 +207,7 @@ def _locate(base: ColumnBatch, members: list, column: int
     rows, wanted = base.to_rows(), set(members)
     near = range(len(rows))
     if base.column(column).is_array:
-        near = _np.flatnonzero(_np.isin(
+        near = np.flatnonzero(np.isin(
             base.column(column).data, [m[column] for m in wanted])).tolist()
     positions = [i for i in near if rows[i] in wanted]
     return positions if len(positions) == len(members) else None
@@ -228,13 +229,13 @@ def _promoted(base: ColumnBatch, members: list, deleted: list, bdims
     entering the skyline as the ``deleted`` members leave: those they
     dominated that neither a remaining member (at ``members``) nor
     another such row dominates.  ``None``: the dimension columns cannot
-    serve (DIFF, non-numeric, no NumPy)."""
+    serve (DIFF, non-numeric)."""
     dominated = vec_dominated_mask(base, deleted, bdims)
     if dominated is None:
         return None
-    candidates = _np.flatnonzero(dominated)
-    pool = _np.concatenate(
-        [_np.asarray(members, dtype=_np.intp), candidates])
+    candidates = np.flatnonzero(dominated)
+    pool = np.concatenate(
+        [np.asarray(members, dtype=np.intp), candidates])
     dead = vec_dominated_mask(base.take(candidates), base.take(pool), bdims)
     return candidates[~dead].tolist()
 
@@ -300,7 +301,7 @@ class SkylineResultCache:
         dominated = vec_dominated_mask(base if base is not None else rows,
                                        entry.rows, bdims)
         if dominated is not None:
-            return [rows[i] for i in _np.flatnonzero(~dominated).tolist()]
+            return [rows[i] for i in np.flatnonzero(~dominated).tolist()]
         return [row for row in rows
                 if not any(dominates(member, row, bdims)
                            for member in entry.rows)]

@@ -20,9 +20,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..core.bnl import bnl_skyline
 from ..core.dominance import BoundDimension
-from ..engine.batch import F8, I8, np
+from ..engine.batch import F8, I8
 
 #: Bucket count of the per-column equi-width histograms.
 DEFAULT_BUCKETS = 16
@@ -62,7 +64,7 @@ class Histogram:
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        array = np is not None and isinstance(values, np.ndarray)
+        array = isinstance(values, np.ndarray)
         values = values[np.isfinite(values)] if array else \
             [v for v in values if math.isfinite(v)]
         if not len(values):

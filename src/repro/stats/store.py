@@ -11,7 +11,6 @@ such writes).
 
 from __future__ import annotations
 
-from ..engine.batch import HAVE_NUMPY
 from ..engine.catalog import table_fingerprint
 from .statistics import TableStats, collect_table_stats
 
@@ -22,7 +21,7 @@ def stats_for_table(table, columnar: bool = True) -> TableStats:
     plane (its first scan then finds them), only read if already
     current for any other -- the row plane never gains a batch."""
     fingerprint = table_fingerprint(table)
-    batch = table.column_batch()[0] if columnar and HAVE_NUMPY \
+    batch = table.column_batch()[0] if columnar \
         else table.resident_batch()
     rows = batch.to_rows() if batch is not None else table.rows
     return collect_table_stats(

@@ -45,6 +45,15 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(vectorized=1)
 
+    @pytest.mark.parametrize("field", ("vectorized", "columnar"))
+    def test_plane_flags_are_bools_defaulting_to_true(self, field):
+        assert getattr(SessionConfig(), field) is True
+        assert SessionConfig(**{field: False}).fingerprint() != \
+            SessionConfig().fingerprint()
+        for bad in ("auto", 1, None):
+            with pytest.raises(ValueError, match=field):
+                SessionConfig(**{field: bad})
+
     def test_adaptive_normalisation(self):
         assert SessionConfig(adaptive=True).skyline_algorithm == "adaptive"
         assert SessionConfig(

@@ -136,25 +136,23 @@ class TestBackendConfiguration:
 
 
 class TestVectorizedConfiguration:
-    def test_default_is_auto(self):
+    def test_default_is_true(self):
         session = SkylineSession()
-        assert session.vectorized == "auto"
-        from repro.core.vectorized import numpy_available
-        assert session.vectorized_enabled == numpy_available()
+        assert session.vectorized is True
 
     def test_false_disables(self):
-        assert connect(vectorized=False).vectorized_enabled is False
+        assert connect(vectorized=False).vectorized is False
 
     def test_invalid_value_rejected(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            connect(vectorized="yes")
-        with pytest.raises(ValueError, match="vectorized"):
-            SkylineSession().with_options(vectorized="maybe")
+        for bad in ("yes", "auto"):
+            with pytest.raises(ValueError, match="vectorized"):
+                connect(vectorized=bad)
+            with pytest.raises(ValueError, match="vectorized"):
+                SkylineSession().with_options(vectorized=bad)
 
     def test_int_aliases_rejected(self):
-        # Regression: 1 == True under membership tests, but the NumPy
-        # requirement check uses identity -- so vectorized=1 would pass
-        # validation yet silently require nothing.  Reject ints.
+        # Regression: 1 == True under membership tests; the flag is a
+        # bool, so ints are rejected.
         for bad in (1, 0):
             with pytest.raises(ValueError, match="vectorized"):
                 connect(vectorized=bad)
@@ -164,27 +162,16 @@ class TestVectorizedConfiguration:
     def test_with_vectorized_clones_and_shares_catalog(self):
         session = connect(vectorized=False)
         session.create_table("v", [("a", INTEGER, False)], [(1,), (2,)])
-        clone = session.with_options(vectorized="auto")
+        clone = session.with_options(vectorized=True)
         assert clone.catalog is session.catalog
         assert session.vectorized is False
-        assert clone.vectorized == "auto"
+        assert clone.vectorized is True
 
     def test_clones_inherit_the_flag(self):
         session = connect(vectorized=False)
         assert session.with_options(num_executors=4).vectorized is False
 
-    def test_true_requires_numpy(self):
-        from repro.core.vectorized import numpy_available
-        if numpy_available():
-            assert connect(vectorized=True).vectorized_enabled
-        else:
-            with pytest.raises(ValueError, match="NumPy"):
-                connect(vectorized=True)
-
     def test_explain_labels_the_kernels(self):
-        from repro.core.vectorized import numpy_available
-        if not numpy_available():
-            pytest.skip("NumPy not available")
         session = connect(vectorized=True)
         session.create_table(
             "pts", [("a", INTEGER, False), ("b", INTEGER, False)],
@@ -198,8 +185,12 @@ class TestVectorizedConfiguration:
 
 
 class TestColumnarConfiguration:
+    def test_default_is_true(self):
+        session = SkylineSession()
+        assert session.columnar is True
+
     def test_invalid_flags_rejected(self):
-        for bad in (1, 0, "yes", None):
+        for bad in (1, 0, "yes", "auto", None):
             with pytest.raises(ValueError, match="columnar"):
                 connect(columnar=bad)
             with pytest.raises(ValueError, match="columnar"):
@@ -214,11 +205,8 @@ class TestColumnarConfiguration:
         assert clone.columnar is True
         assert session.with_options(num_executors=4).columnar is False
 
-    def test_true_works_without_numpy(self):
-        # Unlike vectorized=True, the batch plane has a scalar-list
-        # fallback, so forcing it never requires NumPy.
+    def test_true_runs_skyline_queries(self):
         session = connect(columnar=True)
-        assert session.columnar_enabled
         session.create_table("c", [("a", INTEGER, False),
                                    ("b", INTEGER, False)],
                              [(1, 2), (2, 1), (3, 3)])
@@ -226,15 +214,7 @@ class TestColumnarConfiguration:
             "SELECT * FROM c SKYLINE OF a MIN, b MIN").to_tuples()
         assert sorted(result) == [(1, 2), (2, 1)]
 
-    def test_auto_honours_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_COLUMNAR", "1")
-        assert not connect(columnar="auto").columnar_enabled
-        assert connect(columnar=True).columnar_enabled
-
     def test_explain_reports_per_operator_modes(self):
-        from repro.core.vectorized import numpy_available
-        if not numpy_available():
-            pytest.skip("NumPy not available")
         session = connect(columnar=True)
         session.create_table(
             "pts", [("a", INTEGER, False), ("b", INTEGER, False)],
@@ -251,11 +231,8 @@ class TestColumnarConfiguration:
     def test_complex_query_stays_batch(self):
         """Joins and the aggregate print their tag, and under batch
         scans it is ``[batch]`` from scan to global skyline."""
-        from repro.core.vectorized import numpy_available
         from repro.datasets.musicbrainz import (register_musicbrainz,
                                                 skyline_query)
-        if not numpy_available():
-            pytest.skip("NumPy not available")
         session = connect(columnar=True)
         register_musicbrainz(session, 50, seed=1)
         query = parse_query(skyline_query(6))

@@ -6,11 +6,10 @@ import pytest
 
 from repro.bench.shm import measure_shm_speedup, render_shm_report
 from repro.bench.smoke import main
-from repro.core.vectorized import numpy_available
 from repro.engine.shm import shared_memory_available
 
 pytestmark = pytest.mark.skipif(
-    not (numpy_available() and shared_memory_available()),
+    not shared_memory_available(),
     reason="shared memory not available on this platform")
 
 SMALL = dict(num_rows=4000, num_executors=4, num_workers=2, repeats=1,

@@ -66,46 +66,3 @@ class TestBackendTable:
         assert "real [s]" in text and "simulated [s]" in text
         assert "process" in text and "1.00x" in text
 
-
-class TestVectorizedAblation:
-    def test_report_fields_and_agreement(self):
-        import pytest
-        from repro.bench.vectorized import (measure_vectorized_speedup,
-                                           render_vectorized_report)
-        from repro.core.vectorized import numpy_available
-        if not numpy_available():
-            with pytest.raises(RuntimeError, match="NumPy"):
-                measure_vectorized_speedup(num_rows=100)
-            return
-        report = measure_vectorized_speedup(num_rows=400,
-                                            num_dimensions=3,
-                                            num_partitions=2)
-        encoded = json.loads(json.dumps(report))
-        assert encoded["kind"] == "vectorized"
-        assert len(encoded["workloads"]) == 2
-        for entry in encoded["workloads"]:
-            assert set(entry["kernels"]) == {"bnl", "sfs"}
-            assert entry["query"]["skyline_rows"] > 0
-        assert encoded["best_local_speedup"] > 0
-        text = render_vectorized_report(report)
-        assert "best local-phase speedup" in text
-        assert "full query" in text
-
-
-class TestColumnarAblation:
-    def test_report_fields_and_agreement(self):
-        from repro.bench.columnar import (measure_columnar_speedup,
-                                          render_columnar_report)
-        report = measure_columnar_speedup(num_rows=600, repeats=1)
-        encoded = json.loads(json.dumps(report))
-        assert encoded["kind"] == "columnar"
-        assert len(encoded["workloads"]) == 2
-        for entry in encoded["workloads"]:
-            # The row/batch agreement assertion ran inside the
-            # measurement; here just sanity-check the shape.
-            assert entry["skyline_rows"] > 0
-            assert entry["row_s"] > 0 and entry["columnar_s"] > 0
-            assert "SKYLINE OF" in entry["sql"]
-        text = render_columnar_report(report)
-        assert "best end-to-end speedup" in text
-        assert "batch plane" in text

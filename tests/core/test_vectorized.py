@@ -7,6 +7,7 @@ import pickle
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,16 +19,12 @@ from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
 from repro.core.incomplete import partition_by_null_bitmap
-from repro.core.vectorized import (columnize, kernel_name, skyline_task,
+from repro.core.vectorized import (columnize, skyline_task,
                                    split_by_null_bitmap)
 from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
 from repro.errors import QueryTimeout
-
-pytestmark = pytest.mark.skipif(not V.numpy_available(),
-                                reason="NumPy not available")
-np = V.np
 
 NAN = float("nan")
 INF = float("inf")
@@ -693,15 +690,6 @@ class TestPinnedNaNSemantics:
 
 
 class TestFallbacks:
-    def test_kernels_fall_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(V, "np", None)
-        monkeypatch.setattr(V, "HAVE_NUMPY", False)
-        rows = [(2, 2), (1, 1), (0, 3)]
-        assert columnize(rows, MIN2) is None
-        assert srt(vec_bnl_skyline(rows, MIN2)) == \
-            srt(bnl_skyline(rows, MIN2))
-        assert kernel_name(True) == "scalar"
-
     def test_non_numeric_rows_fall_back(self):
         rows = [("b", 2), ("a", 1), ("c", 0)]
         dims = make_dimensions([(0, "min"), (1, "min")])

@@ -1,5 +1,8 @@
 """Execution backends: ordering, pickling fallback, metrics plumbing."""
 
+import signal
+import socket
+
 import pytest
 
 from repro.core.algorithms import make_dimensions
@@ -20,6 +23,13 @@ def _tasks(n):
     return [StageTask(partition=i, rows_in=1, fn=lambda i=i: [(i,)],
                       func=_square, args=(i,))
             for i in range(n)]
+
+
+def _signal_state():
+    """Whether SIGTERM has its default disposition, and the wakeup fd,
+    as the calling process sees them."""
+    return (signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+            signal.set_wakeup_fd(-1))
 
 
 @pytest.fixture(params=["local", "thread", "process"])
@@ -108,6 +118,25 @@ class TestProcessBackend:
         assert sorted(skyline) == [(0, 9), (1, 4), (2, 3)]
         assert comparisons > 0 and peak > 0
         assert outcomes[0].result == outcomes[1].result
+
+    def test_workers_drop_the_drivers_sigterm_handling(self):
+        """A driver that handles SIGTERM through an event loop's wakeup
+        fd (``python -m repro.serve``) must not pass that on: the SIGTERM
+        a pool teardown sends has to end the worker, not wake the
+        driver's loop."""
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            with ProcessBackend(num_workers=1) as backend:
+                state = backend.pool.submit(_signal_state).result()
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            signal.signal(signal.SIGTERM, previous)
+            reader.close()
+            writer.close()
+        assert state == (True, -1)
 
 
 class TestFactory:

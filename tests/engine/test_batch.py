@@ -3,12 +3,12 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batch import (HAVE_NUMPY, OBJ, ColumnBatch,
-                                encode_numeric_column)
+from repro.engine.batch import OBJ, ColumnBatch, encode_numeric_column
 
 NAN = float("nan")
 INF = float("inf")
@@ -67,7 +67,6 @@ class TestRoundTrip:
         assert batch.num_rows == 0
         assert batch.to_rows() == []
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_typed_storage_is_used_when_faithful(self):
         rows = [(1.5, 7, True), (2.5, -3, False)]
         batch = ColumnBatch.from_rows(rows, 3)
@@ -120,7 +119,6 @@ class TestZeroRowBatches:
         assert batch.take([]).to_rows() == []
         assert batch.compress([]).to_rows() == []
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_concat_with_empty_keeps_typed_kind(self):
         typed = ColumnBatch.from_rows([(1.5, 7), (2.5, -3)], 2)
         empty = typed.take([])
@@ -138,14 +136,12 @@ class TestZeroRowBatches:
         assert merged.num_rows == 0
         assert len(merged.columns) == 2
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_concat_with_empty_keeps_null_mask(self):
         batch = ColumnBatch.from_rows([(1.0,), (None,)], 1)
         empty = batch.take([])
         merged = ColumnBatch.concat([empty, batch])
         assert merged.to_rows() == [(1.0,), (None,)]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_columnize_batch_on_zero_rows(self):
         from repro.core.algorithms import make_dimensions
         from repro.core.vectorized import columnize_batch
@@ -182,11 +178,7 @@ def _tables(draw):
 
 
 class TestSlice:
-    """``ColumnBatch.slice``: the zero-copy read of resident columns.
-
-    Runs unchanged under ``REPRO_DISABLE_NUMPY=1`` (every column is then
-    a list and a slice is a list slice).
-    """
+    """``ColumnBatch.slice``: the zero-copy read of resident columns."""
 
     @settings(max_examples=150, deadline=None)
     @given(_tables(), st.integers(-5, 45), st.integers(-5, 45))
@@ -215,9 +207,7 @@ class TestSlice:
             assert piece.num_rows == 0 and piece.to_rows() == []
             assert piece.num_columns == 2
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_slice_is_a_view_not_a_copy(self):
-        import numpy as np
         rows = [(float(i), i, i % 2 == 0, None if i % 3 else float(i))
                 for i in range(100)]
         batch = ColumnBatch.from_rows(rows, 4)
@@ -228,7 +218,6 @@ class TestSlice:
         assert np.shares_memory(piece.column(3).mask, batch.column(3).mask)
         assert piece.nbytes < batch.nbytes
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_read_only_store_rejects_writes_through_views(self):
         rows = [(float(i), None if i % 3 else i) for i in range(10)]
         batch = ColumnBatch.from_rows(rows, 2)
@@ -253,10 +242,7 @@ class TestSlice:
 
 class TestSelect:
     """``ColumnBatch.select``: how a fused scan chain narrows a table's
-    resident columns to the ones it reads.
-
-    Runs unchanged under ``REPRO_DISABLE_NUMPY=1`` (list columns).
-    """
+    resident columns to the ones it reads."""
 
     @staticmethod
     def _assert_rows(batch, expected):
@@ -288,9 +274,7 @@ class TestSelect:
         self._assert_rows(picked.slice(1, 7),
                           batch.slice(1, 7).select(chosen).to_rows())
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_select_shares_memory_with_the_source(self):
-        import numpy as np
         rows = [(float(i), i, i % 2 == 0, None if i % 3 else float(i))
                 for i in range(100)]
         batch = ColumnBatch.from_rows(rows, 4)
@@ -300,7 +284,6 @@ class TestSelect:
         assert np.shares_memory(picked.column(1).data, batch.column(0).data)
         assert picked.nbytes < batch.nbytes / 2
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_select_round_trips_through_shared_memory(self):
         from repro.engine.shm import (SharedColumnStore, activation,
                                       leaked_segments,
@@ -330,16 +313,12 @@ class TestSelect:
 class TestEncodeNumericColumn:
     """The shared columnization point keeps the pinned semantics."""
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_nulls_become_nan_plus_mask(self):
-        import numpy as np
         data, mask = encode_numeric_column([1.0, None, 3.0])
         assert mask.tolist() == [False, True, False]
         assert np.isnan(data[1])
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_nan_data_stays_unmasked(self):
-        import numpy as np
         data, mask = encode_numeric_column([NAN, 2.0])
         assert mask.tolist() == [False, False]
         assert np.isnan(data[0])
@@ -350,7 +329,6 @@ class TestEncodeNumericColumn:
     def test_int_beyond_float64_exact_refuses(self):
         assert encode_numeric_column([2 ** 53 + 1]) is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
     def test_bools_and_exact_ints_encode(self):
         data, mask = encode_numeric_column([True, False, 2 ** 53])
         assert data.tolist() == [1.0, 0.0, float(2 ** 53)]

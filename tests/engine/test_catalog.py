@@ -119,10 +119,7 @@ class TestResidentColumns:
         assert table.maintenance["not_resident"] == 2
 
     def test_kind_drift_reencodes_that_column_only(self, catalog):
-        from repro.engine.batch import HAVE_NUMPY
         from repro.engine.types import DOUBLE
-        if not HAVE_NUMPY:
-            pytest.skip("list-backed columns have one storage kind")
         schema = Schema([Field("i", INTEGER, True),
                          Field("f", DOUBLE, True)])
         table = catalog.create_table("d", schema, [(1, 1.0), (2, 2.0)])

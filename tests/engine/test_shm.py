@@ -6,13 +6,13 @@ import pickle
 import pytest
 
 from repro.engine import shm
-from repro.engine.batch import HAVE_NUMPY, ColumnBatch
+from repro.engine.batch import ColumnBatch
 from repro.engine.shm import (SHM_STATE_TAG, SharedColumnStore, activation,
                               active_store, leaked_segments,
                               shared_memory_available)
 
 pytestmark = pytest.mark.skipif(
-    not (HAVE_NUMPY and shared_memory_available()),
+    not shared_memory_available(),
     reason="shared memory not available on this platform")
 
 

@@ -22,7 +22,6 @@ import pytest
 
 from repro import SkylineSession, connect
 from repro.core import make_dimensions
-from repro.core.vectorized import numpy_available
 from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from tests.conftest import ROW_LAYOUTS, lay_out, skyline_oracle
@@ -37,7 +36,7 @@ INCOMPLETE_ALGORITHMS = ("distributed-incomplete",)
 
 BACKENDS = ("local", "thread", "process")
 
-VECTORIZED_MODES = (False, "auto") if numpy_available() else (False,)
+VECTORIZED_MODES = (False, True)
 
 DIMS3 = make_dimensions([(1, "min"), (2, "max"), (3, "min")])
 SQL3 = "SELECT * FROM t SKYLINE OF a MIN, b MAX, c MIN"
@@ -88,7 +87,7 @@ def shared_backends():
 
 
 def _make_session(rows, nullable: bool, algorithm: str, backend,
-                  vectorized, columnar="auto",
+                  vectorized, columnar=True,
                   num_executors: int = 3) -> SkylineSession:
     session = connect(
         num_executors=num_executors, skyline_algorithm=algorithm,
@@ -235,13 +234,12 @@ def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
                                                 shared_backends):
     """The batch data plane against the all-pairs oracle.
 
-    ``columnar=True`` exchanges ColumnBatches end to end (falling back
-    to scalar-list columns without NumPy -- this leg also runs on the
-    no-NumPy CI job); ``columnar=False`` pins the row reference plane.
+    ``columnar=True`` exchanges ColumnBatches end to end;
+    ``columnar=False`` pins the row reference plane.
     Results must be identical across both and every backend.
     """
     session = _make_session(COMPLETE_ROWS, False, algorithm,
-                            shared_backends[backend_name](), "auto",
+                            shared_backends[backend_name](), True,
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == COMPLETE_ORACLE, (
@@ -256,7 +254,7 @@ def test_columnar_plane_matches_oracle_incomplete(backend_name, columnar,
                                                   shared_backends):
     session = _make_session(INCOMPLETE_ROWS, True,
                             "distributed-incomplete",
-                            shared_backends[backend_name](), "auto",
+                            shared_backends[backend_name](), True,
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == INCOMPLETE_ORACLE, (
@@ -270,7 +268,7 @@ def test_columnar_plane_matches_oracle_incomplete(backend_name, columnar,
 def test_columnar_plane_matches_oracle_under_partitioning(
         layout, num_executors, columnar):
     session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
-                            "distributed-complete", "local", "auto",
+                            "distributed-complete", "local", True,
                             columnar=columnar,
                             num_executors=num_executors)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
@@ -280,19 +278,18 @@ def test_columnar_plane_matches_oracle_under_partitioning(
 @pytest.mark.parametrize("columnar", (True, False))
 def test_columnar_distinct_matches_oracle(columnar):
     session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "local", "auto", columnar=columnar)
+                            "local", True, columnar=columnar)
     result = session.sql(SQL3_DISTINCT).to_tuples()
     expected = {row[1:] for row in COMPLETE_ORACLE}
     assert {row[1:] for row in result} == expected
     assert len(result) == len(expected)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 def test_batch_mode_actually_ran():
     """Guard against silently testing the row plane twice: with
     columnar=True the data-plane operators must report batch mode."""
     session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
-                            "local", "auto", columnar=True)
+                            "local", True, columnar=True)
     plan = session.sql(SQL3).plan
     text = session.explain(plan)
     assert "Scan(t, 154 rows) [batch]" in text
@@ -301,7 +298,6 @@ def test_batch_mode_actually_ran():
     assert "[batch]" not in row_text
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 def test_vectorized_kernels_actually_ran():
     """Guard against silently testing the scalar path twice: with
     vectorized=True and numeric data the skyline stages must record the
@@ -335,7 +331,6 @@ def _shm_session(shared_memory, rows=None, nullable=False,
     return session
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 def test_shared_memory_transport_matches_oracle():
     """The zero-copy leg must be bit-identical to the pickled leg and
     to the all-pairs oracle, and must leave /dev/shm clean."""
@@ -354,7 +349,6 @@ def test_shared_memory_transport_matches_oracle():
     assert set(leaked_segments()) <= before
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 def test_shared_memory_disabled_marks_pickle():
     session = _shm_session(False)
     try:
@@ -366,7 +360,6 @@ def test_shared_memory_disabled_marks_pickle():
         session.close()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 def test_shared_memory_no_leaks_after_worker_crash(monkeypatch):
     """Chaos leg: injected worker crashes during the skyline stage must
     not leak /dev/shm segments, and recovery stays bit-identical."""
@@ -386,7 +379,6 @@ def test_shared_memory_no_leaks_after_worker_crash(monkeypatch):
     assert set(leaked_segments()) <= before
 
 
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not available")
 @pytest.mark.parametrize("algorithm", ("distributed-complete",
                                        "distributed-incomplete"))
 def test_shared_memory_prepared_inputs_stay_resident(algorithm):

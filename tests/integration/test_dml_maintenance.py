@@ -9,9 +9,8 @@ Two differentials, each run after *every* step of a DML script:
 * every cached skyline equals the all-pairs oracle on the current rows
   as a multiset and a fresh execution in order.
 
-The file also runs without NumPy (list-backed columns, maintained by
-list operations) and under ``REPRO_DISABLE_COLUMNAR=1`` (the row plane
-never builds a batch; cached skylines fall back to invalidation).
+The cached-skyline tests also run on the row plane (``columnar=False``):
+it never builds a batch, so cached skylines fall back to invalidation.
 """
 
 from __future__ import annotations
@@ -21,17 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DOUBLE, INTEGER, STRING, SessionConfig, SkylineSession
-from repro.engine.batch import HAVE_NUMPY, Column
+from repro.engine.batch import Column
 from repro.engine.catalog import Catalog
 from repro.engine.row import Field, Schema
 from repro.serve import CatalogService
 from repro.serve import cache as cache_module
 
 from tests.conftest import skyline_oracle
-
-#: Cached skylines are maintained only where tables keep resident
-#: columns (the default plane with NumPy); elsewhere they invalidate.
-MAINTAINED = SessionConfig().columnar_enabled
 
 # -- resident columns --------------------------------------------------------
 
@@ -114,12 +109,10 @@ def test_list_backed_or_typed_the_counters_tell_what_happened():
         "appended": 1, "deleted": 1, "rebuilt": 1, "overtaken_by_dml": 0,
         "not_resident": 0,
         # x met an int and was re-encoded from values (k only gained a
-        # null mask: O(delta)); without NumPy every column is a list,
-        # and a list holds anything.
-        "reencoded_kind_drift": 1 if HAVE_NUMPY else 0}
+        # null mask: O(delta)).
+        "reencoded_kind_drift": 1}
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="typed columns need NumPy")
 def test_a_value_the_column_holds_costs_the_delta_not_the_table(monkeypatch):
     """NULLs (into a masked column and as a column's first) and values
     of the column's own type never take the re-encode-from-values path;
@@ -196,24 +189,36 @@ QUERIES = ["SELECT * FROM pts SKYLINE OF a MIN, b MAX, c MIN",
            "SELECT * FROM pts SKYLINE OF g DIFF, a MIN, b MAX"]
 
 
-def _service(rows) -> CatalogService:
+#: The session configuration of a service's tenants, per data plane.
+COLUMNAR, ROW_PLANE = SessionConfig(), SessionConfig(columnar=False)
+
+
+@pytest.fixture(params=(COLUMNAR, ROW_PLANE), ids=("columnar", "row-plane"))
+def config(request) -> SessionConfig:
+    return request.param
+
+
+def _service(rows, config: SessionConfig = COLUMNAR) -> CatalogService:
     service = CatalogService()
-    service.session_for().create_table("pts", COLUMNS, rows)
+    service.session_for(config).create_table("pts", COLUMNS, rows)
     return service
 
 
-def _read(service: CatalogService, sql: str):
+def _read(service: CatalogService, sql: str,
+          config: SessionConfig = COLUMNAR):
     """``sql`` through the caches, checked against a cache-less session
     on the same catalog (same plane, so same order)."""
-    got = service.execute(service.session_for(), sql)
-    fresh = SkylineSession(catalog=service.catalog).sql(sql).run()
+    got = service.execute(service.session_for(config), sql)
+    fresh = SkylineSession(config=config,
+                           catalog=service.catalog).sql(sql).run()
     assert repr(got.as_tuples()) == repr(fresh.as_tuples()), sql
     return got
 
 
-def _assert_entries_exact(service: CatalogService) -> None:
+def _assert_entries_exact(service: CatalogService,
+                          config: SessionConfig = COLUMNAR) -> None:
     rows = service.catalog.lookup("pts").rows
-    plain = SkylineSession(catalog=service.catalog)
+    plain = SkylineSession(config=config, catalog=service.catalog)
     for entry in service.result_cache._entries.values():
         shape = entry.shape
         want = skyline_oracle(rows, shape.bound_dimensions())
@@ -242,11 +247,12 @@ _CACHE_STEP = st.one_of(
     st.tuples(st.just("read"), st.integers(0, len(QUERIES) - 1)))
 
 
-def _run_cache_script(points, script) -> CatalogService:
+def _run_cache_script(points, script, config: SessionConfig
+                      ) -> CatalogService:
     serial = iter(range(1000, 10_000))
-    service = _service([(next(serial),) + p for p in points])
+    service = _service([(next(serial),) + p for p in points], config)
     catalog = service.catalog
-    _read(service, QUERIES[0])
+    _read(service, QUERIES[0], config)
     for kind, arg in script:
         rows = catalog.lookup("pts").rows
         if kind == "insert":
@@ -261,150 +267,159 @@ def _run_cache_script(points, script) -> CatalogService:
         elif kind == "delete-where":
             catalog.delete_from("pts", predicate=lambda row: row[2] == arg)
         elif kind == "read":
-            _read(service, QUERIES[arg])
-        _assert_entries_exact(service)
+            _read(service, QUERIES[arg], config)
+        _assert_entries_exact(service, config)
     for sql in QUERIES[:3]:
         table_rows = catalog.lookup("pts").rows
         if not any(v is None or v != v for row in table_rows
                    for v in row[2:]):
-            _read(service, sql)
-    _assert_entries_exact(service)
+            _read(service, sql, config)
+    _assert_entries_exact(service, config)
     return service
 
 
+@pytest.mark.parametrize("columnar", (True, False))
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_POINT, min_size=1, max_size=14),
        st.lists(_CACHE_STEP, max_size=10))
-def test_cached_skylines_follow_every_dml_step(points, script):
-    _run_cache_script(points, script)
+def test_cached_skylines_follow_every_dml_step(columnar, points, script):
+    _run_cache_script(points, script, COLUMNAR if columnar else ROW_PLANE)
 
 
 FULL = QUERIES[0]
 
 
-def _named(rows, mutate):
+def _named(rows, mutate, config: SessionConfig = COLUMNAR):
     """Cache FULL over ``rows``, apply ``mutate(catalog)``, re-read."""
-    service = _service(rows)
-    _read(service, FULL)
+    service = _service(rows, config)
+    _read(service, FULL, config)
     mutate(service.catalog)
-    _assert_entries_exact(service)
-    out = _read(service, FULL)
-    _assert_entries_exact(service)
+    _assert_entries_exact(service, config)
+    out = _read(service, FULL, config)
+    _assert_entries_exact(service, config)
     return service, out
 
 
-def entering_insert_that_evicts():
+def entering_insert_that_evicts(config: SessionConfig = COLUMNAR):
     rows = [(1, 0, 1.0, 5.0, 1.0), (2, 0, 2.0, 9.0, 2.0),
             (3, 0, 3.0, 1.0, 3.0)]
     service, out = _named(rows, lambda c: c.insert_into(
-        "pts", [(4, 0, 0.5, 9.0, 0.5)]))
+        "pts", [(4, 0, 0.5, 9.0, 0.5)]), config)
     assert out.as_tuples() == [(4, 0, 0.5, 9.0, 0.5)]
     return service, out
 
 
-def delete_promoting_a_chain():
+def delete_promoting_a_chain(config: SessionConfig = COLUMNAR):
     # 1 dominates 2, 3 and 4; 2 dominates 3 and 4; 5 is incomparable.
     # Deleting 1 makes 2, 3 and 4 candidates and promotes only 2.
     rows = [(1, 0, 1.0, 9.0, 1.0), (2, 0, 2.0, 8.0, 2.0),
             (3, 0, 3.0, 7.0, 3.0), (4, 0, 3.0, 8.0, 2.0),
             (5, 0, 0.0, 0.0, 9.0)]
     service, out = _named(rows, lambda c: c.delete_from(
-        "pts", rows=[rows[0]]))
+        "pts", rows=[rows[0]]), config)
     assert out.as_tuples() == [rows[1], rows[4]]
     return service, out
 
 
 class TestNamedCases:
-    def test_entering_insert_evicts(self):
-        service, out = entering_insert_that_evicts()
-        assert out.cache_hit == MAINTAINED
-        stats = service.result_cache.stats
-        assert stats.maintained_inserts == MAINTAINED
-        assert stats.invalidations == (not MAINTAINED)
+    """On the columnar plane cached skylines are maintained; on the row
+    plane, which keeps no resident columns, they invalidate."""
 
-    def test_all_dimension_tie_keeps_both(self):
+    def test_entering_insert_evicts(self, config):
+        maintained = config.columnar
+        service, out = entering_insert_that_evicts(config)
+        assert out.cache_hit == maintained
+        stats = service.result_cache.stats
+        assert stats.maintained_inserts == maintained
+        assert stats.invalidations == (not maintained)
+
+    def test_all_dimension_tie_keeps_both(self, config):
         rows = [(1, 0, 1.0, 5.0, 1.0), (2, 0, 0.0, 0.0, 0.0)]
         _, out = _named(rows, lambda c: c.insert_into(
-            "pts", [(3, 1, 1.0, 5.0, 1.0)]))
+            "pts", [(3, 1, 1.0, 5.0, 1.0)]), config)
         assert out.as_tuples() == [rows[0], rows[1], (3, 1, 1.0, 5.0, 1.0)]
-        assert out.cache_hit == MAINTAINED
+        assert out.cache_hit == config.columnar
 
-    def test_duplicate_member_deleted_once(self):
+    def test_duplicate_member_deleted_once(self, config):
         twin = (1, 0, 1.0, 5.0, 1.0)
         rows = [twin, (2, 0, 2.0, 4.0, 2.0), twin, (3, 0, 0.0, 0.0, 9.0)]
         service, out = _named(rows, lambda c: c.delete_from(
-            "pts", rows=[twin]))
+            "pts", rows=[twin]), config)
         # The survivor still dominates row 2: nothing is promoted.
         assert out.as_tuples() == [twin, rows[3]]
         assert service.catalog.lookup("pts").rows == rows[1:]
-        assert out.cache_hit == MAINTAINED
+        assert out.cache_hit == config.columnar
         _, out = _named(rows, lambda c: c.delete_from(
-            "pts", rows=[twin, twin]))
+            "pts", rows=[twin, twin]), config)
         assert out.as_tuples() == [rows[1], rows[3]]
 
-    def test_delete_promotes_only_the_candidates_own_skyline(self):
-        service, out = delete_promoting_a_chain()
-        assert out.cache_hit == MAINTAINED
-        assert service.result_cache.stats.maintained_deletes == MAINTAINED
+    def test_delete_promotes_only_the_candidates_own_skyline(self, config):
+        service, out = delete_promoting_a_chain(config)
+        assert out.cache_hit == config.columnar
+        assert service.result_cache.stats.maintained_deletes == \
+            config.columnar
 
-    def test_non_member_deltas_leave_the_members_alone(self):
+    def test_non_member_deltas_leave_the_members_alone(self, config):
         rows = [(1, 0, 1.0, 9.0, 1.0), (2, 0, 2.0, 8.0, 2.0)]
         service, out = _named(rows, lambda c: (
             c.insert_into("pts", [(3, 0, 5.0, 1.0, 5.0)]),
-            c.delete_from("pts", rows=[rows[1]])))
+            c.delete_from("pts", rows=[rows[1]])), config)
         assert out.cache_hit and out.as_tuples() == [rows[0]]
         stats = service.result_cache.stats
         assert (stats.maintained_inserts, stats.maintained_deletes,
                 stats.invalidations) == (0, 0, 0)
 
-    def test_diff_dimension(self):
+    def test_diff_dimension(self, config):
+        maintained = config.columnar
         sql = QUERIES[3]
         rows = [(1, 0, 1.0, 9.0, 0.0), (2, 1, 2.0, 8.0, 0.0),
                 (3, 1, 1.5, 7.0, 0.0)]
-        service = _service(rows)
-        assert _read(service, sql).as_tuples() == rows
+        service = _service(rows, config)
+        assert _read(service, sql, config).as_tuples() == rows
         # Beats rows 2 and 3 in its own group only: 2 and 3 leave, 1 stays.
         service.catalog.insert_into("pts", [(4, 1, 0.0, 9.0, 0.0)])
-        _assert_entries_exact(service)
-        out = _read(service, sql)
+        _assert_entries_exact(service, config)
+        out = _read(service, sql, config)
         assert out.as_tuples() == [rows[0], (4, 1, 0.0, 9.0, 0.0)]
-        assert out.cache_hit == MAINTAINED
+        assert out.cache_hit == maintained
         # The delete step cannot read a DIFF dimension off the columns.
         service.catalog.delete_from("pts", rows=[(4, 1, 0.0, 9.0, 0.0)])
-        _assert_entries_exact(service)
-        out = _read(service, sql)
+        _assert_entries_exact(service, config)
+        out = _read(service, sql, config)
         assert not out.cache_hit and out.as_tuples() == rows
         reasons = service.result_cache.stats.invalidation_reasons
-        assert reasons["unvectorizable"] == MAINTAINED
-        assert reasons["no_resident_columns"] == (0 if MAINTAINED else 2)
+        assert reasons["unvectorizable"] == maintained
+        assert reasons["no_resident_columns"] == (0 if maintained else 2)
 
     @pytest.mark.parametrize("value,reason", [
         (None, "null_dimension"), (float("nan"), "nan_dimension")])
-    def test_null_or_nan_insert_still_invalidates(self, value, reason):
+    def test_null_or_nan_insert_still_invalidates(self, value, reason,
+                                                  config):
+        maintained = config.columnar
         rows = [(1, 0, 1.0, 9.0, 1.0), (2, 0, 2.0, 8.0, 2.0)]
-        service = _service(rows)
-        _read(service, QUERIES[1])  # the subset first: two entries
-        _read(service, FULL)
+        service = _service(rows, config)
+        _read(service, QUERIES[1], config)  # the subset first: two entries
+        _read(service, FULL, config)
         service.catalog.insert_into("pts", [(3, 0, 0.0, 9.0, value)])
         # c is a dimension of FULL only: the (a, b) entry is maintained.
         keys = [e.shape.dims for e in service.result_cache._entries.values()]
-        assert len(keys) == (1 if MAINTAINED else 0)
+        assert len(keys) == (1 if maintained else 0)
         reasons = service.result_cache.stats.invalidation_reasons
         assert reasons[reason] == 1
-        assert sum(reasons.values()) == (1 if MAINTAINED else 2)
-        _assert_entries_exact(service)
-        assert _read(service, QUERIES[1]).cache_hit == MAINTAINED
+        assert sum(reasons.values()) == (1 if maintained else 2)
+        _assert_entries_exact(service, config)
+        assert _read(service, QUERIES[1], config).cache_hit == maintained
 
-    def test_a_stale_batch_invalidates_what_it_cannot_maintain(self):
+    def test_a_stale_batch_invalidates_what_it_cannot_maintain(self, config):
         rows = [(1, 0, 1.0, 9.0, 1.0), (2, 0, 2.0, 8.0, 2.0)]
-        service = _service(rows)
-        _read(service, FULL)
+        service = _service(rows, config)
+        _read(service, FULL, config)
         table = service.catalog.lookup("pts")
         table.rows.append((3, 0, 9.0, 0.0, 9.0))  # behind the catalog
         # Dominated: keeps the entry, which now references no batch ...
         service.catalog.insert_into("pts", [(4, 0, 5.0, 1.0, 5.0)])
         assert len(service.result_cache) == 1
-        assert _read(service, QUERIES[1]).cache_hit
+        assert _read(service, QUERIES[1], config).cache_hit
         # ... so a delta that changes the members drops it, counted.
         service.catalog.delete_from("pts", rows=[rows[0]])
         assert len(service.result_cache) == 0
@@ -412,7 +427,6 @@ class TestNamedCases:
         assert reasons["no_resident_columns"] == 1
 
 
-@pytest.mark.skipif(not MAINTAINED, reason="nothing is maintained here")
 class TestMutations:
     """The differential notices a wrong maintenance step."""
 

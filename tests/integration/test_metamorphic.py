@@ -10,9 +10,8 @@ of the original *without* re-deriving it from an oracle:
   *membership* (tracked through an id column);
 * inserting rows dominated by an existing row never changes the result.
 
-Every property runs against the scalar and (when NumPy is available)
-the vectorized kernels, at both the library level and through the
-engine pipeline.
+Every property runs against the scalar and the vectorized kernels, at
+both the library level and through the engine pipeline.
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ import pytest
 
 from repro import connect
 from repro.core import bnl_skyline, make_dimensions, vec_bnl_skyline
-from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER
 
 SEED = 99
 DIMS = make_dimensions([(1, "min"), (2, "max"), (3, "min")])
 
-KERNELS = [pytest.param(bnl_skyline, id="scalar")]
-if numpy_available():
-    KERNELS.append(pytest.param(vec_bnl_skyline, id="vectorized"))
+KERNELS = [pytest.param(bnl_skyline, id="scalar"),
+           pytest.param(vec_bnl_skyline, id="vectorized")]
 
 
 def make_rows(n: int = 120, seed: int = SEED) -> list[tuple]:
@@ -101,8 +98,7 @@ class TestDominatedInsertion:
         assert srt(kernel(dominated + rows, DIMS)) == baseline
 
 
-@pytest.mark.parametrize("vectorized",
-                         [False] + (["auto"] if numpy_available() else []))
+@pytest.mark.parametrize("vectorized", [False, True])
 class TestEnginePipelineMetamorphic:
     """The same properties through SQL, exercising scan partitioning."""
 

@@ -6,10 +6,6 @@ order-identical to the reference session's (``columnar=False,
 vectorized=False``: tuples, ``dict`` probes, ``expr.eval(row)``).  Where
 the arrays cannot be exact the operator runs its row body and says so:
 one test per named reason checks the count *and* the answer.
-
-The file also collects under ``REPRO_DISABLE_NUMPY=1`` and
-``REPRO_DISABLE_COLUMNAR=1``, where no operator is declared batch:
-everything runs on rows and nothing counts as a fallback.
 """
 
 from __future__ import annotations
@@ -23,13 +19,9 @@ from hypothesis import strategies as st
 import repro
 from repro.datasets.musicbrainz import (base_query, register_musicbrainz,
                                         skyline_query)
-from repro.engine.batch import HAVE_NUMPY
 from repro.engine.cluster import ExecutionContext
 from repro.engine.types import BOOLEAN, DOUBLE, INTEGER, STRING
 from repro.plan import physical as P
-
-#: True when the default session runs joins and aggregates on batches.
-BATCH = HAVE_NUMPY and repro.connect().columnar_enabled
 
 INF = math.inf
 JOIN_HOWS = ("inner", "left", "right", "full", "semi", "anti")
@@ -60,7 +52,7 @@ def _identical(tables: dict, query, fallbacks=None, num_executors: int = 3):
     assert list(map(repr, default.as_tuples())) == \
         list(map(repr, reference.as_tuples()))
     summary = default.context.summary()
-    assert summary["fallbacks"] == ((fallbacks or {}) if BATCH else {})
+    assert summary["fallbacks"] == (fallbacks or {})
     assert reference.context.summary()["fallbacks"] == {}
     return default
 
@@ -122,8 +114,7 @@ def test_join_on_condition(case, how):
     a_columns, a_rows, b_columns, b_rows = JOIN_INPUTS[case]
     result = _identical({"a": (a_columns, a_rows), "b": (b_columns, b_rows)},
                         _join("a.k = b.k", how))
-    if BATCH:
-        assert _kernels(result, "HashJoinExec") == {"vectorized"}
+    assert _kernels(result, "HashJoinExec") == {"vectorized"}
 
 
 @pytest.mark.parametrize("how", JOIN_HOWS)
@@ -179,8 +170,6 @@ def test_full_outer_join_with_one_tuple_stored_twice(columnar):
     """Regression: the row join tracked matched build rows by ``id(row)``,
     so a build side holding the *same tuple object* twice reported the
     second copy as unmatched."""
-    if columnar and not HAVE_NUMPY:
-        pytest.skip("NumPy not available")
     session = repro.connect(columnar=columnar, vectorized=columnar)
     shared = (1, 10)
     session.create_table("a", AB, [(1, 1), (2, 2)])
@@ -247,8 +236,7 @@ def test_aggregate_expressions_and_boolean_inputs():
         tables,
         "SELECT g, sum(v) / count(*) + 1 AS r, max(w) - min(w) AS spread, "
         "count(v) * 2 AS twice FROM t GROUP BY g")
-    if BATCH:
-        assert _kernels(result, "HashAggregateExec") == {"vectorized"}
+    assert _kernels(result, "HashAggregateExec") == {"vectorized"}
     _identical(tables, "SELECT v % 3 AS m, count(*), min(h) FROM t "
                        "GROUP BY v % 3")
     _identical(tables, "SELECT f, count(f), min(f), max(f), "
@@ -288,20 +276,18 @@ def test_distinct_and_limit():
                 "SELECT DISTINCT g, v, w FROM t "
                 "SKYLINE OF v MAX, w MIN LIMIT 3"):
         result = _identical(tables, sql)
-    if BATCH:
-        session = _sessions(tables)[0]
-        text = session.explain(session.sql(
-            "SELECT DISTINCT g, v FROM t LIMIT 3").plan)
-        assert "Limit(3) [batch]" in text and "Distinct [batch]" in text
-        assert "[row]" not in text
-        assert _kernels(result, "LimitExec") == {"vectorized"}
+    session = _sessions(tables)[0]
+    text = session.explain(session.sql(
+        "SELECT DISTINCT g, v FROM t LIMIT 3").plan)
+    assert "Limit(3) [batch]" in text and "Distinct [batch]" in text
+    assert "[row]" not in text
+    assert _kernels(result, "LimitExec") == {"vectorized"}
 
 
-def test_forced_columnar_session_without_numpy_runs_the_row_bodies():
-    """``columnar=True`` works without NumPy (list-backed batches), but no
-    join, aggregate or limit is then *declared* batch: they read rows,
-    and that is not a fallback."""
-    session = repro.connect(columnar=True, num_executors=3)
+def test_join_aggregate_limit_chain_is_declared_batch():
+    """A join feeding an aggregate, DISTINCT and LIMIT stays on batches
+    end to end, without a fallback, and answers like the row plane."""
+    session = repro.connect(num_executors=3)
     reference = repro.connect(columnar=False, vectorized=False,
                               num_executors=3)
     a_columns, a_rows, b_columns, b_rows = \
@@ -315,10 +301,9 @@ def test_forced_columnar_session_without_numpy_runs_the_row_bodies():
     assert list(map(repr, got.as_tuples())) == \
         list(map(repr, expected.as_tuples()))
     assert got.context.summary()["fallbacks"] == {}
-    tag = "[batch]" if HAVE_NUMPY else "[row]"
     text = session.explain(session.sql(sql).plan)
-    assert f"HashJoin(left_outer) {tag}" in text
-    assert f"Limit(4) {tag}" in text and "Scan(a, 8 rows) [batch]" in text
+    assert "HashJoin(left_outer) [batch]" in text
+    assert "Limit(4) [batch]" in text and "Scan(a, 8 rows) [batch]" in text
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +348,7 @@ def test_fallback_nan_key():
     for how in JOIN_HOWS:
         result = _identical(tables, _join("a.k = b.k", how),
                             {"fallback_nan_key": 1})
-        if BATCH:
-            assert _kernels(result, "HashJoinExec") == {"scalar"}
+        assert _kernels(result, "HashJoinExec") == {"scalar"}
     _identical(tables, "SELECT k, count(*) FROM a GROUP BY k",
                {"fallback_nan_key": 1})
     _identical(tables, "SELECT DISTINCT k FROM a", {"fallback_nan_key": 1})
@@ -389,8 +373,7 @@ def test_fallback_obj_key():
         _identical(tables, _join("a.k = b.k", how), {"fallback_obj_key": 1})
     result = _identical(tables, "SELECT k, sum(x) FROM a GROUP BY k",
                         {"fallback_obj_key": 1})
-    if BATCH:
-        assert _kernels(result, "HashAggregateExec") == {"scalar"}
+    assert _kernels(result, "HashAggregateExec") == {"scalar"}
     _identical(tables, "SELECT DISTINCT k FROM a", {"fallback_obj_key": 1})
     _identical(tables, "SELECT x, min(k), count(k) FROM a GROUP BY x",
                {"fallback_obj_aggregate": 1})
@@ -425,31 +408,33 @@ def test_fallback_nan_aggregate():
 
 @pytest.fixture(scope="module")
 def musicbrainz():
-    pair = (repro.connect(), repro.connect(columnar=False,
-                                           vectorized=False))
-    for session in pair:
+    """The default session, the row plane under the vectorized skyline
+    kernels, and the reference session (last)."""
+    sessions = (repro.connect(), repro.connect(columnar=False),
+                repro.connect(columnar=False, vectorized=False))
+    for session in sessions:
         register_musicbrainz(session, 500, seed=5)
-    return pair
+    return sessions
 
 
 @pytest.mark.parametrize("complete", [True, False])
 @pytest.mark.parametrize("statement", [base_query,
                                        lambda c: skyline_query(6, c)])
 def test_musicbrainz_statements(musicbrainz, statement, complete):
-    default, reference = (session.sql(statement(complete)).run()
-                          for session in musicbrainz)
-    assert list(map(repr, default.as_tuples())) == \
-        list(map(repr, reference.as_tuples()))
-    assert default.context.summary()["fallbacks"] == {}
-    shuffled = [sum(s["shuffled_rows"] for s in r.context.summary()["stages"])
-                for r in (default, reference)]
-    assert shuffled[0] == shuffled[1]
+    *candidates, reference = (session.sql(statement(complete)).run()
+                              for session in musicbrainz)
+    shuffled = sum(s["shuffled_rows"]
+                   for s in reference.context.summary()["stages"])
+    for result in candidates:
+        assert list(map(repr, result.as_tuples())) == \
+            list(map(repr, reference.as_tuples()))
+        summary = result.context.summary()
+        assert summary["fallbacks"] == {}
+        assert sum(s["shuffled_rows"] for s in summary["stages"]) == shuffled
 
 
 def test_musicbrainz_skyline_never_leaves_the_column_plane(musicbrainz,
                                                            monkeypatch):
-    if not BATCH:
-        pytest.skip("row plane")
     session = musicbrainz[0]
     sql = skyline_query(6, True)
     assert "[row]" not in session.explain(session.sql(sql).plan)

@@ -6,11 +6,8 @@ zero-copy slices of it.  These tests drive a DML
 script through that sharing and hold every answer to the row-plane
 scalar reference, and they read the engine's own ``scan`` counters
 (not a stopwatch) to prove that neither an unchanged table nor one
-changed through catalog DML is ever re-columnized.
-
-They also collect under ``REPRO_DISABLE_COLUMNAR=1`` and without NumPy,
-where ``columnar="auto"`` resolves to the row plane: there no store may
-ever be built.
+changed through catalog DML is ever re-columnized.  Each also runs on
+the row plane (``columnar=False``), where no store may ever be built.
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ import pytest
 
 from repro import SessionConfig, SkylineSession
 from repro.core import make_dimensions
-from repro.core.vectorized import (SKYLINE_MODES, numpy_available,
-                                   skyline_task)
+from repro.core.vectorized import SKYLINE_MODES, skyline_task
 from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.batch import OBJ, ColumnBatch
 from repro.engine.catalog import Catalog
@@ -50,16 +46,18 @@ def _answer(session: SkylineSession):
     return sorted(map(repr, result.as_tuples())), result.scan
 
 
+@pytest.mark.parametrize("columnar", (True, False))
 @pytest.mark.parametrize("backend_name", ("local", "thread", "process"))
-def test_dml_script_two_sessions_one_catalog(backend_name, backends):
+def test_dml_script_two_sessions_one_catalog(backend_name, columnar,
+                                             backends):
     catalog = Catalog()
-    config = SessionConfig(num_executors=3, backend=backends[backend_name])
+    config = SessionConfig(num_executors=3, backend=backends[backend_name],
+                           columnar=columnar)
     first = SkylineSession(config=config, catalog=catalog)
     second = SkylineSession(config=config, catalog=catalog)
     reference = SkylineSession(
         config=SessionConfig(num_executors=3, columnar=False,
                              vectorized=False), catalog=catalog)
-    columnar = config.columnar_enabled
     rows = _random_rows(400, 7, null_probability=0.1)
     first.create_table("t", COLUMNS, rows)
 
@@ -129,11 +127,10 @@ def test_row_plane_and_literal_relations_never_build_a_store():
         assert result.scan == {"columnized_rows": 3, "resident_rows": 0}
 
 
-def test_forced_columnar_store_works_without_numpy_arrays():
-    """``columnar=True`` keeps the store on the list-backed fallback
-    too (the no-NumPy CI leg): same sharing, same answers."""
-    session = SkylineSession(config=SessionConfig(num_executors=3,
-                                                  columnar=True))
+def test_store_is_columnized_once_into_typed_columns():
+    """The first scan builds the store from typed arrays, the next one
+    reads it: same answers as the row plane."""
+    session = SkylineSession(config=SessionConfig(num_executors=3))
     session.create_table("t", COLUMNS, _random_rows(200, 5))
     reference = SkylineSession(
         config=SessionConfig(columnar=False, vectorized=False),
@@ -144,8 +141,8 @@ def test_forced_columnar_store_works_without_numpy_arrays():
     assert _answer(session) == (expected, {"columnized_rows": 0,
                                            "resident_rows": 220})
     batch, _ = session.catalog.lookup("t").column_batch()
-    if not numpy_available():
-        assert all(column.kind == OBJ for column in batch.columns)
+    assert [column.kind for column in batch.columns] == \
+        ["i8", "f8", "f8", "f8"]
 
 
 # -- a column whose storage kind used to differ by partition -----------------
@@ -169,8 +166,7 @@ def test_mixed_kind_column_is_bit_identical_in_every_mode(mode):
         rows = [row for row in rows if None not in row]
     whole = ColumnBatch.from_rows(rows, 4)
     whole.set_read_only()
-    if numpy_available():
-        assert whole.column(1).kind == OBJ
+    assert whole.column(1).kind == OBJ
     for start, stop in ((0, len(rows)), (0, 60), (30, 90)):
         expected, _, _ = skyline_task(rows[start:stop], DIMS, mode,
                                       vectorized=False)
@@ -189,7 +185,7 @@ def test_mixed_kind_column_queries_match_the_row_plane(algorithm, rows):
     for columnar in (True, False):
         session = SkylineSession(config=SessionConfig(
             num_executors=2, skyline_algorithm=algorithm,
-            columnar=columnar, vectorized="auto" if columnar else False))
+            columnar=columnar, vectorized=columnar))
         session.create_table("t", COLUMNS, rows)
         answers.append(sorted(map(repr, session.sql(sql).to_tuples())))
     assert answers[0] == answers[1] != []

@@ -1,6 +1,8 @@
 """SQL feature coverage: the skyline clause interacting with the rest
 of the language, plus general SQL semantics end to end."""
 
+import random
+
 import pytest
 
 from repro import DOUBLE, INTEGER, STRING, connect
@@ -180,3 +182,28 @@ class TestGeneralSqlSemantics:
         last = shop.sql(
             "SELECT v FROM maybe ORDER BY v ASC NULLS LAST").to_tuples()
         assert last[-1] == (None,)
+
+    @pytest.mark.parametrize("columnar", (True, False))
+    def test_order_by_double_with_nan_is_a_total_order(self, columnar):
+        """Spark's rule: NaN equals NaN and is greater than every other
+        number, so every input order sorts alike; NULLs still follow
+        NULLS FIRST / LAST (by default first ascending, last descending)."""
+        nan = float("nan")
+        values = [3.0, nan, 1.0, nan, 2.0, 0.5, nan, 4.0, None]
+        ascending = [0.5, 1.0, 2.0, 3.0, 4.0, "NaN", "NaN", "NaN"]
+        expected = {
+            "ASC": [None] + ascending,
+            "ASC NULLS LAST": ascending + [None],
+            "DESC": ascending[::-1] + [None],
+            "DESC NULLS FIRST": [None] + ascending[::-1],
+        }
+        for seed in range(20):
+            rows = [(v,) for v in values]
+            random.Random(seed).shuffle(rows)
+            session = connect(num_executors=3, columnar=columnar)
+            session.create_table("t", [("x", DOUBLE, True)], rows)
+            for order, want in expected.items():
+                got = session.sql(
+                    f"SELECT x FROM t ORDER BY x {order}").to_tuples()
+                assert ["NaN" if v != v else v for (v,) in got] == want, \
+                    (seed, order)

@@ -20,7 +20,6 @@ import tempfile
 import pytest
 
 from repro import QueryTimeout, SessionConfig, SkylineSession
-from repro.core.vectorized import numpy_available
 from repro.engine.faults import FAULT_PLAN_ENV
 from repro.engine.shm import leaked_segments, shared_memory_available
 from repro.engine.types import DOUBLE, INTEGER, STRING
@@ -61,15 +60,9 @@ def _stage_names(result) -> list[str]:
     return [stage.name.split("-")[0] for stage in result.context.stages]
 
 
-needs_batches = pytest.mark.skipif(
-    not (numpy_available() and SessionConfig().columnar_enabled),
-    reason="asserts typed-array slices of the batch plane")
-
-
 # -- shape -----------------------------------------------------------------
 
 
-@needs_batches
 def test_filtered_query_is_two_stages_of_fused_tasks():
     with _session() as session:
         result = session.sql(FILTERED_SQL).run()

@@ -272,9 +272,6 @@ class TestVectorizedCostModel:
         assert "vectorized" in vector.algorithm_reason
 
     def test_planner_threads_the_session_flag(self):
-        from repro.core.vectorized import numpy_available
-        if not numpy_available():
-            pytest.skip("NumPy not available")
         rows = anticorrelated_rows(2000, 3, spread=0.02)
         scalar = make_session(rows, adaptive=True, vectorized=False)
         text = scalar.explain(parse_query(SQL3))
@@ -333,7 +330,7 @@ class TestAdaptiveMatchesFixedAlgorithms:
     """Adaptive plans return the identical skyline as every fixed
     algorithm."""
 
-    @pytest.mark.parametrize("vectorized", (False, "auto"))
+    @pytest.mark.parametrize("vectorized", (False, True))
     @pytest.mark.parametrize("generator,kwargs", [
         (correlated_rows, {"spread": 0.1}),
         (anticorrelated_rows, {"spread": 0.05}),

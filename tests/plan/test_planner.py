@@ -4,7 +4,6 @@ import pytest
 
 from repro.api.config import SessionConfig
 from repro.api.session import connect
-from repro.core.vectorized import numpy_available
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.errors import PlanningError
 from repro.plan import physical as P
@@ -144,10 +143,7 @@ class TestListing8AlgorithmSelection:
                                              modes):
         assert skyline_modes(physical_plan(session, sql, strategy)) == modes
 
-    @pytest.mark.parametrize("vectorized", [
-        pytest.param(True, marks=pytest.mark.skipif(
-            not numpy_available(), reason="NumPy not available")),
-        False])
+    @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("strategy", list(GOLDEN_PLANS))
     def test_explain_is_golden(self, session, strategy, vectorized):
         forced = session.with_options(skyline_algorithm=strategy,

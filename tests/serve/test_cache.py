@@ -33,17 +33,24 @@ POINTS = [
 COLUMNS = [("id", INTEGER, False), ("a", DOUBLE, False),
            ("b", DOUBLE, False), ("c", DOUBLE, False)]
 
-#: Entries are *maintained* under DML only where tables keep resident
-#: columns for them to reference; a row-plane tenant (no NumPy,
-#: ``REPRO_DISABLE_COLUMNAR=1``) never builds any, and there a delta
-#: that changes a cached skyline still invalidates it.
-MAINTAINED = SessionConfig().columnar_enabled
+#: Tenant configurations.  Entries are *maintained* under DML only where
+#: tables keep resident columns for them to reference; a row-plane
+#: tenant (``columnar=False``) never builds any, and there a delta that
+#: changes a cached skyline still invalidates it.
+COLUMNAR, ROW_PLANE = SessionConfig(), SessionConfig(columnar=False)
+BOTH_PLANES = pytest.mark.parametrize("config", (COLUMNAR, ROW_PLANE),
+                                      ids=("columnar", "row-plane"))
 
 
 @pytest.fixture
-def service() -> CatalogService:
+def config() -> SessionConfig:
+    return COLUMNAR
+
+
+@pytest.fixture
+def service(config) -> CatalogService:
     service = CatalogService()
-    session = service.session_for()
+    session = service.session_for(config)
     session.create_table("pts", COLUMNS, POINTS)
     return service
 
@@ -54,8 +61,9 @@ def shape_of(service: CatalogService, sql: str):
     return cacheable_shape(prepared.optimized)
 
 
-def run(service: CatalogService, sql: str):
-    return service.execute(service.session_for(), sql)
+def run(service: CatalogService, sql: str,
+        config: SessionConfig = COLUMNAR):
+    return service.execute(service.session_for(config), sql)
 
 
 def oracle(rows, spec):
@@ -157,23 +165,24 @@ class TestContainmentLookup:
         assert len(service.result_cache) == 0
 
 
+@BOTH_PLANES
 class TestInvalidation:
     FULL = "SELECT * FROM pts SKYLINE OF a MIN, b MIN, c MIN"
 
-    def test_dominated_insert_keeps_entry(self, service):
-        run(service, self.FULL)
+    def test_dominated_insert_keeps_entry(self, service, config):
+        run(service, self.FULL, config)
         # (9.5, 9.5, 9.5) is dominated by row 10 = (5, 5, 5).
         service.catalog.insert_into("pts", [(99, 9.5, 9.5, 9.5)])
-        out = run(service, self.FULL)
+        out = run(service, self.FULL, config)
         assert out.cache_hit
         assert sorted(out.as_tuples()) == oracle(
             POINTS, [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
                      (3, DimensionKind.MIN)])
 
-    def test_subset_after_dominated_insert_sees_table(self, service):
-        run(service, self.FULL)
+    def test_subset_after_dominated_insert_sees_table(self, service, config):
+        run(service, self.FULL, config)
         service.catalog.insert_into("pts", [(99, 9.5, 9.5, 9.5)])
-        hot = run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN")
+        hot = run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN", config)
         assert hot.cache_hit
         assert sorted(hot.as_tuples()) == oracle(
             POINTS + [(99, 9.5, 9.5, 9.5)],
@@ -182,35 +191,35 @@ class TestInvalidation:
     DIMS = [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
             (3, DimensionKind.MIN)]
 
-    def test_surviving_insert_enters_and_evicts(self, service):
-        run(service, self.FULL)
+    def test_surviving_insert_enters_and_evicts(self, service, config):
+        run(service, self.FULL, config)
         service.catalog.insert_into("pts", [(99, 0.5, 0.5, 0.5)])
-        out = run(service, self.FULL)
-        assert out.cache_hit == MAINTAINED
+        out = run(service, self.FULL, config)
+        assert out.cache_hit == config.columnar
         assert out.as_tuples() == [(99, 0.5, 0.5, 0.5)]
         stats = service.result_cache.stats
         assert (stats.maintained_inserts, stats.invalidations) == \
-            ((1, 0) if MAINTAINED else (0, 1))
+            ((1, 0) if config.columnar else (0, 1))
         assert stats.invalidation_reasons["no_resident_columns"] == \
-            (not MAINTAINED)
+            (not config.columnar)
 
-    def test_tying_insert_keeps_both(self, service):
-        run(service, self.FULL)
+    def test_tying_insert_keeps_both(self, service, config):
+        run(service, self.FULL, config)
         # Ties skyline member (2, 2.0, 8.0, 1.0) in every dimension and
         # no other row dominates it; ties are not strict dominance, so
         # the new row belongs in the skyline beside it.
         service.catalog.insert_into("pts", [(99, 2.0, 8.0, 1.0)])
-        out = run(service, self.FULL)
-        assert out.cache_hit == MAINTAINED
+        out = run(service, self.FULL, config)
+        assert out.cache_hit == config.columnar
         assert sorted(out.as_tuples()) == oracle(
             POINTS + [(99, 2.0, 8.0, 1.0)], self.DIMS)
         assert {(2, 2.0, 8.0, 1.0), (99, 2.0, 8.0, 1.0)} <= \
             set(out.as_tuples())
 
-    def test_delete_nonmember_keeps_entry(self, service):
-        run(service, self.FULL)
+    def test_delete_nonmember_keeps_entry(self, service, config):
+        run(service, self.FULL, config)
         service.catalog.delete_from("pts", rows=[(11, 9.0, 9.0, 9.0)])
-        out = run(service, self.FULL)
+        out = run(service, self.FULL, config)
         assert out.cache_hit
         remaining = [r for r in POINTS if r[0] != 11]
         assert sorted(out.as_tuples()) == oracle(
@@ -218,53 +227,53 @@ class TestInvalidation:
                         (3, DimensionKind.MIN)])
 
     def test_subset_after_delete_reads_the_republished_columns(
-            self, service):
-        run(service, self.FULL)
+            self, service, config):
+        run(service, self.FULL, config)
         service.catalog.delete_from("pts", rows=[(11, 9.0, 9.0, 9.0)])
-        hot = run(service, "SELECT * FROM pts SKYLINE OF b MIN, c MIN")
+        hot = run(service, "SELECT * FROM pts SKYLINE OF b MIN, c MIN", config)
         assert hot.cache_hit
         remaining = [r for r in POINTS if r[0] != 11]
         assert sorted(hot.as_tuples()) == oracle(
             remaining, [(2, DimensionKind.MIN), (3, DimensionKind.MIN)])
 
-    def test_delete_member_promotes_what_it_dominated(self, service):
-        run(service, self.FULL)
+    def test_delete_member_promotes_what_it_dominated(self, service, config):
+        run(service, self.FULL, config)
         # Only (10, 5, 5, 5) dominates (5, 5, 5, 8): it is promoted.
         # (11, 9, 9, 9), which both dominate, is not.
         service.catalog.delete_from("pts", rows=[(10, 5.0, 5.0, 5.0)])
-        out = run(service, self.FULL)
-        assert out.cache_hit == MAINTAINED
+        out = run(service, self.FULL, config)
+        assert out.cache_hit == config.columnar
         remaining = [r for r in POINTS if r[0] != 10]
         assert (5, 5.0, 5.0, 8.0) in out.as_tuples()
         assert sorted(out.as_tuples()) == oracle(remaining, self.DIMS)
         cold = CatalogService()
-        cold.session_for().create_table("pts", COLUMNS, remaining)
-        assert out.as_tuples() == run(cold, self.FULL).as_tuples()
-        assert service.result_cache.stats.maintained_deletes == MAINTAINED
+        cold.session_for(config).create_table("pts", COLUMNS, remaining)
+        assert out.as_tuples() == run(cold, self.FULL, config).as_tuples()
+        assert service.result_cache.stats.maintained_deletes == config.columnar
 
-    def test_register_flushes_table(self, service):
-        run(service, self.FULL)
+    def test_register_flushes_table(self, service, config):
+        run(service, self.FULL, config)
         assert len(service.result_cache) == 1
-        service.session_for().create_table("pts", COLUMNS, POINTS[:4])
+        service.session_for(config).create_table("pts", COLUMNS, POINTS[:4])
         assert len(service.result_cache) == 0
-        out = run(service, self.FULL)
+        out = run(service, self.FULL, config)
         assert not out.cache_hit
         assert len(out.as_tuples()) == len(oracle(
             POINTS[:4],
             [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
              (3, DimensionKind.MIN)]))
 
-    def test_drop_flushes_table(self, service):
-        run(service, self.FULL)
+    def test_drop_flushes_table(self, service, config):
+        run(service, self.FULL, config)
         service.catalog.drop("pts")
         assert len(service.result_cache) == 0
 
-    def test_unrelated_table_dml_keeps_entry(self, service):
-        session = service.session_for()
+    def test_unrelated_table_dml_keeps_entry(self, service, config):
+        session = service.session_for(config)
         session.create_table("other", COLUMNS, POINTS[:3])
-        run(service, self.FULL)
+        run(service, self.FULL, config)
         service.catalog.insert_into("other", [(99, 1.0, 1.0, 1.0)])
-        hot = run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN")
+        hot = run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN", config)
         assert hot.cache_hit
         assert sorted(hot.as_tuples()) == oracle(
             POINTS, [(1, DimensionKind.MIN), (2, DimensionKind.MIN)])
@@ -335,23 +344,25 @@ class TestCacheMechanics:
         assert not cache.store(shape, [(None,)], table)
         assert len(cache) == 0
 
-    def test_stats_counters(self, service):
+    @BOTH_PLANES
+    def test_stats_counters(self, service, config):
         stats = service.result_cache.stats
-        run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN, c MIN")
+        full = "SELECT * FROM pts SKYLINE OF a MIN, b MIN, c MIN"
+        run(service, full, config)
         assert (stats.misses, stats.stores) == (1, 1)
-        run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN, c MIN")
+        run(service, full, config)
         assert stats.exact_hits == 1
-        run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN")
+        run(service, "SELECT * FROM pts SKYLINE OF a MIN, b MIN", config)
         assert stats.refilter_hits == 1
         assert stats.hits == 2
         service.catalog.insert_into("pts", [(99, 0.0, 0.0, 0.0)])
-        service.session_for().create_table("pts", COLUMNS, POINTS)
+        service.session_for(config).create_table("pts", COLUMNS, POINTS)
         as_dict = stats.as_dict()
         assert as_dict["exact_hits"] == 1
-        assert as_dict["maintained_inserts"] == MAINTAINED
+        assert as_dict["maintained_inserts"] == config.columnar
         assert as_dict["invalidations"] == 1
         assert as_dict["invalidation_reasons"][
-            "register" if MAINTAINED else "no_resident_columns"] == 1
+            "register" if config.columnar else "no_resident_columns"] == 1
 
 
 class TestPlanCache:

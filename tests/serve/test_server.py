@@ -176,7 +176,7 @@ class TestProtocol:
                 # One resident columnar form per table, reported in
                 # bytes (0 where the row plane is forced: no store).
                 resident = stats["service"]["resident_column_bytes"]
-                columnar = server.tenant("default").config.columnar_enabled
+                columnar = server.tenant("default").config.columnar
                 assert (resident["pts"] > 0) == columnar
 
                 deleted = await self.roundtrip(reader, writer, {

@@ -5,7 +5,7 @@ import pytest
 from repro import SkylineSession
 from repro.core import make_dimensions
 from repro.datasets import anticorrelated_rows, correlated_rows
-from repro.engine.batch import HAVE_NUMPY, ColumnBatch
+from repro.engine.batch import ColumnBatch
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.stats import (Histogram, StatsStore, collect_table_stats,
                          stats_for_table)
@@ -130,7 +130,6 @@ def _dataset_tables():
         yield name, [c[0] for c in columns], rows
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array pass needs NumPy")
 class TestStatsFromResidentColumns:
     """The array pass over a table's resident columns is field-identical
     to the row loop, and leaves what it cannot count exactly to it."""
@@ -223,8 +222,8 @@ class TestStatsStoreInvalidation:
         assert fresh is not stale
         assert fresh.num_rows == 4
         fresh_columns, built = table.column_batch()
-        # With NumPy the statistics were collected off the rebuilt columns.
-        assert built == (not HAVE_NUMPY)
+        # The statistics were collected off the rebuilt columns.
+        assert not built
         assert fresh_columns is not stale_columns
         assert fresh_columns.num_rows == 4
         assert table._columns[0] == fresh.fingerprint

@@ -19,6 +19,9 @@ bit-identical to the clean server's, its stats report at least one
 worker-crash pool recovery, and it keeps serving afterwards -- all
 without a restart.
 
+Every server is stopped with SIGTERM, and no child process of it (a
+process-pool worker) may outlive it.
+
 Usage: ``PYTHONPATH=src python tools/serve_smoke.py [--clients 8]
 [--inject-faults]``
 Exits non-zero with a diagnostic on any failure.
@@ -28,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import glob
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 FULL = ("SELECT * FROM hotels "
         "SKYLINE OF price MIN, rating MAX, distance MIN")
@@ -110,6 +115,45 @@ def boot(extra_args: "list[str]", extra_env: "dict | None" = None
     return proc, match.group(1), int(match.group(2))
 
 
+def _children(pid: int) -> "set[int]":
+    """Live child pids of ``pid``, over all of its threads (the server
+    forks its pool workers from its query threads)."""
+    found: "set[int]" = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path, encoding="ascii") as handle:
+                found.update(map(int, handle.read().split()))
+        except FileNotFoundError:  # the thread exited meanwhile
+            pass
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def stop(*procs: subprocess.Popen, grace_s: float = 10.0) -> "list[int]":
+    """SIGTERM the servers, wait for them, and assert that none of their
+    children outlives them; returns how many children each had."""
+    children = [_children(proc.pid) for proc in procs]
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.wait(timeout=10)
+    pids = set().union(*children)
+    deadline = time.monotonic() + grace_s
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = sorted(filter(_alive, pids))
+    assert not survivors, f"servers left child processes behind: {survivors}"
+    return [len(c) for c in children]
+
+
 async def drive_faulted(clean: "tuple[str, int]",
                         faulted: "tuple[str, int]") -> None:
     """Crash-then-recover: identical answers, recovery counted, and the
@@ -153,9 +197,10 @@ def run_fault_injection(timeout: float, crash_p: float, seed: int) -> None:
             drive_faulted((clean_host, clean_port),
                           (faulted_host, faulted_port)), timeout))
     finally:
-        for proc in (clean_proc, faulted_proc):
-            proc.terminate()
-            proc.wait(timeout=10)
+        children = stop(clean_proc, faulted_proc)
+    assert all(children), f"a process-backend server had no pool: {children}"
+    print(f"shutdown OK: {sum(children)} child processes, none outlived "
+          f"its server")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -177,8 +222,7 @@ def main(argv: "list[str] | None" = None) -> int:
         asyncio.run(asyncio.wait_for(
             drive(host, port, args.clients), args.timeout))
     finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+        stop(proc)
     if args.inject_faults:
         run_fault_injection(max(args.timeout, 60.0), args.crash_p,
                             args.fault_seed)
