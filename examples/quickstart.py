@@ -63,9 +63,10 @@ def main() -> None:
     # --- Execution backends ----------------------------------------------
     # `num_executors` above drives the *simulated* cluster model; the
     # `backend` setting independently picks how partition tasks really
-    # execute: "local" (sequential, default), "thread", or "process"
-    # (a multiprocessing pool -- the local-skyline phase then runs truly
-    # in parallel).  Results are identical across backends.
+    # execute: "local" (sequential, default) or "process" (a
+    # multiprocessing pool -- the local-skyline phase then runs truly in
+    # parallel, isolated from the driver).  Results are identical across
+    # backends.
     with connect(num_executors=4, backend="process") as parallel:
         parallel.catalog = session.catalog
         parallel_result = parallel.sql(

@@ -34,8 +34,7 @@ from .core import (Algorithm, BoundDimension, DimensionKind, DominanceStats,
                    bnl_skyline, dominates, dominates_incomplete, skyline)
 from .engine import (BACKEND_NAMES, BOOLEAN, DOUBLE, INTEGER, STRING, Backend,
                      ClusterConfig, Field, ForeignKey, LocalBackend,
-                     ProcessBackend, Row, Schema, ThreadBackend,
-                     create_backend)
+                     ProcessBackend, Row, Schema, create_backend)
 from .engine.functions import (avg, coalesce, col, count, ifnull, lit,
                                sdiff, smax, smin, sql_max, sql_min, sql_sum)
 from .engine.faults import FaultPlan

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..engine.backends import BACKEND_NAMES, Backend, RetryPolicy
+from ..engine.backends import Backend, RetryPolicy, validate_backend
 from ..engine.cluster import ClusterConfig
 
 #: Accepted ``global_merge`` names (one behaviour behind both).
@@ -76,10 +76,13 @@ class SessionConfig:
         Full simulated-cluster model override; ``num_executors`` wins
         when both are given.
     backend:
-        Execution backend name (``local``/``thread``/``process``) or a
-        pre-built :class:`~repro.engine.backends.Backend` instance.
+        Execution backend name (``local``/``process``) or a pre-built
+        :class:`~repro.engine.backends.Backend` instance.  ``process``
+        ships batch partitions to its workers as ``/dev/shm`` handles
+        where the platform serves segments, and pickles them otherwise
+        (EXPLAIN marks each batch stage ``[shm]`` or ``[pickle]``).
     num_workers:
-        Pool size for the thread/process backends.
+        Pool size for the process backend.
     vectorized:
         Skyline kernels: ``True`` (default, the columnar NumPy kernels)
         or ``False`` (the scalar reference kernels).
@@ -98,7 +101,7 @@ class SessionConfig:
         bit-identical -- and only *infrastructure* failures (worker
         crashes, injected faults, timeouts) are retried at all.
     task_timeout_s:
-        Per-attempt wall-clock bound on the thread/process backends;
+        Per-attempt wall-clock bound on the process backend;
         a timed-out attempt is speculatively re-executed.  ``None``
         disables per-task timeouts.
     retry_backoff_s:
@@ -110,14 +113,6 @@ class SessionConfig:
         Kept only because the benchmark harness's reference session
         (``perf/run.py``) passes ``global_merge="flat"``; the
         ``"hierarchical"`` tournament tree was removed.
-    shared_memory:
-        Zero-copy shared-memory transport for the process backend's
-        columnar batches: ``"auto"`` (on where the platform serves
-        shm segments, e.g. Linux ``/dev/shm``), ``True`` (requested;
-        still degrades gracefully to pickling where unavailable) or
-        ``False``.  Only takes effect with ``backend="process"`` and
-        the columnar data plane; EXPLAIN marks each batch stage
-        ``[shm]`` or ``[pickle]``.
     execution:
         Vestigial, like ``global_merge``: a validated name with one
         behaviour.  ``"auto"`` and ``"staged"`` both mean the one
@@ -143,7 +138,6 @@ class SessionConfig:
     task_timeout_s: "float | None" = None
     retry_backoff_s: float = 0.05
     global_merge: str = "auto"
-    shared_memory: "bool | str" = "auto"
     execution: str = "auto"
 
     def __post_init__(self) -> None:
@@ -166,11 +160,7 @@ class SessionConfig:
                 f"{SKYLINE_STRATEGIES}")
         _validate_plane("vectorized", self.vectorized)
         _validate_plane("columnar", self.columnar)
-        if not isinstance(self.backend, Backend) and \
-                self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{BACKEND_NAMES}")
+        validate_backend(self.backend)
         if self.num_executors < 1:
             raise ValueError("num_executors must be >= 1")
         if self.num_workers is not None and self.num_workers < 1:
@@ -193,11 +183,6 @@ class SessionConfig:
             raise ValueError(
                 f"unknown global_merge {self.global_merge!r}; expected "
                 f"one of {GLOBAL_MERGE_STRATEGIES}")
-        if not (self.shared_memory is True or self.shared_memory is False
-                or self.shared_memory == "auto"):
-            raise ValueError(
-                f"shared_memory must be True, False or 'auto', got "
-                f"{self.shared_memory!r}")
         if self.execution == "pipelined":
             raise ValueError(
                 "execution='pipelined' was removed (PR 18, stage "
@@ -209,19 +194,6 @@ class SessionConfig:
                 f"of {EXECUTION_MODES}")
 
     # -- derived views ----------------------------------------------------
-
-    @property
-    def shared_memory_enabled(self) -> bool:
-        """True when process-backend batches may ship as shm handles.
-
-        ``True`` and ``"auto"`` both require the platform probe to
-        pass (no ``/dev/shm`` -> pickling, never an error): the flag
-        is a transport preference, not a hard capability claim.
-        """
-        if self.shared_memory is False:
-            return False
-        from ..engine.shm import shared_memory_available
-        return shared_memory_available()
 
     @property
     def backend_name(self) -> str:
@@ -245,7 +217,6 @@ class SessionConfig:
             self.num_workers,
             self.vectorized,
             self.columnar,
-            self.shared_memory_enabled,
         )
 
     def retry_policy(self) -> RetryPolicy:
@@ -275,8 +246,8 @@ class SessionConfig:
     def with_options(self, **overrides) -> "SessionConfig":
         """A copy with the given fields replaced (validation reruns).
 
-        >>> SessionConfig().with_options(backend="thread").backend_name
-        'thread'
+        >>> SessionConfig().with_options(backend="process").backend_name
+        'process'
         """
         if "skyline_algorithm" in overrides and "adaptive" not in overrides:
             # Keep the adaptive flag consistent instead of letting a

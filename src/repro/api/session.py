@@ -152,8 +152,8 @@ class SkylineSession:
         self._backend_spec = BackendSpec(self.config.backend,
                                          self.config.num_workers)
         # Lazy shared-memory store (process backend + columnar plane +
-        # shared_memory on); owns every exported segment of this
-        # session and is destroyed by close().
+        # a platform serving segments); owns every exported segment of
+        # this session and is destroyed by close().
         self._shm_store = None
 
     def _apply_config(self, config: SessionConfig) -> None:
@@ -390,13 +390,15 @@ class SkylineSession:
     # -- shared-memory transport ------------------------------------------
 
     def _transport_mode(self) -> "str | None":
-        """How batch partitions travel to workers: ``"shm"`` /
-        ``"pickle"`` on the process backend's batch plane, ``None``
-        elsewhere (in-process backends never serialise batches)."""
+        """How batch partitions travel to workers on the process
+        backend's batch plane: ``"shm"`` where the platform serves
+        segments, else ``"pickle"``; ``None`` elsewhere (in-process
+        backends never serialise batches)."""
         if self._backend_spec.name != "process" \
                 or not self.columnar:
             return None
-        return "shm" if self.config.shared_memory_enabled else "pickle"
+        from ..engine.shm import shared_memory_available
+        return "shm" if shared_memory_available() else "pickle"
 
     def _mark_transport(self, physical) -> None:
         """Stamp the per-stage transport marker EXPLAIN renders."""
@@ -456,8 +458,6 @@ class SkylineSession:
                     for values in rdd.collect()]
         finally:
             if store is not None:
-                # Belt and braces: a failed stage may skip end_stage.
-                store.end_stage()
                 ctx.shm_stats = store.stats()
         return QueryResult(rows=rows, schema=prepared.schema, context=ctx)
 

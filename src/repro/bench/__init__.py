@@ -6,7 +6,7 @@ from .harness import (ALGORITHMS_COMPLETE, ALGORITHMS_INCOMPLETE, RunResult,
 from .reporting import (format_backend_table, format_memory_table,
                         format_percent_table, format_time_table,
                         render_sweep)
-from .smoke import measure_speedup, run_smoke
+from .smoke import run_smoke
 
 __all__ = [
     "ALGORITHMS_COMPLETE",
@@ -19,7 +19,6 @@ __all__ = [
     "format_memory_table",
     "format_percent_table",
     "format_time_table",
-    "measure_speedup",
     "render_sweep",
     "run_query",
     "run_smoke",

@@ -78,7 +78,7 @@ def _run_mix(session: SkylineSession
 
 
 def run_chaos_bench(num_rows: int = 12_000, *,
-                    backend: str = "thread",
+                    backend: str = "local",
                     num_partitions: int = 8,
                     crash_p: float = 0.10,
                     error_p: float = 0.02,
@@ -90,6 +90,11 @@ def run_chaos_bench(num_rows: int = 12_000, *,
 
     ``repeats`` runs of each leg are taken and the fastest kept, so the
     overhead ratio is not dominated by one noisy scheduling hiccup.
+    On the default ``local`` backend a crash decision raises
+    :class:`~repro.engine.faults.SimulatedWorkerCrash` in the driver and
+    is retried like a lost worker; real worker deaths are exercised by
+    the process-backend tests and ``tools/serve_smoke.py
+    --inject-faults``.
     """
     rows = _make_rows(num_rows)
     plan = FaultPlan(seed=seed, crash_p=crash_p, error_p=error_p,

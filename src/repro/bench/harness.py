@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..api.session import SkylineSession, connect
 from ..core.algorithms import Algorithm
+from ..engine.backends import BACKEND_NAMES
 from ..engine.cluster import ClusterConfig
 from ..errors import BenchmarkTimeout
 
@@ -104,8 +105,8 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
     like in the paper, a run that times out on 3 executors may finish
     within budget on 10.
 
-    ``backend`` selects the execution backend (``local``, ``thread`` or
-    ``process``); with a parallel backend ``real_time_s`` on the result
+    ``backend`` selects the execution backend (``local`` or
+    ``process``); with the process backend ``real_time_s`` on the result
     reflects genuine multi-core execution of the partition tasks.
     """
     own_session = session is None
@@ -227,7 +228,7 @@ def executors_sweep(workload, algorithms: Sequence[Algorithm],
 
 def backends_sweep(workload, algorithm: Algorithm, num_dimensions: int,
                    num_executors: int,
-                   backends: Sequence[str] = ("local", "thread", "process"),
+                   backends: Sequence[str] = BACKEND_NAMES,
                    num_workers: int | None = None,
                    budget_s: float | None = None
                    ) -> dict[str, RunResult]:
@@ -235,7 +236,7 @@ def backends_sweep(workload, algorithm: Algorithm, num_dimensions: int,
 
     The new axis this reproduction adds on top of the paper: the same
     simulated cluster, but partition tasks actually executed
-    sequentially, on a thread pool, or on a process pool.  Results are
+    sequentially or on a process pool.  Results are
     asserted identical across backends by the property-test suite; here
     the interest is ``real_time_s``.
     """

@@ -91,10 +91,9 @@ def format_backend_table(title: str,
     """Real vs simulated makespan per execution backend, side by side.
 
     The simulated time is approximately backend-independent: task
-    durations are measured as per-task compute time (thread backends use
-    per-thread CPU time so GIL waits are excluded) and scheduled onto
-    the same virtual executors.  The real time is where thread/process
-    pools show up.
+    durations are measured as per-task compute time and scheduled onto
+    the same virtual executors.  The real time is where the process
+    pool shows up.
     """
     baseline_name = "local" if "local" in results else \
         next(iter(results), None)

@@ -1,16 +1,9 @@
-"""Fast benchmark smoke runs for CI.
+"""Fast benchmark smoke runs for CI, and the ``python -m repro.bench``
+command line.
 
-Two entry points, both reachable via ``python -m repro.bench``:
-
-* :func:`run_smoke` -- a tiny airbnb + store_sales workload executed on
-  every backend; emits ``BENCH_smoke.json`` with real and simulated
-  times so CI archives a machine-readable health snapshot per commit.
-* :func:`measure_speedup` -- the local-skyline phase of the bundled
-  store_sales workload executed on the local vs the process backend,
-  reporting the real wall-clock speedup.  On a multi-core runner the
-  process backend must beat sequential execution; single-core machines
-  report a speedup near (or below) 1.0, which is why the threshold is
-  opt-in.
+:func:`run_smoke` is a tiny airbnb + store_sales workload executed on
+every backend; it emits ``BENCH_smoke.json`` with real and simulated
+times so CI archives a machine-readable health snapshot per commit.
 """
 
 from __future__ import annotations
@@ -19,19 +12,14 @@ import json
 import os
 import platform
 import sys
-import time
 from typing import Sequence
 
-from ..core.algorithms import Algorithm, make_dimensions
-from ..core.bnl import bnl_skyline
-from ..core.vectorized import skyline_task
-from ..engine.backends import (LocalBackend, ProcessBackend, StageTask,
-                               default_num_workers)
-from ..engine.rdd import RDD
+from ..core.algorithms import Algorithm
 from ..datasets import airbnb_workload, store_sales_workload
+from ..engine.backends import BACKEND_NAMES
 from .harness import backends_sweep
 
-SMOKE_BACKENDS = ("local", "thread", "process")
+SMOKE_BACKENDS = BACKEND_NAMES
 
 
 def _result_record(result) -> dict:
@@ -84,69 +72,9 @@ def run_smoke(num_rows: int = 400, num_executors: int = 4,
     return report
 
 
-def measure_speedup(num_rows: int = 50_000, num_partitions: int | None = None,
-                    num_dimensions: int = 6,
-                    num_workers: int | None = None) -> dict:
-    """Local-skyline phase: sequential vs process-pool wall clock.
-
-    Uses the bundled store_sales workload, split evenly like the engine's
-    scan would, and runs the exact per-partition kernel
-    (scalar :func:`~repro.core.vectorized.skyline_task`) under the
-    :class:`LocalBackend` and the :class:`ProcessBackend`.  The global
-    phase is excluded on purpose: it is the non-parallelizable tail that
-    bounds scaling (Section 6.4), while this measurement validates that
-    the parallelizable phase really parallelizes.
-    """
-    num_workers = num_workers or default_num_workers()
-    num_partitions = num_partitions or num_workers
-    workload = store_sales_workload(num_rows)
-    col_index = {c[0]: i for i, c in enumerate(workload.columns)}
-    dims = make_dimensions([
-        (col_index[name], kind)
-        for name, kind in workload.dimensions(num_dimensions)])
-    partitions = RDD.from_rows(workload.rows, num_partitions).partitions
-    tasks = [StageTask(partition=i, rows_in=len(p),
-                       func=skyline_task,
-                       args=(p, dims, "complete", False, False))
-             for i, p in enumerate(partitions)]
-
-    def timed(backend) -> tuple[float, list]:
-        with backend:
-            if isinstance(backend, ProcessBackend):
-                # Full warm-up pass: ProcessPoolExecutor spawns workers
-                # on demand, so anything less leaves forks inside the
-                # timed run.  Sequential backends have nothing to warm.
-                backend.run_stage(tasks)
-            start = time.perf_counter()
-            outcomes = backend.run_stage(tasks)
-            elapsed = time.perf_counter() - start
-        return elapsed, [o.result[0] for o in outcomes]
-
-    local_s, local_rows = timed(LocalBackend())
-    process_s, process_rows = timed(ProcessBackend(num_workers))
-    if local_rows != process_rows:
-        raise AssertionError("process backend produced different skylines")
-    # Sanity anchor: the union of local skylines must reduce to the same
-    # global skyline regardless of how the phase executed.
-    union = [row for rows in local_rows for row in rows]
-    global_skyline = bnl_skyline(union, dims)
-    return {
-        "kind": "speedup",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "num_rows": num_rows,
-        "num_partitions": num_partitions,
-        "num_workers": num_workers,
-        "num_dimensions": num_dimensions,
-        "local_s": local_s,
-        "process_s": process_s,
-        "speedup": local_s / process_s if process_s > 0 else float("inf"),
-        "global_skyline_rows": len(global_skyline),
-    }
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI: ``python -m repro.bench --smoke`` / ``--speedup``."""
+    """CLI: ``python -m repro.bench --smoke`` / ``--adaptive`` /
+    ``--serving`` / ``--chaos``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -156,9 +84,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="run the tiny airbnb+store_sales workload on "
                              "every backend and emit BENCH_smoke.json")
-    parser.add_argument("--speedup", action="store_true",
-                        help="measure local-skyline-phase speedup of the "
-                             "process backend over sequential execution")
     parser.add_argument("--adaptive", action="store_true",
                         help="run the mixed workload under the adaptive "
                              "planner and every fixed algorithm")
@@ -180,30 +105,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--max-chaos-overhead", type=float, default=None,
                         help="fail if the chaos wall-clock overhead "
                              "exceeds this factor")
-    parser.add_argument("--shm", action="store_true",
-                        help="measure the zero-copy shared-memory "
-                             "transport against pickled batches on a "
-                             "prepared process-backend query and emit "
-                             "BENCH_shm.json")
-    parser.add_argument("--min-shm-speedup", type=float, default=None,
-                        help="fail unless the shared-memory transport "
-                             "speedup reaches this factor")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="size multiplier for the adaptive mix")
     parser.add_argument("--rows", type=int, default=None,
                         help="workload size override")
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for parallel backends")
+                        help="pool size for the process backend")
     parser.add_argument("--out", default="BENCH_smoke.json",
                         help="output path for the smoke report")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless the measured speedup reaches "
-                             "this factor (use on multi-core CI runners)")
     args = parser.parse_args(argv)
-    if not (args.smoke or args.speedup or args.adaptive or args.serving
-            or args.chaos or args.shm):
-        parser.error("nothing to do: pass --smoke, --speedup, "
-                     "--adaptive, --serving, --chaos and/or --shm")
+    if not (args.smoke or args.adaptive or args.serving or args.chaos):
+        parser.error("nothing to do: pass --smoke, --adaptive, "
+                     "--serving and/or --chaos")
 
     status = 0
     if args.smoke:
@@ -218,21 +131,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"simulated {run['simulated_time_s']:.4f}s  "
                   f"first batch {run['time_to_first_batch_s']:.4f}s  "
                   f"rows {run['result_rows']}")
-    if args.speedup:
-        result = measure_speedup(num_rows=args.rows or 50_000,
-                                 num_workers=args.workers)
-        print(f"local-skyline phase on {result['num_rows']} rows, "
-              f"{result['num_partitions']} partitions, "
-              f"{result['num_workers']} workers "
-              f"({result['cpu_count']} cores): "
-              f"local {result['local_s']:.3f}s, "
-              f"process {result['process_s']:.3f}s, "
-              f"speedup {result['speedup']:.2f}x")
-        if args.min_speedup is not None and \
-                result["speedup"] < args.min_speedup:
-            print(f"FAIL: speedup below required {args.min_speedup:.2f}x",
-                  file=sys.stderr)
-            status = 1
     if args.adaptive:
         from .adaptive import render_report, run_adaptive_bench
         report = run_adaptive_bench(scale=args.scale)
@@ -270,28 +168,5 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report["overhead"] > args.max_chaos_overhead:
             print(f"FAIL: chaos overhead above allowed "
                   f"{args.max_chaos_overhead:.2f}x", file=sys.stderr)
-            status = 1
-    if args.shm:
-        from .shm import measure_shm_speedup, render_shm_report
-        report = measure_shm_speedup(
-            num_rows=args.rows or 60_000,
-            num_workers=args.workers or 2)
-        with open("BENCH_shm.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(render_shm_report(report))
-        if not report["bit_identical"]:
-            print("FAIL: shared-memory transport produced different "
-                  "answers than the pickled transport", file=sys.stderr)
-            status = 1
-        if report["leaked_segments"]:
-            print(f"FAIL: {len(report['leaked_segments'])} /dev/shm "
-                  f"segments leaked after session close",
-                  file=sys.stderr)
-            status = 1
-        if args.min_shm_speedup is not None and \
-                report["speedup"] < args.min_shm_speedup:
-            print(f"FAIL: shared-memory transport speedup below "
-                  f"required {args.min_shm_speedup:.2f}x",
-                  file=sys.stderr)
             status = 1
     return status

@@ -2,7 +2,7 @@
 
 from .backends import (BACKEND_NAMES, Backend, FaultStats, LocalBackend,
                        ProcessBackend, RetryPolicy, SharedBackend, StageTask,
-                       ThreadBackend, create_backend)
+                       create_backend)
 from .batch import Column, ColumnBatch, encode_numeric_column
 from .catalog import Catalog, CatalogEvent, ForeignKey, Table
 from .cluster import ClusterConfig, ExecutionContext
@@ -28,7 +28,6 @@ __all__ = [
     "ProcessBackend",
     "SharedBackend",
     "StageTask",
-    "ThreadBackend",
     "create_backend",
     "DOUBLE",
     "DataType",

@@ -7,19 +7,15 @@ owns that concern: a :class:`Backend` executes one *stage* -- a batch of
 independent partition tasks -- and returns each task's result together
 with its individually measured duration.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :class:`LocalBackend` -- sequential in-process execution, the
   historical behaviour and the default.
-* :class:`ThreadBackend` -- a ``ThreadPoolExecutor``.  Python's GIL
-  limits the speedup for the CPU-bound skyline kernels, but the backend
-  exercises real concurrency (shared-memory, no pickling) and is useful
-  wherever tasks release the GIL.
 * :class:`ProcessBackend` -- a ``ProcessPoolExecutor`` giving true
-  multi-core parallelism.  Tasks must offer a *picklable* payload
-  (top-level function + arguments); tasks that only provide an
-  in-process closure transparently fall back to inline execution, so
-  mixed plans still work.
+  multi-core parallelism and crash isolation.  Tasks must offer a
+  *picklable* payload (top-level function + arguments); tasks that only
+  provide an in-process closure transparently fall back to inline
+  execution, so mixed plans still work.
 
 Every backend preserves task order and determinism: results are returned
 in submission order regardless of completion order, so the engine's
@@ -44,9 +40,10 @@ Spark-style task-level retry sound here:
   results that completed before the crash are kept.  A task that keeps
   dying surfaces as :class:`~repro.errors.WorkerCrashError` once the
   budget is spent.
-* ``task_timeout_s`` bounds one attempt on the pooled backends via
+* ``task_timeout_s`` bounds one attempt on the process backend via
   future deadlines.  A timed-out attempt is *speculatively* retried:
-  the original future is left to finish (a thread cannot be killed) and
+  the original future is left to finish (a running worker task cannot
+  be cancelled) and
   the first attempt to complete wins; if the retry wins while the
   original is still running, the outcome is flagged
   ``speculative_win``.
@@ -68,8 +65,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Executor, Future, \
-    ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -78,7 +74,7 @@ from ..errors import QueryTimeout, TaskError, WorkerCrashError
 from .faults import InjectedFault, SimulatedWorkerCrash, maybe_inject
 
 #: Names accepted by :func:`create_backend` and the session API.
-BACKEND_NAMES = ("local", "thread", "process")
+BACKEND_NAMES = ("local", "process")
 
 
 def default_num_workers() -> int:
@@ -133,7 +129,7 @@ class StageTask:
     #: Tracked payload bytes of this task's input (``ColumnBatch.nbytes``
     #: or a row-list estimate).  ``0`` = untracked; when set, the
     #: execution context folds it into the *real* per-stage memory
-    #: high-water mark that thread/process backends report.
+    #: high-water mark it reports.
     bytes_in: int = 0
 
     def __post_init__(self) -> None:
@@ -202,7 +198,7 @@ class RetryPolicy:
     ``backoff_s`` is the base of an exponential backoff whose jitter is
     *deterministic* -- a seeded hash of (task key, attempt) -- so
     retried runs remain reproducible.  ``task_timeout_s`` bounds one
-    attempt on the pooled backends; ``deadline`` is an absolute
+    attempt on the process backend; ``deadline`` is an absolute
     ``perf_counter`` bound (the query budget) capping every wait.
     ``stats`` receives the fault counters of the stage.
     """
@@ -287,21 +283,6 @@ def _timed_inline(task: StageTask, attempt: int = 0) -> TaskOutcome:
     return TaskOutcome(result, time.perf_counter() - start)
 
 
-def _timed_in_thread(task: StageTask, attempt: int = 0) -> TaskOutcome:
-    """Inline execution timed with per-thread CPU time.
-
-    GIL contention makes wall-clock meaningless for concurrent
-    CPU-bound threads (N tasks each appear ~N times slower);
-    ``thread_time`` excludes time spent waiting for the GIL, keeping
-    recorded durations -- and hence the simulated makespan -- comparable
-    across backends for the CPU-bound skyline kernels.
-    """
-    maybe_inject(task.fault_key, attempt)
-    start = time.thread_time()
-    result = task.run_inline()
-    return TaskOutcome(result, time.thread_time() - start)
-
-
 # -- shared retry machinery ------------------------------------------------
 
 
@@ -372,15 +353,13 @@ def _next_attempt(task: StageTask, attempt: int, policy: RetryPolicy,
     return attempt + 1
 
 
-def _run_with_retries(task: StageTask, policy: RetryPolicy,
-                      timer: Callable[[StageTask, int], TaskOutcome]
-                      = _timed_inline) -> TaskOutcome:
+def _run_with_retries(task: StageTask, policy: RetryPolicy) -> TaskOutcome:
     """Inline execution under the retry policy (driver-side paths)."""
     attempt = 0
     while True:
         _check_deadline(policy)
         try:
-            outcome = timer(task, attempt)
+            outcome = _timed_inline(task, attempt)
         except Exception as exc:
             attempt = _next_attempt(task, attempt, policy, exc)
             continue
@@ -398,8 +377,8 @@ def _observe(future: Future) -> None:
 def _abandon(futures: Iterable["Future | None"]) -> None:
     """Cancel-or-observe outstanding futures on a terminal stage error.
 
-    Pending futures are cancelled; running ones cannot be (threads and
-    already-dispatched process tasks are uninterruptible), so their
+    Pending futures are cancelled; running ones cannot be (an
+    already-dispatched process task is uninterruptible), so their
     eventual exception/result is swallowed via a done-callback instead
     of leaking unobserved.
     """
@@ -437,6 +416,11 @@ class Backend:
                   ) -> list[TaskOutcome]:
         raise NotImplementedError
 
+    def shipped(self, tasks: Sequence[StageTask]) -> "list[StageTask]":
+        """The tasks :meth:`run_stage` would send to another process,
+        pickling their ``args``; in-process backends ship none."""
+        return []
+
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
 
@@ -462,30 +446,59 @@ class LocalBackend(Backend):
         return [_run_with_retries(task, policy) for task in tasks]
 
 
-class _PooledBackend(Backend):
-    """Shared lazy-pool plumbing for thread/process backends."""
+def _reset_worker_signals() -> None:
+    """Pool-worker initializer: the default SIGTERM and no wakeup fd.
+
+    A forked worker inherits the driver's signal handling.  Under a
+    driver that handles SIGTERM in its event loop (``python -m
+    repro.serve``), the SIGTERM a pool teardown sends its workers would
+    not end them and would reach the driver's loop through the inherited
+    wakeup fd, shutting the server down.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
+class ProcessBackend(Backend):
+    """Process-pool execution: true multi-core parallelism.
+
+    Only tasks with a picklable payload (``func``/``args``) travel to the
+    worker processes; closure-only tasks run inline in the driver.  The
+    local-skyline phase -- the parallel bulk of ``distributed_complete``
+    and ``distributed_incomplete`` -- provides such payloads, so it is
+    exactly the work that fans out.
+
+    A dead worker breaks the whole pool (``BrokenProcessPool`` on every
+    in-flight future); :meth:`_recover` rebuilds it and re-runs only
+    the tasks whose results were lost.
+    """
+
+    name = "process"
 
     def __init__(self, num_workers: int | None = None) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers or default_num_workers()
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         #: Bumped on every pool teardown; lets concurrent stage runs
         #: agree on which pool instance a crash invalidated.
         self._epoch = 0
-
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
+        # Fork the workers now, while the driver is small: one forked
+        # mid-query inherits -- and its RSS is charged for -- whatever
+        # the driver holds by then (e.g. a table's resident columns).
+        self.pool.submit(int).result()
 
     @property
-    def pool(self) -> Executor:
+    def pool(self) -> ProcessPoolExecutor:
         return self._pool_and_epoch()[0]
 
-    def _pool_and_epoch(self) -> "tuple[Executor, int]":
+    def _pool_and_epoch(self) -> "tuple[ProcessPoolExecutor, int]":
         with self._lock:
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.num_workers,
+                    initializer=_reset_worker_signals)
             return self._pool, self._epoch
 
     def _invalidate_pool(self, epoch: int) -> None:
@@ -509,124 +522,19 @@ class _PooledBackend(Backend):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_workers={self.num_workers})"
 
-
-class ThreadBackend(_PooledBackend):
-    """Thread-pool execution: shared memory, no pickling requirements."""
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.num_workers,
-            thread_name_prefix="repro-stage")
-
-    def run_stage(self, tasks: Sequence[StageTask],
-                  policy: "RetryPolicy | None" = None
-                  ) -> list[TaskOutcome]:
-        policy = policy if policy is not None else RetryPolicy()
-        if len(tasks) <= 1:
-            return [_run_with_retries(task, policy) for task in tasks]
-        slots = [_Slot(task) for task in tasks]
-        try:
-            for slot in slots:
-                slot.future = self.pool.submit(
-                    _timed_in_thread, slot.task, slot.attempt)
-            return [self._collect(slot, policy) for slot in slots]
-        except BaseException:
-            _abandon(f for slot in slots for f in slot.outstanding())
-            raise
-
-    def _collect(self, slot: _Slot, policy: RetryPolicy) -> TaskOutcome:
-        while True:
-            timeout, deadline_bound = _wait_budget(policy)
-            try:
-                outcome = slot.future.result(timeout)
-            except FuturesTimeout:
-                if deadline_bound:
-                    raise QueryTimeout(
-                        message="query deadline exceeded during stage "
-                                "execution") from None
-                self._speculate(slot, policy)
-                continue
-            except Exception as exc:
-                slot.attempt = _next_attempt(slot.task, slot.attempt,
-                                             policy, exc)
-                slot.future = self.pool.submit(
-                    _timed_in_thread, slot.task, slot.attempt)
-                continue
-            outcome.attempts = slot.attempt + 1
-            if slot.prev is not None and not slot.prev.done():
-                outcome.speculative_win = True
-                policy.stats.speculative_wins += 1
-            return outcome
-
-    def _speculate(self, slot: _Slot, policy: RetryPolicy) -> None:
-        """Relaunch a timed-out attempt; the original keeps running
-        (threads are uninterruptible) and the first finisher wins --
-        results are identical either way because tasks are pure."""
-        attempts = slot.attempt + 1
-        if attempts >= policy.max_attempts:
-            raise TaskError(
-                f"task {slot.task.fault_key} timed out after {attempts} "
-                f"attempts (task_timeout_s="
-                f"{policy.task_timeout_s})",
-                task_key=slot.task.fault_key, attempts=attempts)
-        policy.stats.retries += 1
-        slot.attempt += 1
-        slot.prev = slot.future
-        slot.prev.add_done_callback(_observe)
-        slot.future = self.pool.submit(
-            _timed_in_thread, slot.task, slot.attempt)
-
-
-def _reset_worker_signals() -> None:
-    """Pool-worker initializer: the default SIGTERM and no wakeup fd.
-
-    A forked worker inherits the driver's signal handling.  Under a
-    driver that handles SIGTERM in its event loop (``python -m
-    repro.serve``), the SIGTERM a pool teardown sends its workers would
-    not end them and would reach the driver's loop through the inherited
-    wakeup fd, shutting the server down.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.set_wakeup_fd(-1)
-
-
-class ProcessBackend(_PooledBackend):
-    """Process-pool execution: true multi-core parallelism.
-
-    Only tasks with a picklable payload (``func``/``args``) travel to the
-    worker processes; closure-only tasks run inline in the driver.  The
-    local-skyline phase -- the parallel bulk of ``distributed_complete``
-    and ``distributed_incomplete`` -- provides such payloads, so it is
-    exactly the work that fans out.
-
-    A dead worker breaks the whole pool (``BrokenProcessPool`` on every
-    in-flight future); :meth:`_recover` rebuilds it and re-runs only
-    the tasks whose results were lost.
-    """
-
-    name = "process"
-
-    def __init__(self, num_workers: int | None = None) -> None:
-        super().__init__(num_workers)
-        # Fork the workers now, while the driver is small: one forked
-        # mid-query inherits -- and its RSS is charged for -- whatever
-        # the driver holds by then (e.g. a table's resident columns).
-        self.pool.submit(int).result()
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.num_workers,
-                                   initializer=_reset_worker_signals)
-
-    def run_stage(self, tasks: Sequence[StageTask],
-                  policy: "RetryPolicy | None" = None
-                  ) -> list[TaskOutcome]:
-        policy = policy if policy is not None else RetryPolicy()
+    def shipped(self, tasks: Sequence[StageTask]) -> "list[StageTask]":
+        # A lone picklable task runs inline: one task gains nothing
+        # from a worker and would pay the pickling both ways.
         shippable = [t for t in tasks if t.picklable]
-        if len(shippable) <= 1:
+        return shippable if len(shippable) > 1 else []
+
+    def run_stage(self, tasks: Sequence[StageTask],
+                  policy: "RetryPolicy | None" = None
+                  ) -> list[TaskOutcome]:
+        policy = policy if policy is not None else RetryPolicy()
+        slots = {id(task): _Slot(task) for task in self.shipped(tasks)}
+        if not slots:
             return [_run_with_retries(task, policy) for task in tasks]
-        slots = {id(task): _Slot(task) for task in shippable}
         try:
             for slot in slots.values():
                 self._submit(slot)
@@ -684,6 +592,9 @@ class ProcessBackend(_PooledBackend):
             return outcome
 
     def _speculate(self, slot: _Slot, policy: RetryPolicy) -> None:
+        """Relaunch a timed-out attempt; the original keeps running and
+        the first finisher wins -- results are identical either way
+        because tasks are pure."""
         attempts = slot.attempt + 1
         if attempts >= policy.max_attempts:
             raise TaskError(
@@ -758,6 +669,9 @@ class SharedBackend(Backend):
                   ) -> list[TaskOutcome]:
         return self.inner.run_stage(tasks, policy)
 
+    def shipped(self, tasks: Sequence[StageTask]) -> "list[StageTask]":
+        return self.inner.shipped(tasks)
+
     def close(self) -> None:
         """No-op: the pool is shared; see :meth:`close_shared`."""
 
@@ -785,12 +699,9 @@ class BackendSpec:
     _instance: Backend | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        validate_backend(self.choice)
         if isinstance(self.choice, Backend):
             self._instance = self.choice
-        elif self.choice not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.choice!r}; expected one of "
-                f"{BACKEND_NAMES}")
 
     def resolve(self) -> Backend:
         if self._instance is None:
@@ -800,7 +711,7 @@ class BackendSpec:
     def close(self) -> None:
         """Shut down the materialised backend's pool, if any.
 
-        The instance is kept: pooled backends recreate their pool on
+        The instance is kept: the process backend recreates its pool on
         demand, so the spec stays usable after close.
         """
         if self._instance is not None:
@@ -812,20 +723,29 @@ class BackendSpec:
             else str(self.choice)
 
 
+def validate_backend(choice: "str | Backend") -> None:
+    """Reject anything but a :data:`BACKEND_NAMES` entry or a
+    :class:`Backend` instance."""
+    if isinstance(choice, Backend) or choice in BACKEND_NAMES:
+        return
+    if choice == "thread":
+        raise ValueError(
+            "backend='thread' was removed: the GIL serialises the "
+            "skyline kernels, so it never beat 'local'; use 'local' or "
+            "'process'")
+    raise ValueError(
+        f"unknown backend {choice!r}; expected one of {BACKEND_NAMES}")
+
+
 def create_backend(name: "str | Backend",
                    num_workers: int | None = None) -> Backend:
-    """Instantiate a backend by name (``local``/``thread``/``process``).
+    """Instantiate a backend by name (``local``/``process``).
 
     An already-constructed :class:`Backend` passes through unchanged so
     callers can inject custom implementations.
     """
+    validate_backend(name)
     if isinstance(name, Backend):
         return name
-    if name == "local":
-        return LocalBackend()
-    if name == "thread":
-        return ThreadBackend(num_workers)
-    if name == "process":
-        return ProcessBackend(num_workers)
-    raise ValueError(
-        f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
+    return LocalBackend() if name == "local" else \
+        ProcessBackend(num_workers)

@@ -384,25 +384,11 @@ class ColumnBatch:
         self._rows: list[tuple] | None = None
 
     def __getstate__(self):
-        # With an active SharedColumnStore (process backend, driver
-        # side) batches serialise as a small segment handle instead of
-        # their buffers; see repro.engine.shm.  Imported lazily: shm
-        # imports this module.
-        from . import shm
-        store = shm.active_store()
-        if store is not None:
-            state = store.state_for(self)
-            if state is not None:
-                return state
+        # By value; a batch shipped as a shared-memory handle travels as
+        # a repro.engine.shm.SharedBatch instead.
         return (self.columns, self._num_rows)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4:
-            from . import shm
-            if state[0] == shm.SHM_STATE_TAG:
-                self.columns, self._num_rows = shm.restore_state(state)
-                self._rows = None
-                return
         self.columns, self._num_rows = state
         self._rows = None
 

@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 from ..errors import QueryTimeout
 from .backends import Backend, FaultStats, LocalBackend, RetryPolicy, \
     StageTask
-from .shm import activation as shm_activation
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ class ExecutionContext:
     tasks of one stage (or :meth:`run_task` for a single task) and
     :meth:`record_shuffle` when they move rows between partitions.  The
     tasks execute on a pluggable :class:`~repro.engine.backends.Backend`
-    -- sequentially in-process by default, or on a thread/process pool
-    for real parallelism.  After execution, :meth:`simulated_time_s` and
+    -- sequentially in-process by default, or on a process pool for
+    real parallelism.  After execution, :meth:`simulated_time_s` and
     :meth:`peak_memory_mb` derive the quantities the paper's figures
     plot, while :meth:`real_time_s` reports the host wall-clock time the
     backend actually spent.
@@ -164,9 +163,9 @@ class ExecutionContext:
                  shm_store=None) -> None:
         self.config = config or ClusterConfig()
         self.backend = backend or LocalBackend()
-        #: Optional :class:`~repro.engine.shm.SharedColumnStore`
-        #: activated around every stage so task batches ship as
-        #: shared-memory handles (process backend only).
+        #: Optional :class:`~repro.engine.shm.SharedColumnStore` that
+        #: every stage exports its shipped tasks' batches into, so they
+        #: travel as shared-memory handles (process backend only).
         self.shm_store = shm_store
         #: Store counters snapshot taken after execution (``None``
         #: when the query did not run under a store).
@@ -234,7 +233,7 @@ class ExecutionContext:
 
         Unlike the simulated Appendix-C model this counts *measured*
         payload bytes (``ColumnBatch.nbytes`` / row estimates), so on
-        the thread and process backends :meth:`peak_memory_mb` can
+        the process backend :meth:`peak_memory_mb` can
         report a true high-water mark.
         """
         if nbytes > 0 and nbytes > self.operator_peaks.get(name, 0):
@@ -288,21 +287,27 @@ class ExecutionContext:
         metrics = self.stage(stage, parallelizable)
         policy = replace(self.retry_policy, deadline=self.deadline,
                          stats=FaultStats())
+        claims = []
         start = time.perf_counter()
         try:
-            with shm_activation(self.shm_store):
-                outcomes = self.backend.run_stage(tasks, policy)
             if self.shm_store is not None:
-                # Transient segments (auto-registered while pickling
-                # this stage's task args) are only safe to drop now:
-                # retries and speculative attempts re-pickle mid-stage.
-                self.shm_store.end_stage()
+                # Exported here, on the submitting thread and into this
+                # query's own store -- never by whichever thread pickles.
+                shipped = {id(task) for task in self.backend.shipped(tasks)}
+                tasks = [self._exported(task, claims)
+                         if id(task) in shipped else task for task in tasks]
+            outcomes = self.backend.run_stage(tasks, policy)
         except QueryTimeout as exc:
             self._merge_faults(metrics, policy.stats)
             if not exc.partial_stats:
                 exc.partial_stats.update(self.partial_progress())
             raise
         finally:
+            if claims:
+                # This stage's transient segments are only safe to drop
+                # now: retries, speculative attempts and crash recovery
+                # re-pickle mid-stage.  Other stages' claims stay.
+                self.shm_store.end_stage(claims)
             metrics.real_time_s += time.perf_counter() - start
             self._merge_faults(metrics, policy.stats)
         results = []
@@ -341,11 +346,18 @@ class ExecutionContext:
         self.fault_stats.merge(stats)
         stats.retries = stats.crash_recoveries = stats.speculative_wins = 0
 
+    def _exported(self, task: StageTask, claims: list) -> StageTask:
+        """``task`` with its batch args exported to the shm store; the
+        entries it claimed are appended to ``claims``."""
+        args, claimed = self.shm_store.export(task.args)
+        claims.extend(claimed)
+        return replace(task, args=args)
+
     def _deadline_wrapped(self, task: StageTask) -> StageTask:
         """Per-task budget check for driver-side execution.
 
         Restores the pre-backend behaviour where every partition task
-        re-checked the deadline: local/thread backends run the wrapped
+        re-checked the deadline: the local backend runs the wrapped
         ``fn``; process backends still ship the unwrapped picklable
         payload (workers cannot see the driver's clock -- the budget is
         then enforced between stages).
@@ -408,7 +420,7 @@ class ExecutionContext:
     def peak_memory_mb(self) -> float:
         """Peak memory: measured where possible, simulated otherwise.
 
-        On the real parallel backends (thread/process) with tracked
+        On the real parallel backend (process) with tracked
         payload bytes available this reports the true high-water mark
         (:meth:`tracked_peak_mb`).  Otherwise it falls back to the
         paper's simulated Appendix-C model below, which remains the

@@ -27,7 +27,7 @@ Fault kinds, checked in order per attempt:
 
 * **crash** -- in a process-pool worker the process dies hard
   (``os._exit``), producing a real ``BrokenProcessPool`` on the driver;
-  in the driver/thread paths a :class:`SimulatedWorkerCrash` is raised
+  in the driver a :class:`SimulatedWorkerCrash` is raised
   instead (killing the test runner would be overly method).
 * **error** -- raises :class:`InjectedFault`, classified retryable.
 * **delay** -- sleeps ``delay_s`` seconds (exercises task timeouts and
@@ -63,7 +63,7 @@ class InjectedFault(ReproError):
 
 class SimulatedWorkerCrash(InjectedFault):
     """A crash decision taken where ``os._exit`` would kill the driver
-    (local/thread execution); retried like a real worker crash."""
+    (inline execution); retried like a real worker crash."""
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ object store solves the same problem the same way).
 
 :class:`SharedColumnStore` places the buffers of a batch (f8/i8/b1
 arrays plus their null masks) into ``multiprocessing.shared_memory``
-segments owned by the **driver**.  While a store is *active* (see
-:func:`activation`), ``ColumnBatch.__getstate__`` serialises as a small
-handle -- ``(tag, segment_name, num_rows, column_specs)`` -- instead of
-the buffers, and workers rebuild the columns as read-only views over
-the mapped segment: the data itself never crosses the pipe again.
+segments owned by the **driver**.  The execution context exports the
+batches among a shipped task's arguments explicitly, on the thread that
+submits the stage and into that session's own store
+(:meth:`SharedColumnStore.export`): each becomes a
+:class:`SharedBatch` that pickles as a small handle -- ``(segment_name,
+num_rows, column_specs)`` -- instead of the buffers, and workers rebuild
+the columns as read-only views over the mapped segment: the data itself
+never crosses the pipe again.  Nothing global decides which store a
+batch lands in, so concurrent sessions sharing one worker pool (the
+serving tier) never export into -- or release -- each other's segments.
 
 Ownership and crash safety
 --------------------------
@@ -31,11 +36,14 @@ cancel the driver's own crash-time safety net.
 
 Lifecycle
 ---------
-Entries are *transient* by default: auto-registered when a batch is
-first pickled under an active store, and released by
-:meth:`end_stage` once the stage that shipped them has completed
-(retries and speculative re-execution re-pickle task args mid-stage,
-so release must wait for the stage barrier).  Entries registered via
+Entries are *transient* by default: registered when a batch is first
+exported, and released by
+:meth:`end_stage` once every stage that shipped them has completed
+(retries, speculative re-execution and crash recovery re-pickle the
+exported task args mid-stage, so release must wait for the stage
+barrier).  Each export returns the entries it claimed, and a stage
+releases only its own claims: concurrent queries of one session share
+the store without freeing each other's segments.  Entries registered via
 :meth:`pin` are *persistent*: they survive stage and query boundaries
 -- this is what lets prepared queries ship their cached input
 partitions as handles on every execution -- and are dropped by
@@ -54,7 +62,6 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,10 +72,6 @@ try:  # pragma: no cover - absent on some exotic platforms
 except ImportError:  # pragma: no cover
     shared_memory = None
     resource_tracker = None
-
-#: First element of a shared-memory handle state tuple; distinguishes it
-#: from the legacy ``(columns, num_rows)`` pickle state of ColumnBatch.
-SHM_STATE_TAG = "__repro_shm__"
 
 #: Batches smaller than this pickle faster than they map; ship by value.
 MIN_SHARE_BYTES = 32 * 1024
@@ -130,16 +133,19 @@ class _Entry:
     (non-prepared) query of a session would pin partitions forever.
     """
 
-    __slots__ = ("ref", "strong", "segment", "state", "nbytes",
-                 "persistent")
+    __slots__ = ("key", "ref", "strong", "segment", "state", "nbytes",
+                 "persistent", "claims")
 
     def __init__(self, batch, segment, state, nbytes, persistent):
+        self.key = id(batch)
         self.ref = weakref.ref(batch)
         self.strong = None if persistent else batch
         self.segment = segment
         self.state = state
         self.nbytes = nbytes
         self.persistent = persistent
+        #: Stages that shipped this transient entry and have not ended.
+        self.claims = 0
 
     def batch(self):
         return self.ref()
@@ -162,7 +168,6 @@ class SharedColumnStore:
 
     def __init__(self, max_bytes: "int | None" = None,
                  min_batch_bytes: int = MIN_SHARE_BYTES) -> None:
-        self.owner_pid = os.getpid()
         self.max_bytes = max_bytes
         self.min_batch_bytes = min_batch_bytes
         self._lock = threading.Lock()
@@ -181,25 +186,39 @@ class SharedColumnStore:
 
     # -- registration -----------------------------------------------------
 
-    def state_for(self, batch: ColumnBatch) -> "tuple | None":
-        """The handle state to pickle for ``batch``, or ``None``.
-
-        Registers the batch on first sight; ``None`` means "pickle by
-        value", counted under the reason the registration was refused.
-        """
+    def export(self, args: tuple) -> "tuple[tuple, list[_Entry]]":
+        """``args`` with every batch this store serves replaced by its
+        :class:`SharedBatch` handle -- refused batches stay as they are
+        (shipped by value, counted under their fallback reason) -- and
+        the transient entries this export claimed, to hand to
+        :meth:`end_stage` once the shipping stage is over."""
+        exported, claims = [], []
         with self._lock:
             self._sweep_locked()
-            entry = self._lookup_locked(batch)
-            if entry is not None:
-                self.handles_served += 1
-                return entry.state
-            state, refusal = self._register_locked(batch, persistent=False)
-            if state is None:
+            for arg in args:
+                if isinstance(arg, ColumnBatch):
+                    entry = self._share_locked(arg)
+                    if entry is not None:
+                        arg = SharedBatch(entry.state)
+                        if not entry.persistent:
+                            entry.claims += 1
+                            claims.append(entry)
+                exported.append(arg)
+        return tuple(exported), claims
+
+    def _share_locked(self, batch: ColumnBatch) -> "_Entry | None":
+        """The entry to ship ``batch`` as, registered on first sight, or
+        ``None`` -- "pickle by value", counted under the reason the
+        registration was refused."""
+        entry = self._lookup_locked(batch)
+        if entry is None:
+            entry, refusal = self._register_locked(batch, persistent=False)
+            if entry is None:
                 self.pickle_fallbacks += 1
                 self.fallbacks[refusal] += 1
-            else:
-                self.handles_served += 1
-            return state
+                return None
+        self.handles_served += 1
+        return entry
 
     def pin(self, batches) -> int:
         """Register ``batches`` persistently (surviving stage/query
@@ -252,10 +271,9 @@ class SharedColumnStore:
                     self._release_locked(id(batch))
 
     def _register_locked(self, batch: ColumnBatch, persistent: bool
-                         ) -> "tuple[tuple | None, str | None]":
-        """Export ``batch``: ``(handle state, None)``, or ``(None,
-        reason)`` with the :data:`FALLBACK_REASONS` entry that refused
-        it."""
+                         ) -> "tuple[_Entry | None, str | None]":
+        """Export ``batch``: ``(entry, None)``, or ``(None, reason)``
+        with the :data:`FALLBACK_REASONS` entry that refused it."""
         if self._closed or shared_memory is None:
             return None, "closed"
         if batch.num_rows == 0:
@@ -295,14 +313,13 @@ class SharedColumnStore:
                                  count=array.size, offset=offset)
             dest[:] = array.reshape(-1)
             del dest
-        state = (SHM_STATE_TAG, segment.name, batch.num_rows,
-                 tuple(specs))
-        self._entries[id(batch)] = _Entry(
+        state = (segment.name, batch.num_rows, tuple(specs))
+        entry = self._entries[id(batch)] = _Entry(
             batch, segment, state, total, persistent)
         self._bytes += total
         self.segments_created += 1
         self.bytes_shared += total
-        return state, None
+        return entry, None
 
     # -- release ----------------------------------------------------------
 
@@ -314,14 +331,18 @@ class SharedColumnStore:
         self.segments_released += 1
         _destroy_segment(entry.segment)
 
-    def end_stage(self) -> None:
-        """Release every transient entry (called after a stage -- with
-        all its retries and speculative attempts -- has completed)."""
+    def end_stage(self, claims: "list[_Entry]") -> None:
+        """Drop a stage's ``claims`` (what its :meth:`export` calls
+        returned) once the stage -- with all its retries and speculative
+        attempts -- is over; a transient entry no other stage still
+        claims is released."""
         with self._lock:
             self._sweep_locked()
-            for key in [k for k, e in self._entries.items()
-                        if not e.persistent]:
-                self._release_locked(key)
+            for entry in claims:
+                entry.claims -= 1
+                if entry.claims <= 0 and not entry.persistent and \
+                        self._entries.get(entry.key) is entry:
+                    self._release_locked(entry.key)
 
     def close(self) -> None:
         """Destroy every segment; the store refuses new registrations."""
@@ -362,38 +383,18 @@ class SharedColumnStore:
         }
 
 
-# ---------------------------------------------------------------------------
-# Activation: which store (if any) intercepts ColumnBatch pickling
-# ---------------------------------------------------------------------------
+class SharedBatch:
+    """A batch exported to a :class:`SharedColumnStore`: pickles as its
+    segment handle and unpickles, in a worker, as a :class:`ColumnBatch`
+    over the mapped segment (:func:`restore_batch`)."""
 
-#: A module global on purpose (not thread-local): ProcessPoolExecutor
-#: pickles task arguments in its internal feeder thread, which must see
-#: the store the submitting thread activated.  Fork-started workers
-#: inherit the global too; :func:`active_store` neutralises it there
-#: via the owner-pid check so worker-side pickling stays by-value.
-_ACTIVE: "SharedColumnStore | None" = None
+    __slots__ = ("state",)
 
+    def __init__(self, state: tuple) -> None:
+        self.state = state
 
-def active_store() -> "SharedColumnStore | None":
-    store = _ACTIVE
-    if store is None or store.closed or store.owner_pid != os.getpid():
-        return None
-    return store
-
-
-@contextmanager
-def activation(store: "SharedColumnStore | None"):
-    """Make ``store`` intercept batch pickling for the enclosed stage."""
-    global _ACTIVE
-    if store is None:
-        yield
-        return
-    previous = _ACTIVE
-    _ACTIVE = store
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
+    def __reduce__(self):
+        return restore_batch, (self.state,)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +450,15 @@ def _attach(name: str):
     return segment
 
 
-def restore_state(state: tuple) -> tuple:
-    """Rebuild ``(columns, num_rows)`` from a handle state tuple.
+def restore_batch(state: tuple) -> ColumnBatch:
+    """Rebuild the batch a handle state tuple stands for.
 
     Array columns become **read-only** views over the mapped segment
     (kernels never mutate their inputs; read-only flags turn any future
     violation into a hard error instead of silent cross-process
     corruption).  Object columns travelled inline.
     """
-    _tag, name, num_rows, specs = state
+    name, num_rows, specs = state
     segment = _attach(name)
     columns = []
     for spec in specs:
@@ -474,7 +475,7 @@ def restore_state(state: tuple) -> tuple:
                                  offset=mask_offset)
             mask.flags.writeable = False
         columns.append(Column(kind, data, mask))
-    return list(columns), num_rows
+    return ColumnBatch(columns, num_rows)
 
 
 def leaked_segments(prefix: str = "psm_") -> list[str]:

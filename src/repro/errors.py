@@ -81,7 +81,7 @@ class QueryTimeout(ReproError):
     """A query exceeded its wall-clock budget (``time_budget_s``).
 
     Raised cooperatively between (and, via per-task future deadlines on
-    the thread/process backends, during) partition tasks, and as a hard
+    the process backend, during) partition tasks, and as a hard
     backstop by the serving layer.  ``partial_stats`` reports how far
     the query got: completed stages, rows produced, retries -- the
     error payload a client can use to decide whether to re-submit with

@@ -438,8 +438,8 @@ class ScanExec(_NarrowExec):
         (only ``columns``, when given), counted into ``ctx.scan``.
 
         ``resident`` is asked for by a consumer whose tasks ship these
-        slices to process workers.  Under an active
-        :class:`~repro.engine.shm.SharedColumnStore` the slices are then
+        slices to process workers.  When the context has a shm store
+        (:class:`~repro.engine.shm.SharedColumnStore`) the slices are then
         pinned in the store and kept on the plan, so re-executions of a
         prepared query hand out the *same* objects and ship handles to
         the same segments instead of copying them again -- for as long
@@ -1248,11 +1248,10 @@ class SkylineLocalExec(_SkylineExec):
 
         When everything beneath is deterministic data preparation over
         one scan (filter, project), those partitions depend only on
-        :meth:`ScanExec.token`; under an active
-        :class:`~repro.engine.shm.SharedColumnStore` they are then
-        pinned and kept on the plan like the fused path's scan slices,
-        and a prepared query's re-execution skips the chain and the
-        regroup and ships handles to the same segments.
+        :meth:`ScanExec.token`; when the context has a shm store they
+        are then pinned and kept on the plan like the fused path's scan
+        slices, and a prepared query's re-execution skips the chain and
+        the regroup and ships handles to the same segments.
         """
         child = self.children[0]
         store = token = None
@@ -1288,7 +1287,7 @@ class SkylineLocalExec(_SkylineExec):
         else:
             partitions = self._child_partitions(ctx, stage)
         # ``fn`` is a deadline-aware in-process closure (used by the
-        # local and thread backends); ``func``/``args`` is the picklable
+        # local backend); ``func``/``args`` is the picklable
         # payload process backends ship to workers (workers cannot see
         # the driver's deadline clock, so the budget is checked between
         # stages instead).

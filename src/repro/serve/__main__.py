@@ -38,8 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="local",
                         help="default execution backend for tenants")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker-pool size for thread/process "
-                             "backends")
+                        help="worker-pool size for the process backend")
     parser.add_argument("--partitions", type=int, default=None,
                         help="scan partition count (num_executors) so "
                              "skyline stages fan out")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -41,6 +43,10 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(backend="gpu")
 
+    def test_thread_backend_was_removed(self):
+        with pytest.raises(ValueError, match="was removed"):
+            SessionConfig(backend="thread")
+
     def test_validation_vectorized_rejects_ints(self):
         with pytest.raises(ValueError):
             SessionConfig(vectorized=1)
@@ -64,9 +70,9 @@ class TestSessionConfig:
             SessionConfig(adaptive=True, skyline_algorithm="sfs")
 
     def test_with_options(self):
-        config = SessionConfig().with_options(backend="thread",
+        config = SessionConfig().with_options(backend="process",
                                               num_workers=2)
-        assert config.backend == "thread"
+        assert config.backend == "process"
         assert config.num_workers == 2
         # the original is untouched
         assert SessionConfig().backend == "local"
@@ -91,36 +97,11 @@ class TestSessionConfig:
         import json
         json.dumps(SessionConfig().as_dict())
 
-    def test_shared_memory_default_is_auto(self):
-        assert SessionConfig().shared_memory == "auto"
-
-    @pytest.mark.parametrize("value", (True, False, "auto"))
-    def test_shared_memory_accepts_valid_values(self, value):
-        assert SessionConfig(shared_memory=value).shared_memory == value
-
-    @pytest.mark.parametrize("value", ("yes", 1, 0, None, "AUTO"))
-    def test_shared_memory_rejects_other_values(self, value):
-        with pytest.raises(ValueError):
-            SessionConfig(shared_memory=value)
-
-    def test_shared_memory_false_never_enabled(self):
-        assert SessionConfig(shared_memory=False).shared_memory_enabled \
-            is False
-
-    def test_shared_memory_enabled_tracks_platform(self):
-        from repro.engine.shm import shared_memory_available
-        config = SessionConfig(shared_memory="auto")
-        assert config.shared_memory_enabled == shared_memory_available()
-        forced = SessionConfig(shared_memory=True)
-        assert forced.shared_memory_enabled == shared_memory_available()
-
-    def test_fingerprint_sees_shared_memory(self):
-        from repro.engine.shm import shared_memory_available
-        on = SessionConfig(shared_memory="auto").fingerprint()
-        off = SessionConfig(shared_memory=False).fingerprint()
-        # Distinct exactly when the platform can serve segments;
-        # identical otherwise (both resolve to the pickled transport).
-        assert (on != off) == shared_memory_available()
+    def test_shared_memory_option_is_gone(self):
+        # The process backend picks its transport from the platform.
+        assert len(dataclasses.fields(SessionConfig)) == 15
+        with pytest.raises(TypeError, match="unknown session option"):
+            repro.connect(shared_memory=False)
 
 
 class TestConnect:

@@ -101,19 +101,20 @@ class TestBackendConfiguration:
     def test_clone_shares_lazily_created_pool(self):
         # The pool must be shared even when the clone is created before
         # the backend is materialised: exactly one pool per session tree.
-        session = connect(backend="thread", num_workers=2)
+        session = connect(backend="process", num_workers=2)
         clone = session.with_options(num_executors=5)
         assert session.backend is clone.backend
         session.close()
 
     def test_close_through_any_sharer_closes_the_one_pool(self):
         from repro.engine.backends import StageTask
-        session = connect(backend="thread", num_workers=2)
+        session = connect(backend="process", num_workers=2)
         clone = session.with_options(num_executors=3)
         backend = clone.backend
-        # Materialise the pool (a multi-task stage bypasses the inline
-        # short-cut), then close through the *other* sharer.
-        backend.run_stage([StageTask(partition=i, rows_in=0, fn=list)
+        # Materialise the pool (a multi-task stage of picklable tasks
+        # bypasses the inline short-cut), then close through the
+        # *other* sharer.
+        backend.run_stage([StageTask(partition=i, rows_in=0, func=list)
                            for i in range(2)])
         assert backend._pool is not None
         session.close()
@@ -121,9 +122,9 @@ class TestBackendConfiguration:
 
     def test_with_backend_gets_its_own_spec(self):
         session = connect(backend="local")
-        clone = session.with_options(backend="thread", num_workers=2)
+        clone = session.with_options(backend="process", num_workers=2)
         assert session.backend.name == "local"
-        assert clone.backend.name == "thread"
+        assert clone.backend.name == "process"
         assert session.catalog is clone.catalog
         clone.close()
 

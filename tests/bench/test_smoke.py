@@ -1,9 +1,9 @@
-"""Smoke/speedup bench modes and the backend comparison table."""
+"""Smoke bench mode, the bench CLI and the backend comparison table."""
 
 import json
 
 from repro.bench import backends_sweep, format_backend_table
-from repro.bench.smoke import main, measure_speedup, run_smoke
+from repro.bench.smoke import main, run_smoke
 from repro.core.algorithms import Algorithm
 from repro.datasets import store_sales_workload
 
@@ -13,10 +13,10 @@ class TestRunSmoke:
         report = run_smoke(num_rows=80, num_workers=2)
         encoded = json.loads(json.dumps(report))
         assert encoded["kind"] == "smoke"
-        # two workloads x three backends
-        assert len(encoded["runs"]) == 6
+        # two workloads x two backends
+        assert len(encoded["runs"]) == 4
         assert {run["backend"] for run in encoded["runs"]} == \
-            {"local", "thread", "process"}
+            {"local", "process"}
         assert all(run["result_rows"] > 0 for run in encoded["runs"])
         # Every backend run reports when its first skyline stage landed.
         assert all(0.0 <= run["time_to_first_batch_s"]
@@ -29,15 +29,6 @@ class TestRunSmoke:
             by_dataset.setdefault(run["num_tuples"], set()).add(
                 run["result_rows"])
         assert all(len(sizes) == 1 for sizes in by_dataset.values())
-
-
-class TestMeasureSpeedup:
-    def test_speedup_fields(self):
-        result = measure_speedup(num_rows=300, num_dimensions=3,
-                                 num_workers=2)
-        assert result["speedup"] > 0
-        assert result["local_s"] > 0 and result["process_s"] > 0
-        assert result["global_skyline_rows"] > 0
 
 
 class TestCli:
@@ -61,7 +52,7 @@ class TestBackendTable:
         results = backends_sweep(workload, Algorithm.DISTRIBUTED_COMPLETE,
                                  num_dimensions=2, num_executors=2,
                                  num_workers=2)
-        assert set(results) == {"local", "thread", "process"}
+        assert set(results) == {"local", "process"}
         text = format_backend_table("Backends", results)
         assert "real [s]" in text and "simulated [s]" in text
         assert "process" in text and "1.00x" in text

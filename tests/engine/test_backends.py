@@ -8,8 +8,8 @@ import pytest
 from repro.core.algorithms import make_dimensions
 from repro.core.vectorized import skyline_task
 from repro.engine.backends import (BACKEND_NAMES, Backend, LocalBackend,
-                                   ProcessBackend, StageTask, ThreadBackend,
-                                   create_backend, default_num_workers)
+                                   ProcessBackend, StageTask, create_backend,
+                                   default_num_workers)
 from repro.engine.cluster import ClusterConfig, ExecutionContext
 
 MIN2 = make_dimensions([(0, "min"), (1, "min")])
@@ -32,7 +32,7 @@ def _signal_state():
             signal.set_wakeup_fd(-1))
 
 
-@pytest.fixture(params=["local", "thread", "process"])
+@pytest.fixture(params=BACKEND_NAMES)
 def backend(request):
     instance = create_backend(request.param, num_workers=2)
     yield instance
@@ -58,7 +58,7 @@ class TestStageTask:
 class TestBackends:
     def test_results_in_submission_order(self, backend):
         outcomes = backend.run_stage(_tasks(8))
-        # The process backend ships func (square); others run fn.
+        # The process backend ships func (square); local runs fn.
         expected = ([[(i * i,)] for i in range(8)]
                     if backend.name == "process"
                     else [[(i,)] for i in range(8)])
@@ -78,7 +78,7 @@ class TestBackends:
         assert len(outcomes) == 3
 
     def test_context_manager(self):
-        with create_backend("thread", 2) as backend:
+        with create_backend("process", 2) as backend:
             assert backend.run_stage(_tasks(2))
 
 
@@ -150,13 +150,18 @@ class TestFactory:
         with pytest.raises(ValueError):
             create_backend("gpu")
 
+    def test_thread_backend_was_removed(self):
+        assert BACKEND_NAMES == ("local", "process")
+        with pytest.raises(ValueError, match="was removed"):
+            create_backend("thread")
+
     def test_instance_passthrough(self):
         backend = LocalBackend()
         assert create_backend(backend) is backend
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ThreadBackend(0)
+            ProcessBackend(0)
 
     def test_default_worker_count_positive(self):
         assert default_num_workers() >= 1

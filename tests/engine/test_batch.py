@@ -285,8 +285,7 @@ class TestSelect:
         assert picked.nbytes < batch.nbytes / 2
 
     def test_select_round_trips_through_shared_memory(self):
-        from repro.engine.shm import (SharedColumnStore, activation,
-                                      leaked_segments,
+        from repro.engine.shm import (SharedColumnStore, leaked_segments,
                                       shared_memory_available)
         if not shared_memory_available():
             pytest.skip("shared memory not available")
@@ -298,8 +297,8 @@ class TestSelect:
         picked = batch.select([3, 2, 0]).slice(100, 400)
         store = SharedColumnStore(min_batch_bytes=0)
         try:
-            with activation(store):
-                blob = pickle.dumps(picked)
+            (handle,), _ = store.export((picked,))
+            blob = pickle.dumps(handle)
             assert store.stats()["handles_served"] == 1
             assert len(blob) < len(pickle.dumps(picked)) / 2
             self._assert_rows(

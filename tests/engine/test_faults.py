@@ -18,8 +18,7 @@ import pytest
 
 from repro import QueryTimeout, SessionConfig, SkylineSession
 from repro.engine.backends import (LocalBackend, ProcessBackend,
-                                   RetryPolicy, StageTask, ThreadBackend,
-                                   is_retryable)
+                                   RetryPolicy, StageTask, is_retryable)
 from repro.engine.cluster import ExecutionContext
 from repro.engine.faults import (FAULT_PLAN_ENV, FaultPlan, InjectedFault,
                                  SimulatedWorkerCrash, activate,
@@ -29,6 +28,12 @@ from repro.errors import (BenchmarkTimeout, TaskError, WorkerCrashError)
 from tests.conftest import ROW_LAYOUTS, lay_out
 
 SEED = 20230331
+
+#: Fault plans reach process workers through the environment they are
+#: forked with, so every test activates its plan before building the
+#: backend.  Crash decisions raise ``SimulatedWorkerCrash`` in the
+#: driver and kill the worker for real in a pool.
+BACKEND_FACTORIES = [LocalBackend, lambda: ProcessBackend(2)]
 
 
 # -- FaultPlan determinism -------------------------------------------------
@@ -129,19 +134,18 @@ class TestRetryPolicy:
                              deadline=time.perf_counter() + 0.01)
         assert policy.backoff_delay("k", 5) <= 0.011
 
-    @pytest.mark.parametrize("backend_factory",
-                             [LocalBackend, lambda: ThreadBackend(2)])
+    @pytest.mark.parametrize("backend_factory", BACKEND_FACTORIES)
     def test_backoff_never_sleeps_past_deadline(self, backend_factory):
         """A retry whose backoff would cross the query deadline must
         raise QueryTimeout promptly instead of sleeping the remaining
         budget away and surfacing the timeout afterwards."""
-        plan = FaultPlan(seed=3, poison="t#0", max_injections=10)
-        policy = RetryPolicy(max_attempts=6, backoff_s=5.0,
-                             deadline=time.perf_counter() + 0.05)
-        start = time.perf_counter()
+        plan = FaultPlan(seed=3, error_p=1.0, max_injections=10)
         with activate(plan), backend_factory() as backend:
+            policy = RetryPolicy(max_attempts=6, backoff_s=5.0,
+                                 deadline=time.perf_counter() + 0.05)
+            start = time.perf_counter()
             with pytest.raises(QueryTimeout):
-                backend.run_stage(_tasks(1, _value_of), policy)
+                backend.run_stage(_pool_tasks(2), policy)
         # Prompt: well under one un-clamped backoff interval.
         assert time.perf_counter() - start < 1.0
         # The retry never ran, so it must not be counted.
@@ -176,14 +180,31 @@ def _value_of(i):
     return lambda: [i]
 
 
+def _listed(i):
+    return [i]
+
+
+def _listed_unless_one(i):
+    if i == 1:
+        raise ValueError("bad data")
+    return [i]
+
+
+def _pool_tasks(n, func=_listed):
+    """Picklable tasks: the process backend ships them to its workers
+    (closure-only tasks would run inline in the driver there), the
+    local backend runs ``func`` in the driver."""
+    return [StageTask(partition=i, rows_in=0, func=func, args=(i,),
+                      key=f"t#{i}") for i in range(n)]
+
+
 class TestRetries:
-    @pytest.mark.parametrize("backend_factory",
-                             [LocalBackend, lambda: ThreadBackend(2)])
+    @pytest.mark.parametrize("backend_factory", BACKEND_FACTORIES)
     def test_injected_faults_are_retried_to_success(self, backend_factory):
         plan = FaultPlan(seed=3, error_p=1.0, max_injections=2)
         policy = RetryPolicy(max_attempts=4, backoff_s=0.0)
         with activate(plan), backend_factory() as backend:
-            outcomes = backend.run_stage(_tasks(3, _value_of), policy)
+            outcomes = backend.run_stage(_pool_tasks(3), policy)
         assert [o.result for o in outcomes] == [[0], [1], [2]]
         assert all(o.attempts == 3 for o in outcomes)
         assert policy.stats.retries == 6
@@ -191,94 +212,82 @@ class TestRetries:
     def test_simulated_crashes_count_recoveries(self):
         plan = FaultPlan(seed=3, poison="t#1", max_injections=2)
         policy = RetryPolicy(max_attempts=4, backoff_s=0.0)
-        with activate(plan), ThreadBackend(2) as backend:
+        with activate(plan), LocalBackend() as backend:
             outcomes = backend.run_stage(_tasks(3, _value_of), policy)
         assert [o.result for o in outcomes] == [[0], [1], [2]]
         assert policy.stats.retries == 2
         assert policy.stats.crash_recoveries == 2
 
-    @pytest.mark.parametrize("backend_factory",
-                             [LocalBackend, lambda: ThreadBackend(2)])
+    @pytest.mark.parametrize("backend_factory", BACKEND_FACTORIES)
     def test_exhausted_crash_budget_is_worker_crash_error(
             self, backend_factory):
         plan = FaultPlan(seed=3, poison="t#0", max_injections=10)
         policy = RetryPolicy(max_attempts=3, backoff_s=0.0)
         with activate(plan), backend_factory() as backend:
             with pytest.raises(WorkerCrashError) as info:
-                backend.run_stage(_tasks(3, _value_of), policy)
+                backend.run_stage(_pool_tasks(3), policy)
         assert info.value.attempts == 3
         assert info.value.task_key == "t#0"
 
-    @pytest.mark.parametrize("backend_factory",
-                             [LocalBackend, lambda: ThreadBackend(2)])
+    @pytest.mark.parametrize("backend_factory", BACKEND_FACTORIES)
     def test_deterministic_errors_fail_fast(self, backend_factory):
-        def fn_for(i):
-            if i == 1:
-                def boom():
-                    raise ValueError("bad data")
-                return boom
-            return _value_of(i)
-
         policy = RetryPolicy(max_attempts=4, backoff_s=0.0)
         with backend_factory() as backend:
             with pytest.raises(TaskError) as info:
-                backend.run_stage(_tasks(3, fn_for), policy)
+                backend.run_stage(_pool_tasks(3, _listed_unless_one),
+                                  policy)
         assert not isinstance(info.value, WorkerCrashError)
         assert info.value.attempts == 1  # no retry for pure task bugs
         assert policy.stats.retries == 0
 
-    def test_failed_stage_leaves_thread_backend_reusable(self):
-        """Satellite: a mid-stage failure must cancel/drain outstanding
-        futures, leaving the pool clean for the next stage."""
-        def fn_for(i):
-            if i == 0:
-                def boom():
-                    raise ValueError("boom")
-                return boom
-            return lambda: time.sleep(0.05) or [i]
-
-        with ThreadBackend(2) as backend:
+    def test_failed_stage_leaves_process_backend_reusable(self):
+        """A mid-stage failure must cancel/drain outstanding futures,
+        leaving the pool clean for the next stage."""
+        plan = FaultPlan(seed=3, delay_p=1.0, delay_s=0.05,
+                         max_injections=1)
+        tasks = _pool_tasks(4, _listed_unless_one)
+        with activate(plan), ProcessBackend(2) as backend:
             with pytest.raises(TaskError):
-                backend.run_stage(_tasks(4, fn_for), RetryPolicy())
-            outcomes = backend.run_stage(_tasks(3, _value_of),
-                                         RetryPolicy())
+                backend.run_stage(tasks, RetryPolicy())
+            outcomes = backend.run_stage(_pool_tasks(3), RetryPolicy())
             assert [o.result for o in outcomes] == [[0], [1], [2]]
 
 
 class TestTimeouts:
     def test_deadline_exceeded_mid_stage_raises_query_timeout(self):
-        def fn_for(i):
-            return lambda: time.sleep(0.5) or [i]
-
-        policy = RetryPolicy(deadline=time.perf_counter() + 0.05)
-        with ThreadBackend(2) as backend:
+        plan = FaultPlan(seed=1, delay_p=1.0, delay_s=0.5)
+        with activate(plan), ProcessBackend(2) as backend:
+            policy = RetryPolicy(deadline=time.perf_counter() + 0.05)
+            start = time.perf_counter()
             with pytest.raises(QueryTimeout):
-                backend.run_stage(_tasks(2, fn_for), policy)
+                backend.run_stage(_pool_tasks(2), policy)
+            # Mid-stage: the wait gave up at the deadline, not after
+            # the delayed tasks finished.
+            assert time.perf_counter() - start < 0.4
 
     def test_task_timeout_triggers_speculative_retry(self):
         # Attempt 0 of every task is delayed past the task timeout;
-        # attempt 1 is clean (max_injections=1) and wins the race while
-        # the original still sleeps.
-        plan = FaultPlan(seed=1, delay_p=1.0, delay_s=0.4,
+        # attempt 1 is clean (max_injections=1) and wins the race on an
+        # idle worker while the original still sleeps.
+        plan = FaultPlan(seed=1, delay_p=1.0, delay_s=0.8,
                          max_injections=1)
         policy = RetryPolicy(max_attempts=3, backoff_s=0.0,
-                             task_timeout_s=0.05)
-        with activate(plan), ThreadBackend(4) as backend:
-            outcomes = backend.run_stage(_tasks(2, _value_of), policy)
+                             task_timeout_s=0.15)
+        with activate(plan), ProcessBackend(4) as backend:
+            outcomes = backend.run_stage(_pool_tasks(2), policy)
         assert [o.result for o in outcomes] == [[0], [1]]
         assert policy.stats.retries == 2
         assert policy.stats.speculative_wins >= 1
         assert any(o.speculative_win for o in outcomes)
 
     def test_task_timeout_budget_exhaustion_is_task_error(self):
-        def fn_for(i):
-            return lambda: time.sleep(0.3) or [i]
-
+        plan = FaultPlan(seed=1, delay_p=1.0, delay_s=0.3,
+                         max_injections=2)
         policy = RetryPolicy(max_attempts=2, backoff_s=0.0,
                              task_timeout_s=0.02)
-        with ThreadBackend(4) as backend:
+        with activate(plan), ProcessBackend(4) as backend:
             with pytest.raises(TaskError, match="timed out"):
-                backend.run_stage(_tasks(2, fn_for), policy)
+                backend.run_stage(_pool_tasks(2), policy)
 
     def test_session_budget_carries_partial_progress(self):
         session = SkylineSession(config=SessionConfig(time_budget_s=0.0))
@@ -428,14 +437,6 @@ def test_chaos_differential_local(algorithm, layout):
 
 
 @pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
-def test_chaos_differential_thread(algorithm):
-    clean, chaos, _ = _run_clean_and_chaos(
-        COMPLETE_ROWS, False, algorithm, "thread")
-    assert chaos == clean
-
-
-@pytest.mark.parametrize("algorithm",
-                         ("distributed-complete", "sfs"))
 def test_chaos_differential_process(algorithm):
     """Real worker crashes (os._exit in the pool children) mid-query;
     answers must still be bit-identical to the fault-free run."""

@@ -1,9 +1,9 @@
 """Property tests: every backend computes the same skyline.
 
 The architectural contract of the backend layer is that execution
-strategy (sequential / threads / processes) is invisible in results:
-``LocalBackend``, ``ThreadBackend`` and ``ProcessBackend`` must return
-bit-identical skylines for both complete and incomplete semantics.
+strategy (sequential / processes) is invisible in results:
+``LocalBackend`` and ``ProcessBackend`` must return bit-identical
+skylines for both complete and incomplete semantics.
 Hypothesis drives random datasets through the full SQL pipeline on
 every backend; the process pool is shared across examples (one fork per
 module, not per example) to keep the suite fast.
@@ -61,7 +61,7 @@ class TestCompleteSemantics:
         outputs = {name: run_on(instance, rows, nullable=False,
                                 strategy="distributed-complete")
                    for name, instance in backends.items()}
-        assert outputs["local"] == outputs["thread"] == outputs["process"]
+        assert outputs["local"] == outputs["process"]
         assert sorted(outputs["local"]) == sorted(
             skyline_oracle(rows, DIMS))
 
@@ -71,7 +71,7 @@ class TestCompleteSemantics:
         outputs = {name: run_on(instance, rows, nullable=False,
                                 strategy="sfs")
                    for name, instance in backends.items()}
-        assert outputs["local"] == outputs["thread"] == outputs["process"]
+        assert outputs["local"] == outputs["process"]
 
     @given(complete_rows, st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
@@ -81,7 +81,7 @@ class TestCompleteSemantics:
                                 strategy="distributed-complete",
                                 num_executors=executors)
                    for name, instance in backends.items()}
-        assert outputs["local"] == outputs["thread"] == outputs["process"]
+        assert outputs["local"] == outputs["process"]
 
 
 class TestIncompleteSemantics:
@@ -92,7 +92,7 @@ class TestIncompleteSemantics:
         outputs = {name: run_on(instance, rows, nullable=True,
                                 strategy="distributed-incomplete")
                    for name, instance in backends.items()}
-        assert outputs["local"] == outputs["thread"] == outputs["process"]
+        assert outputs["local"] == outputs["process"]
         assert canon(outputs["local"]) == canon(
             skyline_oracle(rows, DIMS, complete=False))
 

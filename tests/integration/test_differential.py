@@ -9,8 +9,11 @@ kernels, the scalar reference kernels, the rows each scan partition
 holds (its count and the table's row order) and the execution backends
 surfaces here as a row-level mismatch.
 
-Pool-backed backends are shared at module scope so the process pool is
-spawned once for the whole grid.
+The process backend is shared at module scope so its pool is spawned
+once for the whole grid.  It runs as two legs: ``process`` ships the
+grid's few-KiB partitions by value (they sit below the store's share
+threshold), ``process-shm`` drops that threshold to zero so every
+numeric batch crosses to the workers in a /dev/shm segment.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import pytest
 
 from repro import SkylineSession, connect
 from repro.core import make_dimensions
-from repro.engine.backends import ProcessBackend, ThreadBackend
+from repro.engine import shm
+from repro.engine.backends import BACKEND_NAMES, ProcessBackend
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from tests.conftest import ROW_LAYOUTS, lay_out, skyline_oracle
 
@@ -34,7 +38,10 @@ COMPLETE_ALGORITHMS = ("distributed-complete", "non-distributed-complete",
 #: Strategies whose semantics are defined on incomplete data.
 INCOMPLETE_ALGORITHMS = ("distributed-incomplete",)
 
-BACKENDS = ("local", "thread", "process")
+#: Execution legs: the backends, plus the process backend with every
+#: batch shared (see the module docstring).
+BACKENDS = BACKEND_NAMES + ("process-shm",)
+PROCESS_LEGS = BACKENDS[1:]
 
 VECTORIZED_MODES = (False, True)
 
@@ -69,21 +76,44 @@ INCOMPLETE_ORACLE = sorted(skyline_oracle(INCOMPLETE_ROWS, DIMS3,
                                           complete=False), key=repr)
 
 
+def _with_planes(legs, planes=(True, False)):
+    """``(leg, columnar)`` pairs.  The row plane never meets the shm
+    store, so ``process-shm`` runs on the batch plane only."""
+    return [(leg, columnar) for leg in legs for columnar in planes
+            if columnar or leg != "process-shm"]
+
+
 @pytest.fixture(scope="module")
 def shared_backends():
-    """One pool per parallel backend for the whole module."""
-    backends = {
-        "local": lambda: "local",
-        "thread": None,
-        "process": None,
-    }
-    thread = ThreadBackend(2)
+    """One process pool for the whole module."""
     process = ProcessBackend(2)
-    backends["thread"] = lambda: thread
-    backends["process"] = lambda: process
-    yield backends
-    thread.close()
+    yield {"local": "local", "process": process}
     process.close()
+
+
+@pytest.fixture
+def backend_for(shared_backends, monkeypatch):
+    """Resolve a grid leg to the backend its sessions run on.  On the
+    ``process-shm`` leg the sessions' stores share every batch; the
+    fixture closes them all, so no segment outlives the test."""
+    stores = []
+
+    class EveryBatchShared(shm.SharedColumnStore):
+        def __init__(self, max_bytes=None, min_batch_bytes=0):
+            super().__init__(max_bytes, min_batch_bytes)
+            stores.append(self)
+
+    def resolve(leg):
+        if leg == "process-shm":
+            if not shm.shared_memory_available():
+                pytest.skip("shared memory not available")
+            monkeypatch.setattr(shm, "SharedColumnStore", EveryBatchShared)
+            return shared_backends["process"]
+        return shared_backends[leg]
+
+    yield resolve
+    for store in stores:
+        store.close()
 
 
 def _make_session(rows, nullable: bool, algorithm: str, backend,
@@ -105,9 +135,9 @@ def _make_session(rows, nullable: bool, algorithm: str, backend,
     list(itertools.product(COMPLETE_ALGORITHMS, ROW_LAYOUTS, BACKENDS,
                            VECTORIZED_MODES)))
 def test_complete_data_matches_oracle(algorithm, layout, backend_name,
-                                      vectorized, shared_backends):
+                                      vectorized, backend_for):
     session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
-                            algorithm, shared_backends[backend_name](),
+                            algorithm, backend_for(backend_name),
                             vectorized)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == COMPLETE_ORACLE, (
@@ -120,9 +150,9 @@ def test_complete_data_matches_oracle(algorithm, layout, backend_name,
     list(itertools.product(INCOMPLETE_ALGORITHMS, ROW_LAYOUTS, BACKENDS,
                            VECTORIZED_MODES)))
 def test_incomplete_data_matches_oracle(algorithm, layout, backend_name,
-                                        vectorized, shared_backends):
+                                        vectorized, backend_for):
     session = _make_session(lay_out(INCOMPLETE_ROWS, layout), True,
-                            algorithm, shared_backends[backend_name](),
+                            algorithm, backend_for(backend_name),
                             vectorized)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == INCOMPLETE_ORACLE, (
@@ -167,6 +197,18 @@ ADVERSARIAL_ORACLE = _nan_safe(skyline_oracle(ADVERSARIAL_ROWS, DIMS3,
                                               complete=True))
 
 
+def _check_adversarial(layout, num_executors, vectorized, backend, leg):
+    rows = lay_out(ADVERSARIAL_ROWS, layout)
+    for algorithm in COMPLETE_ALGORITHMS:
+        session = _make_session(
+            rows, False, algorithm, backend, vectorized,
+            num_executors=num_executors)
+        assert _nan_safe(session.sql(SQL3).to_tuples()) == \
+            ADVERSARIAL_ORACLE, (
+            f"{algorithm}/{layout}/{num_executors} executors/{leg}/"
+            f"vectorized={vectorized}")
+
+
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
 @pytest.mark.parametrize("num_executors", (2, 5, 7, 10))
 @pytest.mark.parametrize("layout", ROW_LAYOUTS)
@@ -175,15 +217,28 @@ def test_adversarial_data_invariant_under_partitioning(
     """However the scan cuts the rows into local skylines -- row order
     x partition count -- the one global task must return the
     all-pairs oracle."""
-    rows = lay_out(ADVERSARIAL_ROWS, layout)
-    for algorithm in COMPLETE_ALGORITHMS:
-        session = _make_session(
-            rows, False, algorithm, "local", vectorized,
-            num_executors=num_executors)
-        assert _nan_safe(session.sql(SQL3).to_tuples()) == \
-            ADVERSARIAL_ORACLE, (
-            f"{algorithm}/{layout}/{num_executors} executors/"
-            f"vectorized={vectorized}")
+    _check_adversarial(layout, num_executors, vectorized, "local", "local")
+
+
+@pytest.mark.parametrize("backend_name", PROCESS_LEGS)
+@pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
+@pytest.mark.parametrize("num_executors", (2, 5, 7, 10))
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+def test_adversarial_data_invariant_on_process_legs(
+        layout, num_executors, vectorized, backend_name, backend_for):
+    """The same grid with the partitions reaching the workers by value
+    or through a segment, signed zeros, infinities and NaNs included."""
+    _check_adversarial(layout, num_executors, vectorized,
+                       backend_for(backend_name), backend_name)
+
+
+def _check_distinct(algorithm, layout, vectorized, backend):
+    session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
+                            algorithm, backend, vectorized)
+    result = session.sql(SQL3_DISTINCT).to_tuples()
+    expected = {row[1:] for row in COMPLETE_ORACLE}
+    assert {row[1:] for row in result} == expected
+    assert len(result) == len(expected)  # exactly one representative
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
@@ -195,12 +250,18 @@ def test_distinct_matches_oracle_modulo_representatives(algorithm, layout,
     on the dimension values, which are representative-independent.
     The layouts put duplicates in one partition (``sorted``) or spread
     them over several (``loaded``, ``shuffled``)."""
-    session = _make_session(lay_out(COMPLETE_ROWS, layout), False,
-                            algorithm, "local", vectorized)
-    result = session.sql(SQL3_DISTINCT).to_tuples()
-    expected = {row[1:] for row in COMPLETE_ORACLE}
-    assert {row[1:] for row in result} == expected
-    assert len(result) == len(expected)  # exactly one representative
+    _check_distinct(algorithm, layout, vectorized, "local")
+
+
+@pytest.mark.parametrize("backend_name", PROCESS_LEGS)
+@pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+@pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
+def test_distinct_matches_oracle_on_process_legs(
+        algorithm, layout, vectorized, backend_name, backend_for):
+    """The same, with spread duplicates landing on both workers."""
+    _check_distinct(algorithm, layout, vectorized,
+                    backend_for(backend_name))
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
@@ -227,11 +288,10 @@ def test_reference_sql_rewrite_matches_oracle(vectorized):
 
 @pytest.mark.parametrize(
     "algorithm,backend_name,columnar",
-    list(itertools.product(COMPLETE_ALGORITHMS, BACKENDS,
-                           (True, False))))
+    [(algorithm, *leg) for algorithm in COMPLETE_ALGORITHMS
+     for leg in _with_planes(BACKENDS)])
 def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
-                                                columnar,
-                                                shared_backends):
+                                                columnar, backend_for):
     """The batch data plane against the all-pairs oracle.
 
     ``columnar=True`` exchanges ColumnBatches end to end;
@@ -239,7 +299,7 @@ def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
     Results must be identical across both and every backend.
     """
     session = _make_session(COMPLETE_ROWS, False, algorithm,
-                            shared_backends[backend_name](), True,
+                            backend_for(backend_name), True,
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == COMPLETE_ORACLE, (
@@ -247,14 +307,12 @@ def test_columnar_plane_matches_oracle_complete(algorithm, backend_name,
         f"from the all-pairs oracle")
 
 
-@pytest.mark.parametrize(
-    "backend_name,columnar",
-    list(itertools.product(BACKENDS, (True, False))))
+@pytest.mark.parametrize("backend_name,columnar", _with_planes(BACKENDS))
 def test_columnar_plane_matches_oracle_incomplete(backend_name, columnar,
-                                                  shared_backends):
+                                                  backend_for):
     session = _make_session(INCOMPLETE_ROWS, True,
                             "distributed-incomplete",
-                            shared_backends[backend_name](), True,
+                            backend_for(backend_name), True,
                             columnar=columnar)
     result = sorted(session.sql(SQL3).to_tuples(), key=repr)
     assert result == INCOMPLETE_ORACLE, (
@@ -312,16 +370,26 @@ def test_vectorized_kernels_actually_ran():
     assert kernels == {"vectorized"}
 
 
+def test_shm_leg_actually_shared(backend_for):
+    """Guard against a vacuous ``process-shm`` leg: its partitions must
+    reach the workers as segment handles, none pickled as too small."""
+    session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
+                            backend_for("process-shm"), True)
+    stats = session.sql(SQL3).run().context.shm_stats
+    assert stats["segments_created"] > 0
+    assert stats["handles_served"] > 0
+    assert stats["fallback_too_small"] == 0
+
+
 # -- shared-memory transport (PR 9) ----------------------------------------
 
 
-def _shm_session(shared_memory, rows=None, nullable=False,
+def _shm_session(rows=None, nullable=False,
                  algorithm="distributed-complete"):
     from repro import SessionConfig
     config = SessionConfig(
         num_executors=3, skyline_algorithm=algorithm,
-        backend="process", num_workers=2, columnar=True,
-        shared_memory=shared_memory)
+        backend="process", num_workers=2, columnar=True)
     session = SkylineSession(config=config)
     session.create_table(
         "t",
@@ -332,13 +400,13 @@ def _shm_session(shared_memory, rows=None, nullable=False,
 
 
 def test_shared_memory_transport_matches_oracle():
-    """The zero-copy leg must be bit-identical to the pickled leg and
-    to the all-pairs oracle, and must leave /dev/shm clean."""
+    """The zero-copy leg must be bit-identical to the all-pairs oracle
+    and must leave /dev/shm clean."""
     from repro.engine.shm import leaked_segments, shared_memory_available
     if not shared_memory_available():
         pytest.skip("shared memory not available")
     before = set(leaked_segments())
-    session = _shm_session(True)
+    session = _shm_session()
     try:
         text = session.explain(session.sql(SQL3).plan)
         assert "[shm]" in text
@@ -349,8 +417,12 @@ def test_shared_memory_transport_matches_oracle():
     assert set(leaked_segments()) <= before
 
 
-def test_shared_memory_disabled_marks_pickle():
-    session = _shm_session(False)
+def test_shared_memory_disabled_marks_pickle(monkeypatch):
+    """A platform without /dev/shm: batches pickle, EXPLAIN says so,
+    and the answers do not change."""
+    from repro.engine import shm
+    monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
+    session = _shm_session()
     try:
         text = session.explain(session.sql(SQL3).plan)
         assert "[pickle]" in text and "[shm]" not in text
@@ -370,7 +442,7 @@ def test_shared_memory_no_leaks_after_worker_crash(monkeypatch):
     before = set(leaked_segments())
     monkeypatch.setenv(FAULT_PLAN_ENV,
                        "seed=7,poison=SkylineLocal,max_injections=1")
-    session = _shm_session(True)
+    session = _shm_session()
     try:
         result = sorted(session.sql(SQL3).to_tuples(), key=repr)
         assert result == COMPLETE_ORACLE
@@ -397,7 +469,7 @@ def test_shared_memory_prepared_inputs_stay_resident(algorithm):
     wide = [(i,) + tuple(None if incomplete and j == 1 and i % 5 == 0
                          else float((i * 7 + j) % 97) for j in range(60))
             for i in range(3000)]
-    session = _shm_session(True, algorithm=algorithm)
+    session = _shm_session(algorithm=algorithm)
     session.create_table(
         "w", [("id", INTEGER, False)] + [(f"c{j}", DOUBLE, incomplete)
                                          for j in range(60)], wide)
@@ -499,19 +571,21 @@ def fused_reference():
     return lookup
 
 
-@pytest.mark.parametrize("columnar", (True, False))
-@pytest.mark.parametrize("vectorized", VECTORIZED_MODES)
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize(
+    "backend_name,vectorized,columnar",
+    [(leg, vectorized, columnar)
+     for leg in BACKENDS for vectorized in VECTORIZED_MODES
+     for columnar in (False, True)
+     if (leg, columnar) in _with_planes(BACKENDS)])
 @pytest.mark.parametrize("algorithm,distinct", FUSED_LEGS)
 @pytest.mark.parametrize("query", list(FUSED_SQL))
 @pytest.mark.parametrize("dataset", FUSED_DATASETS)
 def test_fused_chain_is_bit_identical_to_the_row_reference(
         dataset, query, algorithm, distinct, backend_name, vectorized,
-        columnar, shared_backends, fused_reference):
+        columnar, backend_for, fused_reference):
     expected = fused_reference(dataset, query, algorithm, distinct)
     got = _fused_answer(dataset, query, algorithm, distinct,
-                        shared_backends[backend_name](), vectorized,
-                        columnar)
+                        backend_for(backend_name), vectorized, columnar)
     assert got == expected, (
         f"{dataset}/{query}/{algorithm}/{backend_name}/"
         f"vectorized={vectorized}/columnar={columnar} diverged from the "

@@ -17,7 +17,7 @@ import pytest
 from repro import SessionConfig, SkylineSession
 from repro.core import make_dimensions
 from repro.core.vectorized import SKYLINE_MODES, skyline_task
-from repro.engine.backends import ProcessBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend
 from repro.engine.batch import OBJ, ColumnBatch
 from repro.engine.catalog import Catalog
 from repro.engine.types import DOUBLE, INTEGER
@@ -34,10 +34,8 @@ SQL = ("SELECT id, a, b, c FROM t WHERE id >= 0 "
 
 @pytest.fixture(scope="module")
 def backends():
-    thread = ThreadBackend(2)
     process = ProcessBackend(2)
-    yield {"local": "local", "thread": thread, "process": process}
-    thread.close()
+    yield {"local": "local", "process": process}
     process.close()
 
 
@@ -47,7 +45,7 @@ def _answer(session: SkylineSession):
 
 
 @pytest.mark.parametrize("columnar", (True, False))
-@pytest.mark.parametrize("backend_name", ("local", "thread", "process"))
+@pytest.mark.parametrize("backend_name", ("local", "process"))
 def test_dml_script_two_sessions_one_catalog(backend_name, columnar,
                                              backends):
     catalog = Catalog()

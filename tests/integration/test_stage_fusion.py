@@ -86,7 +86,7 @@ def test_filtered_query_is_two_stages_of_fused_tasks():
         assert stats["bytes_shared"] == PARTITIONS * pruned.nbytes
 
 
-@pytest.mark.parametrize("backend", ("local", "thread", "process"))
+@pytest.mark.parametrize("backend", ("local", "process"))
 @pytest.mark.parametrize("columnar", (True, False))
 def test_same_shape_on_every_backend_and_plane(backend, columnar):
     with _session(backend, rows=_rows(300), columnar=columnar) as session:
@@ -164,12 +164,13 @@ def test_explain_marks_the_fused_chain_with_one_number():
 # -- chaos (moved from the pipelined executor's suite) ---------------------
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("local", "process"))
 def test_poisoned_local_tasks_recover_bit_identically(backend,
                                                       monkeypatch):
     """Every fused local task crashes on its first attempt (on the
-    process backend the worker really dies); the retries must produce
-    the reference answer and leave no segment behind."""
+    process backend the worker really dies, on the local backend the
+    driver raises a simulated crash); the retries must produce the
+    reference answer and leave no segment behind."""
     before = set(leaked_segments())
     expected = _reference()
     monkeypatch.setenv(FAULT_PLAN_ENV,
@@ -188,11 +189,11 @@ def test_poisoned_local_tasks_recover_bit_identically(backend,
 
 def test_one_lost_task_is_the_only_one_rerun(monkeypatch):
     """A crash mid-stage re-runs the lost task and nothing else: the
-    other partitions' results are kept (thread backend: a simulated
+    other partitions' results are kept (local backend: a simulated
     crash hits exactly the poisoned task)."""
     expected = _reference()
     monkeypatch.setenv(FAULT_PLAN_ENV, "seed=7,poison=#1,max_injections=1")
-    with _session("thread") as session:
+    with _session("local") as session:
         result = session.sql(FILTERED_SQL).run()
     assert sorted(map(repr, result.as_tuples())) == expected
     local = result.context.stages[0]
@@ -216,9 +217,10 @@ def test_worker_crash_mid_stage_keeps_segments_and_results(monkeypatch):
     assert local.tasks[1].attempts >= 2
     assert local.crash_recoveries >= 1
     if stats is not None:
-        # Re-submission served handles again; it registered nothing new.
+        # Re-submission re-pickled the handles exported once before the
+        # stage: nothing was registered or exported again.
         assert stats["segments_created"] == PARTITIONS
-        assert stats["handles_served"] > PARTITIONS
+        assert stats["handles_served"] == PARTITIONS
     assert set(leaked_segments()) <= before
 
 

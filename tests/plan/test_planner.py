@@ -262,7 +262,7 @@ class TestExecutionOption:
 
     def test_both_names_plan_and_run_identically(self, session):
         import dataclasses
-        assert len(dataclasses.fields(SessionConfig)) == 16
+        assert len(dataclasses.fields(SessionConfig)) == 15
         assert SessionConfig(execution="auto").fingerprint() == \
             SessionConfig(execution="staged").fingerprint()
         sql = "SELECT id, x FROM pts WHERE id > 0 SKYLINE OF id MIN, x MIN"

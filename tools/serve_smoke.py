@@ -17,7 +17,8 @@ process-pool workers really die mid-stage (``os._exit``), and asserts
 the crash-then-recover contract: the faulted server's answers are
 bit-identical to the clean server's, its stats report at least one
 worker-crash pool recovery, and it keeps serving afterwards -- all
-without a restart.
+without a restart.  The clean process server must report no recovery
+at all: with no fault plan, a pool worker that dies is a bug.
 
 Every server is stopped with SIGTERM, and no child process of it (a
 process-pool worker) may outlive it.
@@ -157,7 +158,8 @@ def stop(*procs: subprocess.Popen, grace_s: float = 10.0) -> "list[int]":
 async def drive_faulted(clean: "tuple[str, int]",
                         faulted: "tuple[str, int]") -> None:
     """Crash-then-recover: identical answers, recovery counted, and the
-    faulted server stays up -- no restart."""
+    faulted server stays up -- no restart; the clean server recovered
+    nothing."""
     for sql in (FULL, SUBSET):
         (reference,) = await request(*clean, [
             {"op": "query", "sql": sql}])
@@ -169,6 +171,11 @@ async def drive_faulted(clean: "tuple[str, int]",
         assert sorted(map(tuple, reference["rows"])) == \
             sorted(map(tuple, under_test["rows"])), \
             f"faulted server's rows differ for {sql!r}"
+
+    (stats,) = await request(*clean, [{"op": "stats"}])
+    clean_faults = stats["service"]["faults"]
+    assert clean_faults["crash_recoveries"] == 0, \
+        f"the clean process server lost pool workers: {clean_faults}"
 
     (stats,) = await request(*faulted, [{"op": "stats"}])
     faults = stats["service"]["faults"]
