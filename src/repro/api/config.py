@@ -10,8 +10,8 @@ re-configured with :meth:`SessionConfig.with_options` /
 The config is also the unit of multi-tenancy in the serving layer
 (:mod:`repro.serve`): each tenant registers one ``SessionConfig`` and
 the server derives a session from it over the shared catalog, backend
-pool, and caches.  :meth:`SessionConfig.fingerprint` is the hashable
-planning key those shared plan caches use.
+pool, and caches.  :meth:`SessionConfig.fingerprint` is a hashable
+summary of its planning-relevant fields.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ class SessionConfig:
         """Hashable snapshot of every planning-relevant setting.
 
         Two configs with equal fingerprints plan identical logical
-        plans identically, so cross-session plan caches
-        (:class:`repro.serve.catalog.CatalogService`) key on this.
+        plans identically (the catalog's plan cache keys on the
+        narrower :meth:`~repro.plan.planner.Planner.settings_key`).
         Execution-only settings (``time_budget_s`` and the
         retry/timeout knobs) are excluded on purpose.
         """

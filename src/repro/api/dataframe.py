@@ -40,12 +40,18 @@ def _to_expression(value: "E.Expression | str | Any") -> E.Expression:
 
 
 class DataFrame:
-    """A lazy, immutable query description bound to a session."""
+    """A lazy, immutable query description bound to a session.
 
-    def __init__(self, plan: L.LogicalPlan, session: "SkylineSession"
-                 ) -> None:
+    One from :meth:`SkylineSession.sql` remembers its statement text and
+    runs through the catalog's plan cache; derived DataFrames (``filter``,
+    ``skyline``, ...) carry a new plan and are planned when run.
+    """
+
+    def __init__(self, plan: L.LogicalPlan, session: "SkylineSession",
+                 sql: "str | None" = None) -> None:
         self._plan = plan
         self._session = session
+        self._sql = sql
 
     # -- plumbing ---------------------------------------------------------
 
@@ -215,6 +221,10 @@ class DataFrame:
 
     def run(self) -> "QueryResult":
         """Execute and return rows plus execution metrics."""
+        if self._sql is not None:
+            prepared = self._session.planned(self._sql, self._plan).prepared
+            if prepared is not None:  # None: a command
+                return self._session.execute_prepared(prepared)
         return self._session.execute(self._plan)
 
     def count(self) -> int:

@@ -13,6 +13,7 @@ a session, :meth:`SkylineSession.with_options` re-configures one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from ..engine import expressions as E
@@ -96,11 +97,12 @@ class PreparedQuery:
     """A logical plan lowered to an executable physical plan.
 
     Produced by :meth:`SkylineSession.prepare` and consumed by
-    :meth:`SkylineSession.execute_prepared`; the serving layer's plan
-    cache stores these across sessions (the physical plan re-executes
-    against the *current* table rows, so catalog DML does not stale it
-    -- the plan-cache key holds the catalog's schema version, and the
-    full version only for statistics-driven strategies).
+    :meth:`SkylineSession.execute_prepared`; the catalog's plan cache
+    stores these across sessions (the physical plan re-executes against
+    the *current* table rows, so catalog DML does not stale it -- the
+    plan-cache key holds the catalog's schema version, and the full
+    version only for statistics-driven strategies).  Re-executing one
+    is safe concurrently: per-execution state lives on the context.
     """
 
     physical: PhysicalPlan
@@ -114,6 +116,24 @@ class PreparedQuery:
     @property
     def is_skyline(self) -> bool:
         return bool(self.decisions)
+
+    @cached_property
+    def cacheable_shape(self):
+        """The result cache's :class:`~repro.serve.cache.CacheableShape`
+        of :attr:`optimized` (``None``: not cacheable), computed once per
+        prepared plan."""
+        from ..serve.cache import cacheable_shape
+        return cacheable_shape(self.optimized)
+
+
+@dataclass
+class CachedPlan:
+    """One statement in the catalog's plan cache: what parsing gave and
+    what planning gave (``prepared`` is ``None`` for a command, which is
+    never stored)."""
+
+    parsed: LogicalPlan
+    prepared: "PreparedQuery | None"
 
 
 class SkylineSession:
@@ -331,9 +351,48 @@ class SkylineSession:
         Accepts the skyline-extended ``SELECT`` grammar (Listing 5 of
         the paper) plus the ``ANALYZE TABLE name [COMPUTE STATISTICS]``
         command feeding the statistics store.
+
+        The DataFrame remembers ``query``: its ``run()`` goes through
+        the catalog's plan cache (:meth:`planned`), so repeated SQL
+        text is parsed and planned once.  Parsing is skipped here too
+        when the statement is cached; a statement that does not parse
+        raises here either way.
         """
         from .dataframe import DataFrame
-        return DataFrame(parse_query(query), self)
+        entry = self.catalog.plans.peek(self._plan_key(query))
+        plan = entry.parsed if entry is not None else parse_query(query)
+        return DataFrame(plan, self, sql=query)
+
+    def _plan_key(self, sql: str) -> tuple:
+        """The plan cache's key of ``sql`` for this session: its text,
+        every planning setting, the transport the plan is stamped with
+        and the catalog version the plan is valid for.  A prepared plan
+        holds tables, not snapshots, so it outlives DML -- unless it was
+        planned from statistics, which DML drops."""
+        catalog = self.catalog
+        return (sql, self._planner().settings_key(),
+                self.enable_skyline_optimizations, self._transport_mode(),
+                catalog.version if self.adaptive
+                else catalog.schema_version)
+
+    def planned(self, sql: str,
+                parsed: "LogicalPlan | None" = None) -> CachedPlan:
+        """``sql`` through the catalog's plan cache: the stored entry,
+        or -- parsed (unless ``parsed`` is its parse) and prepared -- a
+        new one.  Every session on the catalog shares the cache; the
+        serving layer's :class:`~repro.serve.catalog.CatalogService`
+        goes through here too.  Commands (``ANALYZE TABLE``) bypass the
+        planner and are not stored."""
+        key = self._plan_key(sql)
+        plans = self.catalog.plans
+        entry = plans.get(key)
+        if entry is None:
+            plan = parsed if parsed is not None else parse_query(sql)
+            if isinstance(plan, AnalyzeTable):
+                return CachedPlan(plan, None)
+            entry = CachedPlan(plan, self.prepare(plan))
+            plans.put(key, entry)
+        return entry
 
     def analyze(self, plan: LogicalPlan) -> LogicalPlan:
         return Analyzer(self.catalog).analyze(plan)
@@ -429,9 +488,9 @@ class SkylineSession:
         """Run analysis, optimization, and physical planning only.
 
         The returned :class:`PreparedQuery` can be executed repeatedly
-        via :meth:`execute_prepared`; the serving layer's plan cache
-        stores prepared queries across sessions with equal
-        :meth:`~repro.api.config.SessionConfig.fingerprint`.
+        via :meth:`execute_prepared`; the catalog's plan cache stores
+        prepared queries across sessions with an equal plan key
+        (:meth:`planned`).
         """
         analyzed = self.analyze(plan)
         optimized = self.optimize(analyzed)

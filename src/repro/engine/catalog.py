@@ -22,8 +22,11 @@ For the serving layer the catalog additionally provides:
   carried by insert/delete events to its cached skylines instead of
   dropping them on any write.
 * **Two version counters** -- ``version`` is bumped on every mutation,
-  ``schema_version`` by register/drop only; cross-session plan caches
-  key on the latter (a prepared plan reads the table, not a snapshot).
+  ``schema_version`` by register/drop only; the plan cache keys on the
+  latter (a prepared plan reads the table, not a snapshot).
+* **One plan cache** -- :attr:`Catalog.plans`, a bounded LRU of planned
+  statements shared by every session on the catalog, a server's tenants
+  included (:meth:`repro.api.session.SkylineSession.sql`).
 
 A table also owns the **columnar form** of its rows, shared by every
 session on the catalog (:meth:`Table.column_batch`); DML maintains it
@@ -32,6 +35,8 @@ copy-on-write instead of dropping it (:meth:`Table._republish`).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -197,6 +202,61 @@ class Table:
         return cached[1].nbytes if cached is not None else 0
 
 
+#: Statements a :class:`PlanCache` keeps planned; the least recently
+#: used goes beyond it.
+PLAN_CACHE_SIZE = 128
+
+
+class PlanCache:
+    """A bounded LRU of planned statements, keyed by the caller.
+
+    The catalog owns one (:attr:`Catalog.plans`), so every session on a
+    catalog -- a private session's clones, or all of a server's tenants
+    -- reuses the others' plans.  The key (SQL text, planning settings,
+    a catalog version) is the session's to build; the cache only bounds
+    and counts.  A miss is counted when its plan is stored, so a
+    statement that fails to plan counts nothing.  Thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def peek(self, key: tuple) -> "object | None":
+        """The entry under ``key``, if any, without counting or
+        refreshing it."""
+        return self._entries.get(key)
+
+    def get(self, key: tuple) -> "object | None":
+        """The entry under ``key`` (counted as a hit), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return entry
+
+    def put(self, key: tuple, entry: object) -> None:
+        """Store a freshly planned ``entry`` (counted as a miss)."""
+        with self._lock:
+            self.misses += 1
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > PLAN_CACHE_SIZE:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "entries": len(self._entries)}
+
+
 @dataclass(frozen=True)
 class CatalogEvent:
     """One catalog mutation, as delivered to registered listeners.
@@ -228,8 +288,11 @@ class Catalog:
         #: Bumped on every mutation (register/drop/insert/delete).
         self.version: int = 0
         #: Bumped by register/drop only: what a plan that holds tables,
-        #: not snapshots, is valid for (cross-session plan caches).
+        #: not snapshots, is valid for (the plan cache's key).
         self.schema_version: int = 0
+        #: Planned statements of every session on this catalog; emptied
+        #: by register/drop, after which no stored key can match again.
+        self.plans = PlanCache()
         # Imported lazily at class-definition time would be circular;
         # the stats package only depends on repro.core.
         from ..stats import StatsStore
@@ -253,6 +316,7 @@ class Catalog:
         self.version += 1
         if kind in ("register", "drop"):
             self.schema_version += 1
+            self.plans.clear()
         if self._listeners:
             event = CatalogEvent(kind, table.lower(), tuple(rows),
                                  self.version, batch, tuple(positions))

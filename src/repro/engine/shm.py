@@ -47,7 +47,7 @@ the store without freeing each other's segments.  Entries registered via
 :meth:`pin` are *persistent*: they survive stage and query boundaries
 -- this is what lets prepared queries ship their cached input
 partitions as handles on every execution -- and are dropped by
-:meth:`unpin` or :meth:`close`.
+:meth:`unpin` (once no running stage claims them) or :meth:`close`.
 
 Everything degrades gracefully: object columns, zero-row or
 tiny batches, exhausted budgets and closed stores all fall back to
@@ -144,7 +144,7 @@ class _Entry:
         self.state = state
         self.nbytes = nbytes
         self.persistent = persistent
-        #: Stages that shipped this transient entry and have not ended.
+        #: Stages that shipped this entry and have not ended.
         self.claims = 0
 
     def batch(self):
@@ -200,9 +200,8 @@ class SharedColumnStore:
                     entry = self._share_locked(arg)
                     if entry is not None:
                         arg = SharedBatch(entry.state)
-                        if not entry.persistent:
-                            entry.claims += 1
-                            claims.append(entry)
+                        entry.claims += 1
+                        claims.append(entry)
                 exported.append(arg)
         return tuple(exported), claims
 
@@ -263,11 +262,17 @@ class SharedColumnStore:
 
     def unpin(self, batches) -> None:
         """Release previously pinned batches (e.g. after DML made a
-        prepared query's cached input partitions stale)."""
+        prepared query's cached input partitions stale).  A batch a
+        running stage still ships becomes transient instead, released
+        by :meth:`end_stage` once no stage claims it."""
         with self._lock:
             for batch in batches:
                 entry = self._entries.get(id(batch))
-                if entry is not None and entry.batch() is batch:
+                if entry is None or entry.batch() is not batch:
+                    continue
+                if entry.claims > 0:
+                    entry.persistent, entry.strong = False, batch
+                else:
                     self._release_locked(id(batch))
 
     def _register_locked(self, batch: ColumnBatch, persistent: bool

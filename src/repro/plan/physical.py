@@ -66,21 +66,16 @@ class PhysicalScalarSubquery(E.LeafExpression):
     """A scalar subquery lowered to a physical plan.
 
     The planner substitutes these for
-    :class:`~repro.engine.expressions.ScalarSubquery`; ``prepare`` runs
-    the subplan once per query execution and caches the single value.
+    :class:`~repro.engine.expressions.ScalarSubquery`.  The value is
+    per execution, never kept on the plan (a cached plan re-executes
+    after DML): :meth:`_NarrowExec.chain_inputs` runs the subplan on
+    the execution's context and hands that execution's specs a literal
+    in its place (:func:`_bind_subqueries`).
     """
 
     def __init__(self, plan: "PhysicalPlan") -> None:
         self.plan = plan
         self._dtype = plan.output[0].dtype
-        self._value: Any = None
-        self._prepared = False
-
-    def __getstate__(self) -> dict:
-        # Ships to a worker inside a fused map body: the prepared value
-        # travels, the subplan (and the table rows under it) does not.
-        return {"plan": None, "_dtype": self._dtype,
-                "_value": self._value, "_prepared": self._prepared}
 
     @property
     def resolved(self) -> bool:
@@ -90,29 +85,42 @@ class PhysicalScalarSubquery(E.LeafExpression):
     def dtype(self):
         return self._dtype
 
-    def prepare(self, ctx: ExecutionContext) -> None:
-        if self._prepared:
-            return
+    def value(self, ctx: ExecutionContext) -> Any:
+        """The subquery's single value on ``ctx`` (``None`` when empty)."""
         rows = self.plan.execute(ctx).collect()
         if len(rows) > 1:
             raise ExecutionError(
                 f"scalar subquery returned {len(rows)} rows")
-        self._value = rows[0][0] if rows else None
-        self._prepared = True
+        return rows[0][0] if rows else None
 
     def eval(self, row: tuple) -> Any:
-        if not self._prepared:
-            raise ExecutionError("scalar subquery evaluated before prepare")
-        return self._value
+        raise ExecutionError(
+            "scalar subquery evaluated outside a filter or projection")
 
     def __repr__(self) -> str:
         return "PhysicalScalarSubquery(...)"
 
 
-def _prepare_subqueries(expr: E.Expression, ctx: ExecutionContext) -> None:
-    for node in expr.iter_tree():
+def _has_subquery(spec: tuple) -> bool:
+    """True when a narrow operator's ``spec`` reads a scalar subquery."""
+    return any(isinstance(node, PhysicalScalarSubquery)
+               for expr in spec[1] for node in expr.iter_tree())
+
+
+def _bind_subqueries(spec: tuple, ctx: ExecutionContext) -> tuple:
+    """``spec`` with every scalar subquery replaced by a literal of its
+    value on ``ctx``: one execution's copy, the plan's own stays as
+    planned."""
+    if not _has_subquery(spec):
+        return spec
+
+    def step(node: E.Expression) -> E.Expression:
         if isinstance(node, PhysicalScalarSubquery):
-            node.prepare(ctx)
+            return E.Literal(node.value(ctx), node.dtype)
+        return node
+
+    kind, exprs = spec
+    return kind, tuple(expr.transform_up(step) for expr in exprs)
 
 
 class PhysicalPlan:
@@ -306,20 +314,22 @@ def _resident(holder, store, token) -> "list | None":
     """The batches ``holder`` (an operator of a prepared plan) keeps
     pinned in ``store`` under ``token``; ``None`` when it holds none or
     they are stale."""
-    if store is None or holder._pinned is None \
-            or holder._pinned[0] != token:
+    pinned = holder._pinned  # one read: a concurrent run may replace it
+    if store is None or pinned is None or pinned[0] != token:
         return None
-    store.pin(holder._pinned[1])  # idempotent; re-pins after a close
-    return holder._pinned[1]
+    store.pin(pinned[1])  # idempotent; re-pins after a close
+    return pinned[1]
 
 
 def _keep_resident(holder, store, token, batches: list) -> None:
     """Pin ``batches`` in ``store`` and keep them on ``holder`` under
-    ``token``, releasing what it held before (stale after DML)."""
-    if holder._pinned is not None:
-        store.unpin(holder._pinned[1])
+    ``token``, releasing what it held before (stale after DML; a stage
+    still shipping them keeps them until it ends)."""
+    previous = holder._pinned
     store.pin(batches)
     holder._pinned = (token, batches)
+    if previous is not None:
+        store.unpin(previous[1])
 
 
 class _NarrowExec(PhysicalPlan):
@@ -347,19 +357,17 @@ class _NarrowExec(PhysicalPlan):
                      ) -> "tuple[list, tuple]":
         """``(partitions, specs)`` of the chain topped by this operator.
 
-        Scalar subqueries are prepared here, in the driver, before any
-        task ships.  A columnar scan source is cut into zero-copy
-        slices of the table's resident columns, narrowed to the columns
-        the chain reads with ``specs`` rebound to match (``resident``:
-        see :meth:`ScanExec.slices`).  Any other source is executed and
-        hands over its partitions.
+        Scalar subqueries are evaluated here, in the driver, before any
+        task ships, into this execution's ``specs``.  A columnar scan
+        source is cut into zero-copy slices of the table's resident
+        columns, narrowed to the columns the chain reads with ``specs``
+        rebound to match (``resident``: see :meth:`ScanExec.slices`).
+        Any other source is executed and hands over its partitions.
         """
         specs = []
         source: PhysicalPlan = self
         while isinstance(source, _NarrowExec) and source.spec is not None:
-            for expr in source.spec[1]:
-                _prepare_subqueries(expr, ctx)
-            specs.append(source.spec)
+            specs.append(_bind_subqueries(source.spec, ctx))
             source = source.children[0]
         specs = tuple(reversed(specs))
         if not isinstance(source, ScanExec):
@@ -1247,7 +1255,8 @@ class SkylineLocalExec(_SkylineExec):
         concatenated input -- on either data plane.
 
         When everything beneath is deterministic data preparation over
-        one scan (filter, project), those partitions depend only on
+        one scan (filter, project, no scalar subquery: its value can
+        follow other tables), those partitions depend only on
         :meth:`ScanExec.token`; when the context has a shm store they
         are then pinned and kept on the plan like the fused path's scan
         slices, and a prepared query's re-execution skips the chain and
@@ -1258,12 +1267,16 @@ class SkylineLocalExec(_SkylineExec):
         if self.exec_mode == "batch" and ctx.shm_store is not None \
                 and not ctx.shm_store.closed:
             scan = child
-            while isinstance(scan, (FilterExec, ProjectExec)):
+            while isinstance(scan, (FilterExec, ProjectExec)) \
+                    and not _has_subquery(scan.spec):
                 scan = scan.children[0]
             if isinstance(scan, ScanExec):
                 store, token = ctx.shm_store, scan.token(ctx)
         partitions = _resident(self, store, token)
-        if partitions is None:
+        if partitions is not None:
+            # The scan beneath is served from what the plan keeps.
+            ctx.scan["resident_rows"] += len(scan.rows)
+        else:
             child_out = child.execute(ctx)
             if self.exec_mode != "batch":
                 # A scalar operator reads (and regroups) rows.

@@ -84,8 +84,9 @@ class Planner:
 
         Two planners with equal keys (over the same catalog state)
         lower identical logical plans to identical physical plans --
-        the contract the serving layer's cross-session plan cache
-        relies on (its full key adds the catalog's schema version, or
+        the contract the catalog's plan cache relies on (its full key,
+        :meth:`~repro.api.session.SkylineSession._plan_key`, adds the
+        SQL text, the transport and the catalog's schema version, or
         for the statistics-fed strategy its data version).
         """
         return (self.skyline_strategy, self.num_executors,

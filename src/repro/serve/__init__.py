@@ -2,7 +2,7 @@
 
 ``python -m repro.serve`` boots a JSON-lines TCP endpoint over a shared
 :class:`CatalogService`: one catalog and statistics store, one worker
-pool per backend flavour, a cross-session plan cache, and the
+pool per backend flavour, the catalog's plan cache, and the
 dominance-aware :class:`SkylineResultCache` that answers
 subset-preference skyline queries from cached supersets.  See
 ``docs/serving.md``.

@@ -1,28 +1,26 @@
-"""Shared catalog, plan cache, and backend pool for multi-tenant serving.
+"""Shared catalog, backend pool and result cache for multi-tenant serving.
 
 Historically every :class:`~repro.api.session.SkylineSession` owned its
 catalog, statistics store, and worker pool.  A server hosting many
 tenants wants the opposite: **one** catalog (so statistics are
-collected once and DML is visible to everyone), **one** worker pool per
-backend flavour (so 16 tenants do not spawn 16 process pools), and a
-cross-session cache of prepared plans and skyline results.
-:class:`CatalogService` owns all of that; tenant sessions from
-:meth:`session_for` are thin views over the shared state.
+collected once, DML is visible to everyone, and its plan cache serves
+every tenant), **one** worker pool per backend flavour (so 16 tenants
+do not spawn 16 process pools), and a cross-session cache of skyline
+results.  :class:`CatalogService` owns all of that; tenant sessions
+from :meth:`session_for` are thin views over the shared state.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from ..api.config import SessionConfig
-from ..api.session import PreparedQuery, QueryResult, SkylineSession
+from ..api.session import QueryResult, SkylineSession
 from ..engine.backends import (BackendSpec, FaultStats, SharedBackend,
                                create_backend)
 from ..engine.catalog import Catalog
 from ..engine.row import Row
-from ..plan.logical import AnalyzeTable
-from .cache import CacheableShape, SkylineResultCache, cacheable_shape
+from .cache import SkylineResultCache
 
 
 class CatalogService:
@@ -30,20 +28,14 @@ class CatalogService:
 
     Thread-safe for the server's usage: queries run concurrently on a
     thread pool, DML is serialised by :attr:`write_lock`, and the plan
-    and result caches take their own locks.
+    cache (the catalog's) and the result cache take their own locks.
     """
 
     def __init__(self, catalog: "Catalog | None" = None, *,
-                 plan_cache_size: int = 128,
                  result_cache_size: int = 64) -> None:
-        if plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
         self.catalog = catalog if catalog is not None else Catalog()
         self.result_cache = SkylineResultCache(result_cache_size)
         self.catalog.add_listener(self.result_cache.on_catalog_event)
-        self.plan_cache_size = plan_cache_size
-        self._plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._plan_lock = threading.Lock()
         self._backends: "dict[tuple, SharedBackend]" = {}
         self._backend_lock = threading.Lock()
         #: Serialises catalog DML (queries read without locking; under
@@ -53,8 +45,6 @@ class CatalogService:
         #: Ablation switch: with the result cache off every query
         #: executes the full plan (the benchmark's baseline).
         self.result_cache_enabled = True
-        self.plan_hits = 0
-        self.plan_misses = 0
         #: Service-lifetime fault-tolerance counters, merged from every
         #: executed query's context (reported by :meth:`stats`).
         self.fault_stats = FaultStats()
@@ -85,61 +75,31 @@ class CatalogService:
 
     # -- the serving execution path ---------------------------------------
 
-    def _plan_key(self, session: SkylineSession, sql: str) -> tuple:
-        """A prepared plan holds tables, not snapshots: it outlives DML
-        unless the session plans from statistics, which DML drops."""
-        statistical = session.skyline_algorithm == "adaptive"
-        return (session._planner().settings_key(),
-                session.enable_skyline_optimizations, sql,
-                self.catalog.version if statistical
-                else self.catalog.schema_version)
+    @property
+    def plan_hits(self) -> int:
+        return self.catalog.plans.hits
 
-    def _prepared(self, session: SkylineSession, sql: str, key: tuple
-                  ) -> "tuple[PreparedQuery, CacheableShape | None] | None":
-        """Prepare ``sql`` through the plan cache.
-
-        Returns ``None`` for command statements (``ANALYZE TABLE``),
-        which bypass the planner and the caches.
-        """
-        plan = session.sql(sql).plan
-        if isinstance(plan, AnalyzeTable):
-            return None
-        prepared = session.prepare(plan)
-        shape = cacheable_shape(prepared.optimized)
-        with self._plan_lock:
-            self.plan_misses += 1
-            self._plan_cache[key] = (prepared, shape)
-            self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-        return prepared, shape
+    @property
+    def plan_misses(self) -> int:
+        return self.catalog.plans.misses
 
     def execute(self, session: SkylineSession, sql: str) -> QueryResult:
         """Parse and run ``sql`` for a tenant, through the caches.
 
-        The plan cache is consulted *before* parsing (its key is the
-        SQL text plus the session's planning settings and the catalog's
-        schema version), so a hot query's latency is the result-cache lookup
-        alone.  Cache-hit answers come back with ``cache_hit=True`` and
-        zero simulated cost; everything else executes normally and,
-        when the plan has the cacheable skyline shape, feeds the result
-        cache.
+        The catalog's plan cache is consulted *before* parsing
+        (:meth:`SkylineSession.planned`: the SQL text plus the session's
+        planning settings and the catalog's schema version), so a hot
+        query's latency is the result-cache lookup alone.  Cache-hit
+        answers come back with ``cache_hit=True`` and zero simulated
+        cost; everything else executes normally and, when the plan has
+        the cacheable skyline shape, feeds the result cache.
         """
-        key = self._plan_key(session, sql)
-        with self._plan_lock:
-            hit = self._plan_cache.get(key)
-            if hit is not None:
-                self._plan_cache.move_to_end(key)
-                self.plan_hits += 1
-        if hit is None:
-            entry = self._prepared(session, sql, key)
-            if entry is None:
-                return session.execute(session.sql(sql).plan)
-            prepared, shape = entry
-        else:
-            prepared, shape = hit
-        if not self.result_cache_enabled:
-            shape = None
+        entry = session.planned(sql)
+        prepared = entry.prepared
+        if prepared is None:  # a command (ANALYZE TABLE)
+            return session.execute(entry.parsed)
+        shape = prepared.cacheable_shape \
+            if self.result_cache_enabled else None
         if shape is not None:
             cached = self.result_cache.lookup(
                 shape, self.catalog.lookup(shape.table))
@@ -167,9 +127,6 @@ class CatalogService:
     # -- lifecycle --------------------------------------------------------
 
     def stats(self) -> dict:
-        with self._plan_lock:
-            plan = {"hits": self.plan_hits, "misses": self.plan_misses,
-                    "entries": len(self._plan_cache)}
         with self._fault_lock:
             faults = self.fault_stats.as_dict()
         return {"catalog_version": self.catalog.version,
@@ -177,7 +134,7 @@ class CatalogService:
                 "resident_column_bytes":
                     self.catalog.resident_column_bytes(),
                 "column_maintenance": self.catalog.column_maintenance(),
-                "plan_cache": plan,
+                "plan_cache": self.catalog.plans.stats(),
                 "result_cache": self.result_cache.stats.as_dict(),
                 "faults": faults}
 

@@ -250,6 +250,17 @@ class TestLifecycle:
         store.unpin([batch])
         assert store.stats()["active_segments"] == 0
 
+    def test_unpin_waits_for_the_stage_shipping_it(self, store):
+        # A cached plan re-pins after DML while another execution of it
+        # is still shipping the stale batch.
+        batch = make_batch()
+        store.pin([batch])
+        (state, claims) = share(store, batch)
+        store.unpin([batch])
+        assert store.segment_names() == [state[0]]
+        store.end_stage(claims)
+        assert store.stats()["active_segments"] == 0
+
     def test_pin_upgrades_transient(self, store):
         batch = make_batch()
         _, claims = share(store, batch)

@@ -403,6 +403,30 @@ class TestPlanCache:
         service.execute(session, self.COLD)
         assert (service.plan_hits, service.plan_misses) == (1, 2)
 
+    def test_a_cached_plan_recomputes_its_scalar_subquery(self, service):
+        session = service.session_for()
+        session.create_table("t", [("id", INTEGER, False),
+                                   ("x", DOUBLE, False),
+                                   ("y", DOUBLE, False)],
+                             [(1, 1.0, 5.0), (2, 2.0, 4.0), (3, 3.0, 3.0),
+                              (4, 4.0, 2.0)])
+        sql = ("SELECT id FROM t WHERE x > (SELECT avg(x) FROM t) "
+               "SKYLINE OF x MIN, y MIN")
+        assert sorted(service.execute(session, sql).as_tuples()) == \
+            [(3,), (4,)]
+        service.catalog.insert_into("t", [(5, 100.0, 100.0),
+                                          (6, 101.0, 0.5)])
+        assert sorted(service.execute(session, sql).as_tuples()) == \
+            [(5,), (6,)]
+        assert (service.plan_hits, service.plan_misses) == (1, 1)
+
+    def test_stats_read_the_catalogs_cache(self, service):
+        run(service, self.COLD)
+        run(service, self.COLD)
+        service.session_for().sql(self.COLD).run()  # any session on it
+        assert service.stats()["plan_cache"] == \
+            {"hits": 2, "misses": 1, "entries": 1}
+
 
 class TestConcurrentDml:
     """A result computed before a mutation must never be stored after
