@@ -47,9 +47,9 @@ class SessionConfig:
     """Every session-level knob, in one immutable place.
 
     >>> from repro import SessionConfig
-    >>> config = SessionConfig(num_executors=4, adaptive=True)
+    >>> config = SessionConfig(num_executors=4, skyline_algorithm="sfs")
     >>> config.skyline_algorithm
-    'adaptive'
+    'sfs'
     >>> config.with_options(num_executors=8).num_executors
     8
     >>> config.num_executors  # the original is unchanged (frozen)
@@ -62,14 +62,9 @@ class SessionConfig:
         also the scan's partition count, which every skyline local
         stage keeps.
     skyline_algorithm:
-        ``auto`` (Listing 8 selection), ``adaptive`` (statistics-driven
-        selection of the algorithm), or a forced strategy
+        ``auto`` (Listing 8 selection) or a forced strategy
         (``distributed-complete``, ``non-distributed-complete``,
         ``distributed-incomplete``, ``sfs``).
-    adaptive:
-        Shorthand for ``skyline_algorithm="adaptive"``; the two fields
-        are kept consistent (``adaptive is True`` iff the algorithm is
-        ``"adaptive"``).
     enable_skyline_optimizations:
         Toggles the Section 5.4 optimizer rules.
     cluster_config:
@@ -126,7 +121,6 @@ class SessionConfig:
 
     num_executors: int = 2
     skyline_algorithm: str = "auto"
-    adaptive: bool = False
     enable_skyline_optimizations: bool = True
     cluster_config: "ClusterConfig | None" = None
     backend: "str | Backend" = "local"
@@ -145,14 +139,11 @@ class SessionConfig:
         # circularly depend on the api package at import time.
         from ..plan.planner import SKYLINE_STRATEGIES
 
-        if self.adaptive:
-            if self.skyline_algorithm not in ("auto", "adaptive"):
-                raise ValueError(
-                    "adaptive=True conflicts with skyline_algorithm="
-                    f"{self.skyline_algorithm!r}")
-            object.__setattr__(self, "skyline_algorithm", "adaptive")
-        elif self.skyline_algorithm == "adaptive":
-            object.__setattr__(self, "adaptive", True)
+        if self.skyline_algorithm == "adaptive":
+            raise ValueError(
+                "skyline_algorithm='adaptive' was removed: the algorithm "
+                "is chosen by Listing 8's rule ('auto') or forced by "
+                "name; see docs/benchmarks.md, 'Planner regret'")
         if self.skyline_algorithm not in SKYLINE_STRATEGIES:
             raise ValueError(
                 f"unknown skyline_algorithm "
@@ -249,11 +240,6 @@ class SessionConfig:
         >>> SessionConfig().with_options(backend="process").backend_name
         'process'
         """
-        if "skyline_algorithm" in overrides and "adaptive" not in overrides:
-            # Keep the adaptive flag consistent instead of letting a
-            # stale True conflict with an explicit algorithm override.
-            overrides["adaptive"] = \
-                overrides["skyline_algorithm"] == "adaptive"
         unknown = set(overrides) - {f.name for f in
                                     dataclasses.fields(self)}
         if unknown:

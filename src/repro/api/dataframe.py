@@ -266,14 +266,15 @@ class DataFrame:
         on, each with its reason.  Every physical operator is marked
         ``*(N)`` with the stage it executes in
         (operators sharing a number run fused in one stage), and
-        data-plane operators (scans, filters, projections, skylines)
-        are tagged with their execution mode -- ``[batch]`` when they exchange
+        every data-plane operator is tagged with its execution mode --
+        ``[batch]`` when it exchanges
         :class:`~repro.engine.batch.ColumnBatch`es on the columnar
-        data plane, ``[row]`` otherwise.
+        data plane, ``[row]`` otherwise (sorts and nested-loop joins
+        always run on rows).
 
         >>> import repro
         >>> from repro import smin
-        >>> session = repro.connect(adaptive=True)
+        >>> session = repro.connect()
         >>> df = session.create_dataframe(
         ...     [(1.0, 2.0), (2.0, 1.0)], ["a", "b"]
         ...     ).skyline(smin("a"), smin("b"))

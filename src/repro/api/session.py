@@ -100,8 +100,7 @@ class PreparedQuery:
     :meth:`SkylineSession.execute_prepared`; the catalog's plan cache
     stores these across sessions (the physical plan re-executes against
     the *current* table rows, so catalog DML does not stale it -- the
-    plan-cache key holds the catalog's schema version, and the full
-    version only for statistics-driven strategies).  Re-executing one
+    plan-cache key holds the catalog's schema version).  Re-executing one
     is safe concurrently: per-execution state lives on the context.
     """
 
@@ -188,11 +187,6 @@ class SkylineSession:
         self.enable_skyline_optimizations = \
             config.enable_skyline_optimizations
         self._time_budget_s: float | None = config.time_budget_s
-
-    @property
-    def adaptive(self) -> bool:
-        """True when the statistics-driven adaptive planner is active."""
-        return self.skyline_algorithm == "adaptive"
 
     # -- configuration ------------------------------------------------------
 
@@ -366,14 +360,12 @@ class SkylineSession:
     def _plan_key(self, sql: str) -> tuple:
         """The plan cache's key of ``sql`` for this session: its text,
         every planning setting, the transport the plan is stamped with
-        and the catalog version the plan is valid for.  A prepared plan
-        holds tables, not snapshots, so it outlives DML -- unless it was
-        planned from statistics, which DML drops."""
-        catalog = self.catalog
+        and the catalog schema version the plan is valid for.  A
+        prepared plan holds tables, not snapshots, and no planning
+        decision reads the data, so it outlives DML."""
         return (sql, self._planner().settings_key(),
                 self.enable_skyline_optimizations, self._transport_mode(),
-                catalog.version if self.adaptive
-                else catalog.schema_version)
+                self.catalog.schema_version)
 
     def planned(self, sql: str,
                 parsed: "LogicalPlan | None" = None) -> CachedPlan:
@@ -404,9 +396,9 @@ class SkylineSession:
         return optimizer.optimize(plan)
 
     def _planner(self) -> Planner:
-        """A planner wired to this session's catalog and settings."""
+        """A planner wired to this session's settings."""
         return Planner(
-            self.skyline_algorithm, catalog=self.catalog,
+            self.skyline_algorithm,
             num_executors=self.cluster_config.num_executors,
             vectorized=self.vectorized,
             columnar=self.columnar)
@@ -541,8 +533,7 @@ class SkylineSession:
 
         Skyline queries additionally get a ``== Skyline Strategy ==``
         section reporting the chosen algorithm and the partitions its
-        local stage runs on, each with its reason (for ``adaptive``
-        sessions, with the statistics that drove the choice).
+        local stage runs on, each with its reason.
         """
         if isinstance(plan, AnalyzeTable):
             return "== Command ==\n" + plan.node_description()
@@ -577,8 +568,8 @@ def connect(config: SessionConfig | None = None,
     >>> import repro
     >>> repro.connect(num_executors=4).cluster_config.num_executors
     4
-    >>> repro.connect(adaptive=True).skyline_algorithm
-    'adaptive'
+    >>> repro.connect(skyline_algorithm="sfs").skyline_algorithm
+    'sfs'
     """
     config = config or SessionConfig()
     if options:

@@ -73,8 +73,8 @@ def run_smoke(num_rows: int = 400, num_executors: int = 4,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI: ``python -m repro.bench --smoke`` / ``--adaptive`` /
-    ``--serving`` / ``--chaos``."""
+    """CLI: ``python -m repro.bench --smoke`` / ``--serving`` /
+    ``--chaos``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -84,9 +84,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="run the tiny airbnb+store_sales workload on "
                              "every backend and emit BENCH_smoke.json")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="run the mixed workload under the adaptive "
-                             "planner and every fixed algorithm")
     parser.add_argument("--serving", action="store_true",
                         help="benchmark the multi-tenant serving layer "
                              "(qps at 1/4/16 clients, result-cache "
@@ -105,8 +102,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--max-chaos-overhead", type=float, default=None,
                         help="fail if the chaos wall-clock overhead "
                              "exceeds this factor")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="size multiplier for the adaptive mix")
     parser.add_argument("--rows", type=int, default=None,
                         help="workload size override")
     parser.add_argument("--workers", type=int, default=None,
@@ -114,9 +109,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_smoke.json",
                         help="output path for the smoke report")
     args = parser.parse_args(argv)
-    if not (args.smoke or args.adaptive or args.serving or args.chaos):
-        parser.error("nothing to do: pass --smoke, --adaptive, "
-                     "--serving and/or --chaos")
+    if not (args.smoke or args.serving or args.chaos):
+        parser.error("nothing to do: pass --smoke, --serving and/or "
+                     "--chaos")
 
     status = 0
     if args.smoke:
@@ -131,13 +126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"simulated {run['simulated_time_s']:.4f}s  "
                   f"first batch {run['time_to_first_batch_s']:.4f}s  "
                   f"rows {run['result_rows']}")
-    if args.adaptive:
-        from .adaptive import render_report, run_adaptive_bench
-        report = run_adaptive_bench(scale=args.scale)
-        print(render_report(report))
-        print(f"best fixed: {report['best_fixed']} "
-              f"({report['fixed_totals'][report['best_fixed']]:.3f}s), "
-              f"adaptive: {report['adaptive_total']:.3f}s")
     if args.serving:
         from .serving import render_serving_report, run_serving_bench
         report = run_serving_bench(num_rows=args.rows or 6000)

@@ -71,10 +71,12 @@ class BoundDimension:
     ``index`` is the position of the dimension's value inside the row
     tuples handed to the comparators; ``kind`` says whether lower values
     win (MIN), higher values win (MAX), or values must match (DIFF).
+    ``name``, the dimension as the query wrote it, only labels errors.
     """
 
     index: int
     kind: DimensionKind
+    name: str = field(default="", compare=False)
 
     @property
     def is_diff(self) -> bool:

@@ -89,6 +89,7 @@ import numpy as np
 # The engine's batch module owns the single columnization point (the
 # pinned float64 + NaN + null-mask encoding).
 from ..engine.batch import ColumnBatch, encode_numeric_column
+from ..errors import ExecutionError
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates_incomplete)
@@ -549,19 +550,17 @@ def _distinct_positions(rows: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 
-def _has_nulls_or_nan(block: ColumnBlock) -> bool:
+def _has_nan(block: ColumnBlock) -> bool:
     """Guard of the complete-data window modes.
 
     NaN data: dominance loses transitivity, so the window result is
     order-dependent -- defer to the scalar window semantics (scalar SFS
     detects the NaN scores and routes through scalar BNL, the pinned
-    behaviour both implementations share).  Nulls: the complete-data
-    scalar kernels raise TypeError on None comparisons; encoding them
-    as NaN would silently switch to null-skipping semantics, so nulls
-    defer too.
+    behaviour both implementations share).  Nulls never get here:
+    :func:`_reject_nulls` refuses them first (encoded as NaN they would
+    silently switch to null-skipping semantics).
     """
-    return bool(block.null_mask.any()) or block.has_nan_data \
-        or block.diff_keys_have_nan()
+    return block.has_nan_data or block.diff_keys_have_nan()
 
 
 def _mixed_bitmaps_or_nan(block: ColumnBlock) -> bool:
@@ -586,6 +585,37 @@ def _ungroupable_diff_keys(block: ColumnBlock) -> bool:
     return block.diff_keys_have_null() or block.diff_keys_have_nan()
 
 
+def _reject_nulls(partition: "list | ColumnBatch",
+                  block: ColumnBlock | None,
+                  dims: Sequence[BoundDimension]) -> None:
+    """Raise :class:`~repro.errors.ExecutionError` naming the first
+    MIN/MAX dimension that holds a NULL: the complete-data modes compare
+    every value, so ``SKYLINE OF COMPLETE`` (or a forced complete
+    algorithm) asserts there are none.  A NULL DIFF value is legal (it
+    is one more group).  Reads the block's null mask where there is one,
+    the partition otherwise."""
+    value_dims = [(position, d) for position, d in enumerate(dims, 1)
+                  if d.kind is not DimensionKind.DIFF]
+    if block is not None:
+        if not block.null_mask.any():  # one pass, the common case
+            return
+        column_nulls = block.null_mask.any(axis=0)
+    for j, (position, dim) in enumerate(value_dims):
+        if block is not None:
+            has_null = column_nulls[j]
+        elif isinstance(partition, ColumnBatch):
+            has_null = np.any(partition.column(dim.index).null_flags())
+        else:
+            has_null = any(row[dim.index] is None for row in partition)
+        if has_null:
+            name = dim.name or f"#{position} ({dim.kind.value})"
+            raise ExecutionError(
+                f"skyline dimension {name} holds NULL, but SKYLINE OF "
+                f"COMPLETE (or a forced complete algorithm) asserts that "
+                f"no MIN/MAX dimension does; without COMPLETE the "
+                f"'auto' strategy runs the incomplete algorithm")
+
+
 class _Mode(NamedTuple):
     """One variant of the skyline operator (Listing 8): what differs
     between them is the dominance predicate and the deletion rule."""
@@ -598,6 +628,9 @@ class _Mode(NamedTuple):
     reference: Callable
     #: Whether SKYLINE ... DISTINCT applies in this mode.
     distinct: bool
+    #: Whether the mode's predicate handles NULL in MIN/MAX dimensions
+    #: (otherwise :func:`_reject_nulls` runs once per task).
+    null_aware: bool
 
 
 #: The four modes :func:`skyline_task` runs, keyed by the plain string
@@ -609,19 +642,20 @@ class _Mode(NamedTuple):
 #: is what stays correct under cyclic dominance).
 SKYLINE_MODES: dict[str, _Mode] = {
     "complete": _Mode(
-        _has_nulls_or_nan,
+        _has_nan,
         functools.partial(_grouped_indices, _block_skyline_indices),
-        bnl_skyline, True),
+        bnl_skyline, True, False),
     "bitmap-local": _Mode(
         _mixed_bitmaps_or_nan,
         functools.partial(_grouped_indices, _block_skyline_indices),
         functools.partial(bnl_skyline, dominance=dominates_incomplete),
-        False),
-    "sfs": _Mode(_has_nulls_or_nan, _sfs_indices, sfs_skyline, True),
+        False, True),
+    "sfs": _Mode(_has_nan, _sfs_indices, sfs_skyline, True,
+                 False),
     "flagged": _Mode(
         _ungroupable_diff_keys,
         functools.partial(_grouped_indices, _flagged_indices),
-        flagged_global_skyline, True),
+        flagged_global_skyline, True, True),
 }
 
 
@@ -642,6 +676,8 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
     reference.  ``mode`` keys :data:`SKYLINE_MODES`.  ``vectorized``
     off, data that cannot be columnized faithfully or a tripped mode
     guard all run the mode's scalar reference kernel on the row view.
+    A complete-data mode over a NULL MIN/MAX value raises
+    :class:`~repro.errors.ExecutionError`.
 
     Top-level and called with plain-data arguments, hence shippable to
     process-pool workers.  Returns ``(result, window_peak,
@@ -657,6 +693,8 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
     if not is_batch and not isinstance(partition, list):
         partition = list(partition)
     block = columnize(partition, dims) if vectorized else None
+    if not spec.null_aware:
+        _reject_nulls(partition, block, dims)
     if block is None or spec.unsafe(block):
         rows = partition.to_rows() if is_batch else partition
         result = spec.reference(rows, dims, distinct=distinct, stats=stats,

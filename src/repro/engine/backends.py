@@ -52,7 +52,9 @@ Spark-style task-level retry sound here:
   :class:`~repro.errors.QueryTimeout` mid-stage instead of after it.
 * Ordinary task exceptions are **not** retried -- determinism means
   they would fail identically -- and are wrapped in
-  :class:`~repro.errors.TaskError` immediately.
+  :class:`~repro.errors.TaskError` immediately; an
+  :class:`~repro.errors.ExecutionError` the task raises itself already
+  names what is wrong and propagates as is.
 
 On any terminal stage failure, outstanding futures are cancelled and
 their exceptions observed (no leaked, silently-running work).
@@ -70,7 +72,8 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..errors import QueryTimeout, TaskError, WorkerCrashError
+from ..errors import (ExecutionError, QueryTimeout, TaskError,
+                      WorkerCrashError)
 from .faults import InjectedFault, SimulatedWorkerCrash, maybe_inject
 
 #: Names accepted by :func:`create_backend` and the session API.
@@ -315,9 +318,10 @@ def _next_attempt(task: StageTask, attempt: int, policy: RetryPolicy,
                   exc: Exception) -> int:
     """Account for one failed attempt; returns the next attempt number
     or raises the terminal wrapped error."""
-    if isinstance(exc, QueryTimeout):
-        # The deadline-wrapped task fn noticed the query budget expired;
-        # that is a query-level verdict, not a task failure.
+    if isinstance(exc, (QueryTimeout, ExecutionError)):
+        # The deadline-wrapped task fn noticed the query budget expired,
+        # or the engine refused the task's data (an ExecutionError names
+        # what is wrong): query-level verdicts, not task failures.
         raise exc
     key = task.fault_key
     attempts = attempt + 1

@@ -213,8 +213,8 @@ class PlanCache:
     The catalog owns one (:attr:`Catalog.plans`), so every session on a
     catalog -- a private session's clones, or all of a server's tenants
     -- reuses the others' plans.  The key (SQL text, planning settings,
-    a catalog version) is the session's to build; the cache only bounds
-    and counts.  A miss is counted when its plan is stored, so a
+    the catalog's schema version) is the session's to build; the cache
+    only bounds and counts.  A miss is counted when its plan is stored, so a
     statement that fails to plan counts nothing.  Thread-safe.
     """
 

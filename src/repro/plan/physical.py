@@ -596,6 +596,9 @@ class SortExec(PhysicalPlan):
                             parallelizable=False)
         return RDD([rows])
 
+    def node_description(self) -> str:
+        return "SortExec" + self._mode_tag()
+
 
 def _compare_values(a: Any, b: Any) -> int:
     """Ascending order of two non-null values, Spark's NaN rule
@@ -1115,7 +1118,7 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
         return RDD(ctx.run_stage(stage, tasks))
 
     def node_description(self) -> str:
-        return f"BroadcastNestedLoopJoin({self.join_type})"
+        return f"BroadcastNestedLoopJoin({self.join_type})" + self._mode_tag()
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1151,7 @@ def _bind_dimensions(items: Sequence[E.SkylineDimension],
             raise ExecutionError(
                 f"skyline dimension {item.sql()} not present in child "
                 f"output") from None
-        dims.append(BoundDimension(index, item.kind))
+        dims.append(BoundDimension(index, item.kind, item.sql()))
     return dims
 
 

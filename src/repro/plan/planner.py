@@ -14,10 +14,15 @@ The skyline strategy implements Listing 8 of the paper:
 
 plus a session-level override (``skyline.algorithm``) that the benchmark
 harness uses to force each of the evaluated strategies, and an ``sfs``
-option for the sorting-based future-work algorithm.
+option for the sorting-based future-work algorithm.  No choice reads
+statistics: a cost-based one (the paper's Section 7 future work) did
+not beat this rule on any benchmark workload (``docs/benchmarks.md``,
+"Planner regret").
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..engine import expressions as E
 from ..errors import PlanningError
@@ -31,7 +36,6 @@ SKYLINE_STRATEGIES = (
     "non-distributed-complete",
     "distributed-incomplete",
     "sfs",
-    "adaptive",
 )
 
 #: Resolved strategy -> (local mode, global mode) of the two skyline
@@ -44,19 +48,42 @@ SKYLINE_OPERATOR_MODES = {
     "sfs": ("sfs", "sfs"),
 }
 
+#: What each algorithm's local stage runs on, and why: the scan's
+#: partitioning is never overridden.
+_KEPT = ("inherited", "the scan's partitioning is kept (scan parallelism)")
+_PARTITIONS = {
+    "distributed-complete": _KEPT,
+    "sfs": _KEPT,
+    "non-distributed-complete": ("1", "single global task"),
+    "distributed-incomplete": ("per bitmap", "one partition per distinct "
+                                             "null bitmap"),
+}
+
+
+@dataclass(frozen=True)
+class PlanDecision:
+    """The algorithm chosen for one skyline operator and why, for
+    EXPLAIN's ``== Skyline Strategy ==`` section."""
+
+    algorithm: str
+    reason: str
+
+    def describe(self) -> str:
+        count, why = _PARTITIONS[self.algorithm]
+        return (f"algorithm    = {self.algorithm:<26} -- {self.reason}\n"
+                f"partitions   = {count:<26} -- {why}")
+
 
 class Planner:
     """Lowers logical plans to physical plans.
 
-    ``catalog`` feeds the cost model of the ``adaptive`` strategy.
     Every skyline operator keeps its child's partitioning (the paper's
-    default, Section 2) and leaves a
-    :class:`~repro.plan.cost.PlanDecision` in :attr:`decisions`, which
-    ``EXPLAIN`` renders.
+    default, Section 2) and leaves a :class:`PlanDecision` in
+    :attr:`decisions`, which ``EXPLAIN`` renders.
     """
 
     def __init__(self, skyline_strategy: str = "auto", *,
-                 catalog=None, num_executors: int = 2,
+                 num_executors: int = 2,
                  vectorized: bool = False,
                  columnar: bool = False) -> None:
         if skyline_strategy not in SKYLINE_STRATEGIES:
@@ -64,7 +91,6 @@ class Planner:
                 f"unknown skyline strategy {skyline_strategy!r}; expected "
                 f"one of {SKYLINE_STRATEGIES}")
         self.skyline_strategy = skyline_strategy
-        self.catalog = catalog
         #: The scan parallelism; part of :meth:`settings_key` because a
         #: prepared plan pins its scan slices cut at it, and sessions of
         #: different parallelism sharing one plan would keep re-pinning.
@@ -77,7 +103,7 @@ class Planner:
         #: operators exchange :class:`~repro.engine.batch.ColumnBatch`es.
         self.columnar = columnar
         #: One entry per planned skyline operator, in plan order.
-        self.decisions: list = []
+        self.decisions: list[PlanDecision] = []
 
     def settings_key(self) -> tuple:
         """Hashable snapshot of every planning-relevant setting.
@@ -86,8 +112,7 @@ class Planner:
         lower identical logical plans to identical physical plans --
         the contract the catalog's plan cache relies on (its full key,
         :meth:`~repro.api.session.SkylineSession._plan_key`, adds the
-        SQL text, the transport and the catalog's schema version, or
-        for the statistics-fed strategy its data version).
+        SQL text, the transport and the catalog's schema version).
         """
         return (self.skyline_strategy, self.num_executors,
                 self.vectorized, self.columnar)
@@ -190,27 +215,20 @@ class Planner:
     # -- skyline (Listing 8) -------------------------------------------------------
 
     def _plan_skyline(self, node: L.SkylineOperator) -> P.PhysicalPlan:
-        from .cost import CostModel, forced_decision
-
         child = self.plan(node.child)
         items = node.skyline_items
         strategy = self.skyline_strategy
-        if strategy == "adaptive":
-            # Section 7's light-weight algorithm selection, fed by the
-            # statistics subsystem.
-            decision = CostModel(self.catalog, vectorized=self.vectorized,
-                                 columnar=self.columnar).decide(node)
-            strategy = decision.algorithm
+        if strategy == "auto":
+            # Listing 8: COMPLETE keyword or non-nullable dimensions
+            # allow the (faster) complete algorithm.
+            use_complete = node.complete or not node.dimensions_nullable
+            strategy = "distributed-complete" if use_complete \
+                else "distributed-incomplete"
+            reason = ("selected by the Listing 8 rule (COMPLETE keyword / "
+                      "dimension nullability)")
         else:
-            if strategy == "auto":
-                # Listing 8: COMPLETE keyword or non-nullable dimensions
-                # allow the (faster) complete algorithm.
-                use_complete = node.complete or not node.dimensions_nullable
-                strategy = "distributed-complete" if use_complete \
-                    else "distributed-incomplete"
-            decision = forced_decision(
-                strategy, auto=self.skyline_strategy == "auto")
-        self.decisions.append(decision)
+            reason = "forced by session configuration"
+        self.decisions.append(PlanDecision(strategy, reason))
 
         vectorized = self.vectorized
         local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]

@@ -27,22 +27,24 @@ Error responses carry a **stable wire error code** in ``error`` plus a
 human-readable ``message`` -- never a stack trace or an internal
 exception repr.  The codes:
 
-=================  =====================================================
-``parse_error``    malformed SQL
-``analysis_error`` unresolvable plan (unknown table/column, ...)
-``planning_error`` no physical plan
-``timeout``        query exceeded ``time_budget_s`` (adds ``elapsed_s``,
-                   ``budget_s``, ``partial_stats``)
-``worker_crash``   a task was lost to worker crashes past the retry
-                   budget (adds ``task_key``, ``attempts``)
-``task_error``     a task failed terminally (adds ``task_key``,
-                   ``attempts``)
-``overloaded``     admission shed the request (adds ``retry_after_s``)
-``bad_request``    malformed request envelope (bad JSON, unknown op,
-                   missing fields)
-``internal``       anything unexpected; the message is generic on
-                   purpose
-=================  =====================================================
+===================  =====================================================
+``parse_error``      malformed SQL
+``analysis_error``   unresolvable plan (unknown table/column, ...)
+``planning_error``   no physical plan
+``timeout``          query exceeded ``time_budget_s`` (adds ``elapsed_s``,
+                     ``budget_s``, ``partial_stats``)
+``worker_crash``     a task was lost to worker crashes past the retry
+                     budget (adds ``task_key``, ``attempts``)
+``task_error``       a task failed terminally (adds ``task_key``,
+                     ``attempts``)
+``execution_error``  the engine refused the query's data (e.g. a NULL
+                     under ``SKYLINE OF COMPLETE``)
+``overloaded``       admission shed the request (adds ``retry_after_s``)
+``bad_request``      malformed request envelope (bad JSON, unknown op,
+                     missing fields)
+``internal``         anything unexpected; the message is generic on
+                     purpose
+===================  =====================================================
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from dataclasses import dataclass
 from ..api.config import SessionConfig
 from ..api.session import QueryResult, SkylineSession
 from ..engine.types import BOOLEAN, DOUBLE, INTEGER, STRING
-from ..errors import (AnalysisError, ParseError, PlanningError,
-                      QueryTimeout, ReproError, ServerOverloadedError,
-                      TaskError, WorkerCrashError)
+from ..errors import (AnalysisError, ExecutionError, ParseError,
+                      PlanningError, QueryTimeout, ReproError,
+                      ServerOverloadedError, TaskError, WorkerCrashError)
 from .catalog import CatalogService
 from .scheduler import AdmissionScheduler
 
@@ -75,6 +77,7 @@ _ERROR_CODES: "tuple[tuple[type, str], ...]" = (
     (QueryTimeout, "timeout"),
     (WorkerCrashError, "worker_crash"),
     (TaskError, "task_error"),
+    (ExecutionError, "execution_error"),
     (ServerOverloadedError, "overloaded"),
 )
 

@@ -1,4 +1,5 @@
-"""repro.stats: table/column statistics driving adaptive planning.
+"""repro.stats: table/column statistics for ``ANALYZE TABLE`` and
+inspection (no planning decision reads them).
 
 Entry points:
 
@@ -6,7 +7,7 @@ Entry points:
 * :func:`stats_for_table` -- the same, straight off a catalog table;
 * :class:`StatsStore` -- the lazy, invalidating cache the catalog owns;
 * :class:`TableStats` / :class:`ColumnStats` / :class:`Histogram` --
-  the data model consumed by :class:`repro.plan.cost.CostModel`.
+  the data model ``ANALYZE TABLE`` renders.
 
 Most users never touch this package directly: the session exposes
 :meth:`~repro.api.session.SkylineSession.table_stats` and

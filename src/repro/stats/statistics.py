@@ -1,39 +1,25 @@
-"""Table and column statistics for adaptive planning.
+"""Table and column statistics, for ``ANALYZE TABLE`` and inspection.
 
-Section 7 of the paper calls for a light-weight optimizer that "selects
-the best-suited skyline algorithm"; a cost model is only as good as its
-inputs.  This module provides those inputs: per-table row counts,
-per-column min/max/null fraction/distinct counts, equi-width histograms
-over numeric columns, and sampled skyline-density estimates.  Statistics are collected in one
-pass over a table (array reductions over its typed resident columns, a
-row loop elsewhere; plus a bounded seeded sample kept for density
-probes) and cached by :class:`repro.stats.store.StatsStore` inside the
-catalog, so the planner never re-scans a registered table at planning
-time (detached in-memory relations are profiled from a bounded sample
-per planning instead).
+Per-table row counts, per-column min/max/null fraction/distinct counts
+and equi-width histograms over numeric columns.  Statistics are
+collected in one pass over a table (array reductions over its typed
+resident columns, a row loop elsewhere) and cached by
+:class:`repro.stats.store.StatsStore` inside the catalog.  No planning
+decision reads them: the skyline algorithm follows Listing 8's rule.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.bnl import bnl_skyline
-from ..core.dominance import BoundDimension
 from ..engine.batch import F8, I8
 
 #: Bucket count of the per-column equi-width histograms.
 DEFAULT_BUCKETS = 16
-#: Rows kept in the seeded sample used for skyline-density estimation.
-DEFAULT_SAMPLE_ROWS = 256
-#: Seed of the sampling RNG -- statistics are deterministic per table.
-SAMPLE_SEED = 7
-#: Minimum usable sample size for a density estimate.
-MIN_DENSITY_SAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -43,8 +29,8 @@ class Histogram:
     >>> h = Histogram.from_values([1.0, 2.0, 3.0, 4.0], num_buckets=2)
     >>> h.counts
     (2, 2)
-    >>> round(h.selectivity_below(2.5), 3)
-    0.5
+    >>> h.num_buckets, h.total
+    (2, 4)
     """
 
     low: float
@@ -93,42 +79,6 @@ class Histogram:
     def num_buckets(self) -> int:
         return len(self.counts)
 
-    def selectivity_below(self, value: float) -> float:
-        """Estimated fraction of values ``<= value``.
-
-        Full buckets below the value count entirely; the bucket holding
-        the value contributes linearly (uniformity assumption within a
-        bucket).  Inside the value range the estimate is floored at one
-        row's share: an inclusive comparison at a boundary (``<= min``)
-        always keeps the boundary-valued rows, so it must never
-        estimate an empty result.
-        """
-        if self.high == self.low:
-            return 1.0 if value >= self.low else 0.0
-        if value < self.low:
-            return 0.0
-        if value >= self.high:
-            return 1.0
-        width = (self.high - self.low) / self.num_buckets
-        position = (value - self.low) / width
-        bucket = min(self.num_buckets - 1, int(position))
-        below = sum(self.counts[:bucket])
-        partial = self.counts[bucket] * (position - bucket)
-        return min(1.0, max((below + partial) / self.total,
-                            1.0 / self.total))
-
-    def selectivity_above(self, value: float) -> float:
-        """Estimated fraction of values ``>= value`` (same inclusive
-        boundary handling as :meth:`selectivity_below`)."""
-        if self.high == self.low:
-            return 1.0 if value <= self.low else 0.0
-        if value <= self.low:
-            return 1.0
-        if value > self.high:
-            return 0.0
-        return min(1.0, max(1.0 - self.selectivity_below(value),
-                            1.0 / self.total))
-
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -146,67 +96,20 @@ class ColumnStats:
     def null_fraction(self) -> float:
         return self.num_nulls / self.num_rows if self.num_rows else 0.0
 
-    def summary(self) -> str:
-        parts = [f"nulls {self.null_fraction:.1%}",
-                 f"distinct {self.num_distinct}"]
-        if self.min_value is not None:
-            parts.insert(0, f"min {self.min_value!r} max {self.max_value!r}")
-        return f"{self.name}: " + ", ".join(parts)
-
 
 @dataclass
 class TableStats:
-    """Statistics of one table, plus a seeded sample for density probes.
-
-    Density estimates are cached per dimension set, so repeated planning
-    of the same query shape costs one dictionary lookup.
-    """
+    """Statistics of one table."""
 
     table_name: str
     num_rows: int
     columns: dict[str, ColumnStats]
-    sample: tuple[tuple, ...]
     #: Identity of the data snapshot the stats were computed from; the
     #: store compares it against the live table to detect staleness.
     fingerprint: tuple = ()
-    _density_cache: dict = field(default_factory=dict, repr=False)
 
     def column(self, name: str) -> ColumnStats | None:
         return self.columns.get(name.lower())
-
-    def skyline_density(self, dims: Sequence[BoundDimension]
-                        ) -> float | None:
-        """Estimated ``|skyline| / |input|`` on the kept sample.
-
-        Sample rows with nulls in any requested dimension are dropped
-        (density drives the choice between *complete-data* algorithms);
-        returns ``None`` when too few usable rows remain.
-        """
-        key = tuple((d.index, d.kind) for d in dims)
-        if key in self._density_cache:
-            return self._density_cache[key]
-        usable = [row for row in self.sample
-                  if all(row[d.index] is not None for d in dims)]
-        density: float | None
-        if len(usable) < MIN_DENSITY_SAMPLE:
-            density = None
-        else:
-            density = len(bnl_skyline(usable, list(dims))) / len(usable)
-        self._density_cache[key] = density
-        return density
-
-    def summary_lines(self, column_names: Sequence[str] | None = None
-                      ) -> list[str]:
-        """Human-readable per-column lines (for EXPLAIN output)."""
-        names = [n.lower() for n in column_names] if column_names \
-            else list(self.columns)
-        lines = [f"{self.table_name}: {self.num_rows} rows, "
-                 f"density sample of {len(self.sample)} rows"]
-        for name in names:
-            stats = self.columns.get(name)
-            if stats is not None:
-                lines.append("  " + stats.summary())
-        return lines
 
 
 def _is_numeric(value: Any) -> bool:
@@ -238,7 +141,6 @@ def _typed_column_stats(name: str, column, num_buckets: int
 def collect_table_stats(name: str, column_names: Sequence[str],
                         rows: Sequence[tuple],
                         num_buckets: int = DEFAULT_BUCKETS,
-                        sample_rows: int = DEFAULT_SAMPLE_ROWS,
                         fingerprint: tuple = (),
                         batch=None) -> TableStats:
     """One-pass statistics collection over ``rows``; ``batch``, their
@@ -277,11 +179,5 @@ def collect_table_stats(name: str, column_names: Sequence[str],
             min_value=min_value, max_value=max_value,
             num_distinct=len(set(non_null)),
             histogram=histogram)
-    if len(rows) <= sample_rows:
-        sample = tuple(rows)
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        sample = tuple(rng.sample(rows, sample_rows))
     return TableStats(table_name=name, num_rows=len(rows),
-                      columns=columns, sample=sample,
-                      fingerprint=fingerprint)
+                      columns=columns, fingerprint=fingerprint)

@@ -1,8 +1,8 @@
 """Lazy, invalidating statistics cache.
 
 The catalog owns one :class:`StatsStore`.  Statistics are collected on
-first use (the planner asking, or ``ANALYZE TABLE``), cached by table
-name, and valid for one :func:`~repro.engine.catalog.table_fingerprint`
+first use (:meth:`SkylineSession.table_stats` or ``ANALYZE TABLE``),
+cached by table name, and valid for one :func:`~repro.engine.catalog.table_fingerprint`
 -- the same token the table's resident columns use, so the two caches
 go stale together (in-place same-length overwrites are not detected;
 run ``ANALYZE TABLE`` or :meth:`SkylineSession.stats_refresh` after

@@ -16,7 +16,6 @@ class TestSessionConfig:
         config = SessionConfig()
         assert config.num_executors == 2
         assert config.skyline_algorithm == "auto"
-        assert config.adaptive is False
         assert config.backend == "local"
         assert config.time_budget_s is None
 
@@ -60,15 +59,6 @@ class TestSessionConfig:
             with pytest.raises(ValueError, match=field):
                 SessionConfig(**{field: bad})
 
-    def test_adaptive_normalisation(self):
-        assert SessionConfig(adaptive=True).skyline_algorithm == "adaptive"
-        assert SessionConfig(
-            skyline_algorithm="adaptive").adaptive is True
-
-    def test_adaptive_conflict(self):
-        with pytest.raises(ValueError):
-            SessionConfig(adaptive=True, skyline_algorithm="sfs")
-
     def test_with_options(self):
         config = SessionConfig().with_options(backend="process",
                                               num_workers=2)
@@ -80,12 +70,6 @@ class TestSessionConfig:
     def test_with_options_unknown_name(self):
         with pytest.raises(TypeError, match="unknown session option"):
             SessionConfig().with_options(executors=4)
-
-    def test_with_options_clears_adaptive(self):
-        config = SessionConfig(adaptive=True).with_options(
-            skyline_algorithm="sfs")
-        assert config.adaptive is False
-        assert config.skyline_algorithm == "sfs"
 
     def test_fingerprint_hashable_and_sensitive(self):
         a = SessionConfig().fingerprint()
@@ -99,7 +83,7 @@ class TestSessionConfig:
 
     def test_shared_memory_option_is_gone(self):
         # The process backend picks its transport from the platform.
-        assert len(dataclasses.fields(SessionConfig)) == 15
+        assert len(dataclasses.fields(SessionConfig)) == 14
         with pytest.raises(TypeError, match="unknown session option"):
             repro.connect(shared_memory=False)
 

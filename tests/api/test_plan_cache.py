@@ -91,15 +91,17 @@ def test_dml_keeps_the_plan_and_the_plan_sees_the_new_rows(session):
     assert stats(session) == (1, 1, 1)
 
 
-def test_adaptive_replans_after_dml(session):
-    adaptive = session.with_options(skyline_algorithm="adaptive")
-    adaptive.sql(SQL).run()
-    adaptive.sql(SQL).run()
-    assert stats(adaptive)[:2] == (1, 1)
+@pytest.mark.parametrize("algorithm", ["sfs", "non-distributed-complete"])
+def test_a_forced_strategy_keeps_its_plan_across_dml(session, algorithm):
+    # No planning decision reads the data, so no strategy re-plans
+    # after DML: the key holds the schema version only.
+    forced = session.with_options(skyline_algorithm=algorithm)
+    forced.sql(SQL).run()
     session.catalog.insert_into("pts", [(7, 0.5, 0.5)])
-    assert sorted(adaptive.sql(SQL).run().as_tuples()) == \
-        answer(ROWS + [(7, 0.5, 0.5)])
-    assert stats(adaptive)[:2] == (1, 2)
+    session.catalog.delete_from("pts", rows=[ROWS[2]])
+    rows = [r for r in ROWS if r != ROWS[2]] + [(7, 0.5, 0.5)]
+    assert sorted(forced.sql(SQL).run().as_tuples()) == answer(rows)
+    assert stats(forced) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("options", [

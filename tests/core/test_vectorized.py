@@ -24,7 +24,7 @@ from repro.core.vectorized import (columnize, skyline_task,
 from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
-from repro.errors import QueryTimeout
+from repro.errors import ExecutionError, QueryTimeout
 
 NAN = float("nan")
 INF = float("inf")
@@ -138,11 +138,12 @@ class TestKernelAgreement:
     @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("as_batch", [False, True])
     @pytest.mark.parametrize("mode", ["complete", "sfs"])
-    def test_task_raises_on_nulls_like_scalar(self, mode, as_batch,
-                                              vectorized):
-        rows = [(None, 1.0), (2.0, 2.0)]
+    def test_task_refuses_nulls(self, mode, as_batch, vectorized):
+        # Once per task, on every path: nulls must not silently switch
+        # the complete modes to null-skipping semantics.
+        rows = [(2.0, 2.0), (1.0, None)]
         partition = ColumnBatch.from_rows(rows, 2) if as_batch else rows
-        with pytest.raises(TypeError):
+        with pytest.raises(ExecutionError, match=r"#2 \(MIN\) holds NULL"):
             skyline_task(partition, MIN2, mode, False, vectorized)
 
     def test_tasks_ship_to_process_workers(self):
@@ -209,13 +210,16 @@ class TestKernelAgreement:
         assert srt(bitmap_local(nulled, MIN2)) == \
             srt(bnl(nulled, MIN2, dominance=dominates_incomplete))
 
-    def test_complete_kernels_raise_on_nulls_like_scalar(self):
+    def test_complete_kernels_raise_on_nulls(self):
         # Regression: nulls fed to the complete-data kernels must not
-        # silently switch to null-skipping semantics -- the scalar
-        # reference raises, so the vectorized kernels defer and raise.
+        # silently switch to null-skipping semantics -- the vectorized
+        # kernels refuse them by name, the scalar library ones fail on
+        # the comparison.
         rows = [(None, 1.0), (2.0, 2.0)]
-        for kernel in (vec_bnl_skyline, vec_sfs_skyline,
-                       bnl_skyline, sfs_skyline):
+        for kernel in (vec_bnl_skyline, vec_sfs_skyline):
+            with pytest.raises(ExecutionError, match="#1 \\(MIN\\)"):
+                kernel(rows, MIN2)
+        for kernel in (bnl_skyline, sfs_skyline):
             with pytest.raises(TypeError):
                 kernel(rows, MIN2)
 

@@ -156,8 +156,7 @@ def test_the_row_plane_never_builds_a_batch():
         mutate()
         result = session.sql(sql).run()
         assert result.scan == {"columnized_rows": 0, "resident_rows": 0}
-        # Nor do its statistics: the planner's, ANALYZE's, the API's.
-        session.with_options(adaptive=True).sql(sql).run()
+        # Nor do its statistics: ANALYZE's, the API's.
         session.sql("ANALYZE TABLE t COMPUTE STATISTICS").run()
         assert session.table_stats("t").num_rows == len(table.rows)
         assert table.resident_batch() is None

@@ -3,7 +3,10 @@
 import pytest
 
 from repro import (AnalysisError, DOUBLE, ExecutionError, INTEGER,
-                   ParseError, STRING, connect)
+                   ParseError, STRING, TaskError, connect)
+
+COMPLETE_SQL = "SELECT id FROM t SKYLINE OF COMPLETE a MIN, b MIN"
+NULLABLE_SQL = "SELECT id FROM t SKYLINE OF a MIN, b MIN"
 
 
 @pytest.fixture
@@ -120,6 +123,87 @@ class TestErrorReporting:
         with pytest.raises(ExecutionError, match="scalar subquery"):
             session.sql(
                 "SELECT a FROM t WHERE a = (SELECT a FROM t)").collect()
+
+    @pytest.mark.parametrize("sql,options", [
+        (COMPLETE_SQL, {}),
+        (COMPLETE_SQL, {"vectorized": False}),
+        (COMPLETE_SQL, {"vectorized": False, "columnar": False}),
+        (COMPLETE_SQL, {"backend": "process", "num_workers": 2}),
+        (NULLABLE_SQL, {"skyline_algorithm": "distributed-complete"}),
+        (NULLABLE_SQL, {"skyline_algorithm": "non-distributed-complete"}),
+        (NULLABLE_SQL, {"skyline_algorithm": "sfs"}),
+        (NULLABLE_SQL, {"skyline_algorithm": "sfs", "columnar": False,
+                        "vectorized": False}),
+    ], ids=["complete", "complete-scalar-kernels", "complete-row-plane",
+            "complete-process", "forced-distributed-complete",
+            "forced-non-distributed-complete", "forced-sfs",
+            "forced-sfs-row-plane"])
+    def test_complete_over_null_names_the_dimension(self, sql, options):
+        # Regression: the complete kernels compared None with a float and
+        # surfaced an internal TypeError wrapped in a TaskError.
+        session = connect(**options)
+        try:
+            session.create_table(
+                "t", [("id", INTEGER, False), ("a", DOUBLE, True),
+                      ("b", DOUBLE, True)], [(1, 1.0, None), (2, 0.5, 2.0)])
+            with pytest.raises(ExecutionError,
+                               match=r"t\.b MIN holds NULL.*COMPLETE") \
+                    as info:
+                session.sql(sql).collect()
+            assert not isinstance(info.value, TaskError)
+        finally:
+            session.close()
+
+    def test_complete_allows_null_in_a_diff_dimension(self, session):
+        session.create_table(
+            "t", [("id", INTEGER, False), ("g", STRING, True),
+                  ("a", DOUBLE, False)],
+            [(1, None, 1.0), (2, None, 2.0), (3, "x", 3.0)])
+        rows = session.sql("SELECT id FROM t "
+                           "SKYLINE OF COMPLETE g DIFF, a MIN").to_tuples()
+        assert sorted(rows) == [(1,), (3,)]
+
+    @pytest.mark.parametrize("columnar", (True, False),
+                             ids=("batch-plane", "row-plane"))
+    @pytest.mark.parametrize("strategy", ("distributed-complete",
+                                          "non-distributed-complete",
+                                          "sfs"))
+    def test_forced_complete_strategies_allow_null_in_a_diff_dimension(
+            self, strategy, columnar):
+        session = connect(num_executors=2, skyline_algorithm=strategy,
+                          vectorized=columnar, columnar=columnar)
+        session.create_table(
+            "t", [("id", INTEGER, False), ("g", STRING, True),
+                  ("a", DOUBLE, False)],
+            [(1, None, 1.0), (2, None, 2.0), (3, "x", 3.0)])
+        rows = session.sql(
+            "SELECT id FROM t SKYLINE OF g DIFF, a MIN").to_tuples()
+        assert sorted(rows) == [(1,), (3,)]
+
+    @pytest.mark.parametrize("columnar", (True, False),
+                             ids=("batch-plane", "row-plane"))
+    @pytest.mark.parametrize("kind", ("MIN", "MAX"))
+    @pytest.mark.parametrize("column", ("a", "b", "c"))
+    def test_the_error_names_the_dimension_holding_null(self, column,
+                                                        kind, columnar):
+        # One NULL, in the last row: only the local task holding it can
+        # see it, and the message names that dimension and no other.
+        rows = [(i, float(i), float(100 - i), float(i % 7))
+                for i in range(100)]
+        position = "abc".index(column) + 1
+        rows[-1] = tuple(None if j == position else v
+                         for j, v in enumerate(rows[-1]))
+        session = connect(num_executors=4, vectorized=columnar,
+                          columnar=columnar)
+        session.create_table(
+            "t", [("id", INTEGER, False)] + [
+                (c, DOUBLE, True) for c in "abc"], rows)
+        dims = ", ".join(f"{c} {kind if c == column else 'MIN'}"
+                         for c in "abc")
+        with pytest.raises(ExecutionError,
+                           match=rf"dimension t\.{column} {kind} holds NULL"):
+            session.sql(
+                f"SELECT id FROM t SKYLINE OF COMPLETE {dims}").collect()
 
     def test_type_mismatch_in_comparison(self, session):
         session.create_table(

@@ -1,15 +1,23 @@
 """Physical planning: join strategies and Listing 8 algorithm selection."""
 
+import dataclasses
+import importlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.config import SessionConfig
-from repro.api.session import connect
+from repro.api.session import SkylineSession, connect
+from repro.core import make_dimensions
+from repro.datasets import (anticorrelated_rows, correlated_rows,
+                            independent_rows)
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.errors import PlanningError
 from repro.plan import physical as P
-from repro.plan.planner import Planner
+from repro.plan.planner import SKYLINE_STRATEGIES, Planner
 from repro.sql.parser import parse_query
-from tests.conftest import ROW_LAYOUTS, lay_out
+from tests.conftest import ROW_LAYOUTS, lay_out, skyline_oracle
 
 
 @pytest.fixture
@@ -52,6 +60,16 @@ class TestBasicLowering:
         assert find_exec(plan, P.LimitExec)
         assert find_exec(plan, P.DistinctExec)
 
+    def test_explain_tags_the_sort_with_its_plane(self, session):
+        # The sort runs on rows on either plane, like the project above
+        # it that drops the sort key.
+        text = session.explain(parse_query(
+            "SELECT x FROM pts ORDER BY y"))
+        physical = text.split("== Physical Plan ==\n")[1].splitlines()
+        assert physical[0].endswith("Project [row]")
+        assert physical[1].endswith("SortExec [row]")
+        assert physical[2].endswith("Project [batch]")
+
     def test_aggregate(self, session):
         plan = physical_plan(
             session, "SELECT id, sum(x) AS s FROM pts GROUP BY id")
@@ -71,6 +89,12 @@ class TestJoinStrategy:
             session,
             "SELECT x FROM pts p JOIN tags t ON p.id < t.id")
         assert find_exec(plan, P.BroadcastNestedLoopJoinExec)
+
+    def test_explain_tags_the_nested_loop_join_with_its_plane(self, session):
+        text = session.explain(parse_query(
+            "SELECT x FROM pts p JOIN tags t ON p.id < t.id"))
+        physical = text.split("== Physical Plan ==\n")[1]
+        assert "BroadcastNestedLoopJoin(inner) [row]" in physical
 
     def test_reference_query_plans_anti_nested_loop(self, session):
         plan = physical_plan(session, """
@@ -261,8 +285,7 @@ class TestExecutionOption:
             Planner(execution="staged")
 
     def test_both_names_plan_and_run_identically(self, session):
-        import dataclasses
-        assert len(dataclasses.fields(SessionConfig)) == 15
+        assert len(dataclasses.fields(SessionConfig)) == 14
         assert SessionConfig(execution="auto").fingerprint() == \
             SessionConfig(execution="staged").fingerprint()
         sql = "SELECT id, x FROM pts WHERE id > 0 SKYLINE OF id MIN, x MIN"
@@ -277,3 +300,246 @@ class TestExecutionOption:
             assert result.time_to_first_batch_s >= 0.0
         assert len(plans) == 1
         assert stages == {("SkylineLocalExec", "SkylineGlobalExec")}
+
+
+def test_adaptive_option_is_gone():
+    """The statistics-driven planner was removed: Listing 8's rule is
+    the one planner, and the forced strategies stay."""
+    with pytest.raises(ValueError, match="'adaptive' was removed"):
+        SessionConfig(skyline_algorithm="adaptive")
+    with pytest.raises(ValueError, match="'adaptive' was removed"):
+        connect(skyline_algorithm="adaptive")
+    with pytest.raises(TypeError, match="unknown session option"):
+        connect(**{"adaptive": True})
+    with pytest.raises(ValueError, match="unknown skyline_algorithm"):
+        connect(skyline_algorithm="cost-based")
+    with pytest.raises(PlanningError):
+        Planner("adaptive")
+    assert len(SKYLINE_STRATEGIES) == 5
+    assert len(dataclasses.fields(SessionConfig)) == 14
+    assert not hasattr(SkylineSession, "adaptive")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.plan.cost")
+
+
+@pytest.mark.parametrize("option,error,message", [
+    ({"skyline_algorithm": "adaptive"}, ValueError, "'adaptive' was removed"),
+    ({"adaptive": True}, TypeError, "unknown session option"),
+], ids=("strategy", "flag"))
+def test_with_options_refuses_the_removed_planner(option, error, message):
+    # A derived session goes through the same check as ``connect``.
+    session = connect(skyline_algorithm="sfs")
+    with pytest.raises(error, match=message):
+        session.with_options(**option)
+    assert session.skyline_algorithm == "sfs"
+
+
+SQL3 = "SELECT id FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN"
+
+
+def points_session(rows, nullable=False, **options):
+    session = connect(num_executors=4, **options)
+    session.create_table(
+        "pts", [("id", INTEGER, False)] + [
+            (f"d{i}", DOUBLE, nullable) for i in range(3)],
+        [(i,) + tuple(r) for i, r in enumerate(rows)])
+    return session
+
+
+class TestPartitionsLine:
+    """EXPLAIN's ``partitions =`` line names what the local stage runs
+    on, and the run agrees: the scan's partitions, no local stage (one
+    global task), or one task per null bitmap."""
+
+    @pytest.mark.parametrize("num_executors", (1, 2, 5, 8))
+    @pytest.mark.parametrize("algorithm,line", [
+        ("distributed-complete", "inherited"),
+        ("sfs", "inherited"),
+        ("non-distributed-complete", "1"),
+        ("distributed-incomplete", "per bitmap"),
+    ])
+    def test_line_matches_the_local_tasks(self, algorithm, line,
+                                          num_executors):
+        incomplete = algorithm == "distributed-incomplete"
+        # The incomplete leg nulls d1 on every fourth row: two bitmaps.
+        rows = [(i,) + tuple(None if incomplete and d == 1 and i % 4 == 0
+                             else v for d, v in enumerate(r))
+                for i, r in enumerate(independent_rows(800, 3, seed=5))]
+        session = connect(num_executors=num_executors,
+                          skyline_algorithm=algorithm)
+        session.create_table(
+            "pts", [("id", INTEGER, False)] + [
+                (f"d{i}", DOUBLE, incomplete) for i in range(3)], rows)
+        text = session.explain(parse_query(SQL3))
+        assert f"partitions   = {line} " in text
+        result = session.sql(SQL3).run()
+        local = [s for s in result.context.stages
+                 if s.name.startswith("SkylineLocalExec")]
+        global_ = [s for s in result.context.stages
+                   if s.name.startswith("SkylineGlobalExec")]
+        assert len(global_) == 1 and len(global_[0].tasks) == 1
+        expected_tasks = {"inherited": num_executors, "1": None,
+                          "per bitmap": 2}[line]
+        if expected_tasks is None:
+            assert not local
+        else:
+            assert len(local) == 1
+            assert len(local[0].tasks) == expected_tasks
+
+
+class TestExplainReportsDecision:
+    def test_forced_strategy_explain_reports_configuration(self):
+        session = points_session(correlated_rows(600, 3),
+                                 skyline_algorithm="sfs")
+        text = session.explain(parse_query(SQL3))
+        assert "algorithm    = sfs" in text
+        assert "forced by session configuration" in text
+
+    def test_auto_selection_is_not_labelled_forced(self):
+        session = points_session(correlated_rows(600, 3))  # auto default
+        text = session.explain(parse_query(SQL3))
+        assert "algorithm    = distributed-complete" in text
+        assert "Listing 8" in text
+        algorithm_line = next(line for line in text.splitlines()
+                              if line.startswith("algorithm"))
+        assert "forced" not in algorithm_line
+
+
+class TestDiffDimensions:
+    @pytest.mark.parametrize("algorithm", [
+        "distributed-complete", "non-distributed-complete", "sfs",
+        "distributed-incomplete", "auto"])
+    def test_rows_dominated_only_across_diff_groups_survive(self,
+                                                           algorithm):
+        # DIFF dominance requires equal colour: a lone "blue" row that
+        # every "red" row beats on price and weight stays.
+        rows = [(i, "red", 0.1 + i * 0.01, 0.1 + i * 0.01)
+                for i in range(20)] + [(99, "blue", 10.0, 10.0)]
+        session = connect(num_executors=4, skyline_algorithm=algorithm)
+        session.create_table(
+            "items",
+            [("id", INTEGER, False), ("color", STRING, False),
+             ("price", DOUBLE, False), ("weight", DOUBLE, False)],
+            rows)
+        sql = ("SELECT * FROM items "
+               "SKYLINE OF price MIN, weight MIN, color DIFF")
+        assert sorted(session.sql(sql).to_tuples()) == [
+            (0, "red", 0.1, 0.1), (99, "blue", 10.0, 10.0)]
+
+
+#: Every strategy a session can force (all but ``auto``).
+FORCED_STRATEGIES = [s for s in SKYLINE_STRATEGIES if s != "auto"]
+
+
+class TestListing8Rule:
+    """``auto`` is Listing 8 and nothing else: the complete algorithm
+    when ``COMPLETE`` is given or no MIN/MAX dimension is nullable, the
+    incomplete one otherwise -- whatever the DIFF dimensions or the
+    kernel family -- and the run agrees with the oracle of the chosen
+    semantics."""
+
+    @pytest.mark.parametrize("vectorized", (False, True))
+    @pytest.mark.parametrize("diff", (False, True), ids=("no-diff", "diff"))
+    @pytest.mark.parametrize("nullable", (False, True),
+                             ids=("not-nullable", "nullable"))
+    @pytest.mark.parametrize("keyword", (False, True),
+                             ids=("no-keyword", "complete-keyword"))
+    def test_auto_follows_listing_8(self, keyword, nullable, diff,
+                                    vectorized):
+        complete = keyword or not nullable
+        expected = ("distributed-complete" if complete
+                    else "distributed-incomplete")
+        # NULLs only where the incomplete algorithm runs: COMPLETE
+        # asserts there are none.
+        rows = [(i, ("red", "blue")[i % 2]) + tuple(
+                    None if not complete and d == 1 and i % 5 == 0 else v
+                    for d, v in enumerate(r))
+                for i, r in enumerate(independent_rows(240, 3, seed=9))]
+        session = connect(num_executors=3, vectorized=vectorized)
+        session.create_table(
+            "pts", [("id", INTEGER, False), ("g", STRING, False)] + [
+                (f"d{i}", DOUBLE, nullable) for i in range(3)], rows)
+        sql = ("SELECT id FROM pts SKYLINE OF "
+               + ("COMPLETE " if keyword else "")
+               + "d0 MIN, d1 MIN, d2 MAX" + (", g DIFF" if diff else ""))
+        text = session.explain(parse_query(sql))
+        algorithm_line = next(line for line in text.splitlines()
+                              if line.startswith("algorithm"))
+        assert algorithm_line.split()[2] == expected
+        assert "Listing 8" in algorithm_line
+        dims = make_dimensions([(2, "min"), (3, "min"), (4, "max")]
+                               + ([(1, "diff")] if diff else []))
+        oracle = skyline_oracle(rows, dims, complete=complete)
+        assert sorted(session.sql(sql).to_tuples()) == \
+            sorted((row[0],) for row in oracle)
+
+    def test_nullable_dimensions_run_one_local_task_per_bitmap(self):
+        rows = [(i,) + tuple(None if d == 2 and i % 3 == 0 else v
+                             for d, v in enumerate(r))
+                for i, r in enumerate(correlated_rows(600, 3))]
+        session = connect(num_executors=4)
+        session.create_table(
+            "pts", [("id", INTEGER, False)] + [
+                (f"d{i}", DOUBLE, True) for i in range(3)], rows)
+        text = session.explain(parse_query(SQL3))
+        assert "algorithm    = distributed-incomplete" in text
+        assert "partitions   = per bitmap" in text
+        local = [s for s in session.sql(SQL3).run().context.stages
+                 if s.name.startswith("SkylineLocalExec")]
+        assert len(local) == 1 and len(local[0].tasks) == 2
+
+    def test_nan_values_plan_and_run_like_every_forced_strategy(self):
+        rows = [(float("nan"), 1.0, 2.0)] + \
+            [(float(i), float(i), float(600 - i)) for i in range(600)]
+        session = points_session(rows)
+        expected = sorted(session.sql(SQL3).to_tuples())
+        assert expected
+        for algorithm in FORCED_STRATEGIES:
+            forced = session.with_options(skyline_algorithm=algorithm)
+            assert sorted(forced.sql(SQL3).to_tuples()) == expected, \
+                algorithm
+
+
+class TestAutoMatchesForcedStrategies:
+    """``auto`` returns the identical skyline as every forced strategy,
+    and both equal the oracle."""
+
+    @pytest.mark.parametrize("vectorized", (False, True))
+    @pytest.mark.parametrize("generator,kwargs", [
+        (correlated_rows, {"spread": 0.1}),
+        (anticorrelated_rows, {"spread": 0.05}),
+        (independent_rows, {}),
+    ], ids=("correlated", "anticorrelated", "independent"))
+    def test_on_canonical_distributions(self, generator, kwargs,
+                                        vectorized):
+        rows = generator(700, 3, seed=11, **kwargs)
+        session = points_session(rows, vectorized=vectorized)
+        expected = sorted(session.sql(SQL3).to_tuples())
+        oracle = skyline_oracle(
+            [(i,) + tuple(r) for i, r in enumerate(rows)],
+            make_dimensions([(1, "min"), (2, "min"), (3, "min")]))
+        assert expected == sorted((row[0],) for row in oracle)
+        for algorithm in FORCED_STRATEGIES:
+            forced = session.with_options(skyline_algorithm=algorithm)
+            assert sorted(forced.sql(SQL3).to_tuples()) == expected, (
+                f"{algorithm} disagrees with auto")
+
+    values = st.integers(0, 5)
+    rows_strategy = st.lists(st.tuples(values, values, values),
+                             min_size=0, max_size=30)
+
+    @given(rows_strategy, st.sampled_from(FORCED_STRATEGIES))
+    @settings(max_examples=40, deadline=None)
+    def test_property_auto_equals_forced(self, rows, algorithm):
+        data = [(i,) + tuple(r) for i, r in enumerate(rows)]
+        sql = "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"
+        oracle = skyline_oracle(
+            data, make_dimensions([(1, "min"), (2, "max"), (3, "min")]))
+        for options in ({}, {"skyline_algorithm": algorithm}):
+            session = connect(num_executors=3, **options)
+            session.create_table(
+                "pts",
+                [("id", INTEGER, False)] + [
+                    (f"d{i}", INTEGER, False) for i in range(3)],
+                data)
+            assert sorted(session.sql(sql).to_tuples()) == sorted(oracle)

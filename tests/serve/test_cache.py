@@ -394,15 +394,6 @@ class TestPlanCache:
             run(service, self.COLD)
         assert service.plan_misses == 2 and service.plan_hits == 0
 
-    def test_statistics_driven_sessions_replan_after_dml(self, service):
-        session = service.session_for(skyline_algorithm="adaptive")
-        service.execute(session, self.COLD)
-        service.catalog.insert_into("pts", [(99, 0.5, 0.5, 9.0)])
-        service.execute(session, self.COLD)
-        assert (service.plan_hits, service.plan_misses) == (0, 2)
-        service.execute(session, self.COLD)
-        assert (service.plan_hits, service.plan_misses) == (1, 2)
-
     def test_a_cached_plan_recomputes_its_scalar_subquery(self, service):
         session = service.session_for()
         session.create_table("t", [("id", INTEGER, False),

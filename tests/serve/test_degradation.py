@@ -19,8 +19,8 @@ import pytest
 
 from repro import DOUBLE, INTEGER
 from repro.engine.faults import FaultPlan, activate
-from repro.errors import (AnalysisError, ParseError, QueryTimeout,
-                          ServerOverloadedError, TaskError,
+from repro.errors import (AnalysisError, ExecutionError, ParseError,
+                          QueryTimeout, ServerOverloadedError, TaskError,
                           WorkerCrashError)
 from repro.serve import SkylineServer
 from repro.serve.app import wire_error
@@ -128,6 +128,8 @@ class TestWireErrors:
         (TaskError("boom", task_key="s#0", attempts=1), "task_error"),
         (ServerOverloadedError("full", retry_after_s=0.25), "overloaded"),
         (ValueError("missing field"), "bad_request"),
+        (ExecutionError("skyline dimension t.b MIN holds NULL"),
+         "execution_error"),
     ])
     def test_stable_codes(self, exc, code):
         payload = wire_error(exc)

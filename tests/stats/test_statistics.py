@@ -1,10 +1,9 @@
 """Statistics subsystem: histograms, column stats, cache invalidation."""
 
+import numpy as np
 import pytest
 
 from repro import SkylineSession
-from repro.core import make_dimensions
-from repro.datasets import anticorrelated_rows, correlated_rows
 from repro.engine.batch import ColumnBatch
 from repro.engine.types import DOUBLE, INTEGER, STRING
 from repro.stats import (Histogram, StatsStore, collect_table_stats,
@@ -24,30 +23,6 @@ class TestHistogram:
     def test_constant_column_collapses_to_one_bucket(self):
         h = Histogram.from_values([5.0] * 10, num_buckets=8)
         assert h.counts == (10,)
-        assert h.selectivity_below(5.0) == 1.0
-        assert h.selectivity_below(4.9) == 0.0
-
-    def test_selectivity_below(self):
-        h = Histogram.from_values([float(i) for i in range(100)],
-                                  num_buckets=10)
-        assert h.selectivity_below(-1.0) == 0.0
-        assert h.selectivity_below(1000.0) == 1.0
-        # Roughly half the values are below the midpoint.
-        assert h.selectivity_below(49.5) == pytest.approx(0.5, abs=0.05)
-        assert h.selectivity_above(49.5) == pytest.approx(0.5, abs=0.05)
-
-    def test_inclusive_boundaries_never_estimate_zero(self):
-        # Regression: 'c >= 5.0' on a constant column (or '>= max',
-        # '<= min' generally) must not collapse to selectivity 0.0 --
-        # the boundary-valued rows always qualify.
-        constant = Histogram.from_values([5.0] * 10, num_buckets=8)
-        assert constant.selectivity_above(5.0) == 1.0
-        assert constant.selectivity_above(5.1) == 0.0
-        h = Histogram.from_values([float(i) for i in range(100)],
-                                  num_buckets=10)
-        assert h.selectivity_above(h.high) > 0.0
-        assert h.selectivity_below(h.low) > 0.0
-        assert h.selectivity_above(h.high + 1) == 0.0
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
@@ -60,6 +35,26 @@ class TestHistogram:
         assert h.total == 2
         assert (h.low, h.high) == (1.0, 2.0)
         assert Histogram.from_values([float("nan")]) is None
+
+    @pytest.mark.parametrize("num_buckets", (1, 3, 8))
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+        [-3.5, -1.0, 0.0, 0.25, 0.25, 2.0, 11.0, float("inf")],
+    ], ids=("even", "skewed"))
+    def test_list_and_array_inputs_bucket_identically(self, values,
+                                                      num_buckets):
+        # A typed resident column arrives as an ndarray, rows as a
+        # list: both paths must cut the same buckets, and the maximum
+        # lands in the last one (the upper bound is inclusive).
+        from_list = Histogram.from_values(values, num_buckets=num_buckets)
+        from_array = Histogram.from_values(np.asarray(values),
+                                           num_buckets=num_buckets)
+        assert from_list == from_array
+        finite = [v for v in values if np.isfinite(v)]
+        assert from_list.total == len(finite)
+        assert from_list.num_buckets == num_buckets
+        assert from_list.counts[-1] >= 1
+        assert (from_list.low, from_list.high) == (min(finite), max(finite))
 
     def test_nan_column_stats_collect_without_error(self):
         stats = collect_table_stats(
@@ -86,37 +81,6 @@ class TestCollectTableStats:
         stats = collect_table_stats("t", ["Price"], [(1.0,), (2.0,)])
         assert stats.column("price") is not None
         assert stats.column("PRICE").max_value == 2.0
-
-    def test_sample_is_bounded_and_deterministic(self):
-        rows = [(float(i),) for i in range(10_000)]
-        one = collect_table_stats("t", ["a"], rows, sample_rows=64)
-        two = collect_table_stats("t", ["a"], rows, sample_rows=64)
-        assert len(one.sample) == 64
-        assert one.sample == two.sample
-
-    def test_skyline_density_orders_distributions(self):
-        dims = make_dimensions([(0, "min"), (1, "min"), (2, "min")])
-        sparse = collect_table_stats(
-            "c", ["a", "b", "c"], correlated_rows(2000, 3, spread=0.05))
-        dense = collect_table_stats(
-            "a", ["a", "b", "c"],
-            anticorrelated_rows(2000, 3, spread=0.02))
-        assert sparse.skyline_density(dims) < dense.skyline_density(dims)
-        assert dense.skyline_density(dims) > 0.25
-
-    def test_skyline_density_skips_null_rows(self):
-        dims = make_dimensions([(0, "min"), (1, "min")])
-        rows = [(None, 1.0)] * 50 + [(float(i), float(i))
-                                     for i in range(50)]
-        stats = collect_table_stats("t", ["a", "b"], rows)
-        # Only the 50 complete rows are usable; they form a chain, so
-        # the sample skyline is a single tuple.
-        assert stats.skyline_density(dims) == pytest.approx(1 / 50)
-
-    def test_skyline_density_none_when_sample_too_small(self):
-        dims = make_dimensions([(0, "min")])
-        stats = collect_table_stats("t", ["a"], [(1.0,), (2.0,)])
-        assert stats.skyline_density(dims) is None
 
 
 def _dataset_tables():
@@ -146,8 +110,6 @@ class TestStatsFromResidentColumns:
     def test_identical_on_the_paper_datasets(self, name, names, rows):
         from_columns, from_rows = self._both(names, rows)
         assert from_columns.columns == from_rows.columns
-        assert from_columns.sample == from_rows.sample
-        assert from_columns.summary_lines() == from_rows.summary_lines()
         for column in from_columns.columns.values():  # .item(), not np.*
             assert type(column.min_value) in (int, float, str, bool,
                                               type(None))
@@ -274,6 +236,38 @@ class TestSessionStatsApi:
         assert by_column["price"][5] == "1.0"
         # The command seeds the cache.
         assert session.catalog.stats.peek("items") is not None
+
+    @pytest.mark.parametrize("column,expected", [
+        ("i", ("t", "i", 3, 1, 1 / 3, "1", "3", 2, 16)),
+        ("d", ("t", "d", 3, 1, 1 / 3, "0.5", "2.5", 2, 16)),
+        ("s", ("t", "s", 3, 1, 1 / 3, "a", "b", 2, 0)),
+        ("n", ("t", "n", 3, 3, 1.0, None, None, 0, 0)),
+    ], ids=("integer", "double", "string", "all-null"))
+    def test_analyze_table_row_per_column_type(self, column, expected):
+        # (table, column, rows, nulls, null_fraction, min, max,
+        #  distinct, histogram buckets): strings and all-NULL columns
+        # carry no histogram.
+        session = SkylineSession()
+        session.create_table(
+            "t", [("i", INTEGER, True), ("d", DOUBLE, True),
+                  ("s", STRING, True), ("n", DOUBLE, True)],
+            [(1, 0.5, "b", None), (3, None, "a", None),
+             (None, 2.5, None, None)])
+        rows = session.sql("ANALYZE TABLE t COMPUTE STATISTICS").to_tuples()
+        row = next(r for r in rows if r[1] == column)
+        assert row[:4] == expected[:4]
+        assert row[4] == pytest.approx(expected[4])
+        assert row[5:] == expected[5:]
+
+    def test_analyze_table_over_nan_data(self):
+        session = SkylineSession()
+        session.create_table(
+            "t", [("a", DOUBLE, False), ("b", DOUBLE, False)],
+            [(float("nan"), 1.0)] + [(float(i), float(i))
+                                     for i in range(20)])
+        rows = session.sql("ANALYZE TABLE t").to_tuples()
+        assert [row[1] for row in rows] == ["a", "b"]
+        assert rows[0][7] == 21  # NaN is one more distinct value
 
     def test_analyze_table_without_compute_suffix(self):
         session = SkylineSession()
