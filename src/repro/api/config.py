@@ -87,8 +87,8 @@ class SessionConfig:
     time_budget_s:
         Per-query wall-clock budget; queries raise
         :class:`~repro.errors.QueryTimeout` beyond it.  ``None``
-        disables the budget.  (Completes the config API: the
-        ``set_time_budget`` mutator remains as a convenience.)
+        disables the budget; ``0.0`` is an already-expired budget.
+        Re-budget a session with ``session.with_options(time_budget_s=...)``.
     max_task_retries:
         How many times a failed partition task is re-executed before
         the failure becomes terminal (``0`` disables retry).  Safe

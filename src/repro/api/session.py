@@ -186,7 +186,6 @@ class SkylineSession:
         self.skyline_algorithm = config.skyline_algorithm
         self.enable_skyline_optimizations = \
             config.enable_skyline_optimizations
-        self._time_budget_s: float | None = config.time_budget_s
 
     # -- configuration ------------------------------------------------------
 
@@ -227,22 +226,9 @@ class SkylineSession:
         new_backend = "backend" in overrides or "num_workers" in overrides
         config = self.config.with_options(**overrides)
         clone = SkylineSession(config=config, catalog=self.catalog)
-        if "time_budget_s" not in overrides:
-            # Preserve a budget installed via the set_time_budget
-            # mutator after construction.
-            clone._time_budget_s = self._time_budget_s
         if not new_backend:
             clone._backend_spec = self._backend_spec
         return clone
-
-    def set_time_budget(self, seconds: float | None) -> None:
-        """Per-query wall-clock budget; queries raise
-        :class:`~repro.errors.BenchmarkTimeout` beyond it.
-
-        Equivalent to the ``time_budget_s`` config field; this mutator
-        is kept for callers that want to adjust the budget mid-flight.
-        """
-        self._time_budget_s = seconds
 
     # -- catalog management ----------------------------------------------------
 
@@ -501,7 +487,7 @@ class SkylineSession:
         ctx = ExecutionContext(self.cluster_config, backend=self.backend,
                                retry_policy=self.config.retry_policy(),
                                shm_store=store)
-        ctx.set_budget(self._time_budget_s)
+        ctx.set_budget(self.config.time_budget_s)
         ctx.mark_execution_start()
         try:
             rdd = prepared.physical.execute(ctx)

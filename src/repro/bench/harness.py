@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..api.session import SkylineSession, connect
 from ..core.algorithms import Algorithm
-from ..engine.backends import BACKEND_NAMES
 from ..engine.cluster import ClusterConfig
 from ..errors import BenchmarkTimeout
 
@@ -70,15 +69,6 @@ class RunResult:
     dominance_comparisons: int
     wall_time_s: float
     timed_out: bool = False
-    #: Which execution backend ran the partition tasks.
-    backend: str = "local"
-    #: Real host wall-clock time spent inside stage execution -- the
-    #: measured counterpart of the *simulated* makespan, used to validate
-    #: executor-scaling curves against actual parallel speedups.
-    real_time_s: float = float("nan")
-    #: Wall-clock seconds from execution start until the first skyline
-    #: stage finished (NaN when the engine did not report one).
-    time_to_first_batch_s: float = float("nan")
 
     @property
     def label(self) -> str:
@@ -89,9 +79,7 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
               num_executors: int,
               budget_s: float | None = DEFAULT_BUDGET_S,
               simulated_timeout_s: float | None = None,
-              session: SkylineSession | None = None,
-              backend: str = "local",
-              num_workers: int | None = None) -> RunResult:
+              session: SkylineSession | None = None) -> RunResult:
     """Execute one benchmark cell.
 
     ``workload`` is a :class:`~repro.datasets.Workload` (or the
@@ -104,30 +92,19 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
     ``simulated_timeout_s`` bounds the *simulated distributed* time --
     like in the paper, a run that times out on 3 executors may finish
     within budget on 10.
-
-    ``backend`` selects the execution backend (``local`` or
-    ``process``); with the process backend ``real_time_s`` on the result
-    reflects genuine multi-core execution of the partition tasks.
     """
     own_session = session is None
     if own_session:
-        session = _prepared_session(workload, num_executors,
-                                    backend=backend,
-                                    num_workers=num_workers)
-    else:
-        if backend != "local" or num_workers is not None:
-            raise ValueError(
-                "backend=/num_workers= cannot be combined with session=; "
-                "configure the session's backend instead")
-        session = session.with_options(num_executors=num_executors)
+        session = _prepared_session(workload, num_executors)
     if algorithm is Algorithm.REFERENCE:
-        session = session.with_options(skyline_algorithm="auto")
+        strategy = "auto"
         sql = workload.reference_sql(num_dimensions)
     else:
-        session = session.with_options(
-            skyline_algorithm=_STRATEGY_BY_ALGORITHM[algorithm])
+        strategy = _STRATEGY_BY_ALGORITHM[algorithm]
         sql = workload.skyline_sql(num_dimensions)
-    session.set_time_budget(budget_s)
+    session = session.with_options(num_executors=num_executors,
+                                   skyline_algorithm=strategy,
+                                   time_budget_s=budget_s)
     start = time.perf_counter()
     try:
         try:
@@ -140,8 +117,7 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
                 num_executors=num_executors,
                 simulated_time_s=float("inf"), peak_memory_mb=float("nan"),
                 result_rows=-1, dominance_comparisons=-1,
-                wall_time_s=elapsed, timed_out=True,
-                backend=session.backend.name)
+                wall_time_s=elapsed, timed_out=True)
         elapsed = time.perf_counter() - start
         simulated = result.simulated_time_s
         timed_out = (simulated_timeout_s is not None
@@ -154,21 +130,13 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
             peak_memory_mb=result.peak_memory_mb,
             result_rows=len(result.rows),
             dominance_comparisons=result.context.dominance_comparisons,
-            wall_time_s=elapsed, timed_out=timed_out,
-            backend=session.backend.name,
-            real_time_s=result.real_time_s,
-            time_to_first_batch_s=(
-                result.time_to_first_batch_s
-                if result.time_to_first_batch_s is not None
-                else float("nan")))
+            wall_time_s=elapsed, timed_out=timed_out)
     finally:
         if own_session:
             session.close()
 
 
-def _prepared_session(workload, num_executors: int,
-                      backend: str = "local",
-                      num_workers: int | None = None) -> SkylineSession:
+def _prepared_session(workload, num_executors: int) -> SkylineSession:
     # The figure suite reproduces the paper's engine, whose per-tuple
     # comparison costs the scaled-down workloads are calibrated
     # against -- so the scalar reference kernels are pinned here.  The
@@ -181,7 +149,6 @@ def _prepared_session(workload, num_executors: int,
     session = connect(
         num_executors=num_executors,
         cluster_config=ClusterConfig(memory_scale=MEMORY_SCALE),
-        backend=backend, num_workers=num_workers,
         vectorized=False, columnar=False)
     workload.register(session)
     return session
@@ -223,33 +190,6 @@ def executors_sweep(workload, algorithms: Sequence[Algorithm],
                 budget_s=budget_s,
                 simulated_timeout_s=simulated_timeout_s,
                 session=session))
-    return results
-
-
-def backends_sweep(workload, algorithm: Algorithm, num_dimensions: int,
-                   num_executors: int,
-                   backends: Sequence[str] = BACKEND_NAMES,
-                   num_workers: int | None = None,
-                   budget_s: float | None = None
-                   ) -> dict[str, RunResult]:
-    """One query per execution backend: real vs simulated makespan.
-
-    The new axis this reproduction adds on top of the paper: the same
-    simulated cluster, but partition tasks actually executed
-    sequentially or on a process pool.  Results are
-    asserted identical across backends by the property-test suite; here
-    the interest is ``real_time_s``.
-    """
-    results: dict[str, RunResult] = {}
-    for backend in backends:
-        session = _prepared_session(workload, num_executors,
-                                    backend=backend, num_workers=num_workers)
-        try:
-            results[backend] = run_query(
-                workload, algorithm, num_dimensions, num_executors,
-                budget_s=budget_s, session=session)
-        finally:
-            session.close()
     return results
 
 

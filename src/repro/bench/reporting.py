@@ -86,34 +86,6 @@ def format_percent_table(title: str, x_label: str, x_values: Sequence,
     return _render_rows(title, x_label, x_values, rows)
 
 
-def format_backend_table(title: str,
-                         results: Mapping[str, RunResult]) -> str:
-    """Real vs simulated makespan per execution backend, side by side.
-
-    The simulated time is approximately backend-independent: task
-    durations are measured as per-task compute time and scheduled onto
-    the same virtual executors.  The real time is where the process
-    pool shows up.
-    """
-    baseline_name = "local" if "local" in results else \
-        next(iter(results), None)
-    baseline = results.get(baseline_name) if baseline_name else None
-    rows = []
-    for backend, cell in results.items():
-        speedup = ""
-        if baseline is not None and not cell.timed_out \
-                and not baseline.timed_out and cell.real_time_s > 0:
-            speedup = f"{baseline.real_time_s / cell.real_time_s:.2f}x"
-        rows.append((backend, [
-            _format_cell(cell.real_time_s, cell.timed_out, decimals=4),
-            _format_cell(cell.simulated_time_s, cell.timed_out, decimals=4),
-            speedup,
-        ]))
-    return _render_rows(title, "backend",
-                        ["real [s]", "simulated [s]",
-                         f"speedup vs {baseline_name}"], rows)
-
-
 def render_sweep(title: str, x_label: str, x_values: Sequence,
                  results: Mapping[Algorithm, list[RunResult]],
                  include_memory: bool = False,

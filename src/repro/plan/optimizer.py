@@ -320,7 +320,15 @@ def _decorrelate(subplan: L.LogicalPlan,
     contains an :class:`~repro.engine.expressions.OuterReference`.
     Correlated conjuncts are removed from the subquery, unwrapped, and
     returned for use as the join condition.
+
+    ``EXISTS`` ignores the select list, so a top-level Project that
+    prunes columns is dropped: the conjuncts pulled above it may read
+    them.  A ``SELECT *`` Project keeps every column and stays.
     """
+    if isinstance(subplan, L.Project):
+        kept = {a.expr_id for a in subplan.output}
+        if any(a.expr_id not in kept for a in subplan.child.output):
+            subplan = subplan.child
     correlated: list[E.Expression] = []
 
     def strip(node: L.LogicalPlan) -> L.LogicalPlan:

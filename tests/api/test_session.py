@@ -76,9 +76,9 @@ class TestQueryExecution:
         assert result.schema.names == ["name"]
 
     def test_time_budget_timeout(self, hotels_session):
-        hotels_session.set_time_budget(-1.0)
+        expired = hotels_session.with_options(time_budget_s=0.0)
         with pytest.raises(BenchmarkTimeout):
-            hotels_session.sql(
+            expired.sql(
                 "SELECT name, price, rating FROM hotels "
                 "SKYLINE OF price MIN, rating MAX").collect()
 

@@ -9,6 +9,8 @@ every backend; the process pool is shared across examples (one fork per
 module, not per example) to keep the suite fast.
 """
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -118,5 +120,10 @@ class TestMetricsAcrossBackends:
             session.create_table(
                 "pts", [("a", INTEGER, False), ("b", INTEGER, False),
                         ("c", INTEGER, False)], rows)
-            result = session.execute(session.sql(SKYLINE_SQL).plan)
+            plan = session.sql(SKYLINE_SQL).plan
+            start = time.perf_counter()
+            result = session.execute(plan)
+            wall_s = time.perf_counter() - start
             assert result.real_time_s > 0, name
+            # The first skyline stage lands within the query's wall time.
+            assert 0.0 <= result.time_to_first_batch_s <= wall_s, name

@@ -207,3 +207,40 @@ class TestGeneralSqlSemantics:
                     f"SELECT x FROM t ORDER BY x {order}").to_tuples()
                 assert ["NaN" if v != v else v for (v,) in got] == want, \
                     (seed, order)
+
+
+class TestCorrelatedExists:
+    """``[NOT] EXISTS`` ignores the subquery's select list: the
+    correlated conjuncts pulled up into the join condition still read
+    columns a narrow select list prunes."""
+
+    DOMINATED = ("i.a <= o.a AND i.b <= o.b AND (i.a < o.a OR i.b < o.b)")
+
+    @pytest.mark.parametrize("columnar", (True, False),
+                             ids=("batch", "row"))
+    @pytest.mark.parametrize("exists", ("EXISTS", "NOT EXISTS"))
+    @pytest.mark.parametrize("select", ("*", "1", "i.id"))
+    def test_select_list_does_not_matter(self, select, exists, columnar):
+        rng = random.Random(7)
+        rows = [(i, float(rng.randint(0, 9)), float(rng.randint(0, 9)))
+                for i in range(40)]
+        session = connect(num_executors=3, columnar=columnar,
+                          vectorized=columnar)
+        session.create_table(
+            "t", [("id", INTEGER, False), ("a", DOUBLE, False),
+                  ("b", DOUBLE, False)], rows)
+
+        def ids(select_list):
+            return session.sql(
+                f"SELECT id FROM t AS o WHERE {exists} (SELECT "
+                f"{select_list} FROM t AS i WHERE {self.DOMINATED}) "
+                "ORDER BY id").to_tuples()
+
+        got = ids(select)
+        assert got == ids("*")
+        if exists == "NOT EXISTS":
+            assert got == session.sql(
+                "SELECT id FROM t SKYLINE OF a MIN, b MIN "
+                "ORDER BY id").to_tuples()
+        else:
+            assert 0 < len(got) < len(rows)
