@@ -1,6 +1,9 @@
-"""Benchmark-suite options: where the rendered tables go."""
+"""Benchmark-suite options and fixtures: where the rendered tables go,
+and the sweeps that several figures read."""
 
 from __future__ import annotations
+
+import functools
 
 import helpers
 import pytest
@@ -30,3 +33,29 @@ def results_dir(request, tmp_path_factory):
         yield
     finally:
         helpers.RESULTS_DIR = committed
+
+
+@pytest.fixture(scope="session")
+def shared_sweep():
+    """Run each harness sweep once per test session.
+
+    The paper plots time and memory from the same runs, so a memory
+    figure reads the cells of the time figure with the same sweep:
+    Figure 8 reads Figure 6's sweeps, Figure 9's complete sweep is
+    Figure 15's at 6 dims, Figure 17's is Figure 16's at 3 executors
+    and Figure 19's is Figure 18's at 6 dims.  Called as ``shared_sweep(sweep, make_workload, *args,
+    **kwargs)`` with ``make_workload`` a :func:`functools.partial` of a
+    workload factory; the call runs ``sweep(make_workload(), *args,
+    **kwargs)`` unless an earlier call passed the same arguments.
+    """
+    cache: dict[str, dict] = {}
+
+    def run(sweep, make_workload: functools.partial, *args, **kwargs):
+        key = repr((sweep.__name__, make_workload.func.__name__,
+                    make_workload.args, sorted(make_workload.keywords.items()),
+                    args, sorted(kwargs.items())))
+        if key not in cache:
+            cache[key] = sweep(make_workload(), *args, **kwargs)
+        return cache[key]
+
+    return run

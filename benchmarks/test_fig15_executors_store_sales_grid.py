@@ -7,6 +7,8 @@ Figure 14); the reference runs into timeouts on the incomplete variant
 and is otherwise the slowest.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_executors_help, assert_no_specialized_timeouts,
@@ -24,11 +26,12 @@ SIMULATED_TIMEOUT_S = 1.5
 
 
 @pytest.fixture(scope="module", params=DIMENSION_GRIDS)
-def complete_grid(request):
+def complete_grid(request, shared_sweep):
     dims = request.param
-    workload = store_sales_workload(ROWS)
-    results = executors_sweep(workload, ALGORITHMS_COMPLETE, dims,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep,
+                           partial(store_sales_workload, ROWS),
+                           ALGORITHMS_COMPLETE, dims,
+                           executor_values=EXECUTOR_VALUES)
     record(f"fig15_store_sales_complete_{dims}dims", render_sweep(
         f"Fig 15: store_sales complete, executors vs time "
         f"({ROWS} tuples, {dims} dims)",

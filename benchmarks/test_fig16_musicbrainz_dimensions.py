@@ -7,6 +7,8 @@ twice and anti-joins the results) is almost always slowest; only the
 very easiest cases are close.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_reference_is_slowest_overall,
@@ -22,11 +24,12 @@ RECORDINGS = scaled(700)
 
 
 @pytest.fixture(scope="module", params=EXECUTOR_GRIDS)
-def complete_grid(request):
+def complete_grid(request, shared_sweep):
     executors = request.param
-    workload = musicbrainz_workload(RECORDINGS)
-    results = dimensions_sweep(workload, ALGORITHMS_COMPLETE, executors,
-                               dimension_values=DIMS)
+    results = shared_sweep(dimensions_sweep,
+                           partial(musicbrainz_workload, RECORDINGS),
+                           ALGORITHMS_COMPLETE, executors,
+                           dimension_values=DIMS)
     record(f"fig16_musicbrainz_complete_{executors}executors",
            render_sweep(
                f"Fig 16: musicbrainz complex queries, dims vs time "

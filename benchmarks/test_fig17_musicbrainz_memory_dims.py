@@ -5,6 +5,8 @@ Paper shape: memory is essentially flat in the dimension count and
 comparable across algorithms (with occasional reference peaks).
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_memory_comparable, bench_representative,
@@ -20,10 +22,11 @@ RECORDINGS = scaled(700)
 
 
 @pytest.fixture(scope="module")
-def results():
-    workload = musicbrainz_workload(RECORDINGS)
-    sweep = dimensions_sweep(workload, ALGORITHMS_COMPLETE, EXECUTORS,
-                             dimension_values=DIMS)
+def results(shared_sweep):
+    sweep = shared_sweep(dimensions_sweep,
+                         partial(musicbrainz_workload, RECORDINGS),
+                         ALGORITHMS_COMPLETE, EXECUTORS,
+                         dimension_values=DIMS)
     record("fig17_musicbrainz_memory_dims", format_memory_table(
         f"Fig 17: musicbrainz, dims vs memory "
         f"({RECORDINGS} recordings, {EXECUTORS} executors)",

@@ -7,6 +7,8 @@ reference stays above the specialized algorithms except in the very
 easiest cells.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_reference_is_slowest_overall,
@@ -22,11 +24,12 @@ RECORDINGS = scaled(700)
 
 
 @pytest.fixture(scope="module", params=DIMENSION_GRIDS)
-def complete_grid(request):
+def complete_grid(request, shared_sweep):
     dims = request.param
-    workload = musicbrainz_workload(RECORDINGS)
-    results = executors_sweep(workload, ALGORITHMS_COMPLETE, dims,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep,
+                           partial(musicbrainz_workload, RECORDINGS),
+                           ALGORITHMS_COMPLETE, dims,
+                           executor_values=EXECUTOR_VALUES)
     record(f"fig18_musicbrainz_complete_{dims}dims", render_sweep(
         f"Fig 18: musicbrainz, executors vs time ({dims} dims)",
         "executors", EXECUTOR_VALUES, results))

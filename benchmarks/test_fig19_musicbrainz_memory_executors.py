@@ -5,6 +5,8 @@ Paper shape: memory grows with the executor count and stays comparable
 across the algorithms.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_memory_comparable, bench_representative,
@@ -20,10 +22,11 @@ RECORDINGS = scaled(700)
 
 
 @pytest.fixture(scope="module")
-def results():
-    workload = musicbrainz_workload(RECORDINGS)
-    sweep = executors_sweep(workload, ALGORITHMS_COMPLETE, DIMENSIONS,
-                            executor_values=EXECUTOR_VALUES)
+def results(shared_sweep):
+    sweep = shared_sweep(executors_sweep,
+                         partial(musicbrainz_workload, RECORDINGS),
+                         ALGORITHMS_COMPLETE, DIMENSIONS,
+                         executor_values=EXECUTOR_VALUES)
     record("fig19_musicbrainz_memory_executors", format_memory_table(
         f"Fig 19: musicbrainz, executors vs memory "
         f"({RECORDINGS} recordings, {DIMENSIONS} dims)",

@@ -7,6 +7,8 @@ reference stays the slowest at every executor count (Table 9: the
 specialized algorithms run at 29-54% of the reference).
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_reference_is_slowest_overall,
@@ -22,10 +24,11 @@ RAW_ROWS = scaled(2500)
 
 
 @pytest.fixture(scope="module")
-def complete_results():
+def complete_results(shared_sweep):
     workload = airbnb_workload(RAW_ROWS)
-    results = executors_sweep(workload, ALGORITHMS_COMPLETE, DIMENSIONS,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep, partial(airbnb_workload, RAW_ROWS),
+                           ALGORITHMS_COMPLETE, DIMENSIONS,
+                           executor_values=EXECUTOR_VALUES)
     record("fig6_tables9_airbnb_complete", render_sweep(
         f"Fig 6 left / Table 9: airbnb complete "
         f"({workload.num_rows} tuples, {DIMENSIONS} dims)",
@@ -34,11 +37,12 @@ def complete_results():
 
 
 @pytest.fixture(scope="module")
-def incomplete_results():
+def incomplete_results(shared_sweep):
     workload = airbnb_workload(RAW_ROWS, incomplete=True)
-    results = executors_sweep(workload, ALGORITHMS_INCOMPLETE,
-                              DIMENSIONS,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep,
+                           partial(airbnb_workload, RAW_ROWS, incomplete=True),
+                           ALGORITHMS_INCOMPLETE, DIMENSIONS,
+                           executor_values=EXECUTOR_VALUES)
     record("fig6_tables10_airbnb_incomplete", render_sweep(
         f"Fig 6 right / Table 10: airbnb incomplete "
         f"({workload.num_rows} tuples, {DIMENSIONS} dims)",

@@ -6,6 +6,8 @@ the full runtime environment) and is comparable across all four
 algorithms.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_memory_comparable, bench_representative,
@@ -21,10 +23,11 @@ RAW_ROWS = scaled(2500)
 
 
 @pytest.fixture(scope="module")
-def complete_results():
+def complete_results(shared_sweep):
     workload = airbnb_workload(RAW_ROWS)
-    results = executors_sweep(workload, ALGORITHMS_COMPLETE, DIMENSIONS,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep, partial(airbnb_workload, RAW_ROWS),
+                           ALGORITHMS_COMPLETE, DIMENSIONS,
+                           executor_values=EXECUTOR_VALUES)
     record("fig8_memory_airbnb_complete", format_memory_table(
         f"Fig 8 left: airbnb complete, executors vs memory "
         f"({workload.num_rows} tuples)", "executors", EXECUTOR_VALUES,
@@ -33,11 +36,12 @@ def complete_results():
 
 
 @pytest.fixture(scope="module")
-def incomplete_results():
+def incomplete_results(shared_sweep):
     workload = airbnb_workload(RAW_ROWS, incomplete=True)
-    results = executors_sweep(workload, ALGORITHMS_INCOMPLETE,
-                              DIMENSIONS,
-                              executor_values=EXECUTOR_VALUES)
+    results = shared_sweep(executors_sweep,
+                           partial(airbnb_workload, RAW_ROWS, incomplete=True),
+                           ALGORITHMS_INCOMPLETE, DIMENSIONS,
+                           executor_values=EXECUTOR_VALUES)
     record("fig8_memory_airbnb_incomplete", format_memory_table(
         f"Fig 8 right: airbnb incomplete, executors vs memory "
         f"({workload.num_rows} tuples)", "executors", EXECUTOR_VALUES,

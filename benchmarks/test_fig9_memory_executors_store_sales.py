@@ -6,6 +6,8 @@ the distributed complete algorithm's window makes it the (slightly)
 heaviest consumer.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import (assert_memory_comparable, bench_representative,
@@ -21,10 +23,11 @@ ROWS = scaled(4000)
 
 
 @pytest.fixture(scope="module")
-def complete_results():
-    workload = store_sales_workload(ROWS)
-    results = executors_sweep(workload, ALGORITHMS_COMPLETE, DIMENSIONS,
-                              executor_values=EXECUTOR_VALUES)
+def complete_results(shared_sweep):
+    results = shared_sweep(executors_sweep,
+                           partial(store_sales_workload, ROWS),
+                           ALGORITHMS_COMPLETE, DIMENSIONS,
+                           executor_values=EXECUTOR_VALUES)
     record("fig9_memory_store_sales_complete", format_memory_table(
         f"Fig 9 left: store_sales complete, executors vs memory "
         f"({ROWS} tuples)", "executors", EXECUTOR_VALUES, results))

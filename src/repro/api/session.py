@@ -112,10 +112,6 @@ class PreparedQuery:
     #: skyline shapes.
     optimized: "LogicalPlan | None" = None
 
-    @property
-    def is_skyline(self) -> bool:
-        return bool(self.decisions)
-
     @cached_property
     def cacheable_shape(self):
         """The result cache's :class:`~repro.serve.cache.CacheableShape`

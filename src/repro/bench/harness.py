@@ -70,10 +70,6 @@ class RunResult:
     wall_time_s: float
     timed_out: bool = False
 
-    @property
-    def label(self) -> str:
-        return self.algorithm.value
-
 
 def run_query(workload, algorithm: Algorithm, num_dimensions: int,
               num_executors: int,

@@ -13,7 +13,6 @@ benchmarks and the property-based tests:
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 
 def independent_rows(n: int, dimensions: int, seed: int = 0,
@@ -66,8 +65,3 @@ def anticorrelated_rows(n: int, dimensions: int, seed: int = 0,
             for value in raw)
         rows.append(row)
     return rows
-
-
-def with_ids(rows: Sequence[tuple]) -> list[tuple]:
-    """Prefix every row with a 0-based integer id column."""
-    return [(i,) + tuple(row) for i, row in enumerate(rows)]

@@ -7,7 +7,7 @@ from .batch import Column, ColumnBatch, encode_numeric_column
 from .catalog import Catalog, CatalogEvent, ForeignKey, Table
 from .cluster import ClusterConfig, ExecutionContext
 from .faults import FaultPlan, InjectedFault, SimulatedWorkerCrash, activate
-from .rdd import RDD, BatchRDD, stable_hash
+from .rdd import RDD, BatchRDD
 from .row import Field, Row, Schema, infer_schema
 from .types import (BOOLEAN, DOUBLE, INTEGER, STRING, BooleanType, DataType,
                     DoubleType, IntegerType, StringType, common_type,
@@ -55,5 +55,4 @@ __all__ = [
     "infer_type",
     "is_numeric",
     "is_orderable",
-    "stable_hash",
 ]

@@ -33,7 +33,7 @@ scans read :meth:`repro.engine.catalog.Table.column_batch`).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -446,12 +446,6 @@ class ColumnBatch:
                 self._rows = list(zip(*[c.to_values()
                                         for c in self.columns]))
         return self._rows
-
-    def iter_rows(self) -> Iterator[tuple]:
-        return iter(self.to_rows())
-
-    def row(self, i: int) -> tuple:
-        return self.to_rows()[i]
 
     # -- slicing ----------------------------------------------------------
 

@@ -307,8 +307,11 @@ class Catalog:
 
     def remove_listener(self, listener: Callable[[CatalogEvent], None]
                         ) -> None:
+        """Unregister ``listener``.  Compared with ``==``: every
+        ``obj.method`` access builds a new bound method, equal to (but
+        never the same object as) the one that was registered."""
         self._listeners = [ln for ln in self._listeners
-                           if ln is not listener]
+                           if ln != listener]
 
     def _notify(self, kind: str, table: str, rows: Sequence[tuple] = (),
                 batch: "ColumnBatch | None" = None,

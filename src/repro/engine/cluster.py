@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..errors import QueryTimeout
 from .backends import Backend, FaultStats, LocalBackend, RetryPolicy, \
@@ -207,9 +207,6 @@ class ExecutionContext:
         now = time.perf_counter()
         self._budget_start = None if seconds is None else now
         self.deadline = None if seconds is None else now + seconds
-
-    def set_retry_policy(self, policy: RetryPolicy) -> None:
-        self.retry_policy = policy
 
     # -- memory + latency tracking ----------------------------------------
 
@@ -475,10 +472,6 @@ class ExecutionContext:
 
     def total_task_time_s(self) -> float:
         return sum(t.duration_s for s in self.stages for t in s.tasks)
-
-    def iter_tasks(self) -> Iterator[TaskMetrics]:
-        for stage in self.stages:
-            yield from stage.tasks
 
     def summary(self) -> dict:
         """Compact dictionary of the headline metrics."""

@@ -50,9 +50,6 @@ class Schema:
         """Ordinal of ``name`` (case-insensitive); raises KeyError."""
         return self._index[name.lower()]
 
-    def contains(self, name: str) -> bool:
-        return name.lower() in self._index
-
     def field(self, name: str) -> Field:
         return self.fields[self.index_of(name)]
 

@@ -12,7 +12,7 @@ and the COMPLETE flag.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..engine import expressions as E
 from ..engine.catalog import Table
@@ -88,24 +88,10 @@ class LogicalPlan:
                 return fn(self.with_children(new_children))
         return fn(self)
 
-    def transform_down(self, fn: Callable[["LogicalPlan"], "LogicalPlan"]
-                       ) -> "LogicalPlan":
-        new_self = fn(self)
-        if new_self.children:
-            new_children = [c.transform_down(fn) for c in new_self.children]
-            if any(n is not o
-                   for n, o in zip(new_children, new_self.children)):
-                return new_self.with_children(new_children)
-        return new_self
-
     def iter_tree(self) -> Iterator["LogicalPlan"]:
         yield self
         for child in self.children:
             yield from child.iter_tree()
-
-    def same_result(self, other: "LogicalPlan") -> bool:
-        """Crude structural equality used by fixed-point rule execution."""
-        return tree_string(self) == tree_string(other)
 
     # -- display ---------------------------------------------------------------
 
@@ -628,15 +614,3 @@ class AnalyzeTable(LeafNode):
 
     def node_description(self) -> str:
         return f"AnalyzeTable({self.name})"
-
-
-def find_skyline_operators(plan: LogicalPlan) -> list[SkylineOperator]:
-    """All skyline operators in a plan (helper for tests and tooling)."""
-    return [node for node in plan.iter_tree()
-            if isinstance(node, SkylineOperator)]
-
-
-def subquery_plans(expr: E.Expression) -> list[Any]:
-    """Logical plans embedded in subquery expressions of ``expr``."""
-    return [node.plan for node in expr.iter_tree()
-            if isinstance(node, E.SubqueryExpression)]

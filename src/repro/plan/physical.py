@@ -943,101 +943,74 @@ class HashJoinExec(PhysicalPlan):
     def _join_rows(self, ctx: ExecutionContext, stage: str,
                    left_partitions: list[list[tuple]],
                    right_rows: list[tuple]) -> list[list[tuple]]:
+        """The row join: one probe task per left partition against a
+        hash table on the right rows; FULL OUTER's unmatched right rows
+        trail; RIGHT OUTER is one task probing from the right."""
+        join_type = self.join_type
+        from_right = join_type == L.JoinType.RIGHT_OUTER
+        if from_right:
+            build_rows = [row for rows in left_partitions for row in rows]
+            build_keys, probe_keys = self.left_keys, self.right_keys
+            null_fill = (None,) * len(self.children[0].output)
+        else:
+            build_rows = right_rows
+            build_keys, probe_keys = self.right_keys, self.left_keys
+            null_fill = (None,) * len(self.children[1].output)
         # Entries carry the build row's position: FULL OUTER tracks it,
         # never id(row) (a table may hold one tuple object many times).
         table: dict[tuple, list[tuple]] = {}
-        for position, row in enumerate(right_rows):
-            key = tuple(k.eval(row) for k in self.right_keys)
+        for position, row in enumerate(build_rows):
+            key = tuple(k.eval(row) for k in build_keys)
             if any(v is None for v in key):
                 continue  # null keys never match
             table.setdefault(key, []).append((position, row))
-
-        right_width = len(self.children[1].output)
-        left_width = len(self.children[0].output)
-        null_right = (None,) * right_width
-        null_left = (None,) * left_width
         residual = self.residual
-        join_type = self.join_type
         matched_right: set[int] = set()
 
-        tasks = []
-        for i, partition in enumerate(left_partitions):
-            def task(rows=partition):
-                out = []
-                for left_row in rows:
-                    key = tuple(k.eval(left_row) for k in self.left_keys)
-                    matches = [] if any(v is None for v in key) \
-                        else table.get(key, [])
-                    kept = []
-                    for position, right_row in matches:
-                        combined = left_row + right_row
-                        if residual is not None and \
-                                residual.eval(combined) is not True:
-                            continue
-                        kept.append(right_row)
-                        if join_type == L.JoinType.FULL_OUTER:
-                            matched_right.add(position)
-                    if join_type == L.JoinType.LEFT_SEMI:
-                        if kept:
-                            out.append(left_row)
-                    elif join_type == L.JoinType.LEFT_ANTI:
-                        if not kept:
-                            out.append(left_row)
-                    elif kept:
-                        out.extend(left_row + r for r in kept)
-                    elif join_type in (L.JoinType.LEFT_OUTER,
-                                       L.JoinType.FULL_OUTER):
-                        out.append(left_row + null_right)
-                return out
+        def probe(rows: list[tuple]) -> list[tuple]:
+            out = []
+            for probe_row in rows:
+                key = tuple(k.eval(probe_row) for k in probe_keys)
+                matches = [] if any(v is None for v in key) \
+                    else table.get(key, [])
+                kept = []
+                for position, build_row in matches:
+                    combined = build_row + probe_row if from_right \
+                        else probe_row + build_row
+                    if residual is not None and \
+                            residual.eval(combined) is not True:
+                        continue
+                    kept.append(combined)
+                    if join_type == L.JoinType.FULL_OUTER:
+                        matched_right.add(position)
+                if join_type == L.JoinType.LEFT_SEMI:
+                    if kept:
+                        out.append(probe_row)
+                elif join_type == L.JoinType.LEFT_ANTI:
+                    if not kept:
+                        out.append(probe_row)
+                elif kept:
+                    out.extend(kept)
+                elif join_type in _OUTER_JOINS:
+                    out.append(null_fill + probe_row if from_right
+                               else probe_row + null_fill)
+            return out
 
-            tasks.append(StageTask(partition=i, rows_in=len(partition),
-                                   fn=task))
-        result_partitions = ctx.run_stage(stage, tasks)
-
-        if join_type == L.JoinType.RIGHT_OUTER:
-            return [self._right_outer(
-                ctx, [row for rows in left_partitions for row in rows],
-                right_rows, stage)]
+        if from_right:
+            return [ctx.run_task(stage + "-right", 0,
+                                 functools.partial(probe, right_rows),
+                                 len(right_rows), parallelizable=False)]
+        result_partitions = ctx.run_stage(stage, [
+            StageTask(partition=i, rows_in=len(partition),
+                      fn=functools.partial(probe, partition))
+            for i, partition in enumerate(left_partitions)])
         if join_type == L.JoinType.FULL_OUTER:
+            null_left = (None,) * len(self.children[0].output)
             tail = [null_left + row for i, row in enumerate(right_rows)
                     if i not in matched_right]
             if tail:
                 result_partitions.append(tail)
         return result_partitions
-
-    def _right_outer(self, ctx: ExecutionContext, left_rows: list[tuple],
-                     right_rows: list[tuple], stage: str) -> list[tuple]:
-        """Right outer join: probe from the right side instead."""
-        table: dict[tuple, list[tuple]] = {}
-        for row in left_rows:
-            key = tuple(k.eval(row) for k in self.left_keys)
-            if any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(row)
-        null_left = (None,) * len(self.children[0].output)
-        residual = self.residual
-
-        def task():
-            out = []
-            for right_row in right_rows:
-                key = tuple(k.eval(right_row) for k in self.right_keys)
-                matches = [] if any(v is None for v in key) \
-                    else table.get(key, [])
-                kept = []
-                for left_row in matches:
-                    combined = left_row + right_row
-                    if residual is not None and \
-                            residual.eval(combined) is not True:
-                        continue
-                    kept.append(left_row)
-                if kept:
-                    out.extend(left + right_row for left in kept)
-                else:
-                    out.append(null_left + right_row)
-            return out
-
-        return ctx.run_task(stage + "-right", 0, task, len(right_rows),
-                            parallelizable=False)
 
     def node_description(self) -> str:
         return f"HashJoin({self.join_type})" + self._mode_tag()

@@ -75,14 +75,6 @@ class CatalogService:
 
     # -- the serving execution path ---------------------------------------
 
-    @property
-    def plan_hits(self) -> int:
-        return self.catalog.plans.hits
-
-    @property
-    def plan_misses(self) -> int:
-        return self.catalog.plans.misses
-
     def execute(self, session: SkylineSession, sql: str) -> QueryResult:
         """Parse and run ``sql`` for a tenant, through the caches.
 
@@ -139,7 +131,9 @@ class CatalogService:
                 "faults": faults}
 
     def close(self) -> None:
-        """Shut down the shared worker pools (server shutdown only)."""
+        """Detach the result cache from the catalog and shut down the
+        shared worker pools (server shutdown only)."""
+        self.catalog.remove_listener(self.result_cache.on_catalog_event)
         with self._backend_lock:
             for backend in self._backends.values():
                 backend.close_shared()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .core.bnl import bnl_skyline
 from .core.dominance import (BoundDimension, dominates, equal_on_dimensions,
                              has_null_dimension)
 from .core.incomplete import flagged_global_skyline
@@ -204,14 +203,3 @@ class SkylineStream:
         stream.rows_dropped = state["rows_dropped"]
         stream._note_peak()
         return stream
-
-
-def skyline_of_stream(rows: Iterable[Sequence],
-                      dims: Sequence[BoundDimension],
-                      distinct: bool = False) -> list[Sequence]:
-    """One-shot convenience: the skyline of a finite stream.
-
-    Equivalent to :func:`repro.core.bnl.bnl_skyline`; provided so stream
-    producers and batch callers share an entry point.
-    """
-    return bnl_skyline(list(rows), dims, distinct=distinct)

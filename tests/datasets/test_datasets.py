@@ -11,7 +11,6 @@ from repro.datasets import (AIRBNB_SKYLINE_DIMENSIONS,
                             generate_musicbrainz, generate_store_sales,
                             independent_rows, musicbrainz_workload,
                             store_sales_workload)
-from repro.datasets.generators import with_ids
 
 
 class TestGenericGenerators:
@@ -37,10 +36,6 @@ class TestGenericGenerators:
         correlated = skyline(correlated_rows(400, 3, seed=3), dims)
         anti = skyline(anticorrelated_rows(400, 3, seed=3), dims)
         assert len(correlated) < len(anti)
-
-    def test_with_ids(self):
-        rows = with_ids([(0.5,), (0.7,)])
-        assert rows == [(0, 0.5), (1, 0.7)]
 
 
 class TestAirbnb:

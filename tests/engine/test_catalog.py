@@ -45,6 +45,39 @@ class TestCatalog:
         catalog.drop("a")  # idempotent
 
 
+class Recorder:
+    def __init__(self):
+        self.kinds = []
+
+    def on_event(self, event):
+        self.kinds.append(event.kind)
+
+
+class TestListeners:
+    def test_a_bound_method_is_removed_by_a_fresh_binding(self, catalog):
+        # ``recorder.on_event`` builds a new bound method on every
+        # access: removal must match it by equality, not identity.
+        recorder = Recorder()
+        catalog.add_listener(recorder.on_event)
+        catalog.create_table("t", make_schema(), [])
+        catalog.remove_listener(recorder.on_event)
+        catalog.insert_into("t", [(1, "a")])
+        assert recorder.kinds == ["register"]
+        assert catalog._listeners == []
+
+    def test_removal_keeps_the_other_listeners(self, catalog):
+        first, second = Recorder(), Recorder()
+        catalog.add_listener(first.on_event)
+        catalog.add_listener(second.on_event)
+        catalog.remove_listener(first.on_event)
+        catalog.create_table("t", make_schema(), [])
+        assert (first.kinds, second.kinds) == ([], ["register"])
+
+    def test_removing_an_absent_listener_is_a_no_op(self, catalog):
+        catalog.remove_listener(Recorder().on_event)
+        assert catalog._listeners == []
+
+
 class TestTable:
     def test_row_width_validated(self):
         with pytest.raises(AnalysisError, match="row width"):

@@ -1,14 +1,11 @@
-"""RDD partitioning semantics."""
-
-import json
-import subprocess
-import sys
+"""RDD and BatchRDD partitioning semantics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.rdd import RDD, stable_hash
+from repro.engine.batch import ColumnBatch
+from repro.engine.rdd import RDD, BatchRDD, partition_bounds
 
 
 class TestConstruction:
@@ -30,10 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RDD.from_rows([], 0)
 
-    def test_empty(self):
-        assert RDD.empty(3).count() == 0
-        assert RDD.empty(3).num_partitions == 3
-
     @given(st.lists(st.tuples(st.integers()), max_size=50),
            st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
@@ -41,151 +34,44 @@ class TestConstruction:
         assert RDD.from_rows(rows, k).collect() == rows
 
 
-class TestTransformations:
-    def test_map_rows(self):
-        rdd = RDD.from_rows([(1,), (2,)], 2)
-        assert rdd.map_rows(lambda r: (r[0] * 10,)).collect() == \
-            [(10,), (20,)]
+class TestPartitionBounds:
+    @given(st.integers(0, 200), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_tile_the_rows_evenly(self, num_rows, k):
+        bounds = partition_bounds(num_rows, k)
+        assert len(bounds) == k
+        assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
+        assert all(stop == start for (_, stop), (start, _)
+                   in zip(bounds, bounds[1:]))
+        sizes = [stop - start for start, stop in bounds]
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes) - min(sizes) <= 1
 
-    def test_filter_rows(self):
-        rdd = RDD.from_rows([(i,) for i in range(6)], 2)
-        assert rdd.filter_rows(lambda r: r[0] % 2 == 0).collect() == \
-            [(0,), (2,), (4,)]
-
-    def test_map_partitions_sees_partition_lists(self):
-        rdd = RDD.from_rows([(i,) for i in range(4)], 2)
-        counted = rdd.map_partitions(lambda p: [(len(p),)])
-        assert counted.collect() == [(2,), (2,)]
-
-
-class TestShuffles:
-    def test_coalesce_to_one_is_alltuples(self):
-        rdd = RDD.from_rows([(i,) for i in range(5)], 3)
-        merged = rdd.coalesce_to_one()
-        assert merged.num_partitions == 1
-        assert merged.collect() == rdd.collect()
-
-    def test_repartition(self):
-        rdd = RDD.from_rows([(i,) for i in range(9)], 2).repartition(3)
-        assert rdd.num_partitions == 3
-        assert rdd.count() == 9
-
-    def test_partition_by_key_groups_all_equal_keys(self):
-        rows = [(1, "a"), (2, "b"), (1, "c"), (3, "d")]
-        rdd = RDD.from_rows(rows, 2).partition_by_key(lambda r: r[0])
-        partitions = [set(p) for p in rdd.partitions]
-        assert {(1, "a"), (1, "c")} in partitions
-        assert len(rdd.partitions) == 3
-
-    def test_partition_by_key_on_empty(self):
-        rdd = RDD.empty(2).partition_by_key(lambda r: r[0])
-        assert rdd.num_partitions == 1
-        assert rdd.count() == 0
-
-    def test_hash_partition_deterministic_and_lossless(self):
-        rows = [(i,) for i in range(20)]
-        rdd = RDD.from_rows(rows, 2).hash_partition(lambda r: r[0], 4)
-        assert rdd.num_partitions == 4
-        assert sorted(rdd.collect()) == rows
-        again = RDD.from_rows(rows, 2).hash_partition(lambda r: r[0], 4)
-        assert rdd.partitions == again.partitions
-
-    def test_hash_partition_validates_count(self):
+    def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
-            RDD.empty().hash_partition(lambda r: r, 0)
-
-    def test_hash_partition_handles_string_keys(self):
-        rows = [(word,) for word in
-                "alpha beta gamma delta epsilon zeta".split()]
-        rdd = RDD.from_rows(rows, 2).hash_partition(lambda r: r[0], 3)
-        assert sorted(rdd.collect()) == sorted(rows)
+            partition_bounds(5, 0)
 
 
-_PLACEMENT_SCRIPT = """
-import json, sys
-from repro.engine.rdd import RDD
-rows = [(word, i) for i, word in enumerate(
-    "alpha beta gamma delta epsilon zeta eta theta".split())]
-rdd = RDD.from_rows(rows, 2).hash_partition(lambda r: r[0], 4)
-print(json.dumps([[list(row) for row in p] for p in rdd.partitions]))
-"""
+class TestBatchRDD:
+    ROWS = [(float(i % 7), i, None if i % 5 else "x") for i in range(20)]
 
+    def _pair(self):
+        rdd = RDD.from_rows(self.ROWS, 3)
+        return rdd, BatchRDD([ColumnBatch.from_rows(p, 3)
+                              for p in rdd.partitions])
 
-class TestStableHashPlacement:
-    """``hash_partition`` must place rows identically across processes.
+    def test_mirrors_the_row_rdd(self):
+        rdd, batches = self._pair()
+        assert batches.num_partitions == rdd.num_partitions
+        assert batches.partition_sizes() == rdd.partition_sizes()
+        assert batches.count() == rdd.count()
+        assert batches.collect() == rdd.collect()
+        assert batches.to_row_rdd().partitions == rdd.partitions
 
-    The builtin ``hash()`` is seeded per process for strings
-    (PYTHONHASHSEED), which made shuffle placement differ between the
-    driver and pool workers and across runs; :func:`stable_hash` pins
-    it.  The regression test runs the same shuffle in two subprocesses
-    with *different* hash seeds and asserts identical placement.
-    """
+    def test_concat_is_alltuples(self):
+        rdd, batches = self._pair()
+        assert batches.concat().to_rows() == rdd.collect()
 
-    def _placement(self, hash_seed: str) -> list:
-        import pathlib
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", _PLACEMENT_SCRIPT],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src),
-                 "PATH": "/usr/bin:/bin"})
-        return json.loads(result.stdout)
-
-    def test_placement_identical_across_hash_seeds(self):
-        first = self._placement("1")
-        second = self._placement("4242")
-        assert first == second
-        assert first == self._placement("random")
-
-    def test_stable_hash_is_deterministic_for_common_key_types(self):
-        # Pinned values: changing them silently would re-shuffle every
-        # persisted placement, so make that an explicit decision.
-        assert stable_hash("alpha") == stable_hash("alpha")
-        assert stable_hash(("a", 1, 2.5, None, True)) == \
-            stable_hash(("a", 1, 2.5, None, True))
-        assert stable_hash("alpha") != stable_hash("beta")
-
-    def test_stable_hash_co_locates_numerically_equal_keys(self):
-        # hash() guarantees hash(x) == hash(y) whenever x == y; the
-        # stable replacement must keep equal keys in one partition.
-        assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
-        assert stable_hash(0) == stable_hash(-0.0) == stable_hash(False)
-        assert stable_hash(2 ** 60) == stable_hash(2.0 ** 60)
-        assert stable_hash(("k", 1)) == stable_hash(("k", 1.0))
-        assert stable_hash(1.5) != stable_hash(1)
-
-
-class TestBatchRDDShuffles:
-    """Batch-native shuffles must place rows exactly like the row RDD."""
-
-    ROWS = [(float(i % 7), float(i % 4), i) for i in range(40)]
-
-    def _batch_rdd(self):
-        from repro.engine.batch import ColumnBatch
-        from repro.engine.rdd import BatchRDD
-        half = len(self.ROWS) // 2
-        return BatchRDD([ColumnBatch.from_rows(self.ROWS[:half], 3),
-                         ColumnBatch.from_rows(self.ROWS[half:], 3)])
-
-    def test_hash_partition_matches_row_rdd(self):
-        key = lambda row: row[0]
-        expected = RDD.from_rows(self.ROWS, 1).hash_partition(key, 4)
-        shuffled = self._batch_rdd().hash_partition(key, 4)
-        assert [b.to_rows() for b in shuffled.batches] == \
-            expected.partitions
-
-    def test_hash_partition_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            self._batch_rdd().hash_partition(lambda r: r[0], 0)
-
-    def test_take_partitions_slices_iteration_order(self):
-        shuffled = self._batch_rdd().take_partitions([[0, 2], [1], []])
-        parts = [b.to_rows() for b in shuffled.batches]
-        assert parts == [[self.ROWS[0], self.ROWS[2]], [self.ROWS[1]], []]
-
-    def test_take_partitions_empty_keeps_schema(self):
-        shuffled = self._batch_rdd().take_partitions([])
-        assert len(shuffled.batches) == 1
-        only = shuffled.batches[0]
-        assert only.num_rows == 0
-        assert len(only.columns) == 3
+    def test_concat_of_no_partitions_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            BatchRDD([]).concat()

@@ -17,10 +17,6 @@ class TestSchema:
         assert schema.index_of("id") == 0
         assert schema.index_of("PRICE") == 1
 
-    def test_contains(self, schema):
-        assert schema.contains("name")
-        assert not schema.contains("missing")
-
     def test_field_access(self, schema):
         assert schema.field("price").dtype == DOUBLE
         assert schema[0].name == "id"

@@ -200,6 +200,36 @@ def test_batch_join_emits_the_row_join_partitions():
         assert len(partitions[0]) == {"right": 1, "full": 4}.get(how, 3)
 
 
+@pytest.mark.parametrize("plane", ("batch", "row"))
+@pytest.mark.parametrize("how", JOIN_HOWS)
+def test_join_stages_are_the_same_on_both_planes(how, plane):
+    """One probe task per left partition, or RIGHT OUTER's one task
+    probing from the right, on either plane: no stage runs whose output
+    the join throws away."""
+    a_columns, a_rows, b_columns, b_rows = \
+        JOIN_INPUTS["null-and-duplicate-keys"]
+    default, reference = _sessions({"a": (a_columns, a_rows),
+                                    "b": (b_columns, b_rows)})
+    session = default if plane == "batch" else reference
+    physical = session.prepare(_join("a.k = b.k", how)(session).plan
+                               ).physical
+    join = next(node for node in physical.iter_tree()
+                if isinstance(node, P.HashJoinExec))
+    ctx = ExecutionContext(session.cluster_config)
+    out = join.execute(ctx)
+    assert ("[batch]" in join.node_description()) == (plane == "batch")
+    stages = [stage for stage in ctx.stages
+              if stage.name.startswith(join.stage_name())]
+    shape = [(stage.name[len(join.stage_name()):], len(stage.tasks))
+             for stage in stages]
+    assert shape == ([("", 0), ("-right", 1)] if how == "right"
+                     else [("", 3)])
+    tasks = [task for stage in stages for task in stage.tasks]
+    partitions = out.partition_sizes()
+    assert [task.rows_out for task in tasks] == partitions[:len(tasks)]
+    assert len(partitions) == len(tasks) + (how == "full")
+
+
 # ---------------------------------------------------------------------------
 # Aggregates, DISTINCT, LIMIT
 # ---------------------------------------------------------------------------

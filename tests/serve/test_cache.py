@@ -365,6 +365,13 @@ class TestCacheMechanics:
             "register" if config.columnar else "no_resident_columns"] == 1
 
 
+def plan_counts(service) -> tuple[int, int]:
+    """``(hits, misses)`` of the catalog's plan cache, as ``stats()``
+    reports them."""
+    counts = service.stats()["plan_cache"]
+    return counts["hits"], counts["misses"]
+
+
 class TestPlanCache:
     """Keyed on the schema, not the data: a prepared plan holds tables,
     not snapshots, so DML neither stales nor re-plans it."""
@@ -374,25 +381,25 @@ class TestPlanCache:
     def test_dml_keeps_the_plan_and_the_plan_sees_the_new_rows(
             self, service):
         run(service, self.COLD)
-        assert (service.plan_hits, service.plan_misses) == (0, 1)
+        assert plan_counts(service) == (0, 1)
         service.catalog.insert_into("pts", [(99, 0.5, 0.5, 9.0)])
         service.catalog.delete_from("pts", rows=[POINTS[0]])
         out = run(service, self.COLD)
-        assert (service.plan_hits, service.plan_misses) == (1, 1)
+        assert plan_counts(service) == (1, 1)
         assert out.as_tuples() == [(99, 0.5, 0.5, 9.0)]
 
     def test_drop_and_reregister_still_invalidate_plans(self, service):
         run(service, self.COLD)
         service.session_for().create_table("pts", COLUMNS, POINTS[:4])
         out = run(service, self.COLD)  # a new Table object: re-planned
-        assert (service.plan_hits, service.plan_misses) == (0, 2)
+        assert plan_counts(service) == (0, 2)
         assert sorted(out.as_tuples()) == oracle(
             [r for r in POINTS[:4] if r[0] > 0],
             [(1, DimensionKind.MIN), (2, DimensionKind.MIN)])
         service.catalog.drop("pts")
         with pytest.raises(Exception, match="not found"):
             run(service, self.COLD)
-        assert service.plan_misses == 2 and service.plan_hits == 0
+        assert plan_counts(service) == (0, 2)
 
     def test_a_cached_plan_recomputes_its_scalar_subquery(self, service):
         session = service.session_for()
@@ -409,7 +416,7 @@ class TestPlanCache:
                                           (6, 101.0, 0.5)])
         assert sorted(service.execute(session, sql).as_tuples()) == \
             [(5,), (6,)]
-        assert (service.plan_hits, service.plan_misses) == (1, 1)
+        assert plan_counts(service) == (1, 1)
 
     def test_stats_read_the_catalogs_cache(self, service):
         run(service, self.COLD)
@@ -417,6 +424,42 @@ class TestPlanCache:
         service.session_for().sql(self.COLD).run()  # any session on it
         assert service.stats()["plan_cache"] == \
             {"hits": 2, "misses": 1, "entries": 1}
+
+
+class TestClose:
+    """A closed service leaves the catalog as it found it: its result
+    cache is detached and hears of no later mutation."""
+
+    QUERY = "SELECT * FROM pts SKYLINE OF a MIN, b MIN, c MIN"
+
+    def test_closed_services_leave_no_listener(self):
+        catalog = CatalogService().catalog
+        before = len(catalog._listeners)
+        services = [CatalogService(catalog) for _ in range(3)]
+        assert len(catalog._listeners) == before + 3
+        for service in services:
+            service.close()
+        assert len(catalog._listeners) == before
+
+    def test_a_closed_service_hears_no_dml(self, service):
+        run(service, self.QUERY)
+        service.close()
+        # (0.5, 0.5, 0.5) would enter the cached skyline.
+        service.catalog.insert_into("pts", [(99, 0.5, 0.5, 0.5)])
+        stats = service.result_cache.stats
+        assert (stats.maintained_inserts, stats.invalidations) == (0, 0)
+
+    def test_an_open_service_on_the_same_catalog_still_maintains(
+            self, service):
+        other = CatalogService(service.catalog)
+        run(other, self.QUERY)
+        service.close()
+        service.catalog.insert_into("pts", [(99, 0.5, 0.5, 0.5)])
+        out = run(other, self.QUERY)
+        assert out.cache_hit
+        assert out.as_tuples() == [(99, 0.5, 0.5, 0.5)]
+        assert other.result_cache.stats.maintained_inserts == 1
+        other.close()
 
 
 class TestConcurrentDml:

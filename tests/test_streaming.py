@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import bnl_skyline, make_dimensions
 from repro.errors import ExecutionError
-from repro.streaming import SkylineStream, skyline_of_stream
+from repro.streaming import SkylineStream
 from tests.conftest import skyline_oracle
 
 MIN2 = make_dimensions([(0, "min"), (1, "min")])
@@ -263,8 +263,3 @@ class TestStreamMatchesBatchEngine:
         assert sorted(stream.current()) == \
             sorted(self._engine_skyline(rows))
 
-
-class TestOneShotHelper:
-    def test_skyline_of_stream(self):
-        rows = [(2, 2), (1, 1), (1, 3)]
-        assert sorted(skyline_of_stream(iter(rows), MIN2)) == [(1, 1)]
