@@ -1,7 +1,8 @@
 """Using the skyline algorithm library without the SQL engine.
 
-``repro.core`` is a standalone, engine-free implementation of the
-paper's algorithms; this example exercises it directly:
+``repro.core`` runs the paper's algorithms over plain Python tuples,
+with the same kernels and strategy table as the SQL engine's skyline
+operators; this example exercises it directly:
 
 * dominance testing (Definition 3.1) and the incomplete variant;
 * the cyclic-dominance counterexample of Appendix A, showing why the

@@ -43,12 +43,6 @@ ALGORITHMS_INCOMPLETE = (
     Algorithm.REFERENCE,
 )
 
-_STRATEGY_BY_ALGORITHM = {
-    Algorithm.DISTRIBUTED_COMPLETE: "distributed-complete",
-    Algorithm.NON_DISTRIBUTED_COMPLETE: "non-distributed-complete",
-    Algorithm.DISTRIBUTED_INCOMPLETE: "distributed-incomplete",
-}
-
 #: Default per-run wall-clock budget in seconds (the paper used 3600 s on
 #: a cluster; this reproduction runs scaled data in-process).
 DEFAULT_BUDGET_S = 30.0
@@ -93,14 +87,13 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
     if own_session:
         session = _prepared_session(workload, num_executors)
     if algorithm is Algorithm.REFERENCE:
-        strategy = "auto"
         sql = workload.reference_sql(num_dimensions)
     else:
-        strategy = _STRATEGY_BY_ALGORITHM[algorithm]
         sql = workload.skyline_sql(num_dimensions)
-    session = session.with_options(num_executors=num_executors,
-                                   skyline_algorithm=strategy,
-                                   time_budget_s=budget_s)
+    session = session.with_options(
+        num_executors=num_executors,
+        skyline_algorithm=algorithm.strategy or "auto",
+        time_budget_s=budget_s)
     start = time.perf_counter()
     try:
         try:

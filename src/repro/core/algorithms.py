@@ -1,17 +1,23 @@
-"""The four evaluated skyline strategies as pure functions (Section 6.3).
+"""The evaluated skyline strategies as a library (Section 6.3).
 
-These are the algorithm cores used by the physical skyline operators; the
-engine adds data distribution, metrics and plan integration on top.  They
-are also directly usable as a standalone library ("give me the skyline of
-these tuples") without touching SQL at all.
+:data:`STRATEGY_MODES` is the one place that says what each strategy
+runs: the :func:`~repro.core.vectorized.skyline_task` mode of its local
+node and of its ``AllTuples`` global node (Sections 5.5-5.7).  The
+planner lowers a skyline operator through it (Listing 8), and
+:func:`skyline` runs the same two phases over a flat list of tuples,
+without the SQL engine:
 
-1. ``distributed_complete``    -- local BNL per partition, then global BNL
-                                  over the union (Section 5.6).
-2. ``non_distributed_complete``-- skip local skylines, single global BNL.
-3. ``distributed_incomplete``  -- null-bitmap-partitioned local BNL, then
-                                  flag-based all-pairs global (Section 5.7).
-4. ``reference``               -- semantics of the plain-SQL NOT EXISTS
-                                  rewrite (Listing 4): naive all-pairs.
+1. ``distributed-complete``     -- local BNL per partition, then global
+                                   BNL over the union (Section 5.6).
+2. ``non-distributed-complete`` -- skip local skylines, single global BNL.
+3. ``distributed-incomplete``   -- null-bitmap-partitioned local BNL,
+                                   then flag-based all-pairs global
+                                   (Section 5.7).
+4. ``sfs``                      -- Sort-Filter-Skyline in both phases
+                                   (the sorting-based future work).
+
+:func:`reference` is the semantics of the plain-SQL NOT EXISTS rewrite
+(Listing 4): naive all-pairs, the baseline and the oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +25,21 @@ from __future__ import annotations
 import enum
 from typing import Callable, Sequence
 
-from .bnl import bnl_skyline
+from ..engine.rdd import partition_bounds
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, dominates_incomplete,
                         equal_on_dimensions)
-from .incomplete import flagged_global_skyline, local_skylines_incomplete
-from .sfs import sfs_skyline
+from .vectorized import skyline_task, split_by_null_bitmap
+
+#: Strategy -> (local mode, global mode), both keys of
+#: :data:`repro.core.vectorized.SKYLINE_MODES`; ``None`` runs no local
+#: phase.
+STRATEGY_MODES: dict[str, tuple[str | None, str]] = {
+    "distributed-complete": ("complete", "complete"),
+    "non-distributed-complete": (None, "complete"),
+    "distributed-incomplete": ("bitmap-local", "flagged"),
+    "sfs": ("sfs", "sfs"),
+}
 
 
 class Algorithm(enum.Enum):
@@ -44,69 +59,21 @@ class Algorithm(enum.Enum):
                 return member
         raise ValueError(f"unknown algorithm {value!r}")
 
+    @property
+    def strategy(self) -> "str | None":
+        """The :data:`STRATEGY_MODES` key (the ``skyline_algorithm=``
+        session option) that runs this algorithm; ``None`` for the
+        reference, which is a plain-SQL rewrite, not a strategy."""
+        if self is Algorithm.REFERENCE:
+            return None
+        return self.value.replace(" ", "-")
+
 
 def make_dimensions(specs: Sequence[tuple[int, "DimensionKind | str"]]
                     ) -> list[BoundDimension]:
     """Convenience: ``[(index, 'min'), (index, 'max'), ...]`` to bound dims."""
     return [BoundDimension(index, DimensionKind.of(kind))
             for index, kind in specs]
-
-
-def distributed_complete(partitions: Sequence[Sequence[Sequence]],
-                         dims: Sequence[BoundDimension],
-                         distinct: bool = False,
-                         stats: DominanceStats | None = None,
-                         check_deadline: Callable[[], None] | None = None
-                         ) -> list[Sequence]:
-    """Local BNL skyline per partition, global BNL over the union.
-
-    The flagship algorithm: local skylines run in parallel (one task per
-    partition), the global pass sees only the surviving tuples.
-    """
-    local_union: list[Sequence] = []
-    for partition in partitions:
-        local_union.extend(
-            bnl_skyline(partition, dims, distinct=distinct, stats=stats,
-                        check_deadline=check_deadline))
-    return bnl_skyline(local_union, dims, distinct=distinct, stats=stats,
-                       check_deadline=check_deadline)
-
-
-def non_distributed_complete(partitions: Sequence[Sequence[Sequence]],
-                             dims: Sequence[BoundDimension],
-                             distinct: bool = False,
-                             stats: DominanceStats | None = None,
-                             check_deadline: Callable[[], None] | None = None
-                             ) -> list[Sequence]:
-    """Single global BNL over all tuples; gives up on parallelism."""
-    rows: list[Sequence] = []
-    for partition in partitions:
-        rows.extend(partition)
-    return bnl_skyline(rows, dims, distinct=distinct, stats=stats,
-                       check_deadline=check_deadline)
-
-
-def distributed_incomplete(partitions: Sequence[Sequence[Sequence]],
-                           dims: Sequence[BoundDimension],
-                           distinct: bool = False,
-                           stats: DominanceStats | None = None,
-                           check_deadline: Callable[[], None] | None = None
-                           ) -> list[Sequence]:
-    """Null-bitmap local skylines, flag-based all-pairs global skyline.
-
-    Correct for incomplete data (and trivially for complete data, where
-    it degenerates to a single partition and loses all parallelism --
-    the behaviour Section 6.6 warns about).
-    """
-    rows: list[Sequence] = []
-    for partition in partitions:
-        rows.extend(partition)
-    local = local_skylines_incomplete(rows, dims, distinct=False,
-                                      stats=stats,
-                                      check_deadline=check_deadline)
-    return flagged_global_skyline(local, dims, distinct=distinct,
-                                  stats=stats,
-                                  check_deadline=check_deadline)
 
 
 def reference(partitions: Sequence[Sequence[Sequence]],
@@ -161,49 +128,30 @@ def skyline(rows: Sequence[Sequence], dims: Sequence[BoundDimension],
             stats: DominanceStats | None = None) -> list[Sequence]:
     """One-call skyline over a flat list of tuples.
 
-    The friendly front door of the algorithm library: pick an algorithm,
-    optionally a partition count (for the distributed variants), and get
-    the skyline back.  ``complete=False`` forces null-aware semantics for
-    the reference algorithm; the incomplete algorithm is always null-aware.
+    Runs the strategy's two phases with the engine's scalar kernels:
+    the rows are cut into ``num_partitions`` contiguous slices as a scan
+    cuts a table, each slice's local skyline is taken (the
+    ``bitmap-local`` phase regroups all rows by null bitmap first, as
+    ``SkylineLocalExec`` does), and one global task reduces their
+    union.  The answer is the list a ``vectorized=False,
+    columnar=False`` session with ``num_executors=num_partitions``
+    returns.  A complete strategy over a NULL MIN/MAX value raises
+    :class:`~repro.errors.ExecutionError`; ``complete=False`` only
+    switches the reference to null-aware dominance.
     """
     algorithm = Algorithm.of(algorithm)
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
     rows = list(rows)
-    if num_partitions == 1:
-        partitions: list[list[Sequence]] = [rows]
-    else:
-        size, extra = divmod(len(rows), num_partitions)
-        partitions = []
-        start = 0
-        for i in range(num_partitions):
-            end = start + size + (1 if i < extra else 0)
-            partitions.append(rows[start:end])
-            start = end
-    if algorithm is Algorithm.DISTRIBUTED_COMPLETE:
-        return distributed_complete(partitions, dims, distinct, stats)
-    if algorithm is Algorithm.NON_DISTRIBUTED_COMPLETE:
-        return non_distributed_complete(partitions, dims, distinct, stats)
-    if algorithm is Algorithm.DISTRIBUTED_INCOMPLETE:
-        return distributed_incomplete(partitions, dims, distinct, stats)
-    return reference(partitions, dims, distinct, stats, complete=complete)
-
-
-def sfs_complete(partitions: Sequence[Sequence[Sequence]],
-                 dims: Sequence[BoundDimension],
-                 distinct: bool = False,
-                 stats: DominanceStats | None = None,
-                 check_deadline: Callable[[], None] | None = None
-                 ) -> list[Sequence]:
-    """Distributed SFS: local SFS per partition, global SFS over the union.
-
-    The sorting-based alternative the paper defers to future work;
-    benchmarked in the ablation suite.
-    """
-    local_union: list[Sequence] = []
-    for partition in partitions:
-        local_union.extend(sfs_skyline(partition, dims, distinct=distinct,
-                                       stats=stats,
-                                       check_deadline=check_deadline))
-    return sfs_skyline(local_union, dims, distinct=distinct, stats=stats,
-                       check_deadline=check_deadline)
+    # Cut first: it also rejects ``num_partitions < 1`` for the reference.
+    bounds = partition_bounds(len(rows), num_partitions)
+    if algorithm is Algorithm.REFERENCE:
+        return reference([rows], dims, distinct, stats, complete=complete)
+    local_mode, global_mode = STRATEGY_MODES[algorithm.strategy]
+    if local_mode is not None:
+        partitions = [rows[start:stop] for start, stop in bounds]
+        if local_mode == "bitmap-local":
+            partitions = list(split_by_null_bitmap(rows, dims).values())
+        rows = [row for partition in partitions for row in skyline_task(
+            partition, dims, local_mode, distinct, vectorized=False,
+            stats=stats)[0]]
+    return skyline_task(rows, dims, global_mode, distinct, vectorized=False,
+                        stats=stats)[0]

@@ -59,32 +59,54 @@ def bnl_skyline(rows: Iterable[Sequence], dims: Sequence[BoundDimension],
             deadline_tick += 1
             if deadline_tick % 256 == 0:
                 check_deadline()
-        t_dominated = False
-        survivors: list[Sequence] = []
-        for w in window:
-            if t_dominated:
-                survivors.append(w)
-                continue
-            comparisons += 1
-            if dominance(w, t, dims):
-                t_dominated = True
-                survivors.append(w)
-                continue
-            comparisons += 1
-            if dominance(t, w, dims):
-                # w is dominated by t: drop it.
-                continue
-            if distinct and equal_on_dimensions(t, w, dims):
-                # Same skyline-dimension values: keep the incumbent only.
-                t_dominated = True
-            survivors.append(w)
-        window = survivors
-        if not t_dominated:
-            window.append(t)
-            if len(window) > window_peak:
-                window_peak = len(window)
+        window, t_dominated, tests = bnl_step(window, t, dims, distinct,
+                                              dominance)
+        comparisons += tests
+        if not t_dominated and len(window) > window_peak:
+            window_peak = len(window)
     if stats is not None:
         stats.comparisons += comparisons
         stats.note_window(window_peak)
     return window
 
+
+def bnl_step(window: list[Sequence], t: Sequence,
+             dims: Sequence[BoundDimension], distinct: bool = False,
+             dominance: Callable = dominates
+             ) -> tuple[list[Sequence], bool, int]:
+    """Fold one tuple ``t`` into a BNL ``window`` -- the one window
+    step of :func:`bnl_skyline`, :class:`repro.streaming.SkylineStream`
+    and the result cache's insert maintenance.
+
+    Returns ``(window, t_dominated, comparisons)``: a new list of the
+    members ``t`` does not dominate, then ``t`` unless a member
+    dominates it (or, under ``distinct``, ties it on every dimension);
+    whether one did; and the directed dominance tests evaluated.  The
+    first member that dominates ``t`` ends the tests, but the members
+    ``t`` dominated before it stay evicted: impossible under a
+    transitive test, possible with NaN data, and the pinned NaN
+    semantics every kernel reproduces.
+    """
+    t_dominated = False
+    survivors: list[Sequence] = []
+    comparisons = 0
+    for w in window:
+        if t_dominated:
+            survivors.append(w)
+            continue
+        comparisons += 1
+        if dominance(w, t, dims):
+            t_dominated = True
+            survivors.append(w)
+            continue
+        comparisons += 1
+        if dominance(t, w, dims):
+            # w is dominated by t: drop it.
+            continue
+        if distinct and equal_on_dimensions(t, w, dims):
+            # Same skyline-dimension values: keep the incumbent only.
+            t_dominated = True
+        survivors.append(w)
+    if not t_dominated:
+        survivors.append(t)
+    return survivors, t_dominated, comparisons

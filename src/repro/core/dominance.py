@@ -94,7 +94,6 @@ class DominanceStats:
 
     comparisons: int = 0
     window_peak: int = 0
-    partition_sizes: list[int] = field(default_factory=list)
 
     def note_window(self, size: int) -> None:
         if size > self.window_peak:
@@ -104,7 +103,6 @@ class DominanceStats:
         self.comparisons += other.comparisons
         if other.window_peak > self.window_peak:
             self.window_peak = other.window_peak
-        self.partition_sizes.extend(other.partition_sizes)
 
 
 def dominates(r: Sequence, s: Sequence,
@@ -172,22 +170,6 @@ def dominates_incomplete(r: Sequence, s: Sequence,
             if rv > sv:
                 strictly_better = True
     return strictly_better
-
-
-def compare(r: Sequence, s: Sequence, dims: Sequence[BoundDimension],
-            complete: bool = True) -> int:
-    """Three-way dominance comparison.
-
-    Returns ``-1`` if ``r`` dominates ``s``, ``1`` if ``s`` dominates
-    ``r`` and ``0`` if the tuples are incomparable (or equal).  Useful for
-    algorithms that want both directions from a single pass.
-    """
-    test = dominates if complete else dominates_incomplete
-    if test(r, s, dims):
-        return -1
-    if test(s, r, dims):
-        return 1
-    return 0
 
 
 def null_bitmap(row: Sequence, dims: Sequence[BoundDimension]) -> int:

@@ -7,7 +7,8 @@ are required:
 * **Local skylines** are only computed inside *null-bitmap partitions*:
   all tuples with nulls in exactly the same skyline dimensions share a
   partition, where dominance is again transitive and plain BNL is safe
-  (Lemma 5.1 proves no global-skyline answer is lost this way).
+  (Lemma 5.1 proves no global-skyline answer is lost this way) -- the
+  ``bitmap-local`` mode of :func:`repro.core.vectorized.skyline_task`.
 
 * The **global skyline** must not delete dominated tuples prematurely: a
   dominated tuple may be the only witness against another tuple.  The
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DominanceStats,
                         dominates_incomplete, equal_on_dimensions,
                         null_bitmap)
@@ -37,32 +37,6 @@ def partition_by_null_bitmap(rows: Sequence[Sequence],
     for row in rows:
         partitions.setdefault(null_bitmap(row, dims), []).append(row)
     return partitions
-
-
-def local_skylines_incomplete(rows: Sequence[Sequence],
-                              dims: Sequence[BoundDimension],
-                              distinct: bool = False,
-                              stats: DominanceStats | None = None,
-                              check_deadline: Callable[[], None] | None = None
-                              ) -> list[Sequence]:
-    """Union of per-bitmap-partition local skylines.
-
-    Within one bitmap partition all tuples have identical null positions,
-    hence dominance restricted to the partition is transitive and BNL
-    applies unchanged (using the incomplete dominance test, which inside
-    a partition coincides with the complete test on the non-null
-    dimensions).
-    """
-    result: list[Sequence] = []
-    partitions = partition_by_null_bitmap(rows, dims)
-    if stats is not None:
-        stats.partition_sizes.extend(len(p) for p in partitions.values())
-    for partition in partitions.values():
-        result.extend(bnl_skyline(partition, dims, distinct=distinct,
-                                  stats=stats,
-                                  dominance=dominates_incomplete,
-                                  check_deadline=check_deadline))
-    return result
 
 
 def flagged_global_skyline(rows: Sequence[Sequence],

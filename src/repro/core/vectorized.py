@@ -714,42 +714,6 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
     return result, stats.window_peak, stats.comparisons
 
 
-def vec_bnl_skyline(rows: Sequence[Sequence],
-                    dims: Sequence[BoundDimension],
-                    distinct: bool = False,
-                    stats: DominanceStats | None = None,
-                    check_deadline: Callable[[], None] | None = None
-                    ) -> list[Sequence]:
-    """Block-BNL skyline; multiset-identical to
-    :func:`~repro.core.bnl.bnl_skyline` on complete data."""
-    return skyline_task(rows, dims, "complete", distinct, True,
-                        check_deadline, stats)[0]
-
-
-def vec_sfs_skyline(rows: Sequence[Sequence],
-                    dims: Sequence[BoundDimension],
-                    distinct: bool = False,
-                    stats: DominanceStats | None = None,
-                    check_deadline: Callable[[], None] | None = None
-                    ) -> list[Sequence]:
-    """Sort-Filter-Skyline over columns: the window kernel's survivors
-    in the scalar kernel's output order (see :func:`_sfs_indices`), so
-    DISTINCT keeps the same representative."""
-    return skyline_task(rows, dims, "sfs", distinct, True,
-                        check_deadline, stats)[0]
-
-
-def vec_flagged_global_skyline(rows: Sequence[Sequence],
-                               dims: Sequence[BoundDimension],
-                               distinct: bool = False,
-                               stats: DominanceStats | None = None,
-                               check_deadline: Callable[[], None] | None
-                               = None) -> list[Sequence]:
-    """Flag-based all-pairs global skyline for incomplete data."""
-    return skyline_task(rows, dims, "flagged", distinct, True,
-                        check_deadline, stats)[0]
-
-
 # ---------------------------------------------------------------------------
 # Row/batch adapters of the partition-level callers
 # ---------------------------------------------------------------------------

@@ -468,9 +468,9 @@ class ProcessBackend(Backend):
 
     Only tasks with a picklable payload (``func``/``args``) travel to the
     worker processes; closure-only tasks run inline in the driver.  The
-    local-skyline phase -- the parallel bulk of ``distributed_complete``
-    and ``distributed_incomplete`` -- provides such payloads, so it is
-    exactly the work that fans out.
+    local-skyline phase -- the parallel bulk of the
+    ``distributed-complete`` and ``distributed-incomplete`` strategies --
+    provides such payloads, so it is exactly the work that fans out.
 
     A dead worker breaks the whole pool (``BrokenProcessPool`` on every
     in-flight future); :meth:`_recover` rebuilds it and re-runs only

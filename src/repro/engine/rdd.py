@@ -17,7 +17,7 @@ split, is faithfully preserved.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .batch import ColumnBatch
 
@@ -25,8 +25,10 @@ from .batch import ColumnBatch
 def partition_bounds(num_rows: int, num_partitions: int
                      ) -> list[tuple[int, int]]:
     """``(start, stop)`` of each partition of the even contiguous scan
-    split: :meth:`RDD.from_rows` cuts row lists here and the columnar
-    scans slice a table's resident :class:`ColumnBatch` at the same."""
+    split, as Spark spreads an input over the available parallelism
+    (Section 5.5): the row scans cut row lists here, the columnar scans
+    slice a table's resident :class:`ColumnBatch` at the same bounds
+    and :func:`repro.core.skyline` partitions its input alike."""
     if num_partitions < 1:
         raise ValueError("num_partitions must be >= 1")
     size, extra = divmod(num_rows, num_partitions)
@@ -46,22 +48,6 @@ class RDD:
 
     def __init__(self, partitions: Sequence[list[tuple]]) -> None:
         self.partitions: list[list[tuple]] = [list(p) for p in partitions]
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple],
-                  num_partitions: int = 1) -> "RDD":
-        """Distribute ``rows`` round-robin-in-chunks over partitions.
-
-        Mirrors Spark's default behaviour of splitting the input evenly
-        across the available parallelism ("if there are 10 executors for
-        10,000,000 tuples, each executor will receive roughly 1 million
-        tuples each" -- Section 5.5).
-        """
-        rows = list(rows)
-        return cls([rows[start:stop] for start, stop
-                    in partition_bounds(len(rows), num_partitions)])
 
     # -- inspection ------------------------------------------------------
 

@@ -403,8 +403,9 @@ class ScanExec(_NarrowExec):
     With ``columnar=True`` (the session's batch data plane) the scan
     emits zero-copy slices of the table's resident :class:`ColumnBatch`
     (:meth:`~repro.engine.catalog.Table.column_batch`: columnized once
-    per data version, not per query) at the :meth:`RDD.from_rows`
-    bounds, and downstream batch-capable operators exchange batches.
+    per data version, not per query) at the
+    :func:`~repro.engine.rdd.partition_bounds` a row scan cuts at, and
+    downstream batch-capable operators exchange batches.
     """
 
     def __init__(self, rows: list[tuple],
@@ -889,7 +890,7 @@ class HashJoinExec(PhysicalPlan):
             task = functools.partial(
                 self._probe, right, right_key, R.with_null_row(lefts[0]),
                 R.join_build(*left_keys[0]), None)
-            return [ctx.run_task(stage + "-right", 0, task, len(right),
+            return [ctx.run_task(stage, 0, task, len(right),
                                  parallelizable=False, kernel="vectorized")]
         build = R.join_build(*right_key)
         build_side = R.with_null_row(right) \
@@ -997,7 +998,7 @@ class HashJoinExec(PhysicalPlan):
             return out
 
         if from_right:
-            return [ctx.run_task(stage + "-right", 0,
+            return [ctx.run_task(stage, 0,
                                  functools.partial(probe, right_rows),
                                  len(right_rows), parallelizable=False)]
         result_partitions = ctx.run_stage(stage, [

@@ -14,7 +14,10 @@ The skyline strategy implements Listing 8 of the paper:
 
 plus a session-level override (``skyline.algorithm``) that the benchmark
 harness uses to force each of the evaluated strategies, and an ``sfs``
-option for the sorting-based future-work algorithm.  No choice reads
+option for the sorting-based future-work algorithm.  The kernel modes
+each strategy runs come from
+:data:`repro.core.algorithms.STRATEGY_MODES`, the table
+:func:`repro.core.skyline` runs too.  No choice reads
 statistics: a cost-based one (the paper's Section 7 future work) did
 not beat this rule on any benchmark workload (``docs/benchmarks.md``,
 "Planner regret").
@@ -24,29 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.algorithms import STRATEGY_MODES
 from ..engine import expressions as E
 from ..errors import PlanningError
 from . import logical as L
 from . import physical as P
 
 #: Valid values of the ``skyline.algorithm`` session option.
-SKYLINE_STRATEGIES = (
-    "auto",
-    "distributed-complete",
-    "non-distributed-complete",
-    "distributed-incomplete",
-    "sfs",
-)
-
-#: Resolved strategy -> (local mode, global mode) of the two skyline
-#: operators (:data:`repro.core.vectorized.SKYLINE_MODES`); ``None``
-#: plans no local stage.
-SKYLINE_OPERATOR_MODES = {
-    "distributed-complete": ("complete", "complete"),
-    "non-distributed-complete": (None, "complete"),
-    "distributed-incomplete": ("bitmap-local", "flagged"),
-    "sfs": ("sfs", "sfs"),
-}
+SKYLINE_STRATEGIES = ("auto", *STRATEGY_MODES)
 
 #: What each algorithm's local stage runs on, and why: the scan's
 #: partitioning is never overridden.
@@ -231,7 +219,7 @@ class Planner:
         self.decisions.append(PlanDecision(strategy, reason))
 
         vectorized = self.vectorized
-        local_mode, global_mode = SKYLINE_OPERATOR_MODES[strategy]
+        local_mode, global_mode = STRATEGY_MODES[strategy]
         if local_mode is not None:
             child = P.SkylineLocalExec(
                 items, node.distinct, child, local_mode,

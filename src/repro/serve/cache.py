@@ -26,7 +26,8 @@ DML *maintains* the cache: the catalog's delta events carry the
 republished batch, and over complete data one delta changes a skyline
 by exactly one step.
 
-* **insert** -- one BNL window step (Börzsönyi, Kossmann, Stocker): a
+* **insert** -- one BNL window step (Börzsönyi, Kossmann, Stocker;
+  :func:`repro.core.bnl.bnl_step`, the step every BNL kernel runs): a
   row strictly dominated by a member changes no skyline, for ``P`` or
   any subset of it; any other row joins and the members it dominates
   leave (a tie on every dimension keeps both) -- whatever else it
@@ -62,6 +63,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..core import BoundDimension, DimensionKind, dominates
+from ..core.bnl import bnl_step
 from ..core.vectorized import vec_dominated_mask
 from ..engine import expressions as E
 from ..engine.batch import F8, OBJ, Column, ColumnBatch
@@ -211,16 +213,6 @@ def _locate(base: ColumnBatch, members: list, column: int
             base.column(column).data, [m[column] for m in wanted])).tolist()
     positions = [i for i in near if rows[i] in wanted]
     return positions if len(positions) == len(members) else None
-
-
-def _window_step(members: list, positions: list, row: tuple, at: int,
-                 bdims) -> "tuple[list, list]":
-    """One BNL window step for a ``row`` (inserted at position ``at``)
-    no member dominates: the members it does not dominate, plus it."""
-    keep = [k for k, member in enumerate(members)
-            if not dominates(row, member, bdims)]
-    return ([members[k] for k in keep] + [row],
-            [positions[k] for k in keep] + [at])
 
 
 def _promoted(base: ColumnBatch, members: list, deleted: list, bdims
@@ -393,12 +385,18 @@ class SkylineResultCache:
                         return "null_dimension"
                     if row[i] != row[i]:
                         return "nan_dimension"
-                if any(dominates(member, row, bdims) for member in members):
+                window, dominated, _ = bnl_step(members, row, bdims)
+                if dominated:
                     continue
                 if batch is None:
                     return "no_resident_columns"
-                members, positions = _window_step(members, positions,
-                                                  row, at, bdims)
+                # ``window``: the members ``row`` spared, in order, then
+                # ``row``; one object fares alike wherever it stands, so
+                # ids map the survivors back to their positions.
+                kept = set(map(id, window))
+                positions = [p for m, p in zip(members, positions)
+                             if id(m) in kept] + [at]
+                members = window
                 self.stats.maintained_inserts += 1
         elif batch is None:
             if not set(members).isdisjoint(event.rows):

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .core.dominance import (BoundDimension, dominates, equal_on_dimensions,
-                             has_null_dimension)
+from .core.bnl import bnl_step
+from .core.dominance import BoundDimension, dominates, has_null_dimension
 from .core.incomplete import flagged_global_skyline
 from .errors import ExecutionError
 
@@ -46,7 +46,8 @@ CHECKPOINT_VERSION = 2
 class SkylineStream:
     """Continuously maintained skyline over an append-only row stream.
 
-    Each :meth:`add` folds one row into the window in O(window) time;
+    Each :meth:`add` folds one row into the window in O(window) time
+    with the BNL window step (:func:`repro.core.bnl.bnl_step`);
     :meth:`current` returns the skyline of everything seen so far.
     ``distinct`` applies ``SKYLINE OF DISTINCT`` semantics.
 
@@ -73,7 +74,8 @@ class SkylineStream:
         self._null_buffer: list[Sequence] = []
         self.rows_seen = 0
         self.rows_dropped = 0
-        #: Dominance tests performed so far.
+        #: Directed dominance tests evaluated so far (both directions
+        #: count, as in every :class:`~repro.core.DominanceStats`).
         self.comparisons = 0
         #: High-water mark of the window size (plus buffered nulls).
         self.window_peak = 0
@@ -91,29 +93,14 @@ class SkylineStream:
             self._null_buffer.append(row)
             self._note_peak()
             return True
-        survivors: list[Sequence] = []
-        dominated = False
-        for candidate in self._window:
-            if dominated:
-                survivors.append(candidate)
-                continue
-            self.comparisons += 1
-            if self._dominates(candidate, row, self.dims):
-                dominated = True
-                survivors.append(candidate)
-                continue
-            if self._dominates(row, candidate, self.dims):
-                self.rows_dropped += 1
-                continue
-            if self.distinct and equal_on_dimensions(row, candidate,
-                                                     self.dims):
-                dominated = True
-            survivors.append(candidate)
-        self._window = survivors
+        window, dominated, tests = bnl_step(
+            self._window, row, self.dims, self.distinct, self._dominates)
+        self.comparisons += tests
+        # The members ``row`` evicted, plus ``row`` itself if dominated.
+        self.rows_dropped += len(self._window) + 1 - len(window)
+        self._window = window
         if dominated:
-            self.rows_dropped += 1
             return False
-        self._window.append(row)
         self._note_peak()
         return True
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (BoundDimension, DimensionKind, DominanceStats,
-                        compare, dominates, dominates_incomplete,
+                        dominates, dominates_incomplete,
                         equal_on_dimensions, has_null_dimension,
                         null_bitmap)
 
@@ -138,16 +138,6 @@ class TestIncompleteDominance:
                     and dominates_incomplete(s, r, MIN2))
 
 
-class TestCompare:
-    def test_three_way_results(self):
-        assert compare((1, 1), (2, 2), MIN2) == -1
-        assert compare((2, 2), (1, 1), MIN2) == 1
-        assert compare((1, 2), (2, 1), MIN2) == 0
-
-    def test_incomplete_mode(self):
-        assert compare((1, None), (2, 5), MIN2, complete=False) == -1
-
-
 class TestNullBitmap:
     def test_bit_positions_follow_dimension_order(self):
         dims = [BoundDimension(2, DimensionKind.MIN),
@@ -180,11 +170,8 @@ class TestDominanceStats:
         assert stats.window_peak == 3
 
     def test_merge_accumulates(self):
-        a = DominanceStats(comparisons=5, window_peak=2,
-                           partition_sizes=[10])
-        b = DominanceStats(comparisons=7, window_peak=4,
-                           partition_sizes=[20])
+        a = DominanceStats(comparisons=5, window_peak=2)
+        b = DominanceStats(comparisons=7, window_peak=4)
         a.merge(b)
         assert a.comparisons == 12
         assert a.window_peak == 4
-        assert a.partition_sizes == [10, 20]

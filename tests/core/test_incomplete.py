@@ -3,10 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (BoundDimension, DimensionKind, DominanceStats,
+from repro.core import (BoundDimension, DimensionKind,
                         dominates_incomplete, flagged_global_skyline,
-                        gulzar_global_skyline, local_skylines_incomplete,
-                        partition_by_null_bitmap)
+                        gulzar_global_skyline, partition_by_null_bitmap)
+from repro.core.vectorized import skyline_task, split_by_null_bitmap
 from tests.conftest import skyline_oracle
 
 DIMS3 = [BoundDimension(i, DimensionKind.MIN) for i in range(3)]
@@ -15,6 +15,15 @@ DIMS2 = [BoundDimension(i, DimensionKind.MIN) for i in range(2)]
 maybe_int = st.one_of(st.none(), st.integers(0, 6))
 rows_with_nulls = st.lists(st.tuples(maybe_int, maybe_int, maybe_int),
                            max_size=40)
+
+
+def bitmap_local_phase(rows, dims):
+    """The ``bitmap-local`` phase: BNL under the restricted test inside
+    each null-bitmap piece, as ``SkylineLocalExec`` runs it."""
+    return [row for piece in split_by_null_bitmap(rows, dims).values()
+            for row in skyline_task(piece, dims, "bitmap-local",
+                                    vectorized=False)[0]]
+
 
 # The cyclic counterexample of Section 3 / Appendix A.
 CYCLE_A = (1, None, 10)
@@ -49,20 +58,18 @@ class TestBitmapPartitioning:
 class TestLocalSkylines:
     def test_dominance_detected_within_partition(self):
         rows = [(None, 1, 1), (None, 2, 2)]
-        assert local_skylines_incomplete(rows, DIMS3) == [(None, 1, 1)]
+        assert bitmap_local_phase(rows, DIMS3) == [(None, 1, 1)]
 
     def test_no_elimination_across_partitions(self):
         # a dominates b but they live in different bitmap partitions, so
         # the local stage must keep both.
-        result = local_skylines_incomplete([CYCLE_A, CYCLE_B], DIMS3)
+        result = bitmap_local_phase([CYCLE_A, CYCLE_B], DIMS3)
         assert sorted(result, key=repr) == sorted([CYCLE_A, CYCLE_B],
                                                   key=repr)
 
-    def test_partition_sizes_recorded(self):
-        stats = DominanceStats()
-        local_skylines_incomplete([CYCLE_A, CYCLE_B, CYCLE_C], DIMS3,
-                                  stats=stats)
-        assert sorted(stats.partition_sizes) == [1, 1, 1]
+    def test_each_null_bitmap_is_its_own_piece(self):
+        pieces = split_by_null_bitmap([CYCLE_A, CYCLE_B, CYCLE_C], DIMS3)
+        assert sorted(map(len, pieces.values())) == [1, 1, 1]
 
 
 class TestFlaggedGlobalSkyline:
@@ -105,7 +112,7 @@ class TestLemma51:
     @given(rows_with_nulls)
     @settings(max_examples=100, deadline=None)
     def test_pipeline_equals_direct_global(self, rows):
-        local = local_skylines_incomplete(rows, DIMS3)
+        local = bitmap_local_phase(rows, DIMS3)
         via_pipeline = flagged_global_skyline(local, DIMS3)
         direct = skyline_oracle(rows, DIMS3, complete=False)
         assert sorted(via_pipeline, key=repr) == sorted(direct, key=repr)
@@ -113,7 +120,7 @@ class TestLemma51:
     @given(rows_with_nulls)
     @settings(max_examples=60, deadline=None)
     def test_every_eliminated_tuple_has_surviving_dominator(self, rows):
-        local = local_skylines_incomplete(rows, DIMS3)
+        local = bitmap_local_phase(rows, DIMS3)
         local_set = {id(r) for r in local}
         for p in rows:
             in_global = not any(

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import repro.core.vectorized as V
 from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
-                        make_dimensions, sfs_skyline, vec_bnl_skyline,
-                        vec_flagged_global_skyline, vec_sfs_skyline)
+                        make_dimensions, sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
 from repro.core.dominance import DominanceStats, dominates_incomplete
 from repro.core.incomplete import partition_by_null_bitmap
@@ -44,8 +43,17 @@ def srt(rows):
     return sorted(rows, key=repr)
 
 
-def bitmap_local(rows, dims):
-    return skyline_task(rows, dims, "bitmap-local")[0]
+def vectorized_kernel(mode):
+    """The vectorized :func:`skyline_task` of ``mode`` on row lists."""
+    def kernel(rows, dims, distinct=False, stats=None):
+        return skyline_task(rows, dims, mode, distinct, stats=stats)[0]
+    return kernel
+
+
+bitmap_local = vectorized_kernel("bitmap-local")
+vec_bnl = vectorized_kernel("complete")
+vec_sfs = vectorized_kernel("sfs")
+vec_flagged = vectorized_kernel("flagged")
 
 
 bnl_incomplete = functools.partial(bnl, dominance=dominates_incomplete)
@@ -103,7 +111,7 @@ class TestColumnize:
     def test_empty_input(self):
         block = columnize([], MIN2)
         assert block.num_rows == 0
-        assert vec_bnl_skyline([], MIN2) == []
+        assert vec_bnl([], MIN2) == []
 
     def test_uniform_null_pattern(self):
         assert columnize([(None, 1), (None, 2)],
@@ -166,7 +174,7 @@ class TestKernelAgreement:
     @given(rows_3d, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_bnl_matches_scalar(self, rows, distinct):
-        assert srt(vec_bnl_skyline(rows, MIXED3, distinct=distinct)) == \
+        assert srt(vec_bnl(rows, MIXED3, distinct=distinct)) == \
             srt(bnl_skyline(rows, MIXED3, distinct=distinct))
 
     @given(rows_3d, st.booleans())
@@ -174,7 +182,7 @@ class TestKernelAgreement:
     def test_sfs_matches_scalar(self, rows, distinct):
         # Exact list equality: the vectorized kernel must reproduce the
         # scalar kernel's global-score-order output, DIFF groups and all.
-        assert vec_sfs_skyline(rows, MIXED3, distinct=distinct) == \
+        assert vec_sfs(rows, MIXED3, distinct=distinct) == \
             sfs_skyline(rows, MIXED3, distinct=distinct)
 
     def test_sfs_diff_groups_keep_global_score_order(self):
@@ -182,7 +190,7 @@ class TestKernelAgreement:
         # output -- scalar SFS emits one global score order.
         dims = make_dimensions([(0, "diff"), (1, "min"), (2, "min")])
         rows = [("g2", 5, 5), ("g1", 1, 9), ("g2", 1, 1), ("g1", 9, 1)]
-        assert vec_sfs_skyline(rows, dims) == sfs_skyline(rows, dims) == \
+        assert vec_sfs(rows, dims) == sfs_skyline(rows, dims) == \
             [("g2", 1, 1), ("g1", 1, 9), ("g1", 9, 1)]
 
     def test_sfs_mixed_finite_groups_route_whole_input_to_bnl(self):
@@ -192,14 +200,13 @@ class TestKernelAgreement:
         dims = make_dimensions([(0, "diff"), (1, "min"), (2, "min")])
         rows = [("g1", INF, -INF), ("g2", 2, 2), ("g1", 0, 0),
                 ("g2", 1, 3)]
-        assert vec_sfs_skyline(rows, dims) == sfs_skyline(rows, dims)
+        assert vec_sfs(rows, dims) == sfs_skyline(rows, dims)
 
     @given(rows_nullable, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_flagged_matches_scalar(self, rows, distinct):
         dims = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
-        assert srt(vec_flagged_global_skyline(
-            rows, dims, distinct=distinct)) == \
+        assert srt(vec_flagged(rows, dims, distinct=distinct)) == \
             srt(flagged_global_skyline(rows, dims, distinct=distinct))
 
     @given(rows_2d)
@@ -216,7 +223,7 @@ class TestKernelAgreement:
         # kernels refuse them by name, the scalar library ones fail on
         # the comparison.
         rows = [(None, 1.0), (2.0, 2.0)]
-        for kernel in (vec_bnl_skyline, vec_sfs_skyline):
+        for kernel in (vec_bnl, vec_sfs):
             with pytest.raises(ExecutionError, match="#1 \\(MIN\\)"):
                 kernel(rows, MIN2)
         for kernel in (bnl_skyline, sfs_skyline):
@@ -245,15 +252,15 @@ class TestKernelAgreement:
         rng = random.Random(7)
         rows = [(rng.random(), rng.random())
                 for _ in range(V.BLOCK_ROWS * 3 + 17)]
-        assert srt(vec_bnl_skyline(rows, MIN2)) == \
+        assert srt(vec_bnl(rows, MIN2)) == \
             srt(bnl_skyline(rows, MIN2))
-        assert srt(vec_sfs_skyline(rows, MIN2)) == \
+        assert srt(vec_sfs(rows, MIN2)) == \
             srt(sfs_skyline(rows, MIN2))
 
     def test_stats_are_populated(self):
         stats = DominanceStats()
         rows = [(i % 5, (i * 7) % 5) for i in range(50)]
-        vec_bnl_skyline(rows, MIN2, stats=stats)
+        vec_bnl(rows, MIN2, stats=stats)
         assert stats.comparisons > 0
         assert stats.window_peak > 0
 
@@ -634,7 +641,7 @@ class TestPinnedNaNSemantics:
         # first -- insertion-is-final must not keep it.
         rows = [(1e16, 0.6), (1e16, 0.4)]
         assert sfs_skyline(rows, MIN2) == [(1e16, 0.4)]
-        assert vec_sfs_skyline(rows, MIN2) == [(1e16, 0.4)]
+        assert vec_sfs(rows, MIN2) == [(1e16, 0.4)]
         assert srt(bnl_skyline(rows, MIN2)) == srt([(1e16, 0.4)])
 
     def test_sfs_rounding_tie_across_chunk_boundary(self):
@@ -645,7 +652,7 @@ class TestPinnedNaNSemantics:
         rows = [(1e16, 0.9 - i * 1e-4) for i in range(n)]
         expected = [rows[-1]]
         assert sfs_skyline(rows, MIN2) == expected
-        assert vec_sfs_skyline(rows, MIN2) == expected
+        assert vec_sfs(rows, MIN2) == expected
 
     def test_sfs_exact_tie_without_dominance_keeps_all(self):
         # Anti-correlated integers: every row scores exactly the same
@@ -653,8 +660,8 @@ class TestPinnedNaNSemantics:
         # the stable (input) order.
         n = V.BLOCK_ROWS * 2 + 9
         rows = [(float(i), float(n - i)) for i in range(n)]
-        assert vec_sfs_skyline(rows, MIN2) == sfs_skyline(rows, MIN2)
-        assert len(vec_sfs_skyline(rows, MIN2)) == n
+        assert vec_sfs(rows, MIN2) == sfs_skyline(rows, MIN2)
+        assert len(vec_sfs(rows, MIN2)) == n
 
     def test_scalar_sfs_falls_back_on_absorbing_inf(self):
         # Regression: -inf absorbs the monotone score, tying the
@@ -666,9 +673,9 @@ class TestPinnedNaNSemantics:
     @given(rows_special, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_vectorized_agrees_on_special_values(self, rows, distinct):
-        assert srt(vec_bnl_skyline(rows, MIN2, distinct=distinct)) == \
+        assert srt(vec_bnl(rows, MIN2, distinct=distinct)) == \
             srt(bnl_skyline(rows, MIN2, distinct=distinct))
-        assert srt(vec_sfs_skyline(rows, MIN2, distinct=distinct)) == \
+        assert srt(vec_sfs(rows, MIN2, distinct=distinct)) == \
             srt(sfs_skyline(rows, MIN2, distinct=distinct))
 
     @given(st.lists(st.tuples(st.one_of(st.none(), special),
@@ -676,26 +683,25 @@ class TestPinnedNaNSemantics:
                     max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_flagged_agrees_on_special_and_null_values(self, rows):
-        assert srt(vec_flagged_global_skyline(rows, MIN2)) == \
+        assert srt(vec_flagged(rows, MIN2)) == \
             srt(flagged_global_skyline(rows, MIN2))
 
     def test_distinct_never_merges_nan_rows(self):
         # NaN != NaN: DISTINCT must keep both NaN rows (they are not
         # equal on the dimensions), matching equal_on_dimensions.
         rows = [(NAN, 1), (NAN, 1)]
-        assert len(vec_bnl_skyline(rows, MIN2, distinct=True)) == 2
+        assert len(vec_bnl(rows, MIN2, distinct=True)) == 2
         assert len(bnl_skyline(rows, MIN2, distinct=True)) == 2
 
     def test_distinct_merges_null_rows(self):
         rows = [(None, 1, 0), (None, 1, 5)]
         dims = make_dimensions([(0, "min"), (1, "min")])
-        assert len(vec_flagged_global_skyline(
-            rows, dims, distinct=True)) == 1
+        assert len(vec_flagged(rows, dims, distinct=True)) == 1
 
 
 class TestFallbacks:
     def test_non_numeric_rows_fall_back(self):
         rows = [("b", 2), ("a", 1), ("c", 0)]
         dims = make_dimensions([(0, "min"), (1, "min")])
-        assert srt(vec_bnl_skyline(rows, dims)) == \
+        assert srt(vec_bnl(rows, dims)) == \
             srt(bnl_skyline(rows, dims))

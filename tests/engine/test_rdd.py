@@ -8,30 +8,29 @@ from repro.engine.batch import ColumnBatch
 from repro.engine.rdd import RDD, BatchRDD, partition_bounds
 
 
-class TestConstruction:
-    def test_from_rows_splits_evenly(self):
-        rdd = RDD.from_rows([(i,) for i in range(10)], 3)
-        assert rdd.partition_sizes() == [4, 3, 3]
-        assert rdd.count() == 10
+def _split(rows, k):
+    return [rows[start:stop] for start, stop in partition_bounds(len(rows), k)]
 
-    def test_from_rows_single_partition(self):
-        rdd = RDD.from_rows([(1,), (2,)], 1)
-        assert rdd.num_partitions == 1
+
+class TestConstruction:
+    def test_splits_evenly(self):
+        assert partition_bounds(10, 3) == [(0, 4), (4, 7), (7, 10)]
+
+    def test_single_partition(self):
+        assert partition_bounds(2, 1) == [(0, 2)]
 
     def test_more_partitions_than_rows(self):
-        rdd = RDD.from_rows([(1,)], 4)
-        assert rdd.num_partitions == 4
-        assert rdd.partition_sizes() == [1, 0, 0, 0]
+        assert partition_bounds(1, 4) == [(0, 1), (1, 1), (1, 1), (1, 1)]
 
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
-            RDD.from_rows([], 0)
+            partition_bounds(0, 0)
 
     @given(st.lists(st.tuples(st.integers()), max_size=50),
            st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_split_preserves_order_and_content(self, rows, k):
-        assert RDD.from_rows(rows, k).collect() == rows
+        assert RDD(_split(rows, k)).collect() == rows
 
 
 class TestPartitionBounds:
@@ -56,7 +55,7 @@ class TestBatchRDD:
     ROWS = [(float(i % 7), i, None if i % 5 else "x") for i in range(20)]
 
     def _pair(self):
-        rdd = RDD.from_rows(self.ROWS, 3)
+        rdd = RDD(_split(self.ROWS, 3))
         return rdd, BatchRDD([ColumnBatch.from_rows(p, 3)
                               for p in rdd.partitions])
 

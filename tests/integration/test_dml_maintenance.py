@@ -442,8 +442,7 @@ class TestMutations:
     def test_never_evicting_is_caught(self, monkeypatch):
         entering_insert_that_evicts()
         monkeypatch.setattr(
-            cache_module, "_window_step",
-            lambda members, positions, row, at, bdims:
-            (members + [row], positions + [at]))
+            cache_module, "bnl_step",
+            lambda window, row, dims: (window + [row], False, 0))
         with pytest.raises(AssertionError):
             entering_insert_that_evicts()

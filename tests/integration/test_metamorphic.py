@@ -21,14 +21,20 @@ import random
 import pytest
 
 from repro import connect
-from repro.core import bnl_skyline, make_dimensions, vec_bnl_skyline
+from repro.core import bnl_skyline, make_dimensions
+from repro.core.vectorized import skyline_task
 from repro.engine.types import DOUBLE, INTEGER
 
 SEED = 99
 DIMS = make_dimensions([(1, "min"), (2, "max"), (3, "min")])
 
+
+def vectorized_bnl(rows, dims, distinct=False):
+    return skyline_task(rows, dims, "complete", distinct)[0]
+
+
 KERNELS = [pytest.param(bnl_skyline, id="scalar"),
-           pytest.param(vec_bnl_skyline, id="vectorized")]
+           pytest.param(vectorized_bnl, id="vectorized")]
 
 
 def make_rows(n: int = 120, seed: int = SEED) -> list[tuple]:

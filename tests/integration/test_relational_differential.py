@@ -222,12 +222,29 @@ def test_join_stages_are_the_same_on_both_planes(how, plane):
               if stage.name.startswith(join.stage_name())]
     shape = [(stage.name[len(join.stage_name()):], len(stage.tasks))
              for stage in stages]
-    assert shape == ([("", 0), ("-right", 1)] if how == "right"
-                     else [("", 3)])
+    assert shape == ([("", 1)] if how == "right" else [("", 3)])
     tasks = [task for stage in stages for task in stage.tasks]
     partitions = out.partition_sizes()
     assert [task.rows_out for task in tasks] == partitions[:len(tasks)]
     assert len(partitions) == len(tasks) + (how == "full")
+
+
+@pytest.mark.parametrize("plane", ("batch", "row"))
+def test_right_outer_join_is_one_stage_in_the_summary(plane):
+    """Regression: RIGHT OUTER ran its task under ``HashJoinExec-N-right``
+    and left a 0-task ``HashJoinExec-N`` holding only the shuffle.  The
+    shuffle and the task share one stage, which ``summary()`` reports."""
+    a_columns, a_rows, b_columns, b_rows = \
+        JOIN_INPUTS["null-and-duplicate-keys"]
+    default, reference = _sessions({"a": (a_columns, a_rows),
+                                    "b": (b_columns, b_rows)})
+    session = default if plane == "batch" else reference
+    result = session.sql("SELECT * FROM a RIGHT JOIN b ON a.k = b.k").run()
+    stages = [(stage["name"].split("-", 1)[0], stage["tasks"],
+               stage["shuffled_rows"])
+              for stage in result.context.summary()["stages"]
+              if stage["name"].startswith("HashJoinExec")]
+    assert stages == [("HashJoinExec", 1, len(b_rows))]
 
 
 # ---------------------------------------------------------------------------

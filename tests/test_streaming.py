@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bnl_skyline, make_dimensions
+from repro.core import DominanceStats, bnl_skyline, make_dimensions
 from repro.errors import ExecutionError
 from repro.streaming import SkylineStream
 from tests.conftest import skyline_oracle
@@ -39,6 +39,18 @@ class TestSkylineStream:
         stream.add_all([(2, 2), (3, 3), (1, 1)])
         assert stream.rows_seen == 3
         assert stream.rows_dropped == 2
+
+    @given(rows_2d, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_like_bnl(self, rows, distinct):
+        # The stream runs BNL's window step: the same window, and the
+        # same count of directed dominance tests as DominanceStats.
+        stream = SkylineStream(MIN2, distinct=distinct)
+        stream.add_all(rows)
+        stats = DominanceStats()
+        assert stream.current() == bnl_skyline(rows, MIN2, distinct=distinct,
+                                               stats=stats)
+        assert stream.comparisons == stats.comparisons
 
     def test_distinct_mode(self):
         stream = SkylineStream(MIN2, distinct=True)
