@@ -13,8 +13,7 @@ from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, dominates_incomplete,
                         equal_on_dimensions, has_null_dimension,
                         null_bitmap)
-from .incomplete import (flagged_global_skyline, gulzar_global_skyline,
-                         partition_by_null_bitmap)
+from .incomplete import flagged_global_skyline, gulzar_global_skyline
 from .sfs import monotone_score, sfs_skyline
 from .vectorized import columnize
 
@@ -34,7 +33,6 @@ __all__ = [
     "make_dimensions",
     "monotone_score",
     "null_bitmap",
-    "partition_by_null_bitmap",
     "reference",
     "sfs_skyline",
     "skyline",

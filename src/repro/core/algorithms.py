@@ -29,7 +29,7 @@ from ..engine.rdd import partition_bounds
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, dominates_incomplete,
                         equal_on_dimensions)
-from .vectorized import skyline_task, split_by_null_bitmap
+from .vectorized import pack_by_null_bitmap, skyline_task
 
 #: Strategy -> (local mode, global mode), both keys of
 #: :data:`repro.core.vectorized.SKYLINE_MODES`; ``None`` runs no local
@@ -131,11 +131,11 @@ def skyline(rows: Sequence[Sequence], dims: Sequence[BoundDimension],
     Runs the strategy's two phases with the engine's scalar kernels:
     the rows are cut into ``num_partitions`` contiguous slices as a scan
     cuts a table, each slice's local skyline is taken (the
-    ``bitmap-local`` phase regroups all rows by null bitmap first, as
-    ``SkylineLocalExec`` does), and one global task reduces their
-    union.  The answer is the list a ``vectorized=False,
-    columnar=False`` session with ``num_executors=num_partitions``
-    returns.  A complete strategy over a NULL MIN/MAX value raises
+    ``bitmap-local`` phase packs whole null-bitmap groups into at most
+    ``num_partitions`` slices first, as ``SkylineLocalExec`` does), and
+    one global task reduces their union.  The answer is the list a
+    ``vectorized=False, columnar=False`` session with
+    ``num_executors=num_partitions`` returns.  A complete strategy over a NULL MIN/MAX value raises
     :class:`~repro.errors.ExecutionError`; ``complete=False`` only
     switches the reference to null-aware dominance.
     """
@@ -149,7 +149,8 @@ def skyline(rows: Sequence[Sequence], dims: Sequence[BoundDimension],
     if local_mode is not None:
         partitions = [rows[start:stop] for start, stop in bounds]
         if local_mode == "bitmap-local":
-            partitions = list(split_by_null_bitmap(rows, dims).values())
+            partitions = pack_by_null_bitmap(partitions, dims,
+                                             num_partitions)
         rows = [row for partition in partitions for row in skyline_task(
             partition, dims, local_mode, distinct, vectorized=False,
             stats=stats)[0]]

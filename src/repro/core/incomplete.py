@@ -4,11 +4,12 @@ Section 5.7 and Appendix A of the paper.  With nulls, dominance loses
 transitivity and may be cyclic (``a ≺ b ≺ c ≺ a``), so two adaptations
 are required:
 
-* **Local skylines** are only computed inside *null-bitmap partitions*:
-  all tuples with nulls in exactly the same skyline dimensions share a
-  partition, where dominance is again transitive and plain BNL is safe
-  (Lemma 5.1 proves no global-skyline answer is lost this way) -- the
-  ``bitmap-local`` mode of :func:`repro.core.vectorized.skyline_task`.
+* **Local skylines** are only computed inside *null-bitmap groups*: all
+  tuples with nulls in exactly the same skyline dimensions, where
+  dominance is again transitive and plain BNL is safe (Lemma 5.1
+  proves no global-skyline answer is lost this way) -- the
+  ``bitmap-local`` mode of :func:`repro.core.vectorized.skyline_task`,
+  whose scalar reference is :func:`bitmap_local_skyline`.
 
 * The **global skyline** must not delete dominated tuples prematurely: a
   dominated tuple may be the only witness against another tuple.  The
@@ -24,19 +25,44 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DominanceStats,
-                        dominates_incomplete, equal_on_dimensions,
-                        null_bitmap)
+                        dominates_incomplete, equal_on_dimensions)
 
 
-def partition_by_null_bitmap(rows: Sequence[Sequence],
-                             dims: Sequence[BoundDimension]
-                             ) -> dict[int, list[Sequence]]:
-    """Group rows by the bitmap of their null skyline dimensions."""
-    partitions: dict[int, list[Sequence]] = {}
-    for row in rows:
-        partitions.setdefault(null_bitmap(row, dims), []).append(row)
-    return partitions
+def bitmap_local_skyline(rows: Sequence[Sequence],
+                         dims: Sequence[BoundDimension],
+                         distinct: bool = False,
+                         stats: DominanceStats | None = None,
+                         check_deadline: Callable[[], None] | None = None
+                         ) -> list[Sequence]:
+    """The local skyline of one ``bitmap-local`` task (Section 5.7):
+    BNL under the null-restricted test once per group of rows null in
+    the same skyline dimensions, among which the test is transitive;
+    the union of the groups' skylines, in input order.
+
+    A NaN compares like a null, so it counts as one here: one window
+    over a NaN row and the numbers of its null bitmap can drop the only
+    witness against a row of another group (Lemma 5.1 needs a surviving
+    dominator).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(row[d.index] is None
+                                or row[d.index] != row[d.index]
+                                for d in dims), []).append(i)
+    kept: list[int] = []
+    for positions in groups.values():
+        survivors = iter(bnl_skyline(
+            [rows[i] for i in positions], dims, distinct, stats,
+            dominates_incomplete, check_deadline))
+        # BNL's window keeps its rows in input order: a subsequence.
+        survivor = next(survivors, None)
+        for i in positions:
+            if rows[i] is survivor:
+                kept.append(i)
+                survivor = next(survivors, None)
+    return [rows[i] for i in sorted(kept)]
 
 
 def flagged_global_skyline(rows: Sequence[Sequence],

@@ -55,8 +55,10 @@ Semantics are pinned to the scalar reference implementation:
   fully.  Because NaN *data* additionally makes dominance
   non-transitive (window results become order-dependent), the windowed
   BNL/SFS kernels route NaN-containing partitions through the scalar
-  implementation so both stay bit-identical; the all-pairs flagged
-  kernel needs no transitivity and vectorizes NaN data directly.
+  implementation so both stay bit-identical; the null-bitmap local
+  phase groups rows by the dimensions they are null *or NaN* in, inside
+  which dominance is transitive again, and the all-pairs flagged
+  kernel needs no transitivity: both vectorize NaN data directly.
 * SQL ``NULL`` maps to NaN in the matrix, which makes the *same* formula
   implement the null-restricted comparison of
   :func:`~repro.core.dominance.dominates_incomplete`: a dimension where
@@ -92,8 +94,8 @@ from ..engine.batch import ColumnBatch, encode_numeric_column
 from ..errors import ExecutionError
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
-                        dominates_incomplete)
-from .incomplete import flagged_global_skyline, partition_by_null_bitmap
+                        null_bitmap)
+from .incomplete import bitmap_local_skyline, flagged_global_skyline
 from .sfs import sfs_skyline
 
 #: ``by`` rows per step of the flagged all-pairs kernel (one deadline
@@ -167,12 +169,23 @@ class ColumnBlock:
         """
         return bool((np.isnan(self.values) & ~self.null_mask).any())
 
-    def diff_groups(self) -> list["np.ndarray"]:
-        """Row-index arrays, one per DIFF-value group (insertion order)."""
-        if self.diff_keys is None:
-            return [np.arange(self.num_rows)]
+    def groups(self, by_bitmap: bool = False) -> "list[np.ndarray] | None":
+        """Ascending row-index arrays, one per DIFF-value group -- with
+        ``by_bitmap`` one per (bitmap of the MIN/MAX dimensions a row is
+        null or NaN in x DIFF value) group -- in first-seen order;
+        ``None`` when every row is in one group."""
+        keys = self.diff_keys
+        unordered = np.isnan(self.values) if by_bitmap else None
+        if unordered is not None and unordered.any():
+            bitmaps = unordered.astype(np.int64) @ (
+                1 << np.arange(unordered.shape[1], dtype=np.int64))
+            if keys is None:
+                return _equal_runs(bitmaps)
+            keys = list(zip(bitmaps.tolist(), keys))
+        if keys is None:
+            return None
         groups: dict[tuple, list[int]] = {}
-        for i, key in enumerate(self.diff_keys):
+        for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)
         return [np.asarray(idx) for idx in groups.values()]
 
@@ -186,17 +199,20 @@ class ColumnBlock:
             isinstance(v, float) and v != v
             for key in self.diff_keys for v in key)
 
-    def uniform_null_pattern(self) -> bool:
-        """True when every row is null in the same value dimensions."""
-        if not self.num_rows:
-            return True
-        return bool((self.null_mask == self.null_mask[0]).all())
-
 
 def _empty_block(num_value_dims: int, has_diff: bool) -> ColumnBlock:
     return ColumnBlock(np.zeros((0, num_value_dims)),
                        np.zeros((0, num_value_dims), dtype=bool),
                        [] if has_diff else None)
+
+
+def _equal_runs(keys: "np.ndarray") -> list["np.ndarray"]:
+    """Ascending index arrays of the rows of equal (non-empty) ``keys``,
+    in first-seen order: one stable argsort."""
+    order = np.argsort(keys, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    runs.sort(key=lambda run: run[0])
+    return runs
 
 
 def columnize(rows: "Sequence[Sequence] | ColumnBatch",
@@ -467,13 +483,15 @@ def _flagged_indices(values: "np.ndarray",
 
 def _grouped_indices(select: Callable, block: ColumnBlock,
                      stats: DominanceStats | None,
-                     check_deadline: Callable[[], None] | None
-                     ) -> list[int]:
-    """Per-DIFF-group index selection, merged in ascending order."""
-    if block.diff_keys is None:  # one group: the matrix as is, no copy
+                     check_deadline: Callable[[], None] | None,
+                     by_bitmap: bool = False) -> list[int]:
+    """Per-group index selection (:meth:`ColumnBlock.groups`), merged
+    in ascending order."""
+    groups = block.groups(by_bitmap)
+    if groups is None:  # one group: the matrix as is, no copy
         return select(block.values, stats, check_deadline).tolist()
     indices: list[int] = []
-    for group in block.diff_groups():
+    for group in groups:
         chosen = select(block.values[group], stats, check_deadline)
         indices.extend(group[chosen].tolist())
     indices.sort()
@@ -563,20 +581,6 @@ def _has_nan(block: ColumnBlock) -> bool:
     return block.has_nan_data or block.diff_keys_have_nan()
 
 
-def _mixed_bitmaps_or_nan(block: ColumnBlock) -> bool:
-    """Guard of the null-bitmap local mode (Section 5.7).
-
-    The window trick is only valid when every row is null in the same
-    skyline dimensions; heterogeneous inputs defer to the scalar
-    windowed kernel, whose result then depends on window dynamics
-    exactly as the scalar library documents.  Null DIFF keys: the
-    null-restricted comparison skips a null DIFF dimension (allowing
-    cross-group dominance), which hash grouping cannot express.
-    """
-    return not block.uniform_null_pattern() or block.has_nan_data \
-        or block.diff_keys_have_null() or block.diff_keys_have_nan()
-
-
 def _ungroupable_diff_keys(block: ColumnBlock) -> bool:
     """Guard of the flagged all-pairs mode: nulls in DIFF dimensions
     make the per-DIFF-group decomposition unsound (a null DIFF value
@@ -637,19 +641,20 @@ class _Mode(NamedTuple):
 #: the physical operators carry (a string pickles by value, so the task
 #: and its mode ship to process workers as is).  BNL and SFS differ
 #: only in output order, incomplete data only in the predicate
-#: (null-restricted, per null-bitmap partition) and the deferred
-#: deletion (``flagged``: rows are flagged, never deleted early, which
-#: is what stays correct under cyclic dominance).
+#: (null-restricted, applied per null-bitmap group of the task, where
+#: it is transitive) and the deferred deletion (``flagged``: rows are
+#: flagged, never deleted early, which is what stays correct under
+#: cyclic dominance).
 SKYLINE_MODES: dict[str, _Mode] = {
     "complete": _Mode(
         _has_nan,
         functools.partial(_grouped_indices, _block_skyline_indices),
         bnl_skyline, True, False),
     "bitmap-local": _Mode(
-        _mixed_bitmaps_or_nan,
-        functools.partial(_grouped_indices, _block_skyline_indices),
-        functools.partial(bnl_skyline, dominance=dominates_incomplete),
-        False, True),
+        ColumnBlock.diff_keys_have_nan,
+        functools.partial(_grouped_indices, _block_skyline_indices,
+                          by_bitmap=True),
+        bitmap_local_skyline, False, True),
     "sfs": _Mode(_has_nan, _sfs_indices, sfs_skyline, True,
                  False),
     "flagged": _Mode(
@@ -715,17 +720,8 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
 
 
 # ---------------------------------------------------------------------------
-# Row/batch adapters of the partition-level callers
+# The null-bitmap distribution (Section 5.7)
 # ---------------------------------------------------------------------------
-
-
-def concat_partitions(parts: "Sequence[list | ColumnBatch]"
-                      ) -> "list | ColumnBatch":
-    """One partition holding every row of ``parts`` (all row lists or
-    all batches), in order."""
-    if isinstance(parts[0], ColumnBatch):
-        return ColumnBatch.concat(parts)
-    return [row for part in parts for row in part]
 
 
 def batch_null_bitmaps(batch: ColumnBatch,
@@ -745,25 +741,42 @@ def batch_null_bitmaps(batch: ColumnBatch,
     return acc
 
 
-def split_by_null_bitmap(partition: "Sequence[Sequence] | ColumnBatch",
-                         dims: Sequence[BoundDimension]
-                         ) -> "dict[int, list | ColumnBatch]":
-    """The null-bitmap distribution (Section 5.7) of one partition:
-    one piece per distinct bitmap, in first-seen order, in the
-    partition's own representation."""
-    if not isinstance(partition, ColumnBatch):
-        return partition_by_null_bitmap(partition, dims)
-    if not partition.num_rows:
-        return {}
-    bitmaps = batch_null_bitmaps(partition, dims)
-    # Stable, so each bitmap's run keeps input order and opens with the
-    # row that saw the bitmap first.
-    order = np.argsort(bitmaps, kind="stable")
-    grouped = bitmaps[order]
-    pieces = np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1)
-    pieces.sort(key=lambda piece: piece[0])
-    return {int(bitmaps[piece[0]]): partition.take(piece)
-            for piece in pieces}
+def pack_by_null_bitmap(partitions: "Sequence[list | ColumnBatch]",
+                        dims: Sequence[BoundDimension], bins: int
+                        ) -> "list[list | ColumnBatch]":
+    """The null-bitmap distribution (Section 5.7) of ``partitions`` (all
+    row lists or all batches) onto at most ``bins`` partitions.
+
+    Rows null in the same skyline dimensions form a group, and a group
+    is never split: the ``bitmap-local`` mode then takes each group's
+    skyline inside the task, where the null-restricted dominance is
+    transitive.  Groups go largest first to the partition holding the
+    fewest rows so far (longest processing time first); inside a
+    partition they keep first-seen order, rows their input order, and
+    partitions are ordered by their first row.  One stable argsort,
+    one ``take`` per partition.
+    """
+    is_batch = isinstance(partitions[0], ColumnBatch)
+    whole = ColumnBatch.concat(partitions) if is_batch \
+        else [row for part in partitions for row in part]
+    if not len(whole):
+        return [whole]
+    bitmaps = batch_null_bitmaps(whole, dims) if is_batch else np.fromiter(
+        (null_bitmap(row, dims) for row in whole), np.int64, len(whole))
+    groups = _equal_runs(bitmaps)
+    loads = [0] * min(bins, len(groups))
+    members: list[list] = [[] for _ in loads]
+    for group in sorted(groups, key=len, reverse=True):  # stable
+        target = loads.index(min(loads))
+        loads[target] += len(group)
+        members[target].append(group)
+    packed = []
+    for member in sorted(members, key=lambda m: min(g[0] for g in m)):
+        member.sort(key=lambda group: group[0])
+        rows = np.concatenate(member)
+        packed.append(whole.take(rows) if is_batch
+                      else [whole[i] for i in rows.tolist()])
+    return packed
 
 
 # ---------------------------------------------------------------------------

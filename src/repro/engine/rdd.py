@@ -6,8 +6,9 @@ Both only hold and inspect partitions: the operators in
 :mod:`repro.plan.physical` build new ones stage by stage, including the
 two distributions of the skyline operator -- ``AllTuples`` for the
 global skyline (``SkylineGlobalExec``, Section 5.5) and the null-bitmap
-partitioning of the incomplete algorithm
-(``core.vectorized.split_by_null_bitmap``, Section 5.7).
+partitioning of the incomplete algorithm, whole bitmap groups packed
+into at most ``default_parallelism`` partitions
+(``core.vectorized.pack_by_null_bitmap``, Section 5.7).
 
 Unlike Spark, there is no laziness or lineage -- that machinery is
 irrelevant to the behaviours this reproduction studies; the *partition

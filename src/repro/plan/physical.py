@@ -31,8 +31,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..core.dominance import BoundDimension
-from ..core.vectorized import (concat_partitions, skyline_task,
-                               split_by_null_bitmap)
+from ..core.vectorized import pack_by_null_bitmap, skyline_task
 from ..engine import expressions as E
 from ..engine import relational as R
 from ..engine.backends import StageTask
@@ -312,23 +311,26 @@ def _rebind(specs: tuple, columns: list[int]) -> tuple:
 
 def _resident(holder, store, token) -> "list | None":
     """The batches ``holder`` (an operator of a prepared plan) keeps
-    pinned in ``store`` under ``token``; ``None`` when it holds none or
-    they are stale."""
-    pinned = holder._pinned  # one read: a concurrent run may replace it
-    if store is None or pinned is None or pinned[0] != token:
+    under ``token``, pinned in ``store`` when there is one; ``None``
+    when it holds none or they are stale."""
+    kept = holder._kept  # one read: a concurrent run may replace it
+    if kept is None or kept[0] != token:
         return None
-    store.pin(pinned[1])  # idempotent; re-pins after a close
-    return pinned[1]
+    if store is not None:
+        store.pin(kept[1])  # idempotent; re-pins after a close
+    return kept[1]
 
 
 def _keep_resident(holder, store, token, batches: list) -> None:
-    """Pin ``batches`` in ``store`` and keep them on ``holder`` under
-    ``token``, releasing what it held before (stale after DML; a stage
-    still shipping them keeps them until it ends)."""
-    previous = holder._pinned
-    store.pin(batches)
-    holder._pinned = (token, batches)
-    if previous is not None:
+    """Keep ``batches`` on ``holder`` under ``token``, pinned in
+    ``store`` when there is one, releasing there what it held before
+    (stale after DML; a stage still shipping them keeps them until it
+    ends, another session's store once they are garbage collected)."""
+    previous = holder._kept
+    if store is not None:
+        store.pin(batches)
+    holder._kept = (token, batches)
+    if previous is not None and store is not None:
         store.unpin(previous[1])
 
 
@@ -422,7 +424,7 @@ class ScanExec(_NarrowExec):
         #: ``rows`` (``None``: a literal relation, columnized per run).
         self.table = table
         #: ``(token, slices)`` kept for re-executions; see :meth:`slices`.
-        self._pinned: "tuple | None" = None
+        self._kept: "tuple | None" = None
 
     @property
     def output(self) -> list[E.AttributeReference]:
@@ -1190,9 +1192,10 @@ class SkylineLocalExec(_SkylineExec):
     ``bitmap-local`` first re-distributes the child's rows so that all
     tuples sharing a bitmap of null skyline dimensions land in the same
     partition (Section 5.7: crafted "via the integrated distribution of
-    the nodes ... using the predefined IsNull() method"); BNL with the
-    incomplete dominance test is then safe per partition.  Each
-    partition's survivors feed the global node.
+    the nodes ... using the predefined IsNull() method"), packing whole
+    bitmap groups into at most ``default_parallelism`` partitions; the
+    mode runs BNL with the incomplete dominance test per group, where
+    it is safe.  Each partition's survivors feed the global node.
 
     Keeping the child's partitioning is what lets the operator share a
     stage with a scan/filter/project chain beneath it (stage fusion,
@@ -1222,50 +1225,51 @@ class SkylineLocalExec(_SkylineExec):
         super().__init__(items, distinct, child, mode, vectorized)
         #: ``(token, batches)`` kept for re-executions; see
         #: :meth:`_child_partitions`.
-        self._pinned: "tuple | None" = None
+        self._kept: "tuple | None" = None
 
     def _child_partitions(self, ctx: ExecutionContext, stage: str) -> list:
         """The partitions the local tasks read, for a child that does
         not fuse (the ``bitmap-local`` regroup's chain, a join):
-        ``bitmap-local`` regroups the executed child into one partition
-        per distinct null bitmap, in first-seen order over the
-        concatenated input -- on either data plane.
+        ``bitmap-local`` packs the executed child's rows into at most
+        ``default_parallelism`` partitions of whole null-bitmap groups
+        (:func:`~repro.core.vectorized.pack_by_null_bitmap`) -- on
+        either data plane.
 
-        When everything beneath is deterministic data preparation over
-        one scan (filter, project, no scalar subquery: its value can
-        follow other tables), those partitions depend only on
-        :meth:`ScanExec.token`; when the context has a shm store they
-        are then pinned and kept on the plan like the fused path's scan
-        slices, and a prepared query's re-execution skips the chain and
-        the regroup and ships handles to the same segments.
+        On the batch plane, when everything beneath is deterministic
+        data preparation over one scan (filter, project, no scalar
+        subquery: its value can follow other tables), those partitions
+        depend only on :meth:`ScanExec.token`, so the plan keeps them
+        -- on every backend: the catalog's plan cache is shared by
+        sessions on different ones -- and a re-execution skips the
+        chain and the regroup.  A context with a shm store also pins
+        them there and ships handles to the same segments.
         """
         child = self.children[0]
-        store = token = None
-        if self.exec_mode == "batch" and ctx.shm_store is not None \
-                and not ctx.shm_store.closed:
+        token = None
+        if self.exec_mode == "batch":
             scan = child
             while isinstance(scan, (FilterExec, ProjectExec)) \
                     and not _has_subquery(scan.spec):
                 scan = scan.children[0]
             if isinstance(scan, ScanExec):
-                store, token = ctx.shm_store, scan.token(ctx)
+                token = scan.token(ctx)
+        store = ctx.shm_store  # a closed store pins nothing
         partitions = _resident(self, store, token)
         if partitions is not None:
             # The scan beneath is served from what the plan keeps.
             ctx.scan["resident_rows"] += len(scan.rows)
-        else:
-            child_out = child.execute(ctx)
-            if self.exec_mode != "batch":
-                # A scalar operator reads (and regroups) rows.
-                child_out = _rows_rdd(child_out)
-            partitions = _partitions(child_out)
-            if self.mode == "bitmap-local":
-                ctx.record_shuffle(stage, sum(map(len, partitions)))
-                whole = concat_partitions(partitions)
-                partitions = list(split_by_null_bitmap(
-                    whole, self.dims).values()) or [whole]
-            if store is not None:
-                _keep_resident(self, store, token, partitions)
+            return partitions
+        child_out = child.execute(ctx)
+        if self.exec_mode != "batch":
+            # A scalar operator reads (and regroups) rows.
+            child_out = _rows_rdd(child_out)
+        partitions = _partitions(child_out)
+        if self.mode == "bitmap-local":
+            ctx.record_shuffle(stage, sum(map(len, partitions)))
+            partitions = pack_by_null_bitmap(
+                partitions, self.dims, ctx.config.default_parallelism)
+        if token is not None:
+            _keep_resident(self, store, token, partitions)
         return partitions
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":

@@ -37,14 +37,14 @@ from . import physical as P
 SKYLINE_STRATEGIES = ("auto", *STRATEGY_MODES)
 
 #: What each algorithm's local stage runs on, and why: the scan's
-#: partitioning is never overridden.
+#: partitioning, or -- incomplete data -- whole null-bitmap groups.
 _KEPT = ("inherited", "the scan's partitioning is kept (scan parallelism)")
 _PARTITIONS = {
     "distributed-complete": _KEPT,
     "sfs": _KEPT,
     "non-distributed-complete": ("1", "single global task"),
-    "distributed-incomplete": ("per bitmap", "one partition per distinct "
-                                             "null bitmap"),
+    "distributed-incomplete": ("bitmap-packed", "whole null-bitmap groups "
+                               "in <= num_executors partitions"),
 }
 
 
@@ -66,7 +66,8 @@ class Planner:
     """Lowers logical plans to physical plans.
 
     Every skyline operator keeps its child's partitioning (the paper's
-    default, Section 2) and leaves a :class:`PlanDecision` in
+    default, Section 2) -- the incomplete local node packs whole
+    null-bitmap groups instead -- and leaves a :class:`PlanDecision` in
     :attr:`decisions`, which ``EXPLAIN`` renders.
     """
 

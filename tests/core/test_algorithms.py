@@ -111,9 +111,9 @@ class TestIncompleteAlgorithm:
     def test_complete_data_degenerates_to_single_partition(self):
         # With no nulls there is exactly one bitmap partition, so the
         # local stage cannot parallelize (Section 5.7's warning).
-        from repro.core import partition_by_null_bitmap
+        from repro.core.vectorized import pack_by_null_bitmap
         rows = [(1, 2), (3, 4), (5, 6)]
-        assert len(partition_by_null_bitmap(rows, MIN2)) == 1
+        assert pack_by_null_bitmap([rows[:2], rows[2:]], MIN2, 4) == [rows]
 
 
 class TestReference:

@@ -16,10 +16,11 @@ import repro.core.vectorized as V
 from repro.core import (bnl_skyline, dominates, flagged_global_skyline,
                         make_dimensions, sfs_skyline)
 from repro.core.bnl import bnl_skyline as bnl
-from repro.core.dominance import DominanceStats, dominates_incomplete
-from repro.core.incomplete import partition_by_null_bitmap
-from repro.core.vectorized import (columnize, skyline_task,
-                                   split_by_null_bitmap)
+from repro.core.dominance import (DominanceStats, dominates_incomplete,
+                                  null_bitmap)
+from repro.core.incomplete import bitmap_local_skyline
+from repro.core.vectorized import (columnize, pack_by_null_bitmap,
+                                   skyline_task)
 from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
@@ -56,14 +57,14 @@ vec_sfs = vectorized_kernel("sfs")
 vec_flagged = vectorized_kernel("flagged")
 
 
-bnl_incomplete = functools.partial(bnl, dominance=dominates_incomplete)
 MIN_MAX_MIN = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
 any_value = st.one_of(st.none(), values, special)
 
 #: mode -> (rows strategy, dims choices, scalar reference).  The
 #: complete-data modes also see NaN/+-inf data and NaN DIFF keys (the
 #: vectorized path must defer), the incomplete modes null/NaN DIFF keys
-#: and -- ``bitmap-local`` -- heterogeneous null bitmaps.
+#: and -- ``bitmap-local`` -- heterogeneous null bitmaps in one task,
+#: whose local skyline is the union of the per-bitmap skylines.
 MODE_CASES = {
     "complete": (st.one_of(rows_3d, st.lists(
         st.tuples(special, special, special), max_size=40)),
@@ -74,7 +75,7 @@ MODE_CASES = {
     "bitmap-local": (st.one_of(
         rows_3d.map(lambda rows: [(None, b, c) for _, b, c in rows]),
         st.lists(st.tuples(any_value, any_value, any_value), max_size=40)),
-        [MIXED3, MIN_MAX_MIN], bnl_incomplete),
+        [MIXED3, MIN_MAX_MIN], bitmap_local_skyline),
     "flagged": (st.lists(st.tuples(any_value, any_value, any_value),
                          max_size=40),
                 [MIXED3, MIN_MAX_MIN], flagged_global_skyline),
@@ -113,11 +114,16 @@ class TestColumnize:
         assert block.num_rows == 0
         assert vec_bnl([], MIN2) == []
 
-    def test_uniform_null_pattern(self):
-        assert columnize([(None, 1), (None, 2)],
-                         MIN2).uniform_null_pattern()
-        assert not columnize([(None, 1), (1, None)],
-                             MIN2).uniform_null_pattern()
+    def test_groups_by_null_or_nan_bitmap(self):
+        rows = [(None, 1), (1, None), (None, 2), (NAN, 3), (4, 5)]
+        assert columnize(rows, MIN2).groups() is None
+        assert [g.tolist() for g in columnize(rows, MIN2).groups(
+            by_bitmap=True)] == [[0, 2, 3], [1], [4]]
+        # DIFF values split further, a null DIFF value is one more key.
+        dims = make_dimensions([(0, "min"), (1, "diff")])
+        rows = [(None, "x"), (1, None), (None, "y"), (2, None), (3, "x")]
+        assert [g.tolist() for g in columnize(rows, dims).groups(
+            by_bitmap=True)] == [[0], [1, 3], [2], [4]]
 
 
 class TestKernelAgreement:
@@ -231,21 +237,44 @@ class TestKernelAgreement:
                 kernel(rows, MIN2)
 
     def test_incomplete_null_diff_key_matches_scalar(self):
-        # Regression: a null DIFF value is skipped by the null-restricted
-        # comparison (cross-group dominance), which hash grouping cannot
-        # express -- the vectorized kernel must defer to the scalar one.
+        # A null DIFF value is skipped by the null-restricted comparison
+        # (cross-group dominance), so a row null there is in a null
+        # bitmap of its own: the local phase keeps both rows, on both
+        # kernel families, and the global phase drops the dominated one.
         dims = make_dimensions([(0, "min"), (1, "diff")])
         rows = [(1.0, None), (2.0, "x")]
-        assert srt(bitmap_local(rows, dims)) == \
-            srt(bnl(rows, dims, dominance=dominates_incomplete))
-        assert bitmap_local(rows, dims) == [(1.0, None)]
+        assert bitmap_local(rows, dims) == \
+            bitmap_local_skyline(rows, dims) == rows
+        assert flagged_global_skyline(bitmap_local(rows, dims), dims) == \
+            [(1.0, None)]
 
-    def test_incomplete_mixed_bitmaps_fall_back(self):
-        # Heterogeneous null patterns: the vectorized kernel must defer
-        # to the scalar window semantics (dominance is not transitive).
-        rows = [(None, 1), (1, None), (2, 2), (0, 3)]
-        assert srt(bitmap_local(rows, MIN2)) == \
-            srt(bnl(rows, MIN2, dominance=dominates_incomplete))
+    def test_incomplete_mixed_bitmaps_select_per_bitmap(self):
+        # Heterogeneous null patterns in one task: dominance is not
+        # transitive across them, so the task's local skyline is the
+        # union of the per-bitmap skylines, in input order -- the
+        # vectorized selector and the scalar reference alike.
+        rows = [(None, 1), (1, None), (2, 2), (None, 0), (0, 3), (3, 3),
+                (2, None)]
+        expected = [(1, None), (2, 2), (None, 0), (0, 3)]
+        for as_batch in (False, True):
+            for vectorized in (True, False):
+                partition = ColumnBatch.from_rows(rows, 2) if as_batch \
+                    else rows
+                out = skyline_task(partition, MIN2, "bitmap-local",
+                                   vectorized=vectorized)[0]
+                assert (out.to_rows() if as_batch else out) == expected
+
+    def test_incomplete_nan_counts_as_null_in_the_local_groups(self):
+        # (0, NaN) dominates (1, 4), which alone dominates (None, 5):
+        # one window over the NaN row and the numbers would drop the
+        # only witness against (None, 5).  NaN compares like a null, so
+        # it takes a group of its own and the witness survives.
+        rows = [(0.0, NAN), (1.0, 4.0)]
+        for vectorized in (True, False):
+            assert skyline_task(rows, MIN2, "bitmap-local",
+                                vectorized=vectorized)[0] == rows
+        local = bitmap_local(rows + [(None, 5.0)], MIN2)
+        assert flagged_global_skyline(local, MIN2) == [(0.0, NAN)]
 
     def test_blocks_larger_than_block_rows(self):
         import random
@@ -585,35 +614,57 @@ class TestSortFirstKernel:
         assert max(materialised) == 400
 
 
-class TestNullBitmapSplit:
-    """The batch regroup of :func:`split_by_null_bitmap` against the
-    row plane's :func:`partition_by_null_bitmap`."""
+class TestNullBitmapPacker:
+    """:func:`pack_by_null_bitmap`: whole null-bitmap groups, at most
+    ``bins`` partitions, the same rows in either representation."""
 
     @staticmethod
-    def agree(rows, dims, width):
-        expected = partition_by_null_bitmap(rows, dims)
-        pieces = split_by_null_bitmap(
-            ColumnBatch.from_rows(rows, width), dims)
-        assert list(pieces) == list(expected)   # keys, first-seen order
-        assert all(type(bitmap) is int for bitmap in pieces)
-        for bitmap, piece in pieces.items():
-            assert piece.to_rows() == expected[bitmap]
+    def bitmaps(rows, dims):
+        return {null_bitmap(row, dims) for row in rows}
 
     @given(st.lists(st.tuples(maybe, maybe, maybe, st.integers(0, 9)),
-                    max_size=80))
+                    max_size=80), st.integers(1, 8), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
-    def test_matches_row_partitioning(self, rows):
-        self.agree(rows, MIN_MAX_MIN, 4)
+    def test_whole_groups_in_at_most_bins(self, rows, bins, pieces):
+        dims = MIN_MAX_MIN
+        cut = [rows[i::pieces] for i in range(pieces)]
+        packed = pack_by_null_bitmap(cut, dims, bins)
+        batches = pack_by_null_bitmap(
+            [ColumnBatch.from_rows(part, 4) for part in cut], dims, bins)
+        assert [b.to_rows() for b in batches] == packed
+        groups = self.bitmaps(rows, dims)
+        assert len(packed) == max(1, min(bins, len(groups)))
+        for part in packed:
+            # A bin's groups are disjoint from every other bin's.
+            others = [row for other in packed if other is not part
+                      for row in other]
+            assert not self.bitmaps(part, dims) & self.bitmaps(others, dims)
+        whole = [row for part in cut for row in part]
+        assert sorted(map(repr, whole)) == \
+            sorted(repr(row) for part in packed for row in part)
 
-    def test_single_group_all_distinct_and_empty(self):
-        dims = make_dimensions([(0, "min"), (1, "max"), (2, "min")])
-        self.agree([(1.0, None, 2.0), (0.5, None, 3.0)], dims, 3)
-        self.agree([tuple(None if bits >> j & 1 else float(j)
-                          for j in range(3))
-                    for bits in (5, 0, 7, 2, 1, 6, 3, 4)], dims, 3)
-        assert split_by_null_bitmap(ColumnBatch.from_rows([], 3),
-                                    dims) == {}
-        assert partition_by_null_bitmap([], dims) == {}
+    def test_largest_group_first_to_the_lightest_bin(self):
+        # Group sizes 5, 3, 3, 2, 1 into two bins: 5 | 3, then the
+        # second 3 to the lighter bin (5 | 6), 2 to the now lighter
+        # first (7 | 6), 1 to the second (7 | 7).
+        sizes = {0b000: 5, 0b001: 3, 0b010: 3, 0b100: 2, 0b011: 1}
+        rows = [tuple(None if bits >> j & 1 else float(j + i)
+                      for j in range(3))
+                for bits, n in sizes.items() for i in range(n)]
+        packed = pack_by_null_bitmap([rows], MIN_MAX_MIN, 2)
+        assert sorted(map(len, packed)) == [7, 7]
+        # Bins are ordered by their first row, groups keep first-seen
+        # order inside a bin, rows their input order.
+        assert packed == [rows[:5] + rows[11:13], rows[5:11] + rows[13:]]
+
+    def test_one_group_and_empty(self):
+        dims = MIN_MAX_MIN
+        rows = [(1.0, None, 2.0), (0.5, None, 3.0)]
+        assert pack_by_null_bitmap([rows[:1], rows[1:]], dims, 4) == [rows]
+        assert pack_by_null_bitmap([[]], dims, 4) == [[]]
+        empty = pack_by_null_bitmap([ColumnBatch.from_rows([], 3)],
+                                    dims, 4)
+        assert len(empty) == 1 and empty[0].num_rows == 0
 
 
 class TestPinnedNaNSemantics:

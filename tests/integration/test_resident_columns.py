@@ -160,8 +160,6 @@ DIMS = make_dimensions([(1, "min"), (2, "max"), (3, "min")])
 def test_mixed_kind_column_is_bit_identical_in_every_mode(mode):
     rows = MIXED_NULL_ROWS if mode in ("bitmap-local", "flagged") \
         else MIXED_ROWS
-    if mode == "bitmap-local":  # one null-bitmap group, as the engine feeds
-        rows = [row for row in rows if None not in row]
     whole = ColumnBatch.from_rows(rows, 4)
     whole.set_read_only()
     assert whole.column(1).kind == OBJ

@@ -241,8 +241,10 @@ class TestExecutionSemantics:
             "SELECT x, y FROM pts SKYLINE OF x MIN, y MAX").run()
         stages = [s for s in result.context.stages
                   if s.name.startswith("SkylineLocalExec")]
-        # Two bitmap groups: y null vs y present.
-        assert stages and len(stages[0].tasks) == 2
+        # Two bitmap groups (y null vs y present), each whole in one of
+        # min(num_executors, 2) tasks.
+        assert stages and len(stages[0].tasks) == \
+            min(session.cluster_config.num_executors, 2)
 
     def test_scalar_subquery_executes_once(self, session):
         result = session.sql(
@@ -349,14 +351,15 @@ def points_session(rows, nullable=False, **options):
 class TestPartitionsLine:
     """EXPLAIN's ``partitions =`` line names what the local stage runs
     on, and the run agrees: the scan's partitions, no local stage (one
-    global task), or one task per null bitmap."""
+    global task), or whole null-bitmap groups packed into at most
+    ``num_executors`` tasks."""
 
     @pytest.mark.parametrize("num_executors", (1, 2, 5, 8))
     @pytest.mark.parametrize("algorithm,line", [
         ("distributed-complete", "inherited"),
         ("sfs", "inherited"),
         ("non-distributed-complete", "1"),
-        ("distributed-incomplete", "per bitmap"),
+        ("distributed-incomplete", "bitmap-packed"),
     ])
     def test_line_matches_the_local_tasks(self, algorithm, line,
                                           num_executors):
@@ -379,7 +382,7 @@ class TestPartitionsLine:
                    if s.name.startswith("SkylineGlobalExec")]
         assert len(global_) == 1 and len(global_[0].tasks) == 1
         expected_tasks = {"inherited": num_executors, "1": None,
-                          "per bitmap": 2}[line]
+                          "bitmap-packed": min(num_executors, 2)}[line]
         if expected_tasks is None:
             assert not local
         else:
@@ -473,7 +476,7 @@ class TestListing8Rule:
         assert sorted(session.sql(sql).to_tuples()) == \
             sorted((row[0],) for row in oracle)
 
-    def test_nullable_dimensions_run_one_local_task_per_bitmap(self):
+    def test_nullable_dimensions_pack_bitmaps_into_local_tasks(self):
         rows = [(i,) + tuple(None if d == 2 and i % 3 == 0 else v
                              for d, v in enumerate(r))
                 for i, r in enumerate(correlated_rows(600, 3))]
@@ -483,10 +486,30 @@ class TestListing8Rule:
                 (f"d{i}", DOUBLE, True) for i in range(3)], rows)
         text = session.explain(parse_query(SQL3))
         assert "algorithm    = distributed-incomplete" in text
-        assert "partitions   = per bitmap" in text
+        assert "partitions   = bitmap-packed" in text
+        # Two bitmap groups on four executors: one task each.
         local = [s for s in session.sql(SQL3).run().context.stages
                  if s.name.startswith("SkylineLocalExec")]
         assert len(local) == 1 and len(local[0].tasks) == 2
+        three = [(i,) + tuple(None if d == i % 3 and i % 2 else v
+                              for d, v in enumerate(r))
+                 for i, r in enumerate(correlated_rows(600, 3))]
+        session.create_table(
+            "three", [("id", INTEGER, False)] + [
+                (f"d{i}", DOUBLE, True) for i in range(3)], three)
+        # Four bitmap groups on four executors, then on two: whole
+        # groups, at most one task per executor.
+        for executors in (4, 2):
+            run = session.with_options(num_executors=executors).sql(
+                SQL3.replace("pts", "three")).run()
+            local = [s for s in run.context.stages
+                     if s.name.startswith("SkylineLocalExec")]
+            assert len(local) == 1 and len(local[0].tasks) == executors
+            assert sorted(run.as_tuples()) == sorted(
+                (row[0],) for row in skyline_oracle(
+                    three, make_dimensions([(1, "min"), (2, "min"),
+                                            (3, "min")]),
+                    complete=False))
 
     def test_nan_values_plan_and_run_like_every_forced_strategy(self):
         rows = [(float("nan"), 1.0, 2.0)] + \

@@ -1,7 +1,9 @@
 """Every ``def`` and ``class`` under ``src/`` is referenced from ``src/``.
 
 An AST scan counts each ``Name``, ``Attribute`` and imported name in
-``src/`` as a reference to every definition of that name.  A reference
+``src/`` as a reference to every definition of that name -- except the
+imports of a sub-package's ``__init__.py``: a re-export there is no
+use, only the top-level ``repro/__init__.py`` makes the public API.  A reference
 does not keep a definition alive from inside its own body (recursion),
 nor from inside a definition that is itself unreferenced, so a chain of
 helpers that only call each other is reported whole.  The scan goes by
@@ -12,7 +14,8 @@ through a string (``getattr``), which no code in ``src/`` does.
 What nothing in ``src/`` calls must either go or be on :data:`KEEP`,
 with the reason it stays: the public API (re-exported by
 ``repro/__init__.py`` or used by README, ``docs/`` or ``examples/``),
-a pin of the benchmark in ``perf/``, or a hook the tests drive.
+a pin of the benchmark in ``perf/``, an entry point of the figure
+suite in ``benchmarks/``, or a hook the tests drive.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 PUBLIC = "public API"
 PERF = "perf/ pin"
 HOOK = "test hook"
+FIGURES = "figure suite (benchmarks/)"
 
 #: Qualified name -> why it stays although nothing in ``src/`` uses it.
 KEEP = {
@@ -46,6 +50,38 @@ KEEP = {
         f"{PUBLIC}: README's statistics section",
     "repro.api.session.SkylineSession.table_stats":
         f"{PUBLIC}: docs/sql.md's ANALYZE TABLE section; perf/rounds.py",
+    "repro.bench.harness.run_query":
+        f"{FIGURES}: benchmarks/helpers.py times one query with it",
+    "repro.bench.harness.dimensions_sweep":
+        f"{FIGURES}: the dimension figures (3, 4, 11, 12, 16, 17)",
+    "repro.bench.harness.executors_sweep":
+        f"{FIGURES}: the executor figures (6-9, 14, 15, 18, 19)",
+    "repro.bench.harness.tuples_sweep":
+        f"{FIGURES}: the tuple-count figures (5, 10, 13)",
+    "repro.bench.reporting.render_sweep":
+        f"{FIGURES}: renders each figure's time table",
+    "repro.bench.reporting.format_memory_table":
+        f"{FIGURES}: renders each memory figure's table",
+    "repro.core.algorithms.make_dimensions":
+        f"{PUBLIC}: examples/algorithm_library.py, streaming_offers.py",
+    "repro.core.incomplete.gulzar_global_skyline":
+        f"{PUBLIC}: Appendix A's counterexample, "
+        "examples/algorithm_library.py",
+    "repro.datasets.airbnb.airbnb_workload":
+        f"{PERF}: perf/workloads.py; the airbnb figures, "
+        "examples/airbnb_search.py",
+    "repro.datasets.generators.anticorrelated_rows":
+        f"{FIGURES}: benchmarks/test_ablation_algorithms.py",
+    "repro.datasets.generators.correlated_rows":
+        f"{FIGURES}: benchmarks/test_ablation_algorithms.py",
+    "repro.datasets.generators.independent_rows":
+        f"{FIGURES}: benchmarks/test_ablation_algorithms.py",
+    "repro.datasets.musicbrainz.musicbrainz_workload":
+        f"{PERF}: perf/workloads.py; the MusicBrainz figures, "
+        "examples/complex_queries.py",
+    "repro.datasets.store_sales.store_sales_workload":
+        f"{PERF}: perf/workloads.py; the store_sales figures, "
+        "examples/retail_analytics.py",
     "repro.engine.cluster.ExecutionContext.summary":
         f"{PUBLIC}: README and docs/architecture.md's result.context",
     "repro.engine.expressions.Expression.eq_value":
@@ -54,6 +90,8 @@ KEEP = {
         f"{PUBLIC}: the Expression DSL",
     "repro.engine.expressions.Expression.is_not_null":
         f"{PUBLIC}: the Expression DSL",
+    "repro.engine.faults.activate":
+        f"{PUBLIC}: docs/robustness.md's fault injection",
     "repro.engine.faults.FaultPlan.from_env":
         f"{HOOK}: tests/engine/test_faults.py builds plans from REPRO_FAULTS",
     "repro.engine.io.write_csv":
@@ -120,9 +158,14 @@ def _scan(root: pathlib.Path) -> tuple[dict[str, str],
             visit(child, scope, enclosing)
 
     for path in sorted(root.rglob("*.py")):
-        module = ".".join(path.relative_to(root).with_suffix("").parts)
-        visit(ast.parse(path.read_text()), module.removesuffix(".__init__"),
-              ())
+        parts = path.relative_to(root).with_suffix("").parts
+        tree = ast.parse(path.read_text())
+        if parts[-1] == "__init__" and len(parts) > 2:
+            # A sub-package's re-export is no use: only the top-level
+            # package's names are the public API.
+            tree.body = [node for node in tree.body if not isinstance(
+                node, (ast.Import, ast.ImportFrom))]
+        visit(tree, ".".join(parts).removesuffix(".__init__"), ())
     return definitions, references
 
 
@@ -174,3 +217,16 @@ def test_the_scan_sees_recursion_and_dead_chains(tmp_path):
     assert unreferenced(keep=set(), root=tmp_path) == [
         "pkg.mod.Holder.method", "pkg.mod.dead_callee",
         "pkg.mod.dead_caller", "pkg.mod.recursive"]
+
+
+def test_a_subpackage_reexport_is_no_use(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("from .sub.mod import public\n")
+    (package / "sub" / "__init__.py").write_text(
+        "from .mod import public, reexported\n")
+    (package / "sub" / "mod.py").write_text(
+        "def public():\n    return 1\n\n"
+        "def reexported():\n    return 2\n")
+    assert unreferenced(keep=set(), root=tmp_path) == [
+        "pkg.sub.mod.reexported"]
