@@ -10,8 +10,7 @@ re-configured with :meth:`SessionConfig.with_options` /
 The config is also the unit of multi-tenancy in the serving layer
 (:mod:`repro.serve`): each tenant registers one ``SessionConfig`` and
 the server derives a session from it over the shared catalog, backend
-pool, and caches.  :meth:`SessionConfig.fingerprint` is a hashable
-summary of its planning-relevant fields.
+pool, and caches.
 """
 
 from __future__ import annotations
@@ -184,32 +183,6 @@ class SessionConfig:
                 f"unknown execution {self.execution!r}; expected one "
                 f"of {EXECUTION_MODES}")
 
-    # -- derived views ----------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name if isinstance(self.backend, Backend) \
-            else str(self.backend)
-
-    def fingerprint(self) -> tuple:
-        """Hashable snapshot of every planning-relevant setting.
-
-        Two configs with equal fingerprints plan identical logical
-        plans identically (the catalog's plan cache keys on the
-        narrower :meth:`~repro.plan.planner.Planner.settings_key`).
-        Execution-only settings (``time_budget_s`` and the
-        retry/timeout knobs) are excluded on purpose.
-        """
-        return (
-            self.num_executors,
-            self.skyline_algorithm,
-            self.enable_skyline_optimizations,
-            self.backend_name,
-            self.num_workers,
-            self.vectorized,
-            self.columnar,
-        )
-
     def retry_policy(self) -> RetryPolicy:
         """The per-stage :class:`~repro.engine.backends.RetryPolicy`
         this config asks for (``max_attempts`` counts the first
@@ -237,7 +210,7 @@ class SessionConfig:
     def with_options(self, **overrides) -> "SessionConfig":
         """A copy with the given fields replaced (validation reruns).
 
-        >>> SessionConfig().with_options(backend="process").backend_name
+        >>> SessionConfig().with_options(backend="process").backend
         'process'
         """
         unknown = set(overrides) - {f.name for f in

@@ -222,9 +222,8 @@ class DataFrame:
     def run(self) -> "QueryResult":
         """Execute and return rows plus execution metrics."""
         if self._sql is not None:
-            prepared = self._session.planned(self._sql, self._plan).prepared
-            if prepared is not None:  # None: a command
-                return self._session.execute_prepared(prepared)
+            return self._session.execute_prepared(
+                self._session.planned(self._sql, self._plan).prepared)
         return self._session.execute(self._plan)
 
     def count(self) -> int:

@@ -21,14 +21,13 @@ from ..engine.backends import Backend, BackendSpec
 from ..engine.catalog import Catalog, ForeignKey, Table
 from ..engine.cluster import ClusterConfig, ExecutionContext
 from ..engine.row import Field, Row, Schema, infer_schema
-from ..engine.types import DOUBLE, INTEGER, STRING
 from ..plan.analyzer import Analyzer
-from ..plan.logical import (AnalyzeTable, LocalRelation, LogicalPlan,
-                            tree_string)
+from ..plan.logical import LocalRelation, LogicalPlan, tree_string
 from ..plan.optimizer import Optimizer
 from ..plan.physical import PhysicalPlan, physical_tree_string
 from ..plan.planner import Planner
 from ..sql.parser import parse_query
+from ..stats import TableStats, collect_table_stats
 from .config import SessionConfig
 
 @dataclass
@@ -124,17 +123,17 @@ class PreparedQuery:
 @dataclass
 class CachedPlan:
     """One statement in the catalog's plan cache: what parsing gave and
-    what planning gave (``prepared`` is ``None`` for a command, which is
-    never stored)."""
+    what planning gave."""
 
     parsed: LogicalPlan
-    prepared: "PreparedQuery | None"
+    prepared: PreparedQuery
 
 
 class SkylineSession:
     """Entry point for SQL and DataFrame queries with skyline support.
 
     >>> import repro
+    >>> from repro import DOUBLE, STRING
     >>> session = repro.connect(num_executors=2)
     >>> _ = session.create_table(
     ...     "hotels",
@@ -155,7 +154,7 @@ class SkylineSession:
     catalog:
         An existing :class:`~repro.engine.catalog.Catalog` to attach to
         instead of creating a private one.  The serving layer uses this
-        to share one catalog (tables, statistics) across tenants.
+        to share one catalog (tables, plan cache) across tenants.
     """
 
     def __init__(self, *, config: SessionConfig | None = None,
@@ -292,8 +291,13 @@ class SkylineSession:
 
     # -- statistics ---------------------------------------------------------
 
-    def table_stats(self, name: str):
-        """Statistics for a registered table (collected lazily, cached).
+    def table_stats(self, name: str) -> TableStats:
+        """Statistics of a registered table, collected on each call.
+
+        A columnar session collects them off the table's resident
+        columns (building them if they are not current, so its first
+        scan finds them); a row-plane session reads those columns only
+        if they are current, and otherwise loops over the rows.
 
         >>> from repro import SkylineSession, INTEGER
         >>> session = SkylineSession()
@@ -304,20 +308,12 @@ class SkylineSession:
         >>> session.table_stats("t").column("a").max_value
         3
         """
-        return self.catalog.statistics(
-            name, columnar=self.columnar)
-
-    def stats_refresh(self, name: str | None = None) -> dict:
-        """Force statistics re-collection for one table (or all).
-
-        Returns ``{table_name: TableStats}``.  Equivalent to running
-        ``ANALYZE TABLE name COMPUTE STATISTICS`` per table; use it
-        after mutating a table's rows in place, which the staleness
-        check cannot detect.
-        """
-        names = [name] if name is not None else self.catalog.table_names()
-        return {n: self.catalog.statistics(n, True, self.columnar)
-                for n in names}
+        table = self.catalog.lookup(name)
+        batch = table.column_batch()[0] if self.columnar \
+            else table.resident_batch()
+        rows = batch.to_rows() if batch is not None else table.rows
+        return collect_table_stats(
+            table.name, [f.name for f in table.schema], rows, batch=batch)
 
     # -- the pipeline -------------------------------------------------------------
 
@@ -325,8 +321,7 @@ class SkylineSession:
         """Parse a SQL statement into a DataFrame.
 
         Accepts the skyline-extended ``SELECT`` grammar (Listing 5 of
-        the paper) plus the ``ANALYZE TABLE name [COMPUTE STATISTICS]``
-        command feeding the statistics store.
+        the paper).
 
         The DataFrame remembers ``query``: its ``run()`` goes through
         the catalog's plan cache (:meth:`planned`), so repeated SQL
@@ -355,15 +350,12 @@ class SkylineSession:
         or -- parsed (unless ``parsed`` is its parse) and prepared -- a
         new one.  Every session on the catalog shares the cache; the
         serving layer's :class:`~repro.serve.catalog.CatalogService`
-        goes through here too.  Commands (``ANALYZE TABLE``) bypass the
-        planner and are not stored."""
+        goes through here too."""
         key = self._plan_key(sql)
         plans = self.catalog.plans
         entry = plans.get(key)
         if entry is None:
             plan = parsed if parsed is not None else parse_query(sql)
-            if isinstance(plan, AnalyzeTable):
-                return CachedPlan(plan, None)
             entry = CachedPlan(plan, self.prepare(plan))
             plans.put(key, entry)
         return entry
@@ -384,41 +376,6 @@ class SkylineSession:
             num_executors=self.cluster_config.num_executors,
             vectorized=self.vectorized,
             columnar=self.columnar)
-
-    _ANALYZE_SCHEMA = Schema([
-        Field("table_name", STRING, False),
-        Field("column_name", STRING, False),
-        Field("num_rows", INTEGER, False),
-        Field("num_nulls", INTEGER, False),
-        Field("null_fraction", DOUBLE, False),
-        Field("min", STRING, True),
-        Field("max", STRING, True),
-        Field("num_distinct", INTEGER, False),
-        Field("histogram_buckets", INTEGER, False),
-    ])
-
-    def _run_command(self, plan: LogicalPlan) -> "QueryResult | None":
-        """Execute command nodes that bypass the physical planner."""
-        if not isinstance(plan, AnalyzeTable):
-            return None
-        stats = self.catalog.statistics(plan.name, True,
-                                        self.columnar)
-        schema = self._ANALYZE_SCHEMA
-        rows = []
-        for column in stats.columns.values():
-            histogram = column.histogram
-            rows.append(Row((
-                stats.table_name, column.name, stats.num_rows,
-                column.num_nulls, column.null_fraction,
-                None if column.min_value is None
-                else str(column.min_value),
-                None if column.max_value is None
-                else str(column.max_value),
-                column.num_distinct,
-                0 if histogram is None else histogram.num_buckets,
-            ), schema))
-        ctx = ExecutionContext(self.cluster_config, backend=self.backend)
-        return QueryResult(rows=rows, schema=schema, context=ctx)
 
     # -- shared-memory transport ------------------------------------------
 
@@ -496,9 +453,6 @@ class SkylineSession:
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run the full pipeline on a logical plan."""
-        command = self._run_command(plan)
-        if command is not None:
-            return command
         return self.execute_prepared(self.prepare(plan))
 
     def cached_result(self, rows: list[Row],
@@ -517,8 +471,6 @@ class SkylineSession:
         section reporting the chosen algorithm and the partitions its
         local stage runs on, each with its reason.
         """
-        if isinstance(plan, AnalyzeTable):
-            return "== Command ==\n" + plan.node_description()
         analyzed = self.analyze(plan)
         optimized = self.optimize(analyzed)
         planner = self._planner()

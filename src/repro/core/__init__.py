@@ -11,8 +11,7 @@ from .algorithms import Algorithm, make_dimensions, reference, skyline
 from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, dominates_incomplete,
-                        equal_on_dimensions, has_null_dimension,
-                        null_bitmap)
+                        equal_on_dimensions, null_bitmap)
 from .incomplete import flagged_global_skyline, gulzar_global_skyline
 from .sfs import monotone_score, sfs_skyline
 from .vectorized import columnize
@@ -29,7 +28,6 @@ __all__ = [
     "equal_on_dimensions",
     "flagged_global_skyline",
     "gulzar_global_skyline",
-    "has_null_dimension",
     "make_dimensions",
     "monotone_score",
     "null_bitmap",

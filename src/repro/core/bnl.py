@@ -75,8 +75,8 @@ def bnl_step(window: list[Sequence], t: Sequence,
              dominance: Callable = dominates
              ) -> tuple[list[Sequence], bool, int]:
     """Fold one tuple ``t`` into a BNL ``window`` -- the one window
-    step of :func:`bnl_skyline`, :class:`repro.streaming.SkylineStream`
-    and the result cache's insert maintenance.
+    step of :func:`bnl_skyline` and of the result cache's incremental
+    maintenance of an append.
 
     Returns ``(window, t_dominated, comparisons)``: a new list of the
     members ``t`` does not dominate, then ``t`` unless a member

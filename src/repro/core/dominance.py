@@ -187,12 +187,6 @@ def null_bitmap(row: Sequence, dims: Sequence[BoundDimension]) -> int:
     return bitmap
 
 
-def has_null_dimension(row: Sequence,
-                       dims: Sequence[BoundDimension]) -> bool:
-    """True if the row is null in at least one skyline dimension."""
-    return any(row[dim.index] is None for dim in dims)
-
-
 def equal_on_dimensions(r: Sequence, s: Sequence,
                         dims: Sequence[BoundDimension]) -> bool:
     """True if two rows agree on every skyline dimension.

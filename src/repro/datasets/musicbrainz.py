@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..engine.types import INTEGER
+from ..engine.types import DOUBLE, INTEGER
 
 #: (column, kind) per Table 13, in the paper's order.
 MUSICBRAINZ_SKYLINE_DIMENSIONS: list[tuple[str, str]] = [
@@ -76,7 +76,7 @@ def generate_musicbrainz(num_recordings: int, seed: int = 23) -> dict:
              ("video", INTEGER, True)],
             recording_incomplete),
         "recording_meta": (
-            [("id", INTEGER, False), ("rating", INTEGER, True),
+            [("id", INTEGER, False), ("rating", DOUBLE, True),
              ("rating_count", INTEGER, True)],
             recording_meta),
         "track": (

@@ -3,11 +3,7 @@
 The analyzer "takes each identifier and translates it using the Catalog"
 (Section 4).  Tables hold their rows, a schema, and optional constraint
 metadata (primary/foreign keys) which the optimizer's non-reductive-join
-rule consults (Section 5.4).  The catalog also owns the statistics cache
-(:class:`~repro.stats.store.StatsStore`): per-table statistics are
-collected lazily on first use -- from the resident columns, so
-recollecting is cheap -- and dropped (not merged) when a table is
-re-registered, dropped, or mutated through the DML entry points.
+rule consults (Section 5.4).
 
 For the serving layer the catalog additionally provides:
 
@@ -47,11 +43,12 @@ from .row import Schema
 
 def table_fingerprint(table) -> tuple:
     """THE staleness token of ``table.rows`` (a :class:`Table`, or any
-    object with a ``rows`` list): the resident columns, the statistics
-    store and pinned prepared-query inputs are each valid for one token.
-    Catalog DML bumps ``data_version``, re-registration changes the
-    list object, a direct ``rows.append`` the length; only a same-length
-    overwrite behind the catalog's back goes unseen (``ANALYZE TABLE``)."""
+    object with a ``rows`` list): the resident columns and the kept
+    inputs of prepared queries are each valid for one token.  Catalog
+    DML bumps ``data_version``, re-registration changes the list object,
+    a direct ``rows.append`` the length; only a same-length overwrite
+    behind the catalog's back goes unseen (re-register the table after
+    one)."""
     return (id(table.rows), len(table.rows),
             getattr(table, "data_version", 0))
 
@@ -293,10 +290,6 @@ class Catalog:
         #: Planned statements of every session on this catalog; emptied
         #: by register/drop, after which no stored key can match again.
         self.plans = PlanCache()
-        # Imported lazily at class-definition time would be circular;
-        # the stats package only depends on repro.core.
-        from ..stats import StatsStore
-        self.stats = StatsStore()
 
     # -- change notification ----------------------------------------------
 
@@ -334,7 +327,6 @@ class Catalog:
         if replaced is not None:
             replaced._columns = None
         self._tables[key] = table
-        self.stats.invalidate(key)
         self._notify("register", key)
 
     def create_table(self, name: str, schema: Schema,
@@ -360,7 +352,6 @@ class Catalog:
 
     def drop(self, name: str) -> None:
         existed = self._tables.pop(name.lower(), None)
-        self.stats.invalidate(name)
         if existed is not None:
             existed._columns = None
             self._notify("drop", name)
@@ -385,7 +376,7 @@ class Catalog:
 
         Physical plans holding the table's row list by reference see
         the new rows immediately; resident columns are maintained (only
-        the delta is columnized), statistics dropped, and listeners
+        the delta is columnized), and listeners
         receive an ``insert`` event carrying the delta and the
         republished batch.  Returns the number of rows inserted.
         """
@@ -405,7 +396,6 @@ class Catalog:
                         f"table {table.name!r}")
             inserted.append(row)
         batch = table._append(inserted)
-        self.stats.invalidate(name)
         self._notify("insert", name, inserted, batch)
         return len(inserted)
 
@@ -445,18 +435,5 @@ class Catalog:
             return 0
         removed = [table.rows[i] for i in positions]
         batch = table._remove(positions)
-        self.stats.invalidate(name)
         self._notify("delete", name, removed, batch, positions)
         return len(removed)
-
-    def statistics(self, name: str, refresh: bool = False,
-                   columnar: bool = True):
-        """Statistics for table ``name``, collected lazily and cached.
-
-        Valid for one :func:`table_fingerprint` (dropped by register,
-        drop and DML, never merged: collecting from the resident
-        columns is cheap -- a ``columnar=False`` caller builds none);
-        ``refresh=True`` forces re-collection.
-        Returns a :class:`~repro.stats.statistics.TableStats`.
-        """
-        return self.stats.get(self.lookup(name), refresh, columnar)

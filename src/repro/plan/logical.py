@@ -595,22 +595,3 @@ class SkylineOperator(UnaryNode):
         dims = ", ".join(i.sql() for i in self.skyline_items)
         prefix = (" ".join(flags) + " ") if flags else ""
         return f"Skyline({prefix}{dims})"
-
-
-class AnalyzeTable(LeafNode):
-    """``ANALYZE TABLE name [COMPUTE STATISTICS]`` -- a command node.
-
-    Executed directly by the session (it never reaches the physical
-    planner): statistics for the named table are (re)collected into the
-    catalog's stats store and returned as a per-column summary relation.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    @property
-    def output(self) -> list[E.AttributeReference]:
-        return []
-
-    def node_description(self) -> str:
-        return f"AnalyzeTable({self.name})"

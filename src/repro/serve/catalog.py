@@ -1,10 +1,9 @@
 """Shared catalog, backend pool and result cache for multi-tenant serving.
 
 Historically every :class:`~repro.api.session.SkylineSession` owned its
-catalog, statistics store, and worker pool.  A server hosting many
-tenants wants the opposite: **one** catalog (so statistics are
-collected once, DML is visible to everyone, and its plan cache serves
-every tenant), **one** worker pool per backend flavour (so 16 tenants
+catalog and worker pool.  A server hosting many tenants wants the
+opposite: **one** catalog (so DML is visible to everyone and its plan
+cache serves every tenant), **one** worker pool per backend flavour (so 16 tenants
 do not spawn 16 process pools), and a cross-session cache of skyline
 results.  :class:`CatalogService` owns all of that; tenant sessions
 from :meth:`session_for` are thin views over the shared state.
@@ -86,10 +85,7 @@ class CatalogService:
         cost; everything else executes normally and, when the plan has
         the cacheable skyline shape, feeds the result cache.
         """
-        entry = session.planned(sql)
-        prepared = entry.prepared
-        if prepared is None:  # a command (ANALYZE TABLE)
-            return session.execute(entry.parsed)
+        prepared = session.planned(sql).prepared
         shape = prepared.cacheable_shape \
             if self.result_cache_enabled else None
         if shape is not None:

@@ -105,44 +105,12 @@ class _Parser:
     # -- entry points --------------------------------------------------------
 
     def parse_query(self) -> L.LogicalPlan:
-        if self._at_word("analyze"):
-            plan: L.LogicalPlan = self.parse_analyze()
-        else:
-            plan = self.parse_select()
+        plan = self.parse_select()
         if self.current.kind is not TokenKind.EOF:
             raise ParseError(
                 f"unexpected trailing input: {self.current.value!r}",
                 self.current.position, self.current.line)
         return plan
-
-    # -- ANALYZE TABLE ------------------------------------------------------
-
-    def _at_word(self, word: str) -> bool:
-        """True if the current token is the soft keyword ``word``.
-
-        ANALYZE/TABLE/COMPUTE/STATISTICS are not reserved -- they stay
-        usable as identifiers everywhere else.
-        """
-        token = self.current
-        return (token.kind is TokenKind.IDENTIFIER
-                and token.value.lower() == word)
-
-    def _expect_word(self, word: str) -> None:
-        if not self._at_word(word):
-            raise ParseError(
-                f"expected {word.upper()}, found {self.current.value!r}",
-                self.current.position, self.current.line)
-        self.advance()
-
-    def parse_analyze(self) -> L.AnalyzeTable:
-        """``ANALYZE TABLE name [COMPUTE STATISTICS]``."""
-        self._expect_word("analyze")
-        self._expect_word("table")
-        name = self.expect_identifier()
-        if self._at_word("compute"):
-            self.advance()
-            self._expect_word("statistics")
-        return L.AnalyzeTable(name)
 
     # -- SELECT -------------------------------------------------------------
 

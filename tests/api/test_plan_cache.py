@@ -55,7 +55,7 @@ def test_repeated_sql_hits_the_cache_and_skips_planning(session,
         raise AssertionError("a cached statement was parsed or planned")
 
     monkeypatch.setattr(session_module, "parse_query", refuse)
-    for stage in ("analyze", "optimize", "prepare", "_run_command"):
+    for stage in ("analyze", "optimize", "prepare"):
         monkeypatch.setattr(SkylineSession, stage, refuse)
     for _ in range(3):
         assert sorted(session.sql(SQL).run().as_tuples()) == answer(ROWS)
@@ -142,9 +142,12 @@ def test_a_derived_dataframe_is_not_served_the_cached_plan(session):
     assert stats(session)[1:] == (1, 1)
 
 
-def test_analyze_table_is_run_not_cached(session):
-    result = session.sql("ANALYZE TABLE pts COMPUTE STATISTICS").run()
-    assert len(result.rows) == len(COLUMNS)
+def test_analyze_table_is_not_a_statement(session):
+    # Every statement is a query with a prepared plan; the removed
+    # `analyze table` command fails to parse, at sql(), like any typo.
+    for sql in ("analyze table pts", "Analyze Table pts Compute Statistics"):
+        with pytest.raises(ParseError):
+            session.sql(sql)
     assert stats(session) == (0, 0, 0)
 
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (BoundDimension, DimensionKind, DominanceStats,
                         dominates, dominates_incomplete,
-                        equal_on_dimensions, has_null_dimension,
-                        null_bitmap)
+                        equal_on_dimensions, null_bitmap)
 
 MIN2 = [BoundDimension(0, DimensionKind.MIN),
         BoundDimension(1, DimensionKind.MIN)]
@@ -147,13 +146,6 @@ class TestNullBitmap:
         assert null_bitmap((None, 2, 3), dims) == 0b10
         assert null_bitmap((None, 2, None), dims) == 0b11
         assert null_bitmap((1, 2, 3), dims) == 0
-
-    def test_has_null_dimension(self):
-        assert has_null_dimension((None, 1), MIN2)
-        assert not has_null_dimension((0, 1), MIN2)
-        # Nulls outside the skyline dimensions do not count.
-        dims = [BoundDimension(0, DimensionKind.MIN)]
-        assert not has_null_dimension((0, None), dims)
 
 
 class TestEqualOnDimensions:

@@ -179,3 +179,28 @@ class TestMusicBrainz:
         wl.register(session)
         rows = session.sql(wl.skyline_sql(4)).collect()
         assert rows
+
+
+def _declared_tables():
+    """Every table every dataset generator emits, with its declared
+    columns, at the size and seeds the benchmark workloads use."""
+    for seed in (1, 5):
+        for incomplete in (False, True):
+            for workload in (airbnb_workload(3000, seed, incomplete),
+                             store_sales_workload(3000, seed, incomplete)):
+                yield (f"{workload.table_name}-seed{seed}",
+                       workload.columns, workload.rows)
+        for name, (columns, rows) in generate_musicbrainz(3000,
+                                                          seed).items():
+            yield f"{name}-seed{seed}", columns, rows
+
+
+@pytest.mark.parametrize("columns,rows", [
+    pytest.param(columns, rows, id=name)
+    for name, columns, rows in _declared_tables()])
+def test_every_row_is_accepted_by_its_declared_types(columns, rows):
+    rejected = [(name, value) for row in rows
+                for value, (name, dtype, nullable) in zip(row, columns)
+                if (value is None and not nullable)
+                or (value is not None and not dtype.accepts(value))]
+    assert rejected == [], f"{len(rejected)} values, e.g. {rejected[:3]}"

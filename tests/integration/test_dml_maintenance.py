@@ -156,8 +156,7 @@ def test_the_row_plane_never_builds_a_batch():
         mutate()
         result = session.sql(sql).run()
         assert result.scan == {"columnized_rows": 0, "resident_rows": 0}
-        # Nor do its statistics: ANALYZE's, the API's.
-        session.sql("ANALYZE TABLE t COMPUTE STATISTICS").run()
+        # Nor do its statistics, which show the DML at once.
         assert session.table_stats("t").num_rows == len(table.rows)
         assert table.resident_batch() is None
         assert table.resident_column_bytes == 0
@@ -331,6 +330,25 @@ class TestNamedCases:
         stats = service.result_cache.stats
         assert stats.maintained_inserts == maintained
         assert stats.invalidations == (not maintained)
+
+    def test_micro_batches_of_appends(self, config):
+        # An append stream in batches of eight: after every batch the
+        # cached skyline is the one a fresh execution computes.
+        rows = [(i, i % 2, float(i % 7), float((i * 3) % 5),
+                 float((i * 5) % 11)) for i in range(48)]
+        service = _service(rows[:8], config)
+        _read(service, FULL, config)
+        hits = []
+        for start in range(8, len(rows), 8):
+            service.catalog.insert_into("pts", rows[start:start + 8])
+            _assert_entries_exact(service, config)
+            hits.append(_read(service, FULL, config).cache_hit)
+        stats = service.result_cache.stats
+        if config.columnar:
+            assert all(hits) and stats.invalidations == 0
+            assert stats.maintained_inserts > 0
+        else:
+            assert stats.maintained_inserts == 0
 
     def test_all_dimension_tie_keeps_both(self, config):
         rows = [(1, 0, 1.0, 5.0, 1.0), (2, 0, 0.0, 0.0, 0.0)]

@@ -280,6 +280,33 @@ class TestProtocol:
 
         asyncio.run(run())
 
+    def test_analyze_table_is_a_parse_error_on_a_live_connection(self):
+        # Every statement is a query: the removed `analyze table`
+        # command fails to parse, and the same connection still serves
+        # the next query.
+        async def run():
+            server = make_server(port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                refused = await self.roundtrip(reader, writer, {
+                    "op": "query",
+                    "sql": "analyze table pts compute statistics"})
+                assert not refused["ok"]
+                assert refused["error"] == "parse_error"
+                answer = await self.roundtrip(
+                    reader, writer, {"op": "query", "sql": FULL})
+                assert answer["ok"]
+                dims = [BoundDimension(i, DimensionKind.MIN)
+                        for i in (1, 2, 3)]
+                assert sorted(map(tuple, answer["rows"])) == sorted(
+                    skyline_oracle(POINTS, dims))
+            finally:
+                writer.close()
+                await server.aclose()
+
+        asyncio.run(run())
+
     def test_default_config_applies_to_new_tenants(self):
         async def run():
             server = SkylineServer(

@@ -70,6 +70,20 @@ class TestSelectBasics:
         alias = find_node(plan, L.SubqueryAlias)
         assert alias.alias == "x"
 
+    @pytest.mark.parametrize("sql", [
+        "analyze table t", "analyze table t compute statistics",
+        "show tables", "insert into t values (1)"])
+    def test_every_statement_is_a_query(self, sql):
+        with pytest.raises(ParseError, match="expected SELECT"):
+            parse_query(sql)
+
+    def test_analyze_is_an_ordinary_identifier(self):
+        plan = parse_query(
+            "SELECT analyze FROM analyze SKYLINE OF analyze MIN")
+        assert find_node(plan, L.UnresolvedRelation).name == "analyze"
+        items = find_node(plan, L.SkylineOperator).skyline_items
+        assert [i.kind for i in items] == [DimensionKind.MIN]
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_query("SELECT a FROM t extra stuff ,")

@@ -12,15 +12,13 @@ import pytest
 import repro.api.config
 import repro.api.dataframe
 import repro.api.session
-import repro.stats.statistics
-import repro.stats.store
+import repro.stats
 
 DOCTESTED_MODULES = [
     repro.api.config,
     repro.api.session,
     repro.api.dataframe,
-    repro.stats.statistics,
-    repro.stats.store,
+    repro.stats,
 ]
 
 

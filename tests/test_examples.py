@@ -20,7 +20,7 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 def test_every_example_is_collected():
     # An empty glob would make the parametrized test below pass vacuously.
-    assert len(EXAMPLES) == 6
+    assert len(EXAMPLES) == 5
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)

@@ -46,10 +46,8 @@ KEEP = {
         f"{PUBLIC}: a method of the re-exported SkylineSession",
     "repro.api.session.SkylineSession.read_csv":
         f"{PUBLIC}: a method of the re-exported SkylineSession",
-    "repro.api.session.SkylineSession.stats_refresh":
-        f"{PUBLIC}: README's statistics section",
     "repro.api.session.SkylineSession.table_stats":
-        f"{PUBLIC}: docs/sql.md's ANALYZE TABLE section; perf/rounds.py",
+        f"{PERF}: perf/rounds.py set-up until ROADMAP item 2",
     "repro.bench.harness.run_query":
         f"{FIGURES}: benchmarks/helpers.py times one query with it",
     "repro.bench.harness.dimensions_sweep":
@@ -63,7 +61,7 @@ KEEP = {
     "repro.bench.reporting.format_memory_table":
         f"{FIGURES}: renders each memory figure's table",
     "repro.core.algorithms.make_dimensions":
-        f"{PUBLIC}: examples/algorithm_library.py, streaming_offers.py",
+        f"{PUBLIC}: examples/algorithm_library.py",
     "repro.core.incomplete.gulzar_global_skyline":
         f"{PUBLIC}: Appendix A's counterexample, "
         "examples/algorithm_library.py",
@@ -113,18 +111,6 @@ KEEP = {
         f"{HOOK}: tests/serve/ read the admission state",
     "repro.serve.scheduler.AdmissionScheduler.tenant_count":
         f"{HOOK}: tests/serve/test_degradation.py",
-    "repro.streaming.SkylineStream":
-        f"{PUBLIC}: examples/streaming_offers.py",
-    "repro.streaming.SkylineStream.add_all":
-        f"{PUBLIC}: the SkylineStream API",
-    "repro.streaming.SkylineStream.process_batch":
-        f"{PUBLIC}: examples/streaming_offers.py",
-    "repro.streaming.SkylineStream.window_size":
-        f"{PUBLIC}: the SkylineStream API",
-    "repro.streaming.SkylineStream.checkpoint":
-        f"{PUBLIC}: examples/streaming_offers.py",
-    "repro.streaming.SkylineStream.restore":
-        f"{PUBLIC}: examples/streaming_offers.py",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
