@@ -3,10 +3,11 @@
 The scalar kernels (:mod:`repro.core.bnl`, :mod:`repro.core.sfs`,
 :mod:`repro.core.incomplete`) compare one pair of tuples at a time in
 Python -- the hottest loop of the whole engine.  This module re-expresses
-the same algorithms over *columns*: a partition's skyline dimensions are
-converted once into a ``float64`` matrix (MAX dimensions negated so
-smaller is uniformly better, SQL nulls encoded as NaN plus an explicit
-null mask) and dominance is evaluated with NumPy broadcasting.
+the same algorithms over *columns*: each of a partition's skyline
+dimensions is cast once into one contiguous ``float64`` vector (MAX
+dimensions negated so smaller is uniformly better, SQL nulls encoded as
+NaN plus an explicit null mask for the dimensions that hold one) and
+dominance is evaluated with NumPy broadcasting.
 
 There is **one window kernel**, :func:`_block_skyline_indices` -- local
 BNL, the null-bitmap local phase, the global phase and SFS all select
@@ -36,12 +37,16 @@ their survivors with it:
   dominator (true skyline rows always survive), so one pairwise pass per
   equal-key run of survivors makes the result exact for any weakly
   monotone key.
-* *Column layout.*  The dominance primitives (:func:`_dominated_by`,
-  :func:`_pairwise_dominated`) take ``(dims, rows)`` C-contiguous
-  arrays (:func:`_columns`), one contiguous vector per dimension, and
-  compare at most :data:`PAIR_BUDGET` pairs per broadcast, under a
-  ufunc buffer bounded to :data:`UFUNC_BUFFER` elements; the flagged
-  kernel and the serving cache's re-filter share them.
+* *Column layout.*  There is one layout of the skyline input:
+  ``(dims, rows)`` C-contiguous ``ColumnBlock.cols``, built by
+  :func:`columnize` / :func:`columnize_batch` with one write per
+  dimension and read by every kernel without a transpose.  The
+  dominance primitives (:func:`_dominated_by`,
+  :func:`_pairwise_dominated`) compare at most :data:`PAIR_BUDGET`
+  pairs per broadcast, under a ufunc buffer bounded to
+  :data:`UFUNC_BUFFER` elements; the flagged kernel and the serving
+  cache's re-filter share them.  No kernel writes into a batch's
+  arrays: a table's resident columns are shared by every query.
 
 Semantics are pinned to the scalar reference implementation:
 
@@ -59,10 +64,10 @@ Semantics are pinned to the scalar reference implementation:
   phase groups rows by the dimensions they are null *or NaN* in, inside
   which dominance is transitive again, and the all-pairs flagged
   kernel needs no transitivity: both vectorize NaN data directly.
-* SQL ``NULL`` maps to NaN in the matrix, which makes the *same* formula
+* SQL ``NULL`` maps to NaN in the columns, which makes the *same* formula
   implement the null-restricted comparison of
   :func:`~repro.core.dominance.dominates_incomplete`: a dimension where
-  either side is null is skipped.  The separate null mask keeps
+  either side is null is skipped.  The separate null masks keep
   ``NULL`` distinguishable from genuine NaN data for DISTINCT equality
   (``NULL = NULL`` holds there, ``NaN = NaN`` does not).
 * DIFF dimensions never vectorize as numbers; rows are grouped by their
@@ -141,20 +146,22 @@ FILTER_POINTS = 32
 class ColumnBlock:
     """A partition's skyline dimensions in columnar form.
 
-    ``values`` is ``(n, k)`` float64 over the MIN/MAX dimensions,
-    oriented so smaller is better and with nulls encoded as NaN;
-    ``null_mask`` marks the encoded nulls (NaN *data* stays unmasked);
-    ``diff_keys`` holds one tuple of raw DIFF-dimension values per row
-    (``None`` when the query has no DIFF dimensions).
+    ``cols`` is ``(k, n)`` C-contiguous float64, one vector per MIN/MAX
+    dimension -- the layout the dominance primitives read -- oriented
+    so smaller is better and with nulls encoded as NaN; ``nulls`` maps
+    the position of each such dimension that holds a null to its null
+    mask (NaN *data* stays unmasked); ``diff_keys`` holds one tuple of
+    raw DIFF-dimension values per row (``None`` when the query has no
+    DIFF dimensions).
     """
 
-    values: "np.ndarray"
-    null_mask: "np.ndarray"
+    cols: "np.ndarray"
+    nulls: "dict[int, np.ndarray]"
     diff_keys: list[tuple] | None
 
     @property
     def num_rows(self) -> int:
-        return len(self.values)
+        return self.cols.shape[1]
 
     @property
     def has_nan_data(self) -> bool:
@@ -167,7 +174,10 @@ class ColumnBlock:
         window semantics.  The flag-based all-pairs kernel needs no
         transitivity and keeps vectorizing such data.
         """
-        return bool((np.isnan(self.values) & ~self.null_mask).any())
+        nan = np.isnan(self.cols)
+        for j, mask in self.nulls.items():
+            nan[j] &= ~mask
+        return bool(nan.any())
 
     def groups(self, by_bitmap: bool = False) -> "list[np.ndarray] | None":
         """Ascending row-index arrays, one per DIFF-value group -- with
@@ -175,10 +185,10 @@ class ColumnBlock:
         null or NaN in x DIFF value) group -- in first-seen order;
         ``None`` when every row is in one group."""
         keys = self.diff_keys
-        unordered = np.isnan(self.values) if by_bitmap else None
+        unordered = np.isnan(self.cols) if by_bitmap else None
         if unordered is not None and unordered.any():
-            bitmaps = unordered.astype(np.int64) @ (
-                1 << np.arange(unordered.shape[1], dtype=np.int64))
+            bitmaps = (1 << np.arange(len(unordered), dtype=np.int64)) @ \
+                unordered.astype(np.int64)
             if keys is None:
                 return _equal_runs(bitmaps)
             keys = list(zip(bitmaps.tolist(), keys))
@@ -200,12 +210,6 @@ class ColumnBlock:
             for key in self.diff_keys for v in key)
 
 
-def _empty_block(num_value_dims: int, has_diff: bool) -> ColumnBlock:
-    return ColumnBlock(np.zeros((0, num_value_dims)),
-                       np.zeros((0, num_value_dims), dtype=bool),
-                       [] if has_diff else None)
-
-
 def _equal_runs(keys: "np.ndarray") -> list["np.ndarray"]:
     """Ascending index arrays of the rows of equal (non-empty) ``keys``,
     in first-seen order: one stable argsort."""
@@ -213,6 +217,37 @@ def _equal_runs(keys: "np.ndarray") -> list["np.ndarray"]:
     runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
     runs.sort(key=lambda run: run[0])
     return runs
+
+
+def _oriented_block(n: int, dims: Sequence[BoundDimension],
+                    encode: Callable[[int], "tuple | None"],
+                    diff_keys: Callable[[list], list[tuple]]
+                    ) -> ColumnBlock | None:
+    """Fill a block's ``cols`` with one contiguous write per dimension.
+
+    ``encode(index)`` gives a column's ``(data, null mask)`` (see
+    :meth:`repro.engine.batch.Column.as_f8`) or ``None`` when it cannot
+    be encoded faithfully.  ``data`` is cast straight into its row of
+    ``cols`` -- negated for MAX -- and never written itself.
+    """
+    value_dims = [d for d in dims if d.kind is not DimensionKind.DIFF]
+    diff_dims = [d for d in dims if d.kind is DimensionKind.DIFF]
+    cols = np.empty((len(value_dims), n))
+    nulls = {}
+    for j, dim in enumerate(value_dims):
+        encoded = encode(dim.index)
+        if encoded is None:
+            return None
+        data, mask = encoded
+        if dim.kind is DimensionKind.MAX:
+            np.negative(data, out=cols[j], dtype=np.float64)
+        else:
+            cols[j] = data
+        if mask is not None and mask.any():
+            cols[j][mask] = np.nan
+            nulls[j] = mask
+    return ColumnBlock(cols, nulls, diff_keys(diff_dims) if diff_dims
+                       else None)
 
 
 def columnize(rows: "Sequence[Sequence] | ColumnBatch",
@@ -230,26 +265,11 @@ def columnize(rows: "Sequence[Sequence] | ColumnBatch",
     if isinstance(rows, ColumnBatch):
         return columnize_batch(rows, dims)
     rows = rows if isinstance(rows, list) else list(rows)
-    value_dims = [d for d in dims if d.kind is not DimensionKind.DIFF]
-    diff_dims = [d for d in dims if d.kind is DimensionKind.DIFF]
-    n = len(rows)
-    if n == 0:
-        return _empty_block(len(value_dims), bool(diff_dims))
-    columns = list(zip(*rows))
-    values = np.empty((n, len(value_dims)), dtype=np.float64)
-    null_mask = np.zeros((n, len(value_dims)), dtype=bool)
-    for j, dim in enumerate(value_dims):
-        encoded = encode_numeric_column(columns[dim.index])
-        if encoded is None:
-            return None
-        values[:, j], null_mask[:, j] = encoded
-        if dim.kind is DimensionKind.MAX:
-            values[:, j] = -values[:, j]
-    diff_keys = None
-    if diff_dims:
-        diff_keys = [tuple(row[d.index] for d in diff_dims)
-                     for row in rows]
-    return ColumnBlock(values, null_mask, diff_keys)
+    return _oriented_block(
+        len(rows), dims,
+        lambda index: encode_numeric_column([row[index] for row in rows]),
+        lambda diff_dims: [tuple(row[d.index] for d in diff_dims)
+                           for row in rows])
 
 
 def columnize_batch(batch: ColumnBatch,
@@ -258,32 +278,17 @@ def columnize_batch(batch: ColumnBatch,
     :class:`~repro.engine.batch.ColumnBatch` -- no per-row work.
 
     The batch data plane already stores numeric columns as typed
-    arrays, so the skyline kernels can assemble their oriented value
-    matrix with array casts instead of re-columnizing the partition's
-    rows.  Columns the batch kept as Python lists go through the shared
-    row encoder; a column that cannot encode faithfully returns
-    ``None`` (scalar fallback), exactly like :func:`columnize`.
+    arrays, so each dimension is one cast of such an array into its
+    row of ``cols``; the batch's arrays are only read (a table's
+    resident columns are shared by every query).  Columns the batch
+    kept as Python lists go through the shared row encoder; a column
+    that cannot encode faithfully returns ``None`` (scalar fallback),
+    exactly like :func:`columnize`.
     """
-    value_dims = [d for d in dims if d.kind is not DimensionKind.DIFF]
-    diff_dims = [d for d in dims if d.kind is DimensionKind.DIFF]
-    n = batch.num_rows
-    if n == 0:
-        return _empty_block(len(value_dims), bool(diff_dims))
-    values = np.empty((n, len(value_dims)), dtype=np.float64)
-    null_mask = np.zeros((n, len(value_dims)), dtype=bool)
-    for j, dim in enumerate(value_dims):
-        encoded = batch.column(dim.index).as_f8()
-        if encoded is None:
-            return None
-        values[:, j], null_mask[:, j] = encoded
-        if dim.kind is DimensionKind.MAX:
-            values[:, j] = -values[:, j]
-    diff_keys = None
-    if diff_dims:
-        diff_columns = [batch.column(d.index).to_values()
-                        for d in diff_dims]
-        diff_keys = list(zip(*diff_columns))
-    return ColumnBlock(values, null_mask, diff_keys)
+    return _oriented_block(
+        batch.num_rows, dims, lambda index: batch.column(index).as_f8(),
+        lambda diff_dims: list(zip(*(batch.column(d.index).to_values()
+                                     for d in diff_dims))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +296,10 @@ def columnize_batch(batch: ColumnBatch,
 # ---------------------------------------------------------------------------
 
 
-def _columns(values: "np.ndarray") -> "np.ndarray":
-    """``(rows, dims)`` matrix -> ``(dims, rows)`` C-contiguous columns,
-    the layout the dominance primitives read."""
-    return np.ascontiguousarray(values.T)
-
-
 def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray"
                         ) -> "np.ndarray":
     """``(by rows, cand rows)`` mask: ``by[:, i]`` dominates
-    ``cand[:, j]``; both arguments are :func:`_columns` arrays.
+    ``cand[:, j]``; both arguments are ``(dims, rows)`` arrays.
 
     One 2-D comparison per dimension over contiguous vectors, written
     into reused buffers: a 3-D broadcast with a reduction over the tiny
@@ -322,7 +321,7 @@ def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray"
 def _dominated_by(cand: "np.ndarray", by: "np.ndarray",
                   stats: DominanceStats | None = None) -> "np.ndarray":
     """Mask over ``cand`` rows dominated by *some* row of ``by`` (both
-    :func:`_columns` arrays).
+    ``(dims, rows)`` arrays).
 
     Every broadcast covers at most :data:`PAIR_BUDGET` pairs, and
     already-dominated candidates drop out of later steps -- so the
@@ -395,8 +394,9 @@ def _equal_key_dominated(keys: "np.ndarray", cols: "np.ndarray",
 
 def _peel(cols: "np.ndarray", stats: DominanceStats | None,
           check_deadline: Callable[[], None] | None) -> "np.ndarray":
-    """Skyline positions of a :func:`_columns` array, best key first
-    (*Key*, *Peel* and *Tie pass* of the module docstring)."""
+    """Skyline positions of a ``(dims, rows)`` array, best key first
+    (*Key*, *Peel* and *Tie pass* of the module docstring); compacts
+    only its own sorted copy."""
     keys = _volume_keys(cols)
     order = np.argsort(keys, kind="stable")
     cols = np.take(cols, order, axis=1)
@@ -412,7 +412,7 @@ def _peel(cols: "np.ndarray", stats: DominanceStats | None,
         kept_cols.append(block)
         alive = head + np.flatnonzero(
             ~_dominated_by(cols[:, head:], block, stats))
-        for col in cols:  # compact in place: no second matrix
+        for col in cols:  # compact our own copy in place: no second one
             col[:len(alive)] = col[alive]
         cols = cols[:, :len(alive)]
         order = order[alive]
@@ -422,22 +422,25 @@ def _peel(cols: "np.ndarray", stats: DominanceStats | None,
         keys[kept], np.concatenate(kept_cols, axis=1), stats)]
 
 
-def _block_skyline_indices(values: "np.ndarray",
+def _block_skyline_indices(cols: "np.ndarray",
                            stats: DominanceStats | None = None,
                            check_deadline: Callable[[], None] | None = None
                            ) -> "np.ndarray":
-    """Indices (ascending) of the skyline rows of ``values``.
+    """Indices (ascending) of the skyline rows of ``(dims, rows)``
+    ``cols``.
 
     *Filter before sort*, then the sort-first peel of the module
     docstring.  Requires a transitive dominance relation over the rows
     and NaN only as a uniformly-null column (both guaranteed per
     DIFF/null-bitmap group by the callers' guards).
     """
-    live = [col for col in values.T if len(col) and not np.isnan(col[0])]
+    rows = np.arange(cols.shape[1])
+    live = [j for j, col in enumerate(cols)
+            if len(col) and not np.isnan(col[0])]
     if not live:  # no rows, or an all-null group: nothing dominates
-        return np.arange(len(values))
-    cols = np.ascontiguousarray(live)
-    rows = np.arange(len(values))
+        return rows
+    if len(live) < len(cols):
+        cols = cols[live]
     if len(rows) >= PREFILTER_MIN_ROWS:
         # Filter points are rows of this very group, so whatever they
         # remove has a dominator among the rows that stay.
@@ -454,7 +457,7 @@ def _block_skyline_indices(values: "np.ndarray",
     return np.sort(kept)
 
 
-def _flagged_indices(values: "np.ndarray",
+def _flagged_indices(cols: "np.ndarray",
                      stats: DominanceStats | None = None,
                      check_deadline: Callable[[], None] | None = None
                      ) -> "np.ndarray":
@@ -465,9 +468,9 @@ def _flagged_indices(values: "np.ndarray",
     what makes the result correct under cyclic (incomplete) dominance.
     Flagged rows stay on the ``by`` side but are never re-*tested*.
     """
-    cols = live = _columns(values)
-    alive = np.arange(len(values))
-    for start in range(0, len(values), BLOCK_ROWS):
+    live = cols
+    alive = np.arange(cols.shape[1])
+    for start in range(0, cols.shape[1], BLOCK_ROWS):
         if check_deadline is not None:
             check_deadline()
         if not len(alive):
@@ -477,7 +480,7 @@ def _flagged_indices(values: "np.ndarray",
         live = np.compress(keep, live, axis=1)
         alive = alive[keep]
     if stats is not None:
-        stats.note_window(len(values))
+        stats.note_window(cols.shape[1])
     return alive
 
 
@@ -488,29 +491,30 @@ def _grouped_indices(select: Callable, block: ColumnBlock,
     """Per-group index selection (:meth:`ColumnBlock.groups`), merged
     in ascending order."""
     groups = block.groups(by_bitmap)
-    if groups is None:  # one group: the matrix as is, no copy
-        return select(block.values, stats, check_deadline).tolist()
+    if groups is None:  # one group: the columns as they are, no copy
+        return select(block.cols, stats, check_deadline).tolist()
     indices: list[int] = []
     for group in groups:
-        chosen = select(block.values[group], stats, check_deadline)
+        chosen = select(np.take(block.cols, group, axis=1), stats,
+                        check_deadline)
         indices.extend(group[chosen].tolist())
     indices.sort()
     return indices
 
 
-def _monotone_scores(values: "np.ndarray") -> "np.ndarray":
+def _monotone_scores(cols: "np.ndarray") -> "np.ndarray":
     """Per-row monotone scores, summed strictly left to right.
 
     Matches :func:`repro.core.sfs.monotone_score` bit for bit (the
     columns are already oriented), so scalar and vectorized SFS sort --
     and hence pick DISTINCT representatives -- identically.
     """
-    if not values.shape[1]:
-        return np.zeros(len(values))
+    if not len(cols):
+        return np.zeros(cols.shape[1])
     with np.errstate(invalid="ignore"):  # +inf + -inf -> NaN is expected
-        scores = values[:, 0].copy()
-        for j in range(1, values.shape[1]):
-            scores += values[:, j]
+        scores = cols[0].copy()
+        for col in cols[1:]:
+            scores += col
     return scores
 
 
@@ -528,7 +532,7 @@ def _sfs_indices(block: ColumnBlock, stats: DominanceStats | None,
     """
     indices = _grouped_indices(_block_skyline_indices, block, stats,
                                check_deadline)
-    scores = _monotone_scores(block.values)
+    scores = _monotone_scores(block.cols)
     if not np.isfinite(scores).all():
         return indices
     chosen = np.asarray(indices, dtype=np.intp)
@@ -596,17 +600,15 @@ def _reject_nulls(partition: "list | ColumnBatch",
     MIN/MAX dimension that holds a NULL: the complete-data modes compare
     every value, so ``SKYLINE OF COMPLETE`` (or a forced complete
     algorithm) asserts there are none.  A NULL DIFF value is legal (it
-    is one more group).  Reads the block's null mask where there is one,
-    the partition otherwise."""
+    is one more group).  Reads the block's null masks where there is a
+    block, the partition otherwise."""
     value_dims = [(position, d) for position, d in enumerate(dims, 1)
                   if d.kind is not DimensionKind.DIFF]
-    if block is not None:
-        if not block.null_mask.any():  # one pass, the common case
-            return
-        column_nulls = block.null_mask.any(axis=0)
+    if block is not None and not block.nulls:  # the common case
+        return
     for j, (position, dim) in enumerate(value_dims):
         if block is not None:
-            has_null = column_nulls[j]
+            has_null = j in block.nulls
         elif isinstance(partition, ColumnBatch):
             has_null = np.any(partition.column(dim.index).null_flags())
         else:
@@ -675,8 +677,7 @@ def skyline_task(partition: "Sequence[Sequence] | ColumnBatch",
 
     ``partition`` is a row list or a :class:`ColumnBatch` and the
     result comes back in the same representation: a batch's oriented
-    value matrix is assembled from its typed columns (no per-row
-    columnization) and survivors are selected by index, so the batch
+    columns are cast from its typed arrays (no per-row columnization) and survivors are selected by index, so the batch
     plane never materialises rows unless a guard forces the scalar
     reference.  ``mode`` keys :data:`SKYLINE_MODES`.  ``vectorized``
     off, data that cannot be columnized faithfully or a tripped mode
@@ -806,8 +807,8 @@ def vec_dominated_mask(rows: "Sequence[Sequence] | ColumnBatch",
     by = columnize(by_rows, dims)
     if cand is None or by is None:
         return None
-    if cand.null_mask.any() or by.null_mask.any():
+    if cand.nulls or by.nulls:
         # Nulls demand the incomplete semantics; the cache never stores
         # nullable preference sets, so just refuse.
         return None
-    return _dominated_by(_columns(cand.values), _columns(by.values))
+    return _dominated_by(cand.cols, by.cols)

@@ -240,38 +240,21 @@ class Column:
         return np.zeros(len(self.data), dtype=bool)
 
     def as_f8(self) -> "tuple | None":
-        """``(float64 data, null mask)`` with nulls encoded as NaN.
+        """``(data, null mask)``: values that cast to float64 exactly,
+        for the caller to cast into a buffer of its own.
 
-        Exact for ``f8``/``b1`` and for ``i8`` within the float64-exact
-        range; returns ``None`` when exactness would be lost (big ints)
-        or for list columns that :func:`encode_numeric_column` rejects.
+        A typed column hands out its own array, not a copy -- callers
+        must never write into it -- and its values under a null are
+        undefined; the mask is ``None`` when no row is null.  A list
+        column goes through :func:`encode_numeric_column`.  Returns
+        ``None`` when exactness would be lost (``i8`` beyond 2**53) or
+        for list columns that :func:`encode_numeric_column` rejects.
         """
-        if self.kind == F8:
-            mask = self.mask if self.mask is not None else \
-                np.zeros(len(self.data), dtype=bool)
-            if self.mask is not None and self.mask.any():
-                data = self.data.copy()
-                data[self.mask] = np.nan
-            else:
-                data = self.data
-            return data, mask
-        if self.kind == I8:
-            if not int64_fits_float_exact(self.data):
-                return None
-            data = self.data.astype(np.float64)
-            mask = self.mask if self.mask is not None else \
-                np.zeros(len(self.data), dtype=bool)
-            if self.mask is not None and self.mask.any():
-                data[self.mask] = np.nan
-            return data, mask
-        if self.kind == B1:
-            data = self.data.astype(np.float64)
-            mask = self.mask if self.mask is not None else \
-                np.zeros(len(self.data), dtype=bool)
-            if self.mask is not None and self.mask.any():
-                data[self.mask] = np.nan
-            return data, mask
-        return encode_numeric_column(self.data)
+        if self.kind == OBJ:
+            return encode_numeric_column(self.data)
+        if self.kind == I8 and not int64_fits_float_exact(self.data):
+            return None
+        return self.data, self.mask if self.has_nulls() else None
 
     # -- conversion -------------------------------------------------------
 

@@ -24,6 +24,8 @@ from repro.core.vectorized import (columnize, pack_by_null_bitmap,
 from repro.datasets import store_sales_workload
 from repro.engine.backends import ProcessBackend, StageTask
 from repro.engine.batch import ColumnBatch
+from repro.engine.catalog import Catalog
+from repro.engine.types import BOOLEAN, DOUBLE, INTEGER
 from repro.errors import ExecutionError, QueryTimeout
 
 NAN = float("nan")
@@ -85,21 +87,24 @@ MODE_CASES = {
 class TestColumnize:
     def test_orientation_and_shape(self):
         block = columnize([(1, 2, "a"), (3, 4, "b")], MIXED3)
-        assert block.values.shape == (2, 2)
+        # (dims, rows), one C-contiguous vector per MIN/MAX dimension.
+        assert block.cols.shape == (2, 2)
+        assert block.cols.flags.c_contiguous
         # MAX dimension negated so smaller is uniformly better.
-        assert list(block.values[:, 1]) == [-2.0, -4.0]
+        assert list(block.cols[1]) == [-2.0, -4.0]
         assert block.diff_keys == [("a",), ("b",)]
 
     def test_null_mask_and_nan_encoding(self):
         block = columnize([(None, 1), (2, None)], MIN2)
-        assert block.null_mask.tolist() == [[True, False], [False, True]]
-        assert math.isnan(block.values[0, 0])
+        assert {j: mask.tolist() for j, mask in block.nulls.items()} == \
+            {0: [True, False], 1: [False, True]}
+        assert math.isnan(block.cols[0, 0])
         assert not block.has_nan_data  # encoded nulls are not NaN data
 
     def test_nan_data_is_not_a_null(self):
         block = columnize([(NAN, 1)], MIN2)
         assert block.has_nan_data
-        assert not block.null_mask.any()
+        assert not block.nulls
 
     def test_non_numeric_returns_none(self):
         assert columnize([("x", 1)], MIN2) is None
@@ -124,6 +129,47 @@ class TestColumnize:
         rows = [(None, "x"), (1, None), (None, "y"), (2, None), (3, "x")]
         assert [g.tolist() for g in columnize(rows, dims).groups(
             by_bitmap=True)] == [[0], [1, 3], [2], [4]]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_and_batch_planes_build_bit_identical_columns(self, data):
+        # One layout, two builders: the row plane's encoder and the
+        # batch's typed arrays (i8 / f8 / b1 / obj, masked or not) must
+        # give the same bits -- -0.0 and the sign of NaN included -- and
+        # the same null masks, or both refuse.
+        cell = st.one_of(
+            st.none(), st.booleans(), st.sampled_from(
+                [0, 1, -3, 2 ** 53, -2 ** 53, 2 ** 53 + 1]),
+            st.sampled_from([0.0, -0.0, 1.5, -2.25, NAN, INF, -INF]))
+        column = st.one_of(
+            st.just([None]), st.just([0, -1, 2 ** 53]),
+            st.just([0.0, -0.0, NAN, INF]), st.just([True, False]),
+            st.lists(cell, min_size=1, max_size=4))
+        width = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(0, 12))
+        pools = [data.draw(column) for _ in range(width)]
+        rows = [tuple(data.draw(st.sampled_from(pool)) for pool in pools)
+                for _ in range(n)]
+        dims = make_dimensions([
+            (i, data.draw(st.sampled_from(["min", "max", "diff"])))
+            for i in range(width)])
+        by_rows = columnize(rows, dims)
+        by_batch = V.columnize_batch(ColumnBatch.from_rows(rows, width),
+                                     dims)
+        if any(type(v) is int and abs(v) > 2 ** 53 for row in rows
+               for v, d in zip(row, dims) if not d.is_diff):
+            assert by_rows is None and by_batch is None
+            return
+        assert by_rows is not None and by_batch is not None
+        k = sum(not d.is_diff for d in dims)
+        for block in (by_rows, by_batch):
+            assert block.cols.shape == (k, n)
+            assert block.cols.flags.c_contiguous
+        assert by_rows.cols.tobytes() == by_batch.cols.tobytes()
+        assert {j: m.tolist() for j, m in by_rows.nulls.items()} == \
+            {j: m.tolist() for j, m in by_batch.nulls.items()}
+        assert all(m.any() for m in by_rows.nulls.values())
+        assert repr(by_rows.diff_keys) == repr(by_batch.diff_keys)
 
 
 class TestKernelAgreement:
@@ -294,6 +340,12 @@ class TestKernelAgreement:
         assert stats.window_peak > 0
 
 
+def columns(values):
+    """A ``(rows, dims)`` test matrix in the kernels' ``(dims, rows)``
+    layout."""
+    return np.ascontiguousarray(values.T)
+
+
 def all_pairs_skyline(values):
     """The definition, one row against all others -- no key, no window,
     no order: the oracle the sort-first kernel must match bit for bit."""
@@ -340,7 +392,7 @@ class TestSortFirstKernel:
     @given(kernel_matrices())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_all_pairs(self, values):
-        assert V._block_skyline_indices(values).tolist() == \
+        assert V._block_skyline_indices(columns(values)).tolist() == \
             all_pairs_skyline(values)
 
     #: Rows consumed when every head block survives whole: 64, +128, ...
@@ -361,7 +413,7 @@ class TestSortFirstKernel:
         if twins:
             values = np.concatenate([values + (4.0, 4.0), values])
             expected = list(range(n, 2 * n))
-        assert V._block_skyline_indices(values).tolist() == expected
+        assert V._block_skyline_indices(columns(values)).tolist() == expected
         if n <= 192:
             assert all_pairs_skyline(values) == expected
 
@@ -374,27 +426,27 @@ class TestSortFirstKernel:
         n = V.HEAD_ROWS_MIN + 6
         values = np.asarray([(1e16, 0.9 - i * 1e-4) for i in range(n)])
         monkeypatch.setattr(V, "_volume_keys", lambda cols: np.sum(cols, axis=0))
-        assert V._block_skyline_indices(values).tolist() == [n - 1] == \
+        assert V._block_skyline_indices(columns(values)).tolist() == [n - 1] == \
             all_pairs_skyline(values)
         # Mutation check: without the cleanup the false survivor stays.
         monkeypatch.setattr(
             V, "_equal_key_dominated",
             lambda keys, cols, stats: np.zeros(len(keys), dtype=bool))
-        assert V._block_skyline_indices(values).tolist() == \
+        assert V._block_skyline_indices(columns(values)).tolist() == \
             [V.HEAD_ROWS_MIN - 1, n - 1]
 
     def test_keys_are_scale_free_and_finite(self):
         values = np.asarray([(-INF, 1e300), (0.0, 1e-300), (INF, 5.0),
                              (0.0, 1e-300)])
-        keys = V._volume_keys(V._columns(values))
+        keys = V._volume_keys(columns(values))
         assert np.isfinite(keys).all()
         assert keys[1] == keys[3]                  # duplicates tie
         rescaled = values * (1e-5, 1e5)
-        assert (V._volume_keys(V._columns(rescaled)) == keys).all()
+        assert (V._volume_keys(columns(rescaled)) == keys).all()
 
     def test_temporaries_stay_bounded(self):
         values = np.random.default_rng(12).random((30_000, 6))
-        cols = V._columns(values)
+        cols = columns(values)
 
         def peak_of(call):
             call()  # warm caches outside the measurement
@@ -405,7 +457,7 @@ class TestSortFirstKernel:
             finally:
                 tracemalloc.stop()
 
-        assert peak_of(lambda: V._block_skyline_indices(values)) \
+        assert peak_of(lambda: V._block_skyline_indices(cols)) \
             <= 4 * 2 ** 20
         # The primitive alone: 2048 x 30000 pairs used to be one
         # 61 MB boolean temporary, three times over.
@@ -424,7 +476,7 @@ class TestSortFirstKernel:
             patch.setattr(V, "PREFILTER_MIN_ROWS", 32)
             patch.setattr(V, "SAMPLE_ROWS", 8)
             patch.setattr(V, "FILTER_POINTS", points)
-            assert V._block_skyline_indices(values).tolist() == \
+            assert V._block_skyline_indices(columns(values)).tolist() == \
                 all_pairs_skyline(values)
 
     @staticmethod
@@ -457,7 +509,7 @@ class TestSortFirstKernel:
         # One below the threshold (no pre-filter), on it, one above, and
         # a size the sampling stride does not divide.
         values = self.adversarial(shape, V.PREFILTER_MIN_ROWS + offset)
-        assert V._block_skyline_indices(values).tolist() == \
+        assert V._block_skyline_indices(columns(values)).tolist() == \
             all_pairs_skyline(values)
 
     @pytest.mark.parametrize("foreign, lost", [
@@ -474,16 +526,16 @@ class TestSortFirstKernel:
         # removes rows that no surviving row dominates.
         values = self.adversarial("chain", V.PREFILTER_MIN_ROWS)
         expected = all_pairs_skyline(values)
-        assert V._block_skyline_indices(values).tolist() == expected
+        assert V._block_skyline_indices(columns(values)).tolist() == expected
         dominated_by = V._dominated_by
 
         def planted(cand, by, stats=None):
             if cand.shape[1] == len(values):  # the filter pass
-                by = V._columns(np.asarray([foreign]))
+                by = columns(np.asarray([foreign]))
             return dominated_by(cand, by, stats)
 
         monkeypatch.setattr(V, "_dominated_by", planted)
-        assert V._block_skyline_indices(values).tolist() == \
+        assert V._block_skyline_indices(columns(values)).tolist() == \
             [i for i in expected if i not in lost]
 
     def test_deadline_polled_between_sample_filter_and_peel(
@@ -498,7 +550,7 @@ class TestSortFirstKernel:
             return dominated_by(cand, by, stats)
 
         monkeypatch.setattr(V, "_dominated_by", spy)
-        V._block_skyline_indices(values, None,
+        V._block_skyline_indices(columns(values), None,
                                  lambda: events.append("check"))
         at = events.index("filter")
         assert events.count("filter") == 1
@@ -514,7 +566,7 @@ class TestSortFirstKernel:
                     raise QueryTimeout(1.0, 0.5)
 
             with pytest.raises(QueryTimeout):
-                V._block_skyline_indices(values, None, check)
+                V._block_skyline_indices(columns(values), None, check)
 
     def test_sort_sees_a_quarter_of_a_store_sales_partition(
             self, monkeypatch):
@@ -525,24 +577,24 @@ class TestSortFirstKernel:
         names = [column[0] for column in workload.columns]
         dims = make_dimensions([(names.index(name), kind) for name, kind
                                 in workload.dimensions(6)])
-        values = columnize(workload.rows, dims).values
+        cols = columnize(workload.rows, dims).cols
         sorted_rows = []
         volume_keys = V._volume_keys
         monkeypatch.setattr(
             V, "_volume_keys",
             lambda cols: sorted_rows.append(len(cols[0]))
             or volume_keys(cols))
-        first = V._block_skyline_indices(values)
+        first = V._block_skyline_indices(cols)
         sample, survivors = sorted_rows
         assert sample <= V.SAMPLE_ROWS * 9 // 8
-        assert survivors <= len(values) // 4
-        assert V._block_skyline_indices(values).tolist() == first.tolist()
+        assert survivors <= cols.shape[1] // 4
+        assert V._block_skyline_indices(cols).tolist() == first.tolist()
         assert sorted_rows[2:] == [sample, survivors]  # exact per seed
 
     # -- the bounded ufunc buffer ----------------------------------------
 
     def test_ufunc_buffer_bounded_inside_and_restored(self, monkeypatch):
-        cols = V._columns(np.random.default_rng(3).random((3000, 3)))
+        cols = columns(np.random.default_rng(3).random((3000, 3)))
         default = np.getbufsize()
         assert default != V.UFUNC_BUFFER
         pairwise = V._pairwise_dominated
@@ -563,7 +615,7 @@ class TestSortFirstKernel:
         assert np.getbufsize() == default
 
     def test_ufunc_buffer_never_leaks_to_another_thread(self, monkeypatch):
-        cols = V._columns(np.random.default_rng(4).random((3000, 3)))
+        cols = columns(np.random.default_rng(4).random((3000, 3)))
         default = np.getbufsize()
         inside, release = threading.Event(), threading.Event()
         pairwise = V._pairwise_dominated
@@ -612,6 +664,39 @@ class TestSortFirstKernel:
             assert to_rows(survivors) == \
                 reference(rows, MIN2, distinct=True)
         assert max(materialised) == 400
+
+
+class TestResidentColumns:
+    """No kernel writes into a batch's arrays: a table's resident
+    columns are shared by every query on the catalog."""
+
+    @pytest.mark.parametrize("mode", sorted(V.SKYLINE_MODES))
+    def test_no_mode_writes_a_resident_column(self, mode):
+        columns = [("id", INTEGER, False), ("qty", INTEGER, False),
+                   ("price", DOUBLE, False), ("flag", BOOLEAN, False),
+                   ("rating", DOUBLE, True), ("stock", INTEGER, True)]
+        rows = [(i, (i * 7) % 23, float((i * 5) % 17) + 0.5, i % 3 == 0,
+                 None if i % 5 == 0 else float(i % 11),
+                 None if i % 7 == 0 else (i * 3) % 13)
+                for i in range(600)]
+        catalog = Catalog()
+        catalog.create_table("t", columns, rows)
+        batch, _ = catalog.lookup("t").column_batch()
+        assert [c.kind for c in batch.columns] == \
+            ["i8", "i8", "f8", "b1", "f8", "i8"]
+        before = [(c.data.tobytes(), None if c.mask is None
+                   else c.mask.tobytes()) for c in batch.columns]
+        # MAX over every storage kind; the null-aware modes also read
+        # the masked columns.
+        dims = make_dimensions(
+            [(1, "max"), (2, "max"), (3, "max"), (0, "min")]
+            if mode in ("complete", "sfs") else
+            [(1, "max"), (4, "max"), (5, "max"), (2, "min")])
+        for partition in (batch, batch.slice(100, 400)):
+            result, _, _ = skyline_task(partition, dims, mode)
+            assert result.num_rows
+        assert [(c.data.tobytes(), None if c.mask is None
+                 else c.mask.tobytes()) for c in batch.columns] == before
 
 
 class TestNullBitmapPacker:

@@ -148,7 +148,7 @@ class TestZeroRowBatches:
         batch = ColumnBatch.from_rows([(1.0, 2.0)], 2).take([])
         block = columnize_batch(batch,
                                 make_dimensions([(0, "min"), (1, "min")]))
-        assert block is None or block.values.shape[0] == 0
+        assert block.cols.shape == (2, 0) and not block.nulls
 
 
 def _nullable(values):
