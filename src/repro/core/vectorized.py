@@ -32,11 +32,25 @@ their survivors with it:
   (64 rows, doubling to 1024), reduce it to its own skyline, filter the
   *whole remainder* against it and compact.  The best-placed rows go
   first, so most of the input is gone before a window exists.
-* *Tie pass.*  Rows of equal key can dominate each other across a
-  block boundary; every such false survivor has a surviving equal-key
-  dominator (true skyline rows always survive), so one pairwise pass per
-  equal-key run of survivors makes the result exact for any weakly
-  monotone key.
+* *Keyed test.*  Inside the peel and the filter before sort, row ``b``
+  eliminates row ``c`` iff ``all_j b_j <= c_j`` and ``key_b < key_c``
+  (the volume key in the peel, the left-to-right monotone sum in the
+  filter): one ``<=`` per dimension plus one key comparison, half the
+  vector work of the exact test.  On NaN-free columns it has no false
+  positive -- equal rows have equal keys, so ``all <=`` with a smaller
+  key means ``b != c`` -- and it misses only dominations between rows
+  of equal key: a miss in the filter leaves a row for the peel, and
+  the tie pass resolves the peel's.
+* *Tie pass.*  Rows of equal key can dominate each other (the keyed
+  test skips them, inside a block and across blocks); every such false
+  survivor has a surviving equal-key dominator (true skyline rows
+  always survive), so one exact pairwise pass per equal-key run of
+  survivors makes the result exact for any weakly monotone key.
+* *Small groups.*  A group whose pairs all fit one :data:`PAIR_BUDGET`
+  broadcast (256 rows or fewer, after any filter before sort) is
+  selected by one exact all-pairs self-filter: no key, no sort, no tie
+  pass -- most null-bitmap groups are that small, and there the peel's
+  fixed NumPy call overhead would dominate.
 * *Column layout.*  There is one layout of the skyline input:
   ``(dims, rows)`` C-contiguous ``ColumnBlock.cols``, built by
   :func:`columnize` / :func:`columnize_batch` with one write per
@@ -44,9 +58,11 @@ their survivors with it:
   dominance primitives (:func:`_dominated_by`,
   :func:`_pairwise_dominated`) compare at most :data:`PAIR_BUDGET`
   pairs per broadcast, under a ufunc buffer bounded to
-  :data:`UFUNC_BUFFER` elements; the flagged kernel and the serving
-  cache's re-filter share them.  No kernel writes into a batch's
-  arrays: a table's resident columns are shared by every query.
+  :data:`UFUNC_BUFFER` elements.  Their exact, NaN-aware test runs
+  wherever NaN or equal keys can reach it: the flagged kernel, the tie
+  pass, the small-group filter and the serving cache's re-filter.  No
+  kernel writes into a batch's arrays: a table's resident columns are
+  shared by every query.
 
 Semantics are pinned to the scalar reference implementation:
 
@@ -296,19 +312,30 @@ def columnize_batch(batch: ColumnBatch,
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray"
-                        ) -> "np.ndarray":
-    """``(by rows, cand rows)`` mask: ``by[:, i]`` dominates
+def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray",
+                        keys: "tuple | None") -> "np.ndarray":
+    """``(by rows, cand rows)`` mask: ``by[:, i]`` eliminates
     ``cand[:, j]``; both arguments are ``(dims, rows)`` arrays.
 
-    One 2-D comparison per dimension over contiguous vectors, written
-    into reused buffers: a 3-D broadcast with a reduction over the tiny
-    dimension axis is the slow path in NumPy, and so are strided reads.
+    ``keys`` ``None`` is the exact, NaN-aware test: ``by[:, i]``
+    dominates ``cand[:, j]``.  ``keys = (by_keys, cand_keys)`` is the
+    *Keyed test* of the module docstring: ``all <=`` plus a strictly
+    smaller key, half the vector work and never a false positive on
+    NaN-free columns.  One 2-D comparison per dimension over contiguous
+    vectors, written into reused buffers: a 3-D broadcast with a
+    reduction over the tiny dimension axis is the slow path in NumPy,
+    and so are strided reads.
     """
     shape = (by.shape[1], cand.shape[1])
+    scratch = np.empty(shape, dtype=bool)
+    if keys is not None:
+        by_keys, cand_keys = keys
+        out = np.less(by_keys[:, None], cand_keys)
+        for b, c in zip(by, cand):
+            out &= np.less_equal(b[:, None], c, out=scratch)
+        return out
     worse = np.zeros(shape, dtype=bool)    # by worse anywhere
     better = np.zeros(shape, dtype=bool)   # by strictly better anywhere
-    scratch = np.empty(shape, dtype=bool)
     for b, c in zip(by, cand):
         b = b[:, None]
         worse |= np.greater(b, c, out=scratch)
@@ -319,12 +346,14 @@ def _pairwise_dominated(by: "np.ndarray", cand: "np.ndarray"
 
 
 def _dominated_by(cand: "np.ndarray", by: "np.ndarray",
-                  stats: DominanceStats | None = None) -> "np.ndarray":
-    """Mask over ``cand`` rows dominated by *some* row of ``by`` (both
-    ``(dims, rows)`` arrays).
+                  stats: DominanceStats | None = None,
+                  keys: "tuple | None" = None) -> "np.ndarray":
+    """Mask over ``cand`` rows eliminated by *some* row of ``by`` (both
+    ``(dims, rows)`` arrays): dominated, or with ``keys = (cand_keys,
+    by_keys)`` keyed-dominated (:func:`_pairwise_dominated`).
 
     Every broadcast covers at most :data:`PAIR_BUDGET` pairs, and
-    already-dominated candidates drop out of later steps -- so the
+    already-eliminated candidates drop out of later steps -- so the
     ``by`` step grows as the candidates thin out.  ``by`` stays whole:
     passing the same array twice gives the flag semantics (dominated
     rows keep eliminating).
@@ -335,18 +364,25 @@ def _dominated_by(cand: "np.ndarray", by: "np.ndarray",
         for lo in range(0, cand.shape[1], CANDIDATE_SPAN):
             live = cand[:, lo:lo + CANDIDATE_SPAN]
             index = np.arange(lo, lo + live.shape[1])
+            live_keys = None if keys is None \
+                else keys[0][lo:lo + CANDIDATE_SPAN]
             start = 0
             while start < by.shape[1] and len(index):
-                chunk = by[:, start:start + PAIR_BUDGET // len(index)]
-                start += chunk.shape[1]
+                stop = start + PAIR_BUDGET // len(index)
+                chunk = by[:, start:stop]
                 if stats is not None:
                     stats.comparisons += chunk.shape[1] * len(index)
-                dead = _pairwise_dominated(chunk, live).any(axis=0)
+                dead = _pairwise_dominated(
+                    chunk, live, None if keys is None
+                    else (keys[1][start:stop], live_keys)).any(axis=0)
+                start += chunk.shape[1]
                 if dead.any():
                     out[index[dead]] = True
                     # compress, unlike live[:, ~dead], stays C-contiguous.
                     live = np.compress(~dead, live, axis=1)
                     index = index[~dead]
+                    if keys is not None:
+                        live_keys = live_keys[~dead]
     finally:
         np.setbufsize(previous)
     return out
@@ -394,32 +430,34 @@ def _equal_key_dominated(keys: "np.ndarray", cols: "np.ndarray",
 
 def _peel(cols: "np.ndarray", stats: DominanceStats | None,
           check_deadline: Callable[[], None] | None) -> "np.ndarray":
-    """Skyline positions of a ``(dims, rows)`` array, best key first
-    (*Key*, *Peel* and *Tie pass* of the module docstring); compacts
-    only its own sorted copy."""
-    keys = _volume_keys(cols)
-    order = np.argsort(keys, kind="stable")
-    cols = np.take(cols, order, axis=1)
+    """Skyline positions of a NaN-free ``(dims, rows)`` array, best key
+    first (*Key*, *Peel*, *Keyed test* and *Tie pass* of the module
+    docstring); compacts only its own sorted copies."""
+    row_keys = _volume_keys(cols)
+    order = np.argsort(row_keys, kind="stable")
+    cols, keys = np.take(cols, order, axis=1), row_keys[order]
     kept_rows, kept_cols = [], []
     head = HEAD_ROWS_MIN
     while len(order):
         if check_deadline is not None:
             check_deadline()
-        block = cols[:, :head]
-        skyline = ~_dominated_by(block, block, stats)
+        block, block_keys = cols[:, :head], keys[:head]
+        skyline = ~_dominated_by(block, block, stats,
+                                 (block_keys, block_keys))
         block = np.compress(skyline, block, axis=1)
+        block_keys = block_keys[skyline]
         kept_rows.append(order[:head][skyline])
         kept_cols.append(block)
-        alive = head + np.flatnonzero(
-            ~_dominated_by(cols[:, head:], block, stats))
-        for col in cols:  # compact our own copy in place: no second one
+        alive = head + np.flatnonzero(~_dominated_by(
+            cols[:, head:], block, stats, (keys[head:], block_keys)))
+        for col in (*cols, keys):  # compact our own copies in place
             col[:len(alive)] = col[alive]
-        cols = cols[:, :len(alive)]
+        cols, keys = cols[:, :len(alive)], keys[:len(alive)]
         order = order[alive]
         head = min(head * 2, HEAD_ROWS_MAX)
     kept = np.concatenate(kept_rows)
     return kept[~_equal_key_dominated(
-        keys[kept], np.concatenate(kept_cols, axis=1), stats)]
+        row_keys[kept], np.concatenate(kept_cols, axis=1), stats)]
 
 
 def _block_skyline_indices(cols: "np.ndarray",
@@ -429,10 +467,10 @@ def _block_skyline_indices(cols: "np.ndarray",
     """Indices (ascending) of the skyline rows of ``(dims, rows)``
     ``cols``.
 
-    *Filter before sort*, then the sort-first peel of the module
-    docstring.  Requires a transitive dominance relation over the rows
-    and NaN only as a uniformly-null column (both guaranteed per
-    DIFF/null-bitmap group by the callers' guards).
+    *Filter before sort*, then *Small groups* or the sort-first peel of
+    the module docstring.  Requires a transitive dominance relation
+    over the rows and NaN only as a uniformly-null column (both
+    guaranteed per DIFF/null-bitmap group by the callers' guards).
     """
     rows = np.arange(cols.shape[1])
     live = [j for j, col in enumerate(cols)
@@ -445,16 +483,24 @@ def _block_skyline_indices(cols: "np.ndarray",
         # Filter points are rows of this very group, so whatever they
         # remove has a dominator among the rows that stay.
         stride = len(rows) // SAMPLE_ROWS
-        best = stride * _peel(cols[:, ::stride], stats, check_deadline)
+        best = stride * _peel(cols[:, ::stride], stats,
+                              check_deadline)[:FILTER_POINTS]
         if check_deadline is not None:
             check_deadline()
+        scores = _monotone_scores(cols)
         rows = np.flatnonzero(~_dominated_by(
-            cols, np.take(cols, best[:FILTER_POINTS], axis=1), stats))
+            cols, np.take(cols, best, axis=1), stats,
+            (scores, scores[best])))
         cols = np.take(cols, rows, axis=1)
-    kept = rows[_peel(cols, stats, check_deadline)]
+    if len(rows) ** 2 <= PAIR_BUDGET:
+        if check_deadline is not None:
+            check_deadline()
+        kept = rows[~_dominated_by(cols, cols, stats)]
+    else:
+        kept = np.sort(rows[_peel(cols, stats, check_deadline)])
     if stats is not None:
         stats.note_window(len(kept))
-    return np.sort(kept)
+    return kept
 
 
 def _flagged_indices(cols: "np.ndarray",

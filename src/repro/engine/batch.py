@@ -364,7 +364,11 @@ class ColumnBatch:
                 raise ValueError("a zero-column batch needs num_rows")
             num_rows = len(self.columns[0])
         self._num_rows = num_rows
-        self._rows: list[tuple] | None = None
+        # The row view: this batch's own row list, a ``(rows, start)``
+        # window of a parent's list that ``to_rows`` slices on first
+        # use (one attribute, so a concurrent reader never sees half of
+        # the swap), or ``None``.
+        self._rows: "list[tuple] | tuple[list[tuple], int] | None" = None
 
     def __getstate__(self):
         # By value; a batch shipped as a shared-memory handle travels as
@@ -422,25 +426,35 @@ class ColumnBatch:
 
     def to_rows(self) -> list[tuple]:
         """The batch back as row tuples (cached; exact round-trip)."""
-        if self._rows is None:
-            if not self.columns:
-                self._rows = [()] * self._num_rows
-            else:
-                self._rows = list(zip(*[c.to_values()
-                                        for c in self.columns]))
-        return self._rows
+        rows = self._rows
+        if isinstance(rows, list):
+            return rows
+        if rows is not None:
+            parent, start = rows
+            rows = parent[start:start + self._num_rows]
+        elif not self.columns:
+            rows = [()] * self._num_rows
+        else:
+            rows = list(zip(*[c.to_values() for c in self.columns]))
+        self._rows = rows
+        return rows
 
     # -- slicing ----------------------------------------------------------
 
     def slice(self, start: int, stop: int) -> "ColumnBatch":
         """Rows ``[start, stop)`` (clamped like a list slice), zero-copy:
-        array columns are views of this batch's buffers and the source
-        row tuples are carried along (``to_rows()`` rebuilds nothing)."""
+        array columns are views of this batch's buffers, and a row view
+        is carried as a window of the source row list, sliced only when
+        ``to_rows()`` is called (it rebuilds no tuple)."""
         start, stop, _ = slice(start, stop).indices(self._num_rows)
         batch = ColumnBatch([c.slice(start, stop) for c in self.columns],
                             num_rows=max(0, stop - start))
-        if self._rows is not None:
-            batch._rows = self._rows[start:stop]
+        rows = self._rows
+        if isinstance(rows, tuple):
+            rows, offset = rows
+            start += offset
+        if rows is not None:
+            batch._rows = (rows, start)
         return batch
 
     def extend(self, rows: "list[tuple]") -> "ColumnBatch":

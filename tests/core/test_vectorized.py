@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.vectorized as V
@@ -346,6 +346,12 @@ def columns(values):
     return np.ascontiguousarray(values.T)
 
 
+def peel(cols):
+    """The sort-first peel alone -- no filter before sort, no
+    small-group path -- its positions ascending."""
+    return np.sort(V._peel(cols, None, None)).tolist()
+
+
 def all_pairs_skyline(values):
     """The definition, one row against all others -- no key, no window,
     no order: the oracle the sort-first kernel must match bit for bit."""
@@ -366,7 +372,7 @@ KERNEL_POOL = [0.0, -0.0, 1.0, 2.0, 3.0, 0.4, 0.6, INF, -INF,
 
 
 @st.composite
-def kernel_matrices(draw):
+def kernel_matrices(draw, nulls=True):
     k = draw(st.integers(1, 4))
     rows = draw(st.lists(
         st.lists(st.sampled_from(KERNEL_POOL), min_size=k, max_size=k),
@@ -379,10 +385,29 @@ def kernel_matrices(draw):
         values[:, 0] = 10.0 ** np.asarray(exponents, dtype=np.float64)
     # Uniformly-null columns (a null-bitmap group); all of them null
     # is the all-null group.
-    for j in range(k):
+    for j in range(k if nulls else 0):
         if draw(st.integers(0, 4)) == 0:
             values[:, j] = NAN
     return values
+
+
+def raw_sum_keys(cols):
+    """The raw sum as a peel key.  ``inf + -inf`` is NaN, which no
+    order places; reading it as +inf -- what every row that row
+    dominates sums to -- keeps the sum weakly monotone."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isnan(sums := cols.sum(axis=0)), INF, sums)
+
+
+#: Weakly monotone keys the peel must be exact under: its own volume
+#: key, the raw sum (ties a dominator with its victim at 1e16) and a
+#: constant -- the keyed test then eliminates nothing, and the tie
+#: pass alone must be exact.
+PEEL_KEYS = {
+    "volume": V._volume_keys,
+    "raw-sum": raw_sum_keys,
+    "constant": lambda cols: np.zeros(cols.shape[1]),
+}
 
 
 class TestSortFirstKernel:
@@ -394,6 +419,23 @@ class TestSortFirstKernel:
     def test_bit_identical_to_all_pairs(self, values):
         assert V._block_skyline_indices(columns(values)).tolist() == \
             all_pairs_skyline(values)
+
+    @pytest.mark.parametrize("key", sorted(PEEL_KEYS))
+    @given(kernel_matrices(nulls=False))
+    @settings(max_examples=200, deadline=None)
+    def test_keyed_test_exact_under_any_weakly_monotone_key(self, key,
+                                                            values):
+        # NaN-free, with duplicates, +-inf and 1e16 neighbours.  The
+        # keyed test never eliminates what the exact test keeps ...
+        assume(len(values))
+        cols = columns(values)
+        keys = PEEL_KEYS[key](cols)
+        keyed = V._pairwise_dominated(cols, cols, (keys, keys))
+        assert not (keyed & ~V._pairwise_dominated(cols, cols, None)).any()
+        # ... and what it misses (equal keys), the tie pass resolves.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(V, "_volume_keys", PEEL_KEYS[key])
+            assert peel(cols) == all_pairs_skyline(values)
 
     #: Rows consumed when every head block survives whole: 64, +128, ...
     BOUNDARIES = [64, 192, 448, 960, 1984, 3008]
@@ -414,6 +456,7 @@ class TestSortFirstKernel:
             values = np.concatenate([values + (4.0, 4.0), values])
             expected = list(range(n, 2 * n))
         assert V._block_skyline_indices(columns(values)).tolist() == expected
+        assert peel(columns(values)) == expected
         if n <= 192:
             assert all_pairs_skyline(values) == expected
 
@@ -426,14 +469,14 @@ class TestSortFirstKernel:
         n = V.HEAD_ROWS_MIN + 6
         values = np.asarray([(1e16, 0.9 - i * 1e-4) for i in range(n)])
         monkeypatch.setattr(V, "_volume_keys", lambda cols: np.sum(cols, axis=0))
-        assert V._block_skyline_indices(columns(values)).tolist() == [n - 1] == \
-            all_pairs_skyline(values)
-        # Mutation check: without the cleanup the false survivor stays.
+        assert peel(columns(values)) == [n - 1] == all_pairs_skyline(values)
+        # Mutation check: without the cleanup nothing is eliminated --
+        # the keyed test needs a strictly smaller key, and every key
+        # ties.
         monkeypatch.setattr(
             V, "_equal_key_dominated",
             lambda keys, cols, stats: np.zeros(len(keys), dtype=bool))
-        assert V._block_skyline_indices(columns(values)).tolist() == \
-            [V.HEAD_ROWS_MIN - 1, n - 1]
+        assert peel(columns(values)) == list(range(n))
 
     def test_keys_are_scale_free_and_finite(self):
         values = np.asarray([(-INF, 1e300), (0.0, 1e-300), (INF, 5.0),
@@ -489,7 +532,7 @@ class TestSortFirstKernel:
         if shape == "periodic":
             # Period = the sampling stride, phase 0 the WORST rows: the
             # sample sees nothing but them.
-            phase = i % (n // V.SAMPLE_ROWS)
+            phase = i % max(n // V.SAMPLE_ROWS, 1)
             return np.stack([-phase, -phase + i % 3, i % 5], axis=1)
         if shape == "inf":
             values = np.stack([i % 11, -(i % 13), i % 7], axis=1)
@@ -512,6 +555,17 @@ class TestSortFirstKernel:
         assert V._block_skyline_indices(columns(values)).tolist() == \
             all_pairs_skyline(values)
 
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("shape", ["chain", "duplicates", "periodic",
+                                       "inf", "null-column", "ties"])
+    def test_adversarial_shapes_around_the_small_group_size(self, shape, n):
+        # 256 rows is the largest group one PAIR_BUDGET broadcast
+        # self-filters exactly; 257 takes the keyed peel.
+        assert 256 ** 2 == V.PAIR_BUDGET
+        values = self.adversarial(shape, n)
+        assert V._block_skyline_indices(columns(values)).tolist() == \
+            all_pairs_skyline(values)
+
     @pytest.mark.parametrize("foreign, lost", [
         # No row of the matrix at all: just better than row 100.
         ((99.5, -100.0), [100]),
@@ -529,10 +583,12 @@ class TestSortFirstKernel:
         assert V._block_skyline_indices(columns(values)).tolist() == expected
         dominated_by = V._dominated_by
 
-        def planted(cand, by, stats=None):
+        def planted(cand, by, stats=None, keys=None):
             if cand.shape[1] == len(values):  # the filter pass
-                by = columns(np.asarray([foreign]))
-            return dominated_by(cand, by, stats)
+                # Tested exactly: it skips a NaN dimension, as a
+                # filter over several null-bitmap groups would have to.
+                by, keys = columns(np.asarray([foreign])), None
+            return dominated_by(cand, by, stats, keys)
 
         monkeypatch.setattr(V, "_dominated_by", planted)
         assert V._block_skyline_indices(columns(values)).tolist() == \
@@ -544,10 +600,10 @@ class TestSortFirstKernel:
         events = []
         dominated_by = V._dominated_by
 
-        def spy(cand, by, stats=None):
+        def spy(cand, by, stats=None, keys=None):
             events.append("filter" if cand.shape[1] == len(values)
                           else "peel")
-            return dominated_by(cand, by, stats)
+            return dominated_by(cand, by, stats, keys)
 
         monkeypatch.setattr(V, "_dominated_by", spy)
         V._block_skyline_indices(columns(values), None,
@@ -595,24 +651,29 @@ class TestSortFirstKernel:
 
     def test_ufunc_buffer_bounded_inside_and_restored(self, monkeypatch):
         cols = columns(np.random.default_rng(3).random((3000, 3)))
+        keys = cols.sum(axis=0)
         default = np.getbufsize()
         assert default != V.UFUNC_BUFFER
         pairwise = V._pairwise_dominated
-        seen = set()
+        seen = []
         monkeypatch.setattr(
             V, "_pairwise_dominated",
-            lambda by, cand: seen.add(np.getbufsize()) or pairwise(by, cand))
+            lambda by, cand, keys: seen.append((np.getbufsize(),
+                                                keys is None))
+            or pairwise(by, cand, keys))
         V._dominated_by(cols, cols[:, :64])
-        assert seen == {V.UFUNC_BUFFER}
+        V._dominated_by(cols, cols[:, :64], keys=(keys, keys[:64]))
+        assert set(seen) == {(V.UFUNC_BUFFER, True), (V.UFUNC_BUFFER, False)}
         assert np.getbufsize() == default
 
-        def boom(by, cand):
+        def boom(by, cand, keys):
             raise RuntimeError("inside the primitive")
 
         monkeypatch.setattr(V, "_pairwise_dominated", boom)
-        with pytest.raises(RuntimeError):
-            V._dominated_by(cols, cols[:, :64])
-        assert np.getbufsize() == default
+        for pair_keys in (None, (keys, keys[:64])):
+            with pytest.raises(RuntimeError):
+                V._dominated_by(cols, cols[:, :64], keys=pair_keys)
+            assert np.getbufsize() == default
 
     def test_ufunc_buffer_never_leaks_to_another_thread(self, monkeypatch):
         cols = columns(np.random.default_rng(4).random((3000, 3)))
@@ -620,12 +681,12 @@ class TestSortFirstKernel:
         inside, release = threading.Event(), threading.Event()
         pairwise = V._pairwise_dominated
 
-        def parked(by, cand):
+        def parked(by, cand, keys):
             # Hold the primitive open, buffer bounded, until the other
             # thread has looked.
             inside.set()
             assert release.wait(10)
-            return pairwise(by, cand)
+            return pairwise(by, cand, keys)
 
         monkeypatch.setattr(V, "_pairwise_dominated", parked)
         observed = []

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batch import OBJ, ColumnBatch, encode_numeric_column
+from repro.engine.catalog import Catalog
+from repro.engine.types import DOUBLE, INTEGER
 
 NAN = float("nan")
 INF = float("inf")
@@ -217,6 +219,24 @@ class TestSlice:
             assert np.shares_memory(part.data, whole.data)
         assert np.shares_memory(piece.column(3).mask, batch.column(3).mask)
         assert piece.nbytes < batch.nbytes
+
+    def test_row_view_is_sliced_only_by_to_rows_and_outlives_dml(self):
+        rows = [(i, float(i % 7)) for i in range(100)]
+        catalog = Catalog()
+        catalog.create_table("t", [("a", INTEGER), ("b", DOUBLE)], rows)
+        batch, _ = catalog.lookup("t").column_batch()
+        batch.to_rows()
+        piece = batch.slice(10, 60).slice(5, 20)  # slices of slices too
+        # A window of the table's row list, not a copy of 15 references.
+        assert piece._rows[0] is batch.to_rows()
+        catalog.insert_into("t", [(-1, -1.0)])
+        catalog.delete_from("t", predicate=lambda row: 0 <= row[0] < 30)
+        # The DML republished new lists; the slice still reads its rows.
+        assert piece.to_rows() == rows[15:30]
+        assert all(x is y for x, y in zip(piece.to_rows(), rows[15:30]))
+        fresh, _ = catalog.lookup("t").column_batch()
+        assert fresh.slice(0, 3).to_rows() == rows[30:33]
+        assert fresh.slice(69, 71).to_rows() == [rows[99], (-1, -1.0)]
 
     def test_read_only_store_rejects_writes_through_views(self):
         rows = [(float(i), None if i % 3 else i) for i in range(10)]
