@@ -16,6 +16,7 @@ aggregates skip nulls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Callable, Iterator, Sequence
 
@@ -622,7 +623,27 @@ class Negate(Expression):
         return f"-({self.children[0].sql()})"
 
 
-class IfNull(Expression):
+class DeclaredResult(Expression):
+    """An expression whose result is one of its arguments, which may mix
+    INTEGER and DOUBLE (``coalesce``, ``ifnull``, ``CASE``).  The result
+    takes the declared type on both planes, as Spark's analyzer widens
+    such arguments to their common type: under DOUBLE an int is a float.
+    """
+
+    @functools.cached_property
+    def widens(self) -> bool:
+        """True when an int result becomes a float (declared DOUBLE);
+        resolved on first use, not per row."""
+        return self.dtype == DOUBLE
+
+    def declared(self, value: Any) -> Any:
+        """``value`` as a value of the declared type."""
+        if type(value) is int and self.widens:
+            return float(value)
+        return value
+
+
+class IfNull(DeclaredResult):
     """``ifnull(a, b)`` / two-argument coalesce, used by the MusicBrainz
     queries of Appendix E."""
 
@@ -651,18 +672,18 @@ class IfNull(Expression):
     def eval(self, row: tuple) -> Any:
         value = self.children[0].eval(row)
         if value is None:
-            return self.children[1].eval(row)
-        return value
+            value = self.children[1].eval(row)
+        return self.declared(value)
 
     def eval_batch(self, batch: ColumnBatch) -> Column:
         return _coalesce_batch(
-            [c.eval_batch(batch) for c in self.children])
+            [c.eval_batch(batch) for c in self.children], self)
 
     def sql(self) -> str:
         return f"ifnull({self.children[0].sql()}, {self.children[1].sql()})"
 
 
-class Coalesce(Expression):
+class Coalesce(DeclaredResult):
     """First non-null argument."""
 
     def __init__(self, *args: Expression) -> None:
@@ -690,12 +711,12 @@ class Coalesce(Expression):
         for child in self.children:
             value = child.eval(row)
             if value is not None:
-                return value
+                return self.declared(value)
         return None
 
     def eval_batch(self, batch: ColumnBatch) -> Column:
         return _coalesce_batch(
-            [c.eval_batch(batch) for c in self.children])
+            [c.eval_batch(batch) for c in self.children], self)
 
     def sql(self) -> str:
         inner = ", ".join(c.sql() for c in self.children)
@@ -1053,7 +1074,7 @@ def disjunction(predicates: Sequence[Expression]) -> Expression:
 # ---------------------------------------------------------------------------
 
 
-class CaseWhen(Expression):
+class CaseWhen(DeclaredResult):
     """``CASE WHEN c1 THEN v1 ... ELSE e END``."""
 
     def __init__(self, branches: Sequence[tuple[Expression, Expression]],
@@ -1100,8 +1121,8 @@ class CaseWhen(Expression):
     def eval(self, row: tuple) -> Any:
         for condition, value in self.branches:
             if condition.eval(row) is True:
-                return value.eval(row)
-        return self.else_value.eval(row)
+                return self.declared(value.eval(row))
+        return self.declared(self.else_value.eval(row))
 
     def sql(self) -> str:
         parts = ["CASE"]
@@ -1597,33 +1618,48 @@ def _compare_batch(expr: "ComparisonExpression", left: Column,
     return Column(B1, getattr(np, ufunc_name)(a, b), mask)
 
 
-def _rowwise_coalesce(columns: Sequence[Column]) -> Column:
-    """First non-null per row over already-evaluated columns."""
+def _rowwise_coalesce(columns: Sequence[Column],
+                      expr: DeclaredResult) -> Column:
+    """First non-null per row over already-evaluated columns, as a
+    value of ``expr``'s declared type."""
     value_lists = [c.to_values() for c in columns]
     out = []
     for values in zip(*value_lists):
         result = None
         for value in values:
             if value is not None:
-                result = value
+                result = expr.declared(value)
                 break
         out.append(result)
     return Column.from_values(out)
 
 
-def _coalesce_batch(columns: Sequence[Column]) -> Column:
-    """Coalesce over evaluated argument columns.
+def _coalesce_batch(columns: Sequence[Column],
+                    expr: DeclaredResult) -> Column:
+    """Coalesce over evaluated argument columns, typed like ``expr``.
 
-    Vectorized when every column shares one array kind; mixed storage
-    kinds take the per-row path because the row semantics return the
-    *original* typed value (an int stays an int even when later
-    arguments are floats), which a promoted array could not preserve.
+    Under a declared DOUBLE the ``i8`` arguments are first promoted to
+    ``f8`` -- the row plane turns an int result into a float -- unless
+    one holds a value beyond 2**53.  Arguments of one array kind then
+    merge in one ``np.where`` chain; anything else (a list column, an
+    unpromotable ``i8``) takes the per-row path, which applies the same
+    rule value by value.
     """
+    if expr.widens:
+        promoted = []
+        for column in columns:
+            if column.kind == I8:
+                data = _exact_f8(column)
+                if data is None:
+                    return _rowwise_coalesce(columns, expr)
+                column = Column(F8, data, column.mask)
+            promoted.append(column)
+        columns = promoted
     first = columns[0]
     if first.is_array and (first.mask is None or not first.mask.any()):
         return first
     if not first.is_array or any(c.kind != first.kind for c in columns):
-        return _rowwise_coalesce(columns)
+        return _rowwise_coalesce(columns, expr)
     data = first.data
     null = first.mask.copy()
     for column in columns[1:]:

@@ -190,11 +190,19 @@ def aggregate(name: str, distinct: bool, column: Column, ids,
     if name in ("min", "max"):
         if has_nan:
             raise Inexact("fallback_nan_aggregate")
+        out = np.zeros(num_groups, dtype=data.dtype)
+        if kind != F8:
+            # Equal ints (bools) are identical, so which of equal
+            # extremes came first decides nothing: reduce, no sort.
+            if len(data):
+                out[:] = data.max() if name == "min" else data.min()
+                (np.minimum if name == "min" else np.maximum).at(
+                    out, ids, data)
+                out[empty] = 0
+            return Column(kind, out, mask)
         # By group, then value: like the row loop's strict comparisons,
         # a stable sort keeps the first seen of equal extremes (-0.0, 0.0).
-        key = data if name == "min" else -data if kind == F8 else ~data
-        order = np.lexsort((key, ids))
-        out = np.zeros(num_groups, dtype=data.dtype)
+        order = np.lexsort((data if name == "min" else -data, ids))
         out[~empty] = data[order[(np.cumsum(counts) - counts)[~empty]]]
         return Column(kind, out, mask)
     if kind == B1:

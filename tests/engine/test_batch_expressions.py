@@ -15,9 +15,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import expressions as E
-from repro.engine.batch import ColumnBatch
+from repro.engine.batch import F8, ColumnBatch
+from repro.engine.types import DOUBLE, INTEGER
 
 SEED = 20230331
 
@@ -160,13 +163,90 @@ def test_conditional_and_null_functions():
         E.IfNull(a, E.Literal(0.0)),
         E.Coalesce(a, b),
         E.Coalesce(a, b, E.Literal(-1.0)),
-        # Mixed kinds (float fallback to int) must keep the original
-        # value types -- exercised via the row fallback.
+        # Mixed kinds: a DOUBLE result, so the int fallback is a float
+        # on both planes.
         E.Coalesce(a, c),
         E.CaseWhen([(E.GreaterThan(a, E.Literal(0.0)), b)], a),
     ]
     for expr in exprs:
         assert_batch_matches_rows(expr, rows, 3)
+
+
+def test_case_when_returns_its_declared_type():
+    """Branches mixing INTEGER and DOUBLE give a DOUBLE result: an int
+    branch value is a float on both planes, and the per-row batch form
+    builds a typed ``f8`` column, not a Python list."""
+    rows = make_rows(["float", "int"], 80, SEED + 8)
+    a, c = col(0), col(1, INTEGER)
+    exprs = [
+        E.CaseWhen([(E.GreaterThan(a, E.Literal(0.0)), c)], a),
+        E.CaseWhen([(E.IsNull(a), E.Literal(0))], a),
+        E.CaseWhen([(E.IsNull(c), E.Literal(1.5))], c),
+    ]
+    for expr in exprs:
+        assert expr.dtype == DOUBLE
+        assert_batch_matches_rows(expr, rows, 2)
+        column = expr.eval_batch(ColumnBatch.from_rows(rows, 2))
+        assert column.kind == F8
+    # INTEGER branches only: ints stay ints.
+    ints = E.CaseWhen([(E.IsNull(c), E.Literal(0))], c)
+    assert ints.dtype == INTEGER
+    assert_batch_matches_rows(ints, rows, 2)
+    assert {type(ints.eval(row)) for row in rows} == {int}
+
+
+_COALESCE_COLUMNS = {
+    "int": st.one_of(st.none(), st.integers(-2 ** 40, 2 ** 40)),
+    "bigint": st.one_of(st.none(), st.integers(-2 ** 63, 2 ** 63 - 1)),
+    "float": st.one_of(st.none(), st.floats(allow_nan=True)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(sorted(_COALESCE_COLUMNS)),
+                      min_size=1, max_size=3),
+       literal=st.one_of(st.none(), st.integers(-9, 9),
+                         st.sampled_from([0.0, -0.0, 2.5])),
+       two_argument=st.booleans(), num_rows=st.integers(0, 12))
+def test_coalesce_and_ifnull_return_the_declared_type(
+        data, kinds, literal, two_argument, num_rows):
+    """``coalesce``/``ifnull`` over ``i8``/``f8``/NULL columns and an
+    int or float literal: the batch plane answers like the row plane to
+    the ``repr`` (``0`` is not ``0.0``), a declared DOUBLE is an ``f8``
+    column, and ints beyond 2**53 still agree."""
+    rows = [tuple(data.draw(_COALESCE_COLUMNS[kind]) for kind in kinds)
+            for _ in range(num_rows)]
+    args = [col(i, INTEGER if kind != "float" else DOUBLE)
+            for i, kind in enumerate(kinds)]
+    if literal is not None:
+        args.append(E.Literal(literal))
+    if two_argument and len(args) >= 2:
+        expr = E.IfNull(args[0], args[1])
+    else:
+        expr = E.Coalesce(*args)
+    batch = ColumnBatch.from_rows(rows, len(kinds))
+    column = expr.eval_batch(batch)
+    got = column.to_values()
+    want = [expr.eval(row) for row in rows]
+    assert list(map(repr, got)) == list(map(repr, want))
+    if expr.dtype == DOUBLE:
+        assert all(type(v) is float for v in want if v is not None)
+        if any(v is not None for v in want):
+            assert column.kind == F8
+
+
+def test_coalesce_beyond_2_53_matches_the_row_plane():
+    """An ``i8`` argument beyond 2**53 cannot promote exactly: the
+    per-row path rounds each value as the row plane does."""
+    big = [(2 ** 53 + 1, None), (None, 2 ** 63 - 1), (-2 ** 63, 1.5),
+           (None, None), (7, -0.0)]
+    a, b = col(0, INTEGER), col(1, INTEGER)
+    for expr in (E.Coalesce(a, b, E.Literal(0.5)),
+                 E.IfNull(a, E.Literal(0.0)),
+                 E.Coalesce(col(1), a)):
+        assert_batch_matches_rows(expr, big, 2)
+    assert E.IfNull(a, E.Literal(0.0)).eval(big[0]) == float(2 ** 53 + 1)
 
 
 def test_literals_broadcast():

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import repro
 from repro.datasets.musicbrainz import (base_query, register_musicbrainz,
                                         skyline_query)
+from repro.engine import batch
+from repro.engine import expressions as E
 from repro.engine.cluster import ExecutionContext
 from repro.engine.types import BOOLEAN, DOUBLE, INTEGER, STRING
 from repro.plan import physical as P
@@ -311,6 +313,35 @@ def test_sum_of_negative_zeros_keeps_its_sign():
     assert repr(result.as_tuples()[0]) == "(1, -0.0, 0.0, -0.0, -0.0)"
 
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def test_integer_min_max_at_the_int64_bounds():
+    """Integer ``min``/``max`` reduce per group without a sort: the
+    int64 extremes, one-row groups, groups an outer join leaves without
+    a value and DISTINCT all answer like the row loop."""
+    columns = [("g", INTEGER, True), ("v", INTEGER, True)]
+    rows = [(1, INT64_MIN), (1, INT64_MAX), (1, 0), (2, INT64_MAX),
+            (3, INT64_MIN), (4, None), (5, 7), (5, 7), (5, -7),
+            (None, INT64_MAX), (6, INT64_MIN), (6, INT64_MIN)]
+    tables = {"t": (columns, rows),
+              "k": ([("g", INTEGER, False)], [(g,) for g in range(9)])}
+    for distinct in ("", "DISTINCT "):
+        call = f"min({distinct}v), max({distinct}v)"
+        _identical(tables, f"SELECT g, {call}, count(v) FROM t GROUP BY g")
+        _identical(tables, f"SELECT {call} FROM t")
+        _identical(tables, f"SELECT {call} FROM t WHERE g = 4")
+        _identical(tables, f"SELECT k.g, {call} FROM k LEFT JOIN t "
+                           f"ON k.g = t.g GROUP BY k.g")
+    result = _identical(tables, "SELECT g, min(v), max(v) FROM t "
+                                "WHERE g IS NOT NULL GROUP BY g")
+    assert result.as_tuples() == [
+        (1, INT64_MIN, INT64_MAX), (2, INT64_MAX, INT64_MAX),
+        (3, INT64_MIN, INT64_MIN), (4, None, None), (5, -7, 7),
+        (6, INT64_MIN, INT64_MIN)]
+    assert _kernels(result, "HashAggregateExec") == {"vectorized"}
+
+
 def test_distinct_and_limit():
     tables = {"t": (T, T_ROWS)}
     for sql in ("SELECT DISTINCT g, v FROM t",
@@ -489,7 +520,12 @@ def test_musicbrainz_skyline_never_leaves_the_column_plane(musicbrainz,
     def refuse(result):
         raise AssertionError("_rows_rdd entered on the batch plane")
 
+    def refuse_rowwise(*args):
+        raise AssertionError("a column left the typed arrays")
+
     monkeypatch.setattr(P, "_rows_rdd", refuse)
+    monkeypatch.setattr(E, "_rowwise_coalesce", refuse_rowwise)
+    monkeypatch.setattr(batch, "encode_numeric_column", refuse_rowwise)
     result = session.sql(sql).run()
     assert result.rows and result.context.summary()["fallbacks"] == {}
     assert _kernels(result, "HashJoinExec") == {"vectorized"}
