@@ -28,7 +28,8 @@ their survivors with it:
   sorted.  Filter points are rows of the group, so every row they
   remove has a dominator among the rows that stay and the skyline of
   the survivors is the skyline of the group.
-* *Peel.*  One stable argsort by key, then rounds: take a head block
+* *Peel.*  One argsort by key (equal keys in any order: the tie pass
+  settles them), then rounds: take a head block
   (64 rows, doubling to 1024), reduce it to its own skyline, filter the
   *whole remainder* against it and compact.  The best-placed rows go
   first, so most of the input is gone before a window exists.
@@ -434,7 +435,8 @@ def _peel(cols: "np.ndarray", stats: DominanceStats | None,
     first (*Key*, *Peel*, *Keyed test* and *Tie pass* of the module
     docstring); compacts only its own sorted copies."""
     row_keys = _volume_keys(cols)
-    order = np.argsort(row_keys, kind="stable")
+    # Any order of equal keys will do: the tie pass settles each run.
+    order = np.argsort(row_keys)
     cols, keys = np.take(cols, order, axis=1), row_keys[order]
     kept_rows, kept_cols = [], []
     head = HEAD_ROWS_MIN

@@ -9,9 +9,9 @@ from .cluster import ClusterConfig, ExecutionContext
 from .faults import FaultPlan, InjectedFault, SimulatedWorkerCrash, activate
 from .rdd import RDD, BatchRDD
 from .row import Field, Row, Schema, infer_schema
-from .types import (BOOLEAN, DOUBLE, INTEGER, STRING, BooleanType, DataType,
-                    DoubleType, IntegerType, StringType, common_type,
-                    infer_type, is_numeric, is_orderable)
+from .types import (BOOLEAN, DOUBLE, INTEGER, NULL, STRING, BooleanType,
+                    DataType, DoubleType, IntegerType, NullType, StringType,
+                    common_type, infer_type, is_numeric, is_orderable)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -43,6 +43,8 @@ __all__ = [
     "activate",
     "INTEGER",
     "IntegerType",
+    "NULL",
+    "NullType",
     "RDD",
     "Row",
     "STRING",

@@ -25,7 +25,7 @@ import numpy as np
 from ..core.dominance import DimensionKind
 from ..errors import AnalysisError
 from .batch import B1, F8, I8, Column, ColumnBatch, int64_fits_float_exact
-from .types import (BOOLEAN, DOUBLE, INTEGER, STRING, DataType, common_type,
+from .types import (BOOLEAN, DOUBLE, INTEGER, DataType, common_type,
                     infer_type, is_numeric, is_orderable)
 
 _expr_id_counter = itertools.count(1)
@@ -676,8 +676,7 @@ class IfNull(DeclaredResult):
         return self.declared(value)
 
     def eval_batch(self, batch: ColumnBatch) -> Column:
-        return _coalesce_batch(
-            [c.eval_batch(batch) for c in self.children], self)
+        return _coalesce_batch(batch, self)
 
     def sql(self) -> str:
         return f"ifnull({self.children[0].sql()}, {self.children[1].sql()})"
@@ -715,8 +714,7 @@ class Coalesce(DeclaredResult):
         return None
 
     def eval_batch(self, batch: ColumnBatch) -> Column:
-        return _coalesce_batch(
-            [c.eval_batch(batch) for c in self.children], self)
+        return _coalesce_batch(batch, self)
 
     def sql(self) -> str:
         inner = ", ".join(c.sql() for c in self.children)
@@ -1084,8 +1082,7 @@ class CaseWhen(DeclaredResult):
         for condition, value in branches:
             flattened.append(condition)
             flattened.append(value)
-        self._else = else_value if else_value is not None else Literal(
-            None, STRING)
+        self._else = else_value if else_value is not None else Literal(None)
         flattened.append(self._else)
         self.children = tuple(flattened)
 
@@ -1105,17 +1102,12 @@ class CaseWhen(DeclaredResult):
 
     @property
     def dtype(self) -> DataType:
-        result: DataType | None = None
+        result = self.else_value.dtype
         for _, value in self.branches:
-            result = value.dtype if result is None else common_type(
-                result, value.dtype)
-        if not isinstance(self.else_value, Literal) or \
-                self.else_value.value is not None:
-            merged = common_type(result, self.else_value.dtype) \
-                if result is not None else self.else_value.dtype
-            result = merged if merged is not None else result
-        if result is None:
-            raise AnalysisError(f"cannot type CASE expression {self.sql()}")
+            result = common_type(result, value.dtype)
+            if result is None:
+                raise AnalysisError(
+                    f"CASE results have incompatible types: {self.sql()}")
         return result
 
     def eval(self, row: tuple) -> Any:
@@ -1634,9 +1626,10 @@ def _rowwise_coalesce(columns: Sequence[Column],
     return Column.from_values(out)
 
 
-def _coalesce_batch(columns: Sequence[Column],
-                    expr: DeclaredResult) -> Column:
-    """Coalesce over evaluated argument columns, typed like ``expr``.
+def _coalesce_batch(batch: ColumnBatch, expr: DeclaredResult) -> Column:
+    """Coalesce of ``expr``'s arguments over ``batch``, typed like
+    ``expr``.  A ``NULL`` literal is never the first non-null, so it is
+    not evaluated.
 
     Under a declared DOUBLE the ``i8`` arguments are first promoted to
     ``f8`` -- the row plane turns an int result into a float -- unless
@@ -1645,6 +1638,10 @@ def _coalesce_batch(columns: Sequence[Column],
     unpromotable ``i8``) takes the per-row path, which applies the same
     rule value by value.
     """
+    columns = [child.eval_batch(batch) for child in expr.children
+               if not (isinstance(child, Literal) and child.value is None)]
+    if not columns:
+        return Column.nulls(batch.num_rows)
     if expr.widens:
         promoted = []
         for column in columns:

@@ -1,13 +1,21 @@
 """Array kernels of the batch-native relational operators.
 
 Hash join, hash aggregate and DISTINCT on :class:`ColumnBatch`es reduce
-to :func:`join_indices` (sorted build side + ``searchsorted`` probe ->
-index arrays to gather with), :func:`group_ids` (dense group ids in
-first-seen order) and the grouped reductions of :func:`aggregate`.
-Each reproduces the row operators of :mod:`repro.plan.physical`
-exactly: same rows, same order, same Python values.  Where arrays
-cannot promise that a kernel raises :class:`Inexact` and the operator
-runs its row body, counted by reason in ``summary()["fallbacks"]``.
+to index arrays over *codes*: each key becomes a small non-negative
+integer, equal where the keys are equal, and every kernel reads a table
+at that code instead of searching or sorting.  An integer key whose
+span (``max - min + 1``) is within a small multiple of the row count is
+its own code less the minimum; any other key (floats, a sparse range)
+is numbered by one ``np.unique``.  :func:`join_codes` gives both sides
+of a join one code space, :func:`join_build` turns the build side into a
+CSR table (per code: count, start, rows in arrival order) and
+:func:`join_indices` probes it by direct addressing; :func:`group_ids`
+numbers dense codes in first-seen order with one ``np.minimum.at``
+scatter, and :func:`aggregate` runs the grouped reductions.  Each
+reproduces the row operators of :mod:`repro.plan.physical` exactly:
+same rows, same order, same Python values.  Where arrays cannot promise
+that a kernel raises :class:`Inexact` and the operator runs its row
+body, counted by reason in ``summary()["fallbacks"]``.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ def _typed(column: Column, reason: str) -> Column:
 
 def key_array(column: Column, as_float: bool = False) -> tuple:
     """``(data, null mask or None)`` of one key column; ``==`` on the
-    data is Python's on the values (``1 == 1.0 == True``).  ``as_float``
-    casts an int/bool column to meet a float one, exactly or not at all."""
+    data is Python's on the values (``1 == 1.0 == True``).  The data is
+    ``int64``, or ``float64`` under ``as_float`` (set when any side of
+    the join holds floats), which casts an int/bool column exactly or
+    not at all."""
     if not len(column):
         return np.empty(0, dtype=np.float64 if as_float else np.int64), None
     column = _typed(column, "fallback_obj_key")
@@ -57,7 +67,11 @@ def key_array(column: Column, as_float: bool = False) -> tuple:
     null = column.mask if column.mask is not None and column.mask.any() \
         else None
     if column.kind == F8:
-        if np.isnan(data if null is None else data[~null]).any():
+        if null is not None and null.all():
+            # An all-null stand-in: no value, so no float to meet.
+            data = np.zeros(len(data), dtype=np.float64 if as_float
+                            else np.int64)
+        elif np.isnan(data if null is None else data[~null]).any():
             raise Inexact("fallback_nan_key")
     elif as_float:
         if not int64_fits_float_exact(data):
@@ -68,38 +82,92 @@ def key_array(column: Column, as_float: bool = False) -> tuple:
     return data, null
 
 
+#: A code space of up to ``_SPAN_PER_ROW`` entries per row (plus
+#: ``_SPAN_SLACK``) is addressed directly; a wider one is numbered by a
+#: sort.  A table that size costs about what one pass over the rows does.
+_SPAN_PER_ROW, _SPAN_SLACK = 4, 1024
+
+
+def _addressable(width: int, num_rows: int) -> bool:
+    return width <= _SPAN_PER_ROW * num_rows + _SPAN_SLACK
+
+
+def _span(values, num_rows: int) -> tuple | None:
+    """``(lowest, span)`` of integer ``values`` whose span is
+    addressable beside ``num_rows`` rows; None for floats or a sparse
+    range.  The span is a Python int: ``max - min`` may leave int64."""
+    if values.dtype.kind != "i":
+        return None
+    if not len(values):
+        return 0, 0
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    return (low, span) if _addressable(span, num_rows) else None
+
+
+def _column_codes(data, null, num_rows: int) -> tuple:
+    """``(codes, radix)`` of one key column: codes below ``radix - 1``
+    equal where the values are, ``radix - 1`` for a null."""
+    if data.dtype == bool:
+        data = data.astype(np.int64)
+    span = _span(data if null is None else data[~null], num_rows)
+    if span is None:
+        values, codes = np.unique(data, return_inverse=True)
+        size = len(values)
+        if null is not None:
+            codes = np.where(null, size, codes)
+        return codes, size + 1
+    low, size = span
+    codes = np.full(len(data), size, dtype=np.intp)
+    # A null's data is arbitrary: only the values are shifted.
+    np.subtract(data, low, out=codes,
+                where=True if null is None else ~null)
+    return codes, size + 1
+
+
+def _first_seen(code, width: int) -> tuple:
+    """``(ids, first_rows)`` of codes below ``width``: ids numbered in
+    first-seen order, and the row that opened each."""
+    num_rows = len(code)
+    if not _addressable(width, num_rows):
+        _, first, inverse = np.unique(code, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return rank[inverse], first[order]
+    first = np.full(width, num_rows, dtype=np.intp)
+    np.minimum.at(first, code, np.arange(num_rows))
+    opened = np.zeros(num_rows + 1, dtype=bool)  # the last: unused codes
+    opened[first] = True
+    first_rows = np.flatnonzero(opened[:num_rows])
+    label = np.empty(width, dtype=np.intp)
+    label[code[first_rows]] = np.arange(len(first_rows))
+    return label[code], first_rows
+
+
 def group_ids(keys: Sequence[tuple], num_rows: int) -> tuple:
     """``(ids, first_rows)``: a dense group id per row, numbered in
     first-seen order, and the row that opened each group.  ``keys`` are
-    :func:`key_array` pairs; a null is one more value of its column, as
-    ``None`` is in a ``dict`` key."""
+    ``(data, null or None)`` pairs; a null is one more value of its
+    column, as ``None`` is in a ``dict`` key.  Several columns combine
+    in a mixed radix of their codes."""
     if not keys:
         return (np.zeros(num_rows, dtype=np.intp),
                 np.zeros(min(num_rows, 1), dtype=np.intp))
     code, width = None, 1
     for data, null in keys:
-        if len(keys) == 1 and null is None:
-            code = data
-            break
-        values, inverse = np.unique(data, return_inverse=True)
-        radix = len(values) + 1  # one more for the nulls
-        if null is not None:
-            inverse = np.where(null, radix - 1, inverse)
+        column, radix = _column_codes(data, null, num_rows)
         if code is None:
-            code, width = inverse, radix
+            code, width = column, radix
             continue
-        if width * radix >= 2 ** 62:
-            # Re-densify before the mixed radix can leave int64.
-            code = np.unique(code, return_inverse=True)[1]
-            width = int(code.max()) + 1
-        code = code * radix + inverse
+        if not _addressable(width * radix, num_rows):
+            # Renumber first, to keep the mixed radix small.
+            code, first = _first_seen(code, width)
+            width = len(first)
+        code = code * radix + column
         width *= radix
-    _, first, inverse = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+    return _first_seen(code, width)
 
 
 def joint_codes(keys: Sequence[Sequence[tuple]]) -> list[tuple]:
@@ -118,27 +186,67 @@ def joint_codes(keys: Sequence[Sequence[tuple]]) -> list[tuple]:
     return list(zip(np.split(codes, bounds), np.split(null, bounds)))
 
 
-def join_build(data, null) -> tuple:
-    """The build side: its non-null keys sorted (stably: equal keys
-    stay in arrival order) and the row each came from."""
-    order = np.argsort(data, kind="stable")
-    if null is not None:
-        order = order[~null[order]]
-    return data[order], order
+def join_codes(keys: Sequence[tuple], build: int) -> tuple:
+    """``(codes, size)``: one join key in one code space.  ``keys`` holds
+    a :func:`key_array` pair per batch, ``keys[build]`` the build
+    side's; ``codes`` has one array per batch, equal where the keys are.
+    Code ``size`` matches nothing: a null, or a probe value outside the
+    build side's span."""
+    num_rows = sum(len(data) for data, _ in keys)
+    data, null = keys[build]
+    span = _span(data if null is None else data[~null], num_rows)
+    if span is not None:
+        low, size = span
+        high = low + size - 1
+        codes = []
+        for data, null in keys:
+            # Range-check the raw values: only a key inside the build
+            # side's span is shifted, so no subtraction can wrap.
+            inside = (data >= low) & (data <= high)
+            if null is not None:
+                inside &= ~null
+            code = np.full(len(data), size, dtype=np.intp)
+            codes.append(np.subtract(data, low, out=code, where=inside))
+        return codes, size
+    values, inverse = np.unique(np.concatenate([d for d, _ in keys]),
+                                return_inverse=True)
+    size = len(values)
+    bounds = np.cumsum([len(d) for d, _ in keys])[:-1]
+    return [code if null is None else np.where(null, size, code)
+            for (_, null), code in zip(keys, np.split(inverse, bounds))], \
+        size
 
 
-def join_indices(data, null, build: tuple) -> tuple:
+def join_build(codes, size: int) -> tuple:
+    """The build side as a CSR table over codes below ``size``:
+    ``(counts, starts, rows)``, each code's rows ``rows[starts[c]:
+    starts[c] + counts[c]]`` in arrival order (``counts[size]`` is 0)."""
+    rows = np.flatnonzero(codes < size)
+    counts = np.bincount(codes[rows], minlength=size + 1)
+    starts = np.cumsum(counts) - counts
+    if len(rows) and counts.max() > 1:
+        # code * n + row is unique per row: any sort is the stable one.
+        rows = rows[np.argsort(codes[rows] * len(codes) + rows)]
+    else:
+        placed = np.empty(len(rows), dtype=np.intp)
+        placed[starts[codes[rows]]] = rows
+        rows = placed
+    return counts, starts, rows
+
+
+def join_indices(codes, build: tuple) -> tuple:
     """``(probe_rows, build_rows)`` of every match: probe rows in order,
     each with its matches in build-side arrival order; no null matches."""
-    keys, order = build
-    low = np.searchsorted(keys, data, "left")
-    counts = np.searchsorted(keys, data, "right") - low
-    if null is not None:
-        counts[null] = 0
-    probe = np.repeat(np.arange(len(data)), counts)
-    within = np.arange(len(probe)) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-    return probe, order[np.repeat(low, counts) + within]
+    counts, starts, rows = build
+    hits = counts[codes]
+    if not len(codes) or hits.max() <= 1:
+        probe = np.flatnonzero(hits)
+        return probe, rows[starts[codes[probe]]]
+    # Pair k of probe row i reads rows[starts[code_i] + k - first pair of i].
+    shift = starts[codes] - (np.cumsum(hits) - hits)
+    pairs = np.arange(int(hits.sum()))
+    return (np.repeat(np.arange(len(codes)), hits),
+            rows[np.repeat(shift, hits) + pairs])
 
 
 def pad_unmatched(probe, build_rows, num_rows: int, null_row: int) -> tuple:

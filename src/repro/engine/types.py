@@ -64,10 +64,16 @@ class BooleanType(DataType):
     python_types = (bool,)
 
 
+class NullType(DataType):
+    """The type of a bare ``NULL``: it holds no value and, like Spark's
+    NullType, takes the type of whatever it meets (:func:`common_type`)."""
+
+
 INTEGER = IntegerType()
 DOUBLE = DoubleType()
 STRING = StringType()
 BOOLEAN = BooleanType()
+NULL = NullType()
 
 _NUMERIC = (IntegerType, DoubleType)
 
@@ -79,17 +85,22 @@ def is_numeric(dtype: DataType) -> bool:
 def is_orderable(dtype: DataType) -> bool:
     """Types usable in comparisons and skyline MIN/MAX dimensions."""
     return isinstance(dtype, (IntegerType, DoubleType, StringType,
-                              BooleanType))
+                              BooleanType, NullType))
 
 
 def common_type(left: DataType, right: DataType) -> DataType | None:
     """Widest common type of two types, or None if incompatible.
 
-    Integer widens to double; everything else must match exactly.  This is
-    a deliberately small coercion lattice -- the dominance checker relies
-    on both sides of a comparison having the same resolved type.
+    Integer widens to double and NULL to the other type; everything else
+    must match exactly.  This is a deliberately small coercion lattice --
+    the dominance checker relies on both sides of a comparison having the
+    same resolved type.
     """
     if left == right:
+        return left
+    if left == NULL:
+        return right
+    if right == NULL:
         return left
     if is_numeric(left) and is_numeric(right):
         return DOUBLE
@@ -99,8 +110,7 @@ def common_type(left: DataType, right: DataType) -> DataType | None:
 def infer_type(value: Any) -> DataType:
     """Infer the SQL type of a Python literal.
 
-    ``None`` infers as STRING for lack of better information; callers that
-    care about null typing should supply an explicit schema.
+    ``None`` is NULL, which meets any other type as that type.
     """
     if isinstance(value, bool):
         return BOOLEAN
@@ -108,6 +118,8 @@ def infer_type(value: Any) -> DataType:
         return INTEGER
     if isinstance(value, float):
         return DOUBLE
-    if isinstance(value, str) or value is None:
+    if isinstance(value, str):
         return STRING
+    if value is None:
+        return NULL
     raise TypeError(f"cannot infer SQL type for {value!r}")

@@ -869,7 +869,7 @@ class HashJoinExec(PhysicalPlan):
         return BatchRDD([ColumnBatch.from_rows(rows, len(self._output))
                          for rows in partitions])
 
-    # -- batch plane: key arrays -> index arrays -> gathers ---------------
+    # -- batch plane: key arrays -> codes -> index arrays -> gathers -------
 
     def _join_batches(self, ctx: ExecutionContext, stage: str,
                       lefts: list[ColumnBatch], right: ColumnBatch
@@ -886,24 +886,26 @@ class HashJoinExec(PhysicalPlan):
                 + [right_key.eval_batch(right)]
             as_float = any(c.kind == F8 for c in columns if len(c))
             keys.append([R.key_array(c, as_float) for c in columns])
-        *left_keys, right_key = keys[0] if len(keys) == 1 \
-            else R.joint_codes(keys)
+        codes, size = R.join_codes(
+            keys[0] if len(keys) == 1 else R.joint_codes(keys),
+            build=0 if from_right else -1)
+        *left_codes, right_codes = codes
         if from_right:
             task = functools.partial(
-                self._probe, right, right_key, R.with_null_row(lefts[0]),
-                R.join_build(*left_keys[0]), None)
+                self._probe, right, right_codes, R.with_null_row(lefts[0]),
+                R.join_build(left_codes[0], size), None)
             return [ctx.run_task(stage, 0, task, len(right),
                                  parallelizable=False, kernel="vectorized")]
-        build = R.join_build(*right_key)
+        build = R.join_build(right_codes, size)
         build_side = R.with_null_row(right) \
             if self.join_type in _OUTER_JOINS else right
         matched = np.zeros(len(right), dtype=bool) \
             if self.join_type == L.JoinType.FULL_OUTER else None
         results = ctx.run_stage(stage, [
             StageTask(partition=i, rows_in=len(batch), kernel="vectorized",
-                      fn=functools.partial(self._probe, batch, key,
+                      fn=functools.partial(self._probe, batch, batch_codes,
                                            build_side, build, matched))
-            for i, (batch, key) in enumerate(zip(lefts, left_keys))])
+            for i, (batch, batch_codes) in enumerate(zip(lefts, left_codes))])
         if matched is not None and not matched.all():
             tail = right.compress(~matched)
             results.append(ColumnBatch(
@@ -911,7 +913,7 @@ class HashJoinExec(PhysicalPlan):
                 + tail.columns, num_rows=len(tail)))
         return results
 
-    def _probe(self, probe: ColumnBatch, key: tuple, build_side: ColumnBatch,
+    def _probe(self, probe: ColumnBatch, codes, build_side: ColumnBatch,
                build: tuple, matched) -> ColumnBatch:
         """One probe task.  As in the row loop, the residual predicate
         runs over the candidate pairs before the outer-null fill and the
@@ -925,7 +927,7 @@ class HashJoinExec(PhysicalPlan):
             return ColumnBatch(left.columns + right.columns,
                                num_rows=len(probe_rows))
 
-        rows, others = R.join_indices(*key, build)
+        rows, others = R.join_indices(codes, build)
         if self.residual is not None:
             keep = np.asarray(_true_rows(self.residual.eval_batch(combined(
                 probe.take(rows), build_side.take(others)))), dtype=bool)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.types import (BOOLEAN, DOUBLE, INTEGER, STRING,
+from repro.engine.types import (BOOLEAN, DOUBLE, INTEGER, NULL, STRING,
                                 DoubleType, IntegerType, common_type,
                                 infer_type, is_numeric, is_orderable)
 
@@ -60,6 +60,13 @@ class TestCommonType:
         assert common_type(INTEGER, STRING) is None
         assert common_type(BOOLEAN, DOUBLE) is None
 
+    def test_null_takes_the_other_type(self):
+        for dtype in (INTEGER, DOUBLE, STRING, BOOLEAN, NULL):
+            assert common_type(NULL, dtype) == dtype
+            assert common_type(dtype, NULL) == dtype
+        assert is_orderable(NULL) and not is_numeric(NULL)
+        assert not NULL.accepts(None) and NULL.name == "NULL"
+
 
 class TestInferType:
     def test_basic_inference(self):
@@ -67,7 +74,7 @@ class TestInferType:
         assert infer_type(1.0) == DOUBLE
         assert infer_type("x") == STRING
         assert infer_type(True) == BOOLEAN
-        assert infer_type(None) == STRING
+        assert infer_type(None) == NULL
 
     def test_rejects_exotic_values(self):
         with pytest.raises(TypeError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.datasets.musicbrainz import (base_query, register_musicbrainz,
                                         skyline_query)
 from repro.engine import batch
 from repro.engine import expressions as E
+from repro.engine import relational as R
 from repro.engine.cluster import ExecutionContext
 from repro.engine.types import BOOLEAN, DOUBLE, INTEGER, STRING
 from repro.plan import physical as P
@@ -40,13 +42,15 @@ def _sessions(tables: dict, num_executors: int = 3):
     return pair
 
 
-def _identical(tables: dict, query, fallbacks=None, num_executors: int = 3):
+def _identical(tables: dict, query, fallbacks=None, num_executors: int = 3,
+               sessions=None):
     """Run ``query`` (SQL text or ``session -> DataFrame``) on both
-    sessions; the rows must agree in content, type and order, and the
-    default session must have fallen back exactly as ``fallbacks`` says
-    (default: not at all)."""
+    sessions (``sessions``, or a new :func:`_sessions` pair); the rows
+    must agree in content, type and order, and the default session must
+    have fallen back exactly as ``fallbacks`` says (default: not at
+    all)."""
     results = []
-    for session in _sessions(tables, num_executors):
+    for session in sessions or _sessions(tables, num_executors):
         frame = session.sql(query) if isinstance(query, str) \
             else query(session)
         results.append(frame.run())
@@ -414,6 +418,78 @@ def test_random_tables(a, b, how, executors):
                num_executors=executors)
 
 
+INT64_EDGES = (INT64_MIN, INT64_MIN + 1, -2, 0, INT64_MAX - 2, INT64_MAX)
+
+
+@st.composite
+def _int_key_columns(draw, max_rows: int = 8) -> list:
+    """An integer key column: runs of neighbours around one or two
+    bases (a dense span, or -- two far-apart bases -- a sparse one),
+    the int64 bounds among them, duplicates and NULLs."""
+    bases = draw(st.lists(st.sampled_from(INT64_EDGES), min_size=1,
+                          max_size=2))
+    near = st.builds(lambda base, step: min(max(base + step, INT64_MIN),
+                                            INT64_MAX),
+                     st.sampled_from(bases), st.integers(-2, 2))
+    return draw(st.lists(st.one_of(st.none(), near), max_size=max_rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a_keys=_int_key_columns(), b_keys=_int_key_columns(),
+       bool_keys=st.booleans(), executors=st.integers(1, 4),
+       bools=st.lists(st.one_of(st.none(), st.booleans()), min_size=16,
+                      max_size=16))
+def test_integer_keys_by_direct_addressing(a_keys, b_keys, bool_keys,
+                                           executors, bools):
+    """Joins, GROUP BY, DISTINCT and count(DISTINCT) over integer keys
+    that are dense, sparse, negative or at the int64 bounds on either
+    side (a probe key outside the build side's span matches nothing),
+    or over BOOLEAN keys; both sides may hold duplicates, NULLs or no
+    rows at all."""
+    if bool_keys:
+        a_keys, b_keys = bools[:len(a_keys)], bools[8:8 + len(b_keys)]
+    key_type = BOOLEAN if bool_keys else INTEGER
+    tables = {"a": ([("k", key_type, True), ("x", INTEGER, True)],
+                    [(k, i) for i, k in enumerate(a_keys)]),
+              "b": ([("k", key_type, True), ("y", INTEGER, True)],
+                    [(k, -i) for i, k in enumerate(b_keys)])}
+    sessions = _sessions(tables, executors)
+    for how in JOIN_HOWS:
+        _identical(tables, _join("a.k = b.k", how), sessions=sessions)
+    for sql in ("SELECT k, count(*), count(DISTINCT x), min(x) FROM a "
+                "GROUP BY k",
+                "SELECT DISTINCT k FROM b",
+                "SELECT count(DISTINCT k), count(k) FROM b",
+                "SELECT a.k, b.k, count(*) FROM a JOIN b ON a.x = -b.y "
+                "GROUP BY a.k, b.k",
+                "SELECT DISTINCT a.k, b.y FROM a FULL JOIN b ON a.k = b.k",
+                "SELECT * FROM a JOIN b ON a.k = b.k AND a.x = -b.y"):
+        _identical(tables, sql, sessions=sessions)
+
+
+def test_keys_at_the_int64_bounds():
+    """Build keys at the top of int64, probe keys at the bottom: the
+    shift into the build side's code space must not wrap a probe key
+    into it, and a span from INT64_MIN to INT64_MAX is sparse, not
+    negative."""
+    a = [(INT64_MIN, 1), (INT64_MIN + 1, 2), (INT64_MAX, 3), (None, 4),
+         (INT64_MAX - 1, 5), (0, 6), (INT64_MIN + 2, 7)]
+    b = [(INT64_MAX, 1), (INT64_MAX - 2, 2), (INT64_MAX, 3), (None, 4)]
+    tables = {"a": (AB, a), "b": (BA, b)}
+    for how in JOIN_HOWS:
+        result = _identical(tables, _join("a.k = b.k", how))
+        assert _kernels(result, "HashJoinExec") == {"vectorized"}
+    result = _identical(tables, _join("a.k = b.k", "inner"))
+    assert result.as_tuples() == [(INT64_MAX, 3, INT64_MAX, 1),
+                                  (INT64_MAX, 3, INT64_MAX, 3)]
+    _identical({"a": (AB, b), "b": (BA, a)}, _join("a.k = b.k", "full"))
+    for sql in ("SELECT k, count(*) FROM a GROUP BY k",
+                "SELECT DISTINCT k FROM a",
+                "SELECT k, count(DISTINCT x) FROM a GROUP BY k",
+                "SELECT x, count(DISTINCT k) FROM a GROUP BY x"):
+        _identical(tables, sql)
+
+
 # ---------------------------------------------------------------------------
 # Named fallbacks: counted, labelled, and still the same answer
 # ---------------------------------------------------------------------------
@@ -528,5 +604,42 @@ def test_musicbrainz_skyline_never_leaves_the_column_plane(musicbrainz,
     monkeypatch.setattr(batch, "encode_numeric_column", refuse_rowwise)
     result = session.sql(sql).run()
     assert result.rows and result.context.summary()["fallbacks"] == {}
+    assert _kernels(result, "HashJoinExec") == {"vectorized"}
+    assert _kernels(result, "HashAggregateExec") == {"vectorized"}
+
+
+class _DirectAddressingOnly:
+    """NumPy as :mod:`repro.engine.relational` sees it, minus the two
+    sort-based key routes: no ``searchsorted``, no ``unique`` over an
+    integer (or bool) array."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def searchsorted(*args, **kwargs):
+        raise AssertionError("a join probe searched sorted keys")
+
+    @staticmethod
+    def unique(values, *args, **kwargs):
+        if np.asarray(values).dtype.kind in "biu":
+            raise AssertionError("integer keys were numbered by a sort")
+        return np.unique(values, *args, **kwargs)
+
+
+@pytest.mark.parametrize("complete", [True, False])
+@pytest.mark.parametrize("statement", [base_query,
+                                       lambda c: skyline_query(6, c)])
+def test_musicbrainz_keys_are_addressed_directly(musicbrainz, monkeypatch,
+                                                 statement, complete):
+    """The ids the MusicBrainz statements join and group on span a
+    dense range: every join probes a table by code and every grouping
+    numbers its codes by a scatter."""
+    reference = musicbrainz[-1].sql(statement(complete)).run()
+    monkeypatch.setattr(R, "np", _DirectAddressingOnly())
+    result = musicbrainz[0].sql(statement(complete)).run()
+    assert list(map(repr, result.as_tuples())) == \
+        list(map(repr, reference.as_tuples()))
+    assert result.context.summary()["fallbacks"] == {}
     assert _kernels(result, "HashJoinExec") == {"vectorized"}
     assert _kernels(result, "HashAggregateExec") == {"vectorized"}

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import DOUBLE, INTEGER, STRING, connect
+from repro.errors import AnalysisError
 
 
 @pytest.fixture
@@ -207,6 +208,64 @@ class TestGeneralSqlSemantics:
                     f"SELECT x FROM t ORDER BY x {order}").to_tuples()
                 assert ["NaN" if v != v else v for (v,) in got] == want, \
                     (seed, order)
+
+
+class TestNullLiteralAndDeclaredTypes:
+    """A bare ``NULL`` takes the type of what it meets (Spark's
+    NullType), and a CASE whose results do not share a type is an
+    error, as in ``coalesce``, on both planes."""
+
+    ROWS = [(1.5, 1), (None, 2), (2.5, None), (None, None)]
+
+    @staticmethod
+    def _session(columnar):
+        session = connect(num_executors=2, columnar=columnar,
+                          vectorized=columnar)
+        session.create_table("t", [("a", DOUBLE, True), ("b", INTEGER, True)],
+                             TestNullLiteralAndDeclaredTypes.ROWS)
+        return session
+
+    @pytest.mark.parametrize("columnar", (True, False), ids=("batch", "row"))
+    def test_null_literal_meets_a_typed_argument(self, columnar):
+        session = self._session(columnar)
+        for sql, want in [
+                ("SELECT coalesce(a, NULL) FROM t",
+                 [(1.5,), (None,), (2.5,), (None,)]),
+                ("SELECT ifnull(a, NULL) FROM t",
+                 [(1.5,), (None,), (2.5,), (None,)]),
+                ("SELECT coalesce(NULL, a, b) FROM t",
+                 [(1.5,), (2.0,), (2.5,), (None,)]),
+                ("SELECT ifnull(NULL, b) FROM t",
+                 [(1,), (2,), (None,), (None,)]),
+                ("SELECT CASE WHEN b > 1 THEN a ELSE NULL END FROM t",
+                 [(None,), (None,), (None,), (None,)]),
+                ("SELECT CASE WHEN b > 1 THEN NULL ELSE b END FROM t",
+                 [(1,), (None,), (None,), (None,)]),
+                ("SELECT b = NULL FROM t", [(None,)] * 4)]:
+            result = session.sql(sql).run()
+            assert list(map(repr, result.as_tuples())) == \
+                list(map(repr, want)), sql
+            assert result.context.summary()["fallbacks"] == {}
+        plan = session.sql("SELECT ifnull(b, NULL) AS x, "
+                           "coalesce(NULL, a) AS y FROM t").plan
+        assert [a.dtype for a in session.analyze(plan).output] == \
+            [INTEGER, DOUBLE]
+
+    @pytest.mark.parametrize("columnar", (True, False), ids=("batch", "row"))
+    def test_case_results_that_do_not_merge_are_an_error(self, columnar):
+        session = self._session(columnar)
+        for sql in ("SELECT CASE WHEN b > 1 THEN a ELSE 'z' END FROM t",
+                    "SELECT CASE WHEN b > 1 THEN 'z' ELSE a END FROM t",
+                    "SELECT CASE WHEN b > 1 THEN a WHEN b < 0 THEN 'z' "
+                    "END FROM t"):
+            with pytest.raises(AnalysisError, match="incompatible types"):
+                session.sql(sql).run()
+        with pytest.raises(AnalysisError, match="incompatible types"):
+            session.sql("SELECT coalesce(a, 'z') FROM t").run()
+        got = session.sql("SELECT CASE WHEN b > 1 THEN b ELSE a END "
+                          "FROM t").to_tuples()
+        assert list(map(repr, got)) == ["(1.5,)", "(2.0,)", "(2.5,)",
+                                        "(None,)"]
 
 
 class TestCorrelatedExists:
